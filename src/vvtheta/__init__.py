@@ -69,12 +69,15 @@ from .grassmann import (  # noqa: F401
     swap_blocks_point,
 )
 from .theta import (  # noqa: F401
+    build_term_table,
     TermRecord,
+    TermTable,
     ThetaEvaluator,
     ThetaValue,
     enumerate_vectors,
     mixed_theta_composed,
     mixed_theta_direct,
+    mixed_theta_evaluator,
     mixed_theta_family,
     modularity_defect,
     pairing_expression_residuals,

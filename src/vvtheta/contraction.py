@@ -35,7 +35,7 @@ from .grassmann import (
 )
 from .lattice import Lattice, Sublattice
 from .theta import (
-    enumerate_vectors,
+    build_term_table,
     mixed_theta_direct,
     siegel_theta,
     siegel_theta_evaluator,
@@ -144,12 +144,15 @@ def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
 
 def theta_series_coset(perp_lat: Lattice, u_perp, poly: HomogeneousPolynomial,
                        coset_vec, bound) -> dict:
-    """Exact-exponent q-series of one coset of a positive definite lattice."""
+    """Exact-exponent q-series of one coset of a positive definite lattice.
+
+    The exponent of a vector is half its norm, a + b of its table row.
+    """
     series: dict = {}
-    for lam in enumerate_vectors(perp_lat, coset_vec, u_perp, None, bound):
-        expo = perp_lat.norm(lam) / 2
-        coeff = poly.evaluate(u_perp.adapted_coords(lam))
+    for t in build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound):
+        coeff = t.poly_coeffs[0]
         if coeff != 0:
+            expo = t.a + t.b
             series[expo] = series.get(expo, 0j) + coeff
     return {e: c for e, c in series.items() if abs(c) > 0}
 
@@ -297,29 +300,27 @@ def naive_truncated_lift(form, lat: Lattice, point, poly: HomogeneousPolynomial,
 
     Returns (value, error_estimate) where the estimate is the difference
     against the half-resolution grid.  The theta terms are enumerated once
-    and reused across the whole grid.
+    and both grids are evaluated in one batched table evaluation.
     """
     evaluator = siegel_theta_evaluator(lat, point, poly, None, bound)
     group = discriminant_group(lat)
 
-    def quadrature(n: int) -> complex:
-        dx = 1.0 / n
-        dy = (y_max - FUNDAMENTAL_Y0) / n
-        total = 0j
-        for i in range(n):
-            x = -0.5 + (i + 0.5) * dx
-            for j in range(n):
-                y = FUNDAMENTAL_Y0 + (j + 0.5) * dy
-                if x * x + y * y < 1.0:
-                    continue
-                tau = complex(x, y)
-                theta = evaluator.at(tau)
-                val = rep_pair(theta.value, _form_value(form, tau), groups=[group])
-                total += val * dx * dy / (y * y)
-        return total
+    def grid(n: int):
+        dx, dy = 1.0 / n, (y_max - FUNDAMENTAL_Y0) / n
+        taus = [complex(-0.5 + (i + 0.5) * dx, FUNDAMENTAL_Y0 + (j + 0.5) * dy)
+                for i in range(n) for j in range(n)]
+        return [t for t in taus if t.real * t.real + t.imag * t.imag >= 1.0], dx, dy
 
-    value = quadrature(grid_n)
-    coarse = quadrature(max(grid_n // 2, 1))
+    grids = [grid(grid_n), grid(max(grid_n // 2, 1))]
+    thetas = iter(evaluator.vectors([tau for taus, _dx, _dy in grids for tau in taus]))
+    totals = []
+    for taus, dx, dy in grids:
+        total = 0j
+        for tau, theta in zip(taus, thetas):
+            val = rep_pair(theta, _form_value(form, tau), groups=[group])
+            total += val * dx * dy / (tau.imag * tau.imag)
+        totals.append(total)
+    value, coarse = totals
     return value, abs(value - coarse)
 
 

@@ -95,6 +95,10 @@ class VectorNotInComplement(VvthetaError):
     pass
 
 
+class NoTermData(VvthetaError):
+    pass
+
+
 # contraction
 
 class ComplementNotDefinite(VvthetaError):

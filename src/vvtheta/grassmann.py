@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,21 @@ class GrassmannPoint:
             return sum(a * b for a, b in zip(v, mv))
         v = np.array([float(x) for x in vec])
         return float(v @ self.majorant_np @ v)
+
+    @cached_property
+    def norm_forms(self) -> tuple:
+        """(Q+, Q-): exact Gram matrices of the plus and minus norms, P±^T G P±.
+
+        Q+ - Q- is the majorant and Q+ + Q- is G itself.
+        """
+        g = exact.frac_matrix(self.lattice.gram_rows())
+        return tuple(exact.mat_mul(exact.mat_mul(exact.transpose(p), g), p)
+                     for p in (self.proj_plus, self.proj_minus))
+
+    @cached_property
+    def majorant_inverse(self) -> list:
+        """Exact inverse of the majorant Gram matrix."""
+        return exact.mat_inv(self.majorant) if self.lattice.rank else []
 
     def adapted_coords(self, vec) -> np.ndarray:
         """Coordinates w.r.t. the orthonormalized adapted basis (floats)."""

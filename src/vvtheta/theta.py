@@ -7,12 +7,13 @@ Fincke-Pohst on the majorant Gram matrix with an exact membership filter;
 the omitted mass is bounded by a one-dimensional integral against shell
 volumes (the ``tail_estimate``).  Term data keeps exact exponents whenever
 the splitting and the shift vectors are rational, so identities between two
-constructions can be checked coefficientwise, not just numerically.
+constructions can be checked coefficientwise, not just numerically.  Every
+sum is one TermTable of numpy arrays (int64 numerators for the exact data),
+built once and evaluated over many tau in one batch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from .discforms import (
 )
 from .errors import (
     BoundTooLarge,
+    NoTermData,
     NonHomogeneousPolynomial,
     TailTooLarge,
     TauNotInUpperHalfPlane,
@@ -38,6 +40,7 @@ from .errors import (
 from .grassmann import (
     GrassmannPoint,
     HomogeneousPolynomial,
+    _is_rational_vec,
     as_pair,
     block_swapped_poly,
     direct_sum_grassmann,
@@ -123,46 +126,158 @@ def _fincke_pohst(q: np.ndarray, center: np.ndarray, radius: float,
     return out
 
 
-def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
-                      bound, max_vectors=None) -> list[tuple]:
-    """All lattice translates lambda in coset + Z^n with maj(lambda+beta) <= 2*bound.
+#: exact term arithmetic runs in int64 only when every numerator it can form
+#: is at most this; otherwise BoundTooLarge is raised before enumerating
+INT64_SAFE = 2 ** 62
 
-    Membership is decided exactly (rational arithmetic) when the data allows,
-    with the float Fincke-Pohst pass only proposing candidates.
+
+def _common_denominator(values) -> int:
+    den = 1
+    for x in values:
+        den = math.lcm(den, Fraction(x).denominator)
+    return den
+
+
+def _lin(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Row-wise x_r^T mat, accumulated one column of x at a time.
+
+    Unlike a BLAS product, a row's result never depends on which other rows
+    share the batch, so a vector gets the same floats in every table.
     """
-    n = lat.rank
-    coset = list(coset)
-    if n == 0:
-        return [()]
-    beta = list(beta) if beta is not None else [Fraction(0)] * n
-    center = np.array([float(c) + float(b) for c, b in zip(coset, beta)])
-    radius = 2.0 * float(bound) * (1 + 1e-12) + 1e-9
-    cap = _max_vectors(max_vectors)
-    candidates = _fincke_pohst(point.majorant_np, center, radius, cap)
-    exactable = all(isinstance(x, (int, Fraction)) for x in coset + beta) \
-        and point.rational_flag
-    out = []
-    two_b = Fraction(bound) * 2 if exactable else 2.0 * float(bound)
-    for m in candidates:
-        lam = tuple(Fraction(c) + mi for c, mi in zip(coset, m)) if exactable \
-            else tuple(float(c) + mi for c, mi in zip(coset, m))
-        w = [x + b for x, b in zip(lam, beta)]
-        maj = point.majorant_value(w)
-        if exactable:
-            if maj <= two_b:
-                out.append(lam)
-        elif float(maj) <= float(two_b) + 1e-9:
-            out.append(lam)
-    out.sort()
+    out = np.zeros((x.shape[0], mat.shape[1]), dtype=np.result_type(x, mat))
+    for i in range(mat.shape[0]):
+        out += x[:, i:i + 1] * mat[i]
     return out
 
 
+def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Row-wise x_r^T mat x_r (see _lin)."""
+    return (x * _lin(x, mat)).sum(axis=1)
+
+
+class _IntegerForms:
+    """The int64 data that keeps one table build exact.
+
+    Every shifted vector w = coset + m + beta is W / D with W integral (D the
+    common denominator of the cosets and beta), and P±^T G P± = N± / d.  Then
+    a = W^T N+ W / (2 d D^2), b likewise with N-, membership is
+    W^T (N+ - N-) W <= 2 bound d D^2, and for alpha = A / Da the phase
+    (lam + beta/2, alpha) is (2W - D beta) . (G A) / (2 D Da).
+
+    Construction bounds every numerator from the Fincke-Pohst radius: a
+    vector in the ellipsoid w^T M w <= r has |w_i| <= sqrt(r (M^-1)_ii).  It
+    raises BoundTooLarge if one could pass INT64_SAFE, before any vector is
+    enumerated; ``accept`` drops candidates outside that box.
+    """
+
+    def __init__(self, lat: Lattice, point: GrassmannPoint, coset_vecs, pair,
+                 bound, radius: float):
+        n = lat.rank
+        q_plus, q_minus = point.norm_forms
+        d = _common_denominator(x for q in (q_plus, q_minus) for row in q for x in row)
+        big_d = _common_denominator(list(pair.beta) + [x for c in coset_vecs for x in c])
+        n_plus = [[int(x * d) for x in row] for row in q_plus]
+        n_minus = [[int(x * d) for x in row] for row in q_minus]
+        n_maj = [[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)]
+        n_norm = [[p + m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)]
+        d_beta = [int(big_d * Fraction(b)) for b in pair.beta]
+        shifts = [[int(big_d * (Fraction(c) + Fraction(b)))
+                   for c, b in zip(coset, pair.beta)] for coset in coset_vecs]
+        # the walk accepts within float rounding of the radius: widen by 2^-20
+        r = Fraction(radius) * (1 + Fraction(1, 2 ** 20))
+        m_inv = point.majorant_inverse
+        w_max = [math.isqrt(math.floor(big_d * big_d * r * m_inv[i][i])) + 1
+                 for i in range(n)]
+        m_max = [[(w + abs(s)) // big_d + 1 for w, s in zip(w_max, shift)]
+                 for shift in shifts]
+        self.exact_phase = _is_rational_vec(pair.alpha)
+        if self.exact_phase:
+            da = _common_denominator(pair.alpha)
+            g_alpha = exact.mat_vec(lat.gram_rows(),
+                                    [int(da * Fraction(x)) for x in pair.alpha])
+        else:
+            da, g_alpha = 1, [0] * n
+
+        def form_max(mat):
+            return sum(w_max[i] * abs(mat[i][j]) * w_max[j]
+                       for i in range(n) for j in range(n))
+
+        # quadratic forms, the phase, 2W - D beta, and W = D m + D shift
+        largest = max([form_max(q) for q in (n_plus, n_minus, n_maj, n_norm)]
+                      + [sum((2 * w + abs(b)) * abs(g)
+                             for w, b, g in zip(w_max, d_beta, g_alpha))]
+                      + [2 * w + abs(b) for w, b in zip(w_max, d_beta)]
+                      + [big_d * mm + abs(s) for row, shift in zip(m_max, shifts)
+                         for mm, s in zip(row, shift)] + [0])
+        if largest > INT64_SAFE:
+            raise BoundTooLarge(
+                f"exact theta terms could need integers up to {largest} > 2^62 "
+                f"(shift denominator {big_d}, projection denominator {d}); "
+                "lower the bound or simplify the shift vectors")
+
+        def arr(rows):
+            return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+        self.d = d
+        self.denominator = big_d
+        self.alpha_denominator = da
+        self.n_plus = arr(n_plus)
+        self.n_minus = arr(n_minus)
+        self.n_maj = arr(n_maj)
+        self.g_alpha = np.array(g_alpha, dtype=np.int64)
+        self.d_beta = np.array(d_beta, dtype=np.int64)
+        self.shifts = arr(shifts)
+        self.w_max = np.array(w_max, dtype=np.int64)
+        self.m_max = arr(m_max)
+        self.threshold = min(math.floor(2 * Fraction(bound) * d * big_d * big_d),
+                             INT64_SAFE)
+
+    def accept(self, index: int, cand: np.ndarray) -> np.ndarray:
+        """Integer W = D w of the members among one coset's candidates."""
+        cand = cand[(np.abs(cand) <= self.m_max[index]).all(axis=1)]
+        w = cand * self.denominator + self.shifts[index]
+        w = w[(np.abs(w) <= self.w_max).all(axis=1)]
+        return w[_quad(w, self.n_maj) <= self.threshold]
+
+
+def _enumerate_cosets(lat: Lattice, point: GrassmannPoint, coset_vecs, pair,
+                      bound, max_vectors=None):
+    """Every w = coset + m + beta with maj(w) <= 2 * bound, over all cosets.
+
+    Returns ``(forms, coset_index, rows)``, unsorted.  With rational cosets,
+    beta and point, ``forms`` is the _IntegerForms of the build and ``rows``
+    holds the integers W = D w, so membership is decided exactly; otherwise
+    ``forms`` is None and ``rows`` holds float w, tested with a 1e-9 margin.
+    The float Fincke-Pohst walk only proposes candidates.
+    """
+    n = lat.rank
+    exact_w = point.rational_flag and _is_rational_vec(pair.beta) \
+        and all(_is_rational_vec(c) for c in coset_vecs)
+    radius = 2.0 * float(bound) * (1 + 1e-12) + 1e-9
+    forms = _IntegerForms(lat, point, coset_vecs, pair, bound, radius) if exact_w else None
+    cap = _max_vectors(max_vectors)
+    index, rows = [], []
+    for i, coset in enumerate(coset_vecs):
+        center = np.array([float(c) + float(b) for c, b in zip(coset, pair.beta)])
+        cand = _fincke_pohst(point.majorant_np, center, radius, cap)
+        cand = np.array(cand, dtype=np.int64).reshape(len(cand), n)
+        if forms is not None:
+            w = forms.accept(i, cand)
+        else:
+            w = cand + center
+            w = w[_quad(w, point.majorant_np) <= 2.0 * float(bound) + 1e-9]
+        rows.append(w)
+        index.append(np.full(len(w), i, dtype=np.int64))
+    return forms, np.concatenate(index), np.concatenate(rows)
+
+
 # ---------------------------------------------------------------------------
-# terms and evaluation
+# the term table and its evaluation
 
 @dataclass(frozen=True)
 class TermRecord:
-    """One summand: exact exponents, 1/y polynomial coefficients, phase.
+    """One summand, as a row of a TermTable: exact exponents, phase, 1/y
+    polynomial coefficients.
 
     ``poly_coeffs[j]`` multiplies y^{-j}; it already contains the
     (-1/(8 pi))^j / j! factor from the Gaussian smoothing operator.
@@ -176,47 +291,208 @@ class TermRecord:
     poly_coeffs: tuple
     phase: object
 
-    def evaluate(self, tau: complex) -> complex:
-        x, y = tau.real, tau.imag
-        poly = 0j
-        for j, c in enumerate(self.poly_coeffs):
-            poly += c * y ** (-j)
-        osc = cmath.exp(2j * math.pi * (x * float(self.a + self.b) - float(self.phase)))
-        decay = math.exp(-TWO_PI * y * float(self.a - self.b))
-        return poly * osc * decay
+
+def _fraction_map(num, den: int) -> dict:
+    """Fraction(x, den) for each distinct integer x in ``num``."""
+    return {x: Fraction(x, den) for x in np.unique(num).tolist()}
+
+
+#: work arrays of one TermTable.evaluate chunk hold about this many entries
+_EVAL_CHUNK = 2 ** 16
+
+
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """Every summand of one truncated theta sum, as numpy arrays.
+
+    Row r is the vector lambda_r of class ``keys[key_index[r]]``; rows are
+    sorted by key, then by vector.  With rational data the row's vector,
+    exponents and phase are exact: ``vectors`` / ``vector_den``,
+    ``a_num`` / ``ab_den``, ``b_num`` / ``ab_den`` and ``phase_num`` /
+    ``phase_den`` (int64 numerators, Python-int denominators).  A
+    denominator is None where the inputs were floats, and then the float
+    arrays are the only data.  ``a``, ``b`` and ``phase`` are the float
+    copies used for evaluation; ``poly[r, j]`` multiplies y^{-j} as in
+    TermRecord.  ``len`` costs nothing; iterating builds TermRecords.
+    """
+
+    keys: tuple
+    key_index: np.ndarray
+    vectors: np.ndarray
+    vector_den: int | None
+    a_num: np.ndarray | None
+    b_num: np.ndarray | None
+    ab_den: int | None
+    phase_num: np.ndarray | None
+    phase_den: int | None
+    a: np.ndarray
+    b: np.ndarray
+    phase: np.ndarray
+    poly: np.ndarray
+    prefactor_exponent: Fraction
+
+    def __len__(self) -> int:
+        return self.key_index.shape[0]
+
+    def vector_tuples(self) -> list[tuple]:
+        """Every row's vector lambda, as a tuple (Fractions when exact)."""
+        rows = self.vectors.tolist()
+        if self.vector_den is None:
+            return [tuple(row) for row in rows]
+        frac = _fraction_map(rows, self.vector_den)
+        return [tuple(frac[x] for x in row) for row in rows]
+
+    def __iter__(self):
+        def exact_or_float(num, den, floats):
+            if den is None:
+                return floats.tolist()
+            frac = _fraction_map(num, den)
+            return [frac[x] for x in num.tolist()]
+
+        vectors = self.vector_tuples()
+        a = exact_or_float(self.a_num, self.ab_den, self.a)
+        b = exact_or_float(self.b_num, self.ab_den, self.b)
+        phase = exact_or_float(self.phase_num, self.phase_den, self.phase)
+        for r, k in enumerate(self.key_index.tolist()):
+            yield TermRecord(key=self.keys[k], vector=vectors[r], a=a[r], b=b[r],
+                             poly_coeffs=tuple(self.poly[r].tolist()), phase=phase[r])
+
+    def evaluate(self, taus) -> np.ndarray:
+        """Theta components at each tau, y^prefactor_exponent included.
+
+        Returns a (len(keys), len(taus)) complex array.  Each chunk of taus
+        takes one np.exp over the (terms x taus) exponents and one bincount
+        per real and imaginary part; a key's terms are summed in row order.
+        """
+        taus = np.asarray(taus, dtype=complex).reshape(-1)
+        n_keys, n_terms = len(self.keys), len(self)
+        out = np.zeros((n_keys, len(taus)), dtype=complex)
+        freq = self.a + self.b
+        decay = self.a - self.b
+        step = max(1, _EVAL_CHUNK // max(n_terms, 1))
+        for lo in range(0, len(taus), step):
+            x = taus.real[lo:lo + step]
+            y = taus.imag[lo:lo + step]
+            width = len(y)
+            y_powers = np.array([y ** (-j) for j in range(self.poly.shape[1])])
+            exponent = np.empty((n_terms, width), dtype=complex)
+            exponent.real = np.multiply.outer(decay, -TWO_PI * y)
+            exponent.imag = TWO_PI * (np.multiply.outer(freq, x) - self.phase[:, None])
+            values = (_lin(self.poly, y_powers) * np.exp(exponent)).ravel()
+            bins = (self.key_index[:, None] * width + np.arange(width)).ravel()
+            block = np.empty(n_keys * width, dtype=complex)
+            block.real = np.bincount(bins, values.real, minlength=n_keys * width)
+            block.imag = np.bincount(bins, values.imag, minlength=n_keys * width)
+            out[:, lo:lo + width] = block.reshape(n_keys, width) \
+                * y ** float(self.prefactor_exponent)
+        return out
+
+
+def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray) -> np.ndarray:
+    """(terms x len(series)) coefficients of y^{-j}, from adapted coordinates."""
+    h = point.lattice.gram_np() @ point.adapted
+    coords = _lin(w, h)
+    coords[:, point.dim_plus:] *= -1.0
+    out = np.zeros((w.shape[0], len(series)), dtype=complex)
+    for j, poly in enumerate(series):
+        col = np.zeros(w.shape[0], dtype=complex)
+        for expo, coeff in poly.monomials.items():
+            term = np.full(w.shape[0], coeff, dtype=complex)
+            for e, t in zip(expo, coords.T):
+                if e:
+                    term = term * t ** e
+            col = col + term
+        out[:, j] = col * (-1.0 / (8.0 * math.pi)) ** j
+    return out
+
+
+def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
+                     pair_vectors=None, bound=10.0,
+                     prefactor_exponent=Fraction(0), max_vectors=None) -> TermTable:
+    """Enumerate the truncated sum over every coset into one TermTable.
+
+    ``cosets`` lists (axis key, coset vector) pairs; row data follows the
+    shift pair (alpha, beta): a, b are half the plus and minus norms of
+    w = lambda + beta and the phase is (lambda + beta/2, alpha).  ``series``
+    is the polynomial's Laplacian series (laplacian_series).
+    """
+    n = lat.rank
+    cosets = list(cosets)
+    pair = as_pair(pair_vectors, n)
+    forms, index, w = _enumerate_cosets(lat, point, [c for _k, c in cosets], pair,
+                                        bound, max_vectors)
+    keys = tuple(sorted({cosets[i][0] for i in set(index.tolist())}))
+    rank_of_key = {k: r for r, k in enumerate(keys)}
+    # a coset without rows has no key (-1 is never indexed)
+    key_index = np.array([rank_of_key.get(k, -1) for k, _c in cosets],
+                         dtype=np.int64)[index]
+    beta_f = np.array([float(x) for x in pair.beta])
+    alpha_f = np.array([float(x) for x in pair.alpha])
+    lam = w - (beta_f if forms is None else forms.d_beta)
+    order = np.lexsort(tuple(lam[:, ::-1].T) + (key_index,))
+    key_index, w, lam = key_index[order], w[order], lam[order]
+    a_num = b_num = phase_num = ab_den = phase_den = vector_den = None
+    if forms is None:
+        q_plus, q_minus = (np.array([[float(x) for x in row] for row in q]).reshape(n, n)
+                           for q in point.norm_forms)
+        a = 0.5 * _quad(w, q_plus)
+        b = 0.5 * _quad(w, q_minus)
+        w_float, lam_float = w, lam
+    else:
+        vector_den = forms.denominator
+        ab_den = 2 * forms.d * vector_den ** 2
+        a_num = _quad(w, forms.n_plus)
+        b_num = _quad(w, forms.n_minus)
+        a = a_num / float(ab_den)
+        b = b_num / float(ab_den)
+        w_float = w / float(vector_den)
+        lam_float = lam / float(vector_den)
+    if forms is not None and forms.exact_phase:
+        phase_den = 2 * vector_den * forms.alpha_denominator
+        phase_num = _lin(2 * w - forms.d_beta, forms.g_alpha[:, None])[:, 0]
+        phase = phase_num / float(phase_den)
+    else:
+        g_alpha = lat.gram_np() @ alpha_f
+        phase = _lin(lam_float + 0.5 * beta_f, g_alpha[:, None])[:, 0]
+    return TermTable(keys=keys, key_index=key_index, vectors=lam, vector_den=vector_den,
+                     a_num=a_num, b_num=b_num, ab_den=ab_den,
+                     phase_num=phase_num, phase_den=phase_den,
+                     a=a, b=b, phase=phase, poly=_poly_matrix(series, point, w_float),
+                     prefactor_exponent=Fraction(prefactor_exponent))
+
+
+def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
+                      bound, max_vectors=None) -> list[tuple]:
+    """All lattice translates lambda in coset + Z^n with maj(lambda+beta) <= 2*bound.
+
+    Membership is decided exactly (integer arithmetic) when the data allows,
+    with the float Fincke-Pohst pass only proposing candidates.
+    """
+    n = lat.rank
+    beta = tuple(beta) if beta is not None else (Fraction(0),) * n
+    table = build_term_table(lat, point, [], [((), list(coset))],
+                             ((Fraction(0),) * n, beta), bound, max_vectors=max_vectors)
+    return table.vector_tuples()
 
 
 @dataclass
 class ThetaValue:
-    """Evaluated theta vector plus its truncation certificate."""
+    """Evaluated theta vector plus its truncation certificate.
+
+    ``terms`` is the TermTable the value was summed from, or None for a
+    value assembled from other theta values.
+    """
 
     value: RepVector
     tau: complex
     bound: float
     tail_estimate: float
     prefactor_exponent: Fraction
-    terms: tuple[TermRecord, ...] = field(default=(), repr=False)
+    terms: TermTable | None = field(default=None, repr=False)
 
     @property
     def axes(self):
         return self.value.axes
-
-
-def _evaluate_terms(terms, axes, tau: complex, prefactor_exponent: Fraction) -> RepVector:
-    y = tau.imag
-    pref = y ** float(prefactor_exponent)
-    out: dict = {}
-    for t in terms:
-        out[t.key] = out.get(t.key, 0j) + t.evaluate(tau)
-    return RepVector(axes, {k: pref * v for k, v in out.items()})
-
-
-def _poly_factors(series, point: GrassmannPoint, w) -> tuple:
-    coords = point.adapted_coords([float(x) for x in w])
-    vals = []
-    for j, poly in enumerate(series):
-        vals.append(poly.evaluate(coords) * (-1.0 / (8.0 * math.pi)) ** j)
-    return tuple(vals)
 
 
 def _tail_bound(q: np.ndarray, translates: int, series, y: float,
@@ -275,26 +551,31 @@ def _check_poly(poly, point: GrassmannPoint) -> HomogeneousPolynomial:
 
 
 class ThetaEvaluator:
-    """Precomputed term list of a theta sum, reusable across many tau.
+    """The term table of a theta sum, reusable across many tau.
 
     Term data is tau-independent; one enumeration serves every evaluation
     point (the quadrature loops rely on this).
     """
 
-    def __init__(self, terms, axes, prefactor_exponent, bound, majorant_np,
-                 translates, series):
-        self.terms = tuple(terms)
+    def __init__(self, table: TermTable, axes, bound, majorant_np, translates, series):
+        self.terms = table
         self.axes = axes
-        self.prefactor_exponent = prefactor_exponent
+        self.prefactor_exponent = table.prefactor_exponent
         self.bound = float(bound)
         self._majorant = majorant_np
         self._translates = translates
         self._series = series
 
+    def vectors(self, taus) -> list[RepVector]:
+        """Theta vectors at many tau from one batched table evaluation
+        (no tail bounds)."""
+        values = self.terms.evaluate([_check_tau(t) for t in taus])
+        keys = self.terms.keys
+        return [RepVector(self.axes, dict(zip(keys, col))) for col in values.T.tolist()]
+
     def at(self, tau: complex) -> ThetaValue:
         tau = _check_tau(tau)
-        value = _evaluate_terms(self.terms, self.axes, tau, self.prefactor_exponent)
-        return ThetaValue(value=value, tau=tau, bound=self.bound,
+        return ThetaValue(value=self.vectors([tau])[0], tau=tau, bound=self.bound,
                           tail_estimate=self.tail(tau.imag),
                           prefactor_exponent=self.prefactor_exponent,
                           terms=self.terms)
@@ -309,29 +590,13 @@ def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
                            bound: float = 10.0, max_vectors=None) -> ThetaEvaluator:
     """Enumerate the truncated theta sum once; evaluate at any tau later."""
     poly = _check_poly(poly, point)
-    vp = as_pair(pair_vectors, lat.rank)
     group = discriminant_group(lat)
     series = laplacian_series(poly)
-    terms = []
-    for gamma in group.elements():
-        gvec = group.dual_vector(gamma)
-        for lam in enumerate_vectors(lat, gvec, point, vp.beta, bound, max_vectors):
-            w = [x + b for x, b in zip(lam, vp.beta)]
-            a_exp = point.plus_norm(w) / 2
-            b_exp = point.minus_norm(w) / 2
-            half_beta = [x + Fraction(b) / 2 if isinstance(b, (int, Fraction))
-                         else x + b / 2 for x, b in zip(lam, vp.beta)]
-            phase = lat.pairing(half_beta, vp.alpha) \
-                if all(isinstance(x, (int, Fraction)) for x in list(vp.alpha) + half_beta) \
-                else float(np.dot([float(x) for x in half_beta],
-                                  lat.gram_np() @ np.array([float(x) for x in vp.alpha])))
-            terms.append(TermRecord(key=(gamma,), vector=tuple(lam), a=a_exp, b=b_exp,
-                                    poly_coeffs=_poly_factors(series, point, w),
-                                    phase=phase))
-    terms.sort(key=lambda t: (t.key, [float(x) for x in t.vector]))
+    cosets = [((gamma,), group.dual_vector(gamma)) for gamma in group.elements()]
     prefactor = Fraction(lat.sig_minus, 2) + poly.degrees[1]
-    axes = (Axis(group, dual=False),)
-    return ThetaEvaluator(terms, axes, prefactor, bound, point.majorant_np,
+    table = build_term_table(lat, point, series, cosets, pair_vectors, bound,
+                             prefactor, max_vectors)
+    return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.majorant_np,
                           group.order, series)
 
 
@@ -414,7 +679,9 @@ def _complement_coords(sd: SplitData, vec, label: str):
     vec = list(vec)
     if len(vec) != sd.ambient.rank:
         raise VectorNotInComplement(f"{label} has wrong dimension")
-    exact_input = all(isinstance(x, (int, Fraction)) for x in vec)
+    exact_input = _is_rational_vec(vec)
+    if exact_input and not any(vec):
+        return [Fraction(0)] * sd.mperp_sub.rank
     proj_m = sd.m_sub.coords_of(vec)
     if exact_input:
         if any(x != 0 for x in proj_m):
@@ -427,17 +694,15 @@ def _complement_coords(sd: SplitData, vec, label: str):
 # ---------------------------------------------------------------------------
 # the mixed theta function of a lattice and a primitive sublattice
 
-def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
-                       u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
-                       pair_vectors=None, bound: float = 10.0,
-                       max_vectors=None) -> ThetaValue:
-    """Mixed theta vector over D_L x D_M(-1), summed class by class.
+def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
+                          p_uperp: HomogeneousPolynomial, pair_vectors=None,
+                          bound: float = 10.0, max_vectors=None) -> ThetaEvaluator:
+    """Mixed theta term table over D_L x D_M(-1), built once for any tau.
 
     Classes of L*/M are parametrized by an element of the glue-orthogonal
     subgroup (fixing both the D_L index and the D_M index) together with a
     translate of the complement lattice, which is what gets enumerated.
     """
-    tau = _check_tau(tau)
     sd = split_data(lat, m_sub)
     poly = _check_poly(p_uperp, u_perp)
     if u_perp.lattice != sd.mperp_sub.lattice:
@@ -448,29 +713,41 @@ def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
     series = laplacian_series(poly)
     perp_lat = sd.mperp_sub.lattice
     c_rank = sd.m_sub.rank
-    terms = []
+    cosets = []
     for delta in sorted(sd.gm.down):
-        gamma_l = sd.gm.down[delta]
         nu = sd.d_inner.dual_vector(delta)
-        delta_m = sd.d_m.from_dual(nu[:c_rank])
-        key = (gamma_l, delta_m)
-        for w in enumerate_vectors(perp_lat, nu[c_rank:], u_perp, eta, bound, max_vectors):
-            ww = [x + e for x, e in zip(w, eta)]
-            a_exp = u_perp.plus_norm(ww) / 2
-            b_exp = u_perp.minus_norm(ww) / 2
-            half_eta = [x + Fraction(e) / 2 for x, e in zip(w, eta)]
-            phase = perp_lat.pairing(half_eta, xi)
-            terms.append(TermRecord(key=key, vector=tuple(w), a=a_exp, b=b_exp,
-                                    poly_coeffs=_poly_factors(series, u_perp, ww),
-                                    phase=phase))
-    terms.sort(key=lambda t: (t.key, [float(x) for x in t.vector]))
+        cosets.append(((sd.gm.down[delta], sd.d_m.from_dual(nu[:c_rank])), nu[c_rank:]))
     prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
+    table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound,
+                             prefactor, max_vectors)
     axes = (Axis(sd.d_l, dual=False), Axis(sd.d_m, dual=True))
-    value = _evaluate_terms(terms, axes, tau, prefactor)
-    tail = _tail_bound(u_perp.majorant_np, len(sd.gm.down), series, tau.imag,
-                       bound, prefactor)
-    return ThetaValue(value=value, tau=tau, bound=float(bound), tail_estimate=tail,
-                      prefactor_exponent=prefactor, terms=tuple(terms))
+    return ThetaEvaluator(table, axes, bound, u_perp.majorant_np, len(sd.gm.down), series)
+
+
+def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
+                       u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
+                       pair_vectors=None, bound: float = 10.0,
+                       max_vectors=None) -> ThetaValue:
+    """Mixed theta vector over D_L x D_M(-1), summed class by class
+    (see mixed_theta_evaluator)."""
+    tau = _check_tau(tau)
+    return mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, pair_vectors, bound,
+                                 max_vectors).at(tau)
+
+
+def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
+                    perp_axis: int) -> RepVector:
+    """Merge the D_M and D_perp axes of ``vec`` into one D_inner axis.
+
+    The merged axis comes first; the remaining axes keep their order.
+    """
+    rest = [i for i in range(len(vec.axes)) if i not in (m_axis, perp_axis)]
+    merged: dict = {}
+    for key, val in vec.coeffs.items():
+        mk = (sd.combine(key[m_axis], key[perp_axis]),) + tuple(key[i] for i in rest)
+        merged[mk] = merged.get(mk, 0j) + val
+    axes = (Axis(sd.d_inner, dual=False),) + tuple(vec.axes[i] for i in rest)
+    return RepVector(axes, merged)
 
 
 def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
@@ -481,6 +758,7 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     merge the two non-dual axes into the sum group, then push down the glue.
 
     Independent of mixed_theta_direct term for term; the two must agree.
+    The result is assembled from other values and carries no term table.
     """
     tau = _check_tau(tau)
     sd = split_data(lat, m_sub)
@@ -489,16 +767,9 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     eta = _complement_coords(sd, vp.beta, "eta")
     theta_perp = siegel_theta(sd.mperp_sub.lattice, tau, u_perp, p_uperp,
                               (xi, eta), bound, max_vectors)
+    # axes (D_perp, F), (D_M, F), (D_M, T): merge the first two into D_inner
     tensor = theta_perp.value.tensor(identity_vector(sd.d_m))
-    # axes now: (D_perp, F), (D_M, F), (D_M, T); merge the first two into D_inner
-    merged: dict = {}
-    for key, val in tensor.coeffs.items():
-        k_perp, k_m, k_mdual = key
-        merged_key = (sd.combine(k_m, k_perp), k_mdual)
-        merged[merged_key] = merged.get(merged_key, 0j) + val
-    merged_vec = RepVector((Axis(sd.d_inner, dual=False), Axis(sd.d_m, dual=True)),
-                           merged)
-    pushed = down_arrow(sd.gm, merged_vec, axis=0)
+    pushed = down_arrow(sd.gm, _merge_to_inner(sd, tensor, 1, 0), axis=0)
     return ThetaValue(value=pushed, tau=tau, bound=float(bound),
                       tail_estimate=theta_perp.tail_estimate,
                       prefactor_exponent=theta_perp.prefactor_exponent)
@@ -612,14 +883,7 @@ def _split_setup(lat, m_sub, u, u_perp, p_u, p_uperp, pair_vectors):
 
 def inner_tensor_to_big(sd: SplitData, theta_m: ThetaValue, theta_p: ThetaValue) -> RepVector:
     """Merge Theta_M (x) Theta_Mperp over D_M x D_perp into D_inner, push down."""
-    tensor = theta_m.value.tensor(theta_p.value)
-    merged: dict = {}
-    for key, val in tensor.coeffs.items():
-        k_m, k_p = key
-        mk = (sd.combine(k_m, k_p),)
-        merged[mk] = merged.get(mk, 0j) + val
-    merged_vec = RepVector((Axis(sd.d_inner, dual=False),), merged)
-    return down_arrow(sd.gm, merged_vec)
+    return down_arrow(sd.gm, _merge_to_inner(sd, theta_m.value.tensor(theta_p.value), 0, 1))
 
 
 def seesaw_split_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
@@ -673,12 +937,7 @@ def pairing_expression_residuals(lat: Lattice, m_sub: Sublattice, u: GrassmannPo
                            (sd.mperp_sub.coords_of(alpha_perp),
                             sd.mperp_sub.coords_of(beta_perp)), bound)
     # first form: tensor over the inner sum against the raised vector
-    tensor = theta_m.value.tensor(theta_p.value)
-    merged: dict = {}
-    for key, val in tensor.coeffs.items():
-        merged[(sd.combine(key[0], key[1]),)] = \
-            merged.get((sd.combine(key[0], key[1]),), 0j) + val
-    merged_vec = RepVector((Axis(sd.d_inner, dual=False),), merged)
+    merged_vec = _merge_to_inner(sd, theta_m.value.tensor(theta_p.value), 0, 1)
     raised = up_arrow(sd.gm, test_vector)
     first = rep_pair(merged_vec, raised, groups=[sd.d_inner])
     # second form: contract the mixed theta against U over D_L, then pair with Theta_M
@@ -693,12 +952,16 @@ def term_multiset(theta: ThetaValue) -> dict:
     """Exact (key, a, b, phase) -> summed constant polynomial coefficient.
 
     Only meaningful for terms with no 1/y dependence (harmonic or constant
-    polynomials); used for coefficientwise identity checks.
+    polynomials); used for coefficientwise identity checks.  Raises
+    NoTermData for a value without a term table (mixed_theta_composed).
     """
+    if theta.terms is None:
+        raise NoTermData("this theta value was assembled from other values and has "
+                         "no term table; use a direct construction")
+    if theta.terms.poly.shape[1] != 1:
+        raise NonHomogeneousPolynomial("term multiset needs y-independent factors")
     out: dict = {}
     for t in theta.terms:
-        if len(t.poly_coeffs) != 1:
-            raise NonHomogeneousPolynomial("term multiset needs y-independent factors")
         k = (t.key, t.a, t.b, t.phase)
         out[k] = out.get(k, 0j) + t.poly_coeffs[0]
     return {k: v for k, v in out.items() if abs(v) > 1e-15}

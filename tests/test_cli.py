@@ -230,3 +230,11 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run-scenario" in proc.stdout
+
+
+def test_python_m_vvtheta():
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "vvtheta", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "run-scenario" in proc.stdout
+    assert proc.stderr == ""

@@ -1,13 +1,18 @@
+import cmath
 import itertools
 import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from vvtheta import (
     BoundTooLarge,
+    HomogeneousPolynomial,
     NonHomogeneousPolynomial,
+    NotPositiveDefiniteSpan,
+    NoTermData,
     Polynomial,
     TailTooLarge,
     TauNotInUpperHalfPlane,
@@ -28,6 +33,7 @@ from vvtheta import (
     seesaw_pairing_residual,
     seesaw_split_residual,
     siegel_theta,
+    siegel_theta_evaluator,
     siegel_theta_family,
     split_data,
     sublattice,
@@ -35,6 +41,7 @@ from vvtheta import (
     theta_negation_residual,
     theta_value_difference,
 )
+from vvtheta.grassmann import laplacian_series
 from vvtheta.weil import MP_S, MP_T, MP_Z, Axis, RepVector
 
 TAU_SAMPLES = [0.2 + 1.1j, -0.37 + 0.9j]
@@ -111,6 +118,145 @@ def test_truncation_monotonic(ii11):
         other = large_terms[k]
         assert (t.a, t.b, t.phase, t.poly_coeffs) == \
             (other.a, other.b, other.phase, other.poly_coeffs)
+
+
+def test_int64_guard_large_denominator(a1, monkeypatch):
+    # a shift with denominator 10^10 would need numerators near 10^20: the
+    # guard refuses before any enumeration starts
+    import vvtheta.theta as theta_mod
+
+    v = make_grassmann_point(a1, [[1]])
+    beta = [F(1, 10 ** 10)]
+
+    def no_walk(*args):
+        raise AssertionError("enumeration started before the int64 guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(theta_mod, "_fincke_pohst", no_walk)
+        with pytest.raises(BoundTooLarge):
+            enumerate_vectors(a1, [0], v, beta, 1.0)
+        with pytest.raises(BoundTooLarge):
+            siegel_theta(a1, 1j, v, constant_poly(1, 0), ([0], beta), 1.0)
+    # a denominator of 10^6 stays inside int64 and exact
+    got = enumerate_vectors(a1, [0], v, [F(1, 10 ** 6)], 1.0)
+    assert got == [(-1,), (0,)]
+
+
+def test_rank0_lattice_single_term():
+    zero = construct_lattice([])
+    v = make_grassmann_point(zero, [])
+    theta = siegel_theta(zero, 1j, v, constant_poly(0, 0))
+    assert theta.value.coeffs == {((),): 1}
+    assert [(t.vector, t.a, t.b) for t in theta.terms] == [((), 0, 0)]
+    assert enumerate_vectors(zero, [], v, None, 1.0) == [()]
+
+
+def _random_even_lattice(rng, rank):
+    while True:
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = rng.choice([-4, -2, 2, 4])
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+        det = round(float(np.linalg.det(np.array(gram, dtype=float))))
+        if det != 0 and abs(det) <= 16:
+            return construct_lattice(gram)
+
+
+def _random_splitting(rng, lat):
+    while True:
+        span = [[rng.randint(-3, 3) for _ in range(lat.rank)] for _ in range(lat.sig_plus)]
+        try:
+            return span, make_grassmann_point(lat, span)
+        except NotPositiveDefiniteSpan:
+            continue
+
+
+def _reference_row(lat, point, series, t, alpha, beta):
+    """(a, b, phase, maj, poly coefficients) of one row, vector by vector."""
+    w = [x + y for x, y in zip(t.vector, beta)]
+    plus, minus = point.project(w)
+    if point.rational_flag:
+        a, b = lat.norm(plus) / 2, lat.norm(minus) / 2
+        phase = lat.pairing([x + F(y) / 2 for x, y in zip(t.vector, beta)], alpha)
+    else:
+        g = lat.gram_np()
+        a, b = float(plus @ g @ plus) / 2, float(minus @ g @ minus) / 2
+        half = np.array([float(x) + float(y) / 2 for x, y in zip(t.vector, beta)])
+        phase = float(half @ g @ np.array([float(x) for x in alpha]))
+    coords = point.adapted_coords(w)
+    poly = [p.evaluate(coords) * (-1.0 / (8.0 * math.pi)) ** j
+            for j, p in enumerate(series)]
+    return a, b, phase, point.majorant_value(w), poly
+
+
+def test_table_rows_match_per_vector_reference():
+    rng = random.Random(2024)
+    for rank in (2, 2, 3, 3):
+        lat = _random_even_lattice(rng, rank)
+        span, point = _random_splitting(rng, lat)
+        float_point = make_grassmann_point(lat, [[float(x) for x in v] for v in span])
+        assert not float_point.rational_flag
+        # t_1^2 t_n: a two-term 1/y series, odd in the last adapted coordinate
+        expo = [0] * rank
+        expo[0] += 2
+        expo[-1] += 1
+        degrees = (sum(expo[:lat.sig_plus]), sum(expo[lat.sig_plus:]))
+        poly = HomogeneousPolynomial(degrees, lat.sig_plus, lat.sig_minus,
+                                     {tuple(expo): 1.0})
+        series = laplacian_series(poly)
+        alpha = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
+        beta = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
+        group = discriminant_group(lat)
+        bound = 3
+        for pt in (point, float_point):
+            table = siegel_theta_evaluator(lat, pt, poly, (alpha, beta), bound).terms
+            assert len(table) > 0
+            rows = list(table)
+            assert len(rows) == len(table)
+            for t in rows:
+                coset = group.dual_vector(t.key[0])
+                offsets = [x - c for x, c in zip(t.vector, coset)]
+                assert all(abs(d - round(d)) < 1e-9 for d in offsets)
+                a, b, phase, maj, ref_poly = _reference_row(lat, pt, series, t, alpha, beta)
+                if pt.rational_flag:
+                    assert (t.a, t.b, t.phase) == (a, b, phase)
+                    assert maj <= 2 * bound
+                else:
+                    for got, want in ((t.a, a), (t.b, b), (t.phase, phase)):
+                        assert abs(got - want) <= 1e-9 * (1 + abs(want))
+                    assert maj <= 2 * bound + 1e-9
+                for got, want in zip(t.poly_coeffs, ref_poly, strict=True):
+                    assert abs(got - want) <= 1e-12 * (1 + abs(want))
+            # a row's data does not depend on the other rows of its table
+            larger = {(r.key, r.vector): r
+                      for r in siegel_theta_evaluator(lat, pt, poly, (alpha, beta),
+                                                      bound + 2).terms}
+            assert all(larger[(t.key, t.vector)] == t for t in rows)
+            # batched evaluation against a term-by-term loop
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
+            x, y = tau.real, tau.imag
+            loop = {}
+            for t in rows:
+                term = sum(c * y ** (-j) for j, c in enumerate(t.poly_coeffs)) \
+                    * cmath.exp(2j * math.pi * (x * float(t.a + t.b) - float(t.phase))) \
+                    * math.exp(-2 * math.pi * y * float(t.a - t.b))
+                loop[t.key] = loop.get(t.key, 0j) + term
+            got = table.evaluate([tau])[:, 0]
+            pref = y ** float(table.prefactor_exponent)
+            scale = sum(abs(v) for v in loop.values())
+            for key, val in zip(table.keys, got):
+                assert abs(val - pref * loop[key]) <= 1e-12 * pref * (1 + scale)
+        # a vector exactly on the boundary maj = 2 * bound is included, and
+        # excluded once the bound drops by 10^-9
+        exact_rows = siegel_theta_evaluator(lat, point, poly, (alpha, beta), bound).terms
+        t = max(exact_rows, key=lambda r: r.a - r.b)
+        edge = t.a - t.b
+        on = siegel_theta_evaluator(lat, point, poly, (alpha, beta), edge).terms
+        assert (t.key, t.vector) in {(r.key, r.vector) for r in on}
+        below = siegel_theta_evaluator(lat, point, poly, (alpha, beta),
+                                       edge - F(1, 10 ** 9)).terms
+        assert (t.key, t.vector) not in {(r.key, r.vector) for r in below}
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +422,17 @@ def test_mixed_cross_with_shifts(ii11_split):
         d1 = mixed_theta_direct(ii11, m_sub, tau, u_perp, p, (xi, eta), 12.0)
         d2 = mixed_theta_composed(ii11, m_sub, tau, u_perp, p, (xi, eta), 12.0)
         assert theta_value_difference(d1, d2) < 1e-12
+
+
+def test_term_multiset_needs_term_data(ii11_split):
+    ii11, m_sub, mperp, u, u_perp = ii11_split
+    p = constant_poly(1, 0)
+    direct = mixed_theta_direct(ii11, m_sub, 1j, u_perp, p, None, 4.0)
+    assert len(term_multiset(direct)) == 5
+    composed = mixed_theta_composed(ii11, m_sub, 1j, u_perp, p, None, 4.0)
+    assert composed.terms is None
+    with pytest.raises(NoTermData):
+        term_multiset(composed)
 
 
 def test_mixed_rejects_bad_shift(ii11_split):
