@@ -17,7 +17,6 @@ from .lattice import (  # noqa: F401
     orthogonal_complement,
     rescale,
     sublattice,
-    trivial_embedding,
 )
 from .discforms import (  # noqa: F401
     DiscriminantGroup,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -25,7 +24,12 @@ from .contraction import (
     naive_truncated_lift,
     restriction_residual,
 )
-from .discforms import check_isotropic, discriminant_group, gauss_sum_check, two_pi_e
+from .discforms import (
+    check_isotropic,
+    discriminant_group,
+    gauss_sum_check,
+    gauss_sum_residual,
+)
 from .errors import ParseError, UnknownCheck, VvthetaError
 from .grassmann import (
     HomogeneousPolynomial,
@@ -97,13 +101,6 @@ def _encode_key(key) -> str:
     return ";".join(",".join(str(c) for c in elt) for elt in key)
 
 
-def _decode_key(s: str) -> tuple:
-    if s == "":
-        return ((),)
-    parts = s.split(";")
-    return tuple(tuple(int(c) for c in p.split(",")) if p else () for p in parts)
-
-
 def theta_to_json(theta: ThetaValue) -> dict:
     coeffs = {_encode_key(k): complex_pair(v) for k, v in theta.value.coeffs.items()}
     return {
@@ -152,7 +149,10 @@ def load_expansion(path):
 
 
 def qexpansion_from_json(data) -> QExpansionForm:
-    lat = construct_lattice(data["gram"])
+    return _form_from_json(data, construct_lattice(data["gram"]))
+
+
+def _form_from_json(data, lat) -> QExpansionForm:
     terms = {}
     for t in data["terms"]:
         key = (tuple(int(c) for c in t["coset"]), parse_frac(t["exp"]))
@@ -247,11 +247,7 @@ class Scenario:
                 lat = self.lattices[fdata["lattice"]]
             else:
                 lat = self.ambient
-            terms = {}
-            for t in fdata["terms"]:
-                terms[(tuple(t["coset"]), parse_frac(t["exp"]))] = \
-                    complex(t["coef"][0], t["coef"][1])
-            self.form = QExpansionForm(lat, parse_frac(fdata["weight"]), terms)
+            self.form = _form_from_json(fdata, lat)
 
     def _setup_split(self):
         self.u = self.u_perp = self.p_u = self.p_uperp = self.sd = None
@@ -293,13 +289,8 @@ def _check_weil_relations(sc: Scenario) -> float:
 
 
 def _check_gauss_sum(sc: Scenario) -> float:
-    worst = 0.0
-    for lat in sc.lattices.values():
-        group = discriminant_group(lat)
-        total = sum(two_pi_e(group.q(x)) for x in group.elements())
-        expected = math.sqrt(group.order) * two_pi_e(Fraction(lat.sig_plus - lat.sig_minus, 8))
-        worst = max(worst, abs(total - expected))
-    return worst
+    return max((gauss_sum_residual(discriminant_group(lat), lat.sig_plus, lat.sig_minus)
+                for lat in sc.lattices.values()), default=0.0)
 
 
 def _check_arrows(sc: Scenario) -> float:
@@ -424,7 +415,6 @@ def _check_restriction(sc: Scenario) -> float:
 
 
 def _check_weights(sc: Scenario) -> float:
-    plat = sc.sd.mperp_sub.lattice
     mlat = sc.m_sub.lattice
     degrees_big = (sc.p_u.degrees[0] + sc.p_uperp.degrees[0],
                    sc.p_u.degrees[1] + sc.p_uperp.degrees[1])
@@ -432,7 +422,6 @@ def _check_weights(sc: Scenario) -> float:
         Fraction(sc.ambient.sig_minus - sc.ambient.sig_plus, 2)
         + degrees_big[1] - degrees_big[0],
         sc.ambient.signature, mlat.signature, degrees_big, sc.p_u.degrees)
-    del plat
     return 0.0 if info["consistent"] and info["paired"] == info["contraction"] else 1.0
 
 
@@ -457,8 +446,10 @@ CHECKS = {
 
 def run_scenario(path) -> dict:
     """Execute all checks of a scenario file; report residuals and verdicts."""
-    data = load_json(path)
-    sc = Scenario(data)
+    return _run_checks(Scenario(load_json(path)))
+
+
+def _run_checks(sc: Scenario) -> dict:
     results = {}
     for check in sorted(set(sc.checks)):
         fn = CHECKS.get(check)
@@ -605,14 +596,7 @@ def _scenario_subset(args, wanted) -> int:
     if args.tau_samples:
         data["tau_samples"] = [[float(p) for p in s.split(",")]
                                for s in args.tau_samples]
-    tmp_results = {}
-    sc = Scenario(data)
-    for check in data["checks"]:
-        residual = float(CHECKS[check](sc))
-        tmp_results[check] = {"residual": residual, "tolerance": sc.tolerance,
-                              "pass": residual <= sc.tolerance}
-    report = {"scenario": sc.name, "results": tmp_results,
-              "pass": all(r["pass"] for r in tmp_results.values())}
+    report = _run_checks(Scenario(data))
     sys.stdout.write(canonical_dumps(report))
     return 0 if report["pass"] else 1
 

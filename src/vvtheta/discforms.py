@@ -1,9 +1,10 @@
 """Discriminant groups D = L*/L with their Q/Z quadratic and bilinear forms.
 
 Elements are tuples of residues in Smith-normal-form coordinates (one entry
-per elementary divisor > 1).  Q/Z values are exact Fractions reduced to
-[0, 1); nothing about the forms ever touches floating point, so isotropy and
-orthogonality tests are exact.
+per elementary divisor > 1).  The forms are stored once as integers, the
+level N and N q, N b on the generators, so every Q/Z value is an exact
+integer sum mod N, a Fraction in [0, 1); nothing about the forms ever touches
+floating point, so isotropy and orthogonality tests are exact.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
+
+import numpy as np
 
 from . import exact
 from .errors import (
@@ -36,6 +40,14 @@ def two_pi_e(x) -> complex:
     if isinstance(x, Fraction):
         x = exact.mod1(x)
     return cmath.exp(2j * math.pi * float(x))
+
+
+@cache
+def unit_roots(n: int) -> np.ndarray:
+    """Read-only table of e(k/n) for k = 0..n-1, each computed by two_pi_e."""
+    roots = np.array([two_pi_e(Fraction(k, n)) for k in range(n)], dtype=complex)
+    roots.flags.writeable = False
+    return roots
 
 
 @dataclass(frozen=True)
@@ -68,6 +80,13 @@ class DiscriminantGroup:
                 f"|D| = {self.order} exceeds enumeration cap {cap}")
         return list(itertools.product(*(range(d) for d in self.elementary_divisors)))
 
+    def index(self, x: DiscElement) -> int:
+        """Position of x in elements()."""
+        out = 0
+        for c, d in zip(x, self.elementary_divisors):
+            out = out * d + c % d
+        return out
+
     def dual_vector(self, x: DiscElement) -> list[Fraction]:
         """A dual-lattice representative of x, in lattice coordinates."""
         n = self.lattice.rank
@@ -80,26 +99,72 @@ class DiscriminantGroup:
     def from_dual(self, vec) -> DiscElement:
         """Coordinates of the class of a dual vector; NotInDual if outside L*."""
         vec = [Fraction(v) for v in vec]
-        g = self.lattice.gram_rows()
-        gv = exact.mat_vec(g, vec)
+        gv = exact.mat_vec(self.lattice.gram_rows(), vec)
         if not exact.is_integral(gv):
             raise NotInDual(f"vector {vec} does not pair integrally with the lattice")
-        u = [list(row) for row in self._u_transform]
-        c = exact.mat_vec(exact.frac_matrix(u), gv)
-        coords = []
-        for ci, d in zip(c, self._full_divisors):
-            if d > 1:
-                coords.append(int(ci) % d)
-        return tuple(coords)
+        gv = [int(x) for x in gv]
+        return tuple(sum(u * x for u, x in zip(row, gv)) % d
+                     for row, d in zip(self._u_transform, self._full_divisors) if d > 1)
+
+    @cached_property
+    def level_forms(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(N, qN, bN): the level N and the forms on the generators, times N.
+
+        qN[i] = N q(g_i) mod N and bN[i][j] = N b(g_i, g_j) mod N.  N is the
+        lcm of their denominators, the least N with N q(x) integral for all x.
+        """
+        lat, gens = self.lattice, self.generators
+        q = [exact.mod1(lat.norm(g) / 2) for g in gens]
+        b = [[exact.mod1(lat.pairing(g, h)) for h in gens] for g in gens]
+        n = math.lcm(*(x.denominator for x in q),
+                     *(x.denominator for row in b for x in row))
+        return (n, tuple(int(x * n) for x in q),
+                tuple(tuple(int(x * n) for x in row) for row in b))
 
     def q(self, x: DiscElement) -> Fraction:
-        """Quadratic form value in [0, 1): half the norm of a lift, mod 1."""
-        v = self.dual_vector(x)
-        return exact.mod1(self.lattice.norm(v) / 2)
+        """Quadratic form value in [0, 1): sum x_i^2 q(g_i) + x_i x_j b(g_i, g_j), i < j."""
+        n, qn, bn = self.level_forms
+        k = sum(c * c * qi for c, qi in zip(x, qn))
+        for i, row in enumerate(bn):
+            k += x[i] * sum(c * bij for c, bij in zip(x[i + 1:], row[i + 1:]))
+        return Fraction(k % n, n)
 
     def b(self, x: DiscElement, y: DiscElement) -> Fraction:
-        """Bilinear form value in [0, 1): the pairing of lifts, mod 1."""
-        return exact.mod1(self.lattice.pairing(self.dual_vector(x), self.dual_vector(y)))
+        """Bilinear form value in [0, 1): sum x_i y_j b(g_i, g_j)."""
+        n, _, bn = self.level_forms
+        k = sum(c * sum(bij * e for bij, e in zip(row, y)) for c, row in zip(x, bn))
+        return Fraction(k % n, n)
+
+    # -- tables over all elements, in the order of elements() ----------------
+
+    def element_array(self) -> np.ndarray:
+        """elements() as the rows of an int64 array."""
+        return np.array(self.elements(), dtype=np.int64).reshape(self.order, -1)
+
+    def _form_arrays(self):
+        """(N, U, B) with x U x^T = N q(x) and x B y^T = N b(x, y) mod N."""
+        n, qn, bn = self.level_forms
+        b = np.array(bn, dtype=np.int64).reshape(len(qn), len(qn))
+        return n, np.triu(b, 1) + np.diag(np.array(qn, dtype=np.int64)), b
+
+    def q_table(self) -> np.ndarray:
+        """N q(x) mod N for every element."""
+        n, u, _ = self._form_arrays()
+        xs = self.element_array()
+        return ((xs @ u.T) % n * xs).sum(axis=1) % n
+
+    def b_table(self) -> np.ndarray:
+        """N b(x, y) mod N for every pair of elements."""
+        n, _, b = self._form_arrays()
+        xs = self.element_array()
+        return ((xs @ b) % n @ xs.T) % n
+
+    def neg_table(self) -> np.ndarray:
+        """Index of -x for every element x."""
+        out = np.zeros(self.order, dtype=np.int64)
+        for c, d in zip(self.element_array().T, self.elementary_divisors):
+            out = out * d + (-c) % d
+        return out
 
     def element_order(self, x: DiscElement) -> int:
         out = 1
@@ -221,14 +286,20 @@ def disc_projection(sub: Sublattice, vec) -> DiscElement:
     return discriminant_group(sub.lattice).from_dual(coords)
 
 
+def gauss_sum_residual(group: DiscriminantGroup, sig_plus: int, sig_minus: int) -> float:
+    """Milgram residual |sum of e(q) over D - sqrt(|D|) e((b+ - b-)/8)|."""
+    zeta = unit_roots(group.level_forms[0])
+    total = sum(zeta[group.q_table()].tolist())  # in element order
+    return abs(total - math.sqrt(group.order) * two_pi_e(Fraction(sig_plus - sig_minus, 8)))
+
+
 def gauss_sum_check(group: DiscriminantGroup, sig_plus: int, sig_minus: int,
                     tol: float = 1e-10) -> bool:
-    """Milgram check: sum of e(q) over D equals sqrt(|D|) e((b+ - b-)/8)."""
-    total = sum(two_pi_e(group.q(x)) for x in group.elements())
-    expected = math.sqrt(group.order) * two_pi_e(Fraction(sig_plus - sig_minus, 8))
-    if abs(total - expected) > tol:
+    """Milgram check: raise MismatchedSignature unless the residual is within tol."""
+    residual = gauss_sum_residual(group, sig_plus, sig_minus)
+    if residual > tol:
         raise MismatchedSignature(
-            f"Gauss sum {total} != sqrt(|D|) e((b+-b-)/8) = {expected}")
+            f"Gauss sum off by {residual} for signature ({sig_plus}, {sig_minus})")
     return True
 
 

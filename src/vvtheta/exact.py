@@ -8,6 +8,7 @@ form is delegated to sympy, which works over arbitrary-precision integers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -123,11 +124,6 @@ def rational_kernel(m) -> list[list[Fraction]]:
     return basis
 
 
-def solve(m, rhs) -> list[Fraction]:
-    """Solve m x = rhs exactly for square non-singular m."""
-    return mat_vec(mat_inv(m), rhs)
-
-
 def _to_sympy(m):
     return sympy.Matrix([[sympy.Integer(int(x)) for x in row] for row in m])
 
@@ -178,10 +174,7 @@ def column_module_basis(cols_frac) -> list[list[Fraction]]:
     the SNF decomposition of the resulting integer matrix.
     """
     n = len(cols_frac[0])
-    den = 1
-    for v in cols_frac:
-        for x in v:
-            den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
+    den = math.lcm(*(Fraction(x).denominator for v in cols_frac for x in v))
     int_cols = [[int(Fraction(x) * den) for x in v] for v in cols_frac]
     a = transpose(int_cols)  # n x k integer matrix, columns span den * module
     d, s, t = snf(a)
@@ -211,13 +204,7 @@ def saturate_columns(gens) -> tuple[list[list[int]], bool]:
     return basis, primitive
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def is_integral(v, tol=None) -> bool:
+def is_integral(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
 
 

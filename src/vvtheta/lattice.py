@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -138,17 +139,19 @@ class Sublattice:
         """Ambient-by-rank matrix whose columns are the generators."""
         return exact.transpose([list(v) for v in self.basis])
 
+    @cached_property
+    def coords_projection(self) -> list[list[Fraction]]:
+        """The exact matrix (B^T G B)^{-1} B^T G of ``coords_of``."""
+        btg = exact.mat_mul(exact.transpose(self.basis_matrix()), self.ambient.gram_rows())
+        return exact.mat_mul(exact.mat_inv(self.lattice.gram_rows()), btg)
+
     def coords_of(self, vec):
         """Sublattice coordinates of an ambient vector lying in the span.
 
         Solves B x = vec in the least-squares-free exact sense using the
         induced Gram matrix: x = (B^T G B)^{-1} B^T G vec.
         """
-        b = self.basis_matrix()
-        g = self.ambient.gram_rows()
-        btg = exact.mat_mul(exact.transpose(b), g)
-        rhs = exact.mat_vec(btg, [Fraction(v) for v in vec])
-        return exact.solve(self.lattice.gram_rows(), rhs)
+        return exact.mat_vec(self.coords_projection, [Fraction(v) for v in vec])
 
     def embed(self, coords):
         """Ambient coordinates of a vector given in sublattice coordinates."""
@@ -235,11 +238,6 @@ class OverlatticeEmbedding:
     def big_coords(self, small_coords):
         inv = exact.mat_inv(self.glue_rows())
         return exact.mat_vec(inv, [Fraction(x) for x in small_coords])
-
-
-def trivial_embedding(lat: Lattice) -> OverlatticeEmbedding:
-    glue = tuple(tuple(Fraction(int(i == j)) for j in range(lat.rank)) for i in range(lat.rank))
-    return OverlatticeEmbedding(small=lat, big=lat, glue=glue, index=1)
 
 
 def embedding_matrix(small: Lattice, lifts) -> OverlatticeEmbedding:

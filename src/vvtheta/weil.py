@@ -2,10 +2,12 @@
 
 The representation acts on C[D] for a discriminant group D; basis vectors are
 indexed by group elements.  General elements act through a generator word
-(Euclidean reduction on the bottom row), with the square-root branch tracked
-numerically by its value at tau = i.  Tensor factors carry a ``dual`` flag;
-a dual axis is acted on by the conjugate matrices, which is the same as using
-the rescaled lattice with inverted pairings.
+(Euclidean reduction on the bottom row), with the square-root branch of a
+product fixed exactly by a sign rule on the bottom rows.  Generator matrices
+are lookups of N-th roots of unity at the group's integer level-N forms
+(Scheithauer, IMRN 2009; Stromberg, Math. Z. 275, 2013).  Tensor factors carry
+a ``dual`` flag; a dual axis is acted on by the conjugate matrices, which is
+the same as using the rescaled lattice with inverted pairings.
 """
 
 from __future__ import annotations
@@ -17,8 +19,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discforms import DiscriminantGroup, GlueMap, two_pi_e
+from .discforms import DiscriminantGroup, GlueMap, two_pi_e, unit_roots
 from .errors import IndexMismatch, VvthetaError
+
+
+def _quarter_turns(c: int, d: int) -> int:
+    """arg(c tau + d) in quarter turns, coarsely: 1 or -1 off the real axis
+    (c > 0 or c < 0, tau in the upper half-plane), exactly 0 or 2 on it."""
+    if c:
+        return 1 if c > 0 else -1
+    return 0 if d > 0 else 2
 
 
 @dataclass(frozen=True)
@@ -57,24 +67,21 @@ class MetaplecticElement:
         b = self.a * other.b + self.b * other.d
         c = self.c * other.a + self.d * other.c
         d = self.c * other.b + self.d * other.d
-        # product rule: phi(tau) = phi_self(other tau) * phi_other(tau), at tau=i
-        tau = 1j
-        phi_val = self.phi(other.act(tau)) * other.phi(tau)
-        principal = cmath.sqrt(c * tau + d)
-        ratio = phi_val / principal
-        if abs(ratio - 1) < 1e-9:
-            branch = 1
-        elif abs(ratio + 1) < 1e-9:
-            branch = -1
-        else:
-            raise VvthetaError(f"branch tracking lost: ratio {ratio}")
+        # phi(tau) = phi_self(other tau) phi_other(tau).  The product of the
+        # principal roots of z1 and z2 is the principal root of z1 z2 iff
+        # arg z1 + arg z2 lies in (-pi, pi], else its negative.  That sum
+        # minus arg(c tau + d) is 0 or +-4 quarter turns.  The coarse t below
+        # misses it by less than 2 if one of the three lies on the real axis,
+        # otherwise by less than 3 with t odd; so |t| >= 3 iff it is +-4.
+        t = (_quarter_turns(self.c, self.d) + _quarter_turns(other.c, other.d)
+             - _quarter_turns(c, d))
+        branch = self.branch * other.branch * (-1 if abs(t) >= 3 else 1)
         return MetaplecticElement(a, b, c, d, branch)
 
     def inverse(self) -> "MetaplecticElement":
+        # the branch of a product is linear in the branch of either factor
         inv = MetaplecticElement(self.d, -self.b, -self.c, self.a, 1)
-        if abs((self * inv).phi(1j) - 1) < 1e-9:
-            return inv
-        return MetaplecticElement(self.d, -self.b, -self.c, self.a, -1)
+        return MetaplecticElement(self.d, -self.b, -self.c, self.a, (self * inv).branch)
 
 
 MP_IDENTITY = MetaplecticElement(1, 0, 0, 1, 1)
@@ -153,13 +160,30 @@ def word_decompose(g: MetaplecticElement) -> GeneratorWord:
 # ---------------------------------------------------------------------------
 # generator matrices
 
-def _sig_pair(group: DiscriminantGroup, dual: bool) -> tuple[int, int]:
-    sp, sm = group.lattice.sig_plus, group.lattice.sig_minus
-    return (sm, sp) if dual else (sp, sm)
+def _generator_power(group: DiscriminantGroup, kind: str, n: int, dual: bool) -> np.ndarray:
+    """Matrix of T^n, S or Z^n on C[D], rows and columns in element order.
 
-
-def _q_sign(dual: bool) -> int:
-    return -1 if dual else 1
+    With zeta[k] = e(k/N) for the level N and the integer tables qN = N q and
+    bN = N b: T^n = diag(zeta[n qN]), S = e((b- - b+)/8)/sqrt|D| zeta[-bN]
+    and Z^n = e(n (b- - b+)/4) P^n, where P permutes x -> -x.  A dual axis
+    takes the complex conjugate.
+    """
+    level = group.level_forms[0]
+    zeta = unit_roots(level)
+    sig = group.lattice.sig_minus - group.lattice.sig_plus
+    if kind == "T":
+        mat = np.diag(zeta[(n % level) * group.q_table() % level])
+    elif kind == "S":
+        mat = two_pi_e(Fraction(sig, 8)) / math.sqrt(group.order) \
+            * zeta[-group.b_table() % level]
+    elif kind == "Z":
+        n %= 4
+        mat = np.zeros((group.order, group.order), dtype=complex)
+        cols = np.arange(group.order)
+        mat[group.neg_table() if n % 2 else cols, cols] = two_pi_e(Fraction(n * sig, 4))
+    else:
+        raise VvthetaError(f"unknown generator {kind}")
+    return mat.conj() if dual else mat
 
 
 def rho_generator(group: DiscriminantGroup, gen: str, dual: bool = False) -> np.ndarray:
@@ -168,49 +192,14 @@ def rho_generator(group: DiscriminantGroup, gen: str, dual: bool = False) -> np.
     With a ``dual`` axis the forms are negated and the signature swapped,
     which realizes the dual representation as conjugate matrices.
     """
-    elements = group.elements()
-    index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    sp, sm = _sig_pair(group, dual)
-    sgn = _q_sign(dual)
-    if gen == "T":
-        return np.diag([two_pi_e(sgn * group.q(e)) for e in elements]).astype(complex)
-    if gen == "S":
-        factor = two_pi_e(Fraction(sm - sp, 8)) / math.sqrt(n)
-        mat = np.empty((n, n), dtype=complex)
-        for j, gamma in enumerate(elements):
-            for i, delta in enumerate(elements):
-                mat[i, j] = two_pi_e(-sgn * group.b(gamma, delta))
-        return factor * mat
-    if gen == "Z":
-        mat = np.zeros((n, n), dtype=complex)
-        phase = two_pi_e(Fraction(sm - sp, 4))
-        for j, gamma in enumerate(elements):
-            mat[index[group.neg(gamma)], j] = phase
-        return mat
-    raise VvthetaError(f"unknown generator {gen}")
-
-
-def _token_matrix(group: DiscriminantGroup, dual: bool, kind: str, n: int) -> np.ndarray:
-    elements = group.elements()
-    sgn = _q_sign(dual)
-    if kind == "T":
-        return np.diag([two_pi_e(sgn * n * group.q(e)) for e in elements]).astype(complex)
-    if kind == "S":
-        return rho_generator(group, "S", dual)
-    if kind == "Z":
-        z = rho_generator(group, "Z", dual)
-        return np.linalg.matrix_power(z, n % 4)
-    raise VvthetaError(f"unknown token {kind}")
+    return _generator_power(group, gen, 1, dual)
 
 
 def rho_matrix(group: DiscriminantGroup, g: MetaplecticElement, dual: bool = False) -> np.ndarray:
     """Full matrix of the representation at g, via its generator word."""
-    word = word_decompose(g)
-    n = group.order
-    out = np.eye(n, dtype=complex)
-    for kind, power in word.tokens:
-        out = out @ _token_matrix(group, dual, kind, power)
+    out = np.eye(group.order, dtype=complex)
+    for kind, power in word_decompose(g).tokens:
+        out = out @ _generator_power(group, kind, power, dual)
     return out
 
 
@@ -253,13 +242,6 @@ class RepVector:
     def basis_vector(cls, axes, key):
         return cls(axes, {tuple(key): 1.0 + 0j})
 
-    @classmethod
-    def zero(cls, axes):
-        return cls(axes, {})
-
-    def copy(self):
-        return RepVector(self.axes, dict(self.coeffs))
-
     def get(self, key) -> complex:
         return self.coeffs.get(tuple(key), 0j)
 
@@ -287,34 +269,8 @@ class RepVector:
     def norm_inf(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
 
-    def prune(self, tol: float = 0.0):
-        return RepVector(self.axes, {k: v for k, v in self.coeffs.items() if abs(v) > tol})
-
-    def support(self):
-        return sorted(self.coeffs)
-
     def __repr__(self):
         return f"RepVector(axes={list(self.axes)}, nnz={len(self.coeffs)})"
-
-
-def full_basis(axes) -> list[tuple]:
-    """All index keys of the tensor product, in lexicographic order."""
-    import itertools
-
-    pools = [ax.group.elements() for ax in axes]
-    return [tuple(k) for k in itertools.product(*pools)]
-
-
-def apply_axis_matrix(vec: RepVector, axis_index: int, mat: np.ndarray,
-                      elements, index) -> RepVector:
-    out = {}
-    for key, val in vec.coeffs.items():
-        col = index[key[axis_index]]
-        column = mat[:, col]
-        for row in np.nonzero(np.abs(column) > 1e-16)[0]:
-            new_key = key[:axis_index] + (elements[row],) + key[axis_index + 1:]
-            out[new_key] = out.get(new_key, 0j) + column[row] * val
-    return RepVector(vec.axes, out)
 
 
 def rho_apply(g: MetaplecticElement, vec: RepVector) -> RepVector:
@@ -323,15 +279,19 @@ def rho_apply(g: MetaplecticElement, vec: RepVector) -> RepVector:
     Each axis transforms under the Weil representation of its group (the
     conjugate representation on dual axes).
     """
-    word = word_decompose(g)
-    out = vec
-    for kind, power in reversed(word.tokens):
-        for i, ax in enumerate(out.axes):
-            elements = ax.group.elements()
-            index = {e: j for j, e in enumerate(elements)}
-            mat = _token_matrix(ax.group, ax.dual, kind, power)
-            out = apply_axis_matrix(out, i, mat, elements, index)
-    return out
+    elements = [ax.group.elements() for ax in vec.axes]
+    out = vec.coeffs
+    for kind, power in reversed(word_decompose(g).tokens):
+        for i, ax in enumerate(vec.axes):
+            mat = _generator_power(ax.group, kind, power, ax.dual)
+            new = {}
+            for key, val in out.items():
+                column = mat[:, ax.group.index(key[i])]
+                for row in np.nonzero(np.abs(column) > 1e-16)[0]:
+                    new_key = key[:i] + (elements[i][row],) + key[i + 1:]
+                    new[new_key] = new.get(new_key, 0j) + column[row] * val
+            out = new
+    return RepVector(vec.axes, out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +344,11 @@ def pair(u: RepVector, v: RepVector, groups=None):
     """
     if groups is None:
         groups = []
-        seen = []
         for ax in u.axes:
-            if ax.group in seen:
-                continue
             u_hits = [a for a in u.axes if a.group == ax.group]
-            if len(u_hits) != 1:
-                continue
-            v_hits = [a for a in v.axes
-                      if a.group == ax.group and a.dual != u_hits[0].dual]
-            if len(v_hits) == 1:
+            v_hits = [a for a in v.axes if a.group == ax.group and a.dual != ax.dual]
+            if len(u_hits) == 1 and len(v_hits) == 1:
                 groups.append(ax.group)
-                seen.append(ax.group)
         if not groups:
             raise IndexMismatch("no contractible axes between the two vectors")
     u_idx, v_idx = [], []
@@ -413,12 +366,12 @@ def pair(u: RepVector, v: RepVector, groups=None):
     u_rest = [i for i in range(len(u.axes)) if i not in u_idx]
     v_rest = [i for i in range(len(v.axes)) if i not in v_idx]
     out_axes = tuple(u.axes[i] for i in u_rest) + tuple(v.axes[i] for i in v_rest)
+    v_by_match = {}
+    for kv, cv in v.coeffs.items():
+        v_by_match.setdefault(tuple(kv[i] for i in v_idx), []).append((kv, cv))
     out = {}
     for ku, cu in u.coeffs.items():
-        match = tuple(ku[i] for i in u_idx)
-        for kv, cv in v.coeffs.items():
-            if tuple(kv[i] for i in v_idx) != match:
-                continue
+        for kv, cv in v_by_match.get(tuple(ku[i] for i in u_idx), ()):
             key = tuple(ku[i] for i in u_rest) + tuple(kv[i] for i in v_rest)
             out[key] = out.get(key, 0j) + cu * cv
     if not out_axes:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from vvtheta import (
     NotIsotropic,
     check_isotropic,
     construct_lattice,
+    direct_sum,
     disc_eval,
     disc_projection,
     discriminant_group,
@@ -17,9 +19,12 @@ from vvtheta import (
     glue_map,
     orthogonal_subgroup,
     overlattice_from_isotropic,
+    rescale,
     sublattice,
     two_pi_e,
 )
+from vvtheta.discforms import gauss_sum_residual
+from vvtheta.exact import mod1
 
 
 def test_group_structure(a1, ii11, a2):
@@ -190,3 +195,53 @@ def test_glue_group_matches_direct_computation(a1, a1_neg):
         order = min(gm.small_disc.element_order(x) for x in fiber)
         via_glue.append((order, gm.small_disc.q(rep)))
     assert direct == sorted(via_glue)
+
+
+def form_lattices():
+    """|D| = 2, 1, 4, 12, 48, 192 and 228 (level 456): every form shape in use."""
+    a1 = construct_lattice([[2]], name="A1")
+    a2 = construct_lattice([[2, 1], [1, 2]], name="A2")
+    return [a1, construct_lattice([[0, 1], [1, 0]]), direct_sum(a1, rescale(a1, -1)),
+            rescale(a2, 2), rescale(a2, 4), rescale(a2, 8),
+            construct_lattice([[2, 1, 1], [1, -6, 1], [1, 1, 18]])]
+
+
+def test_integer_forms_match_fraction_lifts():
+    for lat in form_lattices():
+        d = discriminant_group(lat)
+        elements = d.elements()
+        lifts = [d.dual_vector(x) for x in elements]
+        q_ref = [mod1(lat.norm(v) / 2) for v in lifts]
+        n = d.level_forms[0]
+        assert n == math.lcm(*(q.denominator for q in q_ref))
+        assert [d.q(x) for x in elements] == q_ref
+        assert d.q_table().tolist() == [int(q * n) for q in q_ref]
+        # pairing(u, v) = (den u) . G (den v) / den^2, with integer vectors den u
+        den = math.lcm(*(c.denominator for v in lifts for c in v))
+        ints = [[int(c * den) for c in v] for v in lifts]
+        g_ints = [[sum(g * c for g, c in zip(row, v)) for row in lat.gram] for v in ints]
+        b_ref = [[mod1(F(sum(a * c for a, c in zip(u, gv)), den * den)) for gv in g_ints]
+                 for u in ints]
+        assert [[d.b(x, y) for y in elements] for x in elements] == b_ref
+        assert d.b_table().tolist() == [[int(b * n) for b in row] for row in b_ref]
+
+
+def test_element_tables(test_lattices):
+    for lat in test_lattices + form_lattices()[3:]:
+        d = discriminant_group(lat)
+        elements = d.elements()
+        assert [tuple(row) for row in d.element_array().tolist()] == elements
+        assert [d.index(x) for x in elements] == list(range(d.order))
+        assert [elements[k] for k in d.neg_table()] == [d.neg(x) for x in elements]
+
+
+def test_forms_beyond_enumeration_cap():
+    big = discriminant_group(construct_lattice([[20002]]))
+    assert big.q((1,)) == F(1, 40004) and big.b((1,), (3,)) == F(3, 20002)
+    assert big.q((20001,)) == big.q((1,)) and big.q((-1,)) == big.q((1,))
+
+
+def test_gauss_sum_residual(a1, a2):
+    assert gauss_sum_residual(discriminant_group(a1), 1, 0) < 1e-15
+    assert gauss_sum_residual(discriminant_group(a1), 0, 1) == pytest.approx(2.0)
+    assert gauss_sum_residual(discriminant_group(a2), 2, 0) < 1e-12

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from vvtheta import (
     mp_power,
     overlattice_from_isotropic,
     pair,
+    rescale,
     rho_apply,
     rho_generator,
     rho_matrix,
+    two_pi_e,
     up_arrow,
     word_decompose,
 )
+from vvtheta.weil import _generator_power
 
 
 def random_element(rng, steps=6):
@@ -140,13 +144,60 @@ def test_rho_s4_equals_scalar(test_lattices):
 
 def test_representation_property(a2):
     rng = random.Random(5)
-    d = discriminant_group(a2)
-    for _ in range(5):
-        g = random_element(rng)
-        h = random_element(rng)
-        lhs = rho_matrix(d, g * h)
-        rhs = rho_matrix(d, g) @ rho_matrix(d, h)
-        assert np.abs(lhs - rhs).max() < 1e-10
+    for lat, dual in [(a2, False), (rescale(a2, 2), True)]:
+        d = discriminant_group(lat)
+        for _ in range(5):
+            g = random_element(rng)
+            h = random_element(rng)
+            lhs = rho_matrix(d, g * h, dual)
+            rhs = rho_matrix(d, g, dual) @ rho_matrix(d, h, dual)
+            assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def test_token_matrices_match_entry_formula(test_lattices, a2):
+    # T^n = diag e(n q), S = e((b- - b+)/8)/sqrt|D| [e(-b(x, y))] and
+    # Z^k = e(k (b- - b+)/4) on e_x -> e_{(-1)^k x}; a dual axis negates the
+    # forms and swaps the signature
+    for lat in test_lattices + [rescale(a2, 2), rescale(a2, 4)]:
+        d = discriminant_group(lat)
+        elements = d.elements()
+        for dual in (False, True):
+            sgn = -1 if dual else 1
+            sig = sgn * (lat.sig_minus - lat.sig_plus)
+            for n in range(-3, 4):
+                ref = np.diag([two_pi_e(sgn * n * d.q(x)) for x in elements])
+                assert np.abs(_generator_power(d, "T", n, dual) - ref).max() <= 1e-15
+            ref = two_pi_e(Fraction(sig, 8)) / math.sqrt(d.order) * np.array(
+                [[two_pi_e(-sgn * d.b(x, y)) for y in elements] for x in elements])
+            assert np.abs(_generator_power(d, "S", 1, dual) - ref).max() <= 1e-15
+            for k in range(4):
+                ref = np.zeros((d.order, d.order), dtype=complex)
+                phase = two_pi_e(Fraction(k * sig, 4))
+                for j, x in enumerate(elements):
+                    ref[elements.index(d.scale((-1) ** k, x)), j] = phase
+                assert np.abs(_generator_power(d, "Z", k, dual) - ref).max() <= 1e-15
+
+
+def _float_branch(g, h, tau):
+    """Branch of g h from phi(tau) = phi_g(h tau) phi_h(tau), evaluated in floats."""
+    c, d = g.c * h.a + g.d * h.c, g.c * h.b + g.d * h.d
+    ratio = g.phi(h.act(tau)) * h.phi(tau) / cmath.sqrt(c * tau + d)
+    assert min(abs(ratio - 1), abs(ratio + 1)) < 1e-9
+    return 1 if ratio.real > 0 else -1
+
+
+def test_exact_branch_matches_float_product_rule():
+    rng = random.Random(17)
+    taus = (1j, 0.31 + 1.7j, -0.45 + 0.6j, 2.2 + 0.35j)
+    for _ in range(2000):
+        g, h = (random_element(rng, steps=rng.randint(0, 6)) for _ in range(2))
+        g = MetaplecticElement(g.a, g.b, g.c, g.d, rng.choice((1, -1)))
+        h = MetaplecticElement(h.a, h.b, h.c, h.d, rng.choice((1, -1)))
+        prod = g * h
+        for tau in taus:
+            assert prod.branch == _float_branch(g, h, tau)
+        for x in (g, h, prod):
+            assert x * x.inverse() == MP_IDENTITY == x.inverse() * x
 
 
 @pytest.fixture(scope="module")
