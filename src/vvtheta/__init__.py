@@ -61,7 +61,6 @@ from .grassmann import (  # noqa: F401
     constant_poly,
     coordinate_poly,
     direct_sum_grassmann,
-    exp_laplacian,
     lift_product,
     make_grassmann_point,
     split_product_check,

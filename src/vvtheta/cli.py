@@ -251,6 +251,7 @@ class Scenario:
 
     def _setup_split(self):
         self.u = self.u_perp = self.p_u = self.p_uperp = self.sd = None
+        self.v = self.p_v = None
         if self.m_sub is None:
             return
         self.sd = split_data(self.ambient, self.m_sub)
@@ -270,6 +271,9 @@ class Scenario:
             if "p_u" in polys else constant_poly(mlat.sig_plus, mlat.sig_minus)
         self.p_uperp = poly_from_json(polys["p_uperp"], plat.sig_plus, plat.sig_minus) \
             if "p_uperp" in polys else constant_poly(plat.sig_plus, plat.sig_minus)
+        # the ambient splitting and polynomial of the seesaw, shared by the checks
+        self.v = direct_sum_grassmann(self.sd.m_sub, self.sd.mperp_sub, self.u, self.u_perp)
+        self.p_v = lift_product(self.p_u, self.p_uperp)
 
 
 def _check_weil_relations(sc: Scenario) -> float:
@@ -317,16 +321,10 @@ def _check_arrows(sc: Scenario) -> float:
     return worst
 
 
-def _v_and_poly(sc: Scenario):
-    v = direct_sum_grassmann(sc.sd.m_sub, sc.sd.mperp_sub, sc.u, sc.u_perp)
-    return v, lift_product(sc.p_u, sc.p_uperp)
-
-
 def _check_theta_modularity(sc: Scenario, g) -> float:
-    v, p_v = _v_and_poly(sc)
-    fam = siegel_theta_family(sc.ambient, v, p_v)
+    fam = siegel_theta_family(sc.ambient, sc.v, sc.p_v)
     k = sc.ambient.sig_plus - sc.ambient.sig_minus \
-        + 2 * p_v.degrees[0] - 2 * p_v.degrees[1]
+        + 2 * sc.p_v.degrees[0] - 2 * sc.p_v.degrees[1]
     worst = 0.0
     for tau in sc.tau_samples:
         worst = max(worst, modularity_defect(fam, g, tau, k, sc.alpha, sc.beta,
@@ -388,8 +386,7 @@ def _check_pairing_expressions(sc: Scenario) -> float:
 
 
 def _check_negation(sc: Scenario) -> float:
-    v, p_v = _v_and_poly(sc)
-    return max(theta_negation_residual(sc.ambient, tau, v, p_v,
+    return max(theta_negation_residual(sc.ambient, tau, sc.v, sc.p_v,
                                        (sc.alpha, sc.beta) if sc.alpha else None,
                                        sc.bound)
                for tau in sc.tau_samples)

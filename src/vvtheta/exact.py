@@ -2,17 +2,16 @@
 
 Matrices are lists of rows; entries are ints or fractions.Fraction.  All
 routines are exact; sizes stay tiny (lattice ranks at desk scale), so the
-dense Gauss-Jordan / Smith normal form costs are negligible.  Smith normal
-form is delegated to sympy, which works over arbitrary-precision integers.
+dense Gauss-Jordan / Smith normal form costs are negligible.  The Smith
+normal form is an in-repo elimination over Python ints whose transforms are
+pinned to sympy's, so generator bases and element keys do not depend on
+which valid Smith form one happens to pick.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import sympy
-from sympy.matrices.normalforms import smith_normal_decomp
 
 from .errors import Degenerate
 
@@ -124,28 +123,140 @@ def rational_kernel(m) -> list[list[Fraction]]:
     return basis
 
 
-def _to_sympy(m):
-    return sympy.Matrix([[sympy.Integer(int(x)) for x in row] for row in m])
+def _gcdext(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x a + y b = g = gcd(a, b) >= 0.
+
+    The cofactors follow sympy's pure-Python ``igcdex`` (Euclid on |a|, |b|,
+    signs restored at the end), so the Smith transforms below match sympy's.
+    """
+    if not a or not b:
+        g = abs(a) or abs(b)
+        return (a // g, b // g, g) if g else (0, 0, 0)
+    x_sign, a = (-1, -a) if a < 0 else (1, a)
+    y_sign, b = (-1, -b) if b < 0 else (1, b)
+    x, r, y, s = 1, 0, 0, 1
+    while b:
+        q, c = divmod(a, b)
+        a, b = b, c
+        x, r = r, x - q * r
+        y, s = s, y - q * s
+    return x * x_sign, y * y_sign, a
 
 
-def _from_sympy(m) -> list[list[int]]:
-    return [[int(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+def _combine_rows(m, i, j, a, b, c, d):
+    """Rows i, j of m become a row_i + b row_j and c row_i + d row_j."""
+    ri, rj = m[i], m[j]
+    m[i] = [a * x + b * y for x, y in zip(ri, rj)]
+    m[j] = [c * x + d * y for x, y in zip(ri, rj)]
+
+
+def _combine_cols(m, i, j, a, b, c, d):
+    """Columns i, j of m become a col_i + b col_j and c col_i + d col_j."""
+    for row in m:
+        x, y = row[i], row[j]
+        row[i] = a * x + b * y
+        row[j] = c * x + d * y
+
+
+def _int_identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _smith(m, rows: int, cols: int):
+    """(invariants, s, t) with s m t = diag(invariants); m is overwritten.
+
+    A line-by-line port of ``_smith_normal_decomp(..., full=True)`` from
+    sympy 1.14 (``sympy.polys.matrices.normalforms``): clear row and column 0
+    by gcd steps, recurse on the lower-right block, then repair the
+    divisibility chain.  Every operation is the same as sympy's, so s and t
+    are too.
+    """
+    s, t = _int_identity(rows), _int_identity(cols)
+    # bring a nonzero entry of column 0, else of row 0, to (0, 0)
+    if m[0][0] == 0:
+        i = next((i for i in range(rows) if m[i][0]), None)
+        if i is not None:
+            m[0], m[i] = m[i], m[0]
+            s[0], s[i] = s[i], s[0]
+        else:
+            j = next((j for j in range(cols) if m[0][j]), None)
+            if j is not None:
+                _combine_cols(m, 0, j, 0, 1, 1, 0)
+                _combine_cols(t, 0, j, 0, 1, 1, 0)
+
+    def clear(entry, combine, transform, count):
+        # zero entry(1..count-1) against the pivot, in m and in its transform
+        pivot = m[0][0]
+        for j in range(1, count):
+            e = entry(j)
+            if e == 0:
+                continue
+            q, r = divmod(e, pivot)
+            if r == 0:
+                ops = (1, 0, -q, 1)
+            else:
+                a, b, g = _gcdext(pivot, e)
+                ops = (a, b, e // g, -(pivot // g))
+                pivot = g
+            combine(m, 0, j, *ops)
+            combine(transform, 0, j, *ops)
+
+    while any(m[0][1:]) or any(row[0] for row in m[1:]):
+        clear(lambda j: m[j][0], _combine_rows, s, rows)
+        clear(lambda j: m[0][j], _combine_cols, t, cols)
+
+    if m[0][0] < 0:
+        m[0][0] = -m[0][0]
+        s[0] = [-x for x in s[0]]
+
+    invs = []
+    if rows > 1 and cols > 1:
+        invs, s_small, t_small = _smith([row[1:] for row in m[1:]], rows - 1, cols - 1)
+        # s <- diag(1, s_small) s and t <- t diag(1, t_small)
+        s = [s[0]] + mat_mul(s_small, s[1:])
+        t = [[row[0]] + rest
+             for row, rest in zip(t, mat_mul([row[1:] for row in t], t_small))]
+
+    if m[0][0] == 0:
+        # row and column 0 vanish: move them last
+        if rows > 1:
+            s = s[1:] + [s[0]]
+        if cols > 1:
+            t = [row[1:] + [row[0]] for row in t]
+        return invs + [0], s, t
+
+    result = [m[0][0]] + invs
+    for i in range(len(result) - 1):
+        a, b = result[i], result[i + 1]
+        if not b or b % a == 0:
+            break
+        x, y, g = _gcdext(a, b)
+        alpha, beta = a // g, b // g
+        _combine_rows(s, i, i + 1, 1, 0, x, 1)
+        _combine_cols(t, i, i + 1, 1, y, 0, 1)
+        _combine_rows(s, i, i + 1, 1, -alpha, 0, 1)
+        _combine_cols(t, i, i + 1, 1, 0, -beta, 1)
+        _combine_rows(s, i, i + 1, 0, 1, -1, 0)
+        result[i], result[i + 1] = g, b * alpha
+    return result, s, t
 
 
 def snf(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form with transforms: returns (d, s, t) with s m t = d.
 
     s and t are unimodular; d is diagonal (rectangular allowed) with each
-    diagonal entry dividing the next.
+    diagonal entry dividing the next.  s and t are exactly those of sympy's
+    ``smith_normal_decomp(m, domain=ZZ)``.
     """
-    if not m or not m[0]:
-        rows = len(m)
-        cols = len(m[0]) if m else 0
-        return ([[0] * cols for _ in range(rows)],
-                [[int(i == j) for j in range(rows)] for i in range(rows)],
-                [[int(i == j) for j in range(cols)] for i in range(cols)])
-    d, s, t = smith_normal_decomp(_to_sympy(m), domain=sympy.ZZ)
-    return _from_sympy(d), _from_sympy(s), _from_sympy(t)
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    d = [[0] * cols for _ in range(rows)]
+    if not rows or not cols:
+        return d, _int_identity(rows), _int_identity(cols)
+    invs, s, t = _smith([[int(x) for x in row] for row in m], rows, cols)
+    for i, x in enumerate(invs):
+        d[i][i] = x
+    return d, s, t
 
 
 def integer_kernel(m) -> list[list[int]]:

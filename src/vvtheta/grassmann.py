@@ -68,11 +68,11 @@ class GrassmannPoint:
         self.proj_minus = proj_minus
         self.adapted = adapted          # n x n float, +block then -block columns
         self.rational_flag = rational_flag
-        n = lattice.rank
-        maj = [[proj_col_quad(self, i, j) for j in range(n)] for i in range(n)]
+        q_plus, q_minus = self.norm_forms
+        maj = [[a - b for a, b in zip(rp, rm)] for rp, rm in zip(q_plus, q_minus)]
         self.majorant = maj             # exact majorant Gram matrix
         self.majorant_np = np.array([[float(x) for x in row] for row in maj]
-                                    ) if n else np.zeros((0, 0))
+                                    ) if lattice.rank else np.zeros((0, 0))
 
     @property
     def dim_plus(self) -> int:
@@ -138,19 +138,6 @@ class GrassmannPoint:
     def __repr__(self):
         return (f"GrassmannPoint(dim+={self.dim_plus}, dim-={self.dim_minus},"
                 f" rational={self.rational_flag})")
-
-
-def proj_col_quad(point: GrassmannPoint, i: int, j: int) -> Fraction:
-    """Entry (i,j) of P+^T G P+ - P-^T G P- (the majorant Gram matrix)."""
-    g = exact.frac_matrix(point.lattice.gram_rows())
-    n = point.lattice.rank
-    col_i_p = [point.proj_plus[r][i] for r in range(n)]
-    col_j_p = [point.proj_plus[r][j] for r in range(n)]
-    col_i_m = [point.proj_minus[r][i] for r in range(n)]
-    col_j_m = [point.proj_minus[r][j] for r in range(n)]
-    plus = exact.vec_dot(col_i_p, exact.mat_vec(g, col_j_p))
-    minus = exact.vec_dot(col_i_m, exact.mat_vec(g, col_j_m))
-    return plus - minus
 
 
 def _gram_schmidt_block(lattice: Lattice, vectors, sign: int) -> np.ndarray:
@@ -421,31 +408,6 @@ def coordinate_poly(nvars_plus: int, nvars_minus: int, index: int) -> Homogeneou
     key[index] = 1
     degrees = (1, 0) if index < nvars_plus else (0, 1)
     return HomogeneousPolynomial(degrees, nvars_plus, nvars_minus, {tuple(key): 1.0})
-
-
-def poly_for_point(point: GrassmannPoint, poly: Polynomial) -> Polynomial:
-    if poly.nvars_plus != point.dim_plus or poly.nvars_minus != point.dim_minus:
-        raise NonHomogeneousPolynomial(
-            "polynomial variable blocks do not match the splitting")
-    return poly
-
-
-def exp_laplacian(poly: Polynomial, point: GrassmannPoint | None, c) -> Polynomial:
-    """exp(c * Laplacian) applied to a polynomial; the series terminates."""
-    if point is not None:
-        poly_for_point(point, poly)
-    out = Polynomial(poly.nvars_plus, poly.nvars_minus, dict(poly.monomials))
-    term = poly
-    j = 0
-    factor = 1.0
-    while True:
-        term = term.laplacian()
-        j += 1
-        factor *= float(c) / j
-        if term.is_zero():
-            break
-        out = out + term.scale(factor)
-    return out
 
 
 def laplacian_series(poly: Polynomial) -> list[Polynomial]:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import exact
 from .discforms import (
@@ -495,6 +494,21 @@ class ThetaValue:
         return self.value.axes
 
 
+def _upper_gamma_half_orders(x: float, count: int) -> list[float]:
+    """[Gamma(1/2, x), Gamma(1, x), Gamma(3/2, x), ...]: count values, x >= 0.
+
+    Upper incomplete Gamma from Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) and
+    Gamma(1, x) = e^-x by Gamma(a+1, x) = a Gamma(a, x) + x^a e^-x (DLMF 8.4,
+    8.8).  Every term is positive, so the upward recurrence is stable;
+    x^a e^-x is one exp, so no intermediate overflows.
+    """
+    out = [math.sqrt(math.pi) * math.erfc(math.sqrt(x)), math.exp(-x)]
+    for k in range(2, count):
+        a = (k - 1) / 2
+        out.append(a * out[k - 2] + (math.exp(a * math.log(x) - x) if x > 0 else 0.0))
+    return out[:count]
+
+
 def _tail_bound(q: np.ndarray, translates: int, series, y: float,
                 bound: float, prefactor_exponent: Fraction) -> float:
     """Upper bound on the omitted sum, by a shell-volume integral.
@@ -502,7 +516,10 @@ def _tail_bound(q: np.ndarray, translates: int, series, y: float,
     Point counts in a majorant ball of radius s are bounded by
     V_n (s + rho)^n / covol with rho half the sum of cell edge lengths; each
     omitted term at r = maj/2 > bound is at most pb(sqrt(2r)) e^{-2 pi y r}
-    with pb bounding the smoothing-expanded polynomial monomial-wise.
+    with pb bounding the smoothing-expanded polynomial monomial-wise.  The
+    integral over r > bound is evaluated in closed form: expanding
+    (s + rho)^(n-1) binomially leaves pieces s^m e^{-lam r} (lam = 2 pi y),
+    each integrating to 2^(m/2) lam^(-m/2-1) Gamma(m/2+1, lam bound).
     """
     n = q.shape[0]
     if n == 0:
@@ -519,14 +536,16 @@ def _tail_bound(q: np.ndarray, translates: int, series, y: float,
             pieces.append((abs(coeff) * scale, sum(expo)))
     if not pieces:
         return 0.0
-
-    def integrand(r):
-        s = math.sqrt(2.0 * r)
-        pb = sum(c * s ** d for c, d in pieces)
-        dn = vol_n * n * (s + rho) ** (n - 1) / (max(s, 1e-12) * covol)
-        return pb * dn * math.exp(-TWO_PI * y * r)
-
-    total, _err = integrate.quad(integrand, float(bound), np.inf, limit=200)
+    # shell density vol_n n (s + rho)^(n-1) / (s covol): collect s^m, m = deg + k - 1
+    coeffs = [0.0] * (max(d for _c, d in pieces) + n)
+    for c, d in pieces:
+        for k in range(n):
+            coeffs[d + k] += c * math.comb(n - 1, k) * rho ** (n - 1 - k)
+    lam = TWO_PI * y
+    gammas = _upper_gamma_half_orders(lam * float(bound), len(coeffs))
+    total = sum(c * 2.0 ** (m / 2) * lam ** (-m / 2 - 1) * g
+                for m, (c, g) in enumerate(zip(coeffs, gammas), start=-1))
+    total *= vol_n * n / covol
     return float(y ** float(prefactor_exponent) * translates * total)
 
 

@@ -15,13 +15,13 @@ from vvtheta import (
     constant_poly,
     coordinate_poly,
     direct_sum_grassmann,
-    exp_laplacian,
     lift_product,
     make_grassmann_point,
     rescale,
     split_product_check,
     swap_blocks_point,
 )
+from vvtheta.grassmann import laplacian_series
 
 
 def test_ii11_standard_point(ii11):
@@ -85,36 +85,34 @@ def test_projection_idempotent(ii11, a2):
             assert [p + q for p, q in zip(plus, minus)] == x
 
 
-def test_exp_laplacian():
-    v = None
-    p = constant_poly(1, 0)
-    out = exp_laplacian(p, v, 0.3)
-    assert out.monomials == p.monomials
-    x2 = HomogeneousPolynomial((2, 0), 1, 0, {(2,): 1.0})
-    out = exp_laplacian(x2, v, 0.5)
-    assert out.monomials[(2,)] == 1.0
-    assert abs(out.monomials[(0,)] - 1.0) < 1e-15  # 2c with c = 1/2
+def test_laplacian_series():
+    assert [t.monomials for t in laplacian_series(constant_poly(1, 0))] == [{(0,): 1.0}]
+    x4 = HomogeneousPolynomial((4, 0), 1, 0, {(4,): 1.0})
+    assert [t.monomials for t in laplacian_series(x4)] == [{(4,): 1.0}, {(2,): 12.0},
+                                                           {(0,): 12.0}]
     harmonic = HomogeneousPolynomial((2, 0), 2, 0, {(2, 0): 1.0, (0, 2): -1.0})
-    out = exp_laplacian(harmonic, None, 1.7)
-    assert out.monomials == harmonic.monomials
-
-
-def test_exp_laplacian_additivity():
+    assert len(laplacian_series(harmonic)) == 1
+    # sum_j c^j series[j] is exp(c Lap) p, so it composes additively in c
     rng = random.Random(11)
+
+    def exp_lap(p, c):
+        out = Polynomial(p.nvars_plus, p.nvars_minus, {})
+        for j, term in enumerate(laplacian_series(p)):
+            out = out + term.scale(c ** j)
+        return out
+
     for _ in range(10):
         monomials = {}
         for _m in range(4):
             expo = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
-            if sum(expo) <= 4:
-                monomials[expo] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            monomials[expo] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         p = Polynomial(2, 1, monomials)
         c1, c2 = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
-        once = exp_laplacian(exp_laplacian(p, None, c1), None, c2)
-        both = exp_laplacian(p, None, c1 + c2)
+        once = exp_lap(exp_lap(p, c1), c2)
+        both = exp_lap(p, c1 + c2)
         keys = set(once.monomials) | set(both.monomials)
-        worst = max(abs(once.monomials.get(k, 0) - both.monomials.get(k, 0))
-                    for k in keys)
-        assert worst < 1e-10
+        assert max(abs(once.monomials.get(k, 0) - both.monomials.get(k, 0))
+                   for k in keys) < 1e-10
 
 
 def test_homogeneity_defining_property(ii11):

@@ -376,6 +376,67 @@ def test_modularity_tail_guard(a1):
         modularity_defect(fam, MP_S, 0.05 + 0.4j, 1, None, None, 0.4, 1e-12)
 
 
+def _tail_reference(q, translates, series, y, bound, prefactor_exponent):
+    """The shell-volume integral of _tail_bound by 30-digit quadrature.
+
+    e^{-lam bound} is taken out of the integral, so the quadrature's absolute
+    tolerance does not swamp values near 1e-60.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    n = q.shape[0]
+    covol = mp.sqrt(mp.mpf(float(np.linalg.det(q))))
+    rho = mp.mpf(0.5 * sum(math.sqrt(q[i, i]) for i in range(n)))
+    vol_n = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+    pieces = [(abs(coeff) / (8 * mp.pi * y) ** j, sum(expo))
+              for j, poly in enumerate(series) for expo, coeff in poly.monomials.items()]
+    lam, bound = 2 * mp.pi * y, mp.mpf(bound)
+
+    def shifted(u):
+        s = mp.sqrt(2 * (bound + u))
+        return (sum(c * s ** d for c, d in pieces) * vol_n * n * (s + rho) ** (n - 1)
+                / (s * covol) * mp.exp(-lam * u))
+
+    points = [j / lam for j in (0, 1, 2, 4, 8, 16, 32, 64)] + [mp.inf]
+    total = mp.exp(-lam * bound) * mp.quad(shifted, points)
+    return float(mp.mpf(y) ** float(prefactor_exponent) * translates * total)
+
+
+def test_tail_bound_closed_form_against_quadrature():
+    pytest.importorskip("mpmath")
+    from vvtheta.theta import _tail_bound
+
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], float)
+        q = a.T @ a + n * np.eye(n)
+        n_plus = rng.randint(0, n)
+        deg = rng.randint(0, 3)
+        deg_plus = deg if n_plus == n else (0 if n_plus == 0 else rng.randint(0, deg))
+        monomials = {}
+        for _m in range(3):
+            expo = [0] * n
+            for k in range(deg):
+                plus = k < deg_plus
+                expo[rng.randrange(n_plus) if plus else n_plus + rng.randrange(n - n_plus)] += 1
+            monomials[tuple(expo)] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        poly = HomogeneousPolynomial((deg_plus, deg - deg_plus), n_plus, n - n_plus, monomials)
+        series = laplacian_series(poly)
+        y, bound = rng.uniform(0.3, 3.0), rng.uniform(0.5, 14.0)
+        prefactor = F(rng.randint(0, 4), 2)
+        translates = rng.randint(1, 12)
+        got = _tail_bound(q, translates, series, y, bound, prefactor)
+        ref = _tail_reference(q, translates, series, y, bound, prefactor)
+        assert abs(got - ref) <= 1e-12 * ref, (n, deg, y, bound)
+    # nothing to omit: a rank-0 lattice, an empty or a zero series
+    zero = Polynomial(1, 0, {})
+    assert _tail_bound(np.zeros((0, 0)), 1, [constant_poly(0, 0)], 1.0, 2.0, F(0)) == 0.0
+    assert _tail_bound(np.eye(1), 1, [], 1.0, 2.0, F(0)) == 0.0
+    assert _tail_bound(np.eye(1), 1, [zero], 1.0, 2.0, F(0)) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # mixed theta
 
