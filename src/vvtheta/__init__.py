@@ -79,6 +79,7 @@ from .theta import (  # noqa: F401
     mixed_theta_family,
     modularity_defect,
     pairing_expression_residuals,
+    Seesaw,
     seesaw_pairing_residual,
     seesaw_split_residual,
     siegel_theta,
@@ -86,7 +87,9 @@ from .theta import (  # noqa: F401
     siegel_theta_family,
     split_data,
     term_multiset,
+    ThetaFamily,
     theta_negation_residual,
+    theta_negation_residuals,
     theta_value_difference,
 )
 from .contraction import (  # noqa: F401
@@ -98,8 +101,20 @@ from .contraction import (  # noqa: F401
     lift_integrand,
     naive_truncated_lift,
     restriction_residual,
+    seesaw_contractions,
+    seesaw_restriction_residuals,
     theta_series_coset,
 )
-from .cli import emit_expansion, load_expansion, run_scenario  # noqa: F401
 
 __version__ = "0.1.0"
+
+#: names served by vvtheta.cli, which is imported on first use so that
+#: ``python -m vvtheta.cli`` finds it not yet imported
+_CLI_NAMES = ("emit_expansion", "load_expansion", "run_scenario")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,17 +12,18 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .contraction import (
     QExpansionForm,
     ContractionResult,
-    contract_pointwise,
     contract_symbolic,
     expected_weights,
     naive_truncated_lift,
-    restriction_residual,
+    seesaw_contractions,
+    seesaw_restriction_residuals,
 )
 from .discforms import (
     check_isotropic,
@@ -34,25 +35,18 @@ from .errors import ParseError, UnknownCheck, VvthetaError
 from .grassmann import (
     HomogeneousPolynomial,
     constant_poly,
-    direct_sum_grassmann,
-    lift_product,
     make_grassmann_point,
 )
 from .lattice import construct_lattice, orthogonal_complement, sublattice
 from .theta import (
+    Seesaw,
     ThetaValue,
     mixed_theta_composed,
     mixed_theta_direct,
-    mixed_theta_family,
     modularity_defect,
-    pairing_expression_residuals,
-    seesaw_pairing_residual,
-    seesaw_split_residual,
     siegel_theta,
-    siegel_theta_family,
     split_data,
-    theta_negation_residual,
-    theta_value_difference,
+    theta_negation_residuals,
 )
 from .weil import (
     MP_S,
@@ -251,7 +245,6 @@ class Scenario:
 
     def _setup_split(self):
         self.u = self.u_perp = self.p_u = self.p_uperp = self.sd = None
-        self.v = self.p_v = None
         if self.m_sub is None:
             return
         self.sd = split_data(self.ambient, self.m_sub)
@@ -271,9 +264,17 @@ class Scenario:
             if "p_u" in polys else constant_poly(mlat.sig_plus, mlat.sig_minus)
         self.p_uperp = poly_from_json(polys["p_uperp"], plat.sig_plus, plat.sig_minus) \
             if "p_uperp" in polys else constant_poly(plat.sig_plus, plat.sig_minus)
-        # the ambient splitting and polynomial of the seesaw, shared by the checks
-        self.v = direct_sum_grassmann(self.sd.m_sub, self.sd.mperp_sub, self.u, self.u_perp)
-        self.p_v = lift_product(self.p_u, self.p_uperp)
+
+    @cached_property
+    def seesaw(self) -> Seesaw:
+        """The scenario's seesaw, built on first use: every theta check draws
+        its term tables from it, so each is built once per scenario."""
+        return Seesaw(self.ambient, self.m_sub, self.u, self.u_perp, self.p_u, self.p_uperp)
+
+    @property
+    def pair(self):
+        """The shift pair (alpha, beta), or None for no shift."""
+        return (self.alpha, self.beta) if self.alpha else None
 
 
 def _check_weil_relations(sc: Scenario) -> float:
@@ -322,52 +323,39 @@ def _check_arrows(sc: Scenario) -> float:
 
 
 def _check_theta_modularity(sc: Scenario, g) -> float:
-    fam = siegel_theta_family(sc.ambient, sc.v, sc.p_v)
+    fam = sc.seesaw.theta_l
+    p_v = sc.seesaw.p_v
     k = sc.ambient.sig_plus - sc.ambient.sig_minus \
-        + 2 * sc.p_v.degrees[0] - 2 * sc.p_v.degrees[1]
+        + 2 * p_v.degrees[0] - 2 * p_v.degrees[1]
     worst = 0.0
     for tau in sc.tau_samples:
         worst = max(worst, modularity_defect(fam, g, tau, k, sc.alpha, sc.beta,
-                                             sc.bound))
+                                             sc.bound, sc.tolerance))
     return worst
 
 
 def _check_mixed_modularity(sc: Scenario, g) -> float:
-    fam = mixed_theta_family(sc.ambient, sc.m_sub, sc.u_perp, sc.p_uperp)
+    fam = sc.seesaw.mixed
     plat = sc.sd.mperp_sub.lattice
     k = plat.sig_plus - plat.sig_minus \
         + 2 * sc.p_uperp.degrees[0] - 2 * sc.p_uperp.degrees[1]
     worst = 0.0
     for tau in sc.tau_samples:
-        worst = max(worst, modularity_defect(fam, g, tau, k, None, None, sc.bound))
+        worst = max(worst, modularity_defect(fam, g, tau, k, None, None, sc.bound,
+                                             sc.tolerance))
     return worst
 
 
 def _check_mixed_cross(sc: Scenario) -> float:
-    worst = 0.0
-    for tau in sc.tau_samples:
-        d1 = mixed_theta_direct(sc.ambient, sc.m_sub, tau, sc.u_perp, sc.p_uperp,
-                                None, sc.bound)
-        d2 = mixed_theta_composed(sc.ambient, sc.m_sub, tau, sc.u_perp, sc.p_uperp,
-                                  None, sc.bound)
-        worst = max(worst, theta_value_difference(d1, d2))
-    return worst
+    return max([0.0] + sc.seesaw.mixed_cross_residuals(sc.tau_samples, sc.bound))
 
 
 def _check_seesaw_split(sc: Scenario) -> float:
-    return max(seesaw_split_residual(sc.ambient, sc.m_sub, sc.u, sc.u_perp,
-                                     sc.p_u, sc.p_uperp, tau,
-                                     (sc.alpha, sc.beta) if sc.alpha else None,
-                                     sc.bound)
-               for tau in sc.tau_samples)
+    return max(sc.seesaw.split_residuals(sc.tau_samples, sc.pair, sc.bound))
 
 
 def _check_seesaw_pairing(sc: Scenario) -> float:
-    return max(seesaw_pairing_residual(sc.ambient, sc.m_sub, sc.u, sc.u_perp,
-                                       sc.p_u, sc.p_uperp, tau,
-                                       (sc.alpha, sc.beta) if sc.alpha else None,
-                                       sc.bound)
-               for tau in sc.tau_samples)
+    return max(sc.seesaw.pairing_residuals(sc.tau_samples, sc.pair, sc.bound))
 
 
 def _check_pairing_expressions(sc: Scenario) -> float:
@@ -377,19 +365,15 @@ def _check_pairing_expressions(sc: Scenario) -> float:
                      {(e,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                       for e in dl.elements()})
     worst = 0.0
-    for tau in sc.tau_samples:
-        r1, r2 = pairing_expression_residuals(
-            sc.ambient, sc.m_sub, sc.u, sc.u_perp, sc.p_u, sc.p_uperp, tau, test,
-            (sc.alpha, sc.beta) if sc.alpha else None, sc.bound)
+    for r1, r2 in sc.seesaw.pairing_expression_residuals(sc.tau_samples, test, sc.pair,
+                                                         sc.bound):
         worst = max(worst, r1, r2)
     return worst
 
 
 def _check_negation(sc: Scenario) -> float:
-    return max(theta_negation_residual(sc.ambient, tau, sc.v, sc.p_v,
-                                       (sc.alpha, sc.beta) if sc.alpha else None,
-                                       sc.bound)
-               for tau in sc.tau_samples)
+    return max(theta_negation_residuals(sc.ambient, sc.tau_samples, sc.seesaw.v,
+                                        sc.seesaw.p_v, sc.pair, sc.bound))
 
 
 def _check_contraction(sc: Scenario) -> float:
@@ -397,9 +381,8 @@ def _check_contraction(sc: Scenario) -> float:
         raise ParseError("contraction check needs a 'form' entry")
     result = contract_symbolic(sc.form, sc.ambient, sc.m_sub, sc.p_uperp, sc.bound)
     worst = 0.0
-    for tau in sc.tau_samples:
-        pw = contract_pointwise(sc.form, sc.ambient, sc.m_sub, sc.u_perp,
-                                sc.p_uperp, tau, sc.bound)
+    pointwise = seesaw_contractions(sc.seesaw, sc.form, sc.tau_samples, sc.bound)
+    for tau, pw in zip(sc.tau_samples, pointwise):
         worst = max(worst, (result.form.evaluate(tau) - pw).norm_inf())
     return worst
 
@@ -407,8 +390,8 @@ def _check_contraction(sc: Scenario) -> float:
 def _check_restriction(sc: Scenario) -> float:
     if sc.form is None:
         raise ParseError("restriction check needs a 'form' entry")
-    return restriction_residual(sc.form, sc.ambient, sc.m_sub, sc.u, sc.u_perp,
-                                sc.p_u, sc.p_uperp, sc.tau_samples, sc.bound)
+    return max([0.0] + seesaw_restriction_residuals(sc.seesaw, sc.form, sc.tau_samples,
+                                                    sc.bound))
 
 
 def _check_weights(sc: Scenario) -> float:

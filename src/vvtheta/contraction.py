@@ -28,15 +28,14 @@ from .errors import (
 )
 from .grassmann import (
     HomogeneousPolynomial,
-    direct_sum_grassmann,
-    lift_product,
     make_grassmann_point,
     split_product_check,
 )
 from .lattice import Lattice, Sublattice
 from .theta import (
+    Seesaw,
     build_term_table,
-    mixed_theta_direct,
+    mixed_theta_evaluator,
     siegel_theta,
     siegel_theta_evaluator,
     split_data,
@@ -126,17 +125,29 @@ def _form_value(form, tau: complex) -> RepVector:
     return form(tau)
 
 
+def _contract(sd, mixed_vectors, form, taus) -> list[RepVector]:
+    return [rep_pair(mixed, _form_value(form, tau), groups=[sd.d_l])
+            for mixed, tau in zip(mixed_vectors, taus)]
+
+
 def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
                        u_perp, p_uperp: HomogeneousPolynomial, tau: complex,
                        bound: float = 10.0, pair_vectors=None) -> RepVector:
     """<mixed theta (tau), F(tau)> over D_L: a vector over the dual of D_M.
 
     ``form`` may be a QExpansionForm, a constant RepVector over the dual
-    axis, or a callable tau -> RepVector.
+    axis, or a callable tau -> RepVector.  Builds the mixed theta afresh on
+    every call; seesaw_contractions builds it once for many tau.
     """
-    sd = split_data(lat, m_sub)
-    mixed = mixed_theta_direct(lat, m_sub, tau, u_perp, p_uperp, pair_vectors, bound)
-    return rep_pair(mixed.value, _form_value(form, tau), groups=[sd.d_l])
+    mixed = mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, pair_vectors, bound)
+    return _contract(split_data(lat, m_sub), mixed.vectors([tau]), form, [tau])[0]
+
+
+def seesaw_contractions(seesaw: Seesaw, form, taus, bound: float = 10.0,
+                        pair_vectors=None) -> list[RepVector]:
+    """contract_pointwise at each tau, from the seesaw's mixed theta."""
+    mixed = seesaw.mixed.vectors(taus, pair_vectors, bound)
+    return _contract(seesaw.sd, mixed, form, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +279,31 @@ def lift_integrand(form, lat: Lattice, point, poly: HomogeneousPolynomial,
     return rep_pair(theta.value, _form_value(form, tau), groups=[group])
 
 
+def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
+                                 bound: float = 10.0) -> list[float]:
+    """Pointwise form of the lift restriction, at each tau: the ambient
+    integrand equals the sublattice integrand of the contraction."""
+    sd = seesaw.sd
+    ok, dev = split_product_check(seesaw.p_v, seesaw.p_u, seesaw.p_uperp, seesaw.v,
+                                  seesaw.u, seesaw.u_perp, sd.m_sub, sd.mperp_sub)
+    if not ok:
+        raise SplitCheckFailed(f"product polynomial check failed (dev {dev})")
+    group = discriminant_group(seesaw.lattice)
+    theta_l = seesaw.theta_l.vectors(taus, None, bound)
+    contracted = seesaw_contractions(seesaw, form, taus, bound)
+    theta_m = seesaw.theta_m.vectors(taus, None, bound)
+    return [abs(rep_pair(big, _form_value(form, tau), groups=[group])
+                - rep_pair(m, c, groups=[sd.d_m]))
+            for tau, big, c, m in zip(taus, theta_l, contracted, theta_m)]
+
+
 def restriction_residual(form, lat: Lattice, m_sub: Sublattice,
                          u, u_perp, p_u, p_uperp, tau_samples,
                          bound: float = 10.0) -> float:
-    """Pointwise form of the lift restriction: the ambient integrand equals
-    the sublattice integrand of the contraction, at every sample."""
-    sd = split_data(lat, m_sub)
-    v = direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp)
-    p_v = lift_product(p_u, p_uperp)
-    ok, dev = split_product_check(p_v, p_u, p_uperp, v, u, u_perp,
-                                  sd.m_sub, sd.mperp_sub)
-    if not ok:
-        raise SplitCheckFailed(f"product polynomial check failed (dev {dev})")
-    worst = 0.0
-    for tau in tau_samples:
-        lhs = lift_integrand(form, lat, v, p_v, tau, bound)
-        contracted = contract_pointwise(form, lat, m_sub, u_perp, p_uperp, tau, bound)
-        theta_m = siegel_theta(sd.m_sub.lattice, tau, u, p_u, None, bound)
-        rhs = rep_pair(theta_m.value, contracted, groups=[sd.d_m])
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    """The largest seesaw_restriction_residuals, on a fresh Seesaw (0 for no
+    samples)."""
+    seesaw = Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp)
+    return max([0.0] + seesaw_restriction_residuals(seesaw, form, tau_samples, bound))
 
 
 FUNDAMENTAL_Y0 = math.sqrt(3.0) / 2.0

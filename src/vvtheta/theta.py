@@ -39,6 +39,7 @@ from .errors import (
 from .grassmann import (
     GrassmannPoint,
     HomogeneousPolynomial,
+    VectorPair,
     _is_rational_vec,
     as_pair,
     block_swapped_poly,
@@ -769,6 +770,14 @@ def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
     return RepVector(axes, merged)
 
 
+def _composed_vector(sd: SplitData, perp_vec: RepVector) -> RepVector:
+    """Tensor Theta_Mperp with the identity vector of D_M, merge the two
+    non-dual axes into D_inner and push down the glue."""
+    # axes (D_perp, F), (D_M, F), (D_M, T): merge the first two into D_inner
+    tensor = perp_vec.tensor(identity_vector(sd.d_m))
+    return down_arrow(sd.gm, _merge_to_inner(sd, tensor, 1, 0), axis=0)
+
+
 def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
                          u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
                          pair_vectors=None, bound: float = 10.0,
@@ -778,6 +787,9 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
 
     Independent of mixed_theta_direct term for term; the two must agree.
     The result is assembled from other values and carries no term table.
+    The push-down copies each complement coset into several entries, so the
+    tail is Theta_Mperp's per-coset certificate times the number of classes,
+    the certificate of the direct construction.
     """
     tau = _check_tau(tau)
     sd = split_data(lat, m_sub)
@@ -786,11 +798,10 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     eta = _complement_coords(sd, vp.beta, "eta")
     theta_perp = siegel_theta(sd.mperp_sub.lattice, tau, u_perp, p_uperp,
                               (xi, eta), bound, max_vectors)
-    # axes (D_perp, F), (D_M, F), (D_M, T): merge the first two into D_inner
-    tensor = theta_perp.value.tensor(identity_vector(sd.d_m))
-    pushed = down_arrow(sd.gm, _merge_to_inner(sd, tensor, 1, 0), axis=0)
-    return ThetaValue(value=pushed, tau=tau, bound=float(bound),
-                      tail_estimate=theta_perp.tail_estimate,
+    return ThetaValue(value=_composed_vector(sd, theta_perp.value), tau=tau,
+                      bound=float(bound),
+                      tail_estimate=theta_perp.tail_estimate * len(sd.gm.down)
+                      / sd.d_perp.order,
                       prefactor_exponent=theta_perp.prefactor_exponent)
 
 
@@ -801,30 +812,40 @@ def conjugate_vector(vec: RepVector) -> RepVector:
     return RepVector(vec.axes, {k: v.conjugate() for k, v in vec.coeffs.items()})
 
 
-def theta_negation_residual(lat: Lattice, tau: complex, point: GrassmannPoint,
-                            poly: HomogeneousPolynomial, pair_vectors=None,
-                            bound: float = 10.0) -> float:
-    """Residual of the rescaling symmetry between L and L(-1).
+def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
+                             poly: HomogeneousPolynomial, pair_vectors=None,
+                             bound: float = 10.0) -> list[float]:
+    """Residual of the rescaling symmetry between L and L(-1), at each tau.
 
     The theta vector of the inverted lattice at the block-swapped splitting
     must equal y^((b+-b-)/2 + m+ - m-) times the conjugated theta vector of L
     with the conjugated polynomial, component by component under the
-    canonical index identification.
+    canonical index identification.  Each side is built once for all taus.
     """
+    taus = [_check_tau(t) for t in taus]
     neg = rescale(lat, -1)
-    point_neg = swap_blocks_point(point, neg)
-    poly_neg = block_swapped_poly(poly)
-    lhs = siegel_theta(neg, tau, point_neg, poly_neg, pair_vectors, bound)
-    rhs = siegel_theta(lat, tau, point, poly.conjugate(), pair_vectors, bound)
+    lhs = siegel_theta_evaluator(neg, swap_blocks_point(point, neg),
+                                 block_swapped_poly(poly), pair_vectors, bound)
+    rhs = siegel_theta_evaluator(lat, point, poly.conjugate(), pair_vectors, bound)
     power = Fraction(lat.sig_plus - lat.sig_minus, 2) + poly.degrees[0] - poly.degrees[1]
-    scaled = conjugate_vector(rhs.value).scale(tau.imag ** float(power))
     d_neg = discriminant_group(neg)
     d_pos = discriminant_group(lat)
-    worst = 0.0
-    for x in d_neg.elements():
-        matching = d_pos.from_dual(d_neg.dual_vector(x))
-        worst = max(worst, abs(lhs.value.get((x,)) - scaled.get((matching,))))
-    return worst
+    matching = [(x, d_pos.from_dual(d_neg.dual_vector(x))) for x in d_neg.elements()]
+    out = []
+    for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus)):
+        scaled = conjugate_vector(right).scale(tau.imag ** float(power))
+        worst = 0.0
+        for x, match in matching:
+            worst = max(worst, abs(left.get((x,)) - scaled.get((match,))))
+        out.append(worst)
+    return out
+
+
+def theta_negation_residual(lat: Lattice, tau: complex, point: GrassmannPoint,
+                            poly: HomogeneousPolynomial, pair_vectors=None,
+                            bound: float = 10.0) -> float:
+    """theta_negation_residuals at one tau."""
+    return theta_negation_residuals(lat, [tau], point, poly, pair_vectors, bound)[0]
 
 
 def modularity_defect(theta_fn, g: MetaplecticElement, tau: complex,
@@ -856,29 +877,54 @@ def modularity_defect(theta_fn, g: MetaplecticElement, tau: complex,
     return (lhs.value - rhs).norm_inf()
 
 
-def siegel_theta_family(lat: Lattice, point: GrassmannPoint,
-                        poly: HomogeneousPolynomial, max_vectors=None):
-    """Closure (tau, alpha, beta, bound) -> ThetaValue for modularity checks."""
+class ThetaFamily:
+    """Callable (tau, alpha, beta, bound) -> ThetaValue for modularity checks.
 
-    def fn(tau, alpha=None, beta=None, bound=10.0):
+    Builds the term table of each shift pair and bound on first use and keeps
+    it for the life of the family, so every later tau, and the g tau side of
+    a transformation law that leaves the pair unchanged, reuses it.  A fresh
+    family builds afresh.  ``build(pair, bound)`` makes the ThetaEvaluator.
+    """
+
+    def __init__(self, rank: int, build):
+        self._rank = rank
+        self._build = build
+        self._evaluators: dict = {}
+
+    def evaluator(self, pair_vectors=None, bound: float = 10.0) -> ThetaEvaluator:
+        """The evaluator of one shift pair (None: no shift) and bound."""
+        vp = as_pair(pair_vectors, self._rank)
+        # a rational and a float entry of equal value take different build paths
+        key = (tuple((type(x), x) for x in vp.alpha + vp.beta), bound)
+        if key not in self._evaluators:
+            self._evaluators[key] = self._build(vp, bound)
+        return self._evaluators[key]
+
+    def vectors(self, taus, pair_vectors=None, bound: float = 10.0) -> list[RepVector]:
+        """The theta vector of one shift pair and bound at every tau, from
+        one batched evaluation (no tail bounds)."""
+        return self.evaluator(pair_vectors, bound).vectors(taus)
+
+    def __call__(self, tau, alpha=None, beta=None, bound=10.0) -> ThetaValue:
+        tau = _check_tau(tau)
         pair_vec = None if alpha is None and beta is None else \
-            (alpha if alpha is not None else [Fraction(0)] * lat.rank,
-             beta if beta is not None else [Fraction(0)] * lat.rank)
-        return siegel_theta(lat, tau, point, poly, pair_vec, bound, max_vectors)
+            (alpha if alpha is not None else [Fraction(0)] * self._rank,
+             beta if beta is not None else [Fraction(0)] * self._rank)
+        return self.evaluator(pair_vec, bound).at(tau)
 
-    return fn
+
+def siegel_theta_family(lat: Lattice, point: GrassmannPoint,
+                        poly: HomogeneousPolynomial, max_vectors=None) -> ThetaFamily:
+    """The Siegel theta of (lat, point, poly) as a ThetaFamily."""
+    return ThetaFamily(lat.rank, lambda vp, bound: siegel_theta_evaluator(
+        lat, point, poly, vp, bound, max_vectors))
 
 
 def mixed_theta_family(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
-                       poly: HomogeneousPolynomial, construction=mixed_theta_direct,
-                       max_vectors=None):
-    def fn(tau, alpha=None, beta=None, bound=10.0):
-        pair_vec = None if alpha is None and beta is None else \
-            (alpha if alpha is not None else [Fraction(0)] * lat.rank,
-             beta if beta is not None else [Fraction(0)] * lat.rank)
-        return construction(lat, m_sub, tau, u_perp, poly, pair_vec, bound, max_vectors)
-
-    return fn
+                       poly: HomogeneousPolynomial, max_vectors=None) -> ThetaFamily:
+    """The mixed theta of (lat, m_sub) as a ThetaFamily (direct construction)."""
+    return ThetaFamily(lat.rank, lambda vp, bound: mixed_theta_evaluator(
+        lat, m_sub, u_perp, poly, vp, bound, max_vectors))
 
 
 def theta_value_difference(t1: ThetaValue, t2: ThetaValue) -> float:
@@ -888,83 +934,137 @@ def theta_value_difference(t1: ThetaValue, t2: ThetaValue) -> float:
 # ---------------------------------------------------------------------------
 # seesaw identities
 
-def _split_setup(lat, m_sub, u, u_perp, p_u, p_uperp, pair_vectors):
-    sd = split_data(lat, m_sub)
-    v = direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp)
-    p_v = lift_product(p_u, p_uperp)
-    vp = as_pair(pair_vectors, lat.rank)
-    alpha_m = sd.m_sub.coords_of(vp.alpha)
-    beta_m = sd.m_sub.coords_of(vp.beta)
-    alpha_p = sd.mperp_sub.coords_of(vp.alpha)
-    beta_p = sd.mperp_sub.coords_of(vp.beta)
-    return sd, v, p_v, vp, (alpha_m, beta_m), (alpha_p, beta_p)
+class Seesaw:
+    """The theta functions of one seesaw, each term table built at most once.
+
+    Built from L, a primitive sublattice M, splittings u of M and u_perp of
+    its complement, and their polynomials p_u, p_uperp.  Holds the split
+    data ``sd``, the ambient splitting ``v`` = u (+) u_perp with ``p_v`` =
+    p_u p_uperp, and four ThetaFamily: ``theta_l`` (L at v), ``theta_m``
+    (M at u), ``theta_perp`` (Mperp at u_perp) and ``mixed`` (the mixed
+    theta of (L, M) at u_perp).  Each builds a table on first use of a shift
+    pair and bound.  ``theta_m`` and ``theta_perp`` take their shift pair in
+    sublattice coordinates; the residual methods take ambient shift pairs
+    and evaluate each table over all their taus in one batch.
+    """
+
+    def __init__(self, lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
+                 u_perp: GrassmannPoint, p_u, p_uperp, max_vectors=None):
+        sd = split_data(lat, m_sub)
+        self.lattice = lat
+        self.sd = sd
+        self.u, self.u_perp, self.p_u, self.p_uperp = u, u_perp, p_u, p_uperp
+        self.v = direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp)
+        self.p_v = lift_product(p_u, p_uperp)
+        self.theta_l = siegel_theta_family(lat, self.v, self.p_v, max_vectors)
+        self.theta_m = siegel_theta_family(sd.m_sub.lattice, u, p_u, max_vectors)
+        self.theta_perp = siegel_theta_family(sd.mperp_sub.lattice, u_perp, p_uperp,
+                                              max_vectors)
+        self.mixed = mixed_theta_family(lat, m_sub, u_perp, p_uperp, max_vectors)
+
+    def _mixed_pair(self, vp: VectorPair):
+        perp = self.sd.mperp_sub
+        return perp.project_ambient(vp.alpha), perp.project_ambient(vp.beta)
+
+    def split_residuals(self, taus, pair_vectors=None, bound: float = 10.0) -> list[float]:
+        """Per tau: Theta_L at the combined splitting against the glue
+        push-down of Theta_M tensor Theta_Mperp (projected shift vectors)."""
+        taus = [_check_tau(t) for t in taus]
+        sd = self.sd
+        vp = as_pair(pair_vectors, self.lattice.rank)
+        lhs = self.theta_l.vectors(taus, vp, bound)
+        theta_m = self.theta_m.vectors(taus, _coords_pair(sd.m_sub, vp), bound)
+        theta_p = self.theta_perp.vectors(taus, _coords_pair(sd.mperp_sub, vp), bound)
+        return [(big - _inner_push_down(sd, m, p)).norm_inf()
+                for big, m, p in zip(lhs, theta_m, theta_p)]
+
+    def pairing_residuals(self, taus, pair_vectors=None, bound: float = 10.0) -> list[float]:
+        """Per tau: Theta_L against the D_M-contraction of Theta_M with the
+        mixed theta (with the complement projections of the shift vectors)."""
+        taus = [_check_tau(t) for t in taus]
+        sd = self.sd
+        vp = as_pair(pair_vectors, self.lattice.rank)
+        lhs = self.theta_l.vectors(taus, vp, bound)
+        theta_m = self.theta_m.vectors(taus, _coords_pair(sd.m_sub, vp), bound)
+        mixed = self.mixed.vectors(taus, self._mixed_pair(vp), bound)
+        return [(big - rep_pair(m, mx, groups=[sd.d_m])).norm_inf()
+                for big, m, mx in zip(lhs, theta_m, mixed)]
+
+    def pairing_expression_residuals(self, taus, test_vector: RepVector,
+                                     pair_vectors=None,
+                                     bound: float = 10.0) -> list[tuple[float, float]]:
+        """Per tau: both re-expressions of the scalar <Theta_L, U> against
+        direct evaluation.
+
+        The first goes through the inner-sum tensor and the raised test
+        vector; the second through the mixed theta.
+        """
+        taus = [_check_tau(t) for t in taus]
+        sd = self.sd
+        vp = as_pair(pair_vectors, self.lattice.rank)
+        lhs = self.theta_l.vectors(taus, vp, bound)
+        theta_m = self.theta_m.vectors(taus, _coords_pair(sd.m_sub, vp), bound)
+        theta_p = self.theta_perp.vectors(taus, _coords_pair(sd.mperp_sub, vp), bound)
+        mixed = self.mixed.vectors(taus, self._mixed_pair(vp), bound)
+        raised = up_arrow(sd.gm, test_vector)
+        out = []
+        for big, m, p, mx in zip(lhs, theta_m, theta_p, mixed):
+            direct = rep_pair(big, test_vector, groups=[sd.d_l])
+            # first form: tensor over the inner sum against the raised vector
+            first = rep_pair(_merge_to_inner(sd, m.tensor(p), 0, 1), raised,
+                             groups=[sd.d_inner])
+            # second form: contract the mixed theta against U over D_L, then
+            # pair with Theta_M
+            second = rep_pair(m, rep_pair(mx, test_vector, groups=[sd.d_l]),
+                              groups=[sd.d_m])
+            out.append((abs(first - direct), abs(second - direct)))
+        return out
+
+    def mixed_cross_residuals(self, taus, bound: float = 10.0) -> list[float]:
+        """Per tau: the direct mixed theta against the composed one."""
+        taus = [_check_tau(t) for t in taus]
+        direct = self.mixed.vectors(taus, None, bound)
+        perp = self.theta_perp.vectors(taus, None, bound)
+        return [(d - _composed_vector(self.sd, p)).norm_inf()
+                for d, p in zip(direct, perp)]
+
+
+def _coords_pair(sub: Sublattice, vp: VectorPair):
+    return sub.coords_of(vp.alpha), sub.coords_of(vp.beta)
+
+
+def _inner_push_down(sd: SplitData, m_vec: RepVector, perp_vec: RepVector) -> RepVector:
+    return down_arrow(sd.gm, _merge_to_inner(sd, m_vec.tensor(perp_vec), 0, 1))
 
 
 def inner_tensor_to_big(sd: SplitData, theta_m: ThetaValue, theta_p: ThetaValue) -> RepVector:
     """Merge Theta_M (x) Theta_Mperp over D_M x D_perp into D_inner, push down."""
-    return down_arrow(sd.gm, _merge_to_inner(sd, theta_m.value.tensor(theta_p.value), 0, 1))
+    return _inner_push_down(sd, theta_m.value, theta_p.value)
 
 
 def seesaw_split_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
                           u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
                           pair_vectors=None, bound: float = 10.0) -> float:
-    """Residual of: Theta_L at the combined splitting equals the glue
-    push-down of Theta_M tensor Theta_Mperp (projected shift vectors)."""
-    sd, v, p_v, vp, pm, pp = _split_setup(lat, m_sub, u, u_perp, p_u, p_uperp,
-                                          pair_vectors)
-    lhs = siegel_theta(lat, tau, v, p_v, (vp.alpha, vp.beta), bound)
-    theta_m = siegel_theta(sd.m_sub.lattice, tau, u, p_u, pm, bound)
-    theta_p = siegel_theta(sd.mperp_sub.lattice, tau, u_perp, p_uperp, pp, bound)
-    rhs = inner_tensor_to_big(sd, theta_m, theta_p)
-    return (lhs.value - rhs).norm_inf()
+    """Seesaw.split_residuals at one tau, on a fresh Seesaw."""
+    return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).split_residuals(
+        [tau], pair_vectors, bound)[0]
 
 
 def seesaw_pairing_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
                             u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
                             pair_vectors=None, bound: float = 10.0) -> float:
-    """Residual of: Theta_L equals the D_M-contraction of Theta_M against the
-    mixed theta (with the complement projections of the shift vectors)."""
-    sd, v, p_v, vp, pm, _pp = _split_setup(lat, m_sub, u, u_perp, p_u, p_uperp,
-                                           pair_vectors)
-    lhs = siegel_theta(lat, tau, v, p_v, (vp.alpha, vp.beta), bound)
-    theta_m = siegel_theta(sd.m_sub.lattice, tau, u, p_u, pm, bound)
-    alpha_perp = sd.mperp_sub.project_ambient(vp.alpha)
-    beta_perp = sd.mperp_sub.project_ambient(vp.beta)
-    mixed = mixed_theta_direct(lat, m_sub, tau, u_perp, p_uperp,
-                               (alpha_perp, beta_perp), bound)
-    rhs = rep_pair(theta_m.value, mixed.value, groups=[sd.d_m])
-    return (lhs.value - rhs).norm_inf()
+    """Seesaw.pairing_residuals at one tau, on a fresh Seesaw."""
+    return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).pairing_residuals(
+        [tau], pair_vectors, bound)[0]
 
 
 def pairing_expression_residuals(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
                                  u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
                                  test_vector: RepVector, pair_vectors=None,
                                  bound: float = 10.0) -> tuple[float, float]:
-    """Both re-expressions of the scalar <Theta_L, U>, against direct evaluation.
-
-    The first goes through the inner-sum tensor and the raised test vector;
-    the second through the mixed theta.  Returns the two deviations.
-    """
-    sd, v, p_v, vp, pm, _pp = _split_setup(lat, m_sub, u, u_perp, p_u, p_uperp,
-                                           pair_vectors)
-    lhs = siegel_theta(lat, tau, v, p_v, (vp.alpha, vp.beta), bound)
-    direct = rep_pair(lhs.value, test_vector, groups=[sd.d_l])
-    theta_m = siegel_theta(sd.m_sub.lattice, tau, u, p_u, pm, bound)
-    alpha_perp = sd.mperp_sub.project_ambient(vp.alpha)
-    beta_perp = sd.mperp_sub.project_ambient(vp.beta)
-    theta_p = siegel_theta(sd.mperp_sub.lattice, tau, u_perp, p_uperp,
-                           (sd.mperp_sub.coords_of(alpha_perp),
-                            sd.mperp_sub.coords_of(beta_perp)), bound)
-    # first form: tensor over the inner sum against the raised vector
-    merged_vec = _merge_to_inner(sd, theta_m.value.tensor(theta_p.value), 0, 1)
-    raised = up_arrow(sd.gm, test_vector)
-    first = rep_pair(merged_vec, raised, groups=[sd.d_inner])
-    # second form: contract the mixed theta against U over D_L, then pair with Theta_M
-    mixed = mixed_theta_direct(lat, m_sub, tau, u_perp, p_uperp,
-                               (alpha_perp, beta_perp), bound)
-    inner_pair = rep_pair(mixed.value, test_vector, groups=[sd.d_l])
-    second = rep_pair(theta_m.value, inner_pair, groups=[sd.d_m])
-    return abs(first - direct), abs(second - direct)
+    """Seesaw.pairing_expression_residuals at one tau, on a fresh Seesaw."""
+    return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).pairing_expression_residuals(
+        [tau], test_vector, pair_vectors, bound)[0]
 
 
 def term_multiset(theta: ThetaValue) -> dict:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -109,6 +110,45 @@ def test_bundled_scenario_passes():
     bundled = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "ii11_seesaw.json"
     report = run_scenario(str(bundled))
     assert report["pass"], report
+
+
+BUNDLED = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "ii11_seesaw.json"
+
+
+def test_bundled_scenario_builds_each_table_once(monkeypatch):
+    # 13 distinct term tables, plus the conjugate-polynomial theta of the
+    # negation check; one ambient splitting shared by every check
+    from vvtheta import cli, contraction, theta
+
+    counts = {"build_term_table": 0, "direct_sum_grassmann": 0}
+    for name in counts:
+        original = getattr(theta, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every module that imported the function by name
+        for module in (theta, contraction, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert run_scenario(str(BUNDLED))["pass"]
+    assert counts["build_term_table"] <= 14
+    assert counts["direct_sum_grassmann"] == 1
+
+
+@pytest.mark.parametrize("check", ["theta_modularity_T", "mixed_modularity_S"])
+def test_modularity_verdict_needs_certified_tails(tmp_path, check):
+    # at bound 0.5 both sides agree to rounding, but the tails are far above
+    # the tolerance, so the check must not pass
+    from vvtheta import TailTooLarge
+
+    data = json.loads(BUNDLED.read_text())
+    data.update(bound=0.5, checks=[check])
+    path = write_json(tmp_path / "loose.json", data)
+    with pytest.raises(TailTooLarge):
+        run_scenario(path)
+    assert main(["run-scenario", path]) == 2
 
 
 def test_emit_roundtrip_and_determinism(tmp_path):
@@ -234,6 +274,15 @@ def test_console_script_entry():
 
 def test_python_m_vvtheta():
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "vvtheta", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "run-scenario" in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_python_m_vvtheta_cli_warning_free():
+    # vvtheta imports its cli lazily, so running the module finds it unimported
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "vvtheta.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "run-scenario" in proc.stdout

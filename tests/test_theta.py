@@ -30,6 +30,7 @@ from vvtheta import (
     modularity_defect,
     orthogonal_complement,
     pairing_expression_residuals,
+    Seesaw,
     seesaw_pairing_residual,
     seesaw_split_residual,
     siegel_theta,
@@ -39,6 +40,7 @@ from vvtheta import (
     sublattice,
     term_multiset,
     theta_negation_residual,
+    theta_negation_residuals,
     theta_value_difference,
 )
 from vvtheta.grassmann import laplacian_series
@@ -485,6 +487,25 @@ def test_mixed_cross_with_shifts(ii11_split):
         assert theta_value_difference(d1, d2) < 1e-12
 
 
+def test_composed_tail_certifies_omitted_mass(a2, ii11):
+    # the push-down copies each complement coset into one entry per glue
+    # class, so the certificate must cover every copy, as the direct one does
+    lat = direct_sum(a2, ii11)
+    m_sub = sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    mperp = orthogonal_complement(lat, m_sub)
+    u_perp = make_grassmann_point(mperp.lattice, [[1, 1]])
+    p = constant_poly(1, 1)
+    full = mixed_theta_direct(lat, m_sub, 0.25j, u_perp, p, None, 40.0)
+    for bound in (2.0, 4.0):
+        composed = mixed_theta_composed(lat, m_sub, 0.25j, u_perp, p, None, bound)
+        direct = mixed_theta_direct(lat, m_sub, 0.25j, u_perp, p, None, bound)
+        omitted = sum(abs(val - composed.value.get(key))
+                      for key, val in full.value.coeffs.items())
+        assert omitted > 0.0
+        assert omitted <= composed.tail_estimate
+        assert composed.tail_estimate == pytest.approx(direct.tail_estimate, rel=1e-12)
+
+
 def test_term_multiset_needs_term_data(ii11_split):
     ii11, m_sub, mperp, u, u_perp = ii11_split
     p = constant_poly(1, 0)
@@ -588,6 +609,56 @@ def test_pairing_expressions_both_forms(ii11_split, a1a1_split):
         r1, r2 = pairing_expression_residuals(lat, m_sub, u, u_perp, pu, pp,
                                               0.2 + 1.1j, test_vec, ab, 14.0)
         assert r1 < 1e-9 and r2 < 1e-9
+
+
+@pytest.mark.parametrize("split", ["ii11_split", "a1a1_split"])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_seesaw_batches_equal_single_tau(split, shifted, request):
+    # one Seesaw evaluates each table over all taus in one batch; every
+    # residual must equal, bit for bit, the single-tau function at each tau
+    lat, m_sub, mperp, u, u_perp = request.getfixturevalue(split)
+    mlat, plat = m_sub.lattice, mperp.lattice
+    pu = coordinate_poly(mlat.sig_plus, mlat.sig_minus, 0)
+    pp = constant_poly(plat.sig_plus, plat.sig_minus)
+    ab = ([F(1, 3), F(2, 5)], [F(1, 2), F(-1, 7)]) if shifted else None
+    taus = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 0.7j]
+    bound = 10.0
+    seesaw = Seesaw(lat, m_sub, u, u_perp, pu, pp)
+    args = (lat, m_sub, u, u_perp, pu, pp)
+    split_r = seesaw.split_residuals(taus, ab, bound)
+    assert split_r == [seesaw_split_residual(*args, t, ab, bound) for t in taus]
+    assert max(split_r) < 1e-9
+    assert seesaw.pairing_residuals(taus, ab, bound) == \
+        [seesaw_pairing_residual(*args, t, ab, bound) for t in taus]
+    dl = discriminant_group(lat)
+    rng = random.Random(7)
+    test_vec = RepVector((Axis(dl, dual=True),),
+                         {(x,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                          for x in dl.elements()})
+    assert seesaw.pairing_expression_residuals(taus, test_vec, ab, bound) == \
+        [pairing_expression_residuals(*args, t, test_vec, ab, bound) for t in taus]
+    assert seesaw.mixed_cross_residuals(taus, bound) == \
+        [theta_value_difference(mixed_theta_direct(lat, m_sub, t, u_perp, pp, None, bound),
+                                mixed_theta_composed(lat, m_sub, t, u_perp, pp, None, bound))
+         for t in taus]
+    assert theta_negation_residuals(lat, taus, seesaw.v, seesaw.p_v, ab, bound) == \
+        [theta_negation_residual(lat, t, seesaw.v, seesaw.p_v, ab, bound) for t in taus]
+    # modularity: the seesaw's families keep their tables across taus and
+    # checks; a fresh family per tau builds afresh
+    alpha, beta = ab if shifted else (None, None)
+    k_l = lat.sig_plus - lat.sig_minus + 2 * seesaw.p_v.degrees[0] \
+        - 2 * seesaw.p_v.degrees[1]
+    k_mixed = plat.sig_plus - plat.sig_minus
+    for g in (MP_T, MP_S):
+        assert [modularity_defect(seesaw.theta_l, g, t, k_l, alpha, beta, bound)
+                for t in taus] == \
+            [modularity_defect(siegel_theta_family(lat, seesaw.v, seesaw.p_v), g, t, k_l,
+                               alpha, beta, bound) for t in taus]
+        assert [modularity_defect(seesaw.mixed, g, t, k_mixed, None, None, bound)
+                for t in taus] == \
+            [modularity_defect(mixed_theta_family(lat, m_sub, u_perp, pp), g, t, k_mixed,
+                               None, None, bound) for t in taus]
+    assert seesaw.theta_l.evaluator(ab, bound) is seesaw.theta_l.evaluator(ab, bound)
 
 
 def test_rank3_enumeration_box_oracle(ii11, a1):
