@@ -143,10 +143,11 @@ def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
     return _contract(split_data(lat, m_sub), mixed.vectors([tau]), form, [tau])[0]
 
 
-def seesaw_contractions(seesaw: Seesaw, form, taus, bound: float = 10.0,
-                        pair_vectors=None) -> list[RepVector]:
-    """contract_pointwise at each tau, from the seesaw's mixed theta."""
-    mixed = seesaw.mixed.vectors(taus, pair_vectors, bound)
+def seesaw_contractions(seesaw: Seesaw, form, taus,
+                        bound: float = 10.0) -> list[RepVector]:
+    """contract_pointwise at each tau (unshifted), from the seesaw's mixed
+    theta."""
+    mixed = seesaw.mixed.vectors(taus, None, bound)
     return _contract(seesaw.sd, mixed, form, taus)
 
 

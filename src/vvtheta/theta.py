@@ -949,18 +949,17 @@ class Seesaw:
     """
 
     def __init__(self, lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
-                 u_perp: GrassmannPoint, p_u, p_uperp, max_vectors=None):
+                 u_perp: GrassmannPoint, p_u, p_uperp):
         sd = split_data(lat, m_sub)
         self.lattice = lat
         self.sd = sd
         self.u, self.u_perp, self.p_u, self.p_uperp = u, u_perp, p_u, p_uperp
         self.v = direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp)
         self.p_v = lift_product(p_u, p_uperp)
-        self.theta_l = siegel_theta_family(lat, self.v, self.p_v, max_vectors)
-        self.theta_m = siegel_theta_family(sd.m_sub.lattice, u, p_u, max_vectors)
-        self.theta_perp = siegel_theta_family(sd.mperp_sub.lattice, u_perp, p_uperp,
-                                              max_vectors)
-        self.mixed = mixed_theta_family(lat, m_sub, u_perp, p_uperp, max_vectors)
+        self.theta_l = siegel_theta_family(lat, self.v, self.p_v)
+        self.theta_m = siegel_theta_family(sd.m_sub.lattice, u, p_u)
+        self.theta_perp = siegel_theta_family(sd.mperp_sub.lattice, u_perp, p_uperp)
+        self.mixed = mixed_theta_family(lat, m_sub, u_perp, p_uperp)
 
     def _mixed_pair(self, vp: VectorPair):
         perp = self.sd.mperp_sub
