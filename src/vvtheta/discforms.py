@@ -42,12 +42,15 @@ def two_pi_e(x) -> complex:
     return cmath.exp(2j * math.pi * float(x))
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @cache
 def unit_roots(n: int) -> np.ndarray:
     """Read-only table of e(k/n) for k = 0..n-1, each computed by two_pi_e."""
-    roots = np.array([two_pi_e(Fraction(k, n)) for k in range(n)], dtype=complex)
-    roots.flags.writeable = False
-    return roots
+    return _read_only(np.array([two_pi_e(Fraction(k, n)) for k in range(n)], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -147,24 +150,33 @@ class DiscriminantGroup:
         b = np.array(bn, dtype=np.int64).reshape(len(qn), len(qn))
         return n, np.triu(b, 1) + np.diag(np.array(qn, dtype=np.int64)), b
 
+    @cached_property
     def q_table(self) -> np.ndarray:
-        """N q(x) mod N for every element."""
+        """N q(x) mod N for every element (read-only)."""
         n, u, _ = self._form_arrays()
         xs = self.element_array()
-        return ((xs @ u.T) % n * xs).sum(axis=1) % n
+        return _read_only(((xs @ u.T) % n * xs).sum(axis=1) % n)
 
+    @cached_property
     def b_table(self) -> np.ndarray:
-        """N b(x, y) mod N for every pair of elements."""
+        """N b(x, y) mod N for every pair of elements (read-only)."""
         n, _, b = self._form_arrays()
         xs = self.element_array()
-        return ((xs @ b) % n @ xs.T) % n
+        return _read_only(((xs @ b) % n @ xs.T) % n)
 
+    @cached_property
     def neg_table(self) -> np.ndarray:
-        """Index of -x for every element x."""
+        """Index of -x for every element x (read-only)."""
         out = np.zeros(self.order, dtype=np.int64)
         for c, d in zip(self.element_array().T, self.elementary_divisors):
             out = out * d + (-c) % d
-        return out
+        return _read_only(out)
+
+    @cached_property
+    def weil_matrices(self) -> dict:
+        """The Weil generator matrices built so far, read-only, keyed by
+        (kind, reduced power, dual); filled by weil._generator_power."""
+        return {}
 
     def element_order(self, x: DiscElement) -> int:
         out = 1
@@ -289,7 +301,7 @@ def disc_projection(sub: Sublattice, vec) -> DiscElement:
 def gauss_sum_residual(group: DiscriminantGroup, sig_plus: int, sig_minus: int) -> float:
     """Milgram residual |sum of e(q) over D - sqrt(|D|) e((b+ - b-)/8)|."""
     zeta = unit_roots(group.level_forms[0])
-    total = sum(zeta[group.q_table()].tolist())  # in element order
+    total = sum(zeta[group.q_table].tolist())  # in element order
     return abs(total - math.sqrt(group.order) * two_pi_e(Fraction(sig_plus - sig_minus, 8)))
 
 
@@ -371,16 +383,28 @@ def disc_product_iso(sum_disc: DiscriminantGroup,
     """combine/split functions between D_{L1 (+) L2} and D_{L1} x D_{L2}.
 
     The sum group must come from the block-diagonal Gram matrix of the two
-    factors, in that order; the iso goes through dual-vector coordinates.
+    factors, in that order.  Both maps are group homomorphisms, so each is
+    an integer matrix on Smith coordinates: the images of the generators,
+    found once through their dual-vector lifts, summed with the input
+    coordinates as weights, modulo the target's elementary divisors.
     """
-    n1 = left.lattice.rank
+    n1, n2 = left.lattice.rank, right.lattice.rank
+    combine_images = [sum_disc.from_dual(list(g) + [0] * n2) for g in left.generators] \
+        + [sum_disc.from_dual([0] * n1 + list(h)) for h in right.generators]
+    split_left = [left.from_dual(g[:n1]) for g in sum_disc.generators]
+    split_right = [right.from_dual(g[n1:]) for g in sum_disc.generators]
 
     def combine(x, y) -> DiscElement:
-        nu = list(left.dual_vector(x)) + list(right.dual_vector(y))
-        return sum_disc.from_dual(nu)
+        return _image(tuple(x) + tuple(y), combine_images, sum_disc.elementary_divisors)
 
     def split(z: DiscElement):
-        nu = sum_disc.dual_vector(z)
-        return left.from_dual(nu[:n1]), right.from_dual(nu[n1:])
+        return (_image(z, split_left, left.elementary_divisors),
+                _image(z, split_right, right.elementary_divisors))
 
     return combine, split
+
+
+def _image(coords, images, divisors) -> DiscElement:
+    """sum_k coords[k] * images[k], reduced mod the target's divisors."""
+    return tuple(sum(c * img[i] for c, img in zip(coords, images)) % d
+                 for i, d in enumerate(divisors))

@@ -44,10 +44,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def mat_inv(m) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan; raises Degenerate on singular input."""
     n = len(m)

@@ -56,6 +56,23 @@ def _is_rational_vec(v) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in v)
 
 
+def _bareiss_levels(mat: np.ndarray, divide) -> tuple:
+    """((A_0, c_0), ..., (A_n, c_n)): fraction-free Gaussian elimination of mat.
+
+    c_i is the leading principal minor of order i and A_i is c_i times the
+    Schur complement of the leading i x i block, on coordinates i..n-1; so
+    A_0 = mat, c_0 = 1 and the pivot A_i[0, 0] is c_{i+1}.  ``divide`` is
+    floor division for integer matrices, where every quotient is exact
+    (Bareiss, Math. Comp. 22, 1968), or true division for floats.
+    """
+    levels = [(mat, 1)]
+    for _ in range(mat.shape[0]):
+        a, c = levels[-1]
+        levels.append((divide(a[0, 0] * a[1:, 1:] - np.outer(a[1:, 0], a[0, 1:]), c),
+                       a[0, 0]))
+    return tuple(levels)
+
+
 class GrassmannPoint:
     """A splitting v = v+ (+) v- of L_R, with projections and majorant."""
 
@@ -126,6 +143,36 @@ class GrassmannPoint:
     def majorant_inverse(self) -> list:
         """Exact inverse of the majorant Gram matrix."""
         return exact.mat_inv(self.majorant) if self.lattice.rank else []
+
+    @cached_property
+    def integer_forms(self) -> tuple:
+        """(d, N+, N-): the least d with N+- = d Q+- integral, as int rows."""
+        q_plus, q_minus = self.norm_forms
+        d = math.lcm(1, *(x.denominator for q in (q_plus, q_minus) for row in q for x in row))
+        return (d,) + tuple([[int(x * d) for x in row] for row in q] for q in (q_plus, q_minus))
+
+    @cached_property
+    def majorant_levels(self) -> tuple:
+        """((A_0, c_0), ..., (A_n, c_n)): A_i / c_i is the Schur complement of the
+        integer majorant N+ - N- on coordinates i..n-1.
+
+        The Bareiss elimination (_bareiss_levels) with each level divided by
+        the gcd of c_i and the entries of A_i; object arrays of Python ints.
+        """
+        _d, n_plus, n_minus = self.integer_forms
+        n = self.lattice.rank
+        n_maj = np.array([[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)],
+                         dtype=object).reshape(n, n)
+        levels = []
+        for a, c in _bareiss_levels(n_maj, np.floor_divide):
+            g = math.gcd(c, *a.flat)
+            levels.append((a // g, c // g))
+        return tuple(levels)
+
+    @cached_property
+    def majorant_levels_float(self) -> tuple:
+        """Bareiss elimination of the float majorant ``majorant_np``."""
+        return _bareiss_levels(self.majorant_np, np.true_divide)
 
     def adapted_coords(self, vec) -> np.ndarray:
         """Coordinates w.r.t. the orthonormalized adapted basis (floats)."""
@@ -367,9 +414,6 @@ class Polynomial:
     def conjugate(self) -> "Polynomial":
         return Polynomial(self.nvars_plus, self.nvars_minus,
                           {k: v.conjugate() for k, v in self.monomials.items()})
-
-    def total_degree(self) -> int:
-        return max((sum(k) for k in self.monomials), default=0)
 
     def __repr__(self):
         return f"Polynomial({len(self.monomials)} monomials over {self.nvars} vars)"

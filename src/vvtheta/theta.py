@@ -2,14 +2,18 @@
 
 Sums run over dual-lattice cosets, truncated by the positive definite
 majorant: a vector enters iff majorant(lambda + beta) <= 2 * bound, so both
-q-exponents of an included term are at most the bound.  Enumeration is
-Fincke-Pohst on the majorant Gram matrix with an exact membership filter;
-the omitted mass is bounded by a one-dimensional integral against shell
-volumes (the ``tail_estimate``).  Term data keeps exact exponents whenever
-the splitting and the shift vectors are rational, so identities between two
-constructions can be checked coefficientwise, not just numerically.  Every
-sum is one TermTable of numpy arrays (int64 numerators for the exact data),
-built once and evaluated over many tau in one batch.
+q-exponents of an included term are at most the bound.  Enumeration is one
+level-synchronous Fincke-Pohst walk over all cosets of a sum: each level
+extends every surviving partial vector in one numpy batch and keeps a node
+iff an exact integer test on the Bareiss-eliminated majorant says some
+extension can meet the bound, so with rational data no vector is lost to
+rounding.  The omitted mass is bounded by a one-dimensional integral
+against shell volumes (the ``tail_estimate``).  Term data keeps exact
+exponents whenever the splitting and the shift vectors are rational, so
+identities between two constructions can be checked coefficientwise, not
+just numerically.  Every sum is one TermTable of numpy arrays (int64
+numerators for the exact data), built once and evaluated over many tau in
+one batch.
 """
 
 from __future__ import annotations
@@ -69,65 +73,80 @@ from .weil import (
 
 TWO_PI = 2.0 * math.pi
 
-#: default cap on enumerated vectors (overridden by $THETA_MAX_VECTORS)
+#: default cap on the nodes of one level of the enumeration walk
+#: (overridden by $THETA_MAX_VECTORS)
 DEFAULT_MAX_VECTORS = 200_000
 
 
-def _max_vectors(explicit=None) -> int:
-    if explicit is not None:
-        return int(explicit)
+def _max_vectors() -> int:
     return int(os.environ.get("THETA_MAX_VECTORS", DEFAULT_MAX_VECTORS))
 
 
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 
-def _fincke_pohst(q: np.ndarray, center: np.ndarray, radius: float,
-                  max_count: int) -> list[tuple[int, ...]]:
-    """Integer m with (m + center)^T q (m + center) <= radius.
+def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
+    """Every W = scale * m + offsets[k] (m integral) with W^T A_0 W <= bounds[0].
 
-    Recursive ellipsoid walk on the Cholesky factor; ``radius`` should carry
-    any safety margin already.  Raises BoundTooLarge past ``max_count``.
+    Returns ``(coset, rows)``: the rows W and the index k of each row's
+    offset, in no particular order.  ``levels[i] = (A_i, c_i)`` with A_i / c_i
+    the Schur complement of A_0 / c_0 on the trailing coordinates
+    W_t = (W_i, ..., W_{n-1}) (GrassmannPoint.majorant_levels), so the least
+    value of W^T A_0 W / c_0 over the leading coordinates is W_t^T A_i W_t / c_i.
+    ``bounds[i]`` is c_i T, except that bounds[0] may be lower.  A level's
+    data is int64 or Python ints (an object array), where its test is exact,
+    or floats.
+
+    The walk is Fincke-Pohst, one level at a time: it starts at the last
+    coordinate and extends every surviving partial vector at once, keeping
+    a node of level i iff W_t^T A_i W_t <= bounds[i].  With integer data that
+    test is exact, so no extension of a dropped node is a member, and level
+    0 is the membership test itself.  By the Schur identity a node's
+    children are the x with
+    A_i[0, 0] (x + b / A_i[0, 0])^2 <= c_i (bounds[i+1] - Q) / c_{i+1},
+    b = A_i[0, 1:] . W_t and Q the node's own form value.  Floats compute that
+    interval from those exact integers, and it is widened by one integer on
+    each side and clipped to ``box`` (per-offset least and greatest m), so
+    floats only propose children: the interval is nonempty over the reals
+    and inside the box's reach, so its ends are off by a few ulps of numbers
+    below 2^33, far less than the widening.  Raises BoundTooLarge before a
+    level would hold more than $THETA_MAX_VECTORS nodes.
     """
-    n = q.shape[0]
-    if n == 0:
-        return [()]
-    if radius < 0:
-        return []
-    r_upper = np.linalg.cholesky(q).T  # q = R^T R with R upper triangular
-    out: list[tuple[int, ...]] = []
-    coords = [0] * n
-
-    def walk(i: int, rem: float, partial: np.ndarray):
-        # partial[j] = sum_{l > i} R[j, l] * x_l for j <= i
-        rii = r_upper[i, i]
-        shift = center[i] + partial[i] / rii
-        half = math.sqrt(max(rem, 0.0)) / rii
-        lo = math.ceil(-shift - half - 1e-12)
-        hi = math.floor(-shift + half + 1e-12)
-        for m in range(lo, hi + 1):
-            x = m + shift
-            used = (rii * x) ** 2
-            if used > rem + 1e-12:
-                continue
-            if i == 0:
-                coords[0] = m
-                out.append(tuple(coords))
-                if len(out) > max_count:
-                    raise BoundTooLarge(
-                        f"enumeration exceeded {max_count} vectors; "
-                        "raise THETA_MAX_VECTORS or lower the bound")
-            else:
-                coords[i] = m
-                new_partial = partial + (m + center[i]) * r_upper[:, i]
-                walk(i - 1, rem - used, new_partial)
-
-    walk(n - 1, radius, np.zeros(n))
-    return out
+    n = offsets.shape[1]
+    cap = _max_vectors()
+    coset = np.arange(offsets.shape[0]) if bounds[n] >= 0 else np.zeros(0, dtype=np.int64)
+    rows = np.zeros((len(coset), 0), dtype=offsets.dtype)
+    value = np.zeros(len(coset), dtype=levels[n][0].dtype)
+    for i in range(n - 1, -1, -1):
+        form, c = levels[i]
+        pivot = form[0, 0]
+        center = -(rows @ form[0, 1:]).astype(float) / float(pivot)
+        half = np.sqrt(float(c) / (float(levels[i + 1][1]) * float(pivot))
+                       * (bounds[i + 1] - value).astype(float))
+        off = offsets[coset, i]
+        lo = np.ceil((center - half - off) / scale).astype(np.int64) - 1
+        hi = np.floor((center + half - off) / scale).astype(np.int64) + 1
+        if box is not None:
+            lo = np.maximum(lo, box[0][coset, i])
+            hi = np.minimum(hi, box[1][coset, i])
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if total > cap:
+            raise BoundTooLarge(
+                f"enumeration level {i} would hold {total} > {cap} nodes; "
+                "raise THETA_MAX_VECTORS or lower the bound")
+        parent = np.repeat(np.arange(len(coset)), counts)
+        m = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
+        rows = np.concatenate([(scale * m + off[parent])[:, None], rows[parent]], axis=1)
+        value = _quad(rows, form)
+        keep = value <= bounds[i]
+        coset, rows, value = coset[parent][keep], rows[keep], value[keep]
+    return coset, rows
 
 
 #: exact term arithmetic runs in int64 only when every numerator it can form
-#: is at most this; otherwise BoundTooLarge is raised before enumerating
+#: is at most this; otherwise BoundTooLarge is raised before enumerating (a
+#: level of the walk that could pass it runs on Python ints instead)
 INT64_SAFE = 2 ** 62
 
 
@@ -159,37 +178,34 @@ class _IntegerForms:
     """The int64 data that keeps one table build exact.
 
     Every shifted vector w = coset + m + beta is W / D with W integral (D the
-    common denominator of the cosets and beta), and P±^T G P± = N± / d.  Then
-    a = W^T N+ W / (2 d D^2), b likewise with N-, membership is
-    W^T (N+ - N-) W <= 2 bound d D^2, and for alpha = A / Da the phase
-    (lam + beta/2, alpha) is (2W - D beta) . (G A) / (2 D Da).
+    common denominator of the cosets and beta), and P+-^T G P+- = N+- / d
+    (GrassmannPoint.integer_forms).  Then a = W^T N+ W / (2 d D^2), b likewise
+    with N-, membership is W^T N_maj W <= T = floor(2 bound d D^2) with
+    N_maj = N+ - N-, and for alpha = A / Da the phase (lam + beta/2, alpha) is
+    (2W - D beta) . (G A) / (2 D Da).  ``levels`` and ``bounds`` are the
+    Bareiss elimination of N_maj and its per-level bounds c_i T for the walk.
 
-    Construction bounds every numerator from the Fincke-Pohst radius: a
-    vector in the ellipsoid w^T M w <= r has |w_i| <= sqrt(r (M^-1)_ii).  It
-    raises BoundTooLarge if one could pass INT64_SAFE, before any vector is
-    enumerated; ``accept`` drops candidates outside that box.
+    A member has |W_i| <= w_max_i = isqrt(T (N_maj^-1)_ii); the walk's box
+    keeps every W inside that range.  Construction bounds every numerator
+    the table can form from it, and raises BoundTooLarge if one could pass
+    INT64_SAFE, before any vector is enumerated.  A level of the walk whose
+    numbers could pass it (large projection denominators make c_i T grow
+    with the level) runs on Python ints instead, so its test stays exact.
     """
 
-    def __init__(self, lat: Lattice, point: GrassmannPoint, coset_vecs, pair,
-                 bound, radius: float):
+    def __init__(self, lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bound):
         n = lat.rank
-        q_plus, q_minus = point.norm_forms
-        d = _common_denominator(x for q in (q_plus, q_minus) for row in q for x in row)
+        d, n_plus, n_minus = point.integer_forms
+        levels = point.majorant_levels
         big_d = _common_denominator(list(pair.beta) + [x for c in coset_vecs for x in c])
-        n_plus = [[int(x * d) for x in row] for row in q_plus]
-        n_minus = [[int(x * d) for x in row] for row in q_minus]
-        n_maj = [[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)]
-        n_norm = [[p + m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)]
         d_beta = [int(big_d * Fraction(b)) for b in pair.beta]
         shifts = [[int(big_d * (Fraction(c) + Fraction(b)))
                    for c, b in zip(coset, pair.beta)] for coset in coset_vecs]
-        # the walk accepts within float rounding of the radius: widen by 2^-20
-        r = Fraction(radius) * (1 + Fraction(1, 2 ** 20))
+        threshold = math.floor(2 * Fraction(bound) * d * big_d * big_d)
+        # (N_maj^-1)_ii = (M^-1)_ii / d for the majorant M
         m_inv = point.majorant_inverse
-        w_max = [math.isqrt(math.floor(big_d * big_d * r * m_inv[i][i])) + 1
+        w_max = [math.isqrt(max(math.floor(threshold * m_inv[i][i] / d), 0))
                  for i in range(n)]
-        m_max = [[(w + abs(s)) // big_d + 1 for w, s in zip(w_max, shift)]
-                 for shift in shifts]
         self.exact_phase = _is_rational_vec(pair.alpha)
         if self.exact_phase:
             da = _common_denominator(pair.alpha)
@@ -198,17 +214,16 @@ class _IntegerForms:
         else:
             da, g_alpha = 1, [0] * n
 
-        def form_max(mat):
-            return sum(w_max[i] * abs(mat[i][j]) * w_max[j]
-                       for i in range(n) for j in range(n))
+        def form_max(mat, w):
+            return sum(w[i] * abs(x) * w[j]
+                       for i, row in enumerate(mat) for j, x in enumerate(row))
 
-        # quadratic forms, the phase, 2W - D beta, and W = D m + D shift
-        largest = max([form_max(q) for q in (n_plus, n_minus, n_maj, n_norm)]
+        # the quadratic forms, the phase, 2W - D beta, and the offsets D (coset + beta)
+        largest = max([form_max(q, w_max) for q in (n_plus, n_minus)]
                       + [sum((2 * w + abs(b)) * abs(g)
                              for w, b, g in zip(w_max, d_beta, g_alpha))]
                       + [2 * w + abs(b) for w, b in zip(w_max, d_beta)]
-                      + [big_d * mm + abs(s) for row, shift in zip(m_max, shifts)
-                         for mm, s in zip(row, shift)] + [0])
+                      + [abs(s) for shift in shifts for s in shift] + [0])
         if largest > INT64_SAFE:
             raise BoundTooLarge(
                 f"exact theta terms could need integers up to {largest} > 2^62 "
@@ -223,52 +238,48 @@ class _IntegerForms:
         self.alpha_denominator = da
         self.n_plus = arr(n_plus)
         self.n_minus = arr(n_minus)
-        self.n_maj = arr(n_maj)
         self.g_alpha = np.array(g_alpha, dtype=np.int64)
         self.d_beta = np.array(d_beta, dtype=np.int64)
         self.shifts = arr(shifts)
-        self.w_max = np.array(w_max, dtype=np.int64)
-        self.m_max = arr(m_max)
-        self.threshold = min(math.floor(2 * Fraction(bound) * d * big_d * big_d),
-                             INT64_SAFE)
+        self.bounds = [c * threshold for _a, c in levels]
+        # a level runs in int64 when its form, entries and bound fit; otherwise
+        # it keeps Python ints, so every test of the walk stays exact
+        self.levels = []
+        for i, (a, c) in enumerate(levels):
+            level_max = max([form_max(a.tolist(), w_max[i:]), abs(self.bounds[i])]
+                            + [abs(x) for x in a.flat])
+            self.levels.append((a.astype(np.int64) if level_max <= INT64_SAFE else a, c))
+        # least and greatest m_i with |D m_i + shift_i| <= w_max_i
+        w = np.array(w_max, dtype=np.int64)
+        self.box = (-((w + self.shifts) // big_d), (w - self.shifts) // big_d)
 
-    def accept(self, index: int, cand: np.ndarray) -> np.ndarray:
-        """Integer W = D w of the members among one coset's candidates."""
-        cand = cand[(np.abs(cand) <= self.m_max[index]).all(axis=1)]
-        w = cand * self.denominator + self.shifts[index]
-        w = w[(np.abs(w) <= self.w_max).all(axis=1)]
-        return w[_quad(w, self.n_maj) <= self.threshold]
 
-
-def _enumerate_cosets(lat: Lattice, point: GrassmannPoint, coset_vecs, pair,
-                      bound, max_vectors=None):
+def _enumerate_cosets(lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bound):
     """Every w = coset + m + beta with maj(w) <= 2 * bound, over all cosets.
 
-    Returns ``(forms, coset_index, rows)``, unsorted.  With rational cosets,
-    beta and point, ``forms`` is the _IntegerForms of the build and ``rows``
-    holds the integers W = D w, so membership is decided exactly; otherwise
-    ``forms`` is None and ``rows`` holds float w, tested with a 1e-9 margin.
-    The float Fincke-Pohst walk only proposes candidates.
+    Returns ``(forms, coset_index, rows)``, unsorted, from one walk over all
+    cosets (_fincke_pohst).  With rational cosets, beta and point, ``forms``
+    is the _IntegerForms of the build and ``rows`` holds the integers
+    W = D w: every node is kept or dropped by an exact integer test, and
+    floats only propose candidates.  Otherwise ``forms`` is None and
+    ``rows`` holds float w, walked in floats and tested with a 1e-9 margin.
     """
     n = lat.rank
     exact_w = point.rational_flag and _is_rational_vec(pair.beta) \
         and all(_is_rational_vec(c) for c in coset_vecs)
-    radius = 2.0 * float(bound) * (1 + 1e-12) + 1e-9
-    forms = _IntegerForms(lat, point, coset_vecs, pair, bound, radius) if exact_w else None
-    cap = _max_vectors(max_vectors)
-    index, rows = [], []
-    for i, coset in enumerate(coset_vecs):
-        center = np.array([float(c) + float(b) for c, b in zip(coset, pair.beta)])
-        cand = _fincke_pohst(point.majorant_np, center, radius, cap)
-        cand = np.array(cand, dtype=np.int64).reshape(len(cand), n)
-        if forms is not None:
-            w = forms.accept(i, cand)
-        else:
-            w = cand + center
-            w = w[_quad(w, point.majorant_np) <= 2.0 * float(bound) + 1e-9]
-        rows.append(w)
-        index.append(np.full(len(w), i, dtype=np.int64))
-    return forms, np.concatenate(index), np.concatenate(rows)
+    if exact_w:
+        forms = _IntegerForms(lat, point, coset_vecs, pair, bound)
+        index, rows = _fincke_pohst(forms.levels, forms.bounds, forms.denominator,
+                                    forms.shifts, forms.box)
+        return forms, index, rows
+    levels = point.majorant_levels_float
+    walk = 2.0 * float(bound) * (1 + 1e-12) + 1e-9
+    bounds = [c * walk for _a, c in levels]
+    bounds[0] = 2.0 * float(bound) + 1e-9
+    center = np.array([[float(c) + float(b) for c, b in zip(coset, pair.beta)]
+                       for coset in coset_vecs]).reshape(len(coset_vecs), n)
+    index, rows = _fincke_pohst(levels, bounds, 1, center)
+    return None, index, rows
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +419,7 @@ def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray) -> np.ndarray:
 
 def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
                      pair_vectors=None, bound=10.0,
-                     prefactor_exponent=Fraction(0), max_vectors=None) -> TermTable:
+                     prefactor_exponent=Fraction(0)) -> TermTable:
     """Enumerate the truncated sum over every coset into one TermTable.
 
     ``cosets`` lists (axis key, coset vector) pairs; row data follows the
@@ -419,8 +430,7 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     n = lat.rank
     cosets = list(cosets)
     pair = as_pair(pair_vectors, n)
-    forms, index, w = _enumerate_cosets(lat, point, [c for _k, c in cosets], pair,
-                                        bound, max_vectors)
+    forms, index, w = _enumerate_cosets(lat, point, [c for _k, c in cosets], pair, bound)
     keys = tuple(sorted({cosets[i][0] for i in set(index.tolist())}))
     rank_of_key = {k: r for r, k in enumerate(keys)}
     # a coset without rows has no key (-1 is never indexed)
@@ -462,16 +472,16 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
 
 
 def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
-                      bound, max_vectors=None) -> list[tuple]:
+                      bound) -> list[tuple]:
     """All lattice translates lambda in coset + Z^n with maj(lambda+beta) <= 2*bound.
 
-    Membership is decided exactly (integer arithmetic) when the data allows,
-    with the float Fincke-Pohst pass only proposing candidates.
+    With rational data every node of the walk is kept or dropped by an exact
+    integer test, and floats only propose candidates (_enumerate_cosets).
     """
     n = lat.rank
     beta = tuple(beta) if beta is not None else (Fraction(0),) * n
     table = build_term_table(lat, point, [], [((), list(coset))],
-                             ((Fraction(0),) * n, beta), bound, max_vectors=max_vectors)
+                             ((Fraction(0),) * n, beta), bound)
     return table.vector_tuples()
 
 
@@ -607,22 +617,21 @@ class ThetaEvaluator:
 
 def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
                            poly: HomogeneousPolynomial, pair_vectors=None,
-                           bound: float = 10.0, max_vectors=None) -> ThetaEvaluator:
+                           bound: float = 10.0) -> ThetaEvaluator:
     """Enumerate the truncated theta sum once; evaluate at any tau later."""
     poly = _check_poly(poly, point)
     group = discriminant_group(lat)
     series = laplacian_series(poly)
     cosets = [((gamma,), group.dual_vector(gamma)) for gamma in group.elements()]
     prefactor = Fraction(lat.sig_minus, 2) + poly.degrees[1]
-    table = build_term_table(lat, point, series, cosets, pair_vectors, bound,
-                             prefactor, max_vectors)
+    table = build_term_table(lat, point, series, cosets, pair_vectors, bound, prefactor)
     return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.majorant_np,
                           group.order, series)
 
 
 def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
                  poly: HomogeneousPolynomial, pair_vectors=None,
-                 bound: float = 10.0, max_vectors=None) -> ThetaValue:
+                 bound: float = 10.0) -> ThetaValue:
     """Generalized Siegel theta vector of a lattice at tau.
 
     Components are indexed by the discriminant group.  The summand for a
@@ -632,8 +641,7 @@ def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
     y^(sig_minus/2 + minus-degree).
     """
     tau = _check_tau(tau)
-    return siegel_theta_evaluator(lat, point, poly, pair_vectors, bound,
-                                  max_vectors).at(tau)
+    return siegel_theta_evaluator(lat, point, poly, pair_vectors, bound).at(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +724,7 @@ def _complement_coords(sd: SplitData, vec, label: str):
 
 def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
                           p_uperp: HomogeneousPolynomial, pair_vectors=None,
-                          bound: float = 10.0, max_vectors=None) -> ThetaEvaluator:
+                          bound: float = 10.0) -> ThetaEvaluator:
     """Mixed theta term table over D_L x D_M(-1), built once for any tau.
 
     Classes of L*/M are parametrized by an element of the glue-orthogonal
@@ -738,21 +746,18 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
         nu = sd.d_inner.dual_vector(delta)
         cosets.append(((sd.gm.down[delta], sd.d_m.from_dual(nu[:c_rank])), nu[c_rank:]))
     prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
-    table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound,
-                             prefactor, max_vectors)
+    table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
     axes = (Axis(sd.d_l, dual=False), Axis(sd.d_m, dual=True))
     return ThetaEvaluator(table, axes, bound, u_perp.majorant_np, len(sd.gm.down), series)
 
 
 def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
                        u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
-                       pair_vectors=None, bound: float = 10.0,
-                       max_vectors=None) -> ThetaValue:
+                       pair_vectors=None, bound: float = 10.0) -> ThetaValue:
     """Mixed theta vector over D_L x D_M(-1), summed class by class
     (see mixed_theta_evaluator)."""
     tau = _check_tau(tau)
-    return mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, pair_vectors, bound,
-                                 max_vectors).at(tau)
+    return mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, pair_vectors, bound).at(tau)
 
 
 def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
@@ -780,8 +785,7 @@ def _composed_vector(sd: SplitData, perp_vec: RepVector) -> RepVector:
 
 def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
                          u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
-                         pair_vectors=None, bound: float = 10.0,
-                         max_vectors=None) -> ThetaValue:
+                         pair_vectors=None, bound: float = 10.0) -> ThetaValue:
     """Mixed theta via the inner direct sum: tensor with the identity vector,
     merge the two non-dual axes into the sum group, then push down the glue.
 
@@ -797,7 +801,7 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     xi = _complement_coords(sd, vp.alpha, "xi")
     eta = _complement_coords(sd, vp.beta, "eta")
     theta_perp = siegel_theta(sd.mperp_sub.lattice, tau, u_perp, p_uperp,
-                              (xi, eta), bound, max_vectors)
+                              (xi, eta), bound)
     return ThetaValue(value=_composed_vector(sd, theta_perp.value), tau=tau,
                       bound=float(bound),
                       tail_estimate=theta_perp.tail_estimate * len(sd.gm.down)
@@ -914,17 +918,17 @@ class ThetaFamily:
 
 
 def siegel_theta_family(lat: Lattice, point: GrassmannPoint,
-                        poly: HomogeneousPolynomial, max_vectors=None) -> ThetaFamily:
+                        poly: HomogeneousPolynomial) -> ThetaFamily:
     """The Siegel theta of (lat, point, poly) as a ThetaFamily."""
     return ThetaFamily(lat.rank, lambda vp, bound: siegel_theta_evaluator(
-        lat, point, poly, vp, bound, max_vectors))
+        lat, point, poly, vp, bound))
 
 
 def mixed_theta_family(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
-                       poly: HomogeneousPolynomial, max_vectors=None) -> ThetaFamily:
+                       poly: HomogeneousPolynomial) -> ThetaFamily:
     """The mixed theta of (lat, m_sub) as a ThetaFamily (direct construction)."""
     return ThetaFamily(lat.rank, lambda vp, bound: mixed_theta_evaluator(
-        lat, m_sub, u_perp, poly, vp, bound, max_vectors))
+        lat, m_sub, u_perp, poly, vp, bound))
 
 
 def theta_value_difference(t1: ThetaValue, t2: ThetaValue) -> float:

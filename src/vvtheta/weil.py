@@ -166,24 +166,37 @@ def _generator_power(group: DiscriminantGroup, kind: str, n: int, dual: bool) ->
     With zeta[k] = e(k/N) for the level N and the integer tables qN = N q and
     bN = N b: T^n = diag(zeta[n qN]), S = e((b- - b+)/8)/sqrt|D| zeta[-bN]
     and Z^n = e(n (b- - b+)/4) P^n, where P permutes x -> -x.  A dual axis
-    takes the complex conjugate.
+    takes the complex conjugate.  Each matrix is built once per group and
+    reduced power (n mod N for T, mod 4 for Z) and kept read-only in
+    ``group.weil_matrices``.
     """
     level = group.level_forms[0]
+    if kind == "T":
+        n %= level
+    elif kind == "S":
+        n = 1
+    elif kind == "Z":
+        n %= 4
+    else:
+        raise VvthetaError(f"unknown generator {kind}")
+    key = (kind, n, dual)
+    if key in group.weil_matrices:
+        return group.weil_matrices[key]
     zeta = unit_roots(level)
     sig = group.lattice.sig_minus - group.lattice.sig_plus
     if kind == "T":
-        mat = np.diag(zeta[(n % level) * group.q_table() % level])
+        mat = np.diag(zeta[n * group.q_table % level])
     elif kind == "S":
         mat = two_pi_e(Fraction(sig, 8)) / math.sqrt(group.order) \
-            * zeta[-group.b_table() % level]
-    elif kind == "Z":
-        n %= 4
+            * zeta[-group.b_table % level]
+    else:
         mat = np.zeros((group.order, group.order), dtype=complex)
         cols = np.arange(group.order)
-        mat[group.neg_table() if n % 2 else cols, cols] = two_pi_e(Fraction(n * sig, 4))
-    else:
-        raise VvthetaError(f"unknown generator {kind}")
-    return mat.conj() if dual else mat
+        mat[group.neg_table if n % 2 else cols, cols] = two_pi_e(Fraction(n * sig, 4))
+    mat = mat.conj() if dual else mat
+    mat.flags.writeable = False
+    group.weil_matrices[key] = mat
+    return mat
 
 
 def rho_generator(group: DiscriminantGroup, gen: str, dual: bool = False) -> np.ndarray:

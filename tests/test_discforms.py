@@ -20,6 +20,7 @@ from vvtheta import (
     orthogonal_subgroup,
     overlattice_from_isotropic,
     rescale,
+    split_data,
     sublattice,
     two_pi_e,
 )
@@ -215,7 +216,7 @@ def test_integer_forms_match_fraction_lifts():
         n = d.level_forms[0]
         assert n == math.lcm(*(q.denominator for q in q_ref))
         assert [d.q(x) for x in elements] == q_ref
-        assert d.q_table().tolist() == [int(q * n) for q in q_ref]
+        assert d.q_table.tolist() == [int(q * n) for q in q_ref]
         # pairing(u, v) = (den u) . G (den v) / den^2, with integer vectors den u
         den = math.lcm(*(c.denominator for v in lifts for c in v))
         ints = [[int(c * den) for c in v] for v in lifts]
@@ -223,7 +224,7 @@ def test_integer_forms_match_fraction_lifts():
         b_ref = [[mod1(F(sum(a * c for a, c in zip(u, gv)), den * den)) for gv in g_ints]
                  for u in ints]
         assert [[d.b(x, y) for y in elements] for x in elements] == b_ref
-        assert d.b_table().tolist() == [[int(b * n) for b in row] for row in b_ref]
+        assert d.b_table.tolist() == [[int(b * n) for b in row] for row in b_ref]
 
 
 def test_element_tables(test_lattices):
@@ -232,7 +233,7 @@ def test_element_tables(test_lattices):
         elements = d.elements()
         assert [tuple(row) for row in d.element_array().tolist()] == elements
         assert [d.index(x) for x in elements] == list(range(d.order))
-        assert [elements[k] for k in d.neg_table()] == [d.neg(x) for x in elements]
+        assert [elements[k] for k in d.neg_table] == [d.neg(x) for x in elements]
 
 
 def test_forms_beyond_enumeration_cap():
@@ -245,3 +246,21 @@ def test_gauss_sum_residual(a1, a2):
     assert gauss_sum_residual(discriminant_group(a1), 1, 0) < 1e-15
     assert gauss_sum_residual(discriminant_group(a1), 0, 1) == pytest.approx(2.0)
     assert gauss_sum_residual(discriminant_group(a2), 2, 0) < 1e-12
+
+
+@pytest.mark.parametrize("gram, m_basis", [
+    ([[0, 1], [1, 0]], [(1, -1)]),
+    ([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], [(1, 0, 0, 0), (0, 1, 0, 0)]),
+    ([[2, 0], [0, -2]], [(1, 0)]),
+], ids=["ii11", "a2_ii11_over_a2", "a1_a1neg"])
+def test_product_iso_matches_dual_vector_lift(gram, m_basis):
+    lat = construct_lattice(gram)
+    sd = split_data(lat, sublattice(lat, m_basis))
+    n1 = sd.m_sub.rank
+    for x in sd.d_m.elements():
+        for y in sd.d_perp.elements():
+            ref = sd.d_inner.from_dual(sd.d_m.dual_vector(x) + sd.d_perp.dual_vector(y))
+            assert sd.combine(x, y) == ref
+    for z in sd.d_inner.elements():
+        nu = sd.d_inner.dual_vector(z)
+        assert sd.split(z) == (sd.d_m.from_dual(nu[:n1]), sd.d_perp.from_dual(nu[n1:]))

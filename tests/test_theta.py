@@ -43,7 +43,9 @@ from vvtheta import (
     theta_negation_residuals,
     theta_value_difference,
 )
-from vvtheta.grassmann import laplacian_series
+import vvtheta.theta as theta_mod
+from vvtheta import exact
+from vvtheta.grassmann import as_pair, laplacian_series
 from vvtheta.weil import MP_S, MP_T, MP_Z, Axis, RepVector
 
 TAU_SAMPLES = [0.2 + 1.1j, -0.37 + 0.9j]
@@ -93,12 +95,6 @@ def test_enumerate_random_forms_against_scan():
         assert got == oracle
 
 
-def test_enumeration_cap(ii11):
-    v = make_grassmann_point(ii11, [[1, 1]])
-    with pytest.raises(BoundTooLarge):
-        enumerate_vectors(ii11, [0, 0], v, None, 50.0, max_vectors=10)
-
-
 def test_enumeration_env_cap(ii11, monkeypatch):
     v = make_grassmann_point(ii11, [[1, 1]])
     monkeypatch.setenv("THETA_MAX_VECTORS", "10")
@@ -106,6 +102,117 @@ def test_enumeration_env_cap(ii11, monkeypatch):
         enumerate_vectors(ii11, [0, 0], v, None, 50.0)
     monkeypatch.setenv("THETA_MAX_VECTORS", "100000")
     assert enumerate_vectors(ii11, [0, 0], v, None, 2.0)
+    # the cap holds on every level of the walk: on A1^3 at bound 8 (|x|^2 <= 8)
+    # the walk keeps 5 nodes for the last coordinate, 25 for the last two,
+    # and tests 117 candidates for the 93 members, so a cap of 20 stops it
+    # on its middle level
+    a1_cubed = construct_lattice([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    point = make_grassmann_point(a1_cubed, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setenv("THETA_MAX_VECTORS", "117")
+    assert len(enumerate_vectors(a1_cubed, [0, 0, 0], point, None, 8.0)) == 93
+    for cap, level in (("116", 0), ("20", 1)):
+        monkeypatch.setenv("THETA_MAX_VECTORS", cap)
+        with pytest.raises(BoundTooLarge, match=f"level {level} "):
+            enumerate_vectors(a1_cubed, [0, 0, 0], point, None, 8.0)
+
+
+def _skewed_case(rng, rank):
+    """(lattice, splitting, U): the lattice is U^T diag(+-2a) U for a unimodular
+    shear U (unit upper triangular, entries up to 6), and the splitting leans
+    each positive direction of y = U x into the negative ones by rational
+    amounts, so the majorant is skewed in x and has denominators."""
+    while True:
+        shear = [[int(i == j) if j <= i else rng.randint(-6, 6) for j in range(rank)]
+                 for i in range(rank)]
+        n_minus = rng.randint(0, rank - 1)
+        diag = [2 * rng.randint(1, 3) for _ in range(rank - n_minus)] \
+            + [-2 * rng.randint(1, 3) for _ in range(n_minus)]
+        gram = [[sum(shear[k][i] * diag[k] * shear[k][j] for k in range(rank))
+                 for j in range(rank)] for i in range(rank)]
+        u_inv = exact.mat_inv(shear)
+        span = []
+        for j in range(rank - n_minus):
+            y = [F(int(i == j)) for i in range(rank - n_minus)] \
+                + [F(rng.randint(-1, 1), rng.randint(2, 4)) for _ in range(n_minus)]
+            span.append(exact.mat_vec(u_inv, y))
+        lat = construct_lattice(gram)
+        try:
+            return lat, make_grassmann_point(lat, span), shear
+        except NotPositiveDefiniteSpan:
+            continue
+
+
+def _ball_scan(point, shear, shift, bound):
+    """Exact oracle: {m: maj(shift + m)} over every integral m in the majorant
+    ball maj <= 2 bound, by scanning a box without pruning.
+
+    The box is taken in y = U x, where the majorant is nearly diagonal: m
+    runs over U^-1 k for every integral k with |(U shift)_i + k_i| <= r_i, r_i^2
+    >= 2 bound (U M^-1 U^T)_ii, a box that holds the whole ball.
+    """
+    rank = len(shift)
+    m_inv = point.majorant_inverse
+    lo, hi = [], []
+    for row in shear:
+        reach = math.isqrt(math.ceil(2 * bound * sum(
+            a * m_inv[j][k] * b for j, a in enumerate(row) for k, b in enumerate(row)))) + 1
+        centre = sum(a * x for a, x in zip(row, shift))
+        lo.append(math.floor(-reach - centre))
+        hi.append(math.ceil(reach - centre))
+    grid = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
+    u_inv = np.array(exact.mat_inv(shear), dtype=np.int64).reshape(rank, rank)
+    m = np.stack([g.ravel() for g in grid], axis=1) @ u_inv.T
+    den = math.lcm(*(x.denominator for row in point.majorant for x in row))
+    big_d = math.lcm(*(x.denominator for x in shift))
+    form = np.array([[int(x * den) for x in row] for row in point.majorant], dtype=np.int64)
+    w = big_d * m + np.array([int(big_d * x) for x in shift], dtype=np.int64)
+    num = np.einsum("ri,ij,rj->r", w, form, w)
+    inside = num <= math.floor(2 * bound * den * big_d * big_d)
+    return {tuple(row): F(int(q), den * big_d * big_d)
+            for row, q in zip(m[inside].tolist(), num[inside].tolist())}
+
+
+def test_enumeration_complete_on_skewed_majorants():
+    # the walk against an unpruned exact scan of the ball, with a member
+    # exactly on maj = 2 bound, on the exact path and on the float path with
+    # its margin; ranks 1-5, four cases each
+    rng = random.Random(1985)
+    for rank in [1, 2, 3, 4, 5] * 4:
+        lat, point, shear = _skewed_case(rng, rank)
+        q_coset, q_beta = rng.randint(1, 12), rng.randint(1, 12)
+        coset = [F(rng.randint(-11, 11), q_coset) for _ in range(rank)]
+        beta = [F(rng.randint(-11, 11), q_beta) for _ in range(rank)]
+        shift = [c + b for c, b in zip(coset, beta)]
+        # a vector near the centre in y = U x sets the bound: it lies on the shell
+        y = exact.mat_vec(shear, shift)
+        k = [-round(t) + rng.randint(-1, 1) for t in y]
+        on_shell = tuple(exact.mat_vec(exact.mat_inv(shear), k))
+        bound = point.majorant_value([s + m for s, m in zip(shift, on_shell)]) / 2
+        oracle = _ball_scan(point, shear, shift, bound)
+        assert oracle[on_shell] == 2 * bound
+
+        def lam(m):
+            return tuple(c + x for c, x in zip(coset, m))
+
+        inner = {m for m, maj in oracle.items() if maj < 2 * bound}
+        assert set(enumerate_vectors(lat, coset, point, beta, bound)) == \
+            {lam(m) for m in oracle}
+        assert set(enumerate_vectors(lat, coset, point, beta, bound - 1e-9)) == \
+            {lam(m) for m in inner}
+        # the walk on the Python-int levels, which it runs on where int64
+        # could overflow, returns the same rows
+        forms = theta_mod._IntegerForms(lat, point, [coset], as_pair(([0] * rank, beta), rank),
+                                        bound)
+        walks = [theta_mod._fincke_pohst(levels, forms.bounds, forms.denominator, forms.shifts,
+                                         forms.box)[1].tolist()
+                 for levels in (forms.levels, point.majorant_levels)]
+        assert sorted(walks[0]) == sorted(walks[1])
+        # float shifts take the float path: its rows round back to the same m
+        beta_f = [float(b) for b in beta]
+        for b, want in ((bound, set(oracle)), (bound - 1e-9, inner)):
+            got = enumerate_vectors(lat, coset, point, beta_f, b)
+            assert len(got) == len(want)
+            assert {tuple(round(x - float(c)) for x, c in zip(v, coset)) for v in got} == want
 
 
 def test_truncation_monotonic(ii11):
@@ -125,8 +232,6 @@ def test_truncation_monotonic(ii11):
 def test_int64_guard_large_denominator(a1, monkeypatch):
     # a shift with denominator 10^10 would need numerators near 10^20: the
     # guard refuses before any enumeration starts
-    import vvtheta.theta as theta_mod
-
     v = make_grassmann_point(a1, [[1]])
     beta = [F(1, 10 ** 10)]
 
