@@ -95,13 +95,7 @@ def test_enumerate_random_forms_against_scan():
         assert got == oracle
 
 
-def test_enumeration_env_cap(ii11, monkeypatch):
-    v = make_grassmann_point(ii11, [[1, 1]])
-    monkeypatch.setenv("THETA_MAX_VECTORS", "10")
-    with pytest.raises(BoundTooLarge):
-        enumerate_vectors(ii11, [0, 0], v, None, 50.0)
-    monkeypatch.setenv("THETA_MAX_VECTORS", "100000")
-    assert enumerate_vectors(ii11, [0, 0], v, None, 2.0)
+def test_enumeration_cap(monkeypatch):
     # the cap holds on every level of the walk: on A1^3 at bound 8 (|x|^2 <= 8)
     # the walk keeps 5 nodes for the last coordinate, 25 for the last two,
     # and tests 117 candidates for the 93 members, so a cap of 20 stops it
@@ -114,6 +108,15 @@ def test_enumeration_env_cap(ii11, monkeypatch):
         monkeypatch.setenv("THETA_MAX_VECTORS", cap)
         with pytest.raises(BoundTooLarge, match=f"level {level} "):
             enumerate_vectors(a1_cubed, [0, 0, 0], point, None, 8.0)
+
+
+def test_enumeration_env_cap(ii11, monkeypatch):
+    v = make_grassmann_point(ii11, [[1, 1]])
+    monkeypatch.setenv("THETA_MAX_VECTORS", "10")
+    with pytest.raises(BoundTooLarge):
+        enumerate_vectors(ii11, [0, 0], v, None, 50.0)
+    monkeypatch.setenv("THETA_MAX_VECTORS", "100000")
+    assert enumerate_vectors(ii11, [0, 0], v, None, 2.0)
 
 
 def _skewed_case(rng, rank):
