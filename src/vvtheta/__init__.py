@@ -26,8 +26,10 @@ from .discforms import (  # noqa: F401
     disc_product_iso,
     disc_projection,
     discriminant_group,
+    element_identification,
     gauss_sum_check,
     glue_map,
+    orthogonal_elements,
     orthogonal_subgroup,
     overlattice_from_isotropic,
     two_pi_e,
@@ -42,6 +44,7 @@ from .weil import (  # noqa: F401
     MP_Z,
     RepVector,
     down_arrow,
+    down_matrix,
     identity_vector,
     mp_power,
     pair,

@@ -54,12 +54,10 @@ from .weil import (
     Axis,
     MetaplecticElement,
     RepVector,
-    down_arrow,
+    down_matrix,
     mp_power,
-    rho_apply,
     rho_generator,
     rho_matrix,
-    up_arrow,
 )
 
 # ---------------------------------------------------------------------------
@@ -299,8 +297,11 @@ def _check_gauss_sum(sc: Scenario) -> float:
 
 
 def _check_arrows(sc: Scenario) -> float:
+    """Glue intertwiners as matrix identities, with up = down^T:
+    down up down = |H| down, and rho_L(g) down = down rho_small(g) per word."""
     gm = sc.sd.gm
-    worst = 0.0
+    down = down_matrix(gm)
+    worst = float(np.abs(down @ down.T @ down - gm.glue_order * down).max())
     rng = random.Random(5)
     words = [MP_T, MP_S]
     for _ in range(5):
@@ -308,17 +309,10 @@ def _check_arrows(sc: Scenario) -> float:
         for _step in range(4):
             g = g * rng.choice([MP_T, MP_S, mp_power(MP_T, -1)])
         words.append(g)
-    small_axis = (Axis(gm.small_disc),)
-    for key in gm.small_disc.elements():
-        vec = RepVector.basis_vector(small_axis, (key,))
-        dn = down_arrow(gm, vec)
-        upv = up_arrow(gm, dn)
-        dn_up = down_arrow(gm, upv)
-        worst = max(worst, (dn_up - dn.scale(gm.glue_order)).norm_inf())
-        for g in words:
-            lhs = rho_apply(g, down_arrow(gm, vec))
-            rhs = down_arrow(gm, rho_apply(g, vec))
-            worst = max(worst, (lhs - rhs).norm_inf())
+    for g in words:
+        lhs = rho_matrix(gm.big_disc, g) @ down
+        rhs = down @ rho_matrix(gm.small_disc, g)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 

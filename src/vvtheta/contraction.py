@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .discforms import DiscriminantGroup, discriminant_group
+from .discforms import DiscriminantGroup, discriminant_group, orthogonal_elements
 from .errors import (
     ComplementNotDefinite,
     GlueDegenerate,
@@ -132,14 +132,14 @@ def _contract(sd, mixed_vectors, form, taus) -> list[RepVector]:
 
 def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
                        u_perp, p_uperp: HomogeneousPolynomial, tau: complex,
-                       bound: float = 10.0, pair_vectors=None) -> RepVector:
+                       bound: float = 10.0) -> RepVector:
     """<mixed theta (tau), F(tau)> over D_L: a vector over the dual of D_M.
 
     ``form`` may be a QExpansionForm, a constant RepVector over the dual
     axis, or a callable tau -> RepVector.  Builds the mixed theta afresh on
     every call; seesaw_contractions builds it once for many tau.
     """
-    mixed = mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, pair_vectors, bound)
+    mixed = mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, None, bound)
     return _contract(split_data(lat, m_sub), mixed.vectors([tau]), form, [tau])[0]
 
 
@@ -169,25 +169,18 @@ def theta_series_coset(perp_lat: Lattice, u_perp, poly: HomogeneousPolynomial,
     return {e: c for e, c in series.items() if abs(c) > 0}
 
 
-def _subgroup_decomposition(group: DiscriminantGroup, subgroup_elements):
-    """(perp list, index map) for a non-degenerate subgroup of a finite
-    quadratic module: every element splits uniquely as h + x with h in the
-    subgroup and x orthogonal to it."""
-    sub = sorted(set(subgroup_elements))
-    perp = [x for x in group.elements()
-            if all(group.b(x, h) == 0 for h in sub)]
+def _subgroup_complement(group: DiscriminantGroup, subgroup_elements):
+    """H perp for a non-degenerate subgroup H of a finite quadratic module,
+    in element order.  Once |H| |H perp| = |D| and H meets H perp only in 0,
+    every element splits uniquely as h + x with h in H and x in H perp."""
+    sub = set(subgroup_elements)
+    perp = orthogonal_elements(group, list(sub))
     if len(sub) * len(perp) != group.order:
         raise GlueDegenerate("subgroup is degenerate: |H| * |H perp| != |D|")
-    overlap = set(sub) & set(perp) - {group.zero()}
+    overlap = sub & set(perp) - {group.zero()}
     if overlap:
         raise GlueDegenerate(f"subgroup meets its orthogonal complement in {overlap}")
-    decompose = {}
-    for h in sub:
-        for x in perp:
-            decompose[group.add(h, x)] = (h, x)
-    if len(decompose) != group.order:
-        raise GlueDegenerate("subgroup plus complement does not cover the group")
-    return sub, perp, decompose
+    return perp
 
 
 def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
@@ -212,24 +205,19 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
         raise IndexMismatch("form is indexed by a different lattice")
     u_perp = make_grassmann_point(perp_lat, exact.identity(perp_lat.rank))
     p_uperp = _check_perp_poly(p_uperp, perp_lat)
-    # glue subgroup and its two projections
-    h_elements = [x for x in sd.gm.subgroup.elements]
-    h_m, h_perp_of = [], {}
-    for h in h_elements:
-        hm, hp = sd.split(h)
-        h_m.append(hm)
-        h_perp_of[hm] = hp
-    if len(set(h_m)) != len(h_elements):
+    # the two projections of each glue element
+    h_split = [sd.split(h) for h in sd.gm.subgroup.elements]
+    if len({hm for hm, _hp in h_split}) != len(h_split):
         raise GlueDegenerate("glue projection to the sublattice group is not injective")
-    _hm, hm_perp, _dec_m = _subgroup_decomposition(sd.d_m, h_m)
-    _hp, hp_perp, _dec_p = _subgroup_decomposition(sd.d_perp, h_perp_of.values())
+    hm_perp = _subgroup_complement(sd.d_m, [hm for hm, _hp in h_split])
+    hp_perp = _subgroup_complement(sd.d_perp, [hp for _hm, hp in h_split])
     # theta series of every needed complement coset
     min_f = min(Fraction(0), form.min_exponent())
     theta_bound = Fraction(bound) - min_f
     theta_cache = {}
     for beta in hp_perp:
-        for h in h_elements:
-            coset = sd.d_perp.add(beta, h_perp_of[sd.split(h)[0]])
+        for _hm, hp in h_split:
+            coset = sd.d_perp.add(beta, hp)
             if coset not in theta_cache:
                 theta_cache[coset] = theta_series_coset(
                     perp_lat, u_perp, p_uperp,
@@ -242,8 +230,7 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
             f_component = form.component(gamma_l)
             if not f_component:
                 continue
-            for h in h_elements:
-                hm, hp = sd.split(h)
+            for hm, hp in h_split:
                 delta_m = sd.d_m.add(alpha, hm)
                 theta_part = theta_cache[sd.d_perp.add(beta, hp)]
                 for e_f, c_f in f_component.items():

@@ -275,11 +275,19 @@ def check_isotropic(group: DiscriminantGroup, generators) -> IsotropicSubgroup:
                              elements=tuple(sorted(elements)))
 
 
-def orthogonal_subgroup(sub: IsotropicSubgroup, cap: int | None = ENUM_CAP) -> list[DiscElement]:
+def orthogonal_elements(group: DiscriminantGroup, elements) -> list[DiscElement]:
+    """All x with b(x, h) = 0 for every given h, in the order of elements():
+    one |D| x k integer product x bN h^T mod N, so memory stays O(|D|)."""
+    n, _, b = group._form_arrays()
+    hs = np.array([list(h) for h in elements], dtype=np.int64).reshape(
+        len(elements), len(group.elementary_divisors))
+    xs = group.element_array()
+    return [tuple(x) for x in xs[~((xs @ b % n @ hs.T) % n).any(axis=1)].tolist()]
+
+
+def orthogonal_subgroup(sub: IsotropicSubgroup) -> list[DiscElement]:
     """All x in the parent with b(x, h) = 0 for every h in the subgroup."""
-    group = sub.parent
-    return [x for x in group.elements(cap)
-            if all(group.b(x, g) == 0 for g in sub.generators)]
+    return orthogonal_elements(sub.parent, sub.generators)
 
 
 def disc_projection(sub: Sublattice, vec) -> DiscElement:
@@ -389,22 +397,35 @@ def disc_product_iso(sum_disc: DiscriminantGroup,
     coordinates as weights, modulo the target's elementary divisors.
     """
     n1, n2 = left.lattice.rank, right.lattice.rank
-    combine_images = [sum_disc.from_dual(list(g) + [0] * n2) for g in left.generators] \
-        + [sum_disc.from_dual([0] * n1 + list(h)) for h in right.generators]
-    split_left = [left.from_dual(g[:n1]) for g in sum_disc.generators]
-    split_right = [right.from_dual(g[n1:]) for g in sum_disc.generators]
+    combine_pair = lift_map(sum_disc, [list(g) + [0] * n2 for g in left.generators]
+                            + [[0] * n1 + list(h) for h in right.generators])
+    split_left = lift_map(left, [g[:n1] for g in sum_disc.generators])
+    split_right = lift_map(right, [g[n1:] for g in sum_disc.generators])
 
     def combine(x, y) -> DiscElement:
-        return _image(tuple(x) + tuple(y), combine_images, sum_disc.elementary_divisors)
+        return combine_pair(tuple(x) + tuple(y))
 
     def split(z: DiscElement):
-        return (_image(z, split_left, left.elementary_divisors),
-                _image(z, split_right, right.elementary_divisors))
+        return split_left(z), split_right(z)
 
     return combine, split
 
 
-def _image(coords, images, divisors) -> DiscElement:
-    """sum_k coords[k] * images[k], reduced mod the target's divisors."""
-    return tuple(sum(c * img[i] for c, img in zip(coords, images)) % d
-                 for i, d in enumerate(divisors))
+def lift_map(target: DiscriminantGroup, lifts):
+    """The homomorphism sending the k-th generator of a source group to the
+    class of the dual vector lifts[k] in ``target``: the images are found once
+    by from_dual, then summed with the coordinates as weights, mod the
+    target's elementary divisors."""
+    images = [target.from_dual(v) for v in lifts]
+
+    def image(x: DiscElement) -> DiscElement:
+        return tuple(sum(c * img[i] for c, img in zip(x, images)) % d
+                     for i, d in enumerate(target.elementary_divisors))
+
+    return image
+
+
+def element_identification(source: DiscriminantGroup, target: DiscriminantGroup):
+    """x -> target.from_dual(source.dual_vector(x)) for two groups of the same
+    dual lattice, such as those of L and L(-1)."""
+    return lift_map(target, source.generators)

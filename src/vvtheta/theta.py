@@ -30,6 +30,7 @@ from .discforms import (
     DiscriminantGroup,
     disc_product_iso,
     discriminant_group,
+    element_identification,
     glue_map,
 )
 from .errors import (
@@ -673,13 +674,11 @@ class SplitData:
 _SPLIT_CACHE: dict = {}
 
 
-def split_data(lat: Lattice, m_sub: Sublattice,
-               mperp_sub: Sublattice | None = None) -> SplitData:
+def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
     cache_key = (lat, m_sub.basis)
     if cache_key in _SPLIT_CACHE:
         return _SPLIT_CACHE[cache_key]
-    if mperp_sub is None:
-        mperp_sub = orthogonal_complement(lat, m_sub)
+    mperp_sub = orthogonal_complement(lat, m_sub)
     inner = direct_sum(m_sub.lattice, mperp_sub.lattice)
     c_cols = [list(v) for v in m_sub.basis] + [list(v) for v in mperp_sub.basis]
     c_mat = exact.transpose(c_cols)  # n x n, lattice coords of inner basis
@@ -741,10 +740,8 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     series = laplacian_series(poly)
     perp_lat = sd.mperp_sub.lattice
     c_rank = sd.m_sub.rank
-    cosets = []
-    for delta in sorted(sd.gm.down):
-        nu = sd.d_inner.dual_vector(delta)
-        cosets.append(((sd.gm.down[delta], sd.d_m.from_dual(nu[:c_rank])), nu[c_rank:]))
+    cosets = [((sd.gm.down[delta], sd.split(delta)[0]),
+               sd.d_inner.dual_vector(delta)[c_rank:]) for delta in sorted(sd.gm.down)]
     prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
     axes = (Axis(sd.d_l, dual=False), Axis(sd.d_m, dual=True))
@@ -833,8 +830,8 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     rhs = siegel_theta_evaluator(lat, point, poly.conjugate(), pair_vectors, bound)
     power = Fraction(lat.sig_plus - lat.sig_minus, 2) + poly.degrees[0] - poly.degrees[1]
     d_neg = discriminant_group(neg)
-    d_pos = discriminant_group(lat)
-    matching = [(x, d_pos.from_dual(d_neg.dual_vector(x))) for x in d_neg.elements()]
+    to_pos = element_identification(d_neg, discriminant_group(lat))
+    matching = [(x, to_pos(x)) for x in d_neg.elements()]
     out = []
     for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus)):
         scaled = conjugate_vector(right).scale(tau.imag ** float(power))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discforms import DiscriminantGroup, GlueMap, two_pi_e, unit_roots
+from .discforms import DiscriminantGroup, GlueMap, element_identification, two_pi_e, unit_roots
 from .errors import IndexMismatch, VvthetaError
 
 
@@ -236,20 +236,19 @@ class RepVector:
     axis.  Treated as immutable after construction.
     """
 
-    def __init__(self, axes, coeffs=None, validate: bool = True):
+    def __init__(self, axes, coeffs=None):
         self.axes = tuple(axes)
         self.coeffs = dict(coeffs or {})
-        if validate:
-            for key in self.coeffs:
-                if len(key) != len(self.axes):
-                    raise IndexMismatch(f"key {key} has arity {len(key)}, "
-                                        f"expected {len(self.axes)}")
-                for elt, ax in zip(key, self.axes):
-                    divs = ax.group.elementary_divisors
-                    if not isinstance(elt, tuple) or len(elt) != len(divs) \
-                            or any(not (0 <= c < d) for c, d in zip(elt, divs)):
-                        raise IndexMismatch(
-                            f"component {elt} is not a reduced element of the axis group")
+        for key in self.coeffs:
+            if len(key) != len(self.axes):
+                raise IndexMismatch(f"key {key} has arity {len(key)}, "
+                                    f"expected {len(self.axes)}")
+            for elt, ax in zip(key, self.axes):
+                divs = ax.group.elementary_divisors
+                if not isinstance(elt, tuple) or len(elt) != len(divs) \
+                        or any(not (0 <= c < d) for c, d in zip(elt, divs)):
+                    raise IndexMismatch(
+                        f"component {elt} is not a reduced element of the axis group")
 
     @classmethod
     def basis_vector(cls, axes, key):
@@ -346,6 +345,15 @@ def down_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVecto
     return RepVector(new_axes, out)
 
 
+def down_matrix(gm: GlueMap) -> np.ndarray:
+    """The 0/1 matrix of down_arrow, rows D_big and columns D_small in element
+    order; up_arrow is its transpose."""
+    mat = np.zeros((gm.big_disc.order, gm.small_disc.order))
+    for delta, gamma in gm.down.items():
+        mat[gm.big_disc.index(gamma), gm.small_disc.index(delta)] = 1.0
+    return mat
+
+
 def pair(u: RepVector, v: RepVector, groups=None):
     """Bilinear pairing contracting matching axes of u against v.
 
@@ -406,12 +414,11 @@ def reindex_axis(vec: RepVector, axis_index: int, new_group: DiscriminantGroup,
     sets agree); this is how a vector over the group of a rescaled lattice is
     viewed as a dual-axis vector over the original group.
     """
-    old = vec.axes[axis_index].group
-    mapping = {x: new_group.from_dual(old.dual_vector(x)) for x in old.elements()}
+    mapping = element_identification(vec.axes[axis_index].group, new_group)
     new_axes = vec.axes[:axis_index] + (Axis(new_group, new_dual),) \
         + vec.axes[axis_index + 1:]
     out = {}
     for key, val in vec.coeffs.items():
-        new_key = key[:axis_index] + (mapping[key[axis_index]],) + key[axis_index + 1:]
+        new_key = key[:axis_index] + (mapping(key[axis_index]),) + key[axis_index + 1:]
         out[new_key] = out.get(new_key, 0j) + val
     return RepVector(new_axes, out)

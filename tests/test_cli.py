@@ -151,6 +151,18 @@ def test_modularity_verdict_needs_certified_tails(tmp_path, check):
     assert main(["run-scenario", path]) == 2
 
 
+@pytest.mark.parametrize("scenario", sorted(BUNDLED.parent.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_scenario_matches_golden(scenario):
+    # every bundled scenario, through the command line, byte for byte against
+    # tests/golden/<same name>; a new scenario joins by adding the two files
+    proc = subprocess.run([sys.executable, "-m", "vvtheta", "run-scenario", str(scenario)],
+                          capture_output=True, text=True)
+    assert proc.stderr == ""
+    golden = pathlib.Path(__file__).parent / "golden" / scenario.name
+    assert proc.stdout == golden.read_text()
+
+
 def test_emit_roundtrip_and_determinism(tmp_path):
     lat = construct_lattice([[2]])
     form = QExpansionForm(lat, F(1, 2), {((0,), F(0)): 1.0, ((1,), F(3, 4)): -2.5 + 1j})

@@ -15,8 +15,10 @@ from vvtheta import (
     disc_eval,
     disc_projection,
     discriminant_group,
+    element_identification,
     gauss_sum_check,
     glue_map,
+    orthogonal_elements,
     orthogonal_subgroup,
     overlattice_from_isotropic,
     rescale,
@@ -96,14 +98,19 @@ def test_orthogonal_subgroup(a1_plus_a1neg):
 
 
 def test_orthogonal_subgroup_order_product(test_lattices):
-    # |H| * |H perp| = |D| for subgroups generated by any single element
+    # |H| * |H perp| = |D| for subgroups generated by any single element; the
+    # integer complement of any list of elements equals the Fraction filter
     for lat in test_lattices:
         d = discriminant_group(lat)
+        assert orthogonal_elements(d, []) == d.elements()
         for x in d.elements():
+            for y in d.elements():
+                assert orthogonal_elements(d, [x, y]) == [
+                    z for z in d.elements() if d.b(z, x) == 0 and d.b(z, y) == 0]
             if d.q(x) != 0:
                 continue
             h = check_isotropic(d, [x])
-            assert h.order * 0 + len(orthogonal_subgroup(h)) * h.order == d.order
+            assert len(orthogonal_subgroup(h)) * h.order == d.order
 
 
 def test_bilinear_kernel_unitary(test_lattices):
@@ -264,3 +271,14 @@ def test_product_iso_matches_dual_vector_lift(gram, m_basis):
     for z in sd.d_inner.elements():
         nu = sd.d_inner.dual_vector(z)
         assert sd.split(z) == (sd.d_m.from_dual(nu[:n1]), sd.d_perp.from_dual(nu[n1:]))
+
+
+def test_element_identification_matches_dual_vector_lift(test_lattices):
+    a2a2a1 = construct_lattice([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0],
+                                [0, 0, 1, 2, 0], [0, 0, 0, 0, -2]])
+    for lat in test_lattices + [a2a2a1]:
+        d, d_neg = discriminant_group(lat), discriminant_group(rescale(lat, -1))
+        for source, target in ((d, d_neg), (d_neg, d)):
+            image = element_identification(source, target)
+            for x in source.elements():
+                assert image(x) == target.from_dual(source.dual_vector(x))

@@ -669,6 +669,22 @@ def test_negation_residuals(a1, ii11):
     assert theta_negation_residual(ii11, 0.2 + 1.1j, vii, p_cplx, pair_v, 12.0) < 1e-10
 
 
+def test_float_spanned_splittings_take_the_float_path(ii11, a2):
+    # a float span has denominators near 2^108, far past the exact path's
+    # int64 terms; the block-swapped and direct-sum points built from it must
+    # stay on the float path instead of raising BoundTooLarge
+    v = make_grassmann_point(ii11, [[1, 0.3]])
+    assert theta_negation_residual(ii11, 0.1 + 1j, v, constant_poly(1, 1),
+                                   None, 4.0) < 1e-10
+    lat = direct_sum(a2, ii11)
+    m_sub = sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    u = make_grassmann_point(m_sub.lattice, [[1, 0], [0, 1]])
+    u_perp = make_grassmann_point(split_data(lat, m_sub).mperp_sub.lattice, [[1, 0.3]])
+    seesaw = Seesaw(lat, m_sub, u, u_perp, constant_poly(2, 0), constant_poly(1, 1))
+    assert not seesaw.v.rational_flag
+    assert max(seesaw.split_residuals([0.1 + 1j] + TAU_SAMPLES, None, 4.0)) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # seesaw identities
 

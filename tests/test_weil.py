@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -16,9 +18,11 @@ from vvtheta import (
     MetaplecticElement,
     RepVector,
     check_isotropic,
+    construct_lattice,
     direct_sum,
     discriminant_group,
     down_arrow,
+    down_matrix,
     glue_map,
     identity_vector,
     mp_power,
@@ -28,11 +32,15 @@ from vvtheta import (
     rho_apply,
     rho_generator,
     rho_matrix,
+    split_data,
+    sublattice,
     two_pi_e,
     up_arrow,
     word_decompose,
 )
 from vvtheta.weil import _generator_power
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def random_element(rng, steps=6):
@@ -253,6 +261,32 @@ def test_arrow_intertwining(glue):
             lhs = rho_apply(g, up_arrow(glue, w))
             rhs = up_arrow(glue, rho_apply(g, w))
             assert (lhs - rhs).norm_inf() < 1e-10
+
+
+@pytest.fixture(scope="module", params=["ii11_seesaw", "a2a2a1_glued"])
+def scenario_glue(request):
+    data = json.loads((SCENARIOS / f"{request.param}.json").read_text())
+    lat = construct_lattice(data["lattices"]["L"]["gram"])
+    return split_data(lat, sublattice(lat, data["sublattice"]["basis"])).gm
+
+
+def test_arrows_and_rho_apply_match_matrix_forms(scenario_glue):
+    # the RepVector routes on every basis vector against down_matrix (up is
+    # its transpose) and the generator matrices that arrow_suite uses
+    gm = scenario_glue
+    down = down_matrix(gm)
+
+    def dense(vec):
+        return np.array([vec.get((x,)) for x in vec.axes[0].group.elements()])
+
+    for group, arrow, arrow_mat in ((gm.small_disc, down_arrow, down),
+                                    (gm.big_disc, up_arrow, down.T)):
+        rho = {g: rho_matrix(group, g) for g in (MP_T, MP_S, MP_Z)}
+        for j, key in enumerate(group.elements()):
+            v = RepVector.basis_vector((Axis(group),), (key,))
+            assert np.array_equal(dense(arrow(gm, v)), arrow_mat[:, j])
+            for g, mat in rho.items():
+                assert np.abs(dense(rho_apply(g, v)) - mat[:, j]).max() < 1e-15
 
 
 def test_pair_dual_bases(a1):
