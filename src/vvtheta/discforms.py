@@ -99,6 +99,11 @@ class DiscriminantGroup:
                 v[i] += c * g[i]
         return v
 
+    @cached_property
+    def dual_vectors(self) -> tuple:
+        """dual_vector(x) for every element, in elements() order (read-only)."""
+        return tuple(tuple(self.dual_vector(x)) for x in self.elements())
+
     def from_dual(self, vec) -> DiscElement:
         """Coordinates of the class of a dual vector; NotInDual if outside L*."""
         vec = [Fraction(v) for v in vec]

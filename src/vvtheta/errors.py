@@ -87,6 +87,10 @@ class BoundTooLarge(VvthetaError):
     pass
 
 
+class NegativeBound(VvthetaError):
+    """A theta sum was asked for with a truncation bound below 0 (or NaN)."""
+
+
 class TailTooLarge(VvthetaError):
     pass
 

@@ -503,8 +503,9 @@ def split_product_check(p_v: Polynomial, p_u: Polynomial, p_uperp: Polynomial,
     for _ in range(20):
         x = [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(amb.rank)]
         lhs = p_v.evaluate(v.adapted_coords(x))
-        xm = m_sub.coords_of(m_sub.project_ambient(x))
-        xp = mperp_sub.coords_of(mperp_sub.project_ambient(x))
+        # coords_of(project_ambient(x)) is coords_of(x): coords_of inverts embed
+        xm = m_sub.coords_of(x)
+        xp = mperp_sub.coords_of(x)
         rhs = p_u.evaluate(u.adapted_coords(xm)) * p_uperp.evaluate(u_perp.adapted_coords(xp))
         worst = max(worst, abs(lhs - rhs))
     return worst <= 1e-9, worst

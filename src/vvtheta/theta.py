@@ -19,6 +19,7 @@ one batch.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,6 +36,7 @@ from .discforms import (
 )
 from .errors import (
     BoundTooLarge,
+    NegativeBound,
     NoTermData,
     NonHomogeneousPolynomial,
     TailTooLarge,
@@ -89,9 +91,10 @@ def _max_vectors() -> int:
 def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
     """Every W = scale * m + offsets[k] (m integral) with W^T A_0 W <= bounds[0].
 
-    Returns ``(coset, rows)``: the rows W and the index k of each row's
-    offset, in no particular order.  ``levels[i] = (A_i, c_i)`` with A_i / c_i
-    the Schur complement of A_0 / c_0 on the trailing coordinates
+    Returns ``(coset, rows)``: the vectors W as the columns of the (n x N)
+    array ``rows``, and the index k of each one's offset, in no particular
+    order.  ``levels[i] = (A_i, c_i)`` with A_i / c_i the Schur complement
+    of A_0 / c_0 on the trailing coordinates
     W_t = (W_i, ..., W_{n-1}) (GrassmannPoint.majorant_levels), so the least
     value of W^T A_0 W / c_0 over the leading coordinates is W_t^T A_i W_t / c_i.
     ``bounds[i]`` is c_i T, except that bounds[0] may be lower.  A level's
@@ -111,17 +114,18 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
     floats only propose children: the interval is nonempty over the reals
     and inside the box's reach, so its ends are off by a few ulps of numbers
     below 2^33, far less than the widening.  Raises BoundTooLarge before a
-    level would hold more than $THETA_MAX_VECTORS nodes.
+    level would hold more than $THETA_MAX_VECTORS nodes.  Partial vectors
+    are (k x nodes) arrays, so every numpy loop runs over the nodes.
     """
     n = offsets.shape[1]
     cap = _max_vectors()
     coset = np.arange(offsets.shape[0]) if bounds[n] >= 0 else np.zeros(0, dtype=np.int64)
-    rows = np.zeros((len(coset), 0), dtype=offsets.dtype)
+    rows = np.zeros((0, len(coset)), dtype=offsets.dtype)
     value = np.zeros(len(coset), dtype=levels[n][0].dtype)
     for i in range(n - 1, -1, -1):
         form, c = levels[i]
         pivot = form[0, 0]
-        center = -(rows @ form[0, 1:]).astype(float) / float(pivot)
+        center = -(form[0, 1:] @ rows).astype(float) / float(pivot)
         half = np.sqrt(float(c) / (float(levels[i + 1][1]) * float(pivot))
                        * (bounds[i + 1] - value).astype(float))
         off = offsets[coset, i]
@@ -138,10 +142,10 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
                 "raise THETA_MAX_VECTORS or lower the bound")
         parent = np.repeat(np.arange(len(coset)), counts)
         m = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
-        rows = np.concatenate([(scale * m + off[parent])[:, None], rows[parent]], axis=1)
+        rows = np.concatenate([(scale * m + off[parent])[None, :], rows.take(parent, axis=1)])
         value = _quad(rows, form)
         keep = value <= bounds[i]
-        coset, rows, value = coset[parent][keep], rows[keep], value[keep]
+        coset, rows, value = coset[parent][keep], rows.compress(keep, axis=1), value[keep]
     return coset, rows
 
 
@@ -151,32 +155,38 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
 INT64_SAFE = 2 ** 62
 
 
-def _common_denominator(values) -> int:
-    den = 1
-    for x in values:
-        den = math.lcm(den, Fraction(x).denominator)
-    return den
-
-
 def _lin(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Row-wise x_r^T mat, accumulated one column of x at a time.
+    """x_r^T mat for every column x_r of the (k x N) array x, as (m x N).
 
-    Unlike a BLAS product, a row's result never depends on which other rows
-    share the batch, so a vector gets the same floats in every table.
+    Each output is accumulated from zero one coordinate of x at a time, in
+    coordinate order.  Unlike a BLAS product, a column's result never depends
+    on which other columns share the batch, so a vector gets the same floats
+    in every table.
     """
-    out = np.zeros((x.shape[0], mat.shape[1]), dtype=np.result_type(x, mat))
+    out = np.zeros((mat.shape[1], x.shape[1]), dtype=np.result_type(x, mat))
     for i in range(mat.shape[0]):
-        out += x[:, i:i + 1] * mat[i]
+        out += mat[i][:, None] * x[i]
     return out
 
 
 def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Row-wise x_r^T mat x_r (see _lin)."""
-    return (x * _lin(x, mat)).sum(axis=1)
+    """x_r^T mat x_r for every column x_r of x, summed like _lin."""
+    lin = _lin(x, mat)
+    out = np.zeros(x.shape[1], dtype=lin.dtype)
+    for i in range(x.shape[0]):
+        out += x[i] * lin[i]
+    return out
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or a float, exactly."""
+    if isinstance(x, numbers.Rational):
+        return x.numerator, x.denominator
+    return float(x).as_integer_ratio()
 
 
 class _IntegerForms:
-    """The int64 data that keeps one table build exact.
+    """The int64 data that keeps one table build exact, set up in Python ints.
 
     Every shifted vector w = coset + m + beta is W / D with W integral (D the
     common denominator of the cosets and beta), and P+-^T G P+- = N+- / d
@@ -198,20 +208,23 @@ class _IntegerForms:
         n = lat.rank
         d, n_plus, n_minus = point.integer_forms
         levels = point.majorant_levels
-        big_d = _common_denominator(list(pair.beta) + [x for c in coset_vecs for x in c])
-        d_beta = [int(big_d * Fraction(b)) for b in pair.beta]
-        shifts = [[int(big_d * (Fraction(c) + Fraction(b)))
-                   for c, b in zip(coset, pair.beta)] for coset in coset_vecs]
-        threshold = math.floor(2 * Fraction(bound) * d * big_d * big_d)
+        big_d = math.lcm(*(b.denominator for b in pair.beta),
+                         *(x.denominator for c in coset_vecs for x in c))
+        d_beta = [b.numerator * (big_d // b.denominator) for b in pair.beta]
+        shifts = [[x.numerator * (big_d // x.denominator) + b for x, b in zip(coset, d_beta)]
+                  for coset in coset_vecs]
+        num, den = _ratio(bound)
+        threshold = 2 * num * d * big_d * big_d // den
         # (N_maj^-1)_ii = (M^-1)_ii / d for the majorant M
         m_inv = point.majorant_inverse
-        w_max = [math.isqrt(max(math.floor(threshold * m_inv[i][i] / d), 0))
+        w_max = [math.isqrt(max(threshold * m_inv[i][i].numerator
+                                // (m_inv[i][i].denominator * d), 0))
                  for i in range(n)]
         self.exact_phase = _is_rational_vec(pair.alpha)
         if self.exact_phase:
-            da = _common_denominator(pair.alpha)
+            da = math.lcm(*(x.denominator for x in pair.alpha))
             g_alpha = exact.mat_vec(lat.gram_rows(),
-                                    [int(da * Fraction(x)) for x in pair.alpha])
+                                    [x.numerator * (da // x.denominator) for x in pair.alpha])
         else:
             da, g_alpha = 1, [0] * n
 
@@ -390,7 +403,7 @@ class TermTable:
             exponent = np.empty((n_terms, width), dtype=complex)
             exponent.real = np.multiply.outer(decay, -TWO_PI * y)
             exponent.imag = TWO_PI * (np.multiply.outer(freq, x) - self.phase[:, None])
-            values = (_lin(self.poly, y_powers) * np.exp(exponent)).ravel()
+            values = (_lin(y_powers, self.poly.T) * np.exp(exponent)).ravel()
             bins = (self.key_index[:, None] * width + np.arange(width)).ravel()
             block = np.empty(n_keys * width, dtype=complex)
             block.real = np.bincount(bins, values.real, minlength=n_keys * width)
@@ -401,16 +414,17 @@ class TermTable:
 
 
 def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray) -> np.ndarray:
-    """(terms x len(series)) coefficients of y^{-j}, from adapted coordinates."""
+    """(terms x len(series)) coefficients of y^{-j}, from the adapted
+    coordinates of the columns of w."""
     h = point.lattice.gram_np() @ point.adapted
     coords = _lin(w, h)
-    coords[:, point.dim_plus:] *= -1.0
-    out = np.zeros((w.shape[0], len(series)), dtype=complex)
+    coords[point.dim_plus:] *= -1.0
+    out = np.zeros((w.shape[1], len(series)), dtype=complex)
     for j, poly in enumerate(series):
-        col = np.zeros(w.shape[0], dtype=complex)
+        col = np.zeros(w.shape[1], dtype=complex)
         for expo, coeff in poly.monomials.items():
-            term = np.full(w.shape[0], coeff, dtype=complex)
-            for e, t in zip(expo, coords.T):
+            term = np.full(w.shape[1], coeff, dtype=complex)
+            for e, t in zip(expo, coords):
                 if e:
                     term = term * t ** e
             col = col + term
@@ -432,16 +446,18 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     cosets = list(cosets)
     pair = as_pair(pair_vectors, n)
     forms, index, w = _enumerate_cosets(lat, point, [c for _k, c in cosets], pair, bound)
-    keys = tuple(sorted({cosets[i][0] for i in set(index.tolist())}))
+    present = np.flatnonzero(np.bincount(index, minlength=len(cosets)))
+    keys = tuple(sorted({cosets[i][0] for i in present.tolist()}))
     rank_of_key = {k: r for r, k in enumerate(keys)}
     # a coset without rows has no key (-1 is never indexed)
     key_index = np.array([rank_of_key.get(k, -1) for k, _c in cosets],
                          dtype=np.int64)[index]
+    # w and lam hold one vector per column until the table is made
     beta_f = np.array([float(x) for x in pair.beta])
     alpha_f = np.array([float(x) for x in pair.alpha])
-    lam = w - (beta_f if forms is None else forms.d_beta)
-    order = np.lexsort(tuple(lam[:, ::-1].T) + (key_index,))
-    key_index, w, lam = key_index[order], w[order], lam[order]
+    lam = w - (beta_f if forms is None else forms.d_beta)[:, None]
+    order = np.lexsort(tuple(lam[::-1]) + (key_index,))
+    key_index, w, lam = key_index[order], w.take(order, axis=1), lam.take(order, axis=1)
     a_num = b_num = phase_num = ab_den = phase_den = vector_den = None
     if forms is None:
         q_plus, q_minus = (np.array([[float(x) for x in row] for row in q]).reshape(n, n)
@@ -460,12 +476,13 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
         lam_float = lam / float(vector_den)
     if forms is not None and forms.exact_phase:
         phase_den = 2 * vector_den * forms.alpha_denominator
-        phase_num = _lin(2 * w - forms.d_beta, forms.g_alpha[:, None])[:, 0]
+        phase_num = _lin(2 * w - forms.d_beta[:, None], forms.g_alpha[:, None])[0]
         phase = phase_num / float(phase_den)
     else:
         g_alpha = lat.gram_np() @ alpha_f
-        phase = _lin(lam_float + 0.5 * beta_f, g_alpha[:, None])[:, 0]
-    return TermTable(keys=keys, key_index=key_index, vectors=lam, vector_den=vector_den,
+        phase = _lin(lam_float + 0.5 * beta_f[:, None], g_alpha[:, None])[0]
+    return TermTable(keys=keys, key_index=key_index, vectors=np.ascontiguousarray(lam.T),
+                     vector_den=vector_den,
                      a_num=a_num, b_num=b_num, ab_den=ab_den,
                      phase_num=phase_num, phase_den=phase_den,
                      a=a, b=b, phase=phase, poly=_poly_matrix(series, point, w_float),
@@ -571,6 +588,12 @@ def _check_tau(tau: complex) -> complex:
     return tau
 
 
+def _check_bound(bound) -> None:
+    # the tail certificate needs bound >= 0; the walk alone returns no rows
+    if not bound >= 0:
+        raise NegativeBound(f"the truncation bound must be >= 0, got {bound}")
+
+
 def _check_poly(poly, point: GrassmannPoint) -> HomogeneousPolynomial:
     if not isinstance(poly, HomogeneousPolynomial):
         raise NonHomogeneousPolynomial("theta functions need a bihomogeneous polynomial")
@@ -621,9 +644,10 @@ def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
                            bound: float = 10.0) -> ThetaEvaluator:
     """Enumerate the truncated theta sum once; evaluate at any tau later."""
     poly = _check_poly(poly, point)
+    _check_bound(bound)
     group = discriminant_group(lat)
     series = laplacian_series(poly)
-    cosets = [((gamma,), group.dual_vector(gamma)) for gamma in group.elements()]
+    cosets = [((gamma,), vec) for gamma, vec in zip(group.elements(), group.dual_vectors)]
     prefactor = Fraction(lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(lat, point, series, cosets, pair_vectors, bound, prefactor)
     return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.majorant_np,
@@ -732,6 +756,7 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     """
     sd = split_data(lat, m_sub)
     poly = _check_poly(p_uperp, u_perp)
+    _check_bound(bound)
     if u_perp.lattice != sd.mperp_sub.lattice:
         raise VectorNotInComplement("u_perp is not a splitting of the complement")
     vp = as_pair(pair_vectors, lat.rank)

@@ -163,6 +163,68 @@ def test_scenario_matches_golden(scenario):
     assert proc.stdout == golden.read_text()
 
 
+GLUED = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
+
+#: input files of the golden CLI runs: name -> JSON payload
+CLI_INPUTS = {
+    "a2ii11": {"gram": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
+    "a2ii11_split": {"span_plus": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]},
+    "a2ii11_x1sq": {"degrees": [2, 0], "monomials": {"2,0,0,0": [1.0, 0.0]}},
+    "a2_in_a2ii11": {"ambient": "L", "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+    "ii11": {"gram": [[0, 1], [1, 0]]},
+    "ii11_skew": {"span_plus": [[1, "3/10"]]},
+    "ii11_x1sq": {"degrees": [2, 0], "monomials": {"2,0": [1.0, 0.0]}},
+    "glued": GLUED["lattices"]["L"],
+    "glued_m": GLUED["sublattice"],
+}
+
+#: golden CLI runs: name -> command line, with {input} for an input file;
+#: each prints tests/golden/cli_<name>.json byte for byte
+CLI_CASES = {
+    "theta_a2ii11": "theta --lattice {a2ii11} --grassmann {a2ii11_split} "
+                    "--poly {a2ii11_x1sq} --tau 0.13,0.87 --bound 8 "
+                    "--alpha 1/3,1/5,1/2,1/7 --beta 1/2,1/3,1/5,1/4",
+    "theta_ii11_skew": "theta --lattice {ii11} --grassmann {ii11_skew} --tau=-0.21,0.94 "
+                       "--bound 7 --alpha 1/4,0 --beta 1/3,-1/5",
+    "theta_lm_a2ii11": "theta-lm --lattice {a2ii11} --sublattice {a2_in_a2ii11} "
+                       "--grassmann {ii11_skew} --poly {ii11_x1sq} --tau 0.13,0.87 --bound 8 "
+                       "--xi 0,0,1/2,1/7 --eta 0,0,1/5,1/4",
+    "theta_lm_a2ii11_composed": "theta-lm --lattice {a2ii11} --sublattice {a2_in_a2ii11} "
+                                "--grassmann {ii11_skew} --poly {ii11_x1sq} --tau 0.13,0.87 "
+                                "--bound 8 --xi 0,0,1/2,1/7 --eta 0,0,1/5,1/4 --composed",
+    "theta_glued": "theta --lattice {glued} --tau 0.2,1.1 --bound 5 "
+                   "--alpha 1/3,1/5,0,1/2,1/7 --beta 1/2,1/7,1/3,0,1/5",
+    "theta_lm_glued": "theta-lm --lattice {glued} --sublattice {glued_m} --tau=-0.37,0.9 "
+                      "--bound 6 --xi 1/3,0,1/3,0,0 --eta 0,1/5,0,1/5,0",
+    "theta_lm_glued_composed": "theta-lm --lattice {glued} --sublattice {glued_m} "
+                               "--tau=-0.37,0.9 --bound 6 --xi 1/3,0,1/3,0,0 "
+                               "--eta 0,1/5,0,1/5,0 --composed",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_matches_golden(tmp_path, case):
+    # theta and theta-lm (direct and composed) through the command line, byte
+    # for byte against tests/golden/cli_<case>.json
+    files = {name: write_json(tmp_path / f"{name}.json", payload)
+             for name, payload in CLI_INPUTS.items()}
+    argv = [token.format(**files) for token in CLI_CASES[case].split()]
+    proc = subprocess.run([sys.executable, "-m", "vvtheta", *argv],
+                          capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    golden = pathlib.Path(__file__).parent / "golden" / f"cli_{case}.json"
+    assert proc.stdout == golden.read_text()
+
+
+def test_theta_negative_bound_exits_with_error(tmp_path, capsys):
+    # a negative bound is a usage error (exit 2), not a crash in the tail bound
+    lat_file = write_json(tmp_path / "a2.json", {"gram": [[2, 1], [1, 2]]})
+    assert main(["theta", "--lattice", lat_file, "--tau", "0.1,1", "--bound", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: NegativeBound: ")
+    assert main(["theta", "--lattice", lat_file, "--tau", "0.1,1", "--bound", "0"]) == 0
+
+
 def test_emit_roundtrip_and_determinism(tmp_path):
     lat = construct_lattice([[2]])
     form = QExpansionForm(lat, F(1, 2), {((0,), F(0)): 1.0, ((1,), F(3, 4)): -2.5 + 1j})

@@ -10,6 +10,7 @@ import pytest
 from vvtheta import (
     BoundTooLarge,
     HomogeneousPolynomial,
+    NegativeBound,
     NonHomogeneousPolynomial,
     NotPositiveDefiniteSpan,
     NoTermData,
@@ -207,15 +208,78 @@ def test_enumeration_complete_on_skewed_majorants():
         forms = theta_mod._IntegerForms(lat, point, [coset], as_pair(([0] * rank, beta), rank),
                                         bound)
         walks = [theta_mod._fincke_pohst(levels, forms.bounds, forms.denominator, forms.shifts,
-                                         forms.box)[1].tolist()
+                                         forms.box)[1]
                  for levels in (forms.levels, point.majorant_levels)]
-        assert sorted(walks[0]) == sorted(walks[1])
+        # the walk returns one vector per column
+        assert all(w.shape == (rank, len(oracle)) for w in walks)
+        assert sorted(walks[0].T.tolist()) == sorted(walks[1].T.tolist())
         # float shifts take the float path: its rows round back to the same m
         beta_f = [float(b) for b in beta]
         for b, want in ((bound, set(oracle)), (bound - 1e-9, inner)):
             got = enumerate_vectors(lat, coset, point, beta_f, b)
             assert len(got) == len(want)
             assert {tuple(round(x - float(c)) for x, c in zip(v, coset)) for v in got} == want
+
+
+def _loop_lin(x, mat):
+    """_lin by a pure-Python loop: each output from zero, one coordinate at a
+    time, both factors taken in the result type."""
+    kind = np.result_type(x, mat)
+    zero = np.zeros(1, dtype=kind).tolist()[0]
+    x, mat = (np.asarray(a, dtype=kind).tolist() for a in (x, mat))
+    out = [[zero] * len(x[0]) for _c in mat[0]]
+    for i, row in enumerate(mat):
+        for c, coeff in enumerate(row):
+            for r, value in enumerate(x[i]):
+                out[c][r] = out[c][r] + coeff * value
+    return out
+
+
+def test_lin_quad_accumulation_contract():
+    # _lin and _quad equal a coordinate-by-coordinate loop bit for bit on the
+    # dtypes the build and the evaluation use; the float path and the exact
+    # bytes of a table rely on this order
+    rng = np.random.default_rng(8)
+
+    def floats(shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+    def dyadic(shape):
+        # m 2^e with m < 2^20: every product is exact, so only the order of the
+        # sums can move a bit (numpy may fuse the complex multiply, Python does not)
+        return rng.integers(-2 ** 20, 2 ** 20, shape) * 2.0 ** rng.integers(-30, 30, shape)
+
+    makers = {
+        "float64": floats,
+        "complex": lambda shape: dyadic(shape) + 1j * dyadic(shape),
+        "int64": lambda shape: rng.integers(-2 ** 20, 2 ** 20, shape),
+        "object": lambda shape: np.array(
+            [3 ** 45 * int(v) for v in rng.integers(-99, 99, shape).flat],
+            dtype=object).reshape(shape),
+    }
+    for name, make in makers.items():
+        for k in range(1, 6):
+            for count in (0, 1, 7):
+                x = make((k, count))
+                for width in (1, k):
+                    mat = make((k, width))
+                    got = theta_mod._lin(x, mat)
+                    assert got.shape == (width, count)
+                    assert got.dtype == np.result_type(x, mat)
+                    assert got.tolist() == _loop_lin(x, mat), (name, k, count, width)
+                if name == "complex":
+                    continue  # no sum of the code takes x_r^T mat x_r of complex data
+                form = make((k, k))
+                lin = _loop_lin(x, form)
+                want = [0] * count
+                for i in range(k):
+                    want = [w + v * t for w, v, t in zip(want, x[i].tolist(), lin[i])]
+                got = theta_mod._quad(x, form)
+                assert got.shape == (count,)
+                assert got.tolist() == want, (name, k, count)
+    # the evaluation's mix: real powers of 1/y against complex coefficients
+    y_powers, poly_t = floats((3, 4)), floats((3, 6)) + 1j * floats((3, 6))
+    assert theta_mod._lin(y_powers, poly_t).tolist() == _loop_lin(y_powers, poly_t)
 
 
 def test_truncation_monotonic(ii11):
@@ -302,7 +366,7 @@ def _reference_row(lat, point, series, t, alpha, beta):
 
 def test_table_rows_match_per_vector_reference():
     rng = random.Random(2024)
-    for rank in (2, 2, 3, 3):
+    for rank, bound in ((2, 3), (2, 3), (3, 3), (3, 3), (4, 2), (5, 1)):
         lat = _random_even_lattice(rng, rank)
         span, point = _random_splitting(rng, lat)
         float_point = make_grassmann_point(lat, [[float(x) for x in v] for v in span])
@@ -318,7 +382,6 @@ def test_table_rows_match_per_vector_reference():
         alpha = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
         beta = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
         group = discriminant_group(lat)
-        bound = 3
         for pt in (point, float_point):
             table = siegel_theta_evaluator(lat, pt, poly, (alpha, beta), bound).terms
             assert len(table) > 0
@@ -612,6 +675,29 @@ def test_composed_tail_certifies_omitted_mass(a2, ii11):
         assert omitted > 0.0
         assert omitted <= composed.tail_estimate
         assert composed.tail_estimate == pytest.approx(direct.tail_estimate, rel=1e-12)
+
+
+def test_negative_bound_is_a_typed_error(a2, ii11_split):
+    # every theta value needs a tail certificate, which has no meaning below
+    # bound 0: the evaluators refuse before enumerating, while the walk alone
+    # returns no vectors
+    point = make_grassmann_point(a2, [[1, 0], [0, 1]])
+    p = constant_poly(2, 0)
+    ii11, m_sub, mperp, u, u_perp = ii11_split
+    p_perp = constant_poly(1, 0)
+    for bound in (-1, -1e-9, F(-1, 3), float("nan")):
+        with pytest.raises(NegativeBound):
+            siegel_theta_evaluator(a2, point, p, None, bound)
+        with pytest.raises(NegativeBound):
+            siegel_theta(a2, 0.1 + 1j, point, p, None, bound)
+        with pytest.raises(NegativeBound):
+            mixed_theta_direct(ii11, m_sub, 1j, u_perp, p_perp, None, bound)
+        with pytest.raises(NegativeBound):
+            mixed_theta_composed(ii11, m_sub, 1j, u_perp, p_perp, None, bound)
+    assert enumerate_vectors(a2, [0, 0], point, None, -1) == []
+    zero = siegel_theta(a2, 0.1 + 1j, point, p, None, 0)
+    assert [t.vector for t in zero.terms] == [(0, 0)]
+    assert zero.tail_estimate > 0
 
 
 def test_term_multiset_needs_term_data(ii11_split):
