@@ -177,7 +177,8 @@ def poly_from_json(data, nvars_plus: int, nvars_minus: int) -> HomogeneousPolyno
 
 
 def span_from_json(rows) -> list:
-    return [[parse_frac(x) for x in row] for row in rows]
+    """Span rows; a JSON float stays a float (the float path), the rest exact."""
+    return [[x if isinstance(x, float) else parse_frac(x) for x in row] for row in rows]
 
 
 def parse_tau(text: str) -> complex:

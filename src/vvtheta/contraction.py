@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import exact
 from .discforms import DiscriminantGroup, discriminant_group, orthogonal_elements
 from .errors import (
@@ -60,12 +62,13 @@ class QExpansionForm:
     def __post_init__(self):
         self.weight = Fraction(self.weight)
         group = discriminant_group(self.lattice)
+        elements = set(group.elements())
         canon = {}
         for (coset, expo), coeff in self.terms.items():
             coset = tuple(int(c) for c in coset)
             expo = Fraction(expo)
-            if len(coset) != len(group.elementary_divisors):
-                raise IndexMismatch(f"coset {coset} has wrong arity")
+            if coset not in elements:
+                raise IndexMismatch(f"coset {coset} is not a reduced element of {group}")
             if exact.mod1(expo + group.q(coset)) != 0:
                 raise IndexMismatch(
                     f"exponent {expo} on coset {coset} violates the dual "
@@ -89,12 +92,11 @@ class QExpansionForm:
         return min((e for (_c, e) in self.terms), default=Fraction(0))
 
     def evaluate(self, tau: complex) -> RepVector:
-        out: dict = {}
+        group = self.group
+        out = np.zeros(group.order, dtype=complex)
         for (coset, expo), coeff in self.terms.items():
-            val = coeff * cmath.exp(2j * math.pi * tau * float(expo))
-            key = (coset,)
-            out[key] = out.get(key, 0j) + val
-        return RepVector((Axis(self.group, dual=True),), out)
+            out[group.index(coset)] += coeff * cmath.exp(2j * math.pi * tau * float(expo))
+        return RepVector.from_array((Axis(group, dual=True),), out)
 
     def component(self, coset) -> dict:
         coset = tuple(coset)

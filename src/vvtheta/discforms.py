@@ -350,8 +350,8 @@ class GlueMap:
     """Index maps between D_small and D_big for an overlattice embedding.
 
     ``down`` sends each element of the orthogonal complement of the glue
-    group to its class in D_big; ``up`` lists the fiber over each element of
-    D_big.  Both are exact (pure index bookkeeping).
+    group to its class in D_big (exact index bookkeeping); the fiber over an
+    element of D_big is a row of ``down_matrix``.
     """
 
     embedding: OverlatticeEmbedding
@@ -359,11 +359,18 @@ class GlueMap:
     big_disc: DiscriminantGroup
     subgroup: IsotropicSubgroup
     down: dict
-    up: dict
 
     @property
     def glue_order(self) -> int:
         return self.subgroup.order
+
+    @cached_property
+    def down_matrix(self) -> np.ndarray:
+        """The 0/1 matrix of ``down``: rows D_big, columns D_small (read-only)."""
+        mat = np.zeros((self.big_disc.order, self.small_disc.order))
+        for delta, gamma in self.down.items():
+            mat[self.big_disc.index(gamma), self.small_disc.index(delta)] = 1.0
+        return _read_only(mat)
 
 
 def glue_map(emb: OverlatticeEmbedding, subgroup: IsotropicSubgroup | None = None) -> GlueMap:
@@ -378,17 +385,15 @@ def glue_map(emb: OverlatticeEmbedding, subgroup: IsotropicSubgroup | None = Non
         sub = check_isotropic(small_disc, gens)
     glue_inv = exact.mat_inv(emb.glue_rows())
     down = {}
-    up = {}
     for delta in orthogonal_subgroup(sub):
         nu_small = small_disc.dual_vector(delta)
         nu_big = exact.mat_vec(glue_inv, nu_small)
         gamma = big_disc.from_dual(nu_big)
         down[delta] = gamma
-        up.setdefault(gamma, []).append(delta)
     if len(down) != big_disc.order * sub.order:
         raise NotIsotropic("orthogonal subgroup size does not match |D_big| * |H|")
     return GlueMap(embedding=emb, small_disc=small_disc, big_disc=big_disc,
-                   subgroup=sub, down=down, up={k: tuple(v) for k, v in up.items()})
+                   subgroup=sub, down=down)
 
 
 def disc_product_iso(sum_disc: DiscriminantGroup,

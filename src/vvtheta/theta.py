@@ -614,6 +614,9 @@ class ThetaEvaluator:
     def __init__(self, table: TermTable, axes, bound, majorant_np, translates, series):
         self.terms = table
         self.axes = axes
+        self._shape = tuple(ax.group.order for ax in axes)
+        self._positions = [np.ravel_multi_index([a.group.index(x) for a, x in zip(axes, key)],
+                                                self._shape) for key in table.keys]
         self.prefactor_exponent = table.prefactor_exponent
         self.bound = float(bound)
         self._majorant = majorant_np
@@ -624,8 +627,9 @@ class ThetaEvaluator:
         """Theta vectors at many tau from one batched table evaluation
         (no tail bounds)."""
         values = self.terms.evaluate([_check_tau(t) for t in taus])
-        keys = self.terms.keys
-        return [RepVector(self.axes, dict(zip(keys, col))) for col in values.T.tolist()]
+        dense = np.zeros((values.shape[1], math.prod(self._shape)), dtype=complex)
+        dense[:, self._positions] = values.T
+        return [RepVector.from_array(self.axes, row.reshape(self._shape)) for row in dense]
 
     def at(self, tau: complex) -> ThetaValue:
         tau = _check_tau(tau)
@@ -693,6 +697,7 @@ class SplitData:
     d_l: DiscriminantGroup
     combine: object
     split: object
+    pair_of_inner: np.ndarray  # per D_inner element, its flat (D_M, D_perp) index
 
 
 _SPLIT_CACHE: dict = {}
@@ -715,10 +720,12 @@ def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
     d_m = discriminant_group(m_sub.lattice)
     d_perp = discriminant_group(mperp_sub.lattice)
     combine, split = disc_product_iso(gm.small_disc, d_m, d_perp)
+    pair_of_inner = np.array([d_m.index(x) * d_perp.order + d_perp.index(y)
+                              for x, y in map(split, gm.small_disc.elements())])
     sd = SplitData(ambient=lat, m_sub=m_sub, mperp_sub=mperp_sub, inner=inner,
                    emb=emb, gm=gm, d_m=d_m, d_perp=d_perp,
                    d_inner=gm.small_disc, d_l=gm.big_disc,
-                   combine=combine, split=split)
+                   combine=combine, split=split, pair_of_inner=pair_of_inner)
     _SPLIT_CACHE[cache_key] = sd
     return sd
 
@@ -786,15 +793,14 @@ def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
                     perp_axis: int) -> RepVector:
     """Merge the D_M and D_perp axes of ``vec`` into one D_inner axis.
 
-    The merged axis comes first; the remaining axes keep their order.
+    The merged axis comes first; the remaining axes keep their order.  D_M x
+    D_perp -> D_inner is a bijection, so the merge is one gather.
     """
-    rest = [i for i in range(len(vec.axes)) if i not in (m_axis, perp_axis)]
-    merged: dict = {}
-    for key, val in vec.coeffs.items():
-        mk = (sd.combine(key[m_axis], key[perp_axis]),) + tuple(key[i] for i in rest)
-        merged[mk] = merged.get(mk, 0j) + val
-    axes = (Axis(sd.d_inner, dual=False),) + tuple(vec.axes[i] for i in rest)
-    return RepVector(axes, merged)
+    arr = np.moveaxis(vec.array, (m_axis, perp_axis), (0, 1))
+    arr = arr.reshape((-1,) + arr.shape[2:])[sd.pair_of_inner]
+    axes = (Axis(sd.d_inner, dual=False),) + tuple(
+        ax for i, ax in enumerate(vec.axes) if i not in (m_axis, perp_axis))
+    return RepVector.from_array(axes, arr)
 
 
 def _composed_vector(sd: SplitData, perp_vec: RepVector) -> RepVector:
@@ -834,10 +840,6 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
 # ---------------------------------------------------------------------------
 # symmetry and modularity diagnostics
 
-def conjugate_vector(vec: RepVector) -> RepVector:
-    return RepVector(vec.axes, {k: v.conjugate() for k, v in vec.coeffs.items()})
-
-
 def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
                              poly: HomogeneousPolynomial, pair_vectors=None,
                              bound: float = 10.0) -> list[float]:
@@ -854,17 +856,12 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
                                  block_swapped_poly(poly), pair_vectors, bound)
     rhs = siegel_theta_evaluator(lat, point, poly.conjugate(), pair_vectors, bound)
     power = Fraction(lat.sig_plus - lat.sig_minus, 2) + poly.degrees[0] - poly.degrees[1]
-    d_neg = discriminant_group(neg)
-    to_pos = element_identification(d_neg, discriminant_group(lat))
-    matching = [(x, to_pos(x)) for x in d_neg.elements()]
-    out = []
-    for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus)):
-        scaled = conjugate_vector(right).scale(tau.imag ** float(power))
-        worst = 0.0
-        for x, match in matching:
-            worst = max(worst, abs(left.get((x,)) - scaled.get((match,))))
-        out.append(worst)
-    return out
+    d_neg, d_pos = discriminant_group(neg), discriminant_group(lat)
+    to_pos = element_identification(d_neg, d_pos)
+    matching = [d_pos.index(to_pos(x)) for x in d_neg.elements()]
+    return [float(np.abs(left.array - tau.imag ** float(power)
+                         * right.array[matching].conj()).max())
+            for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus))]
 
 
 def theta_negation_residual(lat: Lattice, tau: complex, point: GrassmannPoint,

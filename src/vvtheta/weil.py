@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -229,81 +231,98 @@ class Axis:
         return f"Axis(|D|={self.group.order}{star})"
 
 
-class RepVector:
-    """Finitely supported vector in a tensor product of group algebras C[D].
+def _key_index(axes, key) -> tuple:
+    """Array index of a key of reduced element tuples, validated in one pass."""
+    if len(key) != len(axes):
+        raise IndexMismatch(f"key {key} has arity {len(key)}, expected {len(axes)}")
+    out = []
+    for elt, ax in zip(key, axes):
+        divs = ax.group.elementary_divisors
+        if not isinstance(elt, tuple) or len(elt) != len(divs):
+            raise IndexMismatch(f"component {elt} has the wrong arity for its axis")
+        pos = 0
+        for c, d in zip(elt, divs):
+            if not 0 <= c < d:
+                raise IndexMismatch(f"component {elt} is not reduced modulo {divs}")
+            pos = pos * d + c
+        out.append(pos)
+    return tuple(out)
 
-    Keys of ``coeffs`` are tuples of group-element coordinate tuples, one per
-    axis.  Treated as immutable after construction.
-    """
+
+class RepVector:
+    """Vector in C[D_1] (x) ... (x) C[D_k]: a dense ``array`` of shape (|D_1|, ...,
+    |D_k|), each dimension in its group's element order.  The constructor
+    validates each key of ``coeffs`` (a reduced element tuple per axis); ``coeffs``
+    reads back the nonzero entries, computed once: treat the vector as immutable."""
 
     def __init__(self, axes, coeffs=None):
         self.axes = tuple(axes)
-        self.coeffs = dict(coeffs or {})
-        for key in self.coeffs:
-            if len(key) != len(self.axes):
-                raise IndexMismatch(f"key {key} has arity {len(key)}, "
-                                    f"expected {len(self.axes)}")
-            for elt, ax in zip(key, self.axes):
-                divs = ax.group.elementary_divisors
-                if not isinstance(elt, tuple) or len(elt) != len(divs) \
-                        or any(not (0 <= c < d) for c, d in zip(elt, divs)):
-                    raise IndexMismatch(
-                        f"component {elt} is not a reduced element of the axis group")
+        self.array = np.zeros([ax.group.order for ax in self.axes], dtype=complex)
+        for key, val in (coeffs or {}).items():
+            self.array[_key_index(self.axes, tuple(key))] = val
+
+    @classmethod
+    def from_array(cls, axes, array) -> "RepVector":
+        """The vector with this dense array (not copied)."""
+        out = cls.__new__(cls)
+        out.axes, out.array = tuple(axes), np.asarray(array, dtype=complex)
+        if out.array.shape != tuple(ax.group.order for ax in out.axes):
+            raise IndexMismatch(f"array shape {out.array.shape} does not match {out.axes}")
+        return out
 
     @classmethod
     def basis_vector(cls, axes, key):
         return cls(axes, {tuple(key): 1.0 + 0j})
 
+    @cached_property
+    def coeffs(self) -> MappingProxyType:
+        elements = [ax.group.elements() for ax in self.axes]
+        return MappingProxyType({tuple(e[i] for e, i in zip(elements, idx)):
+                                 complex(self.array[idx])
+                                 for idx in zip(*np.nonzero(self.array))})
+
     def get(self, key) -> complex:
-        return self.coeffs.get(tuple(key), 0j)
+        return complex(self.array[_key_index(self.axes, tuple(key))])
 
     def __add__(self, other):
         if self.axes != other.axes:
             raise IndexMismatch("adding vectors over different index spaces")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0j) + v
-        return RepVector(self.axes, out)
+        return RepVector.from_array(self.axes, self.array + other.array)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, factor: complex):
-        return RepVector(self.axes, {k: factor * v for k, v in self.coeffs.items()})
+        return RepVector.from_array(self.axes, factor * self.array)
 
     def tensor(self, other):
-        out = {}
-        for k1, v1 in self.coeffs.items():
-            for k2, v2 in other.coeffs.items():
-                out[k1 + k2] = out.get(k1 + k2, 0j) + v1 * v2
-        return RepVector(self.axes + other.axes, out)
+        return RepVector.from_array(self.axes + other.axes,
+                                    np.multiply.outer(self.array, other.array))
 
     def norm_inf(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+        return float(np.abs(self.array).max())
 
     def __repr__(self):
-        return f"RepVector(axes={list(self.axes)}, nnz={len(self.coeffs)})"
+        return f"RepVector(axes={list(self.axes)}, nnz={np.count_nonzero(self.array)})"
+
+
+def _along(mat: np.ndarray, vec: RepVector, i: int, axis: Axis) -> RepVector:
+    """mat applied to dimension i of vec, whose axis becomes ``axis``."""
+    return RepVector.from_array(vec.axes[:i] + (axis,) + vec.axes[i + 1:],
+                                (vec.array.swapaxes(i, -1) @ mat.T).swapaxes(i, -1))
 
 
 def rho_apply(g: MetaplecticElement, vec: RepVector) -> RepVector:
     """Apply the tensor-product representation at g to a vector.
 
     Each axis transforms under the Weil representation of its group (the
-    conjugate representation on dual axes).
+    conjugate representation on dual axes): the generator matrices of g's
+    word, the same ones rho_matrix multiplies, act along every axis.
     """
-    elements = [ax.group.elements() for ax in vec.axes]
-    out = vec.coeffs
     for kind, power in reversed(word_decompose(g).tokens):
         for i, ax in enumerate(vec.axes):
-            mat = _generator_power(ax.group, kind, power, ax.dual)
-            new = {}
-            for key, val in out.items():
-                column = mat[:, ax.group.index(key[i])]
-                for row in np.nonzero(np.abs(column) > 1e-16)[0]:
-                    new_key = key[:i] + (elements[i][row],) + key[i + 1:]
-                    new[new_key] = new.get(new_key, 0j) + column[row] * val
-            out = new
-    return RepVector(vec.axes, out)
+            vec = _along(_generator_power(ax.group, kind, power, ax.dual), vec, i, ax)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +339,22 @@ def _locate_axis(vec: RepVector, group: DiscriminantGroup, axis: int | None) -> 
 
 
 def up_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
-    """C[D_big] -> C[D_small]: spread each basis vector over its glue fiber."""
+    """C[D_big] -> C[D_small]: spread each basis vector over its glue fiber
+    (the transpose of down_matrix along the axis)."""
     i = _locate_axis(vec, gm.big_disc, axis)
-    new_axes = vec.axes[:i] + (Axis(gm.small_disc, vec.axes[i].dual),) + vec.axes[i + 1:]
-    out = {}
-    for key, val in vec.coeffs.items():
-        for delta in gm.up[key[i]]:
-            new_key = key[:i] + (delta,) + key[i + 1:]
-            out[new_key] = out.get(new_key, 0j) + val
-    return RepVector(new_axes, out)
+    return _along(down_matrix(gm).T, vec, i, Axis(gm.small_disc, vec.axes[i].dual))
 
 
 def down_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
-    """C[D_small] -> C[D_big]: collapse glue cosets, kill non-orthogonal indices."""
+    """C[D_small] -> C[D_big]: collapse glue cosets, kill non-orthogonal indices
+    (down_matrix along the axis)."""
     i = _locate_axis(vec, gm.small_disc, axis)
-    new_axes = vec.axes[:i] + (Axis(gm.big_disc, vec.axes[i].dual),) + vec.axes[i + 1:]
-    out = {}
-    for key, val in vec.coeffs.items():
-        gamma = gm.down.get(key[i])
-        if gamma is None:
-            continue
-        new_key = key[:i] + (gamma,) + key[i + 1:]
-        out[new_key] = out.get(new_key, 0j) + val
-    return RepVector(new_axes, out)
+    return _along(down_matrix(gm), vec, i, Axis(gm.big_disc, vec.axes[i].dual))
 
 
 def down_matrix(gm: GlueMap) -> np.ndarray:
-    """The 0/1 matrix of down_arrow, rows D_big and columns D_small in element
-    order; up_arrow is its transpose."""
-    mat = np.zeros((gm.big_disc.order, gm.small_disc.order))
-    for delta, gamma in gm.down.items():
-        mat[gm.big_disc.index(gamma), gm.small_disc.index(delta)] = 1.0
-    return mat
+    """The 0/1 matrix of down_arrow (GlueMap.down_matrix); up_arrow is its transpose."""
+    return gm.down_matrix
 
 
 def pair(u: RepVector, v: RepVector, groups=None):
@@ -384,26 +387,18 @@ def pair(u: RepVector, v: RepVector, groups=None):
             raise IndexMismatch("no unique complementary axis for pairing")
         u_idx.append(iu[0])
         v_idx.append(iv[0])
-    u_rest = [i for i in range(len(u.axes)) if i not in u_idx]
-    v_rest = [i for i in range(len(v.axes)) if i not in v_idx]
-    out_axes = tuple(u.axes[i] for i in u_rest) + tuple(v.axes[i] for i in v_rest)
-    v_by_match = {}
-    for kv, cv in v.coeffs.items():
-        v_by_match.setdefault(tuple(kv[i] for i in v_idx), []).append((kv, cv))
-    out = {}
-    for ku, cu in u.coeffs.items():
-        for kv, cv in v_by_match.get(tuple(ku[i] for i in u_idx), ()):
-            key = tuple(ku[i] for i in u_rest) + tuple(kv[i] for i in v_rest)
-            out[key] = out.get(key, 0j) + cu * cv
+    out_axes = tuple(ax for i, ax in enumerate(u.axes) if i not in u_idx) \
+        + tuple(ax for i, ax in enumerate(v.axes) if i not in v_idx)
+    out = np.tensordot(u.array, v.array, axes=(u_idx, v_idx))
     if not out_axes:
-        return out.get((), 0j)
-    return RepVector(out_axes, out)
+        return complex(out)
+    return RepVector.from_array(out_axes, out)
 
 
 def identity_vector(group: DiscriminantGroup) -> RepVector:
     """Sum of e_d (x) e*_d over D: the identity of End(C[D]) under duality."""
     axes = (Axis(group, dual=False), Axis(group, dual=True))
-    return RepVector(axes, {(d, d): 1.0 + 0j for d in group.elements()})
+    return RepVector.from_array(axes, np.eye(group.order, dtype=complex))
 
 
 def reindex_axis(vec: RepVector, axis_index: int, new_group: DiscriminantGroup,
@@ -414,11 +409,11 @@ def reindex_axis(vec: RepVector, axis_index: int, new_group: DiscriminantGroup,
     sets agree); this is how a vector over the group of a rescaled lattice is
     viewed as a dual-axis vector over the original group.
     """
-    mapping = element_identification(vec.axes[axis_index].group, new_group)
+    old_group = vec.axes[axis_index].group
+    mapping = element_identification(old_group, new_group)
+    target = [new_group.index(mapping(x)) for x in old_group.elements()]
+    if sorted(target) != list(range(new_group.order)):
+        raise IndexMismatch("the element identification is not a bijection")
     new_axes = vec.axes[:axis_index] + (Axis(new_group, new_dual),) \
         + vec.axes[axis_index + 1:]
-    out = {}
-    for key, val in vec.coeffs.items():
-        new_key = key[:axis_index] + (mapping(key[axis_index]),) + key[axis_index + 1:]
-        out[new_key] = out.get(new_key, 0j) + val
-    return RepVector(new_axes, out)
+    return RepVector.from_array(new_axes, vec.array.take(np.argsort(target), axis_index))

@@ -10,7 +10,9 @@ from vvtheta import (
     QExpansionForm,
     UnknownCheck,
     construct_lattice,
+    make_grassmann_point,
     run_scenario,
+    siegel_theta,
     sublattice,
 )
 from vvtheta.cli import (
@@ -19,7 +21,9 @@ from vvtheta.cli import (
     load_expansion,
     main,
     qexpansion_to_json,
+    theta_to_json,
 )
+from vvtheta.grassmann import constant_poly
 
 SCENARIO = {
     "name": "cli-test",
@@ -217,6 +221,21 @@ def test_cli_matches_golden(tmp_path, case):
     assert proc.stdout == golden.read_text()
 
 
+def test_cli_theta_float_span(tmp_path):
+    # a JSON float in span_plus stays a float, so the splitting takes the float
+    # path; as the exact binary Fraction of 0.3 it would overflow the exact build
+    files = [write_json(tmp_path / "ii11.json", CLI_INPUTS["ii11"]),
+             write_json(tmp_path / "g.json", {"span_plus": [[1, 0.3]]})]
+    proc = subprocess.run([sys.executable, "-m", "vvtheta", "theta", "--lattice", files[0],
+                           "--grassmann", files[1], "--tau", "0.13,0.87", "--bound", "6"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ii11 = construct_lattice([[0, 1], [1, 0]])
+    theta = siegel_theta(ii11, 0.13 + 0.87j, make_grassmann_point(ii11, [[1, 0.3]]),
+                         constant_poly(1, 1), None, 6)
+    assert json.loads(proc.stdout)["coefficients"] == theta_to_json(theta)["coefficients"]
+
+
 def test_theta_negative_bound_exits_with_error(tmp_path, capsys):
     # a negative bound is a usage error (exit 2), not a crash in the tail bound
     lat_file = write_json(tmp_path / "a2.json", {"gram": [[2, 1], [1, 2]]})
@@ -240,9 +259,6 @@ def test_emit_roundtrip_and_determinism(tmp_path):
 
 
 def test_theta_emit_deterministic(tmp_path):
-    from vvtheta import make_grassmann_point, siegel_theta
-    from vvtheta.grassmann import constant_poly
-
     ii = construct_lattice([[0, 1], [1, 0]])
     v = make_grassmann_point(ii, [[1, 1]])
     theta = siegel_theta(ii, 0.3 + 0.9j, v, constant_poly(1, 1), None, 8.0)

@@ -632,7 +632,7 @@ def test_mixed_trivial_glue_structure(a1a1_split):
     # tensor-with-identity structure: component ((dm, dp), dm) = theta_perp[dp]
     for key, val in theta.value.coeffs.items():
         gamma_l, delta_m = key
-        dm, dp = sd.split(sd.gm.up[gamma_l][0])
+        dm, dp = sd.split(next(d for d, g in sd.gm.down.items() if g == gamma_l))
         assert dm == delta_m
         assert abs(val - scalar.value.get((dp,))) < 1e-12
 

@@ -386,3 +386,63 @@ def test_pair_index_mismatch(a1, a2):
         pair(u, v)
     with pytest.raises(IndexMismatch):
         pair(u, u)  # same duality, no complementary axis
+
+
+def test_rep_vector_keys_are_strict(a1):
+    d = discriminant_group(a1)
+    axes = (Axis(d),)
+    v = RepVector(axes, {((1,),): 2 - 1j})
+    assert v.get(((1,),)) == 2 - 1j and v.get(((0,),)) == 0
+    # an unreduced component or a key of the wrong arity is an error, not a
+    # wrapped-around or missing index
+    for key in (((2,),), ((-1,),), ((0,), (0,)), ()):
+        with pytest.raises(IndexMismatch):
+            v.get(key)
+        with pytest.raises(IndexMismatch):
+            RepVector(axes, {key: 1.0})
+    with pytest.raises(IndexMismatch):
+        RepVector.from_array(axes, np.zeros(3))
+    with pytest.raises(IndexMismatch):
+        RepVector.from_array(axes + axes, np.zeros(2))
+    # coeffs lists the nonzero entries, read-only, and rebuilds the vector
+    assert v.coeffs == {((1,),): 2 - 1j}
+    with pytest.raises(TypeError):
+        v.coeffs[((0,),)] = 1.0
+    assert np.array_equal(RepVector(axes, v.coeffs).array, v.array)
+
+
+def test_multi_axis_routes_match_kronecker_forms(a1, a2, glue):
+    # a 3-axis vector over A1, A2(2)* and A1 (+) A1(-1), the last the small
+    # group of the glue map, against Kronecker products of the matrix forms
+    rng = np.random.default_rng(31)
+    groups = (discriminant_group(a1), discriminant_group(rescale(a2, 2)), glue.small_disc)
+    axes = tuple(Axis(g, dual) for g, dual in zip(groups, (False, True, False)))
+    shape = tuple(g.order for g in groups)
+
+    def random_array(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    arr = random_array(shape)
+    vec = RepVector.from_array(axes, arr)
+    rng_words = random.Random(32)
+    for g in (MP_T, MP_S, MP_Z, random_element(rng_words), random_element(rng_words)):
+        kron = np.ones((1, 1))
+        for ax in axes:
+            kron = np.kron(kron, rho_matrix(ax.group, g, ax.dual))
+        got = rho_apply(g, vec).array
+        assert np.abs(got.ravel() - kron @ arr.ravel()).max() < 1e-12
+    # the arrows along the last axis contract it with down_matrix (up: transpose)
+    down = down_matrix(glue)
+    lowered = down_arrow(glue, vec, axis=2)
+    assert lowered.axes == axes[:2] + (Axis(glue.big_disc),)
+    assert np.abs(lowered.array - np.einsum("ij,abj->abi", down, arr)).max() < 1e-14
+    assert down_arrow(glue, vec).axes == lowered.axes
+    raised = up_arrow(glue, lowered, axis=2)
+    assert raised.axes == axes
+    assert np.abs(raised.array - np.einsum("ji,abj->abi", down, lowered.array)).max() < 1e-14
+    # pairing contracts A2(2)* and the small group against a (small*, A2(2)) vector
+    w_arr = random_array((shape[2], shape[1]))
+    w = RepVector.from_array((Axis(groups[2], True), Axis(groups[1], False)), w_arr)
+    paired = pair(vec, w)
+    assert paired.axes == axes[:1]
+    assert np.abs(paired.array - np.einsum("abc,cb->a", arr, w_arr)).max() < 1e-12
