@@ -182,19 +182,20 @@ def span_from_json(rows) -> list:
 
 
 def parse_tau(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"tau must be 'x,y', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+    try:
+        x, y = map(float, text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"tau must be 'x,y', got {text!r}") from exc
+    return complex(x, y)
 
 
 def parse_element(text: str) -> MetaplecticElement:
-    parts = [int(p) for p in text.split(",")]
+    parts = parse_vector(text)
     if len(parts) == 4:
         parts.append(1)
-    if len(parts) != 5:
-        raise ParseError("element must be 'a,b,c,d[,branch]'")
-    return MetaplecticElement(*parts[:4], branch=parts[4])
+    if len(parts) != 5 or any(p.denominator != 1 for p in parts):
+        raise ParseError("element must be 'a,b,c,d[,branch]' with integer entries")
+    return MetaplecticElement(*map(int, parts[:4]), branch=int(parts[4]))
 
 
 def parse_vector(text: str) -> list:
@@ -227,10 +228,12 @@ class Scenario:
             self.ambient = self.lattices[sub["ambient"]]
             self.m_sub = sublattice(self.ambient, sub["basis"])
         self._setup_split()
-        alpha = data.get("alpha")
-        beta = data.get("beta")
-        self.alpha = [parse_frac(x) for x in alpha] if alpha else None
-        self.beta = [parse_frac(x) for x in beta] if beta else None
+        shifts = [data.get("alpha"), data.get("beta")]
+        rank = self.ambient.rank if self.ambient is not None else None
+        if any(v and len(v) != rank for v in shifts):
+            raise ParseError("alpha and beta need one entry per ambient basis vector")
+        self.alpha, self.beta = ([parse_frac(x) for x in v or [0] * rank] if any(shifts)
+                                 else None for v in shifts)
         self.form = None
         if "form" in data:
             fdata = data["form"]
@@ -273,7 +276,7 @@ class Scenario:
     @property
     def pair(self):
         """The shift pair (alpha, beta), or None for no shift."""
-        return (self.alpha, self.beta) if self.alpha else None
+        return (self.alpha, self.beta) if self.alpha is not None else None
 
 
 def _check_weil_relations(sc: Scenario) -> float:
@@ -569,8 +572,7 @@ def _scenario_subset(args, wanted) -> int:
     if args.tolerance is not None:
         data["tolerance"] = args.tolerance
     if args.tau_samples:
-        data["tau_samples"] = [[float(p) for p in s.split(",")]
-                               for s in args.tau_samples]
+        data["tau_samples"] = [[t.real, t.imag] for t in map(parse_tau, args.tau_samples)]
     report = _run_checks(Scenario(data))
     sys.stdout.write(canonical_dumps(report))
     return 0 if report["pass"] else 1

@@ -47,6 +47,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _object_rows(xs, k: int) -> np.ndarray:
+    """Rows of k Smith coordinates as an array of Python ints, so products
+    with the big integer matrices of the model cannot overflow."""
+    return np.asarray(xs, dtype=np.int64).reshape(len(xs), k).astype(object)
+
+
+def _integer_rows(rows, n: int) -> tuple[np.ndarray, int]:
+    """(num, den) with rows = num / den: Python ints over a common denominator."""
+    rows = [[Fraction(c) for c in row] for row in rows]
+    den = math.lcm(1, *(c.denominator for row in rows for c in row))
+    num = np.array([[int(c * den) for c in row] for row in rows], dtype=object)
+    return num.reshape(len(rows), n), den
+
+
 @cache
 def unit_roots(n: int) -> np.ndarray:
     """Read-only table of e(k/n) for k = 0..n-1, each computed by two_pi_e."""
@@ -61,7 +75,7 @@ class DiscriminantGroup:
     elementary_divisors: tuple[int, ...]
     generators: tuple[tuple[Fraction, ...], ...]  # dual vectors in L-coords
     order: int
-    _u_transform: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    _dual_map: tuple[tuple[int, ...], ...] = field(repr=False, default=())  # U G
     _full_divisors: tuple[int, ...] = field(repr=False, default=())
 
     def zero(self) -> DiscElement:
@@ -83,36 +97,32 @@ class DiscriminantGroup:
                 f"|D| = {self.order} exceeds enumeration cap {cap}")
         return list(itertools.product(*(range(d) for d in self.elementary_divisors)))
 
-    def index(self, x: DiscElement) -> int:
-        """Position of x in elements()."""
-        out = 0
-        for c, d in zip(x, self.elementary_divisors):
+    def index(self, x):
+        """Position of x in elements(); for an (m x k) array, of each row."""
+        out, cols = (np.zeros(len(x), np.int64), x.T) if isinstance(x, np.ndarray) else (0, x)
+        for c, d in zip(cols, self.elementary_divisors):
             out = out * d + c % d
         return out
 
+    @cached_property
+    def _generator_matrix(self) -> tuple[np.ndarray, int]:
+        """(num, den): the generators are the rows of num / den."""
+        return _integer_rows(self.generators, self.lattice.rank)
+
+    def dual_vectors(self, xs) -> list[list[Fraction]]:
+        """Dual-lattice representatives of the rows of xs, in lattice coordinates:
+        xs times the integer generator matrix, over its denominator."""
+        num, den = self._generator_matrix
+        return [[Fraction(v, den) for v in row]
+                for row in (_object_rows(xs, len(num)) @ num).tolist()]
+
     def dual_vector(self, x: DiscElement) -> list[Fraction]:
         """A dual-lattice representative of x, in lattice coordinates."""
-        n = self.lattice.rank
-        v = [Fraction(0)] * n
-        for c, g in zip(x, self.generators):
-            for i in range(n):
-                v[i] += c * g[i]
-        return v
-
-    @cached_property
-    def dual_vectors(self) -> tuple:
-        """dual_vector(x) for every element, in elements() order (read-only)."""
-        return tuple(tuple(self.dual_vector(x)) for x in self.elements())
+        return self.dual_vectors([x])[0]
 
     def from_dual(self, vec) -> DiscElement:
         """Coordinates of the class of a dual vector; NotInDual if outside L*."""
-        vec = [Fraction(v) for v in vec]
-        gv = exact.mat_vec(self.lattice.gram_rows(), vec)
-        if not exact.is_integral(gv):
-            raise NotInDual(f"vector {vec} does not pair integrally with the lattice")
-        gv = [int(x) for x in gv]
-        return tuple(sum(u * x for u, x in zip(row, gv)) % d
-                     for row, d in zip(self._u_transform, self._full_divisors) if d > 1)
+        return lift_map(self, [vec])((1,))
 
     @cached_property
     def level_forms(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -172,10 +182,7 @@ class DiscriminantGroup:
     @cached_property
     def neg_table(self) -> np.ndarray:
         """Index of -x for every element x (read-only)."""
-        out = np.zeros(self.order, dtype=np.int64)
-        for c, d in zip(self.element_array().T, self.elementary_divisors):
-            out = out * d + (-c) % d
-        return _read_only(out)
+        return _read_only(self.index(-self.element_array()))
 
     @cached_property
     def weil_matrices(self) -> dict:
@@ -184,10 +191,7 @@ class DiscriminantGroup:
         return {}
 
     def element_order(self, x: DiscElement) -> int:
-        out = 1
-        for c, d in zip(x, self.elementary_divisors):
-            out = out * (d // math.gcd(c, d)) // math.gcd(out, d // math.gcd(c, d))
-        return out
+        return math.lcm(*(d // math.gcd(c, d) for c, d in zip(x, self.elementary_divisors)))
 
     def __repr__(self):
         divs = "x".join(f"Z/{d}" for d in self.elementary_divisors) or "0"
@@ -206,32 +210,17 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """
     if lat in _DISC_CACHE:
         return _DISC_CACHE[lat]
-    n = lat.rank
-    if n == 0:
-        group = DiscriminantGroup(lattice=lat, elementary_divisors=(), generators=(),
-                                  order=1, _u_transform=(), _full_divisors=())
-        _DISC_CACHE[lat] = group
-        return group
-    d, u, v = exact.snf(lat.gram_rows())
-    divisors = [abs(d[i][i]) for i in range(n)]
-    g_inv = exact.mat_inv(lat.gram_rows())
-    u_inv = exact.mat_inv(exact.frac_matrix(u))
-    gens = []
-    kept = []
-    for i in range(n):
-        if divisors[i] > 1:
-            col = [u_inv[r][i] for r in range(n)]
-            gens.append(tuple(exact.mat_vec(g_inv, col)))
-            kept.append(divisors[i])
-    order = 1
-    for di in divisors:
-        order *= di
+    d, u, _v = exact.snf(lat.gram_rows())
+    divisors = [abs(d[i][i]) for i in range(lat.rank)]
+    lifts = exact.transpose(exact.mat_mul(exact.mat_inv(lat.gram_rows()),
+                                          exact.mat_inv(exact.frac_matrix(u))))
+    kept = [i for i, di in enumerate(divisors) if di > 1]
     group = DiscriminantGroup(
         lattice=lat,
-        elementary_divisors=tuple(kept),
-        generators=tuple(gens),
-        order=order,
-        _u_transform=tuple(tuple(int(x) for x in row) for row in u),
+        elementary_divisors=tuple(divisors[i] for i in kept),
+        generators=tuple(tuple(lifts[i]) for i in kept),
+        order=math.prod(divisors),
+        _dual_map=tuple(map(tuple, exact.mat_mul(u, lat.gram_rows()))),
         _full_divisors=tuple(divisors),
     )
     _DISC_CACHE[lat] = group
@@ -263,16 +252,9 @@ def check_isotropic(group: DiscriminantGroup, generators) -> IsotropicSubgroup:
             raise NotSubgroup(f"element {g} has wrong coordinate arity")
         gens.append(tuple(c % d for c, d in zip(g, group.elementary_divisors)))
     elements = {group.zero()}
-    frontier = [group.zero()]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.add(x, g)
-            if y not in elements:
-                elements.add(y)
-                frontier.append(y)
-                if len(elements) > group.order:
-                    raise NotSubgroup("closure exceeded the group order")
+    for g in gens:  # add the multiples of each generator in turn
+        elements = {group.add(x, group.scale(c, g))
+                    for x in elements for c in range(group.element_order(g))}
     for h in elements:
         if group.q(h) != 0:
             raise NotIsotropic(f"element {h} has q = {group.q(h)}")
@@ -302,13 +284,8 @@ def disc_projection(sub: Sublattice, vec) -> DiscElement:
     the ambient dual lattice; the output is its image under the projection
     L* -> M* -> D_M.
     """
-    amb = sub.ambient
-    vec = [Fraction(v) for v in vec]
-    gv = exact.mat_vec(amb.gram_rows(), vec)
-    if not exact.is_integral(gv):
-        raise NotInDual("vector is not in the ambient dual lattice")
-    coords = sub.coords_of(vec)  # projection in sublattice coordinates
-    return discriminant_group(sub.lattice).from_dual(coords)
+    discriminant_group(sub.ambient).from_dual(vec)  # NotInDual outside the ambient dual
+    return discriminant_group(sub.lattice).from_dual(sub.coords_of(vec))
 
 
 def gauss_sum_residual(group: DiscriminantGroup, sig_plus: int, sig_minus: int) -> float:
@@ -337,8 +314,7 @@ def overlattice_from_isotropic(small: Lattice, sub: IsotropicSubgroup) -> Overla
     group = sub.parent
     if group.lattice != small:
         raise NotSubgroup("subgroup does not live on the discriminant group of this lattice")
-    lifts = [group.dual_vector(g) for g in sub.generators]
-    emb = embedding_matrix(small, lifts)
+    emb = embedding_matrix(small, group.dual_vectors(sub.generators))
     if emb.index != sub.order:
         raise NotIsotropic("overlattice index does not match the subgroup order")
     return OverlatticeEmbedding(small=emb.small, big=emb.big, glue=emb.glue,
@@ -358,84 +334,101 @@ class GlueMap:
     small_disc: DiscriminantGroup
     big_disc: DiscriminantGroup
     subgroup: IsotropicSubgroup
-    down: dict
+    _domain: np.ndarray = field(repr=False, compare=False)  # H-perp, in element order
+    _image: np.ndarray = field(repr=False, compare=False)   # its classes in D_big
 
     @property
     def glue_order(self) -> int:
         return self.subgroup.order
 
     @cached_property
+    def down(self) -> dict:
+        """Each element of H-perp -> its class in D_big."""
+        return dict(zip(map(tuple, self._domain.tolist()), map(tuple, self._image.tolist())))
+
+    @cached_property
     def down_matrix(self) -> np.ndarray:
         """The 0/1 matrix of ``down``: rows D_big, columns D_small (read-only)."""
         mat = np.zeros((self.big_disc.order, self.small_disc.order))
-        for delta, gamma in self.down.items():
-            mat[self.big_disc.index(gamma), self.small_disc.index(delta)] = 1.0
+        mat[self.big_disc.index(self._image), self.small_disc.index(self._domain)] = 1.0
         return _read_only(mat)
 
 
 def glue_map(emb: OverlatticeEmbedding, subgroup: IsotropicSubgroup | None = None) -> GlueMap:
-    """Build the coset maps H-perp -> D_big for an overlattice embedding."""
+    """Build the coset maps H-perp -> D_big for an overlattice embedding: the
+    lift_map of g -> glue^-1 g on the generators of D_small, applied to H-perp."""
     small_disc = discriminant_group(emb.small)
     big_disc = discriminant_group(emb.big)
     sub = subgroup if subgroup is not None else emb.glue_group
     if sub is None:
         # glue group = image of the big lattice in D_small, generated by the
         # classes of the big basis vectors (the columns of glue)
-        gens = [small_disc.from_dual(col) for col in exact.transpose(emb.glue_rows())]
-        sub = check_isotropic(small_disc, gens)
+        columns = lift_map(small_disc, exact.transpose(emb.glue_rows()))
+        sub = check_isotropic(small_disc, columns.apply(np.eye(emb.small.rank, dtype=np.int64)))
     glue_inv = exact.mat_inv(emb.glue_rows())
-    down = {}
-    for delta in orthogonal_subgroup(sub):
-        nu_small = small_disc.dual_vector(delta)
-        nu_big = exact.mat_vec(glue_inv, nu_small)
-        gamma = big_disc.from_dual(nu_big)
-        down[delta] = gamma
-    if len(down) != big_disc.order * sub.order:
+    domain = _object_rows(orthogonal_subgroup(sub), len(small_disc.elementary_divisors))
+    if len(domain) != big_disc.order * sub.order:
         raise NotIsotropic("orthogonal subgroup size does not match |D_big| * |H|")
+    image = lift_map(big_disc, [exact.mat_vec(glue_inv, g)
+                                for g in small_disc.generators]).apply(domain)
     return GlueMap(embedding=emb, small_disc=small_disc, big_disc=big_disc,
-                   subgroup=sub, down=down)
+                   subgroup=sub, _domain=domain.astype(np.int64), _image=image)
 
 
 def disc_product_iso(sum_disc: DiscriminantGroup,
                      left: DiscriminantGroup, right: DiscriminantGroup):
-    """combine/split functions between D_{L1 (+) L2} and D_{L1} x D_{L2}.
+    """(combine, split_left, split_right): the lift maps between D_{L1 (+) L2}
+    and D_{L1} x D_{L2}.
 
     The sum group must come from the block-diagonal Gram matrix of the two
-    factors, in that order.  Both maps are group homomorphisms, so each is
-    an integer matrix on Smith coordinates: the images of the generators,
-    found once through their dual-vector lifts, summed with the input
-    coordinates as weights, modulo the target's elementary divisors.
+    factors, in that order.  ``combine`` takes the concatenated coordinates
+    (x, y); the split maps send an element of the sum to its two parts.
     """
     n1, n2 = left.lattice.rank, right.lattice.rank
-    combine_pair = lift_map(sum_disc, [list(g) + [0] * n2 for g in left.generators]
-                            + [[0] * n1 + list(h) for h in right.generators])
-    split_left = lift_map(left, [g[:n1] for g in sum_disc.generators])
-    split_right = lift_map(right, [g[n1:] for g in sum_disc.generators])
-
-    def combine(x, y) -> DiscElement:
-        return combine_pair(tuple(x) + tuple(y))
-
-    def split(z: DiscElement):
-        return split_left(z), split_right(z)
-
-    return combine, split
+    combine = lift_map(sum_disc, [list(g) + [0] * n2 for g in left.generators]
+                       + [[0] * n1 + list(h) for h in right.generators])
+    return (combine, lift_map(left, [g[:n1] for g in sum_disc.generators]),
+            lift_map(right, [g[n1:] for g in sum_disc.generators]))
 
 
-def lift_map(target: DiscriminantGroup, lifts):
+@dataclass(frozen=True, eq=False)
+class _LiftMap:
+    """x -> the class in ``target`` of the lift sum_k x_k lifts[k]: U G times
+    that lift is matrix x / den, integral iff the lift is in the target's
+    dual, and its kept rows mod the elementary divisors are the image."""
+
+    target: DiscriminantGroup
+    matrix: np.ndarray  # n x k Python ints: den U G times the lifts as columns
+    den: int
+
+    def apply(self, xs) -> np.ndarray:
+        """Images of the rows of an (m x k) array, as int64; NotInDual if a
+        row lifts outside the target's dual lattice."""
+        xs = _object_rows(xs, self.matrix.shape[1])
+        ugv = xs @ self.matrix.T
+        outside = (ugv % self.den != 0).any(axis=1)
+        if outside.any():
+            raise NotInDual(f"{xs[outside][0].tolist()} lifts outside the dual lattice "
+                            f"of {self.target.lattice!r}")
+        kept = np.array(self.target._full_divisors) > 1
+        divisors = np.array(self.target.elementary_divisors, dtype=object)
+        return (ugv[:, kept] // self.den % divisors).astype(np.int64)
+
+    def __call__(self, x) -> DiscElement:
+        return tuple(self.apply([x])[0].tolist())
+
+
+def lift_map(target: DiscriminantGroup, lifts) -> _LiftMap:
     """The homomorphism sending the k-th generator of a source group to the
-    class of the dual vector lifts[k] in ``target``: the images are found once
-    by from_dual, then summed with the coordinates as weights, mod the
-    target's elementary divisors."""
-    images = [target.from_dual(v) for v in lifts]
-
-    def image(x: DiscElement) -> DiscElement:
-        return tuple(sum(c * img[i] for c, img in zip(x, images)) % d
-                     for i, d in enumerate(target.elementary_divisors))
-
-    return image
+    class in ``target`` of lifts[k], a vector in target lattice coordinates.
+    Only whole combinations must lie in the dual, so the domain may be a
+    subgroup, such as H-perp for a glue map."""
+    n = target.lattice.rank
+    num, den = _integer_rows(lifts, n)
+    return _LiftMap(target, np.array(target._dual_map, dtype=object).reshape(n, n) @ num.T, den)
 
 
-def element_identification(source: DiscriminantGroup, target: DiscriminantGroup):
+def element_identification(source: DiscriminantGroup, target: DiscriminantGroup) -> _LiftMap:
     """x -> target.from_dual(source.dual_vector(x)) for two groups of the same
     dual lattice, such as those of L and L(-1)."""
     return lift_map(target, source.generators)

@@ -311,10 +311,6 @@ def saturate_columns(gens) -> tuple[list[list[int]], bool]:
     return basis, primitive
 
 
-def is_integral(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
-
-
 def mod1(x: Fraction) -> Fraction:
     """Reduce a rational to the canonical representative in [0, 1)."""
     x = Fraction(x)

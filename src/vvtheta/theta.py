@@ -651,7 +651,8 @@ def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
     _check_bound(bound)
     group = discriminant_group(lat)
     series = laplacian_series(poly)
-    cosets = [((gamma,), vec) for gamma, vec in zip(group.elements(), group.dual_vectors)]
+    elements = group.elements()
+    cosets = [((gamma,), vec) for gamma, vec in zip(elements, group.dual_vectors(elements))]
     prefactor = Fraction(lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(lat, point, series, cosets, pair_vectors, bound, prefactor)
     return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.majorant_np,
@@ -682,7 +683,7 @@ class SplitData:
 
     The inner direct sum has block Gram matrix; ``emb`` realizes L as its
     overlattice (glue = C^{-1} for C = [basis_M | basis_Mperp]); combine and
-    split translate between D_sum and D_M x D_Mperp.
+    split translate between D_sum and D_M x D_Mperp (disc_product_iso).
     """
 
     ambient: Lattice
@@ -695,9 +696,15 @@ class SplitData:
     d_perp: DiscriminantGroup
     d_inner: DiscriminantGroup
     d_l: DiscriminantGroup
-    combine: object
-    split: object
+    _combine: object  # D_M x D_perp -> D_sum on concatenated coordinates
+    _split: tuple  # D_sum -> D_M and D_sum -> D_perp
     pair_of_inner: np.ndarray  # per D_inner element, its flat (D_M, D_perp) index
+
+    def combine(self, x, y):
+        return self._combine(tuple(x) + tuple(y))
+
+    def split(self, z):
+        return self._split[0](z), self._split[1](z)
 
 
 _SPLIT_CACHE: dict = {}
@@ -719,13 +726,14 @@ def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
     gm = glue_map(emb)
     d_m = discriminant_group(m_sub.lattice)
     d_perp = discriminant_group(mperp_sub.lattice)
-    combine, split = disc_product_iso(gm.small_disc, d_m, d_perp)
-    pair_of_inner = np.array([d_m.index(x) * d_perp.order + d_perp.index(y)
-                              for x, y in map(split, gm.small_disc.elements())])
+    combine, *split = disc_product_iso(gm.small_disc, d_m, d_perp)
+    xs = gm.small_disc.element_array()
+    pair_of_inner = (d_m.index(split[0].apply(xs)) * d_perp.order
+                     + d_perp.index(split[1].apply(xs)))
     sd = SplitData(ambient=lat, m_sub=m_sub, mperp_sub=mperp_sub, inner=inner,
                    emb=emb, gm=gm, d_m=d_m, d_perp=d_perp,
                    d_inner=gm.small_disc, d_l=gm.big_disc,
-                   combine=combine, split=split, pair_of_inner=pair_of_inner)
+                   _combine=combine, _split=tuple(split), pair_of_inner=pair_of_inner)
     _SPLIT_CACHE[cache_key] = sd
     return sd
 
@@ -772,8 +780,9 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     series = laplacian_series(poly)
     perp_lat = sd.mperp_sub.lattice
     c_rank = sd.m_sub.rank
-    cosets = [((sd.gm.down[delta], sd.split(delta)[0]),
-               sd.d_inner.dual_vector(delta)[c_rank:]) for delta in sorted(sd.gm.down)]
+    hperp = list(sd.gm.down)  # in element order
+    keys = zip(sd.gm.down.values(), map(tuple, sd._split[0].apply(hperp).tolist()))
+    cosets = [(key, lift[c_rank:]) for key, lift in zip(keys, sd.d_inner.dual_vectors(hperp))]
     prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
     axes = (Axis(sd.d_l, dual=False), Axis(sd.d_m, dual=True))
@@ -858,7 +867,7 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     power = Fraction(lat.sig_plus - lat.sig_minus, 2) + poly.degrees[0] - poly.degrees[1]
     d_neg, d_pos = discriminant_group(neg), discriminant_group(lat)
     to_pos = element_identification(d_neg, d_pos)
-    matching = [d_pos.index(to_pos(x)) for x in d_neg.elements()]
+    matching = d_pos.index(to_pos.apply(d_neg.element_array()))
     return [float(np.abs(left.array - tau.imag ** float(power)
                          * right.array[matching].conj()).max())
             for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus))]

@@ -411,8 +411,8 @@ def reindex_axis(vec: RepVector, axis_index: int, new_group: DiscriminantGroup,
     """
     old_group = vec.axes[axis_index].group
     mapping = element_identification(old_group, new_group)
-    target = [new_group.index(mapping(x)) for x in old_group.elements()]
-    if sorted(target) != list(range(new_group.order)):
+    target = new_group.index(mapping.apply(old_group.element_array()))
+    if sorted(target.tolist()) != list(range(new_group.order)):
         raise IndexMismatch("the element identification is not a bijection")
     new_axes = vec.axes[:axis_index] + (Axis(new_group, new_dual),) \
         + vec.axes[axis_index + 1:]

@@ -1,6 +1,13 @@
-import pytest
+import os
 
-from vvtheta import (
+# one BLAS thread, as in bench/run.py: the Weil and glue matrix products are
+# small, and thread hand-off costs more than it saves on a loaded host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from vvtheta import (  # noqa: E402
     construct_lattice,
     direct_sum,
     make_grassmann_point,

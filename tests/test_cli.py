@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from vvtheta import (
+    ParseError,
     QExpansionForm,
     UnknownCheck,
     construct_lattice,
@@ -106,6 +107,26 @@ def test_scenario_with_explicit_polys(tmp_path):
     path = write_json(tmp_path / "polys.json", custom)
     report = run_scenario(path)
     assert report["pass"], report
+
+
+def test_scenario_with_one_shift_vector(tmp_path, capsys):
+    # the missing shift vector is zero: alpha alone runs, beta alone gives the
+    # residuals of an explicit zero alpha, and a wrong length is a ParseError
+    base = json.loads(BUNDLED.read_text())
+
+    def residuals(**shifts):
+        data = {k: v for k, v in base.items() if k not in ("alpha", "beta")}
+        report = run_scenario(write_json(tmp_path / "sc.json", dict(data, **shifts)))
+        assert report["pass"], report
+        return {name: r["residual"] for name, r in report["results"].items()}
+
+    residuals(alpha=base["alpha"])
+    assert residuals(beta=base["beta"]) == residuals(alpha=["0", "0"], beta=base["beta"])
+    path = write_json(tmp_path / "short.json", dict(base, alpha=["1/3"]))
+    with pytest.raises(ParseError):
+        run_scenario(path)
+    assert main(["run-scenario", path]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_bundled_scenario_passes():
@@ -305,6 +326,19 @@ def test_cli_theta_and_weil(tmp_path, capsys):
     import math
 
     assert abs(mat[0][0][0] - math.cos(-math.pi / 4) / math.sqrt(2)) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "--lattice", "{lat}", "--tau", "0.1,abc"],
+    ["weil-matrix", "--lattice", "{lat}", "--element", "0,-1,x,0"],
+    ["weil-matrix", "--lattice", "{lat}", "--element", "0,-1,1/2,0"],
+    ["verify-seesaw", "--scenario", "{scenario}", "--tau-samples", "0.2,abc"],
+], ids=["tau", "element", "element_fraction", "tau_samples"])
+def test_cli_malformed_numbers_exit_2(tmp_path, capsys, argv):
+    files = {"lat": write_json(tmp_path / "lat.json", {"gram": [[2]]}),
+             "scenario": write_json(tmp_path / "sc.json", SCENARIO)}
+    assert main([token.format(**files) for token in argv]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_cli_theta_lm_cross(tmp_path, capsys):

@@ -26,7 +26,8 @@ from vvtheta import (
     sublattice,
     two_pi_e,
 )
-from vvtheta.discforms import gauss_sum_residual
+from vvtheta import exact
+from vvtheta.discforms import gauss_sum_residual, lift_map
 from vvtheta.exact import mod1
 
 
@@ -282,3 +283,69 @@ def test_element_identification_matches_dual_vector_lift(test_lattices):
             image = element_identification(source, target)
             for x in source.elements():
                 assert image(x) == target.from_dual(source.dual_vector(x))
+
+
+def _fraction_class(lat, smith, vec):
+    """Smith coordinates of a dual vector in exact Fractions: U G vec mod the
+    divisors, for the Smith form smith = (D, U, V) of the Gram matrix."""
+    d, u, _v = smith
+    gv = exact.mat_vec(lat.gram_rows(), vec)
+    assert all(F(x).denominator == 1 for x in gv)
+    return tuple(int(sum(a * x for a, x in zip(row, gv))) % abs(d[i][i])
+                 for i, row in enumerate(u) if abs(d[i][i]) > 1)
+
+
+def _fraction_down(gm) -> dict:
+    """The per-element push-down: lift delta to sum_i delta_i g_i, map it by
+    glue^-1 and classify it in D_big."""
+    small, big = gm.embedding.small, gm.embedding.big
+    glue_inv = exact.mat_inv(gm.embedding.glue_rows())
+    smith = exact.snf(big.gram_rows())
+    down = {}
+    for delta in orthogonal_subgroup(gm.subgroup):
+        nu = [sum(c * g[i] for c, g in zip(delta, gm.small_disc.generators))
+              for i in range(small.rank)]
+        down[delta] = _fraction_class(big, smith, exact.mat_vec(glue_inv, nu))
+    return down
+
+
+A2A2 = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]
+
+
+def _glue_cases():
+    """(glue map, |H-perp|): four splittings and one overlattice."""
+    a2a2a1 = [row + [0] for row in A2A2] + [[0, 0, 0, 0, -2]]
+    splits = [([[0, 1], [1, 0]], [(1, -1)], 2),
+              (A2A2, [(1, 0, 1, 0), (0, 1, 0, 1)], 36),
+              (a2a2a1, [(1, 0, -1, 0, 0), (0, 1, 0, -1, 0), (0, 0, 0, 0, 1)], 72),
+              ([[2 * x for x in row] for row in A2A2], [(1, 0, 1, 0), (0, 1, 0, 1)], 576)]
+    for gram, basis, size in splits:
+        lat = construct_lattice(gram)
+        yield split_data(lat, sublattice(lat, basis)).gm, size
+    lam = direct_sum(construct_lattice([[2]]), construct_lattice([[-2]]))
+    sub = check_isotropic(discriminant_group(lam), [(1, 1)])
+    yield glue_map(overlattice_from_isotropic(lam, sub)), 2
+
+
+def test_glue_map_matches_fraction_lift():
+    for gm, size in _glue_cases():
+        ref = _fraction_down(gm)
+        assert len(ref) == size
+        assert list(gm.down.items()) == list(ref.items())
+        mat = np.zeros((gm.big_disc.order, gm.small_disc.order))
+        for delta, gamma in ref.items():
+            mat[gm.big_disc.index(gamma), gm.small_disc.index(delta)] = 1.0
+        assert np.array_equal(gm.down_matrix, mat)
+        # the glue lift map is defined on H-perp only
+        glue_inv = exact.mat_inv(gm.embedding.glue_rows())
+        lift = lift_map(gm.big_disc, [exact.mat_vec(glue_inv, g)
+                                      for g in gm.small_disc.generators])
+        assert [tuple(y) for y in lift.apply(list(ref)).tolist()] == list(ref.values())
+        outside = [x for x in gm.small_disc.elements() if x not in ref]
+        assert outside
+        for x in outside[:3]:
+            with pytest.raises(NotInDual):
+                lift.apply([x])
+    # a non-integral pairing on a row with elementary divisor 1 is caught too
+    with pytest.raises(NotInDual):
+        discriminant_group(construct_lattice([[0, 1], [1, 0]])).from_dual([F(1, 3), 0])
