@@ -70,14 +70,27 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    if isinstance(s, float):
-        return Fraction(s)
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(s if isinstance(s, (int, float, Fraction)) else str(s))
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}") from exc
+
+
+def parse_float(x) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad number {x!r}") from exc
+
+
+def int_rows(rows) -> list[list[int]]:
+    """An integer matrix from JSON rows; an entry may be any integral rational."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError(f"expected a list of rows, got {rows!r}")
+    fracs = [[parse_frac(x) for x in row] for row in rows]
+    if any(x.denominator != 1 for row in fracs for x in row):
+        raise ParseError(f"expected integer entries, got {rows!r}")
+    return [[int(x) for x in row] for row in fracs]
 
 
 def complex_pair(z: complex) -> list:
@@ -168,17 +181,26 @@ def lattice_from_json(data, name=None):
 
 
 def poly_from_json(data, nvars_plus: int, nvars_minus: int) -> HomogeneousPolynomial:
-    monomials = {}
-    for key, coeff in data["monomials"].items():
-        expo = tuple(int(c) for c in key.split(",")) if key else ()
-        monomials[expo] = complex(coeff[0], coeff[1])
-    return HomogeneousPolynomial(tuple(data["degrees"]), nvars_plus, nvars_minus,
-                                 monomials)
+    try:
+        monomials = {}
+        for key, coeff in data["monomials"].items():
+            expo = tuple(int(c) for c in key.split(",")) if key else ()
+            monomials[expo] = complex(coeff[0], coeff[1])
+        degrees = tuple(data["degrees"])
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad polynomial {data!r}") from exc
+    return HomogeneousPolynomial(degrees, nvars_plus, nvars_minus, monomials)
 
 
 def span_from_json(rows) -> list:
     """Span rows; a JSON float stays a float (the float path), the rest exact."""
     return [[x if isinstance(x, float) else parse_frac(x) for x in row] for row in rows]
+
+
+def tau_from_json(pair) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ParseError(f"a tau sample must be [x, y], got {pair!r}")
+    return complex(parse_float(pair[0]), parse_float(pair[1]))
 
 
 def parse_tau(text: str) -> complex:
@@ -214,19 +236,19 @@ class Scenario:
         self.lattices = {}
         for lname, spec in data.get("lattices", {}).items():
             self.lattices[lname] = construct_lattice(spec["gram"], name=lname)
-        self.bound = float(data.get("bound", 10.0))
-        self.tolerance = float(data.get("tolerance", 1e-8))
-        self.tau_samples = [complex(x, y) for x, y in
+        self.bound = parse_float(data.get("bound", 10.0))
+        self.tolerance = parse_float(data.get("tolerance", 1e-8))
+        self.tau_samples = [tau_from_json(t) for t in
                             data.get("tau_samples", [[0.2, 1.1], [-0.37, 0.9]])]
         self.checks = data.get("checks", [])
         sub = data.get("sublattice")
         self.m_sub = None
         self.ambient = None
         if sub:
-            if sub["ambient"] not in self.lattices:
-                raise ParseError(f"unknown lattice name {sub['ambient']!r}")
+            if sub.get("ambient") not in self.lattices:
+                raise ParseError(f"unknown lattice name {sub.get('ambient')!r}")
             self.ambient = self.lattices[sub["ambient"]]
-            self.m_sub = sublattice(self.ambient, sub["basis"])
+            self.m_sub = sublattice(self.ambient, int_rows(sub.get("basis")))
         self._setup_split()
         shifts = [data.get("alpha"), data.get("beta")]
         rank = self.ambient.rank if self.ambient is not None else None
@@ -262,6 +284,8 @@ class Scenario:
         self.u = make_grassmann_point(mlat, u_span)
         self.u_perp = make_grassmann_point(plat, up_span)
         polys = self.data.get("polys", {})
+        if not isinstance(polys, dict):
+            raise ParseError(f"polys must be an object, got {polys!r}")
         self.p_u = poly_from_json(polys["p_u"], mlat.sig_plus, mlat.sig_minus) \
             if "p_u" in polys else constant_poly(mlat.sig_plus, mlat.sig_minus)
         self.p_uperp = poly_from_json(polys["p_uperp"], plat.sig_plus, plat.sig_minus) \

@@ -19,10 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .discforms import DiscriminantGroup, discriminant_group, orthogonal_elements
+from .discforms import DiscriminantGroup, discriminant_group
 from .errors import (
     ComplementNotDefinite,
-    GlueDegenerate,
     InconsistentDegrees,
     IndexMismatch,
     PolynomialNotHarmonic,
@@ -36,6 +35,8 @@ from .grassmann import (
 from .lattice import Lattice, Sublattice
 from .theta import (
     Seesaw,
+    TermTable,
+    _fraction_map,
     build_term_table,
     mixed_theta_evaluator,
     siegel_theta,
@@ -156,45 +157,45 @@ def seesaw_contractions(seesaw: Seesaw, form, taus,
 # ---------------------------------------------------------------------------
 # symbolic contraction (positive definite complement)
 
+def _q_series(table: TermTable) -> dict:
+    """Exact-exponent q-series of every key of a positive definite table, as
+    {key index: {exponent: coefficient}}.
+
+    The exponent of a row is half its norm, (a_num + b_num) / ab_den (a
+    float a + b on a float splitting); a coefficient sums the rows'
+    poly[:, 0] in row order, and zero sums are dropped.
+    """
+    if table.ab_den is None:
+        expos = (table.a + table.b).tolist()
+    else:
+        num = table.a_num + table.b_num
+        frac = _fraction_map(num, table.ab_den)
+        expos = [frac[x] for x in num.tolist()]
+    out: dict = {}
+    for k, e, c in zip(table.key_index.tolist(), expos, table.poly[:, 0].tolist()):
+        if c != 0:
+            series = out.setdefault(k, {})
+            series[e] = series.get(e, 0j) + c
+    return {k: {e: c for e, c in series.items() if c != 0} for k, series in out.items()}
+
+
 def theta_series_coset(perp_lat: Lattice, u_perp, poly: HomogeneousPolynomial,
                        coset_vec, bound) -> dict:
-    """Exact-exponent q-series of one coset of a positive definite lattice.
-
-    The exponent of a vector is half its norm, a + b of its table row.
-    """
-    series: dict = {}
-    for t in build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound):
-        coeff = t.poly_coeffs[0]
-        if coeff != 0:
-            expo = t.a + t.b
-            series[expo] = series.get(expo, 0j) + coeff
-    return {e: c for e, c in series.items() if abs(c) > 0}
-
-
-def _subgroup_complement(group: DiscriminantGroup, subgroup_elements):
-    """H perp for a non-degenerate subgroup H of a finite quadratic module,
-    in element order.  Once |H| |H perp| = |D| and H meets H perp only in 0,
-    every element splits uniquely as h + x with h in H and x in H perp."""
-    sub = set(subgroup_elements)
-    perp = orthogonal_elements(group, list(sub))
-    if len(sub) * len(perp) != group.order:
-        raise GlueDegenerate("subgroup is degenerate: |H| * |H perp| != |D|")
-    overlap = sub & set(perp) - {group.zero()}
-    if overlap:
-        raise GlueDegenerate(f"subgroup meets its orthogonal complement in {overlap}")
-    return perp
+    """Exact-exponent q-series of one coset of a positive definite lattice."""
+    table = build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound)
+    return _q_series(table).get(0, {})
 
 
 def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
                       p_uperp: HomogeneousPolynomial,
                       bound: float = 10.0) -> ContractionResult:
-    """Exact q-expansion of the contraction, via glue-coset bookkeeping.
+    """Exact q-expansion of the contraction: the mixed theta's q-series
+    paired with the form over D_L.
 
-    Requires a positive definite complement (its Grassmannian is a point), a
-    harmonic polynomial there, and non-degenerate glue projections.  Each
-    output component on alpha + gamma_M collects the products of the input
-    component on the class of (alpha, beta) with the complement theta series
-    on beta + gamma_perp, over glue elements gamma.
+    Requires a positive definite complement (its Grassmannian is a point)
+    and a harmonic polynomial there.  Each key (gamma_L, delta_M) of the
+    mixed theta table contributes the products of the form's component on
+    gamma_L with that key's q-series to the output component on delta_M.
     """
     sd = split_data(lat, m_sub)
     perp_lat = sd.mperp_sub.lattice
@@ -207,41 +208,17 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
         raise IndexMismatch("form is indexed by a different lattice")
     u_perp = make_grassmann_point(perp_lat, exact.identity(perp_lat.rank))
     p_uperp = _check_perp_poly(p_uperp, perp_lat)
-    # the two projections of each glue element
-    h_split = [sd.split(h) for h in sd.gm.subgroup.elements]
-    if len({hm for hm, _hp in h_split}) != len(h_split):
-        raise GlueDegenerate("glue projection to the sublattice group is not injective")
-    hm_perp = _subgroup_complement(sd.d_m, [hm for hm, _hp in h_split])
-    hp_perp = _subgroup_complement(sd.d_perp, [hp for _hm, hp in h_split])
-    # theta series of every needed complement coset
-    min_f = min(Fraction(0), form.min_exponent())
-    theta_bound = Fraction(bound) - min_f
-    theta_cache = {}
-    for beta in hp_perp:
-        for _hm, hp in h_split:
-            coset = sd.d_perp.add(beta, hp)
-            if coset not in theta_cache:
-                theta_cache[coset] = theta_series_coset(
-                    perp_lat, u_perp, p_uperp,
-                    sd.d_perp.dual_vector(coset), theta_bound)
+    theta_bound = Fraction(bound) - min(Fraction(0), form.min_exponent())
+    table = mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, None, theta_bound).terms
     out: dict = {}
     cap = Fraction(bound)
-    for alpha in hm_perp:
-        for beta in hp_perp:
-            gamma_l = sd.gm.down[sd.combine(alpha, beta)]
-            f_component = form.component(gamma_l)
-            if not f_component:
-                continue
-            for hm, hp in h_split:
-                delta_m = sd.d_m.add(alpha, hm)
-                theta_part = theta_cache[sd.d_perp.add(beta, hp)]
-                for e_f, c_f in f_component.items():
-                    for e_t, c_t in theta_part.items():
-                        e_total = e_f + e_t
-                        if e_total > cap:
-                            continue
-                        key = (delta_m, e_total)
-                        out[key] = out.get(key, 0j) + c_f * c_t
+    for k, theta_part in _q_series(table).items():
+        gamma_l, delta_m = table.keys[k]
+        for e_f, c_f in form.component(gamma_l).items():
+            for e_t, c_t in theta_part.items():
+                if e_f + e_t <= cap:
+                    key = (delta_m, e_f + e_t)
+                    out[key] = out.get(key, 0j) + c_f * c_t
     d_plus, d_minus = p_uperp.degrees
     mixed_weight = Fraction(lat.sig_plus - m_sub.lattice.sig_plus
                             - lat.sig_minus + m_sub.lattice.sig_minus, 2) \

@@ -109,10 +109,6 @@ class ComplementNotDefinite(VvthetaError):
     pass
 
 
-class GlueDegenerate(VvthetaError):
-    pass
-
-
 class InconsistentDegrees(VvthetaError):
     pass
 

@@ -583,7 +583,7 @@ def _tail_bound(q: np.ndarray, translates: int, series, y: float,
 
 def _check_tau(tau: complex) -> complex:
     tau = complex(tau)
-    if tau.imag <= 0:
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag) and tau.imag > 0):
         raise TauNotInUpperHalfPlane(f"tau = {tau}")
     return tau
 

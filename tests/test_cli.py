@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from vvtheta import (
     QExpansionForm,
     UnknownCheck,
     construct_lattice,
+    discriminant_group,
     make_grassmann_point,
     run_scenario,
     siegel_theta,
@@ -19,11 +21,13 @@ from vvtheta import (
 from vvtheta.cli import (
     canonical_dumps,
     emit_expansion,
+    frac_str,
     load_expansion,
     main,
     qexpansion_to_json,
     theta_to_json,
 )
+from vvtheta.exact import mod1
 from vvtheta.grassmann import constant_poly
 
 SCENARIO = {
@@ -92,6 +96,27 @@ def test_run_scenario_unresolved_name(tmp_path):
     path = write_json(tmp_path / "bad_name.json", bad)
     with pytest.raises(ParseError):
         run_scenario(path)
+
+
+#: one malformed entry per scenario field, each a ParseError
+MALFORMED = {
+    "alpha": ["1/3", float("nan")],
+    "tau_samples": [[0.2]],
+    "polys": {"p_uperp": [1, 2]},
+    "bound": "abc",
+    "tolerance": [1],
+    "sublattice": dict(SCENARIO["sublattice"], basis=[[1, "x"]]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MALFORMED))
+def test_run_scenario_rejects_malformed_field(tmp_path, capsys, field):
+    # a malformed entry is a usage error (exit 2), not a traceback with exit 1
+    path = write_json(tmp_path / "bad.json", dict(SCENARIO, **{field: MALFORMED[field]}))
+    with pytest.raises(ParseError):
+        run_scenario(path)
+    assert main(["run-scenario", path]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_scenario_with_explicit_polys(tmp_path):
@@ -188,7 +213,24 @@ def test_scenario_matches_golden(scenario):
     assert proc.stdout == golden.read_text()
 
 
+II11 = json.loads(BUNDLED.read_text())
 GLUED = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
+
+
+def form_json(scenario, terms) -> dict:
+    """A qexpansion file over the scenario's ambient lattice L."""
+    return {"type": "qexpansion", "gram": scenario["lattices"]["L"]["gram"],
+            "weight": scenario["form"]["weight"], "terms": terms}
+
+
+def glued_terms() -> list:
+    """36 seeded complex terms over D_L of the glued lattice, two per class."""
+    group = discriminant_group(construct_lattice(GLUED["lattices"]["L"]["gram"]))
+    rng = random.Random(29)
+    return [{"coset": list(x), "exp": frac_str(mod1(-group.q(x)) + shift),
+             "coef": [round(rng.uniform(-1, 1), 6), round(rng.uniform(-1, 1), 6)]}
+            for x in group.elements() for shift in (0, 1)]
+
 
 #: input files of the golden CLI runs: name -> JSON payload
 CLI_INPUTS = {
@@ -199,13 +241,22 @@ CLI_INPUTS = {
     "ii11": {"gram": [[0, 1], [1, 0]]},
     "ii11_skew": {"span_plus": [[1, "3/10"]]},
     "ii11_x1sq": {"degrees": [2, 0], "monomials": {"2,0": [1.0, 0.0]}},
+    "ii11_m": II11["sublattice"],
+    "ii11_form": form_json(II11, II11["form"]["terms"]),
     "glued": GLUED["lattices"]["L"],
     "glued_m": GLUED["sublattice"],
+    "glued_form": form_json(GLUED, glued_terms()),
+    "glued_harmonic": {"degrees": [2, 0], "monomials": {
+        "1,1": [1.0, 0.0], "2,0": [0.5, 0.0], "0,2": [-0.5, 0.0]}},
 }
 
 #: golden CLI runs: name -> command line, with {input} for an input file;
 #: each prints tests/golden/cli_<name>.json byte for byte
 CLI_CASES = {
+    "contract_ii11": "contract --lattice {ii11} --sublattice {ii11_m} --form {ii11_form} "
+                     "--bound 8",
+    "contract_glued": "contract --lattice {glued} --sublattice {glued_m} --form {glued_form} "
+                      "--poly {glued_harmonic} --bound 4",
     "theta_a2ii11": "theta --lattice {a2ii11} --grassmann {a2ii11_split} "
                     "--poly {a2ii11_x1sq} --tau 0.13,0.87 --bound 8 "
                     "--alpha 1/3,1/5,1/2,1/7 --beta 1/2,1/3,1/5,1/4",
@@ -229,8 +280,8 @@ CLI_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_matches_golden(tmp_path, case):
-    # theta and theta-lm (direct and composed) through the command line, byte
-    # for byte against tests/golden/cli_<case>.json
+    # theta, theta-lm (direct and composed) and contract through the command
+    # line, byte for byte against tests/golden/cli_<case>.json
     files = {name: write_json(tmp_path / f"{name}.json", payload)
              for name, payload in CLI_INPUTS.items()}
     argv = [token.format(**files) for token in CLI_CASES[case].split()]
@@ -263,6 +314,15 @@ def test_theta_negative_bound_exits_with_error(tmp_path, capsys):
     assert main(["theta", "--lattice", lat_file, "--tau", "0.1,1", "--bound", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error: NegativeBound: ")
     assert main(["theta", "--lattice", lat_file, "--tau", "0.1,1", "--bound", "0"]) == 0
+
+
+@pytest.mark.parametrize("tau", ["0,1e400", "0,nan", "inf,1"])
+def test_theta_non_finite_tau_exits_with_error(tmp_path, capsys, tau):
+    # an infinite or NaN part puts tau outside the upper half-plane (exit 2),
+    # where it would otherwise print NaN coefficients
+    lat_file = write_json(tmp_path / "a1.json", {"gram": [[2]]})
+    assert main(["theta", "--lattice", lat_file, "--tau", tau]) == 2
+    assert capsys.readouterr().err.startswith("error: TauNotInUpperHalfPlane: ")
 
 
 def test_emit_roundtrip_and_determinism(tmp_path):

@@ -7,14 +7,15 @@ import pytest
 
 from vvtheta import (
     ComplementNotDefinite,
-    GlueDegenerate,
     InconsistentDegrees,
     IndexMismatch,
     PolynomialNotHarmonic,
     QExpansionForm,
+    build_term_table,
     check_isotropic,
     constant_poly,
     construct_lattice,
+    coordinate_poly,
     contract_pointwise,
     contract_symbolic,
     direct_sum,
@@ -22,9 +23,11 @@ from vvtheta import (
     expected_weights,
     lift_integrand,
     make_grassmann_point,
+    mixed_theta_composed,
     mixed_theta_direct,
     naive_truncated_lift,
     orthogonal_complement,
+    orthogonal_elements,
     overlattice_from_isotropic,
     restriction_residual,
     siegel_theta,
@@ -73,6 +76,10 @@ def test_representation_numbers_oracle(a1_plus_a1):
     d = discriminant_group(mperp.lattice)
     s1 = theta_series_coset(mperp.lattice, u_perp, p, d.dual_vector((1,)), 9.0)
     assert s1 == {F(1, 4): 2, F(9, 4): 2, F(25, 4): 2}
+    # a float splitting of the same point gives float exponents
+    u_float = make_grassmann_point(mperp.lattice, [[1.0]])
+    assert theta_series_coset(mperp.lattice, u_float, p, [0], 9.0) == \
+        {float(e): c for e, c in s0.items()}
 
 
 def test_contract_trivial_glue_convolution(a1_plus_a1):
@@ -224,8 +231,10 @@ def test_contract_rejects_nonharmonic(a1_plus_a1):
         contract_symbolic(form, a1_plus_a1, m_sub, x2, 8.0)
 
 
-def test_contract_rejects_degenerate_glue():
-    # D_M = Z/4 with glue projection {0, 2}: b(2,2) = 0 makes it degenerate
+def test_contract_degenerate_glue_matches_composed():
+    # D_M = Z/4 with glue projection {0, 2}: b(2,2) = 0, so the glue is
+    # degenerate; the contraction is still the form paired with the mixed
+    # theta, here built independently through the down arrow
     lam = construct_lattice([[-4, 0], [0, 4]])
     d = discriminant_group(lam)
     h = check_isotropic(d, [(2, 2)])
@@ -238,8 +247,94 @@ def test_contract_rejects_degenerate_glue():
     dl = discriminant_group(big)
     form = QExpansionForm(big, F(0),
                           {(x, mod1(-dl.q(x))): 1.0 for x in dl.elements()})
-    with pytest.raises(GlueDegenerate):
-        contract_symbolic(form, big, m_sub, constant_poly(1, 0), 6.0)
+    p = constant_poly(1, 0)
+    result = contract_symbolic(form, big, m_sub, p, 6.0)
+    u_perp = make_grassmann_point(split_data(big, m_sub).mperp_sub.lattice, [[1]])
+    for tau in TAUS[:2]:
+        mixed = mixed_theta_composed(big, m_sub, tau, u_perp, p, None, 6.0)
+        paired = pair(mixed.value, form.evaluate(tau), groups=[dl])
+        assert (result.form.evaluate(tau) - paired).norm_inf() < 1e-9
+
+
+def _glue_sum_reference(form, lat, m_sub, poly, bound) -> dict:
+    """The contraction as a sum over glue cosets, for non-degenerate glue:
+    component alpha + h_M collects the form on the class of (alpha, beta)
+    times the complement series on beta + h_perp, over alpha in H_M perp,
+    beta in H_perp perp and h in H, one term table per complement coset."""
+    sd = split_data(lat, m_sub)
+    perp_lat = sd.mperp_sub.lattice
+    u_perp = make_grassmann_point(perp_lat, [[int(i == j) for j in range(perp_lat.rank)]
+                                             for i in range(perp_lat.rank)])
+    h_split = [sd.split(h) for h in sd.gm.subgroup.elements]
+
+    def complement(group, sub):
+        perp = orthogonal_elements(group, sub)
+        assert len(set(sub)) == len(sub) and len(sub) * len(perp) == group.order
+        return perp
+
+    def series(coset):
+        out = {}
+        for t in build_term_table(perp_lat, u_perp, [poly],
+                                  [((), sd.d_perp.dual_vector(coset))], None, theta_bound):
+            if t.poly_coeffs[0] != 0:
+                out[t.a + t.b] = out.get(t.a + t.b, 0j) + t.poly_coeffs[0]
+        return out
+
+    theta_bound = F(bound) - min(F(0), form.min_exponent())
+    out = {}
+    for alpha in complement(sd.d_m, [hm for hm, _hp in h_split]):
+        for beta in complement(sd.d_perp, [hp for _hm, hp in h_split]):
+            f_component = form.component(sd.gm.down[sd.combine(alpha, beta)])
+            for hm, hp in h_split:
+                theta_part = series(sd.d_perp.add(beta, hp))
+                for e_f, c_f in f_component.items():
+                    for e_t, c_t in theta_part.items():
+                        if e_f + e_t <= bound:
+                            key = (sd.d_m.add(alpha, hm), e_f + e_t)
+                            out[key] = out.get(key, 0j) + c_f * c_t
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _glue_cases(a1, a1_neg, a2):
+    a1a1 = direct_sum(a1, a1)
+    yield "a1a1", a1a1, sublattice(a1a1, [(1, 0)])
+    lam = direct_sum(direct_sum(a1_neg, a1_neg), a1)
+    emb = overlattice_from_isotropic(lam, check_isotropic(discriminant_group(lam),
+                                                          [(1, 0, 1)]))
+    glued3 = emb.big
+    yield "glued3", glued3, sublattice(glued3, [[int(x) for x in emb.big_coords(e)]
+                                                for e in ([1, 0, 0], [0, 1, 0])])
+    glued5 = construct_lattice([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0],
+                                [0, 0, 1, 2, 0], [0, 0, 0, 0, -2]])
+    yield "glued5", glued5, sublattice(glued5, [[1, 0, -1, 0, 0], [0, 1, 0, -1, 0],
+                                                [0, 0, 0, 0, 1]])
+    a2a2 = direct_sum(a2, a2)
+    yield "a2a2_diagonal", a2a2, sublattice(a2a2, [[1, 0, 1, 0], [0, 1, 0, 1]])
+
+
+def test_contract_symbolic_matches_glue_sum(a1, a1_neg, a2):
+    # the symbolic contraction against the glue-coset sum on four splittings,
+    # with a constant, a linear and (rank >= 2) a harmonic degree-2 polynomial
+    from vvtheta.exact import mod1
+
+    rng = random.Random(17)
+    for name, lat, m_sub in _glue_cases(a1, a1_neg, a2):
+        dl = discriminant_group(lat)
+        form = QExpansionForm(lat, F(-1, 2), {
+            (x, mod1(-dl.q(x)) + shift): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for x in dl.elements() for shift in (-1, 0, 1)})
+        rank = orthogonal_complement(lat, m_sub).rank
+        polys = [constant_poly(rank, 0), coordinate_poly(rank, 0, 0)]
+        if rank >= 2:
+            polys.append(HomogeneousPolynomial((2, 0), rank, 0, {
+                (1, 1) + (0,) * (rank - 2): 1.0,
+                (2, 0) + (0,) * (rank - 2): 0.5, (0, 2) + (0,) * (rank - 2): -0.5}))
+        for poly in polys:
+            got = contract_symbolic(form, lat, m_sub, poly, 3.0).form.terms
+            expected = _glue_sum_reference(form, lat, m_sub, poly, 3.0)
+            assert set(got) == set(expected), (name, poly)
+            for key, c in expected.items():
+                assert abs(got[key] - c) <= 1e-12 * (1 + abs(c)), (name, poly, key)
 
 
 # ---------------------------------------------------------------------------
