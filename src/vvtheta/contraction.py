@@ -39,6 +39,7 @@ from .theta import (
     _fraction_map,
     build_term_table,
     mixed_theta_evaluator,
+    mixed_theta_family,
     siegel_theta,
     siegel_theta_evaluator,
     split_data,
@@ -139,11 +140,12 @@ def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
     """<mixed theta (tau), F(tau)> over D_L: a vector over the dual of D_M.
 
     ``form`` may be a QExpansionForm, a constant RepVector over the dual
-    axis, or a callable tau -> RepVector.  Builds the mixed theta afresh on
-    every call; seesaw_contractions builds it once for many tau.
+    axis, or a callable tau -> RepVector.  The mixed theta's table is the
+    stored one of mixed_theta_family, so calls at many tau on the same
+    objects and bound build it once.
     """
-    mixed = mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, None, bound)
-    return _contract(split_data(lat, m_sub), mixed.vectors([tau]), form, [tau])[0]
+    mixed = mixed_theta_family(lat, m_sub, u_perp, p_uperp).vectors([tau], None, bound)
+    return _contract(split_data(lat, m_sub), mixed, form, [tau])[0]
 
 
 def seesaw_contractions(seesaw: Seesaw, form, taus,
@@ -267,8 +269,8 @@ def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
 def restriction_residual(form, lat: Lattice, m_sub: Sublattice,
                          u, u_perp, p_u, p_uperp, tau_samples,
                          bound: float = 10.0) -> float:
-    """The largest seesaw_restriction_residuals, on a fresh Seesaw (0 for no
-    samples)."""
+    """The largest seesaw_restriction_residuals (0 for no samples); the
+    Seesaw's tables are the stored ones."""
     seesaw = Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp)
     return max([0.0] + seesaw_restriction_residuals(seesaw, form, tau_samples, bound))
 

@@ -31,6 +31,10 @@ class IncompatibleSublattices(VvthetaError):
     pass
 
 
+class NotIntegral(VvthetaError):
+    """A Gram or generator entry that is not an exact integer."""
+
+
 # discriminant forms
 
 class NotIsotropic(VvthetaError):

@@ -8,6 +8,7 @@ in ambient coordinates.  All integer arithmetic is arbitrary precision.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +21,7 @@ from .errors import (
     DegenerateSublattice,
     IncompatibleSublattices,
     NotEven,
+    NotIntegral,
     NotPrimitive,
     NotSymmetric,
 )
@@ -58,14 +60,23 @@ class Lattice:
         return f"Lattice({label}, sig=({self.sig_plus},{self.sig_minus}))"
 
 
+def _int_entry(x) -> int:
+    """x as an int if it is an exact integer: an int, or an integral
+    Fraction or float; anything else raises NotIntegral."""
+    if (isinstance(x, numbers.Integral) or (isinstance(x, Fraction) and x.denominator == 1)
+            or (isinstance(x, float) and x.is_integer())):
+        return int(x)
+    raise NotIntegral(f"expected an integer entry, got {x!r}")
+
+
 def construct_lattice(gram, name: str | None = None) -> Lattice:
     """Validate a square integer Gram matrix and build a Lattice.
 
-    Raises NotSymmetric / NotEven / Degenerate.  Signature is read off the
-    eigenvalues of the real symmetric matrix; non-degeneracy is checked
-    exactly via the integer determinant.
+    Raises NotIntegral / NotSymmetric / NotEven / Degenerate.  Signature is
+    read off the eigenvalues of the real symmetric matrix; non-degeneracy is
+    checked exactly via the integer determinant.
     """
-    rows = [list(map(int, row)) for row in gram]
+    rows = [list(map(_int_entry, row)) for row in gram]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise NotSymmetric("gram matrix must be square")
@@ -169,9 +180,9 @@ def sublattice(ambient: Lattice, generators, *, saturate: bool = False) -> Subla
     By default the generators must already span a primitive (saturated)
     sublattice, otherwise NotPrimitive is raised.  With ``saturate=True`` the
     stored basis is the saturation and the original generators are kept with
-    ``was_primitive=False``.
+    ``was_primitive=False``.  A non-integral entry raises NotIntegral.
     """
-    gens = [tuple(map(int, g)) for g in generators]
+    gens = [tuple(map(_int_entry, g)) for g in generators]
     if not gens:
         raise DegenerateSublattice("empty generator list")
     if any(len(g) != ambient.rank for g in gens):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -668,10 +669,12 @@ def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
     dual vector lambda carries exponents a, b (half the plus/minus projected
     norms of lambda + beta), the smoothed polynomial value, and the phase
     -(lambda + beta/2, alpha); the whole sum is multiplied by
-    y^(sig_minus/2 + minus-degree).
+    y^(sig_minus/2 + minus-degree).  The term table is the stored one of
+    siegel_theta_family, so a later call on the same objects, shift pair and
+    bound enumerates nothing.
     """
     tau = _check_tau(tau)
-    return siegel_theta_evaluator(lat, point, poly, pair_vectors, bound).at(tau)
+    return siegel_theta_family(lat, point, poly).evaluator(pair_vectors, bound).at(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +796,11 @@ def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
                        u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
                        pair_vectors=None, bound: float = 10.0) -> ThetaValue:
     """Mixed theta vector over D_L x D_M(-1), summed class by class
-    (see mixed_theta_evaluator)."""
+    (see mixed_theta_evaluator).  The term table is the stored one of
+    mixed_theta_family, as in siegel_theta."""
     tau = _check_tau(tau)
-    return mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, pair_vectors, bound).at(tau)
+    family = mixed_theta_family(lat, m_sub, u_perp, p_uperp)
+    return family.evaluator(pair_vectors, bound).at(tau)
 
 
 def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
@@ -909,28 +914,51 @@ def modularity_defect(theta_fn, g: MetaplecticElement, tau: complex,
     return (lhs.value - rhs).norm_inf()
 
 
+#: evaluators the store keeps: above the 13 distinct term tables of one run
+#: of a bundled scenario, so no workload evicts a table it still uses, while a
+#: loop over fresh inputs keeps no more than this many tables alive
+_STORE_SIZE = 32
+
+# ThetaFamily's evaluators, least recently used first.  A key holds the
+# family's input objects: lattices and sublattices compare by value,
+# GrassmannPoint and HomogeneousPolynomial by identity.  Neither is mutated
+# after construction, and the key holds them, so an id is never reused.
+_EVALUATORS: OrderedDict = OrderedDict()
+
+
 class ThetaFamily:
     """Callable (tau, alpha, beta, bound) -> ThetaValue for modularity checks.
 
-    Builds the term table of each shift pair and bound on first use and keeps
-    it for the life of the family, so every later tau, and the g tau side of
-    a transformation law that leaves the pair unchanged, reuses it.  A fresh
-    family builds afresh.  ``build(pair, bound)`` makes the ThetaEvaluator.
+    ``key`` names the builder and its input objects, and ``build(pair,
+    bound)`` makes the ThetaEvaluator of one shift pair and bound.  The
+    evaluator is kept in one bounded, process-wide LRU store under ``key``,
+    the pair, the bound and $THETA_MAX_VECTORS, so every later tau, the g tau
+    side of a transformation law that leaves the pair unchanged, and every
+    other family on the same inputs reuse its table.  A build that raises is
+    not stored.
     """
 
-    def __init__(self, rank: int, build):
+    def __init__(self, rank: int, key: tuple, build):
         self._rank = rank
+        self._key = key
         self._build = build
-        self._evaluators: dict = {}
 
     def evaluator(self, pair_vectors=None, bound: float = 10.0) -> ThetaEvaluator:
         """The evaluator of one shift pair (None: no shift) and bound."""
         vp = as_pair(pair_vectors, self._rank)
-        # a rational and a float entry of equal value take different build paths
-        key = (tuple((type(x), x) for x in vp.alpha + vp.beta), bound)
-        if key not in self._evaluators:
-            self._evaluators[key] = self._build(vp, bound)
-        return self._evaluators[key]
+        # a rational and a float entry of equal value take different build
+        # paths; a lowered cap must reach the walk, and raise, again
+        key = (self._key, tuple((type(x), x) for x in vp.alpha + vp.beta), bound,
+               _max_vectors())
+        evaluator = _EVALUATORS.get(key)
+        if evaluator is not None:
+            _EVALUATORS.move_to_end(key)
+            return evaluator
+        evaluator = self._build(vp, bound)
+        _EVALUATORS[key] = evaluator
+        if len(_EVALUATORS) > _STORE_SIZE:
+            _EVALUATORS.popitem(last=False)
+        return evaluator
 
     def vectors(self, taus, pair_vectors=None, bound: float = 10.0) -> list[RepVector]:
         """The theta vector of one shift pair and bound at every tau, from
@@ -948,15 +976,16 @@ class ThetaFamily:
 def siegel_theta_family(lat: Lattice, point: GrassmannPoint,
                         poly: HomogeneousPolynomial) -> ThetaFamily:
     """The Siegel theta of (lat, point, poly) as a ThetaFamily."""
-    return ThetaFamily(lat.rank, lambda vp, bound: siegel_theta_evaluator(
-        lat, point, poly, vp, bound))
+    return ThetaFamily(lat.rank, ("siegel", lat, point, poly),
+                       lambda vp, bound: siegel_theta_evaluator(lat, point, poly, vp, bound))
 
 
 def mixed_theta_family(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
                        poly: HomogeneousPolynomial) -> ThetaFamily:
     """The mixed theta of (lat, m_sub) as a ThetaFamily (direct construction)."""
-    return ThetaFamily(lat.rank, lambda vp, bound: mixed_theta_evaluator(
-        lat, m_sub, u_perp, poly, vp, bound))
+    return ThetaFamily(lat.rank, ("mixed", lat, m_sub, u_perp, poly),
+                       lambda vp, bound: mixed_theta_evaluator(
+                           lat, m_sub, u_perp, poly, vp, bound))
 
 
 def theta_value_difference(t1: ThetaValue, t2: ThetaValue) -> float:
@@ -974,10 +1003,12 @@ class Seesaw:
     data ``sd``, the ambient splitting ``v`` = u (+) u_perp with ``p_v`` =
     p_u p_uperp, and four ThetaFamily: ``theta_l`` (L at v), ``theta_m``
     (M at u), ``theta_perp`` (Mperp at u_perp) and ``mixed`` (the mixed
-    theta of (L, M) at u_perp).  Each builds a table on first use of a shift
-    pair and bound.  ``theta_m`` and ``theta_perp`` take their shift pair in
-    sublattice coordinates; the residual methods take ambient shift pairs
-    and evaluate each table over all their taus in one batch.
+    theta of (L, M) at u_perp).  Each table is built on first use of a shift
+    pair and bound and kept in the families' store, so a second Seesaw on
+    the same objects builds nothing.  ``theta_m`` and ``theta_perp`` take
+    their shift pair in sublattice coordinates; the residual methods take
+    ambient shift pairs and evaluate each table over all their taus in one
+    batch.
     """
 
     def __init__(self, lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
@@ -1076,7 +1107,7 @@ def inner_tensor_to_big(sd: SplitData, theta_m: ThetaValue, theta_p: ThetaValue)
 def seesaw_split_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
                           u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
                           pair_vectors=None, bound: float = 10.0) -> float:
-    """Seesaw.split_residuals at one tau, on a fresh Seesaw."""
+    """Seesaw.split_residuals at one tau; the Seesaw's tables are the stored ones."""
     return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).split_residuals(
         [tau], pair_vectors, bound)[0]
 
@@ -1084,7 +1115,7 @@ def seesaw_split_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
 def seesaw_pairing_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
                             u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
                             pair_vectors=None, bound: float = 10.0) -> float:
-    """Seesaw.pairing_residuals at one tau, on a fresh Seesaw."""
+    """Seesaw.pairing_residuals at one tau; the Seesaw's tables are the stored ones."""
     return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).pairing_residuals(
         [tau], pair_vectors, bound)[0]
 
@@ -1093,7 +1124,8 @@ def pairing_expression_residuals(lat: Lattice, m_sub: Sublattice, u: GrassmannPo
                                  u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
                                  test_vector: RepVector, pair_vectors=None,
                                  bound: float = 10.0) -> tuple[float, float]:
-    """Seesaw.pairing_expression_residuals at one tau, on a fresh Seesaw."""
+    """Seesaw.pairing_expression_residuals at one tau; the Seesaw's tables
+    are the stored ones."""
     return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).pairing_expression_residuals(
         [tau], test_vector, pair_vectors, bound)[0]
 

@@ -15,6 +15,14 @@ from vvtheta import (  # noqa: E402
     rescale,
     sublattice,
 )
+from vvtheta import theta  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def empty_evaluator_store():
+    """Each test starts with an empty ThetaFamily store, so no test depends on
+    which ran before it, and a monkeypatched walk or cap is always reached."""
+    theta._EVALUATORS.clear()
 
 
 @pytest.fixture(scope="session")

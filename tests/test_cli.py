@@ -119,6 +119,14 @@ def test_run_scenario_rejects_malformed_field(tmp_path, capsys, field):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_run_scenario_non_integral_gram_exits_2(tmp_path, capsys):
+    # a half-integral Gram entry is a usage error, not the truncated II(1,1)
+    bad = dict(SCENARIO, lattices={"L": {"gram": [[0, 1], [1, 0.5]]}})
+    path = write_json(tmp_path / "half.json", bad)
+    assert main(["run-scenario", path]) == 2
+    assert "NotIntegral" in capsys.readouterr().err
+
+
 def test_scenario_with_explicit_polys(tmp_path):
     custom = dict(SCENARIO)
     custom["grassmann"] = {"u_span_plus": [], "u_perp_span_plus": [["1"]]}

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from vvtheta import (
@@ -30,6 +31,8 @@ from vvtheta import (
     orthogonal_elements,
     overlattice_from_isotropic,
     restriction_residual,
+    Seesaw,
+    seesaw_contractions,
     siegel_theta,
     split_data,
     sublattice,
@@ -407,6 +410,32 @@ def test_naive_lift(ii11_split):
     lift_m, _ = naive_truncated_lift(contracted, m_sub.lattice, u,
                                      constant_poly(0, 1), 3.0, 32, 10.0)
     assert abs(fine - lift_m) < 1e-9 + err_f
+
+
+def test_contract_pointwise_builds_once_across_taus(a1a1_split, monkeypatch):
+    # four taus on the same objects make one mixed theta table, and every
+    # value is bit for bit the batched seesaw contraction of a fresh table
+    import vvtheta.theta as theta_mod
+
+    lat, m_sub, mperp, u, u_perp = a1a1_split
+    p_u, p_uperp = constant_poly(1, 0), constant_poly(1, 0)
+    form = QExpansionForm(lat, F(-1), {((0, 0), F(0)): 1.0, ((1, 1), F(1, 2)): 3.0 - 1.0j})
+    taus = TAUS[:4]
+    calls = []
+    original = theta_mod.build_term_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theta_mod, "build_term_table", counted)
+    got = [contract_pointwise(form, lat, m_sub, u_perp, p_uperp, t, 8.0) for t in taus]
+    assert len(calls) == 1
+    theta_mod._EVALUATORS.clear()
+    want = seesaw_contractions(Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp), form, taus, 8.0)
+    assert len(calls) == 2
+    for g, w in zip(got, want):
+        assert np.array_equal(g.array, w.array)
 
 
 # ---------------------------------------------------------------------------

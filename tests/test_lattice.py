@@ -6,6 +6,7 @@ from vvtheta import (
     Degenerate,
     DegenerateSublattice,
     NotEven,
+    NotIntegral,
     NotIsotropic,
     NotPrimitive,
     NotSymmetric,
@@ -155,3 +156,24 @@ def test_sublattice_coords_roundtrip(ii11):
     assert m.coords_of(vec) == [F(3, 2)]
     # projection of an orthogonal vector is zero
     assert m.coords_of([1, -1]) == [0]
+
+
+#: one non-integral entry per id; each used to reach a lattice as a truncated
+#: int or to stop with a raw ValueError
+NON_INTEGRAL = {
+    "gram_half": lambda: construct_lattice([[0, 1], [1, 0.5]]),
+    "gram_string": lambda: construct_lattice([[0, 1], [1, "x"]]),
+    "sublattice_half": lambda: sublattice(construct_lattice([[0, 1], [1, 0]]), [[1.5, -1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGRAL))
+def test_non_integral_entries_rejected(case):
+    with pytest.raises(NotIntegral):
+        NON_INTEGRAL[case]()
+
+
+def test_integral_rationals_and_floats_accepted():
+    assert construct_lattice([[F(2), 1.0], [1, 2]]).gram == ((2, 1), (1, 2))
+    ii11 = construct_lattice([[0, 1], [1, 0]])
+    assert sublattice(ii11, [[1.0, F(-1)]]).basis == ((1, -1),)

@@ -854,7 +854,7 @@ def test_seesaw_batches_equal_single_tau(split, shifted, request):
     assert theta_negation_residuals(lat, taus, seesaw.v, seesaw.p_v, ab, bound) == \
         [theta_negation_residual(lat, t, seesaw.v, seesaw.p_v, ab, bound) for t in taus]
     # modularity: the seesaw's families keep their tables across taus and
-    # checks; a fresh family per tau builds afresh
+    # checks; a fresh family per tau reads the same stored tables
     alpha, beta = ab if shifted else (None, None)
     k_l = lat.sig_plus - lat.sig_minus + 2 * seesaw.p_v.degrees[0] \
         - 2 * seesaw.p_v.degrees[1]
@@ -940,3 +940,88 @@ def test_coset_factorization_exact(ii11_split):
     assert set(lhs) == set(rhs)
     for k in lhs:
         assert abs(lhs[k] - rhs[k]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the ThetaFamily evaluator store
+
+def _count_builds(monkeypatch) -> list:
+    """Record each build_term_table call of the theta module."""
+    calls = []
+    original = theta_mod.build_term_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theta_mod, "build_term_table", counted)
+    return calls
+
+
+def test_siegel_theta_builds_once_across_taus(ii11, monkeypatch):
+    # four taus on the same objects: one table, and every value bit for bit
+    # the one of a fresh evaluator
+    v = make_grassmann_point(ii11, [[1, 1]])
+    p = coordinate_poly(1, 1, 0)
+    pair_v = ([F(1, 3), F(1, 5)], [F(1, 2), F(1, 7)])
+    taus = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 0.7j, 0.41 + 1.3j]
+    calls = _count_builds(monkeypatch)
+    got = [siegel_theta(ii11, t, v, p, pair_v, 10.0) for t in taus]
+    assert len(calls) == 1
+    fresh = siegel_theta_evaluator(ii11, v, p, pair_v, 10.0)
+    for t, value in zip(taus, got):
+        want = fresh.at(t)
+        assert np.array_equal(value.value.array, want.value.array)
+        assert value.tail_estimate == want.tail_estimate
+    # the mixed theta, direct and composed, reads stored tables the same way
+    m_sub = sublattice(ii11, [(1, -1)])
+    u_perp = make_grassmann_point(orthogonal_complement(ii11, m_sub).lattice, [[1]])
+    pp = constant_poly(1, 0)
+    for fn in (mixed_theta_direct, mixed_theta_composed):
+        before = len(calls)
+        for t in taus:
+            fn(ii11, m_sub, t, u_perp, pp, None, 10.0)
+        assert len(calls) == before + 1
+
+
+def test_store_respects_a_lowered_cap(ii11, monkeypatch):
+    v = make_grassmann_point(ii11, [[1, 1]])
+    p = constant_poly(1, 1)
+    siegel_theta(ii11, 1j, v, p, None, 10.0)
+    monkeypatch.setenv("THETA_MAX_VECTORS", "10")
+    with pytest.raises(BoundTooLarge):
+        siegel_theta(ii11, 1j, v, p, None, 10.0)
+    # the failed build was not stored
+    assert not any(key[-1] == 10 for key in theta_mod._EVALUATORS)
+
+
+def test_store_keeps_rational_and_float_shifts_apart(a1, monkeypatch):
+    v = make_grassmann_point(a1, [[1]])
+    p = constant_poly(1, 0)
+    calls = _count_builds(monkeypatch)
+    exact_half = siegel_theta(a1, 1j, v, p, ([0], [F(1, 2)]), 4.0)
+    float_half = siegel_theta(a1, 1j, v, p, ([0], [0.5]), 4.0)
+    assert len(calls) == 2
+    assert exact_half.terms.ab_den is not None
+    assert float_half.terms.ab_den is None
+
+
+def test_store_is_bounded_and_evicts_least_recent(a1, monkeypatch):
+    v = make_grassmann_point(a1, [[1]])
+    p = constant_poly(1, 0)
+    calls = _count_builds(monkeypatch)
+    bounds = [1.0 + k for k in range(theta_mod._STORE_SIZE + 1)]
+    for bound in bounds[:-1]:
+        siegel_theta(a1, 1j, v, p, None, bound)
+    # a use makes the oldest table the most recent, so the next new table
+    # evicts the second oldest instead
+    siegel_theta(a1, 1j, v, p, None, bounds[0])
+    siegel_theta(a1, 1j, v, p, None, bounds[-1])
+    assert len(calls) == len(bounds)
+    assert len(theta_mod._EVALUATORS) <= theta_mod._STORE_SIZE
+    siegel_theta(a1, 1j, v, p, None, bounds[0])
+    siegel_theta(a1, 1j, v, p, None, bounds[-1])
+    assert len(calls) == len(bounds)
+    siegel_theta(a1, 1j, v, p, None, bounds[1])
+    assert len(calls) == len(bounds) + 1
+    assert len(theta_mod._EVALUATORS) <= theta_mod._STORE_SIZE
