@@ -83,14 +83,29 @@ def parse_float(x) -> float:
         raise ParseError(f"bad number {x!r}") from exc
 
 
-def int_rows(rows) -> list[list[int]]:
-    """An integer matrix from JSON rows; an entry may be any integral rational."""
+def parse_complex(pair) -> complex:
+    """A complex number from its JSON pair [re, im]."""
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ParseError(f"expected a pair [re, im], got {pair!r}")
+    return complex(parse_float(pair[0]), parse_float(pair[1]))
+
+
+def _rows(rows) -> list:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError(f"expected a list of rows, got {rows!r}")
-    fracs = [[parse_frac(x) for x in row] for row in rows]
+    return rows
+
+
+def int_rows(rows) -> list[list[int]]:
+    """An integer matrix from JSON rows; an entry may be any integral rational."""
+    fracs = [[parse_frac(x) for x in row] for row in _rows(rows)]
     if any(x.denominator != 1 for row in fracs for x in row):
         raise ParseError(f"expected integer entries, got {rows!r}")
     return [[int(x) for x in row] for row in fracs]
+
+
+def _ints(entries) -> list[int]:
+    return int_rows([entries])[0]
 
 
 def complex_pair(z: complex) -> list:
@@ -131,44 +146,23 @@ def qexpansion_to_json(form: QExpansionForm) -> dict:
     }
 
 
-def emit_expansion(obj, path) -> None:
-    """Write a ThetaValue / ContractionResult / QExpansionForm canonically."""
+def emit_expansion(obj, path=None) -> None:
+    """Write a ThetaValue / ContractionResult / QExpansionForm, or any JSON
+    payload, canonically to ``path``, or to stdout when path is None."""
     if isinstance(obj, ThetaValue):
-        payload = theta_to_json(obj)
+        obj = theta_to_json(obj)
     elif isinstance(obj, ContractionResult):
-        payload = qexpansion_to_json(obj.form)
+        obj = qexpansion_to_json(obj.form)
     elif isinstance(obj, QExpansionForm):
-        payload = qexpansion_to_json(obj)
-    else:
-        payload = obj
+        obj = qexpansion_to_json(obj)
+    if path is None:
+        sys.stdout.write(canonical_dumps(obj))
+        return
     with open(path, "w") as fh:
-        fh.write(canonical_dumps(payload))
+        fh.write(canonical_dumps(obj))
 
 
-def load_expansion(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("type") == "qexpansion":
-        return qexpansion_from_json(data)
-    return data
-
-
-def qexpansion_from_json(data) -> QExpansionForm:
-    return _form_from_json(data, construct_lattice(data["gram"]))
-
-
-def _form_from_json(data, lat) -> QExpansionForm:
-    terms = {}
-    for t in data["terms"]:
-        key = (tuple(int(c) for c in t["coset"]), parse_frac(t["exp"]))
-        terms[key] = complex(t["coef"][0], t["coef"][1])
-    return QExpansionForm(lat, parse_frac(data["weight"]), terms)
-
-
-# ---------------------------------------------------------------------------
-# object loading
-
-def load_json(path) -> dict:
+def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -176,31 +170,97 @@ def load_json(path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def lattice_from_json(data, name=None):
-    return construct_lattice(data["gram"], name=data.get("name", name))
+def load_expansion(path):
+    data = load_json(path)
+    if isinstance(data, dict) and data.get("type") == "qexpansion":
+        return read_form(data)
+    return data
 
 
-def poly_from_json(data, nvars_plus: int, nvars_minus: int) -> HomogeneousPolynomial:
-    try:
-        monomials = {}
-        for key, coeff in data["monomials"].items():
-            expo = tuple(int(c) for c in key.split(",")) if key else ()
-            monomials[expo] = complex(coeff[0], coeff[1])
-        degrees = tuple(data["degrees"])
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad polynomial {data!r}") from exc
-    return HomogeneousPolynomial(degrees, nvars_plus, nvars_minus, monomials)
+# ---------------------------------------------------------------------------
+# readers: one per input kind, shared by the scenario runner and every
+# subcommand; only they index an input object, so a missing or wrongly typed
+# entry is a ParseError (exit 2) wherever the object comes from
+
+_KINDS = {dict: "an object", list: "a list"}
 
 
-def span_from_json(rows) -> list:
-    """Span rows; a JSON float stays a float (the float path), the rest exact."""
-    return [[x if isinstance(x, float) else parse_frac(x) for x in row] for row in rows]
+def _object(spec) -> dict:
+    if not isinstance(spec, dict):
+        raise ParseError(f"expected a JSON object, got {spec!r}")
+    return spec
 
 
-def tau_from_json(pair) -> complex:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ParseError(f"a tau sample must be [x, y], got {pair!r}")
-    return complex(parse_float(pair[0]), parse_float(pair[1]))
+def _field(spec, key: str, kind=object, default=None):
+    """spec[key] checked to be a ``kind``; a missing or null entry is
+    ``default``, and an error when there is no default."""
+    value = _object(spec).get(key)
+    if value is None:
+        if default is None:
+            raise ParseError(f"missing entry {key!r} in {spec!r}")
+        return default
+    if not isinstance(value, kind):
+        raise ParseError(f"{key!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def read_lattice(spec, name=None):
+    """A lattice {"gram": [[int]], "name": str?}; ``name`` overrides the file's."""
+    gram = _rows(_field(spec, "gram", list))
+    return construct_lattice(gram, name=name or spec.get("name"))
+
+
+def read_sublattice(spec, ambient):
+    """A sublattice {"basis": [[int], ...]} of ``ambient``, one generator per row."""
+    return sublattice(ambient, int_rows(_field(spec, "basis", list)))
+
+
+def read_splitting(spec, lat, key: str = "span_plus"):
+    """The splitting of ``lat`` whose v+ is spanned by the rows spec[key]; a
+    JSON float stays a float (the float path), the rest is exact.  With no
+    spec or no rows it is spanned by the first sig_plus unit vectors."""
+    rows = _rows(_field(spec, key, list, [])) if spec is not None else []
+    span = [[x if isinstance(x, float) else parse_frac(x) for x in row] for row in rows] \
+        or [[Fraction(int(i == j)) for j in range(lat.rank)] for i in range(lat.sig_plus)]
+    return make_grassmann_point(lat, span)
+
+
+def read_poly(spec, lat) -> HomogeneousPolynomial:
+    """A polynomial {"degrees": [m+, m-], "monomials": {"e1,e2,...": [re, im]}}
+    in the adapted coordinates of a splitting of ``lat``; no spec is the
+    constant 1."""
+    if spec is None:
+        return constant_poly(lat.sig_plus, lat.sig_minus)
+    degrees = _ints(_field(spec, "degrees", list))
+    if len(degrees) != 2:
+        raise ParseError(f"degrees must be [m_plus, m_minus], got {degrees!r}")
+    monomials = {tuple(_ints(key.split(","))) if key else (): parse_complex(coeff)
+                 for key, coeff in _field(spec, "monomials", dict).items()}
+    return HomogeneousPolynomial(degrees, lat.sig_plus, lat.sig_minus, monomials)
+
+
+def read_pair(alpha, beta, rank):
+    """The shift pair (alpha, beta) from two lists of rationals with one entry
+    per basis vector: a missing side is zero, and both missing is None."""
+    if not (alpha or beta):
+        return None
+    if any(v and (not isinstance(v, list) or len(v) != rank) for v in (alpha, beta)):
+        raise ParseError(f"alpha and beta need one entry per ambient basis vector, "
+                         f"got {alpha!r} and {beta!r}")
+    return tuple([parse_frac(x) for x in v] if v else [Fraction(0)] * rank
+                 for v in (alpha, beta))
+
+
+def read_form(spec, lat=None) -> QExpansionForm:
+    """A q-expansion form {"weight": "p/q", "terms": [{"coset": [int], "exp":
+    "p/q", "coef": [re, im]}]} over ``lat``, by default over the lattice of
+    its own "gram" entry."""
+    lat = lat or read_lattice(spec)
+    terms = {}
+    for t in _field(spec, "terms", list):
+        key = (tuple(_ints(_field(t, "coset", list))), parse_frac(_field(t, "exp")))
+        terms[key] = parse_complex(_field(t, "coef"))
+    return QExpansionForm(lat, parse_frac(_field(spec, "weight")), terms)
 
 
 def parse_tau(text: str) -> complex:
@@ -212,16 +272,12 @@ def parse_tau(text: str) -> complex:
 
 
 def parse_element(text: str) -> MetaplecticElement:
-    parts = parse_vector(text)
+    parts = [parse_frac(x) for x in text.split(",")]
     if len(parts) == 4:
         parts.append(1)
     if len(parts) != 5 or any(p.denominator != 1 for p in parts):
         raise ParseError("element must be 'a,b,c,d[,branch]' with integer entries")
     return MetaplecticElement(*map(int, parts[:4]), branch=int(parts[4]))
-
-
-def parse_vector(text: str) -> list:
-    return [parse_frac(x) for x in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -231,76 +287,48 @@ class Scenario:
     """Resolved objects of a scenario JSON file."""
 
     def __init__(self, data: dict):
-        self.name = data.get("name", "scenario")
         self.data = data
-        self.lattices = {}
-        for lname, spec in data.get("lattices", {}).items():
-            self.lattices[lname] = construct_lattice(spec["gram"], name=lname)
+        self.name = _field(data, "name", default="scenario")
+        self.lattices = {lname: read_lattice(spec, lname)
+                         for lname, spec in _field(data, "lattices", dict, {}).items()}
         self.bound = parse_float(data.get("bound", 10.0))
         self.tolerance = parse_float(data.get("tolerance", 1e-8))
-        self.tau_samples = [tau_from_json(t) for t in
-                            data.get("tau_samples", [[0.2, 1.1], [-0.37, 0.9]])]
+        self.tau_samples = [parse_complex(t) for t in
+                            _field(data, "tau_samples", list, [[0.2, 1.1], [-0.37, 0.9]])]
         self.checks = data.get("checks", [])
-        sub = data.get("sublattice")
-        self.m_sub = None
-        self.ambient = None
-        if sub:
-            if sub.get("ambient") not in self.lattices:
-                raise ParseError(f"unknown lattice name {sub.get('ambient')!r}")
-            self.ambient = self.lattices[sub["ambient"]]
-            self.m_sub = sublattice(self.ambient, int_rows(sub.get("basis")))
-        self._setup_split()
-        shifts = [data.get("alpha"), data.get("beta")]
-        rank = self.ambient.rank if self.ambient is not None else None
-        if any(v and len(v) != rank for v in shifts):
-            raise ParseError("alpha and beta need one entry per ambient basis vector")
-        self.alpha, self.beta = ([parse_frac(x) for x in v or [0] * rank] if any(shifts)
-                                 else None for v in shifts)
-        self.form = None
-        if "form" in data:
-            fdata = data["form"]
-            if isinstance(fdata.get("lattice"), str):
-                if fdata["lattice"] not in self.lattices:
-                    raise ParseError(f"unknown lattice name {fdata['lattice']!r}")
-                lat = self.lattices[fdata["lattice"]]
-            else:
-                lat = self.ambient
-            self.form = _form_from_json(fdata, lat)
-
-    def _setup_split(self):
+        if not isinstance(self.checks, list) or not all(isinstance(c, str) for c in self.checks):
+            raise ParseError(f"checks must be a list of names, got {self.checks!r}")
+        sub = _field(data, "sublattice", dict, {})
+        self.ambient = self._named(sub.get("ambient")) if sub else None
+        self.m_sub = read_sublattice(sub, self.ambient) if sub else None
         self.u = self.u_perp = self.p_u = self.p_uperp = self.sd = None
-        if self.m_sub is None:
-            return
-        self.sd = split_data(self.ambient, self.m_sub)
-        mlat = self.m_sub.lattice
-        plat = self.sd.mperp_sub.lattice
-        gspec = self.data.get("grassmann", {})
-        u_span = span_from_json(gspec.get("u_span_plus", [])) or \
-            [[Fraction(int(i == j)) for j in range(mlat.rank)]
-             for i in range(mlat.sig_plus)]
-        up_span = span_from_json(gspec.get("u_perp_span_plus", [])) or \
-            [[Fraction(int(i == j)) for j in range(plat.rank)]
-             for i in range(plat.sig_plus)]
-        self.u = make_grassmann_point(mlat, u_span)
-        self.u_perp = make_grassmann_point(plat, up_span)
-        polys = self.data.get("polys", {})
-        if not isinstance(polys, dict):
-            raise ParseError(f"polys must be an object, got {polys!r}")
-        self.p_u = poly_from_json(polys["p_u"], mlat.sig_plus, mlat.sig_minus) \
-            if "p_u" in polys else constant_poly(mlat.sig_plus, mlat.sig_minus)
-        self.p_uperp = poly_from_json(polys["p_uperp"], plat.sig_plus, plat.sig_minus) \
-            if "p_uperp" in polys else constant_poly(plat.sig_plus, plat.sig_minus)
+        if self.m_sub is not None:
+            self.sd = split_data(self.ambient, self.m_sub)
+            mlat, plat = self.m_sub.lattice, self.sd.mperp_sub.lattice
+            gspec = _field(data, "grassmann", dict, {})
+            polys = _field(data, "polys", dict, {})
+            self.u = read_splitting(gspec, mlat, "u_span_plus")
+            self.u_perp = read_splitting(gspec, plat, "u_perp_span_plus")
+            self.p_u = read_poly(polys.get("p_u"), mlat)
+            self.p_uperp = read_poly(polys.get("p_uperp"), plat)
+        #: the shift pair (alpha, beta), or None for no shift
+        self.pair = read_pair(data.get("alpha"), data.get("beta"),
+                              self.ambient.rank if self.ambient else None)
+        self.alpha, self.beta = self.pair or (None, None)
+        form = _field(data, "form", dict, {})
+        self.form = None if not form else read_form(
+            form, self._named(form["lattice"]) if "lattice" in form else self.ambient)
+
+    def _named(self, name):
+        if not isinstance(name, str) or name not in self.lattices:
+            raise ParseError(f"unknown lattice name {name!r}")
+        return self.lattices[name]
 
     @cached_property
     def seesaw(self) -> Seesaw:
         """The scenario's seesaw, built on first use: every theta check draws
         its term tables from it, so each is built once per scenario."""
         return Seesaw(self.ambient, self.m_sub, self.u, self.u_perp, self.p_u, self.p_uperp)
-
-    @property
-    def pair(self):
-        """The shift pair (alpha, beta), or None for no shift."""
-        return (self.alpha, self.beta) if self.alpha is not None else None
 
 
 def _check_weil_relations(sc: Scenario) -> float:
@@ -475,15 +503,14 @@ def _run_checks(sc: Scenario) -> dict:
 # subcommands
 
 def _cmd_disc_info(args) -> int:
-    lat = lattice_from_json(load_json(args.lattice))
+    lat = read_lattice(load_json(args.lattice))
     group = discriminant_group(lat)
     if args.json:
-        payload = {
+        emit_expansion({
             "elementary_divisors": list(group.elementary_divisors),
             "q_table": {",".join(str(c) for c in x): frac_str(group.q(x))
                         for x in group.elements()},
-        }
-        sys.stdout.write(canonical_dumps(payload))
+        })
         return 0
     print(f"lattice rank {lat.rank}, signature {lat.signature}")
     print(f"elementary divisors: {list(group.elementary_divisors)}")
@@ -505,92 +532,49 @@ def _cmd_disc_info(args) -> int:
 
 
 def _cmd_weil_matrix(args) -> int:
-    lat = lattice_from_json(load_json(args.lattice))
-    group = discriminant_group(lat)
-    g = parse_element(args.element)
-    mat = rho_matrix(group, g, dual=args.dual)
+    group = discriminant_group(read_lattice(load_json(args.lattice)))
+    mat = rho_matrix(group, parse_element(args.element), dual=args.dual)
     # rows/columns follow the lexicographic element order of the group
-    payload = [[complex_pair(mat[i, j]) for j in range(mat.shape[1])]
-               for i in range(mat.shape[0])]
-    sys.stdout.write(canonical_dumps(payload))
+    emit_expansion([[complex_pair(mat[i, j]) for j in range(mat.shape[1])]
+                    for i in range(mat.shape[0])])
     return 0
 
 
-def _grassmann_for(args, lat):
-    spec = load_json(args.grassmann) if args.grassmann else {"span_plus": []}
-    span = span_from_json(spec["span_plus"])
-    if not span and lat.sig_plus:
-        span = [[Fraction(int(i == j)) for j in range(lat.rank)]
-                for i in range(lat.sig_plus)]
-    return make_grassmann_point(lat, span)
-
-
-def _poly_for(args, point):
-    if args.poly:
-        return poly_from_json(load_json(args.poly), point.dim_plus, point.dim_minus)
-    return constant_poly(point.dim_plus, point.dim_minus)
-
-
 def _cmd_theta(args) -> int:
-    lat = lattice_from_json(load_json(args.lattice))
-    point = _grassmann_for(args, lat)
-    poly = _poly_for(args, point)
-    pair_vec = None
-    if args.alpha or args.beta:
-        alpha = parse_vector(args.alpha) if args.alpha else [Fraction(0)] * lat.rank
-        beta = parse_vector(args.beta) if args.beta else [Fraction(0)] * lat.rank
-        pair_vec = (alpha, beta)
-    theta = siegel_theta(lat, parse_tau(args.tau), point, poly, pair_vec, args.bound)
-    payload = theta_to_json(theta)
-    if args.out:
-        emit_expansion(theta, args.out)
-    else:
-        sys.stdout.write(canonical_dumps(payload))
+    lat = read_lattice(load_json(args.lattice))
+    point = read_splitting(args.grassmann and load_json(args.grassmann), lat)
+    poly = read_poly(args.poly and load_json(args.poly), lat)
+    pair = read_pair(*(v and v.split(",") for v in (args.alpha, args.beta)), lat.rank)
+    emit_expansion(siegel_theta(lat, parse_tau(args.tau), point, poly, pair, args.bound),
+                   args.out)
     return 0
 
 
 def _cmd_theta_lm(args) -> int:
-    lat = lattice_from_json(load_json(args.lattice))
-    sub_spec = load_json(args.sublattice)
-    m_sub = sublattice(lat, sub_spec["basis"])
-    mperp = orthogonal_complement(lat, m_sub)
-    point = _grassmann_for(args, mperp.lattice)
-    poly = _poly_for(args, point)
-    pair_vec = None
-    if args.xi or args.eta:
-        xi = parse_vector(args.xi) if args.xi else [Fraction(0)] * lat.rank
-        eta = parse_vector(args.eta) if args.eta else [Fraction(0)] * lat.rank
-        pair_vec = (xi, eta)
+    lat = read_lattice(load_json(args.lattice))
+    m_sub = read_sublattice(load_json(args.sublattice), lat)
+    perp = orthogonal_complement(lat, m_sub).lattice
+    point = read_splitting(args.grassmann and load_json(args.grassmann), perp)
+    poly = read_poly(args.poly and load_json(args.poly), perp)
+    pair = read_pair(*(v and v.split(",") for v in (args.xi, args.eta)), lat.rank)
     fn = mixed_theta_composed if args.composed else mixed_theta_direct
-    theta = fn(lat, m_sub, parse_tau(args.tau), point, poly, pair_vec, args.bound)
-    if args.out:
-        emit_expansion(theta, args.out)
-    else:
-        sys.stdout.write(canonical_dumps(theta_to_json(theta)))
+    emit_expansion(fn(lat, m_sub, parse_tau(args.tau), point, poly, pair, args.bound),
+                   args.out)
     return 0
 
 
 def _cmd_contract(args) -> int:
-    lat = lattice_from_json(load_json(args.lattice))
-    sub_spec = load_json(args.sublattice)
-    m_sub = sublattice(lat, sub_spec["basis"])
-    mperp = orthogonal_complement(lat, m_sub)
-    form = qexpansion_from_json(load_json(args.form))
-    poly = constant_poly(mperp.lattice.sig_plus, mperp.lattice.sig_minus) \
-        if not args.poly else poly_from_json(load_json(args.poly),
-                                             mperp.lattice.sig_plus,
-                                             mperp.lattice.sig_minus)
-    result = contract_symbolic(form, lat, m_sub, poly, args.bound)
-    if args.out:
-        emit_expansion(result, args.out)
-    else:
-        sys.stdout.write(canonical_dumps(qexpansion_to_json(result.form)))
+    lat = read_lattice(load_json(args.lattice))
+    m_sub = read_sublattice(load_json(args.sublattice), lat)
+    perp = orthogonal_complement(lat, m_sub).lattice
+    form = read_form(load_json(args.form))
+    poly = read_poly(args.poly and load_json(args.poly), perp)
+    emit_expansion(contract_symbolic(form, lat, m_sub, poly, args.bound), args.out)
     return 0
 
 
 def _scenario_subset(args, wanted) -> int:
-    data = load_json(args.scenario)
-    data["checks"] = [c for c in wanted if c in CHECKS]
+    data = dict(_object(load_json(args.scenario)), checks=[c for c in wanted if c in CHECKS])
     if args.bound is not None:
         data["bound"] = args.bound
     if args.tolerance is not None:
@@ -598,7 +582,7 @@ def _scenario_subset(args, wanted) -> int:
     if args.tau_samples:
         data["tau_samples"] = [[t.real, t.imag] for t in map(parse_tau, args.tau_samples)]
     report = _run_checks(Scenario(data))
-    sys.stdout.write(canonical_dumps(report))
+    emit_expansion(report)
     return 0 if report["pass"] else 1
 
 
@@ -613,20 +597,19 @@ def _cmd_verify_restriction(args) -> int:
 
 
 def _cmd_naive_lift(args) -> int:
-    lat = lattice_from_json(load_json(args.lattice))
-    point = _grassmann_for(args, lat)
-    poly = _poly_for(args, point)
-    form = qexpansion_from_json(load_json(args.form))
+    lat = read_lattice(load_json(args.lattice))
+    point = read_splitting(args.grassmann and load_json(args.grassmann), lat)
+    poly = read_poly(args.poly and load_json(args.poly), lat)
+    form = read_form(load_json(args.form))
     value, err = naive_truncated_lift(form, lat, point, poly, args.ymax,
                                       args.grid, args.bound)
-    sys.stdout.write(canonical_dumps({"value": complex_pair(value),
-                                      "error_estimate": err}))
+    emit_expansion({"value": complex_pair(value), "error_estimate": err})
     return 0
 
 
 def _cmd_run_scenario(args) -> int:
     report = run_scenario(args.scenario)
-    sys.stdout.write(canonical_dumps(report))
+    emit_expansion(report)
     return 0 if report["pass"] else 1
 
 

@@ -22,6 +22,7 @@ from . import exact
 from .discforms import DiscriminantGroup, discriminant_group
 from .errors import (
     ComplementNotDefinite,
+    EmptyGrid,
     InconsistentDegrees,
     IndexMismatch,
     PolynomialNotHarmonic,
@@ -36,6 +37,7 @@ from .lattice import Lattice, Sublattice
 from .theta import (
     Seesaw,
     TermTable,
+    _check_bound,
     _fraction_map,
     build_term_table,
     mixed_theta_evaluator,
@@ -199,6 +201,7 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
     mixed theta table contributes the products of the form's component on
     gamma_L with that key's q-series to the output component on delta_M.
     """
+    _check_bound(bound)
     sd = split_data(lat, m_sub)
     perp_lat = sd.mperp_sub.lattice
     if perp_lat.sig_minus != 0:
@@ -285,8 +288,12 @@ def naive_truncated_lift(form, lat: Lattice, point, poly: HomogeneousPolynomial,
 
     Returns (value, error_estimate) where the estimate is the difference
     against the half-resolution grid.  The theta terms are enumerated once
-    and both grids are evaluated in one batched table evaluation.
+    and both grids are evaluated in one batched table evaluation.  Raises
+    EmptyGrid when grid_n < 1 or y_max is not a finite number above
+    FUNDAMENTAL_Y0, where there is nothing to integrate.
     """
+    if grid_n < 1 or not (math.isfinite(y_max) and y_max > FUNDAMENTAL_Y0):
+        raise EmptyGrid(f"no quadrature grid for grid_n = {grid_n}, y_max = {y_max}")
     evaluator = siegel_theta_evaluator(lat, point, poly, None, bound)
     group = discriminant_group(lat)
 

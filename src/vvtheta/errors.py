@@ -121,6 +121,11 @@ class SplitCheckFailed(VvthetaError):
     pass
 
 
+class EmptyGrid(VvthetaError):
+    """A quadrature grid with no points: fewer than one cell per side, or a
+    y_max that is not a finite number above the domain's lowest point."""
+
+
 # CLI / scenarios
 
 class ParseError(VvthetaError):

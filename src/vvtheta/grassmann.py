@@ -251,7 +251,9 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     if span_plus:
         gram_plus = exact.mat_mul(exact.mat_mul(exact.transpose(b_plus), g), b_plus)
         if exact.mat_det(gram_plus) == 0:
-            raise NotPositiveDefiniteSpan("spanning vectors are dependent")
+            raise NotPositiveDefiniteSpan(
+                "the span has a singular Gram matrix: the vectors are dependent, "
+                "or they span an isotropic or degenerate subspace")
         if not _definite_check_exact(gram_plus, +1):
             raise NotPositiveDefiniteSpan("span is not positive definite")
     # v- = kernel of B+^T G (all vectors orthogonal to v+)
@@ -394,6 +396,25 @@ class Polynomial:
     def conjugate(self) -> "Polynomial":
         return Polynomial(self.nvars_plus, self.nvars_minus,
                           {k: v.conjugate() for k, v in self.monomials.items()})
+
+    @cached_property
+    def _value(self) -> tuple:
+        # what equality compares: the type, the bidegree of a homogeneous
+        # polynomial, the block sizes and the monomials; none is mutated
+        return (type(self), getattr(self, "degrees", None), self.nvars_plus,
+                self.nvars_minus, frozenset(self.monomials.items()))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self is other or self._value == other._value
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Polynomial({len(self.monomials)} monomials over {self.nvars} vars)"

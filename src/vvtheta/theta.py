@@ -593,6 +593,9 @@ def _check_bound(bound) -> None:
     # the tail certificate needs bound >= 0; the walk alone returns no rows
     if not bound >= 0:
         raise NegativeBound(f"the truncation bound must be >= 0, got {bound}")
+    # an infinite bound has no exact integer threshold and no finite sum
+    if bound == math.inf:
+        raise BoundTooLarge("the truncation bound must be finite")
 
 
 def _check_poly(poly, point: GrassmannPoint) -> HomogeneousPolynomial:
@@ -920,9 +923,9 @@ def modularity_defect(theta_fn, g: MetaplecticElement, tau: complex,
 _STORE_SIZE = 32
 
 # ThetaFamily's evaluators, least recently used first.  A key holds the
-# family's input objects: lattices and sublattices compare by value,
-# GrassmannPoint and HomogeneousPolynomial by identity.  Neither is mutated
-# after construction, and the key holds them, so an id is never reused.
+# family's input objects: lattices, sublattices and polynomials compare by
+# value, GrassmannPoint by identity.  A point is not mutated after
+# construction, and the key holds it, so its id is never reused.
 _EVALUATORS: OrderedDict = OrderedDict()
 
 

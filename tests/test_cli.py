@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import random
@@ -19,6 +20,7 @@ from vvtheta import (
     sublattice,
 )
 from vvtheta.cli import (
+    build_parser,
     canonical_dumps,
     emit_expansion,
     frac_str,
@@ -479,3 +481,128 @@ def test_python_m_vvtheta_cli_warning_free():
     assert proc.returncode == 0, proc.stderr
     assert "run-scenario" in proc.stdout
     assert proc.stderr == ""
+
+
+#: input files of the malformed-input cases: name -> JSON payload
+BAD_INPUTS = {
+    "a1": {"gram": [[2]]},
+    "ii11": CLI_INPUTS["ii11"],
+    "ii11_m": II11["sublattice"],
+    "ii11_form": CLI_INPUTS["ii11_form"],
+    "no_gram": {"name": "L"},
+    "no_basis": {"ambient": "L"},
+    "form_no_gram": {"type": "qexpansion", "weight": "0", "terms": []},
+    "form_bad_coset": {"type": "qexpansion", "gram": [[2]], "weight": "0",
+                       "terms": [{"coset": ["a"], "exp": "0", "coef": [1.0, 0.0]}]},
+    "sc_lattice_no_gram": dict(SCENARIO, lattices={"L": {"name": "L"}}),
+    "sc_form_no_terms": dict(SCENARIO, form={"lattice": "L", "weight": "0"}),
+    "sc_coef_short": dict(SCENARIO, form=dict(SCENARIO["form"], terms=[
+        {"coset": [], "exp": "0", "coef": [1]}])),
+    "sc_lattices_list": dict(SCENARIO, lattices=[{"gram": [[0, 1], [1, 0]]}]),
+    "sc_grassmann_list": dict(SCENARIO, grassmann=[]),
+    "sc_sublattice_list": dict(SCENARIO, sublattice=["L", [[1, -1]]]),
+    "sc_form_string": dict(SCENARIO, form="F"),
+    "sc_checks_string": dict(SCENARIO, checks="weil_relations"),
+    "sc_bound_inf": dict(SCENARIO, bound=float("inf")),
+}
+
+THETA_LM = "theta-lm --lattice {ii11} --sublattice {ii11_m} --tau 0.2,1.1"
+CONTRACT = "contract --lattice {ii11} --sublattice {ii11_m} --form {ii11_form}"
+
+#: malformed inputs: id -> (command line, what stderr must name); each exited
+#: 1 with a traceback, or printed a number, before the JSON readers
+MALFORMED_INPUTS = {
+    "disc_info_no_gram": ("disc-info --lattice {no_gram}", "ParseError"),
+    "weil_matrix_no_gram": ("weil-matrix --lattice {no_gram} --element 0,-1,1,0",
+                            "ParseError"),
+    "theta_no_gram": ("theta --lattice {no_gram} --tau 0.2,1.1", "ParseError"),
+    "theta_lm_no_basis": (THETA_LM.replace("ii11_m", "no_basis"), "ParseError"),
+    "contract_no_basis": (CONTRACT.replace("ii11_m", "no_basis"), "ParseError"),
+    "naive_lift_form_no_gram": ("naive-lift --lattice {a1} --form {form_no_gram}",
+                                "ParseError"),
+    "naive_lift_form_bad_coset": ("naive-lift --lattice {a1} --form {form_bad_coset}",
+                                  "ParseError"),
+    "scenario_lattice_no_gram": ("run-scenario {sc_lattice_no_gram}", "ParseError"),
+    "scenario_form_no_terms": ("run-scenario {sc_form_no_terms}", "ParseError"),
+    "scenario_coef_short": ("run-scenario {sc_coef_short}", "ParseError"),
+    "scenario_lattices_list": ("run-scenario {sc_lattices_list}", "ParseError"),
+    "scenario_grassmann_list": ("run-scenario {sc_grassmann_list}", "ParseError"),
+    "scenario_sublattice_list": ("run-scenario {sc_sublattice_list}", "ParseError"),
+    "scenario_form_string": ("run-scenario {sc_form_string}", "ParseError"),
+    "scenario_checks_string": ("run-scenario {sc_checks_string}",
+                               "ParseError: checks must be a list of names"),
+    "theta_bound_inf": ("theta --lattice {a1} --tau 0.2,1.1 --bound inf", "BoundTooLarge"),
+    "theta_lm_bound_inf": (THETA_LM + " --bound inf", "BoundTooLarge"),
+    "contract_bound_inf": (CONTRACT + " --bound inf", "BoundTooLarge"),
+    "contract_bound_nan": (CONTRACT + " --bound nan", "NegativeBound"),
+    "scenario_bound_inf": ("run-scenario {sc_bound_inf}", "BoundTooLarge"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    # a missing or wrongly typed entry, or a non-finite bound, is a typed
+    # error with exit 2 (1 means a check failed), never a traceback
+    files = {name: write_json(tmp_path / f"{name}.json", payload)
+             for name, payload in BAD_INPUTS.items()}
+    command, error = MALFORMED_INPUTS[case]
+    assert main([token.format(**files) for token in command.split()]) == 2
+    assert f"error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--grid=0", "--grid=-3", "--ymax=0.5", "--ymax=nan"])
+def test_naive_lift_rejects_empty_grid(tmp_path, capsys, option):
+    # no cell per side, or nothing above y = sqrt(3)/2: there is no quadrature
+    # to report, so the command exits 2 and prints no value
+    lat = write_json(tmp_path / "a1.json", BAD_INPUTS["a1"])
+    form = write_json(tmp_path / "form.json", dict(BAD_INPUTS["form_bad_coset"], terms=[]))
+    assert main(["naive-lift", "--lattice", lat, "--form", form, option]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: EmptyGrid: ")
+
+
+#: options that name a JSON input file, and the positional scenario file
+JSON_INPUTS = ("lattice", "sublattice", "grassmann", "poly", "form", "scenario")
+
+#: a valid value for every JSON input and every required argument of every
+#: subcommand: the default splitting and the zero polynomial fit both
+#: A1+A1(-1) and its M-perp = A1
+VALID_ARGS = {
+    "lattice": {"gram": [[2, 0], [0, -2]]},
+    "sublattice": {"ambient": "L", "basis": [[0, 1]]},
+    "grassmann": {"span_plus": []},
+    "poly": {"degrees": [0, 0], "monomials": {}},
+    "form": {"type": "qexpansion", "gram": [[2, 0], [0, -2]], "weight": "0", "terms": []},
+    "scenario": dict(SCENARIO, checks=["weil_relations"]),
+    "tau": "0.2,1.1",
+    "element": "0,-1,1,0",
+}
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command,dest", [
+    (name, action.dest) for name, sub in sorted(_subcommands().items())
+    for action in sub._actions if action.dest in JSON_INPUTS])
+def test_every_json_input_goes_through_a_reader(tmp_path, capsys, command, dest):
+    # every subcommand, present and future: a file holding the JSON array []
+    # in one JSON input, with valid required inputs, is a ParseError (exit 2);
+    # a handler that indexed its input by hand would crash instead
+    def argv(bad: bool) -> list:
+        out = [command]
+        for action in _subcommands()[command]._actions:
+            if action.dest == dest or action.required:
+                value = VALID_ARGS[action.dest]
+                if action.dest in JSON_INPUTS:
+                    payload = [] if bad and action.dest == dest else value
+                    value = write_json(tmp_path / f"{action.dest}.json", payload)
+                out += [action.option_strings[0], value] if action.option_strings else [value]
+        return out
+
+    assert main(argv(bad=False)) == 0, capsys.readouterr().err
+    assert main(argv(bad=True)) == 2
+    assert "error: ParseError: " in capsys.readouterr().err

@@ -45,6 +45,9 @@ def test_definite_lattice_single_point(a1_plus_a1):
 def test_rejects_bad_spans(ii11):
     with pytest.raises(NotPositiveDefiniteSpan):
         make_grassmann_point(ii11, [[1, -1]])
+    # one independent isotropic vector: a singular span, but not a dependent one
+    with pytest.raises(NotPositiveDefiniteSpan, match="dependent.*isotropic"):
+        make_grassmann_point(ii11, [[1, 0]])
     with pytest.raises(WrongDimension):
         make_grassmann_point(ii11, [])
     with pytest.raises(WrongDimension):

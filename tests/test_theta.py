@@ -984,6 +984,22 @@ def test_siegel_theta_builds_once_across_taus(ii11, monkeypatch):
         assert len(calls) == before + 1
 
 
+def test_store_keys_polynomials_by_value(ii11, monkeypatch):
+    # a polynomial made afresh per call hits the store when it is equal to
+    # the stored one, and a different coefficient builds again
+    v = make_grassmann_point(ii11, [[1, 1]])
+    calls = _count_builds(monkeypatch)
+    p1, p2 = constant_poly(1, 1), constant_poly(1, 1)
+    assert p1 is not p2 and p1 == p2 and hash(p1) == hash(p2)
+    siegel_theta(ii11, 1j, v, p1, None, 10.0)
+    siegel_theta(ii11, 0.2 + 1j, v, p2, None, 10.0)
+    assert len(calls) == 1
+    p3 = constant_poly(1, 1, value=2.0)
+    assert p3 != p1
+    siegel_theta(ii11, 1j, v, p3, None, 10.0)
+    assert len(calls) == 2
+
+
 def test_store_respects_a_lowered_cap(ii11, monkeypatch):
     v = make_grassmann_point(ii11, [[1, 1]])
     p = constant_poly(1, 1)
