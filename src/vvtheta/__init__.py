@@ -81,19 +81,15 @@ from .theta import (  # noqa: F401
     mixed_theta_evaluator,
     mixed_theta_family,
     modularity_defect,
-    pairing_expression_residuals,
     Seesaw,
-    seesaw_pairing_residual,
-    seesaw_split_residual,
     siegel_theta,
     siegel_theta_evaluator,
     siegel_theta_family,
     split_data,
     term_multiset,
     ThetaFamily,
-    theta_negation_residual,
     theta_negation_residuals,
-    theta_value_difference,
+    theta_weight,
 )
 from .contraction import (  # noqa: F401
     ContractionResult,
@@ -103,7 +99,6 @@ from .contraction import (  # noqa: F401
     expected_weights,
     lift_integrand,
     naive_truncated_lift,
-    restriction_residual,
     seesaw_contractions,
     seesaw_restriction_residuals,
     theta_series_coset,

@@ -8,7 +8,9 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -31,7 +33,7 @@ from .discforms import (
     gauss_sum_check,
     gauss_sum_residual,
 )
-from .errors import ParseError, UnknownCheck, VvthetaError
+from .errors import OutputNotWritable, ParseError, UnknownCheck, VvthetaError
 from .grassmann import (
     HomogeneousPolynomial,
     constant_poly,
@@ -47,6 +49,7 @@ from .theta import (
     siegel_theta,
     split_data,
     theta_negation_residuals,
+    theta_weight,
 )
 from .weil import (
     MP_S,
@@ -88,6 +91,14 @@ def parse_complex(pair) -> complex:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ParseError(f"expected a pair [re, im], got {pair!r}")
     return complex(parse_float(pair[0]), parse_float(pair[1]))
+
+
+def parse_coefficient(pair) -> complex:
+    """A finite complex coefficient from its JSON pair [re, im]."""
+    z = parse_complex(pair)
+    if not cmath.isfinite(z):
+        raise ParseError(f"coefficient must be finite, got {pair!r}")
+    return z
 
 
 def _rows(rows) -> list:
@@ -155,11 +166,15 @@ def emit_expansion(obj, path=None) -> None:
         obj = qexpansion_to_json(obj.form)
     elif isinstance(obj, QExpansionForm):
         obj = qexpansion_to_json(obj)
+    text = canonical_dumps(obj)
     if path is None:
-        sys.stdout.write(canonical_dumps(obj))
+        sys.stdout.write(text)
         return
-    with open(path, "w") as fh:
-        fh.write(canonical_dumps(obj))
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputNotWritable(f"cannot write {path}: {exc}") from exc
 
 
 def load_json(path):
@@ -234,7 +249,7 @@ def read_poly(spec, lat) -> HomogeneousPolynomial:
     degrees = _ints(_field(spec, "degrees", list))
     if len(degrees) != 2:
         raise ParseError(f"degrees must be [m_plus, m_minus], got {degrees!r}")
-    monomials = {tuple(_ints(key.split(","))) if key else (): parse_complex(coeff)
+    monomials = {tuple(_ints(key.split(","))) if key else (): parse_coefficient(coeff)
                  for key, coeff in _field(spec, "monomials", dict).items()}
     return HomogeneousPolynomial(degrees, lat.sig_plus, lat.sig_minus, monomials)
 
@@ -259,7 +274,7 @@ def read_form(spec, lat=None) -> QExpansionForm:
     terms = {}
     for t in _field(spec, "terms", list):
         key = (tuple(_ints(_field(t, "coset", list))), parse_frac(_field(t, "exp")))
-        terms[key] = parse_complex(_field(t, "coef"))
+        terms[key] = parse_coefficient(_field(t, "coef"))
     return QExpansionForm(lat, parse_frac(_field(spec, "weight")), terms)
 
 
@@ -293,6 +308,9 @@ class Scenario:
                          for lname, spec in _field(data, "lattices", dict, {}).items()}
         self.bound = parse_float(data.get("bound", 10.0))
         self.tolerance = parse_float(data.get("tolerance", 1e-8))
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ParseError(f"tolerance must be a finite number >= 0, "
+                             f"got {self.tolerance!r}")
         self.tau_samples = [parse_complex(t) for t in
                             _field(data, "tau_samples", list, [[0.2, 1.1], [-0.37, 0.9]])]
         self.checks = data.get("checks", [])
@@ -314,7 +332,6 @@ class Scenario:
         #: the shift pair (alpha, beta), or None for no shift
         self.pair = read_pair(data.get("alpha"), data.get("beta"),
                               self.ambient.rank if self.ambient else None)
-        self.alpha, self.beta = self.pair or (None, None)
         form = _field(data, "form", dict, {})
         self.form = None if not form else read_form(
             form, self._named(form["lattice"]) if "lattice" in form else self.ambient)
@@ -372,28 +389,13 @@ def _check_arrows(sc: Scenario) -> float:
     return worst
 
 
-def _check_theta_modularity(sc: Scenario, g) -> float:
-    fam = sc.seesaw.theta_l
-    p_v = sc.seesaw.p_v
-    k = sc.ambient.sig_plus - sc.ambient.sig_minus \
-        + 2 * p_v.degrees[0] - 2 * p_v.degrees[1]
-    worst = 0.0
-    for tau in sc.tau_samples:
-        worst = max(worst, modularity_defect(fam, g, tau, k, sc.alpha, sc.beta,
-                                             sc.bound, sc.tolerance))
-    return worst
-
-
-def _check_mixed_modularity(sc: Scenario, g) -> float:
-    fam = sc.seesaw.mixed
-    plat = sc.sd.mperp_sub.lattice
-    k = plat.sig_plus - plat.sig_minus \
-        + 2 * sc.p_uperp.degrees[0] - 2 * sc.p_uperp.degrees[1]
-    worst = 0.0
-    for tau in sc.tau_samples:
-        worst = max(worst, modularity_defect(fam, g, tau, k, None, None, sc.bound,
-                                             sc.tolerance))
-    return worst
+def _check_modularity(sc: Scenario, g, family, lat, poly, pair) -> float:
+    """Worst transformation defect of ``family`` at g over the tau samples,
+    at weight exponent k = 2 theta_weight(lat, poly)."""
+    k = int(2 * theta_weight(lat.signature, poly.degrees))
+    alpha, beta = pair or (None, None)
+    return max([0.0] + [modularity_defect(family, g, tau, k, alpha, beta, sc.bound,
+                                          sc.tolerance) for tau in sc.tau_samples])
 
 
 def _check_mixed_cross(sc: Scenario) -> float:
@@ -448,10 +450,9 @@ def _check_weights(sc: Scenario) -> float:
     mlat = sc.m_sub.lattice
     degrees_big = (sc.p_u.degrees[0] + sc.p_uperp.degrees[0],
                    sc.p_u.degrees[1] + sc.p_uperp.degrees[1])
-    info = expected_weights(
-        Fraction(sc.ambient.sig_minus - sc.ambient.sig_plus, 2)
-        + degrees_big[1] - degrees_big[0],
-        sc.ambient.signature, mlat.signature, degrees_big, sc.p_u.degrees)
+    info = expected_weights(-theta_weight(sc.ambient.signature, degrees_big),
+                            sc.ambient.signature, mlat.signature, degrees_big,
+                            sc.p_u.degrees)
     return 0.0 if info["consistent"] and info["paired"] == info["contraction"] else 1.0
 
 
@@ -459,10 +460,14 @@ CHECKS = {
     "weil_relations": _check_weil_relations,
     "gauss_sum": _check_gauss_sum,
     "arrow_suite": _check_arrows,
-    "theta_modularity_T": lambda sc: _check_theta_modularity(sc, MP_T),
-    "theta_modularity_S": lambda sc: _check_theta_modularity(sc, MP_S),
-    "mixed_modularity_T": lambda sc: _check_mixed_modularity(sc, MP_T),
-    "mixed_modularity_S": lambda sc: _check_mixed_modularity(sc, MP_S),
+    "theta_modularity_T": lambda sc: _check_modularity(
+        sc, MP_T, sc.seesaw.theta_l, sc.ambient, sc.seesaw.p_v, sc.pair),
+    "theta_modularity_S": lambda sc: _check_modularity(
+        sc, MP_S, sc.seesaw.theta_l, sc.ambient, sc.seesaw.p_v, sc.pair),
+    "mixed_modularity_T": lambda sc: _check_modularity(
+        sc, MP_T, sc.seesaw.mixed, sc.sd.mperp_sub.lattice, sc.p_uperp, None),
+    "mixed_modularity_S": lambda sc: _check_modularity(
+        sc, MP_S, sc.seesaw.mixed, sc.sd.mperp_sub.lattice, sc.p_uperp, None),
     "mixed_cross": _check_mixed_cross,
     "seesaw_split": _check_seesaw_split,
     "seesaw_pairing": _check_seesaw_pairing,

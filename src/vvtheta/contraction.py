@@ -45,6 +45,7 @@ from .theta import (
     siegel_theta,
     siegel_theta_evaluator,
     split_data,
+    theta_weight,
 )
 from .weil import Axis, RepVector, pair as rep_pair
 
@@ -224,11 +225,7 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
                 if e_f + e_t <= cap:
                     key = (delta_m, e_f + e_t)
                     out[key] = out.get(key, 0j) + c_f * c_t
-    d_plus, d_minus = p_uperp.degrees
-    mixed_weight = Fraction(lat.sig_plus - m_sub.lattice.sig_plus
-                            - lat.sig_minus + m_sub.lattice.sig_minus, 2) \
-        + d_plus - d_minus
-    weight = form.weight + mixed_weight
+    weight = form.weight + theta_weight(perp_lat.signature, p_uperp.degrees)
     result = QExpansionForm(m_sub.lattice, weight, out)
     return ContractionResult(form=result, weight=weight)
 
@@ -267,15 +264,6 @@ def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
     return [abs(rep_pair(big, _form_value(form, tau), groups=[group])
                 - rep_pair(m, c, groups=[sd.d_m]))
             for tau, big, c, m in zip(taus, theta_l, contracted, theta_m)]
-
-
-def restriction_residual(form, lat: Lattice, m_sub: Sublattice,
-                         u, u_perp, p_u, p_uperp, tau_samples,
-                         bound: float = 10.0) -> float:
-    """The largest seesaw_restriction_residuals (0 for no samples); the
-    Seesaw's tables are the stored ones."""
-    seesaw = Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp)
-    return max([0.0] + seesaw_restriction_residuals(seesaw, form, tau_samples, bound))
 
 
 FUNDAMENTAL_Y0 = math.sqrt(3.0) / 2.0
@@ -335,10 +323,10 @@ def expected_weights(f_weight, sig_big, sig_sub, degrees_big, degrees_sub) -> di
     if not (0 <= n_plus <= m_plus and 0 <= n_minus <= m_minus):
         raise InconsistentDegrees("sublattice degrees exceed the ambient ones")
     f_weight = Fraction(f_weight)
-    ambient_form = Fraction(b_minus - b_plus, 2) + m_minus - m_plus
-    mixed = Fraction(b_plus - c_plus - b_minus + c_minus, 2) \
-        + (m_plus - n_plus) - (m_minus - n_minus)
-    contraction = Fraction(c_minus - c_plus, 2) + n_minus - n_plus
+    ambient_form = -theta_weight(sig_big, degrees_big)
+    mixed = theta_weight((b_plus - c_plus, b_minus - c_minus),
+                         (m_plus - n_plus, m_minus - n_minus))
+    contraction = -theta_weight(sig_sub, degrees_sub)
     paired = f_weight + mixed
     consistent = (f_weight == ambient_form)
     if consistent and paired != contraction:

@@ -134,3 +134,7 @@ class ParseError(VvthetaError):
 
 class UnknownCheck(VvthetaError):
     pass
+
+
+class OutputNotWritable(VvthetaError):
+    """An output file that cannot be opened or written."""

@@ -746,8 +746,6 @@ def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
 
 def _complement_coords(sd: SplitData, vec, label: str):
     """Mperp coordinates of an ambient vector required to lie in Mperp_R."""
-    if vec is None:
-        return [Fraction(0)] * sd.mperp_sub.rank
     vec = list(vec)
     if len(vec) != sd.ambient.rank:
         raise VectorNotInComplement(f"{label} has wrong dimension")
@@ -857,35 +855,36 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
 # ---------------------------------------------------------------------------
 # symmetry and modularity diagnostics
 
+def theta_weight(signature, degrees) -> Fraction:
+    """Weight of the theta function of a lattice of signature (b+, b-) with a
+    polynomial of degrees (m+, m-): (b+ - b-)/2 + m+ - m-."""
+    (b_plus, b_minus), (m_plus, m_minus) = signature, degrees
+    return Fraction(b_plus - b_minus, 2) + m_plus - m_minus
+
+
 def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
                              poly: HomogeneousPolynomial, pair_vectors=None,
                              bound: float = 10.0) -> list[float]:
     """Residual of the rescaling symmetry between L and L(-1), at each tau.
 
     The theta vector of the inverted lattice at the block-swapped splitting
-    must equal y^((b+-b-)/2 + m+ - m-) times the conjugated theta vector of L
-    with the conjugated polynomial, component by component under the
-    canonical index identification.  Each side is built once for all taus.
+    must equal y to the power theta_weight(L, poly) times the conjugated
+    theta vector of L with the conjugated polynomial, component by component
+    under the canonical index identification.  Each side is built once for
+    all taus.
     """
     taus = [_check_tau(t) for t in taus]
     neg = rescale(lat, -1)
     lhs = siegel_theta_evaluator(neg, swap_blocks_point(point, neg),
                                  block_swapped_poly(poly), pair_vectors, bound)
     rhs = siegel_theta_evaluator(lat, point, poly.conjugate(), pair_vectors, bound)
-    power = Fraction(lat.sig_plus - lat.sig_minus, 2) + poly.degrees[0] - poly.degrees[1]
+    power = theta_weight(lat.signature, poly.degrees)
     d_neg, d_pos = discriminant_group(neg), discriminant_group(lat)
     to_pos = element_identification(d_neg, d_pos)
     matching = d_pos.index(to_pos.apply(d_neg.element_array()))
     return [float(np.abs(left.array - tau.imag ** float(power)
                          * right.array[matching].conj()).max())
             for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus))]
-
-
-def theta_negation_residual(lat: Lattice, tau: complex, point: GrassmannPoint,
-                            poly: HomogeneousPolynomial, pair_vectors=None,
-                            bound: float = 10.0) -> float:
-    """theta_negation_residuals at one tau."""
-    return theta_negation_residuals(lat, [tau], point, poly, pair_vectors, bound)[0]
 
 
 def modularity_defect(theta_fn, g: MetaplecticElement, tau: complex,
@@ -989,10 +988,6 @@ def mixed_theta_family(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
     return ThetaFamily(lat.rank, ("mixed", lat, m_sub, u_perp, poly),
                        lambda vp, bound: mixed_theta_evaluator(
                            lat, m_sub, u_perp, poly, vp, bound))
-
-
-def theta_value_difference(t1: ThetaValue, t2: ThetaValue) -> float:
-    return (t1.value - t2.value).norm_inf()
 
 
 # ---------------------------------------------------------------------------
@@ -1105,32 +1100,6 @@ def _inner_push_down(sd: SplitData, m_vec: RepVector, perp_vec: RepVector) -> Re
 def inner_tensor_to_big(sd: SplitData, theta_m: ThetaValue, theta_p: ThetaValue) -> RepVector:
     """Merge Theta_M (x) Theta_Mperp over D_M x D_perp into D_inner, push down."""
     return _inner_push_down(sd, theta_m.value, theta_p.value)
-
-
-def seesaw_split_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
-                          u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
-                          pair_vectors=None, bound: float = 10.0) -> float:
-    """Seesaw.split_residuals at one tau; the Seesaw's tables are the stored ones."""
-    return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).split_residuals(
-        [tau], pair_vectors, bound)[0]
-
-
-def seesaw_pairing_residual(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
-                            u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
-                            pair_vectors=None, bound: float = 10.0) -> float:
-    """Seesaw.pairing_residuals at one tau; the Seesaw's tables are the stored ones."""
-    return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).pairing_residuals(
-        [tau], pair_vectors, bound)[0]
-
-
-def pairing_expression_residuals(lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
-                                 u_perp: GrassmannPoint, p_u, p_uperp, tau: complex,
-                                 test_vector: RepVector, pair_vectors=None,
-                                 bound: float = 10.0) -> tuple[float, float]:
-    """Seesaw.pairing_expression_residuals at one tau; the Seesaw's tables
-    are the stored ones."""
-    return Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp).pairing_expression_residuals(
-        [tau], test_vector, pair_vectors, bound)[0]
 
 
 def term_multiset(theta: ThetaValue) -> dict:

@@ -36,18 +36,15 @@ from vvtheta import (
     naive_truncated_lift,
     orthogonal_complement,
     overlattice_from_isotropic,
-    pairing_expression_residuals,
     rescale,
-    restriction_residual,
     rho_apply,
     rho_generator,
-    seesaw_pairing_residual,
-    seesaw_split_residual,
+    Seesaw,
+    seesaw_restriction_residuals,
     siegel_theta,
     siegel_theta_family,
     split_data,
     sublattice,
-    theta_value_difference,
     up_arrow,
 )
 from vvtheta.weil import MP_IDENTITY, MP_S, MP_T, mp_power
@@ -192,18 +189,16 @@ def test_criterion_05_seesaw():
             polys.append((coordinate_poly(1, 0, 0),
                           constant_poly(u_perp.dim_plus, u_perp.dim_minus), shifted))
         for p_u, p_p, ab in polys:
+            seesaw = Seesaw(lat, m_sub, u, u_perp, p_u, p_p)
             for tau in TAUS:
-                worst = max(worst, seesaw_split_residual(
-                    lat, m_sub, u, u_perp, p_u, p_p, tau, ab, bound))
-                worst = max(worst, seesaw_pairing_residual(
-                    lat, m_sub, u, u_perp, p_u, p_p, tau, ab, bound))
+                worst = max(worst, seesaw.split_residuals([tau], ab, bound)[0])
+                worst = max(worst, seesaw.pairing_residuals([tau], ab, bound)[0])
         dl = discriminant_group(lat)
         test_vec = RepVector((Axis(dl, dual=True),),
                              {(x,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                               for x in dl.elements()})
-        r1, r2 = pairing_expression_residuals(
-            lat, m_sub, u, u_perp, polys[-1][0], polys[-1][1], TAUS[0],
-            test_vec, shifted, bound)
+        r1, r2 = Seesaw(lat, m_sub, u, u_perp, polys[-1][0], polys[-1][1]) \
+            .pairing_expression_residuals([TAUS[0]], test_vec, shifted, bound)[0]
         worst = max(worst, r1, r2)
     _report(5, "seesaw identities (split, pairing, both re-expressions)",
             worst < 1e-9, f"max residual {worst:.2e} < 1e-9",
@@ -220,7 +215,7 @@ def test_criterion_06_mixed_theta():
             d1 = mixed_theta_direct(lat, m_sub, tau, u_perp, p, None, bound)
             d2 = mixed_theta_composed(lat, m_sub, tau, u_perp, p, None, bound)
             tol = 1e-9 + d1.tail_estimate + d2.tail_estimate
-            worst_cross = max(worst_cross, theta_value_difference(d1, d2) / tol * 1e-9)
+            worst_cross = max(worst_cross, (d1.value - d2.value).norm_inf() / tol * 1e-9)
     ii, m1, _u, u_perp = _splits()[0]
     fam = mixed_theta_family(ii, m1, u_perp, constant_poly(1, 0))
     worst_t = max(modularity_defect(fam, MP_T, tau, 1, None, None, bound)
@@ -348,9 +343,8 @@ def test_criterion_08_restriction():
     rng = random.Random(41)
     taus = [complex(rng.uniform(-0.45, 0.45), rng.uniform(0.8, 1.4))
             for _ in range(10)]
-    residual = restriction_residual(form, ii, m1, u, u_perp,
-                                    constant_poly(0, 1), constant_poly(1, 0),
-                                    taus, 14.0)
+    seesaw = Seesaw(ii, m1, u, u_perp, constant_poly(0, 1), constant_poly(1, 0))
+    residual = max([0.0] + seesaw_restriction_residuals(seesaw, form, taus, 14.0))
     from vvtheta import direct_sum_grassmann, lift_product
 
     sd = split_data(ii, m1)

@@ -504,6 +504,14 @@ BAD_INPUTS = {
     "sc_form_string": dict(SCENARIO, form="F"),
     "sc_checks_string": dict(SCENARIO, checks="weil_relations"),
     "sc_bound_inf": dict(SCENARIO, bound=float("inf")),
+    "sc_valid": SCENARIO,
+    "sc_tolerance_inf": dict(SCENARIO, tolerance=float("inf")),
+    "sc_tolerance_nan": dict(SCENARIO, tolerance=float("nan")),
+    "sc_tolerance_negative": dict(SCENARIO, tolerance=-1),
+    "sc_monomial_inf": dict(SCENARIO, polys={"p_uperp": {"degrees": [0, 0],
+                                                         "monomials": {"": [1e400, 0]}}}),
+    "sc_coef_inf": dict(SCENARIO, form=dict(SCENARIO["form"], terms=[
+        {"coset": [], "exp": "0", "coef": [1.0, 1e400]}])),
 }
 
 THETA_LM = "theta-lm --lattice {ii11} --sublattice {ii11_m} --tau 0.2,1.1"
@@ -536,18 +544,37 @@ MALFORMED_INPUTS = {
     "contract_bound_inf": (CONTRACT + " --bound inf", "BoundTooLarge"),
     "contract_bound_nan": (CONTRACT + " --bound nan", "NegativeBound"),
     "scenario_bound_inf": ("run-scenario {sc_bound_inf}", "BoundTooLarge"),
+    "scenario_tolerance_inf": ("run-scenario {sc_tolerance_inf}", "ParseError: tolerance"),
+    "scenario_tolerance_nan": ("run-scenario {sc_tolerance_nan}", "ParseError: tolerance"),
+    "scenario_tolerance_negative": ("run-scenario {sc_tolerance_negative}",
+                                    "ParseError: tolerance"),
+    "verify_seesaw_tolerance_inf": ("verify-seesaw --scenario {sc_valid} --tolerance inf",
+                                    "ParseError: tolerance"),
+    "scenario_monomial_inf": ("run-scenario {sc_monomial_inf}", "ParseError: coefficient"),
+    "scenario_coef_inf": ("run-scenario {sc_coef_inf}", "ParseError: coefficient"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    # a missing or wrongly typed entry, or a non-finite bound, is a typed
-    # error with exit 2 (1 means a check failed), never a traceback
+    # a missing or wrongly typed entry, a non-finite bound or coefficient, or
+    # a tolerance that is not a finite number >= 0, is a typed error with
+    # exit 2 (1 means a check failed), never a traceback or a verdict
     files = {name: write_json(tmp_path / f"{name}.json", payload)
              for name, payload in BAD_INPUTS.items()}
     command, error = MALFORMED_INPUTS[case]
     assert main([token.format(**files) for token in command.split()]) == 2
     assert f"error: {error}" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a write failure is a typed error with exit 2, and nothing is printed
+    lat = write_json(tmp_path / "a1.json", BAD_INPUTS["a1"])
+    out = tmp_path / "missing" / "theta.json"
+    assert main(["theta", "--lattice", lat, "--tau", "0.2,1.1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: OutputNotWritable: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option", ["--grid=0", "--grid=-3", "--ymax=0.5", "--ymax=nan"])

@@ -30,9 +30,9 @@ from vvtheta import (
     orthogonal_complement,
     orthogonal_elements,
     overlattice_from_isotropic,
-    restriction_residual,
     Seesaw,
     seesaw_contractions,
+    seesaw_restriction_residuals,
     siegel_theta,
     split_data,
     sublattice,
@@ -375,9 +375,8 @@ def test_restriction_identity(ii11_split):
     rng = random.Random(11)
     taus = [complex(rng.uniform(-0.45, 0.45), rng.uniform(0.8, 1.4))
             for _ in range(10)]
-    assert restriction_residual(form, ii11, m_sub, u, u_perp,
-                                constant_poly(0, 1), constant_poly(1, 0),
-                                taus, 14.0) < 1e-8
+    seesaw = Seesaw(ii11, m_sub, u, u_perp, constant_poly(0, 1), constant_poly(1, 0))
+    assert max(seesaw_restriction_residuals(seesaw, form, taus, 14.0)) < 1e-8
 
 
 def test_restriction_block_sum_exact(a1a1_split):
@@ -387,9 +386,8 @@ def test_restriction_block_sum_exact(a1a1_split):
         ((1, 1), F(1, 2)): 3.0 - 1.0j,
     })
     taus = [0.3 + 1.0j, -0.2 + 0.9j]
-    assert restriction_residual(form, lat, m_sub, u, u_perp,
-                                constant_poly(1, 0), constant_poly(1, 0),
-                                taus, 12.0) < 1e-10
+    seesaw = Seesaw(lat, m_sub, u, u_perp, constant_poly(1, 0), constant_poly(1, 0))
+    assert max(seesaw_restriction_residuals(seesaw, form, taus, 12.0)) < 1e-10
 
 
 def test_naive_lift(ii11_split):

@@ -30,19 +30,15 @@ from vvtheta import (
     mixed_theta_family,
     modularity_defect,
     orthogonal_complement,
-    pairing_expression_residuals,
     Seesaw,
-    seesaw_pairing_residual,
-    seesaw_split_residual,
     siegel_theta,
     siegel_theta_evaluator,
     siegel_theta_family,
     split_data,
     sublattice,
     term_multiset,
-    theta_negation_residual,
     theta_negation_residuals,
-    theta_value_difference,
+    theta_weight,
 )
 import vvtheta.theta as theta_mod
 from vvtheta import exact
@@ -535,6 +531,19 @@ def test_modularity_negative_weight(a1_neg):
         assert modularity_defect(fam, MP_S, tau, -1, None, None, 30.0) < 1e-6
 
 
+def test_theta_weight(a1, a1_neg, ii11):
+    # (b+ - b-)/2 + m+ - m-: the weights the tests above pass as 2k by hand
+    assert theta_weight(a1.signature, (0, 0)) == F(1, 2)
+    assert theta_weight(a1_neg.signature, (0, 1)) == F(-3, 2)
+    assert theta_weight(ii11.signature, (0, 0)) == 0
+    assert theta_weight((2, 1), (1, 0)) == F(3, 2)
+    # a degree-(1, 0) polynomial on A1 raises the weight to 3/2
+    fam = siegel_theta_family(a1, make_grassmann_point(a1, [[1]]), coordinate_poly(1, 0, 0))
+    k = 2 * theta_weight(a1.signature, (1, 0))
+    assert k == 3
+    assert modularity_defect(fam, MP_S, 0.2 + 1.1j, int(k), None, None, 30.0) < 1e-6
+
+
 def test_modularity_wrong_weight_fails(a1):
     v = make_grassmann_point(a1, [[1]])
     fam = siegel_theta_family(a1, v, constant_poly(1, 0))
@@ -643,7 +652,7 @@ def test_mixed_cross_construction(ii11_split, a1a1_split):
         p = constant_poly(1, 0)
         d1 = mixed_theta_direct(lat, m_sub, 0.3 + 0.8j, u_perp, p, None, 12.0)
         d2 = mixed_theta_composed(lat, m_sub, 0.3 + 0.8j, u_perp, p, None, 12.0)
-        assert theta_value_difference(d1, d2) < 1e-9 + d1.tail_estimate + d2.tail_estimate
+        assert (d1.value - d2.value).norm_inf() < 1e-9 + d1.tail_estimate + d2.tail_estimate
 
 
 def test_mixed_cross_with_shifts(ii11_split):
@@ -655,7 +664,7 @@ def test_mixed_cross_with_shifts(ii11_split):
     for tau in TAU_SAMPLES:
         d1 = mixed_theta_direct(ii11, m_sub, tau, u_perp, p, (xi, eta), 12.0)
         d2 = mixed_theta_composed(ii11, m_sub, tau, u_perp, p, (xi, eta), 12.0)
-        assert theta_value_difference(d1, d2) < 1e-12
+        assert (d1.value - d2.value).norm_inf() < 1e-12
 
 
 def test_composed_tail_certifies_omitted_mass(a2, ii11):
@@ -745,14 +754,14 @@ def test_mixed_with_complement_shifts(ii11_split):
 
 def test_negation_residuals(a1, ii11):
     va1 = make_grassmann_point(a1, [[1]])
-    assert theta_negation_residual(a1, 0.2 + 1.1j, va1, constant_poly(1, 0),
-                                   None, 12.0) < 1e-10
+    assert theta_negation_residuals(a1, [0.2 + 1.1j], va1, constant_poly(1, 0),
+                                    None, 12.0)[0] < 1e-10
     vii = make_grassmann_point(ii11, [[1, 1]])
     p_real = coordinate_poly(1, 1, 0)
     pair_v = ([F(1, 3), F(1, 5)], [F(1, 2), F(1, 7)])
-    assert theta_negation_residual(ii11, 0.2 + 1.1j, vii, p_real, pair_v, 12.0) < 1e-10
+    assert theta_negation_residuals(ii11, [0.2 + 1.1j], vii, p_real, pair_v, 12.0)[0] < 1e-10
     p_cplx = p_real.scale(0.5 + 2.0j)
-    assert theta_negation_residual(ii11, 0.2 + 1.1j, vii, p_cplx, pair_v, 12.0) < 1e-10
+    assert theta_negation_residuals(ii11, [0.2 + 1.1j], vii, p_cplx, pair_v, 12.0)[0] < 1e-10
 
 
 def test_float_spanned_splittings_take_the_float_path(ii11, a2):
@@ -760,8 +769,8 @@ def test_float_spanned_splittings_take_the_float_path(ii11, a2):
     # int64 terms; the block-swapped and direct-sum points built from it must
     # stay on the float path instead of raising BoundTooLarge
     v = make_grassmann_point(ii11, [[1, 0.3]])
-    assert theta_negation_residual(ii11, 0.1 + 1j, v, constant_poly(1, 1),
-                                   None, 4.0) < 1e-10
+    assert theta_negation_residuals(ii11, [0.1 + 1j], v, constant_poly(1, 1),
+                                    None, 4.0)[0] < 1e-10
     lat = direct_sum(a2, ii11)
     m_sub = sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)])
     u = make_grassmann_point(m_sub.lattice, [[1, 0], [0, 1]])
@@ -776,13 +785,9 @@ def test_float_spanned_splittings_take_the_float_path(ii11, a2):
 
 def test_seesaw_ii11(ii11_split):
     ii11, m_sub, mperp, u, u_perp = ii11_split
-    pu = constant_poly(0, 1)
-    pp = constant_poly(1, 0)
-    for tau in TAU_SAMPLES:
-        assert seesaw_split_residual(ii11, m_sub, u, u_perp, pu, pp, tau,
-                                     None, 12.0) < 1e-9
-        assert seesaw_pairing_residual(ii11, m_sub, u, u_perp, pu, pp, tau,
-                                       None, 12.0) < 1e-9
+    seesaw = Seesaw(ii11, m_sub, u, u_perp, constant_poly(0, 1), constant_poly(1, 0))
+    assert max(seesaw.split_residuals(TAU_SAMPLES, None, 12.0)) < 1e-9
+    assert max(seesaw.pairing_residuals(TAU_SAMPLES, None, 12.0)) < 1e-9
 
 
 def test_seesaw_with_degree_and_shifts(ii11_split):
@@ -790,9 +795,9 @@ def test_seesaw_with_degree_and_shifts(ii11_split):
     pu = coordinate_poly(0, 1, 0)  # degree (0,1) on the negative definite side
     pp = constant_poly(1, 0)
     ab = ([F(1, 3), F(2, 5)], [F(1, 2), F(-1, 7)])
-    for tau in TAU_SAMPLES:
-        assert seesaw_split_residual(ii11, m_sub, u, u_perp, pu, pp, tau, ab, 14.0) < 1e-9
-        assert seesaw_pairing_residual(ii11, m_sub, u, u_perp, pu, pp, tau, ab, 14.0) < 1e-9
+    seesaw = Seesaw(ii11, m_sub, u, u_perp, pu, pp)
+    assert max(seesaw.split_residuals(TAU_SAMPLES, ab, 14.0)) < 1e-9
+    assert max(seesaw.pairing_residuals(TAU_SAMPLES, ab, 14.0)) < 1e-9
 
 
 def test_seesaw_a1a1(a1a1_split):
@@ -800,9 +805,9 @@ def test_seesaw_a1a1(a1a1_split):
     pu = coordinate_poly(1, 0, 0)  # degree (1,0)
     pp = constant_poly(1, 0)
     ab = ([F(1, 3), F(2, 5)], [F(1, 2), F(-1, 7)])
-    for tau in TAU_SAMPLES:
-        assert seesaw_split_residual(lat, m_sub, u, u_perp, pu, pp, tau, ab, 14.0) < 1e-9
-        assert seesaw_pairing_residual(lat, m_sub, u, u_perp, pu, pp, tau, ab, 14.0) < 1e-9
+    seesaw = Seesaw(lat, m_sub, u, u_perp, pu, pp)
+    assert max(seesaw.split_residuals(TAU_SAMPLES, ab, 14.0)) < 1e-9
+    assert max(seesaw.pairing_residuals(TAU_SAMPLES, ab, 14.0)) < 1e-9
 
 
 def test_pairing_expressions_both_forms(ii11_split, a1a1_split):
@@ -816,8 +821,8 @@ def test_pairing_expressions_both_forms(ii11_split, a1a1_split):
                              {(x,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                               for x in dl.elements()})
         ab = ([F(1, 3)] * lat.rank, [F(-1, 4)] * lat.rank)
-        r1, r2 = pairing_expression_residuals(lat, m_sub, u, u_perp, pu, pp,
-                                              0.2 + 1.1j, test_vec, ab, 14.0)
+        [(r1, r2)] = Seesaw(lat, m_sub, u, u_perp, pu, pp).pairing_expression_residuals(
+            [0.2 + 1.1j], test_vec, ab, 14.0)
         assert r1 < 1e-9 and r2 < 1e-9
 
 
@@ -825,7 +830,7 @@ def test_pairing_expressions_both_forms(ii11_split, a1a1_split):
 @pytest.mark.parametrize("shifted", [False, True])
 def test_seesaw_batches_equal_single_tau(split, shifted, request):
     # one Seesaw evaluates each table over all taus in one batch; every
-    # residual must equal, bit for bit, the single-tau function at each tau
+    # residual must equal, bit for bit, the same call made at one tau
     lat, m_sub, mperp, u, u_perp = request.getfixturevalue(split)
     mlat, plat = m_sub.lattice, mperp.lattice
     pu = coordinate_poly(mlat.sig_plus, mlat.sig_minus, 0)
@@ -836,29 +841,30 @@ def test_seesaw_batches_equal_single_tau(split, shifted, request):
     seesaw = Seesaw(lat, m_sub, u, u_perp, pu, pp)
     args = (lat, m_sub, u, u_perp, pu, pp)
     split_r = seesaw.split_residuals(taus, ab, bound)
-    assert split_r == [seesaw_split_residual(*args, t, ab, bound) for t in taus]
+    assert split_r == [Seesaw(*args).split_residuals([t], ab, bound)[0] for t in taus]
     assert max(split_r) < 1e-9
     assert seesaw.pairing_residuals(taus, ab, bound) == \
-        [seesaw_pairing_residual(*args, t, ab, bound) for t in taus]
+        [Seesaw(*args).pairing_residuals([t], ab, bound)[0] for t in taus]
     dl = discriminant_group(lat)
     rng = random.Random(7)
     test_vec = RepVector((Axis(dl, dual=True),),
                          {(x,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                           for x in dl.elements()})
     assert seesaw.pairing_expression_residuals(taus, test_vec, ab, bound) == \
-        [pairing_expression_residuals(*args, t, test_vec, ab, bound) for t in taus]
+        [Seesaw(*args).pairing_expression_residuals([t], test_vec, ab, bound)[0]
+         for t in taus]
     assert seesaw.mixed_cross_residuals(taus, bound) == \
-        [theta_value_difference(mixed_theta_direct(lat, m_sub, t, u_perp, pp, None, bound),
-                                mixed_theta_composed(lat, m_sub, t, u_perp, pp, None, bound))
+        [(mixed_theta_direct(lat, m_sub, t, u_perp, pp, None, bound).value
+          - mixed_theta_composed(lat, m_sub, t, u_perp, pp, None, bound).value).norm_inf()
          for t in taus]
     assert theta_negation_residuals(lat, taus, seesaw.v, seesaw.p_v, ab, bound) == \
-        [theta_negation_residual(lat, t, seesaw.v, seesaw.p_v, ab, bound) for t in taus]
+        [theta_negation_residuals(lat, [t], seesaw.v, seesaw.p_v, ab, bound)[0]
+         for t in taus]
     # modularity: the seesaw's families keep their tables across taus and
     # checks; a fresh family per tau reads the same stored tables
     alpha, beta = ab if shifted else (None, None)
-    k_l = lat.sig_plus - lat.sig_minus + 2 * seesaw.p_v.degrees[0] \
-        - 2 * seesaw.p_v.degrees[1]
-    k_mixed = plat.sig_plus - plat.sig_minus
+    k_l = int(2 * theta_weight(lat.signature, seesaw.p_v.degrees))
+    k_mixed = int(2 * theta_weight(plat.signature, pp.degrees))
     for g in (MP_T, MP_S):
         assert [modularity_defect(seesaw.theta_l, g, t, k_l, alpha, beta, bound)
                 for t in taus] == \
@@ -899,12 +905,13 @@ def test_rank3_seesaw(ii11, a1):
     pu = constant_poly(0, 1)
     pp = constant_poly(2, 0)
     ab = ([F(1, 3), F(0), F(1, 5)], [F(1, 2), F(-1, 7), F(0)])
+    seesaw = Seesaw(big, m_sub, u, u_perp, pu, pp)
     for tau in TAU_SAMPLES[:1]:
-        assert seesaw_split_residual(big, m_sub, u, u_perp, pu, pp, tau, ab, 10.0) < 1e-9
-        assert seesaw_pairing_residual(big, m_sub, u, u_perp, pu, pp, tau, ab, 10.0) < 1e-9
+        assert seesaw.split_residuals([tau], ab, 10.0)[0] < 1e-9
+        assert seesaw.pairing_residuals([tau], ab, 10.0)[0] < 1e-9
         d1 = mixed_theta_direct(big, m_sub, tau, u_perp, pp, None, 10.0)
         d2 = mixed_theta_composed(big, m_sub, tau, u_perp, pp, None, 10.0)
-        assert theta_value_difference(d1, d2) < 1e-9
+        assert (d1.value - d2.value).norm_inf() < 1e-9
 
 
 def test_coset_factorization_exact(ii11_split):
