@@ -80,7 +80,7 @@ from .theta import (  # noqa: F401
     mixed_theta_direct,
     mixed_theta_evaluator,
     mixed_theta_family,
-    modularity_defect,
+    modularity_defects,
     Seesaw,
     siegel_theta,
     siegel_theta_evaluator,

@@ -45,7 +45,7 @@ from .theta import (
     ThetaValue,
     mixed_theta_composed,
     mixed_theta_direct,
-    modularity_defect,
+    modularity_defects,
     siegel_theta,
     split_data,
     theta_negation_residuals,
@@ -313,22 +313,28 @@ class Scenario:
                              f"got {self.tolerance!r}")
         self.tau_samples = [parse_complex(t) for t in
                             _field(data, "tau_samples", list, [[0.2, 1.1], [-0.37, 0.9]])]
+        if not self.tau_samples:
+            raise ParseError("tau_samples must list at least one tau")
         self.checks = data.get("checks", [])
         if not isinstance(self.checks, list) or not all(isinstance(c, str) for c in self.checks):
             raise ParseError(f"checks must be a list of names, got {self.checks!r}")
         sub = _field(data, "sublattice", dict, {})
         self.ambient = self._named(sub.get("ambient")) if sub else None
-        self.m_sub = read_sublattice(sub, self.ambient) if sub else None
-        self.u = self.u_perp = self.p_u = self.p_uperp = self.sd = None
-        if self.m_sub is not None:
-            self.sd = split_data(self.ambient, self.m_sub)
-            mlat, plat = self.m_sub.lattice, self.sd.mperp_sub.lattice
+        #: the seesaw's inputs (L, M, u, u_perp, p_u, p_uperp), or None
+        #: without a sublattice
+        self._seesaw_inputs = None
+        if sub:
+            m_sub = read_sublattice(sub, self.ambient)
+            mlat = m_sub.lattice
+            plat = split_data(self.ambient, m_sub).mperp_sub.lattice
             gspec = _field(data, "grassmann", dict, {})
             polys = _field(data, "polys", dict, {})
-            self.u = read_splitting(gspec, mlat, "u_span_plus")
-            self.u_perp = read_splitting(gspec, plat, "u_perp_span_plus")
-            self.p_u = read_poly(polys.get("p_u"), mlat)
-            self.p_uperp = read_poly(polys.get("p_uperp"), plat)
+            self._seesaw_inputs = (
+                self.ambient, m_sub,
+                read_splitting(gspec, mlat, "u_span_plus"),
+                read_splitting(gspec, plat, "u_perp_span_plus"),
+                read_poly(polys.get("p_u"), mlat),
+                read_poly(polys.get("p_uperp"), plat))
         #: the shift pair (alpha, beta), or None for no shift
         self.pair = read_pair(data.get("alpha"), data.get("beta"),
                               self.ambient.rank if self.ambient else None)
@@ -344,8 +350,11 @@ class Scenario:
     @cached_property
     def seesaw(self) -> Seesaw:
         """The scenario's seesaw, built on first use: every theta check draws
-        its term tables from it, so each is built once per scenario."""
-        return Seesaw(self.ambient, self.m_sub, self.u, self.u_perp, self.p_u, self.p_uperp)
+        its term tables from it, so each is built once per scenario.  Every
+        check that needs the sublattice M reads it here."""
+        if self._seesaw_inputs is None:
+            raise ParseError("this check needs a 'sublattice' entry")
+        return Seesaw(*self._seesaw_inputs)
 
 
 def _check_weil_relations(sc: Scenario) -> float:
@@ -372,7 +381,7 @@ def _check_gauss_sum(sc: Scenario) -> float:
 def _check_arrows(sc: Scenario) -> float:
     """Glue intertwiners as matrix identities, with up = down^T:
     down up down = |H| down, and rho_L(g) down = down rho_small(g) per word."""
-    gm = sc.sd.gm
+    gm = sc.seesaw.sd.gm
     down = down_matrix(gm)
     worst = float(np.abs(down @ down.T @ down - gm.glue_order * down).max())
     rng = random.Random(5)
@@ -389,17 +398,20 @@ def _check_arrows(sc: Scenario) -> float:
     return worst
 
 
-def _check_modularity(sc: Scenario, g, family, lat, poly, pair) -> float:
-    """Worst transformation defect of ``family`` at g over the tau samples,
-    at weight exponent k = 2 theta_weight(lat, poly)."""
+def _check_modularity(sc: Scenario, g, mixed: bool) -> float:
+    """Worst transformation defect at g over the tau samples, of Theta_L with
+    the scenario's shift pair or of the unshifted mixed theta, at weight
+    exponent k = 2 theta_weight of its lattice and polynomial."""
+    sw = sc.seesaw
+    family, lat, poly, pair = ((sw.mixed, sw.sd.mperp_sub.lattice, sw.p_uperp, None)
+                               if mixed else (sw.theta_l, sw.lattice, sw.p_v, sc.pair))
     k = int(2 * theta_weight(lat.signature, poly.degrees))
-    alpha, beta = pair or (None, None)
-    return max([0.0] + [modularity_defect(family, g, tau, k, alpha, beta, sc.bound,
-                                          sc.tolerance) for tau in sc.tau_samples])
+    return max(modularity_defects(family, g, sc.tau_samples, k, pair, sc.bound,
+                                  sc.tolerance))
 
 
 def _check_mixed_cross(sc: Scenario) -> float:
-    return max([0.0] + sc.seesaw.mixed_cross_residuals(sc.tau_samples, sc.bound))
+    return max(sc.seesaw.mixed_cross_residuals(sc.tau_samples, sc.bound))
 
 
 def _check_seesaw_split(sc: Scenario) -> float:
@@ -412,47 +424,40 @@ def _check_seesaw_pairing(sc: Scenario) -> float:
 
 def _check_pairing_expressions(sc: Scenario) -> float:
     rng = random.Random(23)
-    dl = sc.sd.d_l
+    dl = sc.seesaw.sd.d_l
     test = RepVector((Axis(dl, dual=True),),
                      {(e,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                       for e in dl.elements()})
-    worst = 0.0
-    for r1, r2 in sc.seesaw.pairing_expression_residuals(sc.tau_samples, test, sc.pair,
-                                                         sc.bound):
-        worst = max(worst, r1, r2)
-    return worst
+    return max(max(both) for both in sc.seesaw.pairing_expression_residuals(
+        sc.tau_samples, test, sc.pair, sc.bound))
 
 
 def _check_negation(sc: Scenario) -> float:
-    return max(theta_negation_residuals(sc.ambient, sc.tau_samples, sc.seesaw.v,
+    return max(theta_negation_residuals(sc.seesaw.lattice, sc.tau_samples, sc.seesaw.v,
                                         sc.seesaw.p_v, sc.pair, sc.bound))
 
 
 def _check_contraction(sc: Scenario) -> float:
     if sc.form is None:
         raise ParseError("contraction check needs a 'form' entry")
-    result = contract_symbolic(sc.form, sc.ambient, sc.m_sub, sc.p_uperp, sc.bound)
-    worst = 0.0
-    pointwise = seesaw_contractions(sc.seesaw, sc.form, sc.tau_samples, sc.bound)
-    for tau, pw in zip(sc.tau_samples, pointwise):
-        worst = max(worst, (result.form.evaluate(tau) - pw).norm_inf())
-    return worst
+    sw = sc.seesaw
+    result = contract_symbolic(sc.form, sw.lattice, sw.sd.m_sub, sw.p_uperp, sc.bound)
+    pointwise = seesaw_contractions(sw, sc.form, sc.tau_samples, sc.bound)
+    return max((result.form.evaluate(tau) - pw).norm_inf()
+               for tau, pw in zip(sc.tau_samples, pointwise))
 
 
 def _check_restriction(sc: Scenario) -> float:
     if sc.form is None:
         raise ParseError("restriction check needs a 'form' entry")
-    return max([0.0] + seesaw_restriction_residuals(sc.seesaw, sc.form, sc.tau_samples,
-                                                    sc.bound))
+    return max(seesaw_restriction_residuals(sc.seesaw, sc.form, sc.tau_samples, sc.bound))
 
 
 def _check_weights(sc: Scenario) -> float:
-    mlat = sc.m_sub.lattice
-    degrees_big = (sc.p_u.degrees[0] + sc.p_uperp.degrees[0],
-                   sc.p_u.degrees[1] + sc.p_uperp.degrees[1])
-    info = expected_weights(-theta_weight(sc.ambient.signature, degrees_big),
-                            sc.ambient.signature, mlat.signature, degrees_big,
-                            sc.p_u.degrees)
+    sw = sc.seesaw
+    sig, degrees = sw.lattice.signature, sw.p_v.degrees
+    info = expected_weights(-theta_weight(sig, degrees), sig, sw.sd.m_sub.lattice.signature,
+                            degrees, sw.p_u.degrees)
     return 0.0 if info["consistent"] and info["paired"] == info["contraction"] else 1.0
 
 
@@ -460,14 +465,10 @@ CHECKS = {
     "weil_relations": _check_weil_relations,
     "gauss_sum": _check_gauss_sum,
     "arrow_suite": _check_arrows,
-    "theta_modularity_T": lambda sc: _check_modularity(
-        sc, MP_T, sc.seesaw.theta_l, sc.ambient, sc.seesaw.p_v, sc.pair),
-    "theta_modularity_S": lambda sc: _check_modularity(
-        sc, MP_S, sc.seesaw.theta_l, sc.ambient, sc.seesaw.p_v, sc.pair),
-    "mixed_modularity_T": lambda sc: _check_modularity(
-        sc, MP_T, sc.seesaw.mixed, sc.sd.mperp_sub.lattice, sc.p_uperp, None),
-    "mixed_modularity_S": lambda sc: _check_modularity(
-        sc, MP_S, sc.seesaw.mixed, sc.sd.mperp_sub.lattice, sc.p_uperp, None),
+    "theta_modularity_T": lambda sc: _check_modularity(sc, MP_T, mixed=False),
+    "theta_modularity_S": lambda sc: _check_modularity(sc, MP_S, mixed=False),
+    "mixed_modularity_T": lambda sc: _check_modularity(sc, MP_T, mixed=True),
+    "mixed_modularity_S": lambda sc: _check_modularity(sc, MP_S, mixed=True),
     "mixed_cross": _check_mixed_cross,
     "seesaw_split": _check_seesaw_split,
     "seesaw_pairing": _check_seesaw_pairing,

@@ -132,9 +132,11 @@ def _form_value(form, tau: complex) -> RepVector:
     return form(tau)
 
 
-def _contract(sd, mixed_vectors, form, taus) -> list[RepVector]:
-    return [rep_pair(mixed, _form_value(form, tau), groups=[sd.d_l])
-            for mixed, tau in zip(mixed_vectors, taus)]
+def _contract(vectors, form, taus, group) -> list:
+    """<vector, F(tau)> over ``group`` at each tau: the one pairing of a theta
+    vector with the form."""
+    return [rep_pair(vec, _form_value(form, tau), groups=[group])
+            for vec, tau in zip(vectors, taus)]
 
 
 def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
@@ -148,7 +150,7 @@ def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
     objects and bound build it once.
     """
     mixed = mixed_theta_family(lat, m_sub, u_perp, p_uperp).vectors([tau], None, bound)
-    return _contract(split_data(lat, m_sub), mixed, form, [tau])[0]
+    return _contract(mixed, form, [tau], split_data(lat, m_sub).d_l)[0]
 
 
 def seesaw_contractions(seesaw: Seesaw, form, taus,
@@ -156,7 +158,7 @@ def seesaw_contractions(seesaw: Seesaw, form, taus,
     """contract_pointwise at each tau (unshifted), from the seesaw's mixed
     theta."""
     mixed = seesaw.mixed.vectors(taus, None, bound)
-    return _contract(seesaw.sd, mixed, form, taus)
+    return _contract(mixed, form, taus, seesaw.sd.d_l)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +246,7 @@ def lift_integrand(form, lat: Lattice, point, poly: HomogeneousPolynomial,
                    tau: complex, bound: float = 10.0) -> complex:
     """Scalar <Theta_L(tau; v, p), F(tau)>: the lift integrand at s = 0."""
     theta = siegel_theta(lat, tau, point, poly, None, bound)
-    group = discriminant_group(lat)
-    return rep_pair(theta.value, _form_value(form, tau), groups=[group])
+    return _contract([theta.value], form, [tau], discriminant_group(lat))[0]
 
 
 def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
@@ -257,13 +258,12 @@ def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
                                   seesaw.u, seesaw.u_perp, sd.m_sub, sd.mperp_sub)
     if not ok:
         raise SplitCheckFailed(f"product polynomial check failed (dev {dev})")
-    group = discriminant_group(seesaw.lattice)
     theta_l = seesaw.theta_l.vectors(taus, None, bound)
     contracted = seesaw_contractions(seesaw, form, taus, bound)
     theta_m = seesaw.theta_m.vectors(taus, None, bound)
-    return [abs(rep_pair(big, _form_value(form, tau), groups=[group])
-                - rep_pair(m, c, groups=[sd.d_m]))
-            for tau, big, c, m in zip(taus, theta_l, contracted, theta_m)]
+    ambient = _contract(theta_l, form, taus, discriminant_group(seesaw.lattice))
+    return [abs(big - rep_pair(m, c, groups=[sd.d_m]))
+            for big, c, m in zip(ambient, contracted, theta_m)]
 
 
 FUNDAMENTAL_Y0 = math.sqrt(3.0) / 2.0
@@ -292,12 +292,12 @@ def naive_truncated_lift(form, lat: Lattice, point, poly: HomogeneousPolynomial,
         return [t for t in taus if t.real * t.real + t.imag * t.imag >= 1.0], dx, dy
 
     grids = [grid(grid_n), grid(max(grid_n // 2, 1))]
-    thetas = iter(evaluator.vectors([tau for taus, _dx, _dy in grids for tau in taus]))
+    all_taus = [tau for taus, _dx, _dy in grids for tau in taus]
+    values = iter(_contract(evaluator.vectors(all_taus), form, all_taus, group))
     totals = []
     for taus, dx, dy in grids:
         total = 0j
-        for tau, theta in zip(taus, thetas):
-            val = rep_pair(theta, _form_value(form, tau), groups=[group])
+        for tau, val in zip(taus, values):
             total += val * dx * dy / (tau.imag * tau.imag)
         totals.append(total)
     value, coarse = totals

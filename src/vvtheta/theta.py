@@ -887,33 +887,32 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
             for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus))]
 
 
-def modularity_defect(theta_fn, g: MetaplecticElement, tau: complex,
-                      weight_exponent: int, alpha=None, beta=None,
-                      bound: float = 10.0, tolerance: float | None = None) -> float:
-    """Sup-norm defect of the transformation law at a metaplectic element.
+def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
+                       weight_exponent: int, pair=None, bound: float = 10.0,
+                       tolerance: float | None = None) -> list[float]:
+    """Sup-norm defect of the transformation law at a metaplectic element,
+    at each tau.
 
-    ``theta_fn(tau, alpha, beta, bound) -> ThetaValue``; the two shift
-    vectors transform column-wise under the matrix.  Raises TailTooLarge when
-    the truncation certificates exceed a tenth of the requested tolerance.
+    Theta(g tau) with the shift pair moved column-wise by the matrix is
+    compared with phi_g(tau)^k rho(g) Theta(tau); each side is one stored
+    evaluator of ``family``, evaluated over all taus in one batch.  Raises
+    TailTooLarge when, at any tau, the truncation certificates exceed a
+    tenth of the requested tolerance.
     """
-    tau = _check_tau(tau)
-    base = theta_fn(tau, alpha, beta, bound)
-    rank = None
-    if alpha is not None or beta is not None:
-        rank = len(alpha if alpha is not None else beta)
-    if rank is None:
-        new_alpha, new_beta = None, None
-    else:
-        a_vec = list(alpha) if alpha is not None else [Fraction(0)] * rank
-        b_vec = list(beta) if beta is not None else [Fraction(0)] * rank
-        new_alpha, new_beta = g.act_pair(a_vec, b_vec)
-    lhs = theta_fn(g.act(tau), new_alpha, new_beta, bound)
-    factor = g.phi(tau) ** weight_exponent
-    rhs = rho_apply(g, base.value).scale(factor)
-    tails = lhs.tail_estimate + abs(factor) * base.tail_estimate
-    if tolerance is not None and tails > tolerance / 10.0:
-        raise TailTooLarge(f"tail certificates {tails} exceed {tolerance}/10")
-    return (lhs.value - rhs).norm_inf()
+    taus = [_check_tau(t) for t in taus]
+    moved_taus = [g.act(t) for t in taus]
+    vp = as_pair(pair, family.rank)
+    base = family.evaluator(vp, bound)
+    moved = family.evaluator(g.act_pair(vp.alpha, vp.beta), bound)
+    factors = [g.phi(t) ** weight_exponent for t in taus]
+    if tolerance is not None:
+        for tau, moved_tau, factor in zip(taus, moved_taus, factors):
+            tails = moved.tail(moved_tau.imag) + abs(factor) * base.tail(tau.imag)
+            if tails > tolerance / 10.0:
+                raise TailTooLarge(f"tail certificates {tails} exceed {tolerance}/10")
+    return [(lhs - rho_apply(g, rhs).scale(factor)).norm_inf()
+            for lhs, rhs, factor in zip(moved.vectors(moved_taus), base.vectors(taus),
+                                        factors)]
 
 
 #: evaluators the store keeps: above the 13 distinct term tables of one run
@@ -929,7 +928,8 @@ _EVALUATORS: OrderedDict = OrderedDict()
 
 
 class ThetaFamily:
-    """Callable (tau, alpha, beta, bound) -> ThetaValue for modularity checks.
+    """One theta function of a lattice of rank ``rank``, at any shift pair
+    and bound.
 
     ``key`` names the builder and its input objects, and ``build(pair,
     bound)`` makes the ThetaEvaluator of one shift pair and bound.  The
@@ -941,13 +941,13 @@ class ThetaFamily:
     """
 
     def __init__(self, rank: int, key: tuple, build):
-        self._rank = rank
+        self.rank = rank
         self._key = key
         self._build = build
 
     def evaluator(self, pair_vectors=None, bound: float = 10.0) -> ThetaEvaluator:
         """The evaluator of one shift pair (None: no shift) and bound."""
-        vp = as_pair(pair_vectors, self._rank)
+        vp = as_pair(pair_vectors, self.rank)
         # a rational and a float entry of equal value take different build
         # paths; a lowered cap must reach the walk, and raise, again
         key = (self._key, tuple((type(x), x) for x in vp.alpha + vp.beta), bound,
@@ -966,13 +966,6 @@ class ThetaFamily:
         """The theta vector of one shift pair and bound at every tau, from
         one batched evaluation (no tail bounds)."""
         return self.evaluator(pair_vectors, bound).vectors(taus)
-
-    def __call__(self, tau, alpha=None, beta=None, bound=10.0) -> ThetaValue:
-        tau = _check_tau(tau)
-        pair_vec = None if alpha is None and beta is None else \
-            (alpha if alpha is not None else [Fraction(0)] * self._rank,
-             beta if beta is not None else [Fraction(0)] * self._rank)
-        return self.evaluator(pair_vec, bound).at(tau)
 
 
 def siegel_theta_family(lat: Lattice, point: GrassmannPoint,

@@ -32,7 +32,7 @@ from vvtheta import (
     mixed_theta_composed,
     mixed_theta_direct,
     mixed_theta_family,
-    modularity_defect,
+    modularity_defects,
     naive_truncated_lift,
     orthogonal_complement,
     overlattice_from_isotropic,
@@ -140,18 +140,17 @@ def test_criterion_04_theta_modularity():
     alpha = [F(1, 3), F(1, 5)]
     beta = [F(1, 2), F(1, 7)]
     cases = [
-        (siegel_theta_family(a1, v_a1, constant_poly(1, 0)), 1, None, None),
-        (siegel_theta_family(ii, v_ii, constant_poly(1, 1)), 0, None, None),
-        (siegel_theta_family(ii, v_ii, constant_poly(1, 1)), 0, alpha, beta),
-        (siegel_theta_family(ii, v_ii, coordinate_poly(1, 1, 0)), 2, alpha, beta),
+        (siegel_theta_family(a1, v_a1, constant_poly(1, 0)), 1, None),
+        (siegel_theta_family(ii, v_ii, constant_poly(1, 1)), 0, None),
+        (siegel_theta_family(ii, v_ii, constant_poly(1, 1)), 0, (alpha, beta)),
+        (siegel_theta_family(ii, v_ii, coordinate_poly(1, 1, 0)), 2, (alpha, beta)),
     ]
     worst_t, worst_s = 0.0, 0.0
-    for fam, k, al, be in cases:
-        for tau in TAUS:
-            worst_t = max(worst_t, modularity_defect(fam, MP_T, tau, k, al, be,
-                                                     bound, tolerance=1e-7))
-            worst_s = max(worst_s, modularity_defect(fam, MP_S, tau, k, al, be,
-                                                     bound, tolerance=1e-7))
+    for fam, k, pair in cases:
+        worst_t = max(worst_t, *modularity_defects(fam, MP_T, TAUS, k, pair, bound,
+                                                   tolerance=1e-7))
+        worst_s = max(worst_s, *modularity_defects(fam, MP_S, TAUS, k, pair, bound,
+                                                   tolerance=1e-7))
     ok = worst_t < 1e-10 and worst_s < 1e-6
     _report(4, "theta transformation law under T and S (certified tails < 1e-8)",
             ok, f"T defect {worst_t:.2e} < 1e-10, S defect {worst_s:.2e} < 1e-6",
@@ -218,10 +217,8 @@ def test_criterion_06_mixed_theta():
             worst_cross = max(worst_cross, (d1.value - d2.value).norm_inf() / tol * 1e-9)
     ii, m1, _u, u_perp = _splits()[0]
     fam = mixed_theta_family(ii, m1, u_perp, constant_poly(1, 0))
-    worst_t = max(modularity_defect(fam, MP_T, tau, 1, None, None, bound)
-                  for tau in TAUS)
-    worst_s = max(modularity_defect(fam, MP_S, tau, 1, None, None, bound)
-                  for tau in TAUS)
+    worst_t = max(modularity_defects(fam, MP_T, TAUS, 1, None, bound))
+    worst_s = max(modularity_defects(fam, MP_S, TAUS, 1, None, bound))
     ok = worst_cross < 1e-9 and worst_t < 1e-10 and worst_s < 1e-6
     _report(6, "mixed theta: independent constructions and transformation law",
             ok, f"cross {worst_cross:.2e} < 1e-9, T {worst_t:.2e} < 1e-10, "
@@ -393,7 +390,7 @@ def test_criterion_10_negative_controls():
     fam = siegel_theta_family(a1, v, constant_poly(1, 0))
     wrong_ok = True
     for dk in (-2, -1, 1, 2):
-        defect = modularity_defect(fam, MP_S, 0.2 + 1.1j, 1 + dk, None, None, 30.0)
+        [defect] = modularity_defects(fam, MP_S, [0.2 + 1.1j], 1 + dk, None, 30.0)
         wrong_ok = wrong_ok and defect > 1e-3
     lam = direct_sum(a1, a1)
     rejected_glue = False

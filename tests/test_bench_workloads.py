@@ -1,8 +1,9 @@
 """Smoke test of the benchmark's use of the public API.
 
-Runs one iteration of every workload in ``bench/workloads.py`` with a null
-tracer, so an API change that would only show up as failed benchmark
-operations fails here instead.
+Runs one iteration and then the traced-run probe of every workload in
+``bench/workloads.py`` with a null tracer, so an API change that would only
+show up as failed benchmark operations, or as a broken traced run, fails here
+instead.
 """
 
 import importlib
@@ -22,3 +23,7 @@ def test_every_workload_iterates_without_failures(tmp_path, monkeypatch):
         outcome = workload.iterate(state, tracer)
         assert outcome.attempted > 0, name
         assert outcome.failed == 0, (name, outcome.detail)
+        extras = workload.probe(state, tracer)
+        if name == "scenario":
+            # the probe calls each check of the CLI's table directly
+            assert extras["cli.checks_passed"] == 15

@@ -20,6 +20,7 @@ from vvtheta import (
     sublattice,
 )
 from vvtheta.cli import (
+    CHECKS,
     build_parser,
     canonical_dumps,
     emit_expansion,
@@ -512,7 +513,14 @@ BAD_INPUTS = {
                                                          "monomials": {"": [1e400, 0]}}}),
     "sc_coef_inf": dict(SCENARIO, form=dict(SCENARIO["form"], terms=[
         {"coset": [], "exp": "0", "coef": [1.0, 1e400]}])),
+    "sc_tau_empty": dict(SCENARIO, tau_samples=[]),
 }
+
+#: the checks that need the sublattice M, each run on a scenario without one
+NEEDS_SUBLATTICE = sorted(set(CHECKS) - {"weil_relations", "gauss_sum"})
+BAD_INPUTS.update({f"sc_no_sub_{check}": dict(
+    {k: v for k, v in SCENARIO.items() if k != "sublattice"}, checks=[check])
+    for check in NEEDS_SUBLATTICE})
 
 THETA_LM = "theta-lm --lattice {ii11} --sublattice {ii11_m} --tau 0.2,1.1"
 CONTRACT = "contract --lattice {ii11} --sublattice {ii11_m} --form {ii11_form}"
@@ -552,7 +560,14 @@ MALFORMED_INPUTS = {
                                     "ParseError: tolerance"),
     "scenario_monomial_inf": ("run-scenario {sc_monomial_inf}", "ParseError: coefficient"),
     "scenario_coef_inf": ("run-scenario {sc_coef_inf}", "ParseError: coefficient"),
+    "scenario_tau_samples_empty": ("run-scenario {sc_tau_empty}", "ParseError: tau_samples"),
+    "verify_restriction_tau_samples_empty": ("verify-restriction --scenario {sc_tau_empty}",
+                                             "ParseError: tau_samples"),
 }
+MALFORMED_INPUTS.update({
+    f"scenario_no_sublattice_{check}": (f"run-scenario {{sc_no_sub_{check}}}",
+                                        "ParseError: this check needs a 'sublattice'")
+    for check in NEEDS_SUBLATTICE})
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))

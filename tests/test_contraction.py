@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from vvtheta import (
     lift_integrand,
     make_grassmann_point,
     mixed_theta_composed,
-    mixed_theta_direct,
+    mixed_theta_family,
+    modularity_defects,
     naive_truncated_lift,
     orthogonal_complement,
     orthogonal_elements,
@@ -466,23 +468,25 @@ def test_expected_weights_intro_instantiation():
 def test_contraction_is_modular(ii11_split):
     # the contraction of a genuinely modular input transforms like a form of
     # weight (c- - c+)/2 + n- - n+ under the dual representation of D_M
-    from vvtheta import ThetaValue
-
     ii11, m_sub, mperp, u, u_perp = ii11_split
     form = QExpansionForm(ii11, F(0), {((), F(0)): 1.0})
     p = constant_poly(1, 0)
+    mixed = mixed_theta_family(ii11, m_sub, u_perp, p)
 
-    def fam(tau, alpha=None, beta=None, bound=20.0):
-        vec = contract_pointwise(form, ii11, m_sub, u_perp, p, tau, bound)
-        mixed = mixed_theta_direct(ii11, m_sub, tau, u_perp, p, None, bound)
-        return ThetaValue(value=vec, tau=tau, bound=bound,
-                          tail_estimate=mixed.tail_estimate,
-                          prefactor_exponent=F(0))
+    class Contraction:
+        """The contraction as a function of tau, read by modularity_defects
+        like a theta family; it has no shift pair, so the pair is ignored."""
 
-    from vvtheta import modularity_defect
+        rank = ii11.rank
+
+        def evaluator(self, pair, bound):
+            return SimpleNamespace(
+                vectors=lambda taus: [contract_pointwise(form, ii11, m_sub, u_perp, p,
+                                                         tau, bound) for tau in taus],
+                tail=mixed.evaluator(None, bound).tail)
 
     for g, tol in [(MP_T, 1e-10), (MP_S, 1e-6)]:
-        assert modularity_defect(fam, g, 0.2 + 1.1j, 1, None, None, 20.0) < tol
+        assert modularity_defects(Contraction(), g, [0.2 + 1.1j], 1, None, 20.0)[0] < tol
 
 
 def test_pair_of_modular_forms_weight_zero(a1, a1_neg):

@@ -28,7 +28,7 @@ from vvtheta import (
     mixed_theta_composed,
     mixed_theta_direct,
     mixed_theta_family,
-    modularity_defect,
+    modularity_defects,
     orthogonal_complement,
     Seesaw,
     siegel_theta,
@@ -495,10 +495,9 @@ def test_theta_input_validation(a1):
 def test_modularity_a1(a1):
     v = make_grassmann_point(a1, [[1]])
     fam = siegel_theta_family(a1, v, constant_poly(1, 0))
-    for tau in TAU_SAMPLES:
-        assert modularity_defect(fam, MP_T, tau, 1, None, None, 30.0) < 1e-10
-        assert modularity_defect(fam, MP_S, tau, 1, None, None, 30.0, 1e-6) < 1e-6
-        assert modularity_defect(fam, MP_Z, tau, 1, None, None, 30.0) < 1e-8
+    assert max(modularity_defects(fam, MP_T, TAU_SAMPLES, 1, None, 30.0)) < 1e-10
+    assert max(modularity_defects(fam, MP_S, TAU_SAMPLES, 1, None, 30.0, 1e-6)) < 1e-6
+    assert max(modularity_defects(fam, MP_Z, TAU_SAMPLES, 1, None, 30.0)) < 1e-8
 
 
 def test_modularity_with_pair_action(ii11):
@@ -507,7 +506,7 @@ def test_modularity_with_pair_action(ii11):
     alpha = [F(1, 3), F(1, 5)]
     beta = [F(1, 2), F(1, 7)]
     for g, k in [(MP_T, 0), (MP_S, 0)]:
-        assert modularity_defect(fam, g, 0.2 + 1.1j, k, alpha, beta, 30.0) < 1e-8
+        assert modularity_defects(fam, g, [0.2 + 1.1j], k, (alpha, beta), 30.0)[0] < 1e-8
 
 
 def test_modularity_composite_element_both_branches(a1):
@@ -520,15 +519,14 @@ def test_modularity_composite_element_both_branches(a1):
     tau = -0.66 + 0.9j
     for branch in (1, -1):
         g = MetaplecticElement(2, 1, 3, 2, branch)
-        assert modularity_defect(fam, g, tau, 1, None, None, 60.0, 1e-6) < 1e-6
+        assert modularity_defects(fam, g, [tau], 1, None, 60.0, 1e-6)[0] < 1e-6
 
 
 def test_modularity_negative_weight(a1_neg):
     v = make_grassmann_point(a1_neg, [])
     fam = siegel_theta_family(a1_neg, v, constant_poly(0, 1))
-    for tau in TAU_SAMPLES:
-        assert modularity_defect(fam, MP_T, tau, -1, None, None, 30.0) < 1e-10
-        assert modularity_defect(fam, MP_S, tau, -1, None, None, 30.0) < 1e-6
+    assert max(modularity_defects(fam, MP_T, TAU_SAMPLES, -1, None, 30.0)) < 1e-10
+    assert max(modularity_defects(fam, MP_S, TAU_SAMPLES, -1, None, 30.0)) < 1e-6
 
 
 def test_theta_weight(a1, a1_neg, ii11):
@@ -541,21 +539,27 @@ def test_theta_weight(a1, a1_neg, ii11):
     fam = siegel_theta_family(a1, make_grassmann_point(a1, [[1]]), coordinate_poly(1, 0, 0))
     k = 2 * theta_weight(a1.signature, (1, 0))
     assert k == 3
-    assert modularity_defect(fam, MP_S, 0.2 + 1.1j, int(k), None, None, 30.0) < 1e-6
+    assert modularity_defects(fam, MP_S, [0.2 + 1.1j], int(k), None, 30.0)[0] < 1e-6
 
 
 def test_modularity_wrong_weight_fails(a1):
     v = make_grassmann_point(a1, [[1]])
     fam = siegel_theta_family(a1, v, constant_poly(1, 0))
     for k in (-1, 3):
-        assert modularity_defect(fam, MP_S, 0.2 + 1.1j, k, None, None, 30.0) > 1e-3
+        assert modularity_defects(fam, MP_S, [0.2 + 1.1j], k, None, 30.0)[0] > 1e-3
 
 
 def test_modularity_tail_guard(a1):
     v = make_grassmann_point(a1, [[1]])
     fam = siegel_theta_family(a1, v, constant_poly(1, 0))
     with pytest.raises(TailTooLarge):
-        modularity_defect(fam, MP_S, 0.05 + 0.4j, 1, None, None, 0.4, 1e-12)
+        modularity_defects(fam, MP_S, [0.05 + 0.4j], 1, None, 0.4, 1e-12)
+    # only the second tau's certificate is too large: the guard covers every
+    # tau of a batch
+    taus = [0.2 + 1.1j, 0.05 + 0.05j]
+    assert modularity_defects(fam, MP_S, taus[:1], 1, None, 30.0, 1e-6)[0] < 1e-6
+    with pytest.raises(TailTooLarge):
+        modularity_defects(fam, MP_S, taus, 1, None, 30.0, 1e-6)
 
 
 def _tail_reference(q, translates, series, y, bound, prefactor_exponent):
@@ -732,11 +736,10 @@ def test_mixed_modularity(ii11_split):
     p = constant_poly(1, 0)
     fam = mixed_theta_family(ii11, m_sub, u_perp, p)
     # weight exponent: (b+-c+) - (b--c-) + 0 = 1
-    for tau in TAU_SAMPLES:
-        assert modularity_defect(fam, MP_T, tau, 1, None, None, 20.0) < 1e-10
-        assert modularity_defect(fam, MP_S, tau, 1, None, None, 20.0) < 1e-6
+    assert max(modularity_defects(fam, MP_T, TAU_SAMPLES, 1, None, 20.0)) < 1e-10
+    assert max(modularity_defects(fam, MP_S, TAU_SAMPLES, 1, None, 20.0)) < 1e-6
     for k in (-1, 3):
-        assert modularity_defect(fam, MP_S, 0.2 + 1.1j, k, None, None, 20.0) > 1e-3
+        assert modularity_defects(fam, MP_S, [0.2 + 1.1j], k, None, 20.0)[0] > 1e-3
 
 
 def test_mixed_with_complement_shifts(ii11_split):
@@ -746,7 +749,7 @@ def test_mixed_with_complement_shifts(ii11_split):
     eta = [F(-1, 2), F(-1, 2)]
     fam = mixed_theta_family(ii11, m_sub, u_perp, p)
     for g in (MP_T, MP_S):
-        assert modularity_defect(fam, g, 0.2 + 1.1j, 1, xi, eta, 24.0) < 1e-8
+        assert modularity_defects(fam, g, [0.2 + 1.1j], 1, (xi, eta), 24.0)[0] < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -862,18 +865,15 @@ def test_seesaw_batches_equal_single_tau(split, shifted, request):
          for t in taus]
     # modularity: the seesaw's families keep their tables across taus and
     # checks; a fresh family per tau reads the same stored tables
-    alpha, beta = ab if shifted else (None, None)
     k_l = int(2 * theta_weight(lat.signature, seesaw.p_v.degrees))
     k_mixed = int(2 * theta_weight(plat.signature, pp.degrees))
     for g in (MP_T, MP_S):
-        assert [modularity_defect(seesaw.theta_l, g, t, k_l, alpha, beta, bound)
-                for t in taus] == \
-            [modularity_defect(siegel_theta_family(lat, seesaw.v, seesaw.p_v), g, t, k_l,
-                               alpha, beta, bound) for t in taus]
-        assert [modularity_defect(seesaw.mixed, g, t, k_mixed, None, None, bound)
-                for t in taus] == \
-            [modularity_defect(mixed_theta_family(lat, m_sub, u_perp, pp), g, t, k_mixed,
-                               None, None, bound) for t in taus]
+        assert modularity_defects(seesaw.theta_l, g, taus, k_l, ab, bound) == \
+            [modularity_defects(siegel_theta_family(lat, seesaw.v, seesaw.p_v), g, [t],
+                                k_l, ab, bound)[0] for t in taus]
+        assert modularity_defects(seesaw.mixed, g, taus, k_mixed, None, bound) == \
+            [modularity_defects(mixed_theta_family(lat, m_sub, u_perp, pp), g, [t],
+                                k_mixed, None, bound)[0] for t in taus]
     assert seesaw.theta_l.evaluator(ab, bound) is seesaw.theta_l.evaluator(ab, bound)
 
 
