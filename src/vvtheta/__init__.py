@@ -92,7 +92,6 @@ from .theta import (  # noqa: F401
     theta_weight,
 )
 from .contraction import (  # noqa: F401
-    ContractionResult,
     QExpansionForm,
     contract_pointwise,
     contract_symbolic,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .contraction import (
     QExpansionForm,
-    ContractionResult,
     contract_symbolic,
     expected_weights,
     naive_truncated_lift,
@@ -158,12 +157,10 @@ def qexpansion_to_json(form: QExpansionForm) -> dict:
 
 
 def emit_expansion(obj, path=None) -> None:
-    """Write a ThetaValue / ContractionResult / QExpansionForm, or any JSON
-    payload, canonically to ``path``, or to stdout when path is None."""
+    """Write a ThetaValue or QExpansionForm, or any JSON payload, canonically
+    to ``path``, or to stdout when path is None."""
     if isinstance(obj, ThetaValue):
         obj = theta_to_json(obj)
-    elif isinstance(obj, ContractionResult):
-        obj = qexpansion_to_json(obj.form)
     elif isinstance(obj, QExpansionForm):
         obj = qexpansion_to_json(obj)
     text = canonical_dumps(obj)
@@ -318,6 +315,8 @@ class Scenario:
         self.checks = data.get("checks", [])
         if not isinstance(self.checks, list) or not all(isinstance(c, str) for c in self.checks):
             raise ParseError(f"checks must be a list of names, got {self.checks!r}")
+        if not self.checks:
+            raise ParseError("checks must name at least one check")
         sub = _field(data, "sublattice", dict, {})
         self.ambient = self._named(sub.get("ambient")) if sub else None
         #: the seesaw's inputs (L, M, u, u_perp, p_u, p_uperp), or None
@@ -357,9 +356,17 @@ class Scenario:
         return Seesaw(*self._seesaw_inputs)
 
 
+def _lattices(sc: Scenario):
+    """The scenario's lattices, for a check that loops over them: with none
+    it would check nothing."""
+    if not sc.lattices:
+        raise ParseError("this check needs at least one entry in 'lattices'")
+    return sc.lattices.values()
+
+
 def _check_weil_relations(sc: Scenario) -> float:
     worst = 0.0
-    for lat in sc.lattices.values():
+    for lat in _lattices(sc):
         group = discriminant_group(lat)
         n = group.order
         t = rho_generator(group, "T")
@@ -374,8 +381,8 @@ def _check_weil_relations(sc: Scenario) -> float:
 
 
 def _check_gauss_sum(sc: Scenario) -> float:
-    return max((gauss_sum_residual(discriminant_group(lat), lat.sig_plus, lat.sig_minus)
-                for lat in sc.lattices.values()), default=0.0)
+    return max(gauss_sum_residual(discriminant_group(lat), lat.sig_plus, lat.sig_minus)
+               for lat in _lattices(sc))
 
 
 def _check_arrows(sc: Scenario) -> float:
@@ -443,7 +450,7 @@ def _check_contraction(sc: Scenario) -> float:
     sw = sc.seesaw
     result = contract_symbolic(sc.form, sw.lattice, sw.sd.m_sub, sw.p_uperp, sc.bound)
     pointwise = seesaw_contractions(sw, sc.form, sc.tau_samples, sc.bound)
-    return max((result.form.evaluate(tau) - pw).norm_inf()
+    return max((result.evaluate(tau) - pw).norm_inf()
                for tau, pw in zip(sc.tau_samples, pointwise))
 
 
@@ -454,10 +461,13 @@ def _check_restriction(sc: Scenario) -> float:
 
 
 def _check_weights(sc: Scenario) -> float:
+    """The declared form weight against the ambient theta's, and the weight
+    additivity of the contraction."""
+    if sc.form is None:
+        raise ParseError("weight check needs a 'form' entry")
     sw = sc.seesaw
-    sig, degrees = sw.lattice.signature, sw.p_v.degrees
-    info = expected_weights(-theta_weight(sig, degrees), sig, sw.sd.m_sub.lattice.signature,
-                            degrees, sw.p_u.degrees)
+    info = expected_weights(sc.form.weight, sw.lattice.signature,
+                            sw.sd.m_sub.lattice.signature, sw.p_v.degrees, sw.p_u.degrees)
     return 0.0 if info["consistent"] and info["paired"] == info["contraction"] else 1.0
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +49,6 @@ from .theta import (
 from .weil import Axis, RepVector, pair as rep_pair
 
 
-@dataclass
 class QExpansionForm:
     """Finite q-expansion valued in the dual group algebra of a lattice.
 
@@ -60,16 +58,13 @@ class QExpansionForm:
     integral q-powers).  Negative exponents (principal parts) are allowed.
     """
 
-    lattice: Lattice
-    weight: Fraction
-    terms: dict
-
-    def __post_init__(self):
-        self.weight = Fraction(self.weight)
-        group = discriminant_group(self.lattice)
+    def __init__(self, lattice: Lattice, weight, terms: dict):
+        self.lattice = lattice
+        self.weight = Fraction(weight)
+        group = discriminant_group(lattice)
         elements = set(group.elements())
         canon = {}
-        for (coset, expo), coeff in self.terms.items():
+        for (coset, expo), coeff in terms.items():
             coset = tuple(int(c) for c in coset)
             expo = Fraction(expo)
             if coset not in elements:
@@ -114,14 +109,6 @@ class QExpansionForm:
         for k, v in other.terms.items():
             out[k] = out.get(k, 0j) + v
         return QExpansionForm(self.lattice, self.weight, out)
-
-
-@dataclass
-class ContractionResult:
-    """Symbolically contracted form over the sublattice, with its weight."""
-
-    form: QExpansionForm
-    weight: Fraction
 
 
 def _form_value(form, tau: complex) -> RepVector:
@@ -195,9 +182,10 @@ def theta_series_coset(perp_lat: Lattice, u_perp, poly: HomogeneousPolynomial,
 
 def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
                       p_uperp: HomogeneousPolynomial,
-                      bound: float = 10.0) -> ContractionResult:
-    """Exact q-expansion of the contraction: the mixed theta's q-series
-    paired with the form over D_L.
+                      bound: float = 10.0) -> QExpansionForm:
+    """Exact q-expansion of the contraction over D_M: the mixed theta's
+    q-series paired with the form over D_L, at the form's weight plus the
+    complement's theta weight.
 
     Requires a positive definite complement (its Grassmannian is a point)
     and a harmonic polynomial there.  Each key (gamma_L, delta_M) of the
@@ -228,8 +216,7 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
                     key = (delta_m, e_f + e_t)
                     out[key] = out.get(key, 0j) + c_f * c_t
     weight = form.weight + theta_weight(perp_lat.signature, p_uperp.degrees)
-    result = QExpansionForm(m_sub.lattice, weight, out)
-    return ContractionResult(form=result, weight=weight)
+    return QExpansionForm(m_sub.lattice, weight, out)
 
 
 def _check_perp_poly(poly: HomogeneousPolynomial, perp_lat: Lattice):

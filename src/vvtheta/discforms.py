@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -67,16 +66,31 @@ def unit_roots(n: int) -> np.ndarray:
     return _read_only(np.array([two_pi_e(Fraction(k, n)) for k in range(n)], dtype=complex))
 
 
-@dataclass(frozen=True)
 class DiscriminantGroup:
     """The finite quadratic module L*/L of an even lattice."""
 
-    lattice: Lattice
-    elementary_divisors: tuple[int, ...]
-    generators: tuple[tuple[Fraction, ...], ...]  # dual vectors in L-coords
-    order: int
-    _dual_map: tuple[tuple[int, ...], ...] = field(repr=False, default=())  # U G
-    _full_divisors: tuple[int, ...] = field(repr=False, default=())
+    def __init__(self, lattice: Lattice, elementary_divisors: tuple[int, ...],
+                 generators: tuple[tuple[Fraction, ...], ...], order: int,
+                 _dual_map: tuple[tuple[int, ...], ...] = (),
+                 _full_divisors: tuple[int, ...] = ()):
+        self.lattice = lattice
+        self.elementary_divisors = elementary_divisors
+        self.generators = generators  # dual vectors in L-coords
+        self.order = order
+        self._dual_map = _dual_map  # U G
+        self._full_divisors = _full_divisors
+
+    def _value(self) -> tuple:
+        return (self.lattice, self.elementary_divisors, self.generators, self.order,
+                self._dual_map, self._full_divisors)
+
+    def __eq__(self, other):
+        if other.__class__ is not DiscriminantGroup:
+            return NotImplemented
+        return self is other or self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     def zero(self) -> DiscElement:
         return (0,) * len(self.elementary_divisors)
@@ -232,11 +246,12 @@ def disc_eval(group: DiscriminantGroup, x: DiscElement, y: DiscElement):
     return group.q(x), group.b(x, y)
 
 
-@dataclass(frozen=True)
 class IsotropicSubgroup:
-    parent: DiscriminantGroup
-    generators: tuple[DiscElement, ...]
-    elements: tuple[DiscElement, ...]
+    def __init__(self, parent: DiscriminantGroup, generators: tuple[DiscElement, ...],
+                 elements: tuple[DiscElement, ...]):
+        self.parent = parent
+        self.generators = generators
+        self.elements = elements
 
     @property
     def order(self) -> int:
@@ -321,7 +336,6 @@ def overlattice_from_isotropic(small: Lattice, sub: IsotropicSubgroup) -> Overla
                                 index=emb.index, glue_group=sub)
 
 
-@dataclass(frozen=True)
 class GlueMap:
     """Index maps between D_small and D_big for an overlattice embedding.
 
@@ -330,12 +344,15 @@ class GlueMap:
     element of D_big is a row of ``down_matrix``.
     """
 
-    embedding: OverlatticeEmbedding
-    small_disc: DiscriminantGroup
-    big_disc: DiscriminantGroup
-    subgroup: IsotropicSubgroup
-    _domain: np.ndarray = field(repr=False, compare=False)  # H-perp, in element order
-    _image: np.ndarray = field(repr=False, compare=False)   # its classes in D_big
+    def __init__(self, embedding: OverlatticeEmbedding, small_disc: DiscriminantGroup,
+                 big_disc: DiscriminantGroup, subgroup: IsotropicSubgroup,
+                 _domain: np.ndarray, _image: np.ndarray):
+        self.embedding = embedding
+        self.small_disc = small_disc
+        self.big_disc = big_disc
+        self.subgroup = subgroup
+        self._domain = _domain  # H-perp, in element order
+        self._image = _image    # its classes in D_big
 
     @property
     def glue_order(self) -> int:
@@ -391,15 +408,15 @@ def disc_product_iso(sum_disc: DiscriminantGroup,
             lift_map(right, [g[n1:] for g in sum_disc.generators]))
 
 
-@dataclass(frozen=True, eq=False)
 class _LiftMap:
     """x -> the class in ``target`` of the lift sum_k x_k lifts[k]: U G times
     that lift is matrix x / den, integral iff the lift is in the target's
     dual, and its kept rows mod the elementary divisors are the image."""
 
-    target: DiscriminantGroup
-    matrix: np.ndarray  # n x k Python ints: den U G times the lifts as columns
-    den: int
+    def __init__(self, target: DiscriminantGroup, matrix: np.ndarray, den: int):
+        self.target = target
+        self.matrix = matrix  # n x k Python ints: den U G times the lifts as columns
+        self.den = den
 
     def apply(self, xs) -> np.ndarray:
         """Images of the rows of an (m x k) array, as int64; NotInDual if a

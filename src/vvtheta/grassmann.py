@@ -11,7 +11,6 @@ point: the first block of variables spans v+, the second v-.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,12 +26,12 @@ from .errors import (
 from .lattice import Lattice, Sublattice
 
 
-@dataclass(frozen=True)
 class VectorPair:
     """Two vectors of L_R organized as a column pair (alpha; beta)."""
 
-    alpha: tuple
-    beta: tuple
+    def __init__(self, alpha: tuple, beta: tuple):
+        self.alpha = alpha
+        self.beta = beta
 
     @classmethod
     def zero(cls, rank: int):

@@ -9,7 +9,6 @@ in ambient coordinates.  All integer arithmetic is arbitrary precision.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,15 +26,29 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class Lattice:
-    """An even non-degenerate lattice given by its Gram matrix."""
+    """An even non-degenerate lattice given by its Gram matrix.
 
-    gram: tuple[tuple[int, ...], ...]
-    rank: int
-    sig_plus: int
-    sig_minus: int
-    name: str | None = field(default=None, compare=False)
+    Equal Gram data make equal lattices: ``name`` is a label only."""
+
+    def __init__(self, gram: tuple[tuple[int, ...], ...], rank: int, sig_plus: int,
+                 sig_minus: int, name: str | None = None):
+        self.gram = gram
+        self.rank = rank
+        self.sig_plus = sig_plus
+        self.sig_minus = sig_minus
+        self.name = name
+
+    def _value(self) -> tuple:
+        return (self.gram, self.rank, self.sig_plus, self.sig_minus)
+
+    def __eq__(self, other):
+        if other.__class__ is not Lattice:
+            return NotImplemented
+        return self is other or self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     def gram_np(self) -> np.ndarray:
         return np.array(self.gram, dtype=float).reshape(self.rank, self.rank)
@@ -128,19 +141,33 @@ def rescale(lat: Lattice, s: int, name: str | None = None) -> Lattice:
     return construct_lattice(rows, name=name)
 
 
-@dataclass(frozen=True)
 class Sublattice:
     """A primitive non-degenerate sublattice of an ambient lattice.
 
     ``basis`` lists generator vectors (ambient integer coordinates); the
     induced Gram matrix makes the sublattice a Lattice in its own right.
+    Equality leaves out ``original_basis``, the generators before saturation.
     """
 
-    ambient: Lattice
-    basis: tuple[tuple[int, ...], ...]
-    lattice: Lattice
-    was_primitive: bool = True
-    original_basis: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False)
+    def __init__(self, ambient: Lattice, basis: tuple[tuple[int, ...], ...],
+                 lattice: Lattice, was_primitive: bool = True,
+                 original_basis: tuple[tuple[int, ...], ...] | None = None):
+        self.ambient = ambient
+        self.basis = basis
+        self.lattice = lattice
+        self.was_primitive = was_primitive
+        self.original_basis = original_basis
+
+    def _value(self) -> tuple:
+        return (self.ambient, self.basis, self.lattice, self.was_primitive)
+
+    def __eq__(self, other):
+        if other.__class__ is not Sublattice:
+            return NotImplemented
+        return self is other or self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
     @property
     def rank(self) -> int:
@@ -222,7 +249,6 @@ def orthogonal_complement(ambient: Lattice, sub: Sublattice) -> Sublattice:
     return sublattice(ambient, kernel)
 
 
-@dataclass(frozen=True)
 class OverlatticeEmbedding:
     """An even overlattice big of small, with index |big/small|.
 
@@ -233,11 +259,13 @@ class OverlatticeEmbedding:
     overlattice_from_isotropic and by split embeddings.
     """
 
-    small: Lattice
-    big: Lattice
-    glue: tuple[tuple[Fraction, ...], ...]
-    index: int
-    glue_group: object | None = field(default=None, compare=False)
+    def __init__(self, small: Lattice, big: Lattice, glue: tuple[tuple[Fraction, ...], ...],
+                 index: int, glue_group: object | None = None):
+        self.small = small
+        self.big = big
+        self.glue = glue
+        self.index = index
+        self.glue_group = glue_group
 
     def glue_rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.glue]

@@ -22,7 +22,6 @@ import math
 import numbers
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -300,7 +299,6 @@ def _enumerate_cosets(lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bou
 # ---------------------------------------------------------------------------
 # the term table and its evaluation
 
-@dataclass(frozen=True)
 class TermRecord:
     """One summand, as a row of a TermTable: exact exponents, phase, 1/y
     polynomial coefficients.
@@ -310,12 +308,24 @@ class TermRecord:
     ``a - b`` is half the majorant (>= 0), ``a + b`` is half the norm.
     """
 
-    key: tuple
-    vector: tuple
-    a: object
-    b: object
-    poly_coeffs: tuple
-    phase: object
+    def __init__(self, key: tuple, vector: tuple, a, b, poly_coeffs: tuple, phase):
+        self.key = key
+        self.vector = vector
+        self.a = a
+        self.b = b
+        self.poly_coeffs = poly_coeffs
+        self.phase = phase
+
+    def _value(self) -> tuple:
+        return (self.key, self.vector, self.a, self.b, self.poly_coeffs, self.phase)
+
+    def __eq__(self, other):
+        if other.__class__ is not TermRecord:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
 
 def _fraction_map(num, den: int) -> dict:
@@ -327,7 +337,6 @@ def _fraction_map(num, den: int) -> dict:
 _EVAL_CHUNK = 2 ** 16
 
 
-@dataclass(frozen=True, eq=False)
 class TermTable:
     """Every summand of one truncated theta sum, as numpy arrays.
 
@@ -342,20 +351,25 @@ class TermTable:
     TermRecord.  ``len`` costs nothing; iterating builds TermRecords.
     """
 
-    keys: tuple
-    key_index: np.ndarray
-    vectors: np.ndarray
-    vector_den: int | None
-    a_num: np.ndarray | None
-    b_num: np.ndarray | None
-    ab_den: int | None
-    phase_num: np.ndarray | None
-    phase_den: int | None
-    a: np.ndarray
-    b: np.ndarray
-    phase: np.ndarray
-    poly: np.ndarray
-    prefactor_exponent: Fraction
+    def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
+                 vector_den: int | None, a_num: np.ndarray | None, b_num: np.ndarray | None,
+                 ab_den: int | None, phase_num: np.ndarray | None, phase_den: int | None,
+                 a: np.ndarray, b: np.ndarray, phase: np.ndarray, poly: np.ndarray,
+                 prefactor_exponent: Fraction):
+        self.keys = keys
+        self.key_index = key_index
+        self.vectors = vectors
+        self.vector_den = vector_den
+        self.a_num = a_num
+        self.b_num = b_num
+        self.ab_den = ab_den
+        self.phase_num = phase_num
+        self.phase_den = phase_den
+        self.a = a
+        self.b = b
+        self.phase = phase
+        self.poly = poly
+        self.prefactor_exponent = prefactor_exponent
 
     def __len__(self) -> int:
         return self.key_index.shape[0]
@@ -504,7 +518,6 @@ def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
     return table.vector_tuples()
 
 
-@dataclass
 class ThetaValue:
     """Evaluated theta vector plus its truncation certificate.
 
@@ -512,12 +525,14 @@ class ThetaValue:
     value assembled from other theta values.
     """
 
-    value: RepVector
-    tau: complex
-    bound: float
-    tail_estimate: float
-    prefactor_exponent: Fraction
-    terms: TermTable | None = field(default=None, repr=False)
+    def __init__(self, value: RepVector, tau: complex, bound: float, tail_estimate: float,
+                 prefactor_exponent: Fraction, terms: TermTable | None = None):
+        self.value = value
+        self.tau = tau
+        self.bound = bound
+        self.tail_estimate = tail_estimate
+        self.prefactor_exponent = prefactor_exponent
+        self.terms = terms
 
     @property
     def axes(self):
@@ -683,7 +698,6 @@ def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
 # ---------------------------------------------------------------------------
 # split data for a primitive sublattice
 
-@dataclass
 class SplitData:
     """Everything attached to the splitting L > M (+) Mperp.
 
@@ -692,19 +706,23 @@ class SplitData:
     split translate between D_sum and D_M x D_Mperp (disc_product_iso).
     """
 
-    ambient: Lattice
-    m_sub: Sublattice
-    mperp_sub: Sublattice
-    inner: Lattice
-    emb: OverlatticeEmbedding
-    gm: object
-    d_m: DiscriminantGroup
-    d_perp: DiscriminantGroup
-    d_inner: DiscriminantGroup
-    d_l: DiscriminantGroup
-    _combine: object  # D_M x D_perp -> D_sum on concatenated coordinates
-    _split: tuple  # D_sum -> D_M and D_sum -> D_perp
-    pair_of_inner: np.ndarray  # per D_inner element, its flat (D_M, D_perp) index
+    def __init__(self, ambient: Lattice, m_sub: Sublattice, mperp_sub: Sublattice,
+                 inner: Lattice, emb: OverlatticeEmbedding, gm, d_m: DiscriminantGroup,
+                 d_perp: DiscriminantGroup, d_inner: DiscriminantGroup,
+                 d_l: DiscriminantGroup, _combine, _split: tuple, pair_of_inner: np.ndarray):
+        self.ambient = ambient
+        self.m_sub = m_sub
+        self.mperp_sub = mperp_sub
+        self.inner = inner
+        self.emb = emb
+        self.gm = gm
+        self.d_m = d_m
+        self.d_perp = d_perp
+        self.d_inner = d_inner
+        self.d_l = d_l
+        self._combine = _combine  # D_M x D_perp -> D_sum on concatenated coordinates
+        self._split = _split  # D_sum -> D_M and D_sum -> D_perp
+        self.pair_of_inner = pair_of_inner  # per D_inner element, its flat (D_M, D_perp) index
 
     def combine(self, x, y):
         return self._combine(tuple(x) + tuple(y))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -33,21 +32,33 @@ def _quarter_turns(c: int, d: int) -> int:
     return 0 if d > 0 else 2
 
 
-@dataclass(frozen=True)
 class MetaplecticElement:
     """(A, phi) with A in SL2(Z) and phi(tau) = branch * principal sqrt(c tau + d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-    branch: int = 1  # +1 or -1
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int, branch: int = 1):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.branch = branch  # +1 or -1
+        if a * d - b * c != 1:
             raise VvthetaError(f"matrix {self.matrix()} is not in SL2(Z)")
-        if self.branch not in (1, -1):
+        if branch not in (1, -1):
             raise VvthetaError("branch must be +1 or -1")
+
+    def _value(self) -> tuple:
+        return (self.a, self.b, self.c, self.d, self.branch)
+
+    def __eq__(self, other):
+        if other.__class__ is not MetaplecticElement:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        return f"MetaplecticElement{self._value()}"
 
     def matrix(self):
         return ((self.a, self.b), (self.c, self.d))
@@ -100,11 +111,11 @@ def mp_power(g: MetaplecticElement, k: int) -> MetaplecticElement:
     return out
 
 
-@dataclass(frozen=True)
 class GeneratorWord:
     """A word in T^n, S, Z^k whose ordered product is a metaplectic element."""
 
-    tokens: tuple[tuple[str, int], ...]
+    def __init__(self, tokens: tuple[tuple[str, int], ...]):
+        self.tokens = tokens
 
     def evaluate(self) -> MetaplecticElement:
         out = MP_IDENTITY
@@ -221,10 +232,18 @@ def rho_matrix(group: DiscriminantGroup, g: MetaplecticElement, dual: bool = Fal
 # ---------------------------------------------------------------------------
 # representation vectors
 
-@dataclass(frozen=True)
 class Axis:
-    group: DiscriminantGroup
-    dual: bool = False
+    def __init__(self, group: DiscriminantGroup, dual: bool = False):
+        self.group = group
+        self.dual = dual
+
+    def __eq__(self, other):
+        if other.__class__ is not Axis:
+            return NotImplemented
+        return self.dual == other.dual and self.group == other.group
+
+    def __hash__(self):
+        return hash((self.group, self.dual))
 
     def __repr__(self):
         star = "*" if self.dual else ""

@@ -241,7 +241,7 @@ def test_criterion_07_contraction():
     result2 = contract_symbolic(form2, aa, m2, constant_poly(1, 0), 8.0)
     for tau in taus:
         pw = contract_pointwise(form2, aa, m2, u_perp2, constant_poly(1, 0), tau, 8.0)
-        worst = max(worst, (result2.form.evaluate(tau) - pw).norm_inf())
+        worst = max(worst, (result2.evaluate(tau) - pw).norm_inf())
     # unimodular ambient: f * theta of the complement, structurally
     ii = construct_lattice([[0, 1], [1, 0]], name="II11")
     m1 = sublattice(ii, [(1, -1)])
@@ -261,13 +261,13 @@ def test_criterion_07_contraction():
             for e_t, c_t in series.items():
                 if e_f + e_t <= 8:
                     expect[e_f + e_t] = expect.get(e_f + e_t, 0j) + c_f * c_t
-        got = {e: c for (cs, e), c in result1.form.terms.items() if cs == delta}
+        got = {e: c for (cs, e), c in result1.terms.items() if cs == delta}
         structural_unimodular = structural_unimodular and \
             set(got) == set(expect) and \
             all(abs(got[k] - expect[k]) < 1e-12 for k in got)
     for tau in taus:
         pw = contract_pointwise(form1, ii, m1, u_perp1, constant_poly(1, 0), tau, 8.0)
-        worst = max(worst, (result1.form.evaluate(tau) - pw).norm_inf())
+        worst = max(worst, (result1.evaluate(tau) - pw).norm_inf())
     # glue with surjective complement projection: F tensor theta, structurally
     a1n = rescale(a1, -1)
     lam3 = direct_sum(direct_sum(a1n, a1n), a1)
@@ -305,8 +305,8 @@ def test_criterion_07_contraction():
                     if e_f + e_t <= 6:
                         key = (dm, e_f + e_t)
                         expected3[key] = expected3.get(key, 0j) + c_f * c_t
-    structural_tensor = set(expected3) == set(result3.form.terms) and \
-        all(abs(expected3[k] - result3.form.terms[k]) < 1e-12 for k in expected3)
+    structural_tensor = set(expected3) == set(result3.terms) and \
+        all(abs(expected3[k] - result3.terms[k]) < 1e-12 for k in expected3)
     # unimodular complement: pointwise contraction equals theta-scalar times F
     big4 = direct_sum(a1, ii)
     m4 = sublattice(big4, [(1, 0, 0)])

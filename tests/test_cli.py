@@ -84,6 +84,16 @@ def test_run_scenario_zero_tolerance(tmp_path):
     assert main(["run-scenario", path]) == 1
 
 
+def test_weight_bookkeeping_reads_form_weight(tmp_path):
+    # II(1,1) at signature (1,1) with constant polynomials pairs with weight 0
+    for weight, passes in (("0", True), ("7", False), ("-1", False)):
+        sc = dict(SCENARIO, checks=["weight_bookkeeping"],
+                  form=dict(SCENARIO["form"], weight=weight))
+        path = write_json(tmp_path / "weights.json", sc)
+        assert run_scenario(path)["pass"] is passes, weight
+        assert main(["run-scenario", path]) == (0 if passes else 1)
+
+
 def test_run_scenario_unknown_check(tmp_path):
     bad = dict(SCENARIO, checks=["no_such_check"])
     path = write_json(tmp_path / "bad.json", bad)
@@ -370,7 +380,7 @@ def test_contract_matches_golden(tmp_path):
     m_sub = sublattice(ii, [(1, -1)])
     form = QExpansionForm(ii, F(0), {((), F(0)): 2.0, ((), F(1)): -24.0})
     result = contract_symbolic(form, ii, m_sub, constant_poly(1, 0), 5.0)
-    assert canonical_dumps(qexpansion_to_json(result.form)) == GOLDEN_CONTRACTION
+    assert canonical_dumps(qexpansion_to_json(result)) == GOLDEN_CONTRACTION
     # and the same through the CLI
     lat_file = write_json(tmp_path / "lat.json", {"gram": [[0, 1], [1, 0]]})
     sub_file = write_json(tmp_path / "sub.json", {"ambient": "L", "basis": [[1, -1]]})
@@ -467,6 +477,15 @@ def test_console_script_entry():
     assert "run-scenario" in proc.stdout
 
 
+def test_import_runs_no_dataclass_codegen():
+    # a dataclass compiles its generated methods with exec at every import
+    proc = subprocess.run([sys.executable, "-c", "import sys, vvtheta; "
+                           "print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_python_m_vvtheta():
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "vvtheta", "--help"],
                           capture_output=True, text=True)
@@ -514,6 +533,11 @@ BAD_INPUTS = {
     "sc_coef_inf": dict(SCENARIO, form=dict(SCENARIO["form"], terms=[
         {"coset": [], "exp": "0", "coef": [1.0, 1e400]}])),
     "sc_tau_empty": dict(SCENARIO, tau_samples=[]),
+    "sc_checks_empty": dict(SCENARIO, checks=[]),
+    "sc_weil_relations_no_lattices": {"lattices": {}, "checks": ["weil_relations"]},
+    "sc_gauss_sum_no_lattices": {"lattices": {}, "checks": ["gauss_sum"]},
+    "sc_weights_no_form": dict({k: v for k, v in SCENARIO.items() if k != "form"},
+                               checks=["weight_bookkeeping"]),
 }
 
 #: the checks that need the sublattice M, each run on a scenario without one
@@ -563,6 +587,14 @@ MALFORMED_INPUTS = {
     "scenario_tau_samples_empty": ("run-scenario {sc_tau_empty}", "ParseError: tau_samples"),
     "verify_restriction_tau_samples_empty": ("verify-restriction --scenario {sc_tau_empty}",
                                              "ParseError: tau_samples"),
+    "scenario_checks_empty": ("run-scenario {sc_checks_empty}",
+                              "ParseError: checks must name at least one check"),
+    "scenario_weil_relations_no_lattices": ("run-scenario {sc_weil_relations_no_lattices}",
+                                            "ParseError: this check needs at least one"),
+    "scenario_gauss_sum_no_lattices": ("run-scenario {sc_gauss_sum_no_lattices}",
+                                       "ParseError: this check needs at least one"),
+    "scenario_weight_bookkeeping_no_form": ("run-scenario {sc_weights_no_form}",
+                                            "ParseError: weight check needs a 'form'"),
 }
 MALFORMED_INPUTS.update({
     f"scenario_no_sublattice_{check}": (f"run-scenario {{sc_no_sub_{check}}}",

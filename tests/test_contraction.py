@@ -110,7 +110,7 @@ def test_contract_trivial_glue_convolution(a1_plus_a1):
         for e_t, c_t in r1.items():
             if e_f + e_t <= 6:
                 expected[e_f + e_t] = expected.get(e_f + e_t, 0j) + c_f * c_t
-    got = {e: c for (coset, e), c in result.form.terms.items() if coset == (0,)}
+    got = {e: c for (coset, e), c in result.terms.items() if coset == (0,)}
     for e, c in expected.items():
         assert abs(got.get(e, 0j) - c) < 1e-12
 
@@ -129,7 +129,7 @@ def test_contract_symbolic_vs_pointwise(a1_plus_a1):
     result = contract_symbolic(form, a1_plus_a1, m_sub, p, 8.0)
     for tau in TAUS:
         pw = contract_pointwise(form, a1_plus_a1, m_sub, u_perp, p, tau, 8.0)
-        assert (result.form.evaluate(tau) - pw).norm_inf() < 1e-9
+        assert (result.evaluate(tau) - pw).norm_inf() < 1e-9
 
 
 def test_contract_scalar_unimodular(ii11_split):
@@ -143,7 +143,7 @@ def test_contract_scalar_unimodular(ii11_split):
     for tau in TAUS[:3]:
         f_val = 2.0 - 24.0 * cmath.exp(2j * math.pi * tau)
         theta = siegel_theta(mperp.lattice, tau, u_perp, p, None, 8.0)
-        sym = result.form.evaluate(tau)
+        sym = result.evaluate(tau)
         for dm in discriminant_group(m_sub.lattice).elements():
             assert abs(sym.get((dm,)) - f_val * theta.value.get((dm,))) < 1e-9
 
@@ -190,12 +190,12 @@ def test_contract_form_tensor_theta(a1, a1_neg):
                     if e_f + e_t <= 6:
                         key = (dm, e_f + e_t)
                         expected[key] = expected.get(key, 0j) + c_f * c_t
-    assert set(expected) == set(result.form.terms)
+    assert set(expected) == set(result.terms)
     for k in expected:
-        assert abs(expected[k] - result.form.terms[k]) < 1e-12
+        assert abs(expected[k] - result.terms[k]) < 1e-12
     for tau in TAUS[:2]:
         pw = contract_pointwise(form, big, m_sub, u_perp, p, tau, 6.0)
-        assert (result.form.evaluate(tau) - pw).norm_inf() < 1e-9
+        assert (result.evaluate(tau) - pw).norm_inf() < 1e-9
 
 
 def test_contract_complement_unimodular(a1, ii11):
@@ -258,7 +258,7 @@ def test_contract_degenerate_glue_matches_composed():
     for tau in TAUS[:2]:
         mixed = mixed_theta_composed(big, m_sub, tau, u_perp, p, None, 6.0)
         paired = pair(mixed.value, form.evaluate(tau), groups=[dl])
-        assert (result.form.evaluate(tau) - paired).norm_inf() < 1e-9
+        assert (result.evaluate(tau) - paired).norm_inf() < 1e-9
 
 
 def _glue_sum_reference(form, lat, m_sub, poly, bound) -> dict:
@@ -335,7 +335,7 @@ def test_contract_symbolic_matches_glue_sum(a1, a1_neg, a2):
                 (1, 1) + (0,) * (rank - 2): 1.0,
                 (2, 0) + (0,) * (rank - 2): 0.5, (0, 2) + (0,) * (rank - 2): -0.5}))
         for poly in polys:
-            got = contract_symbolic(form, lat, m_sub, poly, 3.0).form.terms
+            got = contract_symbolic(form, lat, m_sub, poly, 3.0).terms
             expected = _glue_sum_reference(form, lat, m_sub, poly, 3.0)
             assert set(got) == set(expected), (name, poly)
             for key, c in expected.items():

@@ -177,3 +177,22 @@ def test_integral_rationals_and_floats_accepted():
     assert construct_lattice([[F(2), 1.0], [1, 2]]).gram == ((2, 1), (1, 2))
     ii11 = construct_lattice([[0, 1], [1, 0]])
     assert sublattice(ii11, [[1.0, F(-1)]]).basis == ((1, -1),)
+
+
+def test_lattice_equality_ignores_name():
+    # the caches and the evaluator store key lattices by Gram data, not label
+    x = construct_lattice([[2, 1], [1, 2]], name="A2")
+    y = construct_lattice([[2, 1], [1, 2]], name="hexagonal")
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert x != rescale(x, -1) and x != "A2"
+    assert {x: 1}[y] == 1
+
+
+def test_sublattice_equality_ignores_original_basis(ii11):
+    # two generator lists with the same saturation give one sublattice
+    m2 = sublattice(ii11, [(2, 2)], saturate=True)
+    m3 = sublattice(ii11, [(3, 3)], saturate=True)
+    assert m2.original_basis != m3.original_basis
+    assert m2 == m3 and hash(m2) == hash(m3)
+    assert m2 != sublattice(ii11, [(1, 1)])  # was_primitive differs
+    assert m2 != sublattice(ii11, [(1, -1)], saturate=True)

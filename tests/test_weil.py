@@ -38,6 +38,7 @@ from vvtheta import (
     up_arrow,
     word_decompose,
 )
+from vvtheta import discforms
 from vvtheta.weil import _generator_power
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -386,6 +387,29 @@ def test_pair_index_mismatch(a1, a2):
         pair(u, v)
     with pytest.raises(IndexMismatch):
         pair(u, u)  # same duality, no complementary axis
+
+
+def test_axes_over_equal_lattices_compare_equal(monkeypatch):
+    # two groups computed apart from equal Gram matrices: their axes are equal,
+    # so vectors over them add and pair
+    first = discriminant_group(construct_lattice([[2, 1], [1, 2]], name="A2"))
+    monkeypatch.setattr(discforms, "_DISC_CACHE", {})
+    second = discriminant_group(construct_lattice([[2, 1], [1, 2]], name="hexagonal"))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert Axis(first) == Axis(second) and hash(Axis(first)) == hash(Axis(second))
+    assert Axis(first) != Axis(second, dual=True)
+    u = RepVector.basis_vector((Axis(first),), ((1,),))
+    v = RepVector.basis_vector((Axis(second),), ((1,),))
+    assert (u + v).get(((1,),)) == 2
+    assert pair(u, RepVector.basis_vector((Axis(second, dual=True),), ((1,),))) == 1
+
+
+def test_metaplectic_element_compares_entries_and_branch():
+    g = MetaplecticElement(2, 1, 3, 2, 1)
+    assert g == mp_power(MP_Z, 4) * g  # a new object, the same element
+    assert hash(g) == hash(MetaplecticElement(2, 1, 3, 2, 1))
+    assert g != MetaplecticElement(2, 1, 3, 2, -1)
+    assert len({g, MetaplecticElement(2, 1, 3, 2, 1), MetaplecticElement(2, 1, 3, 2, -1)}) == 2
 
 
 def test_rep_vector_keys_are_strict(a1):
