@@ -13,7 +13,6 @@ from .lattice import (  # noqa: F401
     Sublattice,
     construct_lattice,
     direct_sum,
-    dual_data,
     orthogonal_complement,
     rescale,
     sublattice,
@@ -22,21 +21,17 @@ from .discforms import (  # noqa: F401
     DiscriminantGroup,
     IsotropicSubgroup,
     check_isotropic,
-    disc_eval,
     disc_product_iso,
-    disc_projection,
     discriminant_group,
     element_identification,
     gauss_sum_check,
     glue_map,
     orthogonal_elements,
     orthogonal_subgroup,
-    overlattice_from_isotropic,
     two_pi_e,
 )
 from .weil import (  # noqa: F401
     Axis,
-    GeneratorWord,
     MetaplecticElement,
     MP_IDENTITY,
     MP_S,
@@ -44,11 +39,9 @@ from .weil import (  # noqa: F401
     MP_Z,
     RepVector,
     down_arrow,
-    down_matrix,
     identity_vector,
     mp_power,
     pair,
-    reindex_axis,
     rho_apply,
     rho_generator,
     rho_matrix,
@@ -62,7 +55,6 @@ from .grassmann import (  # noqa: F401
     VectorPair,
     block_swapped_poly,
     constant_poly,
-    coordinate_poly,
     direct_sum_grassmann,
     lift_product,
     make_grassmann_point,
@@ -71,7 +63,6 @@ from .grassmann import (  # noqa: F401
 )
 from .theta import (  # noqa: F401
     build_term_table,
-    TermRecord,
     TermTable,
     ThetaEvaluator,
     ThetaValue,
@@ -86,7 +77,6 @@ from .theta import (  # noqa: F401
     siegel_theta_evaluator,
     siegel_theta_family,
     split_data,
-    term_multiset,
     ThetaFamily,
     theta_negation_residuals,
     theta_weight,
@@ -96,18 +86,16 @@ from .contraction import (  # noqa: F401
     contract_pointwise,
     contract_symbolic,
     expected_weights,
-    lift_integrand,
     naive_truncated_lift,
     seesaw_contractions,
     seesaw_restriction_residuals,
-    theta_series_coset,
 )
 
 __version__ = "0.1.0"
 
 #: names served by vvtheta.cli, which is imported on first use so that
 #: ``python -m vvtheta.cli`` finds it not yet imported
-_CLI_NAMES = ("emit_expansion", "load_expansion", "run_scenario")
+_CLI_NAMES = ("emit_expansion", "run_scenario")
 
 
 def __getattr__(name):

@@ -56,7 +56,6 @@ from .weil import (
     Axis,
     MetaplecticElement,
     RepVector,
-    down_matrix,
     mp_power,
     rho_generator,
     rho_matrix,
@@ -180,13 +179,6 @@ def load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-
-
-def load_expansion(path):
-    data = load_json(path)
-    if isinstance(data, dict) and data.get("type") == "qexpansion":
-        return read_form(data)
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +381,7 @@ def _check_arrows(sc: Scenario) -> float:
     """Glue intertwiners as matrix identities, with up = down^T:
     down up down = |H| down, and rho_L(g) down = down rho_small(g) per word."""
     gm = sc.seesaw.sd.gm
-    down = down_matrix(gm)
+    down = gm.down_matrix
     worst = float(np.abs(down @ down.T @ down - gm.glue_order * down).max())
     rng = random.Random(5)
     words = [MP_T, MP_S]
@@ -595,7 +587,7 @@ def _scenario_subset(args, wanted) -> int:
         data["bound"] = args.bound
     if args.tolerance is not None:
         data["tolerance"] = args.tolerance
-    if args.tau_samples:
+    if args.tau_samples is not None:
         data["tau_samples"] = [[t.real, t.imag] for t in map(parse_tau, args.tau_samples)]
     report = _run_checks(Scenario(data))
     emit_expansion(report)

@@ -38,10 +38,8 @@ from .theta import (
     TermTable,
     _check_bound,
     _fraction_map,
-    build_term_table,
     mixed_theta_evaluator,
     mixed_theta_family,
-    siegel_theta,
     siegel_theta_evaluator,
     split_data,
     theta_weight,
@@ -80,13 +78,6 @@ class QExpansionForm:
     @property
     def group(self) -> DiscriminantGroup:
         return discriminant_group(self.lattice)
-
-    @property
-    def exponent_denominator(self) -> int:
-        den = 1
-        for (_c, e) in self.terms:
-            den = den * e.denominator // math.gcd(den, e.denominator)
-        return den
 
     def min_exponent(self) -> Fraction:
         return min((e for (_c, e) in self.terms), default=Fraction(0))
@@ -173,13 +164,6 @@ def _q_series(table: TermTable) -> dict:
     return {k: {e: c for e, c in series.items() if c != 0} for k, series in out.items()}
 
 
-def theta_series_coset(perp_lat: Lattice, u_perp, poly: HomogeneousPolynomial,
-                       coset_vec, bound) -> dict:
-    """Exact-exponent q-series of one coset of a positive definite lattice."""
-    table = build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound)
-    return _q_series(table).get(0, {})
-
-
 def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
                       p_uperp: HomogeneousPolynomial,
                       bound: float = 10.0) -> QExpansionForm:
@@ -227,14 +211,7 @@ def _check_perp_poly(poly: HomogeneousPolynomial, perp_lat: Lattice):
 
 
 # ---------------------------------------------------------------------------
-# lift integrand, restriction identity, naive truncated lift
-
-def lift_integrand(form, lat: Lattice, point, poly: HomogeneousPolynomial,
-                   tau: complex, bound: float = 10.0) -> complex:
-    """Scalar <Theta_L(tau; v, p), F(tau)>: the lift integrand at s = 0."""
-    theta = siegel_theta(lat, tau, point, poly, None, bound)
-    return _contract([theta.value], form, [tau], discriminant_group(lat))[0]
-
+# restriction identity, naive truncated lift
 
 def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
                                  bound: float = 10.0) -> list[float]:

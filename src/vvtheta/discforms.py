@@ -25,7 +25,7 @@ from .errors import (
     NotIsotropic,
     NotSubgroup,
 )
-from .lattice import Lattice, OverlatticeEmbedding, Sublattice, embedding_matrix
+from .lattice import Lattice, OverlatticeEmbedding, embedding_matrix
 
 #: cap on full enumeration of a discriminant group (Gauss sums, orthogonal
 #: subgroups); raise it explicitly for larger desk experiments.
@@ -241,11 +241,6 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     return group
 
 
-def disc_eval(group: DiscriminantGroup, x: DiscElement, y: DiscElement):
-    """(q(x), b(x, y)) as exact rationals in [0, 1)."""
-    return group.q(x), group.b(x, y)
-
-
 class IsotropicSubgroup:
     def __init__(self, parent: DiscriminantGroup, generators: tuple[DiscElement, ...],
                  elements: tuple[DiscElement, ...]):
@@ -290,17 +285,6 @@ def orthogonal_elements(group: DiscriminantGroup, elements) -> list[DiscElement]
 def orthogonal_subgroup(sub: IsotropicSubgroup) -> list[DiscElement]:
     """All x in the parent with b(x, h) = 0 for every h in the subgroup."""
     return orthogonal_elements(sub.parent, sub.generators)
-
-
-def disc_projection(sub: Sublattice, vec) -> DiscElement:
-    """Class in D_M of the orthogonal projection of a dual vector of L.
-
-    The input is a rational vector in ambient coordinates that must lie in
-    the ambient dual lattice; the output is its image under the projection
-    L* -> M* -> D_M.
-    """
-    discriminant_group(sub.ambient).from_dual(vec)  # NotInDual outside the ambient dual
-    return discriminant_group(sub.lattice).from_dual(sub.coords_of(vec))
 
 
 def gauss_sum_residual(group: DiscriminantGroup, sig_plus: int, sig_minus: int) -> float:

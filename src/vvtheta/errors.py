@@ -103,10 +103,6 @@ class VectorNotInComplement(VvthetaError):
     pass
 
 
-class NoTermData(VvthetaError):
-    pass
-
-
 # contraction
 
 class ComplementNotDefinite(VvthetaError):

@@ -126,17 +126,6 @@ class GrassmannPoint:
         pm = np.array([[float(x) for x in row] for row in self.proj_minus])
         return pp @ v, pm @ v
 
-    def plus_norm(self, vec):
-        """Norm of the v+ projection (exact when possible)."""
-        plus, _ = self.project(vec)
-        return self.lattice.norm(plus) if self.rational_flag and _is_rational_vec(vec) \
-            else float(np.dot(plus, self.lattice.gram_np() @ plus))
-
-    def minus_norm(self, vec):
-        _, minus = self.project(vec)
-        return self.lattice.norm(minus) if self.rational_flag and _is_rational_vec(vec) \
-            else float(np.dot(minus, self.lattice.gram_np() @ minus))
-
     def majorant_value(self, vec):
         """Positive definite majorant: plus norm minus minus norm."""
         if self.rational_flag and _is_rational_vec(vec):

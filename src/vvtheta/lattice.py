@@ -113,15 +113,6 @@ def construct_lattice(gram, name: str | None = None) -> Lattice:
                    sig_plus=plus, sig_minus=minus, name=name)
 
 
-def dual_data(lat: Lattice) -> tuple[list[list[Fraction]], int]:
-    """Inverse Gram matrix (exact) and the discriminant |det G|."""
-    if lat.rank == 0:
-        return [], 1
-    inv = exact.mat_inv(lat.gram_rows())
-    disc = abs(int(exact.mat_det(lat.gram_rows())))
-    return inv, disc
-
-
 def direct_sum(l1: Lattice, l2: Lattice, name: str | None = None) -> Lattice:
     """Block-diagonal orthogonal direct sum."""
     n1, n2 = l1.rank, l2.rank

@@ -37,7 +37,6 @@ from .discforms import (
 from .errors import (
     BoundTooLarge,
     NegativeBound,
-    NoTermData,
     NonHomogeneousPolynomial,
     TailTooLarge,
     TauNotInUpperHalfPlane,
@@ -299,35 +298,6 @@ def _enumerate_cosets(lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bou
 # ---------------------------------------------------------------------------
 # the term table and its evaluation
 
-class TermRecord:
-    """One summand, as a row of a TermTable: exact exponents, phase, 1/y
-    polynomial coefficients.
-
-    ``poly_coeffs[j]`` multiplies y^{-j}; it already contains the
-    (-1/(8 pi))^j / j! factor from the Gaussian smoothing operator.
-    ``a - b`` is half the majorant (>= 0), ``a + b`` is half the norm.
-    """
-
-    def __init__(self, key: tuple, vector: tuple, a, b, poly_coeffs: tuple, phase):
-        self.key = key
-        self.vector = vector
-        self.a = a
-        self.b = b
-        self.poly_coeffs = poly_coeffs
-        self.phase = phase
-
-    def _value(self) -> tuple:
-        return (self.key, self.vector, self.a, self.b, self.poly_coeffs, self.phase)
-
-    def __eq__(self, other):
-        if other.__class__ is not TermRecord:
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-
 def _fraction_map(num, den: int) -> dict:
     """Fraction(x, den) for each distinct integer x in ``num``."""
     return {x: Fraction(x, den) for x in np.unique(num).tolist()}
@@ -347,8 +317,9 @@ class TermTable:
     ``phase_den`` (int64 numerators, Python-int denominators).  A
     denominator is None where the inputs were floats, and then the float
     arrays are the only data.  ``a``, ``b`` and ``phase`` are the float
-    copies used for evaluation; ``poly[r, j]`` multiplies y^{-j} as in
-    TermRecord.  ``len`` costs nothing; iterating builds TermRecords.
+    copies used for evaluation; ``poly[r, j]`` multiplies y^{-j} and already
+    contains the (-1/(8 pi))^j / j! factor of the Gaussian smoothing
+    operator.  ``a - b`` is half the majorant (>= 0), ``a + b`` half the norm.
     """
 
     def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
@@ -381,21 +352,6 @@ class TermTable:
             return [tuple(row) for row in rows]
         frac = _fraction_map(rows, self.vector_den)
         return [tuple(frac[x] for x in row) for row in rows]
-
-    def __iter__(self):
-        def exact_or_float(num, den, floats):
-            if den is None:
-                return floats.tolist()
-            frac = _fraction_map(num, den)
-            return [frac[x] for x in num.tolist()]
-
-        vectors = self.vector_tuples()
-        a = exact_or_float(self.a_num, self.ab_den, self.a)
-        b = exact_or_float(self.b_num, self.ab_den, self.b)
-        phase = exact_or_float(self.phase_num, self.phase_den, self.phase)
-        for r, k in enumerate(self.key_index.tolist()):
-            yield TermRecord(key=self.keys[k], vector=vectors[r], a=a[r], b=b[r],
-                             poly_coeffs=tuple(self.poly[r].tolist()), phase=phase[r])
 
     def evaluate(self, taus) -> np.ndarray:
         """Theta components at each tau, y^prefactor_exponent included.
@@ -519,24 +475,15 @@ def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
 
 
 class ThetaValue:
-    """Evaluated theta vector plus its truncation certificate.
-
-    ``terms`` is the TermTable the value was summed from, or None for a
-    value assembled from other theta values.
-    """
+    """Evaluated theta vector plus its truncation certificate."""
 
     def __init__(self, value: RepVector, tau: complex, bound: float, tail_estimate: float,
-                 prefactor_exponent: Fraction, terms: TermTable | None = None):
+                 prefactor_exponent: Fraction):
         self.value = value
         self.tau = tau
         self.bound = bound
         self.tail_estimate = tail_estimate
         self.prefactor_exponent = prefactor_exponent
-        self.terms = terms
-
-    @property
-    def axes(self):
-        return self.value.axes
 
 
 def _upper_gamma_half_orders(x: float, count: int) -> list[float]:
@@ -654,8 +601,7 @@ class ThetaEvaluator:
         tau = _check_tau(tau)
         return ThetaValue(value=self.vectors([tau])[0], tau=tau, bound=self.bound,
                           tail_estimate=self.tail(tau.imag),
-                          prefactor_exponent=self.prefactor_exponent,
-                          terms=self.terms)
+                          prefactor_exponent=self.prefactor_exponent)
 
     def tail(self, y: float) -> float:
         return _tail_bound(self._majorant, self._translates, self._series, y,
@@ -702,14 +648,16 @@ class SplitData:
     """Everything attached to the splitting L > M (+) Mperp.
 
     The inner direct sum has block Gram matrix; ``emb`` realizes L as its
-    overlattice (glue = C^{-1} for C = [basis_M | basis_Mperp]); combine and
-    split translate between D_sum and D_M x D_Mperp (disc_product_iso).
+    overlattice (glue = C^{-1} for C = [basis_M | basis_Mperp]);
+    ``split_m`` is the D_sum -> D_M map of disc_product_iso, and
+    ``pair_of_inner`` sends each D_sum element to its flat (D_M, D_Mperp)
+    index.
     """
 
     def __init__(self, ambient: Lattice, m_sub: Sublattice, mperp_sub: Sublattice,
                  inner: Lattice, emb: OverlatticeEmbedding, gm, d_m: DiscriminantGroup,
                  d_perp: DiscriminantGroup, d_inner: DiscriminantGroup,
-                 d_l: DiscriminantGroup, _combine, _split: tuple, pair_of_inner: np.ndarray):
+                 d_l: DiscriminantGroup, split_m, pair_of_inner: np.ndarray):
         self.ambient = ambient
         self.m_sub = m_sub
         self.mperp_sub = mperp_sub
@@ -720,15 +668,8 @@ class SplitData:
         self.d_perp = d_perp
         self.d_inner = d_inner
         self.d_l = d_l
-        self._combine = _combine  # D_M x D_perp -> D_sum on concatenated coordinates
-        self._split = _split  # D_sum -> D_M and D_sum -> D_perp
-        self.pair_of_inner = pair_of_inner  # per D_inner element, its flat (D_M, D_perp) index
-
-    def combine(self, x, y):
-        return self._combine(tuple(x) + tuple(y))
-
-    def split(self, z):
-        return self._split[0](z), self._split[1](z)
+        self.split_m = split_m
+        self.pair_of_inner = pair_of_inner
 
 
 _SPLIT_CACHE: dict = {}
@@ -750,14 +691,14 @@ def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
     gm = glue_map(emb)
     d_m = discriminant_group(m_sub.lattice)
     d_perp = discriminant_group(mperp_sub.lattice)
-    combine, *split = disc_product_iso(gm.small_disc, d_m, d_perp)
+    _combine, split_m, split_perp = disc_product_iso(gm.small_disc, d_m, d_perp)
     xs = gm.small_disc.element_array()
-    pair_of_inner = (d_m.index(split[0].apply(xs)) * d_perp.order
-                     + d_perp.index(split[1].apply(xs)))
+    pair_of_inner = (d_m.index(split_m.apply(xs)) * d_perp.order
+                     + d_perp.index(split_perp.apply(xs)))
     sd = SplitData(ambient=lat, m_sub=m_sub, mperp_sub=mperp_sub, inner=inner,
                    emb=emb, gm=gm, d_m=d_m, d_perp=d_perp,
-                   d_inner=gm.small_disc, d_l=gm.big_disc,
-                   _combine=combine, _split=tuple(split), pair_of_inner=pair_of_inner)
+                   d_inner=gm.small_disc, d_l=gm.big_disc, split_m=split_m,
+                   pair_of_inner=pair_of_inner)
     _SPLIT_CACHE[cache_key] = sd
     return sd
 
@@ -803,7 +744,7 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     perp_lat = sd.mperp_sub.lattice
     c_rank = sd.m_sub.rank
     hperp = list(sd.gm.down)  # in element order
-    keys = zip(sd.gm.down.values(), map(tuple, sd._split[0].apply(hperp).tolist()))
+    keys = zip(sd.gm.down.values(), map(tuple, sd.split_m.apply(hperp).tolist()))
     cosets = [(key, lift[c_rank:]) for key, lift in zip(keys, sd.d_inner.dual_vectors(hperp))]
     prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
@@ -851,7 +792,6 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     merge the two non-dual axes into the sum group, then push down the glue.
 
     Independent of mixed_theta_direct term for term; the two must agree.
-    The result is assembled from other values and carries no term table.
     The push-down copies each complement coset into several entries, so the
     tail is Theta_Mperp's per-coset certificate times the number of classes,
     the certificate of the direct construction.
@@ -1111,22 +1051,3 @@ def _inner_push_down(sd: SplitData, m_vec: RepVector, perp_vec: RepVector) -> Re
 def inner_tensor_to_big(sd: SplitData, theta_m: ThetaValue, theta_p: ThetaValue) -> RepVector:
     """Merge Theta_M (x) Theta_Mperp over D_M x D_perp into D_inner, push down."""
     return _inner_push_down(sd, theta_m.value, theta_p.value)
-
-
-def term_multiset(theta: ThetaValue) -> dict:
-    """Exact (key, a, b, phase) -> summed constant polynomial coefficient.
-
-    Only meaningful for terms with no 1/y dependence (harmonic or constant
-    polynomials); used for coefficientwise identity checks.  Raises
-    NoTermData for a value without a term table (mixed_theta_composed).
-    """
-    if theta.terms is None:
-        raise NoTermData("this theta value was assembled from other values and has "
-                         "no term table; use a direct construction")
-    if theta.terms.poly.shape[1] != 1:
-        raise NonHomogeneousPolynomial("term multiset needs y-independent factors")
-    out: dict = {}
-    for t in theta.terms:
-        k = (t.key, t.a, t.b, t.phase)
-        out[k] = out.get(k, 0j) + t.poly_coeffs[0]
-    return {k: v for k, v in out.items() if abs(v) > 1e-15}

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .discforms import DiscriminantGroup, GlueMap, element_identification, two_pi_e, unit_roots
+from .discforms import DiscriminantGroup, GlueMap, two_pi_e, unit_roots
 from .errors import IndexMismatch, VvthetaError
 
 
@@ -111,31 +111,24 @@ def mp_power(g: MetaplecticElement, k: int) -> MetaplecticElement:
     return out
 
 
-class GeneratorWord:
-    """A word in T^n, S, Z^k whose ordered product is a metaplectic element."""
-
-    def __init__(self, tokens: tuple[tuple[str, int], ...]):
-        self.tokens = tokens
-
-    def evaluate(self) -> MetaplecticElement:
-        out = MP_IDENTITY
-        for kind, n in self.tokens:
-            if kind == "T":
-                out = out * MetaplecticElement(1, n, 0, 1, 1)
-            elif kind == "S":
-                out = out * MP_S
-            elif kind == "Z":
-                out = out * mp_power(MP_Z, n % 4)
-            else:
-                raise VvthetaError(f"unknown token {kind}")
-        return out
-
-    def __len__(self):
-        return len(self.tokens)
+def _word_product(tokens) -> MetaplecticElement:
+    """The ordered product of a word of (kind, n) tokens in T^n, S, Z^k."""
+    out = MP_IDENTITY
+    for kind, n in tokens:
+        if kind == "T":
+            out = out * MetaplecticElement(1, n, 0, 1, 1)
+        elif kind == "S":
+            out = out * MP_S
+        elif kind == "Z":
+            out = out * mp_power(MP_Z, n % 4)
+        else:
+            raise VvthetaError(f"unknown token {kind}")
+    return out
 
 
-def word_decompose(g: MetaplecticElement) -> GeneratorWord:
-    """Express g as a word in T^n, S and a trailing Z power.
+def word_decompose(g: MetaplecticElement) -> tuple[tuple[str, int], ...]:
+    """Express g as a word in T^n, S and a trailing Z power: a tuple of
+    (kind, n) tokens whose ordered product is g.
 
     Euclidean reduction on the bottom row: repeatedly peel T^q S from the
     left, which at most halves |c|; the leftover upper-triangular part is a
@@ -158,13 +151,13 @@ def word_decompose(g: MetaplecticElement) -> GeneratorWord:
         tokens.append(("Z", 1))
         if b != 0:
             tokens.append(("T", -b))
-    word = GeneratorWord(tuple(tokens))
-    got = word.evaluate()
+    word = tuple(tokens)
+    got = _word_product(word)
     if got.matrix() != g.matrix():
         raise VvthetaError("word decomposition failed to reproduce the matrix")
     if got.branch != g.branch:
-        word = GeneratorWord(tuple(tokens) + (("Z", 2),))
-        got = word.evaluate()
+        word += (("Z", 2),)
+        got = _word_product(word)
     if (got.matrix(), got.branch) != (g.matrix(), g.branch):
         raise VvthetaError("word decomposition failed to reproduce the branch")
     return word
@@ -224,7 +217,7 @@ def rho_generator(group: DiscriminantGroup, gen: str, dual: bool = False) -> np.
 def rho_matrix(group: DiscriminantGroup, g: MetaplecticElement, dual: bool = False) -> np.ndarray:
     """Full matrix of the representation at g, via its generator word."""
     out = np.eye(group.order, dtype=complex)
-    for kind, power in word_decompose(g).tokens:
+    for kind, power in word_decompose(g):
         out = out @ _generator_power(group, kind, power, dual)
     return out
 
@@ -338,7 +331,7 @@ def rho_apply(g: MetaplecticElement, vec: RepVector) -> RepVector:
     conjugate representation on dual axes): the generator matrices of g's
     word, the same ones rho_matrix multiplies, act along every axis.
     """
-    for kind, power in reversed(word_decompose(g).tokens):
+    for kind, power in reversed(word_decompose(g)):
         for i, ax in enumerate(vec.axes):
             vec = _along(_generator_power(ax.group, kind, power, ax.dual), vec, i, ax)
     return vec
@@ -359,21 +352,16 @@ def _locate_axis(vec: RepVector, group: DiscriminantGroup, axis: int | None) -> 
 
 def up_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
     """C[D_big] -> C[D_small]: spread each basis vector over its glue fiber
-    (the transpose of down_matrix along the axis)."""
+    (the transpose of gm.down_matrix along the axis)."""
     i = _locate_axis(vec, gm.big_disc, axis)
-    return _along(down_matrix(gm).T, vec, i, Axis(gm.small_disc, vec.axes[i].dual))
+    return _along(gm.down_matrix.T, vec, i, Axis(gm.small_disc, vec.axes[i].dual))
 
 
 def down_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
     """C[D_small] -> C[D_big]: collapse glue cosets, kill non-orthogonal indices
-    (down_matrix along the axis)."""
+    (gm.down_matrix along the axis)."""
     i = _locate_axis(vec, gm.small_disc, axis)
-    return _along(down_matrix(gm), vec, i, Axis(gm.big_disc, vec.axes[i].dual))
-
-
-def down_matrix(gm: GlueMap) -> np.ndarray:
-    """The 0/1 matrix of down_arrow (GlueMap.down_matrix); up_arrow is its transpose."""
-    return gm.down_matrix
+    return _along(gm.down_matrix, vec, i, Axis(gm.big_disc, vec.axes[i].dual))
 
 
 def pair(u: RepVector, v: RepVector, groups=None):
@@ -418,21 +406,3 @@ def identity_vector(group: DiscriminantGroup) -> RepVector:
     """Sum of e_d (x) e*_d over D: the identity of End(C[D]) under duality."""
     axes = (Axis(group, dual=False), Axis(group, dual=True))
     return RepVector.from_array(axes, np.eye(group.order, dtype=complex))
-
-
-def reindex_axis(vec: RepVector, axis_index: int, new_group: DiscriminantGroup,
-                 new_dual: bool) -> RepVector:
-    """Reindex one axis through the canonical element identification.
-
-    Elements are matched by their dual-vector lifts (the underlying quotient
-    sets agree); this is how a vector over the group of a rescaled lattice is
-    viewed as a dual-axis vector over the original group.
-    """
-    old_group = vec.axes[axis_index].group
-    mapping = element_identification(old_group, new_group)
-    target = new_group.index(mapping.apply(old_group.element_array()))
-    if sorted(target.tolist()) != list(range(new_group.order)):
-        raise IndexMismatch("the element identification is not a bijection")
-    new_axes = vec.axes[:axis_index] + (Axis(new_group, new_dual),) \
-        + vec.axes[axis_index + 1:]
-    return RepVector.from_array(new_axes, vec.array.take(np.argsort(target), axis_index))

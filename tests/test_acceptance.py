@@ -16,13 +16,14 @@ from vvtheta import (
     NotPrimitive,
     QExpansionForm,
     RepVector,
+    build_term_table,
     check_isotropic,
     constant_poly,
     construct_lattice,
     contract_pointwise,
     contract_symbolic,
-    coordinate_poly,
     direct_sum,
+    disc_product_iso,
     discriminant_group,
     down_arrow,
     expected_weights,
@@ -35,7 +36,6 @@ from vvtheta import (
     modularity_defects,
     naive_truncated_lift,
     orthogonal_complement,
-    overlattice_from_isotropic,
     rescale,
     rho_apply,
     rho_generator,
@@ -47,9 +47,18 @@ from vvtheta import (
     sublattice,
     up_arrow,
 )
+from vvtheta.contraction import _q_series
+from vvtheta.discforms import overlattice_from_isotropic
+from vvtheta.grassmann import coordinate_poly
 from vvtheta.weil import MP_IDENTITY, MP_S, MP_T, mp_power
 
 TAUS = [0.2 + 1.1j, -0.37 + 0.9j]
+
+
+def _theta_series_coset(perp_lat, u_perp, poly, coset_vec, bound) -> dict:
+    """Exact-exponent q-series of one coset of a positive definite lattice."""
+    table = build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound)
+    return _q_series(table).get(0, {})
 
 
 def _report(num, desc, ok, detail, budget, elapsed):
@@ -249,13 +258,11 @@ def test_criterion_07_contraction():
     u_perp1 = make_grassmann_point(mperp1.lattice, [[1]])
     form1 = QExpansionForm(ii, F(0), {((), F(0)): 2.0, ((), F(1)): -24.0})
     result1 = contract_symbolic(form1, ii, m1, constant_poly(1, 0), 8.0)
-    from vvtheta import theta_series_coset
-
     d_perp1 = discriminant_group(mperp1.lattice)
     structural_unimodular = True
     for delta in d_perp1.elements():
-        series = theta_series_coset(mperp1.lattice, u_perp1, constant_poly(1, 0),
-                                    d_perp1.dual_vector(delta), 8.0)
+        series = _theta_series_coset(mperp1.lattice, u_perp1, constant_poly(1, 0),
+                                     d_perp1.dual_vector(delta), 8.0)
         expect = {}
         for e_f, c_f in [(F(0), 2.0), (F(1), -24.0)]:
             for e_t, c_t in series.items():
@@ -286,20 +293,21 @@ def test_criterion_07_contraction():
         (dl3.zero(), F(0)): 1.0, (dl3.zero(), F(1)): 3.0,
         (nonzero, mod1(-dl3.q(nonzero))): -2.0})
     result3 = contract_symbolic(form3, big3, m3, constant_poly(1, 0), 6.0)
+    combine3, split_m3, split_perp3 = disc_product_iso(sd3.d_inner, sd3.d_m, sd3.d_perp)
     h_elems = sd3.gm.subgroup.elements
-    hm_list = [sd3.split(x)[0] for x in h_elems]
+    hm_list = [split_m3(x) for x in h_elems]
     hm_perp = [x for x in sd3.d_m.elements()
                if all(sd3.d_m.b(x, hm) == 0 for hm in hm_list)]
     expected3 = {}
     for alpha in hm_perp:
-        gamma_l = sd3.gm.down[sd3.combine(alpha, sd3.d_perp.zero())]
+        gamma_l = sd3.gm.down[combine3(alpha + sd3.d_perp.zero())]
         comp = form3.component(gamma_l)
         for h_el in h_elems:
-            hm, hp = sd3.split(h_el)
+            hm, hp = split_m3(h_el), split_perp3(h_el)
             dm = sd3.d_m.add(alpha, hm)
-            series = theta_series_coset(sd3.mperp_sub.lattice, u_perp3,
-                                        constant_poly(1, 0),
-                                        sd3.d_perp.dual_vector(hp), 6.0)
+            series = _theta_series_coset(sd3.mperp_sub.lattice, u_perp3,
+                                         constant_poly(1, 0),
+                                         sd3.d_perp.dual_vector(hp), 6.0)
             for e_f, c_f in comp.items():
                 for e_t, c_t in series.items():
                     if e_f + e_t <= 6:

@@ -25,9 +25,10 @@ from vvtheta.cli import (
     canonical_dumps,
     emit_expansion,
     frac_str,
-    load_expansion,
+    load_json,
     main,
     qexpansion_to_json,
+    read_form,
     theta_to_json,
 )
 from vvtheta.exact import mod1
@@ -354,7 +355,7 @@ def test_emit_roundtrip_and_determinism(tmp_path):
     emit_expansion(form, p1)
     emit_expansion(form, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    loaded = load_expansion(p1)
+    loaded = read_form(load_json(p1))
     assert loaded.weight == form.weight
     assert loaded.terms == form.terms
     assert loaded.lattice.gram == lat.gram
@@ -587,6 +588,10 @@ MALFORMED_INPUTS = {
     "scenario_tau_samples_empty": ("run-scenario {sc_tau_empty}", "ParseError: tau_samples"),
     "verify_restriction_tau_samples_empty": ("verify-restriction --scenario {sc_tau_empty}",
                                              "ParseError: tau_samples"),
+    "verify_seesaw_tau_samples_flag_empty": ("verify-seesaw --scenario {sc_valid} --tau-samples",
+                                             "ParseError: tau_samples"),
+    "verify_restriction_tau_samples_flag_empty": (
+        "verify-restriction --scenario {sc_valid} --tau-samples", "ParseError: tau_samples"),
     "scenario_checks_empty": ("run-scenario {sc_checks_empty}",
                               "ParseError: checks must name at least one check"),
     "scenario_weil_relations_no_lattices": ("run-scenario {sc_weil_relations_no_lattices}",

@@ -17,13 +17,13 @@ from vvtheta import (
     check_isotropic,
     constant_poly,
     construct_lattice,
-    coordinate_poly,
     contract_pointwise,
     contract_symbolic,
     direct_sum,
+    disc_product_iso,
     discriminant_group,
+    element_identification,
     expected_weights,
-    lift_integrand,
     make_grassmann_point,
     mixed_theta_composed,
     mixed_theta_family,
@@ -31,19 +31,25 @@ from vvtheta import (
     naive_truncated_lift,
     orthogonal_complement,
     orthogonal_elements,
-    overlattice_from_isotropic,
     Seesaw,
     seesaw_contractions,
     seesaw_restriction_residuals,
     siegel_theta,
     split_data,
     sublattice,
-    theta_series_coset,
 )
-from vvtheta.grassmann import HomogeneousPolynomial
+from vvtheta.contraction import _q_series
+from vvtheta.discforms import overlattice_from_isotropic
+from vvtheta.grassmann import HomogeneousPolynomial, coordinate_poly
 from vvtheta.weil import MP_S, MP_T, Axis, RepVector, pair
 
 TAUS = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 1.3j, 0.41 + 0.85j, -0.11 + 1.02j]
+
+
+def _theta_series_coset(perp_lat, u_perp, poly, coset_vec, bound) -> dict:
+    """Exact-exponent q-series of one coset of a positive definite lattice."""
+    table = build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound)
+    return _q_series(table).get(0, {})
 
 
 def test_qexpansion_validation(a1_plus_a1):
@@ -53,7 +59,6 @@ def test_qexpansion_validation(a1_plus_a1):
         ((1, 0), F(3, 4)): 2.0,
         ((1, 1), F(-1, 2)): 1.0,  # principal part allowed
     })
-    assert form.exponent_denominator == 4
     assert form.min_exponent() == F(-1, 2)
     with pytest.raises(IndexMismatch):
         QExpansionForm(a1_plus_a1, F(0), {((1, 0), F(1, 2)): 1.0})
@@ -76,14 +81,14 @@ def test_representation_numbers_oracle(a1_plus_a1):
     mperp = orthogonal_complement(a1_plus_a1, m_sub)
     u_perp = make_grassmann_point(mperp.lattice, [[1]])
     p = constant_poly(1, 0)
-    s0 = theta_series_coset(mperp.lattice, u_perp, p, [0], 9.0)
+    s0 = _theta_series_coset(mperp.lattice, u_perp, p, [0], 9.0)
     assert s0 == {F(0): 1, F(1): 2, F(4): 2, F(9): 2}
     d = discriminant_group(mperp.lattice)
-    s1 = theta_series_coset(mperp.lattice, u_perp, p, d.dual_vector((1,)), 9.0)
+    s1 = _theta_series_coset(mperp.lattice, u_perp, p, d.dual_vector((1,)), 9.0)
     assert s1 == {F(1, 4): 2, F(9, 4): 2, F(25, 4): 2}
     # a float splitting of the same point gives float exponents
     u_float = make_grassmann_point(mperp.lattice, [[1.0]])
-    assert theta_series_coset(mperp.lattice, u_float, p, [0], 9.0) == \
+    assert _theta_series_coset(mperp.lattice, u_float, p, [0], 9.0) == \
         {float(e): c for e, c in s0.items()}
 
 
@@ -172,19 +177,20 @@ def test_contract_form_tensor_theta(a1, a1_neg):
     })
     result = contract_symbolic(form, big, m_sub, p, 6.0)
     # assemble the expected tensor product independently
+    combine, split_m, split_perp = disc_product_iso(sd.d_inner, sd.d_m, sd.d_perp)
     h_elems = sd.gm.subgroup.elements
-    hm_list = [sd.split(x)[0] for x in h_elems]
+    hm_list = [split_m(x) for x in h_elems]
     hm_perp = [x for x in sd.d_m.elements()
                if all(sd.d_m.b(x, hm) == 0 for hm in hm_list)]
     expected = {}
     for alpha in hm_perp:
-        gamma_l = sd.gm.down[sd.combine(alpha, sd.d_perp.zero())]
+        gamma_l = sd.gm.down[combine(alpha + sd.d_perp.zero())]
         comp = form.component(gamma_l)
         for h_el in h_elems:
-            hm, hp = sd.split(h_el)
+            hm, hp = split_m(h_el), split_perp(h_el)
             dm = sd.d_m.add(alpha, hm)
-            series = theta_series_coset(sd.mperp_sub.lattice, u_perp, p,
-                                        sd.d_perp.dual_vector(hp), 6.0)
+            series = _theta_series_coset(sd.mperp_sub.lattice, u_perp, p,
+                                         sd.d_perp.dual_vector(hp), 6.0)
             for e_f, c_f in comp.items():
                 for e_t, c_t in series.items():
                     if e_f + e_t <= 6:
@@ -270,7 +276,8 @@ def _glue_sum_reference(form, lat, m_sub, poly, bound) -> dict:
     perp_lat = sd.mperp_sub.lattice
     u_perp = make_grassmann_point(perp_lat, [[int(i == j) for j in range(perp_lat.rank)]
                                              for i in range(perp_lat.rank)])
-    h_split = [sd.split(h) for h in sd.gm.subgroup.elements]
+    combine, split_m, split_perp = disc_product_iso(sd.d_inner, sd.d_m, sd.d_perp)
+    h_split = [(split_m(h), split_perp(h)) for h in sd.gm.subgroup.elements]
 
     def complement(group, sub):
         perp = orthogonal_elements(group, sub)
@@ -278,18 +285,22 @@ def _glue_sum_reference(form, lat, m_sub, poly, bound) -> dict:
         return perp
 
     def series(coset):
+        # the identity splitting is rational, so every row's a + b is exact
+        table = build_term_table(perp_lat, u_perp, [poly],
+                                 [((), sd.d_perp.dual_vector(coset))], None, theta_bound)
         out = {}
-        for t in build_term_table(perp_lat, u_perp, [poly],
-                                  [((), sd.d_perp.dual_vector(coset))], None, theta_bound):
-            if t.poly_coeffs[0] != 0:
-                out[t.a + t.b] = out.get(t.a + t.b, 0j) + t.poly_coeffs[0]
+        for a, b, c in zip(table.a_num.tolist(), table.b_num.tolist(),
+                           table.poly[:, 0].tolist()):
+            if c != 0:
+                e = F(a + b, table.ab_den)
+                out[e] = out.get(e, 0j) + c
         return out
 
     theta_bound = F(bound) - min(F(0), form.min_exponent())
     out = {}
     for alpha in complement(sd.d_m, [hm for hm, _hp in h_split]):
         for beta in complement(sd.d_perp, [hp for _hm, hp in h_split]):
-            f_component = form.component(sd.gm.down[sd.combine(alpha, beta)])
+            f_component = form.component(sd.gm.down[combine(alpha + beta)])
             for hm, hp in h_split:
                 theta_part = series(sd.d_perp.add(beta, hp))
                 for e_f, c_f in f_component.items():
@@ -345,28 +356,20 @@ def test_contract_symbolic_matches_glue_sum(a1, a1_neg, a2):
 # ---------------------------------------------------------------------------
 # lift integrand and restriction
 
-def test_lift_integrand_plumbing(a1_neg):
-    v = make_grassmann_point(a1_neg, [])
-    p = constant_poly(0, 1)
-    d = discriminant_group(a1_neg)
-    const = RepVector((Axis(d, dual=True),), {((0,),): 1.0})
-    val = lift_integrand(const, a1_neg, v, p, 0.3 + 0.9j, 10.0)
-    theta = siegel_theta(a1_neg, 0.3 + 0.9j, v, p, None, 10.0)
-    assert abs(val - theta.value.get(((0,),))) < 1e-12
-    # bilinearity
-    two = RepVector((Axis(d, dual=True),), {((0,),): 2.0})
-    assert abs(lift_integrand(two, a1_neg, v, p, 0.3 + 0.9j, 10.0) - 2 * val) < 1e-12
-
-
 def test_lift_integrand_invariance(ii11):
     v = make_grassmann_point(ii11, [[1, 1]])
     p = constant_poly(1, 1)
     d = discriminant_group(ii11)
     one = RepVector((Axis(d, dual=True),), {((),): 1.0})
     tau = 0.27 + 0.93j
-    base = lift_integrand(one, ii11, v, p, tau, 30.0)
-    shifted = lift_integrand(one, ii11, v, p, tau + 1, 30.0)
-    inverted = lift_integrand(one, ii11, v, p, -1 / tau, 30.0)
+
+    def integrand(t):
+        # <Theta_L(t; v, p), F> at s = 0, for the constant form F = 1
+        return pair(siegel_theta(ii11, t, v, p, None, 30.0).value, one, groups=[d])
+
+    base = integrand(tau)
+    shifted = integrand(tau + 1)
+    inverted = integrand(-1 / tau)
     assert abs(base - shifted) < 1e-9
     assert abs(base - inverted) < 1e-6
 
@@ -489,11 +492,22 @@ def test_contraction_is_modular(ii11_split):
         assert modularity_defects(Contraction(), g, [0.2 + 1.1j], 1, None, 20.0)[0] < tol
 
 
+def _reindex_axis(vec, axis_index, new_group, new_dual):
+    """Reindex one axis through the canonical element identification: elements
+    are matched by their dual-vector lifts, so a vector over the group of a
+    rescaled lattice is viewed as a dual-axis vector over the original group."""
+    old_group = vec.axes[axis_index].group
+    mapping = element_identification(old_group, new_group)
+    target = new_group.index(mapping.apply(old_group.element_array()))
+    assert sorted(target.tolist()) == list(range(new_group.order))
+    new_axes = vec.axes[:axis_index] + (Axis(new_group, new_dual),) \
+        + vec.axes[axis_index + 1:]
+    return RepVector.from_array(new_axes, vec.array.take(np.argsort(target), axis_index))
+
+
 def test_pair_of_modular_forms_weight_zero(a1, a1_neg):
     # <Theta_A1, Theta_A1(-1)> has weight 0 and trivial representation; the
     # rescaled-lattice theta is reindexed onto the dual axis over D_A1
-    from vvtheta import reindex_axis
-
     va = make_grassmann_point(a1, [[1]])
     vn = make_grassmann_point(a1_neg, [])
     pa = constant_poly(1, 0)
@@ -503,7 +517,7 @@ def test_pair_of_modular_forms_weight_zero(a1, a1_neg):
     def h(tau):
         ta = siegel_theta(a1, tau, va, pa, None, 24.0)
         tn = siegel_theta(a1_neg, tau, vn, pn, None, 24.0)
-        return pair(ta.value, reindex_axis(tn.value, 0, da, True))
+        return pair(ta.value, _reindex_axis(tn.value, 0, da, True))
 
     tau = 0.2 + 1.1j
     for g in (MP_T, MP_S):

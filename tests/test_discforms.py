@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,22 +11,20 @@ from vvtheta import (
     check_isotropic,
     construct_lattice,
     direct_sum,
-    disc_eval,
-    disc_projection,
+    disc_product_iso,
     discriminant_group,
     element_identification,
     gauss_sum_check,
     glue_map,
     orthogonal_elements,
     orthogonal_subgroup,
-    overlattice_from_isotropic,
     rescale,
     split_data,
     sublattice,
     two_pi_e,
 )
 from vvtheta import exact
-from vvtheta.discforms import gauss_sum_residual, lift_map
+from vvtheta.discforms import gauss_sum_residual, lift_map, overlattice_from_isotropic
 from vvtheta.exact import mod1
 
 
@@ -48,18 +45,6 @@ def test_enumeration_count(test_lattices):
         for div in d.elementary_divisors:
             count *= div
         assert len(d.elements()) == count == d.order
-
-
-def test_disc_eval(a1, a1_plus_a1neg, a1_plus_a1):
-    d1 = discriminant_group(a1)
-    assert disc_eval(d1, (0,), (1,)) == (0, 0)
-    assert disc_eval(d1, (1,), (1,)) == (F(1, 4), F(1, 2))
-    dm = discriminant_group(a1_plus_a1neg)
-    q, _ = disc_eval(dm, (1, 1), (1, 1))
-    assert q == 0
-    dp = discriminant_group(a1_plus_a1)
-    q, _ = disc_eval(dp, (1, 1), (1, 1))
-    assert q == F(1, 2)
 
 
 def test_dual_vector_integrality(test_lattices):
@@ -122,38 +107,6 @@ def test_bilinear_kernel_unitary(test_lattices):
         n = d.order
         mat = np.array([[two_pi_e(d.b(x, y)) for y in elements] for x in elements])
         assert np.abs(mat @ mat.conj().T - n * np.eye(n)).max() < 1e-9
-
-
-def test_disc_projection(ii11):
-    m = sublattice(ii11, [(1, 1)])
-    assert disc_projection(m, [1, 1]) == (0,)
-    assert disc_projection(m, [1, 0]) == (1,)
-    assert disc_projection(m, [1, -1]) == (0,)
-
-
-def test_disc_projection_additive_surjective(ii11, a1_plus_a1):
-    rng = random.Random(2)
-    for lat, gens in [(ii11, [(1, 1)]), (a1_plus_a1, [(1, 0)])]:
-        m = sublattice(lat, gens)
-        dm = discriminant_group(m.lattice)
-        dl = discriminant_group(lat)
-        image = set()
-        samples = []
-        for _ in range(24):
-            x = dl.dual_vector(rng.choice(dl.elements()))
-            shift = [a + rng.randint(-2, 2) for a in x]
-            samples.append(shift)
-            image.add(disc_projection(m, shift))
-        # additivity on pairs
-        for u, v in zip(samples[::2], samples[1::2]):
-            s = [a + b for a, b in zip(u, v)]
-            assert disc_projection(m, s) == dm.add(disc_projection(m, u),
-                                                   disc_projection(m, v))
-        # surjectivity needs denominators from the sublattice dual: use the
-        # ambient dual plus half-sums reachable through L*
-        full = {disc_projection(m, dl.dual_vector(x)) for x in dl.elements()}
-        if dl.order >= dm.order:
-            assert full == set(dm.elements()) or image <= full
 
 
 def test_gauss_sums(a1, a1_neg, ii11, a2):
@@ -265,13 +218,15 @@ def test_product_iso_matches_dual_vector_lift(gram, m_basis):
     lat = construct_lattice(gram)
     sd = split_data(lat, sublattice(lat, m_basis))
     n1 = sd.m_sub.rank
+    combine, split_m, split_perp = disc_product_iso(sd.d_inner, sd.d_m, sd.d_perp)
     for x in sd.d_m.elements():
         for y in sd.d_perp.elements():
             ref = sd.d_inner.from_dual(sd.d_m.dual_vector(x) + sd.d_perp.dual_vector(y))
-            assert sd.combine(x, y) == ref
+            assert combine(x + y) == ref
     for z in sd.d_inner.elements():
         nu = sd.d_inner.dual_vector(z)
-        assert sd.split(z) == (sd.d_m.from_dual(nu[:n1]), sd.d_perp.from_dual(nu[n1:]))
+        assert (split_m(z), split_perp(z)) == (sd.d_m.from_dual(nu[:n1]),
+                                               sd.d_perp.from_dual(nu[n1:]))
 
 
 def test_element_identification_matches_dual_vector_lift(test_lattices):

@@ -14,12 +14,11 @@ from vvtheta import (
     construct_lattice,
     direct_sum,
     discriminant_group,
-    dual_data,
     orthogonal_complement,
-    overlattice_from_isotropic,
     rescale,
     sublattice,
 )
+from vvtheta.discforms import overlattice_from_isotropic
 
 
 def test_construct_signatures():
@@ -44,15 +43,6 @@ def test_rank_zero_lattice():
     empty = construct_lattice([])
     assert empty.rank == 0 and empty.signature == (0, 0)
     assert discriminant_group(empty).order == 1
-
-
-def test_dual_data(a1, ii11, a2):
-    inv, disc = dual_data(a1)
-    assert inv == [[F(1, 2)]] and disc == 2
-    inv, disc = dual_data(ii11)
-    assert inv == [[0, 1], [1, 0]] and disc == 1
-    inv, disc = dual_data(a2)
-    assert inv == [[F(2, 3), F(-1, 3)], [F(-1, 3), F(2, 3)]] and disc == 3
 
 
 def test_direct_sum(a1, a1_neg, ii11):

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,15 +14,14 @@ from vvtheta import (
     NegativeBound,
     NonHomogeneousPolynomial,
     NotPositiveDefiniteSpan,
-    NoTermData,
     Polynomial,
     TailTooLarge,
     TauNotInUpperHalfPlane,
     VectorNotInComplement,
     constant_poly,
     construct_lattice,
-    coordinate_poly,
     direct_sum,
+    disc_product_iso,
     discriminant_group,
     enumerate_vectors,
     make_grassmann_point,
@@ -36,16 +36,41 @@ from vvtheta import (
     siegel_theta_family,
     split_data,
     sublattice,
-    term_multiset,
     theta_negation_residuals,
     theta_weight,
 )
 import vvtheta.theta as theta_mod
 from vvtheta import exact
-from vvtheta.grassmann import as_pair, laplacian_series
+from vvtheta.grassmann import as_pair, coordinate_poly, laplacian_series
 from vvtheta.weil import MP_S, MP_T, MP_Z, Axis, RepVector
 
 TAU_SAMPLES = [0.2 + 1.1j, -0.37 + 0.9j]
+
+_Row = namedtuple("_Row", "key vector a b poly_coeffs phase")
+
+
+def _rows(table) -> list:
+    """Every row of a TermTable, exact (Fractions) wherever the table is."""
+    def exact_or_float(num, den, floats):
+        return floats.tolist() if den is None else [F(x, den) for x in num.tolist()]
+
+    a = exact_or_float(table.a_num, table.ab_den, table.a)
+    b = exact_or_float(table.b_num, table.ab_den, table.b)
+    phase = exact_or_float(table.phase_num, table.phase_den, table.phase)
+    return [_Row(table.keys[k], vector, a[r], b[r], tuple(table.poly[r].tolist()), phase[r])
+            for r, (k, vector) in enumerate(zip(table.key_index.tolist(),
+                                                table.vector_tuples()))]
+
+
+def _term_multiset(table) -> dict:
+    """Exact (key, a, b, phase) -> summed coefficient of a table with no 1/y
+    dependence (harmonic or constant polynomials)."""
+    assert table.poly.shape[1] == 1
+    out: dict = {}
+    for t in _rows(table):
+        k = (t.key, t.a, t.b, t.phase)
+        out[k] = out.get(k, 0j) + t.poly_coeffs[0]
+    return {k: v for k, v in out.items() if abs(v) > 1e-15}
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +306,10 @@ def test_lin_quad_accumulation_contract():
 def test_truncation_monotonic(ii11):
     v = make_grassmann_point(ii11, [[1, 1]])
     p = constant_poly(1, 1)
-    small = siegel_theta(ii11, 1j, v, p, None, 4.0)
-    large = siegel_theta(ii11, 1j, v, p, None, 9.0)
-    small_terms = {(t.key, t.vector): t for t in small.terms}
-    large_terms = {(t.key, t.vector): t for t in large.terms}
+    small = siegel_theta_evaluator(ii11, v, p, None, 4.0).terms
+    large = siegel_theta_evaluator(ii11, v, p, None, 9.0).terms
+    small_terms = {(t.key, t.vector): t for t in _rows(small)}
+    large_terms = {(t.key, t.vector): t for t in _rows(large)}
     assert set(small_terms) <= set(large_terms)
     for k, t in small_terms.items():
         other = large_terms[k]
@@ -317,7 +342,8 @@ def test_rank0_lattice_single_term():
     v = make_grassmann_point(zero, [])
     theta = siegel_theta(zero, 1j, v, constant_poly(0, 0))
     assert theta.value.coeffs == {((),): 1}
-    assert [(t.vector, t.a, t.b) for t in theta.terms] == [((), 0, 0)]
+    table = siegel_theta_evaluator(zero, v, constant_poly(0, 0)).terms
+    assert [(t.vector, t.a, t.b) for t in _rows(table)] == [((), 0, 0)]
     assert enumerate_vectors(zero, [], v, None, 1.0) == [()]
 
 
@@ -381,7 +407,7 @@ def test_table_rows_match_per_vector_reference():
         for pt in (point, float_point):
             table = siegel_theta_evaluator(lat, pt, poly, (alpha, beta), bound).terms
             assert len(table) > 0
-            rows = list(table)
+            rows = _rows(table)
             assert len(rows) == len(table)
             for t in rows:
                 coset = group.dual_vector(t.key[0])
@@ -399,8 +425,8 @@ def test_table_rows_match_per_vector_reference():
                     assert abs(got - want) <= 1e-12 * (1 + abs(want))
             # a row's data does not depend on the other rows of its table
             larger = {(r.key, r.vector): r
-                      for r in siegel_theta_evaluator(lat, pt, poly, (alpha, beta),
-                                                      bound + 2).terms}
+                      for r in _rows(siegel_theta_evaluator(lat, pt, poly, (alpha, beta),
+                                                            bound + 2).terms)}
             assert all(larger[(t.key, t.vector)] == t for t in rows)
             # batched evaluation against a term-by-term loop
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
@@ -418,13 +444,13 @@ def test_table_rows_match_per_vector_reference():
                 assert abs(val - pref * loop[key]) <= 1e-12 * pref * (1 + scale)
         # a vector exactly on the boundary maj = 2 * bound is included, and
         # excluded once the bound drops by 10^-9
-        exact_rows = siegel_theta_evaluator(lat, point, poly, (alpha, beta), bound).terms
+        exact_rows = _rows(siegel_theta_evaluator(lat, point, poly, (alpha, beta), bound).terms)
         t = max(exact_rows, key=lambda r: r.a - r.b)
         edge = t.a - t.b
-        on = siegel_theta_evaluator(lat, point, poly, (alpha, beta), edge).terms
+        on = _rows(siegel_theta_evaluator(lat, point, poly, (alpha, beta), edge).terms)
         assert (t.key, t.vector) in {(r.key, r.vector) for r in on}
-        below = siegel_theta_evaluator(lat, point, poly, (alpha, beta),
-                                       edge - F(1, 10 ** 9)).terms
+        below = _rows(siegel_theta_evaluator(lat, point, poly, (alpha, beta),
+                                             edge - F(1, 10 ** 9)).terms)
         assert (t.key, t.vector) not in {(r.key, r.vector) for r in below}
 
 
@@ -642,10 +668,12 @@ def test_mixed_trivial_glue_structure(a1a1_split):
     theta = mixed_theta_direct(lat, m_sub, 0.4 + 0.9j, u_perp, p, None, 10.0)
     scalar = siegel_theta(mperp.lattice, 0.4 + 0.9j, u_perp, p, None, 10.0)
     sd = split_data(lat, m_sub)
+    _combine, split_m, split_perp = disc_product_iso(sd.d_inner, sd.d_m, sd.d_perp)
     # tensor-with-identity structure: component ((dm, dp), dm) = theta_perp[dp]
     for key, val in theta.value.coeffs.items():
         gamma_l, delta_m = key
-        dm, dp = sd.split(next(d for d, g in sd.gm.down.items() if g == gamma_l))
+        inner = next(d for d, g in sd.gm.down.items() if g == gamma_l)
+        dm, dp = split_m(inner), split_perp(inner)
         assert dm == delta_m
         assert abs(val - scalar.value.get((dp,))) < 1e-12
 
@@ -709,19 +737,9 @@ def test_negative_bound_is_a_typed_error(a2, ii11_split):
             mixed_theta_composed(ii11, m_sub, 1j, u_perp, p_perp, None, bound)
     assert enumerate_vectors(a2, [0, 0], point, None, -1) == []
     zero = siegel_theta(a2, 0.1 + 1j, point, p, None, 0)
-    assert [t.vector for t in zero.terms] == [(0, 0)]
+    table = siegel_theta_evaluator(a2, point, p, None, 0).terms
+    assert [t.vector for t in _rows(table)] == [(0, 0)]
     assert zero.tail_estimate > 0
-
-
-def test_term_multiset_needs_term_data(ii11_split):
-    ii11, m_sub, mperp, u, u_perp = ii11_split
-    p = constant_poly(1, 0)
-    direct = mixed_theta_direct(ii11, m_sub, 1j, u_perp, p, None, 4.0)
-    assert len(term_multiset(direct)) == 5
-    composed = mixed_theta_composed(ii11, m_sub, 1j, u_perp, p, None, 4.0)
-    assert composed.terms is None
-    with pytest.raises(NoTermData):
-        term_multiset(composed)
 
 
 def test_mixed_rejects_bad_shift(ii11_split):
@@ -922,23 +940,24 @@ def test_coset_factorization_exact(ii11_split):
     pp = constant_poly(1, 0)
     v = make_grassmann_point(ii11, [[1, 1]])
     bound = 9.0
-    big = siegel_theta(ii11, 1j, v, constant_poly(1, 1), None, 2 * bound)
+    big = siegel_theta_evaluator(ii11, v, constant_poly(1, 1), None, 2 * bound).terms
     lhs = {}
-    for (key, a, b, _ph), c in term_multiset(big).items():
+    for (key, a, b, _ph), c in _term_multiset(big).items():
         if a - b <= bound:  # restrict to majorant <= 2 * bound
             lhs[(a, b)] = lhs.get((a, b), 0j) + c
     sd = split_data(ii11, m_sub)
-    theta_m = siegel_theta(m_sub.lattice, 1j, u, pu, None, 2 * bound)
-    theta_p = siegel_theta(mperp.lattice, 1j, u_perp, pp, None, 2 * bound)
+    theta_m = siegel_theta_evaluator(m_sub.lattice, u, pu, None, 2 * bound).terms
+    theta_p = siegel_theta_evaluator(mperp.lattice, u_perp, pp, None, 2 * bound).terms
     m_terms = {}
-    for (key, a, b, _ph), c in term_multiset(theta_m).items():
+    for (key, a, b, _ph), c in _term_multiset(theta_m).items():
         m_terms.setdefault(key[0], []).append((a, b, c))
     p_terms = {}
-    for (key, a, b, _ph), c in term_multiset(theta_p).items():
+    for (key, a, b, _ph), c in _term_multiset(theta_p).items():
         p_terms.setdefault(key[0], []).append((a, b, c))
+    _combine, split_m, split_perp = disc_product_iso(sd.d_inner, sd.d_m, sd.d_perp)
     rhs = {}
     for h in sd.gm.subgroup.elements:
-        hm, hp = sd.split(h)
+        hm, hp = split_m(h), split_perp(h)
         for a1_, b1, c1 in m_terms.get(hm, []):
             for a2, b2, c2 in p_terms.get(hp, []):
                 if (a1_ + a2) - (b1 + b2) <= bound:
@@ -1022,11 +1041,14 @@ def test_store_keeps_rational_and_float_shifts_apart(a1, monkeypatch):
     v = make_grassmann_point(a1, [[1]])
     p = constant_poly(1, 0)
     calls = _count_builds(monkeypatch)
-    exact_half = siegel_theta(a1, 1j, v, p, ([0], [F(1, 2)]), 4.0)
-    float_half = siegel_theta(a1, 1j, v, p, ([0], [0.5]), 4.0)
+    siegel_theta(a1, 1j, v, p, ([0], [F(1, 2)]), 4.0)
+    siegel_theta(a1, 1j, v, p, ([0], [0.5]), 4.0)
     assert len(calls) == 2
-    assert exact_half.terms.ab_den is not None
-    assert float_half.terms.ab_den is None
+    # the stored tables, read back without a further build
+    family = siegel_theta_family(a1, v, p)
+    assert family.evaluator(([0], [F(1, 2)]), 4.0).terms.ab_den is not None
+    assert family.evaluator(([0], [0.5]), 4.0).terms.ab_den is None
+    assert len(calls) == 2
 
 
 def test_store_is_bounded_and_evicts_least_recent(a1, monkeypatch):

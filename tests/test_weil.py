@@ -22,11 +22,9 @@ from vvtheta import (
     direct_sum,
     discriminant_group,
     down_arrow,
-    down_matrix,
     glue_map,
     identity_vector,
     mp_power,
-    overlattice_from_isotropic,
     pair,
     rescale,
     rho_apply,
@@ -39,7 +37,8 @@ from vvtheta import (
     word_decompose,
 )
 from vvtheta import discforms
-from vvtheta.weil import _generator_power
+from vvtheta.discforms import overlattice_from_isotropic
+from vvtheta.weil import _generator_power, _word_product
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -90,12 +89,12 @@ def test_dual_is_conjugate(test_lattices):
 
 
 def test_word_decompose_basics():
-    assert word_decompose(MP_IDENTITY).tokens == ()
+    assert word_decompose(MP_IDENTITY) == ()
     w = word_decompose(MP_T * MP_S)
-    assert w.evaluate().matrix() == (MP_T * MP_S).matrix()
+    assert _word_product(w).matrix() == (MP_T * MP_S).matrix()
     g = MetaplecticElement(1, 0, 1, 1, 1)
     w = word_decompose(g)
-    got = w.evaluate()
+    got = _word_product(w)
     assert got.matrix() == g.matrix()
     assert abs(got.phi(1j) - g.phi(1j)) < 1e-9
 
@@ -105,7 +104,7 @@ def test_word_decompose_random_roundtrip():
     for _ in range(25):
         g = random_element(rng, steps=rng.randint(1, 10))
         w = word_decompose(g)
-        got = w.evaluate()
+        got = _word_product(w)
         assert got.matrix() == g.matrix()
         assert got.branch == g.branch
         # word stays short: a few tokens per Euclidean step
@@ -115,19 +114,19 @@ def test_word_decompose_random_roundtrip():
 def test_word_decompose_large_entries():
     g = MetaplecticElement(1, 0, 100, 1, 1)
     w = word_decompose(g)
-    got = w.evaluate()
+    got = _word_product(w)
     assert got.matrix() == g.matrix() and got.branch == g.branch
     big = MetaplecticElement(89, 55, 144, 89, -1)  # consecutive Fibonacci
     w = word_decompose(big)
-    got = w.evaluate()
+    got = _word_product(w)
     assert got.matrix() == big.matrix() and got.branch == big.branch
 
 
 def test_branch_tracking_both_lifts():
     plus = MetaplecticElement(0, -1, 1, 0, 1)
     minus = MetaplecticElement(0, -1, 1, 0, -1)
-    assert word_decompose(plus).evaluate().branch == 1
-    assert word_decompose(minus).evaluate().branch == -1
+    assert _word_product(word_decompose(plus)).branch == 1
+    assert _word_product(word_decompose(minus)).branch == -1
     assert abs(plus.phi(1j) + minus.phi(1j)) < 1e-12
 
 
@@ -219,7 +218,8 @@ def glue(a1, a1_neg):
 
 
 def test_arrows_identity_when_trivial(a1):
-    from vvtheta import check_isotropic as iso, overlattice_from_isotropic as over
+    from vvtheta import check_isotropic as iso
+    from vvtheta.discforms import overlattice_from_isotropic as over
 
     d = discriminant_group(a1)
     emb = over(a1, iso(d, []))
@@ -275,7 +275,7 @@ def test_arrows_and_rho_apply_match_matrix_forms(scenario_glue):
     # the RepVector routes on every basis vector against down_matrix (up is
     # its transpose) and the generator matrices that arrow_suite uses
     gm = scenario_glue
-    down = down_matrix(gm)
+    down = gm.down_matrix
 
     def dense(vec):
         return np.array([vec.get((x,)) for x in vec.axes[0].group.elements()])
@@ -456,7 +456,7 @@ def test_multi_axis_routes_match_kronecker_forms(a1, a2, glue):
         got = rho_apply(g, vec).array
         assert np.abs(got.ravel() - kron @ arr.ravel()).max() < 1e-12
     # the arrows along the last axis contract it with down_matrix (up: transpose)
-    down = down_matrix(glue)
+    down = glue.down_matrix
     lowered = down_arrow(glue, vec, axis=2)
     assert lowered.axes == axes[:2] + (Axis(glue.big_disc),)
     assert np.abs(lowered.array - np.einsum("ij,abj->abi", down, arr)).max() < 1e-14
