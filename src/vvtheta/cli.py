@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -621,6 +622,9 @@ def _cmd_run_scenario(args) -> int:
     return 0 if report["pass"] else 1
 
 
+_NEGATIVE_TAU = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vvtheta",
                                      description=__doc__.splitlines()[0])
@@ -678,6 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=float)
         p.add_argument("--tolerance", type=float)
         p.add_argument("--tau-samples", nargs="*")
+        # argparse reads a word that starts with "-" as an option unless it
+        # looks like a negative number; count "-x,y" as one too, so a tau
+        # with a negative real part is a value of --tau-samples
+        p._negative_number_matcher = _NEGATIVE_TAU
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("naive-lift", help="naive quadrature of the lift integrand")

@@ -227,7 +227,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     d, u, _v = exact.snf(lat.gram_rows())
     divisors = [abs(d[i][i]) for i in range(lat.rank)]
     lifts = exact.transpose(exact.mat_mul(exact.mat_inv(lat.gram_rows()),
-                                          exact.mat_inv(exact.frac_matrix(u))))
+                                          exact.mat_inv(u)))
     kept = [i for i, di in enumerate(divisors) if di > 1]
     group = DiscriminantGroup(
         lattice=lat,

@@ -1,8 +1,10 @@
 """Exact integer/rational linear algebra helpers.
 
 Matrices are lists of rows; entries are ints or fractions.Fraction.  All
-routines are exact; sizes stay tiny (lattice ranks at desk scale), so the
-dense Gauss-Jordan / Smith normal form costs are negligible.  The Smith
+routines are exact.  A rational matrix is written as int rows over one
+common denominator: products sum int rows and make one Fraction per entry,
+and inverse, determinant, kernel and definiteness read one fraction-free
+(Bareiss) elimination of those rows, with no Fraction in between.  The Smith
 normal form is an in-repo elimination over Python ints whose transforms are
 pinned to sympy's, so generator bases and element keys do not depend on
 which valid Smith form one happens to pick.
@@ -12,15 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import Degenerate
 
 Row = list
 Matrix = list  # list of rows
-
-
-def frac_matrix(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> list[list[Fraction]]:
@@ -33,88 +32,150 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _integer_rows(m):
+    """(rows, den, has_fraction): m[i][j] == rows[i][j] / den with int rows
+    over one common denominator den >= 1.
+
+    has_fraction[i] says whether row i of m holds a Fraction; a product entry
+    that reads such a row is a Fraction, as it would be in Fraction
+    arithmetic.  A matrix of ints comes back as it is, with den 1.
+    """
+    has_fraction = [Fraction in map(type, row) for row in m]
+    if not any(has_fraction):
+        return m, 1, has_fraction
+    den = math.lcm(*[x.denominator for row in m for x in row])
+    return ([[x.numerator * (den // x.denominator) for x in row] for row in m],
+            den, has_fraction)
+
+
 def mat_mul(a, b):
+    """Exact product a b over integer rows: one Fraction per entry that reads
+    a Fraction of a or b, and ints elsewhere."""
     if not a or not b:
         return [[] for _ in a] if a else []
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    ra, da, fa = _integer_rows(a)
+    rb, db, fb = _integer_rows(transpose(b))
+    sums = [[sum(map(mul, row, col)) for col in rb] for row in ra]
+    if not (any(fa) or any(fb)):
+        return sums
+    den = da * db
+    return [[Fraction(s, den) if f or g else s // den for s, g in zip(row, fb)]
+            for row, f in zip(sums, fa)]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """Exact product a v, typed as in mat_mul."""
+    ra, da, fa = _integer_rows(a)
+    (rv,), dv, (fv,) = _integer_rows([v])
+    sums = [sum(map(mul, row, rv)) for row in ra]
+    if not (fv or any(fa)):
+        return sums
+    den = da * dv
+    return [Fraction(s, den) if fv or f else s // den for s, f in zip(sums, fa)]
+
+
+def _eliminate(a, width: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of the int rows a, in place.
+
+    Pivots are taken in columns 0..width-1 from left to right, each from the
+    first row at or below the current one that is nonzero there.  Returns
+    (pivot_cols, pivots, swaps).  After step k every entry is a minor of
+    order k + 1, so each division by the previous pivot is exact (Bareiss,
+    Math. Comp. 22, 1968).  At the end pivot row i holds pivots[-1] in column
+    pivot_cols[i] and 0 in the other pivot columns, so the rows divided by
+    pivots[-1] are the reduced row echelon form; the rows after them vanish
+    in the first width columns.  Without swaps or skipped columns, pivots[k]
+    is the leading principal minor of order k + 1.
+    """
+    pivot_cols, pivots, swaps = [], [], 0
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(a):
+            break
+        found = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if found is None:
+            continue
+        if found != r:
+            a[r], a[found] = a[found], a[r]
+            swaps += 1
+        pivot_row = a[r]
+        p = pivot_row[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        pivot_cols.append(c)
+        pivots.append(p)
+        prev = p
+    return pivot_cols, pivots, swaps
+
+
+def mat_inv_det(m) -> tuple[list[list[Fraction]], Fraction]:
+    """(m^{-1}, det m) from one elimination of [den m | I]; raises Degenerate
+    on singular input."""
+    n = len(m)
+    rows, den, _ = _integer_rows(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _cols, pivots, swaps = _eliminate(a, n)
+    if len(pivots) < n:
+        raise Degenerate("matrix is singular")
+    if not n:
+        return [], Fraction(1)
+    # the left block is now p I and the right one p (den m)^{-1}
+    p = pivots[-1]
+    return ([[Fraction(den * x, p) for x in row[n:]] for row in a],
+            Fraction(-p if swaps % 2 else p, den ** n))
 
 
 def mat_inv(m) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises Degenerate on singular input."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + ident_row for row, ident_row in zip(m, identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise Degenerate("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    """Exact inverse; raises Degenerate on singular input."""
+    return mat_inv_det(m)[0]
 
 
 def mat_det(m) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: the last pivot of the elimination of den m, over den^n."""
     n = len(m)
     if n == 0:
         return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_p = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    rows, den, _ = _integer_rows(m)
+    _cols, pivots, swaps = _eliminate(list(rows), n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(-pivots[-1] if swaps % 2 else pivots[-1], den ** n)
+
+
+def is_definite(m, sign: int) -> bool:
+    """Whether sign * m (sign +1 or -1) is positive definite.
+
+    Sylvester's criterion: the leading principal minor of order k of sign * m
+    is positive for every k.  Those of den m are the pivots of one
+    elimination, which swaps or skips only after one of them vanished, and
+    den > 0 keeps their signs.
+    """
+    rows, _den, _ = _integer_rows(m)
+    _cols, pivots, swaps = _eliminate(list(rows), len(m))
+    return (not swaps and len(pivots) == len(m)
+            and all(p * sign ** k > 0 for k, p in enumerate(pivots, 1)))
 
 
 def rational_kernel(m) -> list[list[Fraction]]:
-    """Basis of the rational null space of m (list of vectors), via RREF."""
+    """Basis of the rational null space of m (list of vectors), read off the
+    reduced row echelon form of one elimination; one vector per free column."""
     if not m:
         return []
-    rows, cols = len(m), len(m[0])
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv_p = 1 / a[r][c]
-        a[r] = [x * inv_p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(m[0])
+    rows, _den, _ = _integer_rows(m)
+    a = list(rows)
+    pivot_cols, pivots, _swaps = _eliminate(a, cols)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivot_cols:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
+        for row, pc in zip(a, pivot_cols):
+            v[pc] = Fraction(-row[fc], pivots[-1])
         basis.append(v)
     return basis
 
@@ -285,7 +346,7 @@ def column_module_basis(cols_frac) -> list[list[Fraction]]:
     int_cols = [[int(Fraction(x) * den) for x in v] for v in cols_frac]
     a = transpose(int_cols)  # n x k integer matrix, columns span den * module
     d, s, t = snf(a)
-    s_inv = mat_inv(frac_matrix(s))
+    s_inv = mat_inv(s)
     basis = []
     for j in range(n):
         dj = d[j][j] if j < len(d) and j < len(d[0]) else 0
@@ -306,7 +367,7 @@ def saturate_columns(gens) -> tuple[list[list[int]], bool]:
     k = len(gens)
     rank = sum(1 for j in range(min(n, k)) if d[j][j] != 0)
     primitive = all(abs(d[j][j]) == 1 for j in range(rank))
-    s_inv = mat_inv(frac_matrix(s))
+    s_inv = mat_inv(s)
     basis = [[int(s_inv[i][j]) for i in range(n)] for j in range(rank)]
     return basis, primitive
 

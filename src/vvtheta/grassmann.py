@@ -90,8 +90,7 @@ class GrassmannPoint:
         if self.span_plus:
             # P+ = B (B^T G B)^{-1} B^T G
             b_plus = exact.transpose(self.span_plus)
-            bt_g = exact.mat_mul(exact.transpose(b_plus),
-                                 exact.frac_matrix(lattice.gram_rows()))
+            bt_g = exact.mat_mul(exact.transpose(b_plus), lattice.gram_rows())
             proj_plus = exact.mat_mul(
                 exact.mat_mul(b_plus, exact.mat_inv(exact.mat_mul(bt_g, b_plus))), bt_g)
         else:
@@ -141,7 +140,7 @@ class GrassmannPoint:
 
         Q+ - Q- is the majorant and Q+ + Q- is G itself.
         """
-        g = exact.frac_matrix(self.lattice.gram_rows())
+        g = self.lattice.gram_rows()
         return tuple(exact.mat_mul(exact.mat_mul(exact.transpose(p), g), p)
                      for p in (self.proj_plus, self.proj_minus))
 
@@ -208,16 +207,6 @@ def _gram_schmidt_block(lattice: Lattice, vectors, sign: int) -> np.ndarray:
     return np.array(out).T if out else np.zeros((lattice.rank, 0))
 
 
-def _definite_check_exact(gram_frac, sign: int) -> bool:
-    """Sylvester criterion for sign * gram being positive definite."""
-    n = len(gram_frac)
-    for k in range(1, n + 1):
-        minor = [[sign * gram_frac[i][j] for j in range(k)] for i in range(k)]
-        if exact.mat_det(minor) <= 0:
-            return False
-    return True
-
-
 def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     """Build the splitting with v+ spanned by the given vectors.
 
@@ -235,14 +224,14 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     rational = all(_is_rational_vec(v) for v in span_plus)
     span_plus = [[Fraction(x) for x in v] for v in span_plus]
     b_plus = exact.transpose(span_plus)  # n x k
-    g = exact.frac_matrix(lattice.gram_rows())
+    g = lattice.gram_rows()
     if span_plus:
         gram_plus = exact.mat_mul(exact.mat_mul(exact.transpose(b_plus), g), b_plus)
-        if exact.mat_det(gram_plus) == 0:
-            raise NotPositiveDefiniteSpan(
-                "the span has a singular Gram matrix: the vectors are dependent, "
-                "or they span an isotropic or degenerate subspace")
-        if not _definite_check_exact(gram_plus, +1):
+        if not exact.is_definite(gram_plus, +1):
+            if exact.mat_det(gram_plus) == 0:
+                raise NotPositiveDefiniteSpan(
+                    "the span has a singular Gram matrix: the vectors are dependent, "
+                    "or they span an isotropic or degenerate subspace")
             raise NotPositiveDefiniteSpan("span is not positive definite")
     # v- = kernel of B+^T G (all vectors orthogonal to v+)
     if span_plus:
@@ -254,7 +243,7 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     if span_minus:
         b_minus = exact.transpose(span_minus)
         gram_minus = exact.mat_mul(exact.mat_mul(exact.transpose(b_minus), g), b_minus)
-        if not _definite_check_exact(gram_minus, -1):
+        if not exact.is_definite(gram_minus, -1):
             raise NotPositiveDefiniteSpan("complement is not negative definite")
     plus_cols = _gram_schmidt_block(lattice, span_plus, +1)
     minus_cols = _gram_schmidt_block(lattice, span_minus, -1)
@@ -289,8 +278,8 @@ def direct_sum_grassmann(m_sub: Sublattice, mperp_sub: Sublattice,
     if u.lattice != m_sub.lattice or u_perp.lattice != mperp_sub.lattice:
         raise IncompatibleSublattices("Grassmannian points do not match the sublattices")
     amb = m_sub.ambient
-    bm = exact.frac_matrix(m_sub.basis_matrix())
-    bp = exact.frac_matrix(mperp_sub.basis_matrix())
+    bm = m_sub.basis_matrix()
+    bp = mperp_sub.basis_matrix()
 
     def lift(basis, vecs):
         return [tuple(exact.mat_vec(basis, list(map(Fraction, v)))) for v in vecs]

@@ -185,7 +185,7 @@ class Sublattice:
     def embed(self, coords):
         """Ambient coordinates of a vector given in sublattice coordinates."""
         b = self.basis_matrix()
-        return exact.mat_vec(exact.frac_matrix(b), [Fraction(c) for c in coords])
+        return exact.mat_vec(b, [Fraction(c) for c in coords])
 
     def project_ambient(self, vec):
         """Orthogonal projection of an ambient vector onto the real span."""

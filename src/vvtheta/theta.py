@@ -23,6 +23,7 @@ import numbers
 import os
 from collections import OrderedDict
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -501,8 +502,30 @@ def _upper_gamma_half_orders(x: float, count: int) -> list[float]:
     return out[:count]
 
 
-def _tail_bound(q: np.ndarray, translates: int, series, y: float,
-                bound: float, prefactor_exponent: Fraction) -> float:
+def _tail_shell(q: np.ndarray, series):
+    """The tau-independent part of _tail_bound, or None when nothing is omitted.
+
+    Returns (pieces, binomials, size, volume): a (j, |c|, degree) piece per
+    monomial c s^degree of the j-th series term, the (binomial, rho power)
+    pairs of (s + rho)^(n-1), the number of s^m coefficients and V_n n / covol.
+    """
+    n = q.shape[0]
+    if n == 0:
+        return None
+    det = float(np.linalg.det(q))
+    covol = math.sqrt(max(det, 1e-300))
+    rho = 0.5 * sum(math.sqrt(q[i, i]) for i in range(n))
+    vol_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    pieces = [(j, abs(coeff), sum(expo))
+              for j, poly in enumerate(series) for expo, coeff in poly.monomials.items()]
+    if not pieces:
+        return None
+    binomials = [(math.comb(n - 1, k), rho ** (n - 1 - k)) for k in range(n)]
+    return pieces, binomials, max(d for _j, _c, d in pieces) + n, vol_n * n / covol
+
+
+def _tail_bound(shell, translates: int, y: float, bound: float,
+                prefactor_exponent: Fraction) -> float:
     """Upper bound on the omitted sum, by a shell-volume integral.
 
     Point counts in a majorant ball of radius s are bounded by
@@ -512,32 +535,23 @@ def _tail_bound(q: np.ndarray, translates: int, series, y: float,
     integral over r > bound is evaluated in closed form: expanding
     (s + rho)^(n-1) binomially leaves pieces s^m e^{-lam r} (lam = 2 pi y),
     each integrating to 2^(m/2) lam^(-m/2-1) Gamma(m/2+1, lam bound).
+    ``shell`` is _tail_shell of the majorant and the series.
     """
-    n = q.shape[0]
-    if n == 0:
+    if shell is None:
         return 0.0
-    det = float(np.linalg.det(q))
-    covol = math.sqrt(max(det, 1e-300))
-    rho = 0.5 * sum(math.sqrt(q[i, i]) for i in range(n))
-    vol_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    pieces, binomials, size, volume = shell
     # monomial-wise polynomial bound: sum of |c| / (8 pi y)^j * s^deg
-    pieces = []
-    for j, poly in enumerate(series):
-        scale = (1.0 / (8.0 * math.pi * y)) ** j
-        for expo, coeff in poly.monomials.items():
-            pieces.append((abs(coeff) * scale, sum(expo)))
-    if not pieces:
-        return 0.0
     # shell density vol_n n (s + rho)^(n-1) / (s covol): collect s^m, m = deg + k - 1
-    coeffs = [0.0] * (max(d for _c, d in pieces) + n)
-    for c, d in pieces:
-        for k in range(n):
-            coeffs[d + k] += c * math.comb(n - 1, k) * rho ** (n - 1 - k)
+    coeffs = [0.0] * size
+    for j, c, d in pieces:
+        c *= (1.0 / (8.0 * math.pi * y)) ** j
+        for k, (binomial, rho_power) in enumerate(binomials):
+            coeffs[d + k] += c * binomial * rho_power
     lam = TWO_PI * y
     gammas = _upper_gamma_half_orders(lam * float(bound), len(coeffs))
     total = sum(c * 2.0 ** (m / 2) * lam ** (-m / 2 - 1) * g
                 for m, (c, g) in enumerate(zip(coeffs, gammas), start=-1))
-    total *= vol_n * n / covol
+    total *= volume
     return float(y ** float(prefactor_exponent) * translates * total)
 
 
@@ -603,9 +617,13 @@ class ThetaEvaluator:
                           tail_estimate=self.tail(tau.imag),
                           prefactor_exponent=self.prefactor_exponent)
 
+    @cached_property
+    def _shell(self):
+        return _tail_shell(self._majorant, self._series)
+
     def tail(self, y: float) -> float:
-        return _tail_bound(self._majorant, self._translates, self._series, y,
-                           self.bound, self.prefactor_exponent)
+        return _tail_bound(self._shell, self._translates, y, self.bound,
+                           self.prefactor_exponent)
 
 
 def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
@@ -683,11 +701,10 @@ def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
     inner = direct_sum(m_sub.lattice, mperp_sub.lattice)
     c_cols = [list(v) for v in m_sub.basis] + [list(v) for v in mperp_sub.basis]
     c_mat = exact.transpose(c_cols)  # n x n, lattice coords of inner basis
-    glue = exact.mat_inv(exact.frac_matrix(c_mat))
-    index = abs(exact.mat_det(exact.frac_matrix(c_mat)))
+    glue, det = exact.mat_inv_det(c_mat)
     emb = OverlatticeEmbedding(small=inner, big=lat,
                                glue=tuple(tuple(row) for row in glue),
-                               index=int(index))
+                               index=int(abs(det)))
     gm = glue_map(emb)
     d_m = discriminant_group(m_sub.lattice)
     d_perp = discriminant_group(mperp_sub.lattice)
@@ -829,13 +846,14 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     must equal y to the power theta_weight(L, poly) times the conjugated
     theta vector of L with the conjugated polynomial, component by component
     under the canonical index identification.  Each side is built once for
-    all taus.
+    all taus; the right side is read from the store of siegel_theta_family,
+    which already holds it when a seesaw on (lat, point) has evaluated it.
     """
     taus = [_check_tau(t) for t in taus]
     neg = rescale(lat, -1)
     lhs = siegel_theta_evaluator(neg, swap_blocks_point(point, neg),
                                  block_swapped_poly(poly), pair_vectors, bound)
-    rhs = siegel_theta_evaluator(lat, point, poly.conjugate(), pair_vectors, bound)
+    rhs = siegel_theta_family(lat, point, poly.conjugate()).evaluator(pair_vectors, bound)
     power = theta_weight(lat.signature, poly.degrees)
     d_neg, d_pos = discriminant_group(neg), discriminant_group(lat)
     to_pos = element_identification(d_neg, d_pos)
@@ -873,9 +891,10 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
                                         factors)]
 
 
-#: evaluators the store keeps: above the 13 distinct term tables of one run
-#: of a bundled scenario, so no workload evicts a table it still uses, while a
-#: loop over fresh inputs keeps no more than this many tables alive
+#: evaluators the store keeps: above the 12 distinct term tables that one run
+#: of a bundled scenario builds (10 of them through the store), so no workload
+#: evicts a table it still uses, while a loop over fresh inputs keeps no more
+#: than this many tables alive
 _STORE_SIZE = 32
 
 # ThetaFamily's evaluators, least recently used first.  A key holds the

@@ -188,8 +188,8 @@ BUNDLED = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "ii11_sees
 
 
 def test_bundled_scenario_builds_each_table_once(monkeypatch):
-    # 13 distinct term tables, plus the conjugate-polynomial theta of the
-    # negation check; one ambient splitting shared by every check
+    # 12 distinct term tables, each built once (the negation check reads the
+    # stored theta of L); one ambient splitting shared by every check
     from vvtheta import cli, contraction, theta
 
     counts = {"build_term_table": 0, "direct_sum_grassmann": 0}
@@ -205,7 +205,7 @@ def test_bundled_scenario_builds_each_table_once(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert run_scenario(str(BUNDLED))["pass"]
-    assert counts["build_term_table"] <= 14
+    assert counts["build_term_table"] == 12
     assert counts["direct_sum_grassmann"] == 1
 
 
@@ -444,6 +444,19 @@ def test_cli_verify_subcommands(tmp_path, capsys):
                  "--tolerance", "1e-6"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["restriction_integrand"]["tolerance"] == 1e-6
+
+
+def test_verify_tau_samples_take_negative_real_parts(capsys):
+    # a tau with a negative real part is a value of --tau-samples, not an
+    # unknown option: the bundled scenario's own pair gives the file's report
+    assert main(["verify-seesaw", "--scenario", str(BUNDLED)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["verify-seesaw", "--scenario", str(BUNDLED),
+                 "--tau-samples", "0.2,1.1", "-0.37,0.9"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert main(["verify-restriction", "--scenario", str(BUNDLED),
+                 "--tau-samples", "-0.37,0.9", "-.1,1", "--bound", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
 
 
 def test_cli_disc_info(tmp_path, capsys):

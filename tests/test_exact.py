@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 import vvtheta
 from vvtheta import exact
+from vvtheta.errors import Degenerate
 
 
 def _sparse_entry(rng):
@@ -92,3 +94,227 @@ def test_import_needs_neither_sympy_nor_scipy():
          "import sys, vvtheta; print(sorted({'sympy', 'scipy'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction arithmetic they replaced
+
+def _ref_mat_mul(a, b):
+    if not a or not b:
+        return [[] for _ in a] if a else []
+    bt = exact.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _ref_mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def _ref_mat_inv(m):
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise Degenerate("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _ref_mat_det(m):
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv_p = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv_p
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def _ref_rational_kernel(m):
+    if not m:
+        return []
+    rows, cols = len(m), len(m[0])
+    a = [[Fraction(x) for x in row] for row in m]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv_p = 1 / a[r][c]
+        a[r] = [x * inv_p for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _typed(x):
+    """x with every scalar replaced by (type, value), so == compares types too."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return (type(x), x)
+
+
+def _entry(rng, kind):
+    """An int, or a Fraction (integral or with a small or large, possibly
+    negative, denominator); kind "mixed" draws either."""
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.4):
+        return rng.choice([0, rng.randint(-9, 9), rng.randint(-10**12, 10**12)])
+    den = rng.choice([1, rng.randint(1, 12), rng.randint(10**6, 10**9)])
+    return Fraction(rng.randint(-10**4, 10**4), den * rng.choice([1, -1]))
+
+
+def _matrix(rng, rows, cols, kind):
+    return [[_entry(rng, kind) for _ in range(cols)] for _ in range(rows)]
+
+
+def _low_rank(rng, rows, cols, kind):
+    """A product of rows x k and k x cols factors, k < min(rows, cols)."""
+    k = rng.randint(0, min(rows, cols) - 1)
+    if k == 0:
+        return [[0] * cols for _ in range(rows)]
+    return _ref_mat_mul(_matrix(rng, rows, k, kind), _matrix(rng, k, cols, kind))
+
+
+def _kernel_cases():
+    """Seeded (a, b) pairs of every kind: int, Fraction and mixed entries,
+    full-rank and rank-deficient, with a zero row or column now and then."""
+    rng = random.Random(20261019)
+    for _ in range(300):
+        kinds = [rng.choice(["int", "fraction", "mixed"]) for _ in range(2)]
+        r, k, c = (rng.randint(1, 5) for _ in range(3))
+        a = (_low_rank if rng.random() < 0.3 and min(r, k) > 1 else _matrix)(rng, r, k, kinds[0])
+        b = _matrix(rng, k, c, kinds[1])
+        if rng.random() < 0.2:
+            a[rng.randrange(r)] = [0] * k
+        yield a, b
+
+
+def test_mat_mul_and_mat_vec_match_fraction_arithmetic():
+    """Values and entry types (int where no Fraction is read, else Fraction)
+    match the Fraction loops, also for empty shapes."""
+    for a, b in _kernel_cases():
+        assert _typed(exact.mat_mul(a, b)) == _typed(_ref_mat_mul(a, b)), (a, b)
+        v = [row[0] for row in b]
+        assert _typed(exact.mat_vec(a, v)) == _typed(_ref_mat_vec(a, v)), (a, v)
+    for a, b in [([], []), ([], [[1]]), ([[1, 2]], []), ([[Fraction(1, 2)]], [[]]),
+                 ([[], []], [[3]])]:
+        assert _typed(exact.mat_mul(a, b)) == _typed(_ref_mat_mul(a, b))
+    for a, v in [([], []), ([], [Fraction(1, 3)]), ([[]], []), ([[], []], [])]:
+        assert _typed(exact.mat_vec(a, v)) == _typed(_ref_mat_vec(a, v))
+
+
+def test_inverse_determinant_and_kernel_match_fraction_elimination():
+    rng = random.Random(7)
+    singular = 0
+    for a, _b in _kernel_cases():
+        assert _typed(exact.rational_kernel(a)) == _typed(_ref_rational_kernel(a)), a
+        square = [row[:len(a)] for row in a] if len(a[0]) >= len(a) else \
+            _matrix(rng, len(a[0]), len(a[0]), "mixed")
+        det = exact.mat_det(square)
+        assert _typed(det) == _typed(_ref_mat_det(square)), square
+        try:
+            ref = _ref_mat_inv(square)
+        except Degenerate:
+            singular += 1
+            with pytest.raises(Degenerate):
+                exact.mat_inv(square)
+            with pytest.raises(Degenerate):
+                exact.mat_inv_det(square)
+            continue
+        assert _typed(exact.mat_inv(square)) == _typed(ref), square
+        assert _typed(exact.mat_inv_det(square)) == _typed([ref, det]), square
+    assert singular >= 30
+    assert _typed(exact.mat_det([])) == _typed(Fraction(1))
+    assert exact.mat_inv([]) == [] and exact.mat_inv_det([]) == ([], Fraction(1))
+    assert exact.rational_kernel([]) == [] and exact.rational_kernel([[], []]) == []
+    assert _typed(exact.rational_kernel([[0, 0]])) == _typed(_ref_rational_kernel([[0, 0]]))
+
+
+def test_is_definite_matches_sylvester_minors():
+    """The pivots of one elimination decide definiteness as the leading
+    principal minors do, including matrices whose leading minor vanishes
+    while a later one does not."""
+    def sylvester(m, sign):
+        return all(_ref_mat_det([[sign * x for x in row[:k]] for row in m[:k]]) > 0
+                   for k in range(1, len(m) + 1))
+
+    rng = random.Random(11)
+    cases = [[[0, 1], [1, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 0]], [[-2]], [[2]],
+             [[0, 1, 0], [1, 0, 0], [0, 0, -2]]]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        b = _matrix(rng, n, n, rng.choice(["int", "fraction", "mixed"]))
+        if rng.random() < 0.2:
+            b[rng.randrange(n)] = [0] * n
+        gram = _ref_mat_mul(exact.transpose(b), b)
+        shift = rng.choice([0, 0, 1, -1, Fraction(-1, 3)])
+        cases.append([[x + shift * (i == j) for j, x in enumerate(row)]
+                      for i, row in enumerate(gram)])
+        sym = _matrix(rng, n, n, "mixed")
+        cases.append([[sym[i][j] + sym[j][i] for j in range(n)] for i in range(n)])
+    verdicts = set()
+    for m in cases:
+        for sign in (1, -1):
+            neg = [[-x for x in row] for row in m]
+            assert exact.is_definite(m, sign) == sylvester(m, sign), (m, sign)
+            assert exact.is_definite(neg, -sign) == exact.is_definite(m, sign)
+            verdicts.add(exact.is_definite(m, sign))
+    assert verdicts == {True, False}
+
+
+def test_mat_mul_makes_one_fraction_per_entry():
+    """A 4 x 4 rational product creates at most its 16 entries as Fractions;
+    the entry-by-entry Fraction loop created 128."""
+    rng = random.Random(3)
+    a = _matrix(rng, 4, 4, "fraction")
+    b = _matrix(rng, 4, 4, "fraction")
+    expected = _ref_mat_mul(a, b)
+    original = Fraction.__dict__["__new__"]
+    calls = []
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting_new)
+    try:
+        product = exact.mat_mul(a, b)
+    finally:
+        Fraction.__new__ = original
+    assert product == expected
+    assert len(calls) <= 16

@@ -617,7 +617,7 @@ def _tail_reference(q, translates, series, y, bound, prefactor_exponent):
 
 def test_tail_bound_closed_form_against_quadrature():
     pytest.importorskip("mpmath")
-    from vvtheta.theta import _tail_bound
+    from vvtheta.theta import _tail_bound, _tail_shell
 
     rng = random.Random(41)
     for _ in range(40):
@@ -639,14 +639,14 @@ def test_tail_bound_closed_form_against_quadrature():
         y, bound = rng.uniform(0.3, 3.0), rng.uniform(0.5, 14.0)
         prefactor = F(rng.randint(0, 4), 2)
         translates = rng.randint(1, 12)
-        got = _tail_bound(q, translates, series, y, bound, prefactor)
+        got = _tail_bound(_tail_shell(q, series), translates, y, bound, prefactor)
         ref = _tail_reference(q, translates, series, y, bound, prefactor)
         assert abs(got - ref) <= 1e-12 * ref, (n, deg, y, bound)
     # nothing to omit: a rank-0 lattice, an empty or a zero series
     zero = Polynomial(1, 0, {})
-    assert _tail_bound(np.zeros((0, 0)), 1, [constant_poly(0, 0)], 1.0, 2.0, F(0)) == 0.0
-    assert _tail_bound(np.eye(1), 1, [], 1.0, 2.0, F(0)) == 0.0
-    assert _tail_bound(np.eye(1), 1, [zero], 1.0, 2.0, F(0)) == 0.0
+    for q, series in [(np.zeros((0, 0)), [constant_poly(0, 0)]), (np.eye(1), []),
+                      (np.eye(1), [zero])]:
+        assert _tail_bound(_tail_shell(q, series), 1, 1.0, 2.0, F(0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -982,6 +982,22 @@ def _count_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(theta_mod, "build_term_table", counted)
     return calls
+
+
+def test_negation_check_reads_the_stored_theta(ii11, monkeypatch):
+    # the right side of the negation symmetry, Theta_L with the conjugated
+    # polynomial, is the family's stored table: after siegel_theta on the
+    # same objects only the L(-1) side is built
+    v = make_grassmann_point(ii11, [[1, 1]])
+    p = coordinate_poly(1, 1, 0)
+    assert p.conjugate() == p
+    pair_v = ([F(1, 3), F(1, 5)], [F(1, 2), F(1, 7)])
+    calls = _count_builds(monkeypatch)
+    siegel_theta(ii11, 0.2 + 1.1j, v, p, pair_v, 12.0)
+    assert len(calls) == 1
+    residuals = theta_negation_residuals(ii11, [0.2 + 1.1j, -0.37 + 0.9j], v, p,
+                                         pair_v, 12.0)
+    assert len(calls) == 2 and max(residuals) < 1e-10
 
 
 def test_siegel_theta_builds_once_across_taus(ii11, monkeypatch):
