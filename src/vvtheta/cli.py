@@ -622,6 +622,9 @@ def _cmd_run_scenario(args) -> int:
     return 0 if report["pass"] else 1
 
 
+# argparse reads a word that starts with "-" as an option unless it looks
+# like a negative number; the subparsers that take a tau count "-x,y" as one
+# too, so a tau with a negative real part is a value of --tau or --tau-samples
 _NEGATIVE_TAU = re.compile(r"-\.?\d")
 
 
@@ -651,6 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha")
     p.add_argument("--beta")
     p.add_argument("--out")
+    p._negative_number_matcher = _NEGATIVE_TAU
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("theta-lm", help="mixed theta vector at tau")
@@ -664,6 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta")
     p.add_argument("--composed", action="store_true")
     p.add_argument("--out")
+    p._negative_number_matcher = _NEGATIVE_TAU
     p.set_defaults(fn=_cmd_theta_lm)
 
     p = sub.add_parser("contract", help="symbolic theta contraction")
@@ -682,9 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", type=float)
         p.add_argument("--tolerance", type=float)
         p.add_argument("--tau-samples", nargs="*")
-        # argparse reads a word that starts with "-" as an option unless it
-        # looks like a negative number; count "-x,y" as one too, so a tau
-        # with a negative real part is a value of --tau-samples
         p._negative_number_matcher = _NEGATIVE_TAU
         p.set_defaults(fn=fn)
 

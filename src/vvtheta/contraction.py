@@ -146,16 +146,13 @@ def _q_series(table: TermTable) -> dict:
     """Exact-exponent q-series of every key of a positive definite table, as
     {key index: {exponent: coefficient}}.
 
-    The exponent of a row is half its norm, (a_num + b_num) / ab_den (a
-    float a + b on a float splitting); a coefficient sums the rows'
-    poly[:, 0] in row order, and zero sums are dropped.
+    The exponent of a row is half its norm, (a_num + b_num) / ab_den; a
+    coefficient sums the rows' poly[:, 0] in row order, and zero sums are
+    dropped.
     """
-    if table.ab_den is None:
-        expos = (table.a + table.b).tolist()
-    else:
-        num = table.a_num + table.b_num
-        frac = _fraction_map(num, table.ab_den)
-        expos = [frac[x] for x in num.tolist()]
+    num = table.a_num + table.b_num
+    frac = _fraction_map(num, table.ab_den)
+    expos = [frac[x] for x in num.tolist()]
     out: dict = {}
     for k, e, c in zip(table.key_index.tolist(), expos, table.poly[:, 0].tolist()):
         if c != 0:

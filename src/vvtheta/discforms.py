@@ -52,14 +52,6 @@ def _object_rows(xs, k: int) -> np.ndarray:
     return np.asarray(xs, dtype=np.int64).reshape(len(xs), k).astype(object)
 
 
-def _integer_rows(rows, n: int) -> tuple[np.ndarray, int]:
-    """(num, den) with rows = num / den: Python ints over a common denominator."""
-    rows = [[Fraction(c) for c in row] for row in rows]
-    den = math.lcm(1, *(c.denominator for row in rows for c in row))
-    num = np.array([[int(c * den) for c in row] for row in rows], dtype=object)
-    return num.reshape(len(rows), n), den
-
-
 @cache
 def unit_roots(n: int) -> np.ndarray:
     """Read-only table of e(k/n) for k = 0..n-1, each computed by two_pi_e."""
@@ -120,8 +112,10 @@ class DiscriminantGroup:
 
     @cached_property
     def _generator_matrix(self) -> tuple[np.ndarray, int]:
-        """(num, den): the generators are the rows of num / den."""
-        return _integer_rows(self.generators, self.lattice.rank)
+        """(num, den): the generators are the rows of num / den, num an array
+        of Python ints."""
+        num, den = exact.integer_rows(self.generators)
+        return np.array(num, dtype=object).reshape(len(num), self.lattice.rank), den
 
     def dual_vectors(self, xs) -> list[list[Fraction]]:
         """Dual-lattice representatives of the rows of xs, in lattice coordinates:
@@ -136,7 +130,7 @@ class DiscriminantGroup:
 
     def from_dual(self, vec) -> DiscElement:
         """Coordinates of the class of a dual vector; NotInDual if outside L*."""
-        return lift_map(self, [vec])((1,))
+        return lift_map(self, [list(map(Fraction, vec))])((1,))
 
     @cached_property
     def level_forms(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -425,7 +419,8 @@ def lift_map(target: DiscriminantGroup, lifts) -> _LiftMap:
     Only whole combinations must lie in the dual, so the domain may be a
     subgroup, such as H-perp for a glue map."""
     n = target.lattice.rank
-    num, den = _integer_rows(lifts, n)
+    num, den = exact.integer_rows(lifts)
+    num = np.array(num, dtype=object).reshape(len(num), n)
     return _LiftMap(target, np.array(target._dual_map, dtype=object).reshape(n, n) @ num.T, den)
 
 

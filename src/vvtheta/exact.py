@@ -2,12 +2,12 @@
 
 Matrices are lists of rows; entries are ints or fractions.Fraction.  All
 routines are exact.  A rational matrix is written as int rows over one
-common denominator: products sum int rows and make one Fraction per entry,
-and inverse, determinant, kernel and definiteness read one fraction-free
-(Bareiss) elimination of those rows, with no Fraction in between.  The Smith
-normal form is an in-repo elimination over Python ints whose transforms are
-pinned to sympy's, so generator bases and element keys do not depend on
-which valid Smith form one happens to pick.
+common denominator (``integer_rows``): products sum int rows and make one
+Fraction per entry, and inverse, determinant, kernel and definiteness read
+one fraction-free (Bareiss) elimination of those rows, with no Fraction in
+between.  The Smith normal form is an in-repo elimination over Python ints
+whose transforms are pinned to sympy's, so generator bases and element keys
+do not depend on which valid Smith form one happens to pick.
 """
 
 from __future__ import annotations
@@ -32,20 +32,24 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _integer_rows(m):
-    """(rows, den, has_fraction): m[i][j] == rows[i][j] / den with int rows
-    over one common denominator den >= 1.
+def integer_rows(m) -> tuple[list[list[int]], int]:
+    """(rows, den): m[i][j] == rows[i][j] / den, with int rows over the least
+    common denominator den >= 1 of the int and Fraction entries of m."""
+    den = math.lcm(1, *[x.denominator for row in m for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m], den
 
-    has_fraction[i] says whether row i of m holds a Fraction; a product entry
-    that reads such a row is a Fraction, as it would be in Fraction
-    arithmetic.  A matrix of ints comes back as it is, with den 1.
+
+def _typed_rows(m):
+    """(rows, den, has_fraction): integer_rows of m, and whether each row of m
+    holds a Fraction.
+
+    A product entry that reads such a row is a Fraction, as it would be in
+    Fraction arithmetic.  A matrix of ints comes back as it is, with den 1.
     """
     has_fraction = [Fraction in map(type, row) for row in m]
     if not any(has_fraction):
         return m, 1, has_fraction
-    den = math.lcm(*[x.denominator for row in m for x in row])
-    return ([[x.numerator * (den // x.denominator) for x in row] for row in m],
-            den, has_fraction)
+    return (*integer_rows(m), has_fraction)
 
 
 def mat_mul(a, b):
@@ -53,8 +57,8 @@ def mat_mul(a, b):
     a Fraction of a or b, and ints elsewhere."""
     if not a or not b:
         return [[] for _ in a] if a else []
-    ra, da, fa = _integer_rows(a)
-    rb, db, fb = _integer_rows(transpose(b))
+    ra, da, fa = _typed_rows(a)
+    rb, db, fb = _typed_rows(transpose(b))
     sums = [[sum(map(mul, row, col)) for col in rb] for row in ra]
     if not (any(fa) or any(fb)):
         return sums
@@ -65,8 +69,8 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     """Exact product a v, typed as in mat_mul."""
-    ra, da, fa = _integer_rows(a)
-    (rv,), dv, (fv,) = _integer_rows([v])
+    ra, da, fa = _typed_rows(a)
+    (rv,), dv, (fv,) = _typed_rows([v])
     sums = [sum(map(mul, row, rv)) for row in ra]
     if not (fv or any(fa)):
         return sums
@@ -115,8 +119,8 @@ def mat_inv_det(m) -> tuple[list[list[Fraction]], Fraction]:
     """(m^{-1}, det m) from one elimination of [den m | I]; raises Degenerate
     on singular input."""
     n = len(m)
-    rows, den, _ = _integer_rows(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    rows, den = integer_rows(m)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     _cols, pivots, swaps = _eliminate(a, n)
     if len(pivots) < n:
         raise Degenerate("matrix is singular")
@@ -138,8 +142,8 @@ def mat_det(m) -> Fraction:
     n = len(m)
     if n == 0:
         return Fraction(1)
-    rows, den, _ = _integer_rows(m)
-    _cols, pivots, swaps = _eliminate(list(rows), n)
+    rows, den = integer_rows(m)
+    _cols, pivots, swaps = _eliminate(rows, n)
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(-pivots[-1] if swaps % 2 else pivots[-1], den ** n)
@@ -153,8 +157,8 @@ def is_definite(m, sign: int) -> bool:
     elimination, which swaps or skips only after one of them vanished, and
     den > 0 keeps their signs.
     """
-    rows, _den, _ = _integer_rows(m)
-    _cols, pivots, swaps = _eliminate(list(rows), len(m))
+    rows, _den = integer_rows(m)
+    _cols, pivots, swaps = _eliminate(rows, len(m))
     return (not swaps and len(pivots) == len(m)
             and all(p * sign ** k > 0 for k, p in enumerate(pivots, 1)))
 
@@ -165,8 +169,7 @@ def rational_kernel(m) -> list[list[Fraction]]:
     if not m:
         return []
     cols = len(m[0])
-    rows, _den, _ = _integer_rows(m)
-    a = list(rows)
+    a, _den = integer_rows(m)
     pivot_cols, pivots, _swaps = _eliminate(a, cols)
     basis = []
     for fc in range(cols):
@@ -342,8 +345,7 @@ def column_module_basis(cols_frac) -> list[list[Fraction]]:
     the SNF decomposition of the resulting integer matrix.
     """
     n = len(cols_frac[0])
-    den = math.lcm(*(Fraction(x).denominator for v in cols_frac for x in v))
-    int_cols = [[int(Fraction(x) * den) for x in v] for v in cols_frac]
+    int_cols, den = integer_rows(cols_frac)
     a = transpose(int_cols)  # n x k integer matrix, columns span den * module
     d, s, t = snf(a)
     s_inv = mat_inv(s)

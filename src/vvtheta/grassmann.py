@@ -1,8 +1,9 @@
 """Orthogonal splittings of L_R and polynomials adapted to them.
 
 A Grassmannian point is a splitting L_R = v+ (+) v- into a positive and a
-negative definite subspace.  Projections and the positive definite majorant
-are kept as exact rational matrices whenever the spanning data is rational;
+negative definite subspace.  Its norm forms, derived from the Gram data of
+the span of v+, and the positive definite majorant are kept as exact
+rational matrices whenever the spanning data is rational;
 the orthonormalized adapted basis (used only to evaluate polynomials) is
 floating point.  Polynomials live in the adapted coordinates of a specific
 point: the first block of variables spans v+, the second v-.
@@ -73,10 +74,10 @@ def _bareiss_levels(mat: np.ndarray, divide) -> tuple:
 
 
 class GrassmannPoint:
-    """A splitting v = v+ (+) v- of L_R, with projections and majorant.
+    """A splitting v = v+ (+) v- of L_R, with its norm forms and majorant.
 
     The caller guarantees orthogonal spans with orthonormal ``adapted`` blocks.
-    Floats are exact binary rationals, so the projections are exact either
+    Floats are exact binary rationals, so the norm forms are exact either
     way; ``rational_flag`` records whether the caller's data was exact, since
     float data has denominators too large for the exact enumeration.
     """
@@ -87,21 +88,20 @@ class GrassmannPoint:
         self.lattice = lattice
         self.span_plus = [tuple(map(Fraction, v)) for v in span_plus]  # may be empty
         self.span_minus = [tuple(map(Fraction, v)) for v in span_minus]
-        if self.span_plus:
-            # P+ = B (B^T G B)^{-1} B^T G
-            b_plus = exact.transpose(self.span_plus)
-            bt_g = exact.mat_mul(exact.transpose(b_plus), lattice.gram_rows())
-            proj_plus = exact.mat_mul(
-                exact.mat_mul(b_plus, exact.mat_inv(exact.mat_mul(bt_g, b_plus))), bt_g)
-        else:
-            proj_plus = [[Fraction(0)] * n for _ in range(n)]
-        ident = exact.identity(n)
-        self.proj_plus = proj_plus      # exact n x n Fraction matrices
-        self.proj_minus = [[ident[i][j] - proj_plus[i][j] for j in range(n)]
-                           for i in range(n)]
         self.adapted = adapted          # n x n float, +block then -block columns
         self.rational_flag = rational_flag
-        q_plus, q_minus = self.norm_forms
+        g = lattice.gram_rows()
+        if self.span_plus:
+            # Q+ = C^T (C B)^{-1} C for the span B (as rows) and C = B G
+            c = exact.mat_mul(self.span_plus, g)
+            gram_plus = exact.mat_mul(c, exact.transpose(self.span_plus))
+            q_plus = exact.mat_mul(exact.mat_mul(exact.transpose(c), exact.mat_inv(gram_plus)), c)
+        else:
+            q_plus = [[Fraction(0)] * n for _ in range(n)]
+        q_minus = [[x - y for x, y in zip(rg, rp)] for rg, rp in zip(g, q_plus)]
+        # (Q+, Q-): exact Gram matrices of the plus and minus norms, P±^T G P±
+        # for the projections P± onto v±; Q+ - Q- is the majorant, Q+ + Q- is G
+        self.norm_forms = (q_plus, q_minus)
         maj = [[a - b for a, b in zip(rp, rm)] for rp, rm in zip(q_plus, q_minus)]
         self.majorant = maj             # exact majorant Gram matrix
         self.majorant_np = np.array([[float(x) for x in row] for row in maj]
@@ -115,35 +115,6 @@ class GrassmannPoint:
     def dim_minus(self) -> int:
         return len(self.span_minus)
 
-    def project(self, vec):
-        """(vec_{v+}, vec_{v-}); exact for rational input on a rational point."""
-        if self.rational_flag and _is_rational_vec(vec):
-            v = [Fraction(x) for x in vec]
-            return exact.mat_vec(self.proj_plus, v), exact.mat_vec(self.proj_minus, v)
-        v = np.array([float(x) for x in vec])
-        pp = np.array([[float(x) for x in row] for row in self.proj_plus])
-        pm = np.array([[float(x) for x in row] for row in self.proj_minus])
-        return pp @ v, pm @ v
-
-    def majorant_value(self, vec):
-        """Positive definite majorant: plus norm minus minus norm."""
-        if self.rational_flag and _is_rational_vec(vec):
-            v = [Fraction(x) for x in vec]
-            mv = exact.mat_vec(self.majorant, v)
-            return sum(a * b for a, b in zip(v, mv))
-        v = np.array([float(x) for x in vec])
-        return float(v @ self.majorant_np @ v)
-
-    @cached_property
-    def norm_forms(self) -> tuple:
-        """(Q+, Q-): exact Gram matrices of the plus and minus norms, P±^T G P±.
-
-        Q+ - Q- is the majorant and Q+ + Q- is G itself.
-        """
-        g = self.lattice.gram_rows()
-        return tuple(exact.mat_mul(exact.mat_mul(exact.transpose(p), g), p)
-                     for p in (self.proj_plus, self.proj_minus))
-
     @cached_property
     def majorant_inverse(self) -> list:
         """Exact inverse of the majorant Gram matrix."""
@@ -153,8 +124,8 @@ class GrassmannPoint:
     def integer_forms(self) -> tuple:
         """(d, N+, N-): the least d with N+- = d Q+- integral, as int rows."""
         q_plus, q_minus = self.norm_forms
-        d = math.lcm(1, *(x.denominator for q in (q_plus, q_minus) for row in q for x in row))
-        return (d,) + tuple([[int(x * d) for x in row] for row in q] for q in (q_plus, q_minus))
+        rows, d = exact.integer_rows(q_plus + q_minus)
+        return d, rows[:len(q_plus)], rows[len(q_plus):]
 
     @cached_property
     def majorant_levels(self) -> tuple:
@@ -212,7 +183,7 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
 
     The vectors must span a positive definite subspace of dimension exactly
     sig_plus; v- is computed as the orthogonal complement.  Rational input
-    keeps projections and the majorant exact.
+    keeps the norm forms and the majorant exact.
     """
     n = lattice.rank
     span_plus = [list(v) for v in span_plus]
@@ -223,26 +194,24 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
         raise WrongDimension("spanning vector length does not match the rank")
     rational = all(_is_rational_vec(v) for v in span_plus)
     span_plus = [[Fraction(x) for x in v] for v in span_plus]
-    b_plus = exact.transpose(span_plus)  # n x k
     g = lattice.gram_rows()
     if span_plus:
-        gram_plus = exact.mat_mul(exact.mat_mul(exact.transpose(b_plus), g), b_plus)
+        c_plus = exact.mat_mul(span_plus, g)  # B+^T G
+        gram_plus = exact.mat_mul(c_plus, exact.transpose(span_plus))
         if not exact.is_definite(gram_plus, +1):
             if exact.mat_det(gram_plus) == 0:
                 raise NotPositiveDefiniteSpan(
                     "the span has a singular Gram matrix: the vectors are dependent, "
                     "or they span an isotropic or degenerate subspace")
             raise NotPositiveDefiniteSpan("span is not positive definite")
-    # v- = kernel of B+^T G (all vectors orthogonal to v+)
-    if span_plus:
-        span_minus = exact.rational_kernel(exact.mat_mul(exact.transpose(b_plus), g))
+        # v- = kernel of B+^T G (all vectors orthogonal to v+)
+        span_minus = exact.rational_kernel(c_plus)
     else:
-        span_minus = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        span_minus = exact.identity(n)
     if len(span_minus) != lattice.sig_minus:
         raise NotPositiveDefiniteSpan("orthogonal complement has wrong dimension")
     if span_minus:
-        b_minus = exact.transpose(span_minus)
-        gram_minus = exact.mat_mul(exact.mat_mul(exact.transpose(b_minus), g), b_minus)
+        gram_minus = exact.mat_mul(exact.mat_mul(span_minus, g), exact.transpose(span_minus))
         if not exact.is_definite(gram_minus, -1):
             raise NotPositiveDefiniteSpan("complement is not negative definite")
     plus_cols = _gram_schmidt_block(lattice, span_plus, +1)

@@ -261,10 +261,6 @@ class OverlatticeEmbedding:
     def glue_rows(self) -> list[list[Fraction]]:
         return [list(row) for row in self.glue]
 
-    def small_coords(self, big_coords):
-        """Small-lattice coordinates of a vector given in big coordinates."""
-        return exact.mat_vec(self.glue_rows(), [Fraction(x) for x in big_coords])
-
     def big_coords(self, small_coords):
         inv = exact.mat_inv(self.glue_rows())
         return exact.mat_vec(inv, [Fraction(x) for x in small_coords])

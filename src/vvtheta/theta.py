@@ -208,11 +208,8 @@ class _IntegerForms:
         n = lat.rank
         d, n_plus, n_minus = point.integer_forms
         levels = point.majorant_levels
-        big_d = math.lcm(*(b.denominator for b in pair.beta),
-                         *(x.denominator for c in coset_vecs for x in c))
-        d_beta = [b.numerator * (big_d // b.denominator) for b in pair.beta]
-        shifts = [[x.numerator * (big_d // x.denominator) + b for x, b in zip(coset, d_beta)]
-                  for coset in coset_vecs]
+        (d_beta, *d_cosets), big_d = exact.integer_rows([pair.beta, *coset_vecs])
+        shifts = [[x + b for x, b in zip(coset, d_beta)] for coset in d_cosets]
         num, den = _ratio(bound)
         threshold = 2 * num * d * big_d * big_d // den
         # (N_maj^-1)_ii = (M^-1)_ii / d for the majorant M
@@ -222,9 +219,8 @@ class _IntegerForms:
                  for i in range(n)]
         self.exact_phase = _is_rational_vec(pair.alpha)
         if self.exact_phase:
-            da = math.lcm(*(x.denominator for x in pair.alpha))
-            g_alpha = exact.mat_vec(lat.gram_rows(),
-                                    [x.numerator * (da // x.denominator) for x in pair.alpha])
+            (int_alpha,), da = exact.integer_rows([pair.alpha])
+            g_alpha = exact.mat_vec(lat.gram_rows(), int_alpha)
         else:
             da, g_alpha = 1, [0] * n
 
@@ -665,22 +661,20 @@ def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
 class SplitData:
     """Everything attached to the splitting L > M (+) Mperp.
 
-    The inner direct sum has block Gram matrix; ``emb`` realizes L as its
-    overlattice (glue = C^{-1} for C = [basis_M | basis_Mperp]);
+    ``gm`` is the glue map of L as an overlattice of the inner direct sum
+    M (+) Mperp (glue = C^{-1} for C = [basis_M | basis_Mperp]);
     ``split_m`` is the D_sum -> D_M map of disc_product_iso, and
     ``pair_of_inner`` sends each D_sum element to its flat (D_M, D_Mperp)
     index.
     """
 
-    def __init__(self, ambient: Lattice, m_sub: Sublattice, mperp_sub: Sublattice,
-                 inner: Lattice, emb: OverlatticeEmbedding, gm, d_m: DiscriminantGroup,
-                 d_perp: DiscriminantGroup, d_inner: DiscriminantGroup,
-                 d_l: DiscriminantGroup, split_m, pair_of_inner: np.ndarray):
+    def __init__(self, ambient: Lattice, m_sub: Sublattice, mperp_sub: Sublattice, gm,
+                 d_m: DiscriminantGroup, d_perp: DiscriminantGroup,
+                 d_inner: DiscriminantGroup, d_l: DiscriminantGroup, split_m,
+                 pair_of_inner: np.ndarray):
         self.ambient = ambient
         self.m_sub = m_sub
         self.mperp_sub = mperp_sub
-        self.inner = inner
-        self.emb = emb
         self.gm = gm
         self.d_m = d_m
         self.d_perp = d_perp
@@ -712,8 +706,8 @@ def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
     xs = gm.small_disc.element_array()
     pair_of_inner = (d_m.index(split_m.apply(xs)) * d_perp.order
                      + d_perp.index(split_perp.apply(xs)))
-    sd = SplitData(ambient=lat, m_sub=m_sub, mperp_sub=mperp_sub, inner=inner,
-                   emb=emb, gm=gm, d_m=d_m, d_perp=d_perp,
+    sd = SplitData(ambient=lat, m_sub=m_sub, mperp_sub=mperp_sub, gm=gm,
+                   d_m=d_m, d_perp=d_perp,
                    d_inner=gm.small_disc, d_l=gm.big_disc, split_m=split_m,
                    pair_of_inner=pair_of_inner)
     _SPLIT_CACHE[cache_key] = sd

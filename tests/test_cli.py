@@ -459,6 +459,23 @@ def test_verify_tau_samples_take_negative_real_parts(capsys):
     assert json.loads(capsys.readouterr().out)["pass"]
 
 
+@pytest.mark.parametrize("command", ["theta", "theta-lm"])
+def test_tau_takes_negative_real_part(tmp_path, capsys, command):
+    # "--tau -0.3,1.1" is the value of --tau, as "--tau=-0.3,1.1" is
+    if command == "theta":
+        base = ["theta", "--lattice", write_json(tmp_path / "lat.json", {"gram": [[2]]})]
+    else:
+        base = ["theta-lm", "--lattice",
+                write_json(tmp_path / "lat.json", {"gram": [[0, 1], [1, 0]]}),
+                "--sublattice",
+                write_json(tmp_path / "sub.json", {"ambient": "L", "basis": [[1, -1]]})]
+    assert main(base + ["--tau=-0.3,1.1", "--bound", "6"]) == 0
+    joined = capsys.readouterr().out
+    assert main(base + ["--tau", "-0.3,1.1", "--bound", "6"]) == 0
+    assert capsys.readouterr().out == joined
+    assert json.loads(joined)["type"] == "theta"
+
+
 def test_cli_disc_info(tmp_path, capsys):
     lat_file = write_json(tmp_path / "lat.json", {"gram": [[2, 0], [0, -2]]})
     assert main(["disc-info", "--lattice", lat_file]) == 0

@@ -47,9 +47,15 @@ TAUS = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 1.3j, 0.41 + 0.85j, -0.11 + 1.02j]
 
 
 def _theta_series_coset(perp_lat, u_perp, poly, coset_vec, bound) -> dict:
-    """Exact-exponent q-series of one coset of a positive definite lattice."""
+    """Exact-exponent q-series of one coset of a positive definite lattice;
+    on a float splitting the exponents are the floats a + b."""
     table = build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound)
-    return _q_series(table).get(0, {})
+    if table.ab_den is not None:
+        return _q_series(table).get(0, {})
+    series: dict = {}
+    for e, c in zip((table.a + table.b).tolist(), table.poly[:, 0].tolist()):
+        series[e] = series.get(e, 0j) + c
+    return {e: c for e, c in series.items() if c != 0}
 
 
 def test_qexpansion_validation(a1_plus_a1):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -318,3 +319,25 @@ def test_mat_mul_makes_one_fraction_per_entry():
         Fraction.__new__ = original
     assert product == expected
     assert len(calls) <= 16
+
+
+def test_integer_rows_over_the_least_common_denominator():
+    """rows / den == m entry by entry, with int rows and den the lcm of the
+    denominators, for int, Fraction and mixed input and empty shapes."""
+    assert exact.integer_rows([[1, -2], [3, 0]]) == ([[1, -2], [3, 0]], 1)
+    assert exact.integer_rows([[Fraction(1, 2), 3], [Fraction(-5, 6), Fraction(4, 3)]]) \
+        == ([[3, 18], [-5, 8]], 6)
+    # a negative denominator is carried by the numerator; 4/2 is integral
+    assert exact.integer_rows([[Fraction(1, -4)], [Fraction(-3, 10)], [Fraction(4, 2)]]) \
+        == ([[-5], [-6], [40]], 20)
+    assert exact.integer_rows([]) == ([], 1)
+    assert exact.integer_rows([[], []]) == ([[], []], 1)
+    rng = random.Random(20261020)
+    for _ in range(300):
+        m = _matrix(rng, rng.randint(0, 4), rng.randint(0, 4),
+                    rng.choice(["int", "fraction", "mixed"]))
+        rows, den = exact.integer_rows(m)
+        assert type(den) is int and den == math.lcm(1, *(Fraction(x).denominator
+                                                        for row in m for x in row))
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[Fraction(x, den) for x in row] for row in rows] == m

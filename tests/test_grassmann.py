@@ -13,14 +13,19 @@ from vvtheta import (
     WrongDimension,
     block_swapped_poly,
     constant_poly,
+    construct_lattice,
+    direct_sum,
     direct_sum_grassmann,
     lift_product,
     make_grassmann_point,
+    orthogonal_complement,
     rescale,
     split_product_check,
+    sublattice,
     swap_blocks_point,
 )
-from vvtheta.grassmann import coordinate_poly, laplacian_series
+from vvtheta import exact
+from vvtheta.grassmann import GrassmannPoint, coordinate_poly, laplacian_series
 
 
 def test_ii11_standard_point(ii11):
@@ -36,9 +41,10 @@ def test_ii11_standard_point(ii11):
 def test_definite_lattice_single_point(a1_plus_a1):
     v = make_grassmann_point(a1_plus_a1, [[1, 0], [0, 1]])
     assert v.dim_plus == 2 and v.dim_minus == 0
-    lam = [F(2), F(-1)]
-    plus, minus = v.project(lam)
-    assert plus == lam and all(x == 0 for x in minus)
+    # v+ is all of L_R: the plus norm is the norm and the minus norm vanishes
+    q_plus, q_minus = v.norm_forms
+    assert q_plus == a1_plus_a1.gram_rows()
+    assert all(x == 0 for row in q_minus for x in row)
 
 
 def test_rejects_bad_spans(ii11):
@@ -54,35 +60,33 @@ def test_rejects_bad_spans(ii11):
 
 
 def test_projection_values(ii11):
+    # e1 = (1, 1)/2 + (1, -1)/2, with plus norm 1/2 and minus norm -1/2;
+    # (1, 1) spans v+, so its minus norm vanishes
     v = make_grassmann_point(ii11, [[1, 1]])
-    plus, minus = v.project([1, 0])
-    assert plus == [F(1, 2), F(1, 2)] and minus == [F(1, 2), F(-1, 2)]
-    lam = [F(1), F(1)]
-    plus, minus = v.project(lam)
-    assert plus == lam and minus == [0, 0]
+    q_plus, q_minus = v.norm_forms
+    assert q_plus == [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+    assert q_minus == [[F(-1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]]
 
 
 def test_majorant_values(ii11):
+    # the majorant of (m, n) is m^2 + n^2, positive away from 0
     v = make_grassmann_point(ii11, [[1, 1]])
-    rng = random.Random(3)
-    for _ in range(20):
-        m, n = rng.randint(-5, 5), rng.randint(-5, 5)
-        assert v.majorant_value([m, n]) == m * m + n * n
-        if (m, n) != (0, 0):
-            assert v.majorant_value([m, n]) > 0
+    assert v.majorant == [[1, 0], [0, 1]]
+    assert exact.is_definite(v.majorant, +1)
 
 
 def test_projection_idempotent(ii11, a2):
+    # P+- = G^-1 Q+- are complementary idempotents: Q+- G^-1 Q+- = Q+-,
+    # Q+ G^-1 Q- = 0 and Q+ + Q- = G
     for lat, span in [(ii11, [[1, 1]]), (a2, [[1, 0], [0, 1]])]:
         v = make_grassmann_point(lat, span)
-        rng = random.Random(5)
-        for _ in range(10):
-            x = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(lat.rank)]
-            plus, minus = v.project(x)
-            again_plus, cross = v.project(plus)
-            assert again_plus == plus
-            assert all(c == 0 for c in cross)
-            assert [p + q for p, q in zip(plus, minus)] == x
+        g = lat.gram_rows()
+        g_inv = exact.mat_inv(g)
+        q_plus, q_minus = v.norm_forms
+        for p, q, want in [(q_plus, q_plus, q_plus), (q_minus, q_minus, q_minus),
+                           (q_plus, q_minus, [[0] * lat.rank] * lat.rank)]:
+            assert exact.mat_mul(exact.mat_mul(p, g_inv), q) == want
+        assert [[p + q for p, q in zip(rp, rq)] for rp, rq in zip(q_plus, q_minus)] == g
 
 
 def test_laplacian_series():
@@ -120,11 +124,14 @@ def test_homogeneity_defining_property(ii11):
     p = coordinate_poly(1, 1, 0)  # degree (1, 0)
     q = coordinate_poly(1, 1, 1)  # degree (0, 1)
     pq = p.multiply(q)
+    # the projection onto v+ is P+ = G^-1 Q+
+    p_plus = np.linalg.solve(ii11.gram_np(), np.array(v.norm_forms[0], dtype=float))
     rng = random.Random(8)
     for _ in range(10):
         lam = [rng.uniform(-3, 3), rng.uniform(-3, 3)]
         c_plus, c_minus = rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
-        plus, minus = v.project(lam)
+        plus = p_plus @ np.array(lam)
+        minus = np.array(lam) - plus
         scaled = [c_plus * a + c_minus * b for a, b in zip(plus, minus)]
         for poly, (mp, mm) in [(p, (1, 0)), (q, (0, 1)), (pq, (1, 1))]:
             lhs = poly.evaluate(v.adapted_coords(scaled))
@@ -143,9 +150,8 @@ def test_direct_sum_grassmann(ii11_split):
     ii11, m_sub, mperp, u, u_perp = ii11_split
     v = direct_sum_grassmann(m_sub, mperp, u, u_perp)
     direct = make_grassmann_point(ii11, [[1, 1]])
-    # same splitting: projections agree
-    for x in ([1, 0], [0, 1], [2, -3]):
-        assert v.project(x)[0] == direct.project(x)[0]
+    # same splitting: the norm forms, and so the projections G^-1 Q+-, agree
+    assert v.norm_forms == direct.norm_forms
     assert v.dim_plus == u.dim_plus + u_perp.dim_plus
     assert v.dim_minus == u.dim_minus + u_perp.dim_minus
 
@@ -188,7 +194,8 @@ def test_block_swap_consistency(ii11):
 def test_float_span_flag(ii11):
     v = make_grassmann_point(ii11, [[1.0, 1.0]])
     assert not v.rational_flag
-    assert abs(v.majorant_value([1.0, 2.0]) - 5.0) < 1e-9
+    x = np.array([1.0, 2.0])
+    assert abs(x @ v.majorant_np @ x - 5.0) < 1e-9
 
 
 def test_vector_pair_validation(ii11):
@@ -201,3 +208,91 @@ def test_vector_pair_validation(ii11):
     assert isinstance(vp, VectorPair)
     with pytest.raises(WrongDimension):
         as_pair(([1], [2, 3]), 2)
+
+
+def _reference_norm_forms(point) -> tuple:
+    """(P+^T G P+, P-^T G P-) from the projections P+ = B (B^T G B)^-1 B^T G,
+    for the span B of v+ as columns, and P- = 1 - P+."""
+    g = point.lattice.gram_rows()
+    n = point.lattice.rank
+    if point.span_plus:
+        b = exact.transpose(point.span_plus)
+        bt_g = exact.mat_mul(point.span_plus, g)
+        p_plus = exact.mat_mul(exact.mat_mul(b, exact.mat_inv(exact.mat_mul(bt_g, b))), bt_g)
+    else:
+        p_plus = [[F(0)] * n for _ in range(n)]
+    p_minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(p_plus)]
+    return tuple(exact.mat_mul(exact.mat_mul(exact.transpose(p), g), p)
+                 for p in (p_plus, p_minus))
+
+
+def _random_lattice(rng, rank):
+    """A nondegenerate even lattice with small random Gram entries."""
+    while True:
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = 2 * rng.randint(-2, 2)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-2, 2)
+        if exact.mat_det(gram) != 0:
+            return construct_lattice(gram)
+
+
+def _random_point(rng, lat):
+    """A splitting of lat whose v+ is spanned by random rational vectors."""
+    while True:
+        span = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(lat.rank)]
+                for _ in range(lat.sig_plus)]
+        try:
+            return make_grassmann_point(lat, span)
+        except NotPositiveDefiniteSpan:
+            continue
+
+
+def test_norm_forms_match_projection_reference(a2, ii11):
+    rng = random.Random(2026)
+    points = [_random_point(rng, _random_lattice(rng, rank)) for rank in [1, 2, 3, 4] * 5]
+    points.append(_random_point(rng, direct_sum(a2, a2)))
+    # swapped blocks: the plus form on L(-1) is minus the minus form on L
+    for v in points[:8]:
+        swapped = swap_blocks_point(v, rescale(v.lattice, -1))
+        assert swapped.norm_forms == tuple([[-x for x in row] for row in q]
+                                           for q in reversed(v.norm_forms))
+        points.append(swapped)
+    # direct sums on A2 + II(1,1) over the sublattices A2, <(0,0,1,1)> (a
+    # rank-3 indefinite complement) and <(1,0,1,0)>
+    big = direct_sum(a2, ii11)
+    for basis in ([(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 1)], [(1, 0, 1, 0)]):
+        m_sub = sublattice(big, basis)
+        mperp = orthogonal_complement(big, m_sub)
+        u, u_perp = _random_point(rng, m_sub.lattice), _random_point(rng, mperp.lattice)
+        v = direct_sum_grassmann(m_sub, mperp, u, u_perp)
+        assert v.norm_forms == make_grassmann_point(big, v.span_plus).norm_forms
+        points.append(v)
+    assert {v.lattice.rank for v in points} == {1, 2, 3, 4}
+    assert {v.dim_plus for v in points} == {0, 1, 2, 3, 4}
+    for v in points:
+        q_plus, q_minus = v.norm_forms
+        assert (q_plus, q_minus) == _reference_norm_forms(v)
+        assert v.majorant == [[p - m for p, m in zip(rp, rm)]
+                              for rp, rm in zip(q_plus, q_minus)]
+        d, n_plus, n_minus = v.integer_forms
+        assert [[F(x, d) for x in row] for row in n_plus + n_minus] == q_plus + q_minus
+
+
+def test_point_construction_makes_four_products(monkeypatch, a2, ii11):
+    # Q+ from the span's Gram data: B G, its Gram matrix and two products
+    # around the k x k inverse, whatever the rank
+    lat = direct_sum(a2, ii11)
+    point = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(1, 2)]])
+    calls = []
+    mat_mul = exact.mat_mul
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(exact, "mat_mul", counting)
+    again = GrassmannPoint(lat, point.span_plus, point.span_minus, point.adapted, True)
+    assert len(calls) <= 4
+    assert again.norm_forms == _reference_norm_forms(point)
