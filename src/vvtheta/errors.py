@@ -103,6 +103,10 @@ class VectorNotInComplement(VvthetaError):
     pass
 
 
+class DuplicateCosetKey(VvthetaError):
+    """Two cosets of one theta sum under the same axis key."""
+
+
 # contraction
 
 class ComplementNotDefinite(VvthetaError):

@@ -57,33 +57,35 @@ def _is_rational_vec(v) -> bool:
 
 
 def _bareiss_levels(mat: np.ndarray, divide) -> tuple:
-    """((A_0, c_0), ..., (A_n, c_n)): fraction-free Gaussian elimination of mat.
+    """((A_0, c_0), ..., (A_n, c_n)): fraction-free Gaussian elimination of mat,
+    from its last coordinate.
 
-    c_i is the leading principal minor of order i and A_i is c_i times the
-    Schur complement of the leading i x i block, on coordinates i..n-1; so
-    A_0 = mat, c_0 = 1 and the pivot A_i[0, 0] is c_{i+1}.  ``divide`` is
-    floor division for integer matrices, where every quotient is exact
+    c_i is the trailing principal minor of order i and A_i is c_i times the
+    Schur complement of the trailing i x i block, on coordinates 0..n-1-i;
+    so A_0 = mat, c_0 = 1 and the pivot A_i[-1, -1] is c_{i+1}.  ``divide``
+    is floor division for integer matrices, where every quotient is exact
     (Bareiss, Math. Comp. 22, 1968), or true division for floats.
     """
     levels = [(mat, 1)]
     for _ in range(mat.shape[0]):
         a, c = levels[-1]
-        levels.append((divide(a[0, 0] * a[1:, 1:] - np.outer(a[1:, 0], a[0, 1:]), c),
-                       a[0, 0]))
+        levels.append((divide(a[-1, -1] * a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1]), c),
+                       a[-1, -1]))
     return tuple(levels)
 
 
 class GrassmannPoint:
     """A splitting v = v+ (+) v- of L_R, with its norm forms and majorant.
 
-    The caller guarantees orthogonal spans with orthonormal ``adapted`` blocks.
+    The caller guarantees orthogonal spans with orthonormal ``adapted`` blocks;
+    ``span_gram`` is _span_gram of ``span_plus`` when the caller has it.
     Floats are exact binary rationals, so the norm forms are exact either
     way; ``rational_flag`` records whether the caller's data was exact, since
     float data has denominators too large for the exact enumeration.
     """
 
     def __init__(self, lattice: Lattice, span_plus, span_minus,
-                 adapted: np.ndarray, rational_flag: bool):
+                 adapted: np.ndarray, rational_flag: bool, span_gram=None):
         n = lattice.rank
         self.lattice = lattice
         self.span_plus = [tuple(map(Fraction, v)) for v in span_plus]  # may be empty
@@ -93,8 +95,7 @@ class GrassmannPoint:
         g = lattice.gram_rows()
         if self.span_plus:
             # Q+ = C^T (C B)^{-1} C for the span B (as rows) and C = B G
-            c = exact.mat_mul(self.span_plus, g)
-            gram_plus = exact.mat_mul(c, exact.transpose(self.span_plus))
+            c, gram_plus = span_gram or _span_gram(self.span_plus, g)
             q_plus = exact.mat_mul(exact.mat_mul(exact.transpose(c), exact.mat_inv(gram_plus)), c)
         else:
             q_plus = [[Fraction(0)] * n for _ in range(n)]
@@ -130,7 +131,7 @@ class GrassmannPoint:
     @cached_property
     def majorant_levels(self) -> tuple:
         """((A_0, c_0), ..., (A_n, c_n)): A_i / c_i is the Schur complement of the
-        integer majorant N+ - N- on coordinates i..n-1.
+        integer majorant N+ - N- on coordinates 0..n-1-i.
 
         The Bareiss elimination (_bareiss_levels) with each level divided by
         the gcd of c_i and the entries of A_i; object arrays of Python ints.
@@ -163,6 +164,12 @@ class GrassmannPoint:
                 f" rational={self.rational_flag})")
 
 
+def _span_gram(span, g) -> tuple:
+    """(C, C B^T) for the span B (as rows) and C = B G."""
+    c = exact.mat_mul(span, g)
+    return c, exact.mat_mul(c, exact.transpose(span))
+
+
 def _gram_schmidt_block(lattice: Lattice, vectors, sign: int) -> np.ndarray:
     """Orthonormalize under sign * (.,.)_G, assumed positive definite there."""
     g = lattice.gram_np()
@@ -182,8 +189,10 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     """Build the splitting with v+ spanned by the given vectors.
 
     The vectors must span a positive definite subspace of dimension exactly
-    sig_plus; v- is computed as the orthogonal complement.  Rational input
-    keeps the norm forms and the majorant exact.
+    sig_plus; v- is computed as the orthogonal complement, which on a
+    nondegenerate lattice then has dimension sig_minus and is negative
+    definite (Sylvester's law of inertia).  Rational input keeps the norm
+    forms and the majorant exact.
     """
     n = lattice.rank
     span_plus = [list(v) for v in span_plus]
@@ -194,10 +203,10 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
         raise WrongDimension("spanning vector length does not match the rank")
     rational = all(_is_rational_vec(v) for v in span_plus)
     span_plus = [[Fraction(x) for x in v] for v in span_plus]
-    g = lattice.gram_rows()
+    span_gram = None
     if span_plus:
-        c_plus = exact.mat_mul(span_plus, g)  # B+^T G
-        gram_plus = exact.mat_mul(c_plus, exact.transpose(span_plus))
+        span_gram = _span_gram(span_plus, lattice.gram_rows())
+        c_plus, gram_plus = span_gram
         if not exact.is_definite(gram_plus, +1):
             if exact.mat_det(gram_plus) == 0:
                 raise NotPositiveDefiniteSpan(
@@ -208,16 +217,10 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
         span_minus = exact.rational_kernel(c_plus)
     else:
         span_minus = exact.identity(n)
-    if len(span_minus) != lattice.sig_minus:
-        raise NotPositiveDefiniteSpan("orthogonal complement has wrong dimension")
-    if span_minus:
-        gram_minus = exact.mat_mul(exact.mat_mul(span_minus, g), exact.transpose(span_minus))
-        if not exact.is_definite(gram_minus, -1):
-            raise NotPositiveDefiniteSpan("complement is not negative definite")
     plus_cols = _gram_schmidt_block(lattice, span_plus, +1)
     minus_cols = _gram_schmidt_block(lattice, span_minus, -1)
     adapted = np.hstack([plus_cols, minus_cols]) if n else np.zeros((0, 0))
-    return GrassmannPoint(lattice, span_plus, span_minus, adapted, rational)
+    return GrassmannPoint(lattice, span_plus, span_minus, adapted, rational, span_gram)
 
 
 def swap_blocks_point(point: GrassmannPoint, neg_lattice: Lattice) -> GrassmannPoint:

@@ -37,6 +37,7 @@ from .discforms import (
 )
 from .errors import (
     BoundTooLarge,
+    DuplicateCosetKey,
     NegativeBound,
     NonHomogeneousPolynomial,
     TailTooLarge,
@@ -88,34 +89,55 @@ def _max_vectors() -> int:
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 
+def _carry_weights(levels, i) -> tuple:
+    """(u, v) with u p Q_i = u (p x + b)^2 + v Q_{i+1} for a node of level i.
+
+    x is the node's last coordinate W_{n-1-i}, Q_i = W_h^T A_i W_h its form
+    value on the head W_h = (W_0, ..., W_{n-1-i}), Q_{i+1} its parent's,
+    p = A_i[-1, -1] and b = A_i[-1, :-1] . (W_0, ..., W_{n-2-i}).  The Schur
+    identity p Q_i = (p x + b)^2 + (c_i p / c_{i+1}) Q_{i+1} holds whatever
+    common factor GrassmannPoint.majorant_levels divided out of a level.
+    Integer levels take it times c_{i+1} / gcd(c_{i+1}, c_i p), so u and v
+    are coprime integers; float levels keep c_{i+1} = p, so u = 1, v = c_i.
+    """
+    (form, c), c_up = levels[i], levels[i + 1][1]
+    if form.dtype.kind == "f":
+        return 1, c
+    weight = c * int(form[-1, -1])
+    h = math.gcd(c_up, weight)
+    return c_up // h, weight // h
+
+
 def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
     """Every W = scale * m + offsets[k] (m integral) with W^T A_0 W <= bounds[0].
 
-    Returns ``(coset, rows)``: the vectors W as the columns of the (n x N)
-    array ``rows``, and the index k of each one's offset, in no particular
-    order.  ``levels[i] = (A_i, c_i)`` with A_i / c_i the Schur complement
-    of A_0 / c_0 on the trailing coordinates
-    W_t = (W_i, ..., W_{n-1}) (GrassmannPoint.majorant_levels), so the least
-    value of W^T A_0 W / c_0 over the leading coordinates is W_t^T A_i W_t / c_i.
-    ``bounds[i]`` is c_i T, except that bounds[0] may be lower.  A level's
-    data is int64 or Python ints (an object array), where its test is exact,
-    or floats.
+    Returns ``(coset, rows, value)``: the vectors W as the columns of the
+    (n x N) array ``rows``, the index k of each one's offset and its value
+    W^T A_0 W, ordered by k, then by W_0, W_1, ..., W_{n-1}.
+    ``levels[i] = (A_i, c_i)`` with A_i / c_i the Schur complement of
+    A_0 / c_0 on the leading coordinates W_h = (W_0, ..., W_{n-1-i})
+    (GrassmannPoint.majorant_levels), so the least value of W^T A_0 W / c_0
+    over the trailing coordinates is W_h^T A_i W_h / c_i.  ``bounds[i]`` is
+    c_i T, except that bounds[0] may be lower.  A level's data is int64 or
+    Python ints (an object array), where its test is exact, or floats.
 
-    The walk is Fincke-Pohst, one level at a time: it starts at the last
-    coordinate and extends every surviving partial vector at once, keeping
-    a node of level i iff W_t^T A_i W_t <= bounds[i].  With integer data that
+    The walk is Fincke-Pohst, one level at a time: it starts at coordinate 0
+    and extends every surviving partial vector at once, in order, keeping a
+    node of level i iff W_h^T A_i W_h <= bounds[i].  With integer data that
     test is exact, so no extension of a dropped node is a member, and level
-    0 is the membership test itself.  By the Schur identity a node's
-    children are the x with
-    A_i[0, 0] (x + b / A_i[0, 0])^2 <= c_i (bounds[i+1] - Q) / c_{i+1},
-    b = A_i[0, 1:] . W_t and Q the node's own form value.  Floats compute that
-    interval from those exact integers, and it is widened by one integer on
-    each side and clipped to ``box`` (per-offset least and greatest m), so
-    floats only propose children: the interval is nonempty over the reals
-    and inside the box's reach, so its ends are off by a few ulps of numbers
-    below 2^33, far less than the widening.  Raises BoundTooLarge before a
-    level would hold more than $THETA_MAX_VECTORS nodes.  Partial vectors
-    are (k x nodes) arrays, so every numpy loop runs over the nodes.
+    0 is the membership test itself.  A node's value is carried down from
+    its parent's by the Schur identity (_carry_weights), so its children
+    are the x with
+    A_i[-1, -1] (x + b / A_i[-1, -1])^2 <= c_i (bounds[i+1] - Q) / c_{i+1},
+    b = A_i[-1, :-1] . W_h and Q the parent's form value.  Floats compute
+    that interval from those exact integers, and it is widened by one
+    integer on each side and clipped to ``box`` (per-offset least and
+    greatest m), so floats only propose children: the interval is nonempty
+    over the reals and inside the box's reach, so its ends are off by a few
+    ulps of numbers below 2^33, far less than the widening.  Raises
+    BoundTooLarge before a level would hold more than $THETA_MAX_VECTORS
+    nodes.  Partial vectors are (k x nodes) arrays, so every numpy loop runs
+    over the nodes.
     """
     n = offsets.shape[1]
     cap = _max_vectors()
@@ -124,16 +146,20 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
     value = np.zeros(len(coset), dtype=levels[n][0].dtype)
     for i in range(n - 1, -1, -1):
         form, c = levels[i]
-        pivot = form[0, 0]
-        center = -(form[0, 1:] @ rows).astype(float) / float(pivot)
+        pivot = form[-1, -1]
+        u, v = _carry_weights(levels, i)
+        # the parent level may hold the other integer type (_IntegerForms)
+        value = value.astype(form.dtype, copy=False)
+        lin = form[-1, :-1] @ rows
+        center = -lin.astype(float) / float(pivot)
         half = np.sqrt(float(c) / (float(levels[i + 1][1]) * float(pivot))
                        * (bounds[i + 1] - value).astype(float))
-        off = offsets[coset, i]
+        off = offsets[coset, n - 1 - i]
         lo = np.ceil((center - half - off) / scale).astype(np.int64) - 1
         hi = np.floor((center + half - off) / scale).astype(np.int64) + 1
         if box is not None:
-            lo = np.maximum(lo, box[0][coset, i])
-            hi = np.minimum(hi, box[1][coset, i])
+            lo = np.maximum(lo, box[0][coset, n - 1 - i])
+            hi = np.minimum(hi, box[1][coset, n - 1 - i])
         counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
         if total > cap:
@@ -142,11 +168,15 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
                 "raise THETA_MAX_VECTORS or lower the bound")
         parent = np.repeat(np.arange(len(coset)), counts)
         m = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
-        rows = np.concatenate([(scale * m + off[parent])[None, :], rows.take(parent, axis=1)])
-        value = _quad(rows, form)
+        x = scale * m + off[parent]
+        t = pivot * x.astype(form.dtype, copy=False) + lin[parent]
+        divide = np.true_divide if form.dtype.kind == "f" else np.floor_divide
+        value = divide(u * t * t + v * value[parent], u * pivot)
         keep = value <= bounds[i]
-        coset, rows, value = coset[parent][keep], rows.compress(keep, axis=1), value[keep]
-    return coset, rows
+        parent, value = parent[keep], value[keep]
+        coset = coset[parent]
+        rows = np.concatenate([rows.take(parent, axis=1), x[keep][None, :]])
+    return coset, rows, value
 
 
 #: exact term arithmetic runs in int64 only when every numerator it can form
@@ -247,17 +277,22 @@ class _IntegerForms:
         self.denominator = big_d
         self.alpha_denominator = da
         self.n_plus = arr(n_plus)
-        self.n_minus = arr(n_minus)
         self.g_alpha = np.array(g_alpha, dtype=np.int64)
         self.d_beta = np.array(d_beta, dtype=np.int64)
         self.shifts = arr(shifts)
         self.bounds = [c * threshold for _a, c in levels]
-        # a level runs in int64 when its form, entries and bound fit; otherwise
+        # a level runs in int64 when its entries, its bound and the walk's
+        # numbers fit: b and t = p x + b are at most e, then u t^2 + v Q with
+        # the parent's Q <= bounds[i+1] (_carry_weights), and u p; otherwise
         # it keeps Python ints, so every test of the walk stays exact
         self.levels = []
         for i, (a, c) in enumerate(levels):
-            level_max = max([form_max(a.tolist(), w_max[i:]), abs(self.bounds[i])]
-                            + [abs(x) for x in a.flat])
+            level_max = max([abs(self.bounds[i])] + [abs(x) for x in a.flat])
+            if i < n:
+                u, v = _carry_weights(levels, i)
+                e = sum(abs(x) * w for x, w in zip(a[-1].tolist(), w_max))
+                level_max = max(level_max, u * e * e + v * self.bounds[i + 1],
+                                u * abs(a[-1, -1]))
             self.levels.append((a.astype(np.int64) if level_max <= INT64_SAFE else a, c))
         # least and greatest m_i with |D m_i + shift_i| <= w_max_i
         w = np.array(w_max, dtype=np.int64)
@@ -267,29 +302,28 @@ class _IntegerForms:
 def _enumerate_cosets(lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bound):
     """Every w = coset + m + beta with maj(w) <= 2 * bound, over all cosets.
 
-    Returns ``(forms, coset_index, rows)``, unsorted, from one walk over all
-    cosets (_fincke_pohst).  With rational cosets, beta and point, ``forms``
-    is the _IntegerForms of the build and ``rows`` holds the integers
-    W = D w: every node is kept or dropped by an exact integer test, and
-    floats only propose candidates.  Otherwise ``forms`` is None and
-    ``rows`` holds float w, walked in floats and tested with a 1e-9 margin.
+    Returns ``(forms, coset_index, rows, value)`` from one walk over all
+    cosets (_fincke_pohst), ordered by coset, then by vector.  With rational
+    cosets, beta and point, ``forms`` is the _IntegerForms of the build,
+    ``rows`` holds the integers W = D w and ``value`` the exact W^T N_maj W:
+    every node is kept or dropped by an exact integer test, and floats only
+    propose candidates.  Otherwise ``forms`` is None and ``rows`` holds
+    float w, walked in floats and tested with a 1e-9 margin.
     """
     n = lat.rank
     exact_w = point.rational_flag and _is_rational_vec(pair.beta) \
         and all(_is_rational_vec(c) for c in coset_vecs)
     if exact_w:
         forms = _IntegerForms(lat, point, coset_vecs, pair, bound)
-        index, rows = _fincke_pohst(forms.levels, forms.bounds, forms.denominator,
-                                    forms.shifts, forms.box)
-        return forms, index, rows
+        return (forms,) + _fincke_pohst(forms.levels, forms.bounds, forms.denominator,
+                                        forms.shifts, forms.box)
     levels = point.majorant_levels_float
     walk = 2.0 * float(bound) * (1 + 1e-12) + 1e-9
     bounds = [c * walk for _a, c in levels]
     bounds[0] = 2.0 * float(bound) + 1e-9
     center = np.array([[float(c) + float(b) for c, b in zip(coset, pair.beta)]
                        for coset in coset_vecs]).reshape(len(coset_vecs), n)
-    index, rows = _fincke_pohst(levels, bounds, 1, center)
-    return None, index, rows
+    return (None,) + _fincke_pohst(levels, bounds, 1, center)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +372,9 @@ class TermTable:
         self.phase = phase
         self.poly = poly
         self.prefactor_exponent = prefactor_exponent
+        # the tau-independent factors of the exponent
+        self._freq = a + b
+        self._decay = a - b
 
     def __len__(self) -> int:
         return self.key_index.shape[0]
@@ -354,29 +391,27 @@ class TermTable:
         """Theta components at each tau, y^prefactor_exponent included.
 
         Returns a (len(keys), len(taus)) complex array.  Each chunk of taus
-        takes one np.exp over the (terms x taus) exponents and one bincount
+        takes one np.exp over the (taus x terms) exponents and one bincount
         per real and imaginary part; a key's terms are summed in row order.
         """
         taus = np.asarray(taus, dtype=complex).reshape(-1)
         n_keys, n_terms = len(self.keys), len(self)
         out = np.zeros((n_keys, len(taus)), dtype=complex)
-        freq = self.a + self.b
-        decay = self.a - self.b
         step = max(1, _EVAL_CHUNK // max(n_terms, 1))
         for lo in range(0, len(taus), step):
             x = taus.real[lo:lo + step]
             y = taus.imag[lo:lo + step]
             width = len(y)
             y_powers = np.array([y ** (-j) for j in range(self.poly.shape[1])])
-            exponent = np.empty((n_terms, width), dtype=complex)
-            exponent.real = np.multiply.outer(decay, -TWO_PI * y)
-            exponent.imag = TWO_PI * (np.multiply.outer(freq, x) - self.phase[:, None])
-            values = (_lin(y_powers, self.poly.T) * np.exp(exponent)).ravel()
-            bins = (self.key_index[:, None] * width + np.arange(width)).ravel()
-            block = np.empty(n_keys * width, dtype=complex)
-            block.real = np.bincount(bins, values.real, minlength=n_keys * width)
-            block.imag = np.bincount(bins, values.imag, minlength=n_keys * width)
-            out[:, lo:lo + width] = block.reshape(n_keys, width) \
+            exponent = np.empty((width, n_terms), dtype=complex)
+            exponent.real = np.multiply.outer(-TWO_PI * y, self._decay)
+            exponent.imag = TWO_PI * (np.multiply.outer(x, self._freq) - self.phase)
+            values = (_lin(self.poly.T, y_powers) * np.exp(exponent)).ravel()
+            bins = (np.arange(width)[:, None] * n_keys + self.key_index).ravel()
+            block = np.empty(width * n_keys, dtype=complex)
+            block.real = np.bincount(bins, values.real, minlength=width * n_keys)
+            block.imag = np.bincount(bins, values.imag, minlength=width * n_keys)
+            out[:, lo:lo + width] = block.reshape(width, n_keys).T \
                 * y ** float(self.prefactor_exponent)
         return out
 
@@ -405,27 +440,30 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
                      prefactor_exponent=Fraction(0)) -> TermTable:
     """Enumerate the truncated sum over every coset into one TermTable.
 
-    ``cosets`` lists (axis key, coset vector) pairs; row data follows the
-    shift pair (alpha, beta): a, b are half the plus and minus norms of
+    ``cosets`` lists (axis key, coset vector) pairs, one coset per key
+    (DuplicateCosetKey otherwise); row data follows the shift pair
+    (alpha, beta): a, b are half the plus and minus norms of
     w = lambda + beta and the phase is (lambda + beta/2, alpha).  ``series``
-    is the polynomial's Laplacian series (laplacian_series).
+    is the polynomial's Laplacian series (laplacian_series).  The walk takes
+    the cosets in key order and emits each one's vectors in order, so the
+    rows come out in the table's order, with no sort.
     """
     n = lat.rank
-    cosets = list(cosets)
+    cosets = sorted(cosets, key=lambda coset: coset[0])
+    for (key, _c), (next_key, _d) in zip(cosets, cosets[1:]):
+        if key == next_key:
+            raise DuplicateCosetKey(f"two cosets of one theta sum under the key {key}")
     pair = as_pair(pair_vectors, n)
-    forms, index, w = _enumerate_cosets(lat, point, [c for _k, c in cosets], pair, bound)
-    present = np.flatnonzero(np.bincount(index, minlength=len(cosets)))
-    keys = tuple(sorted({cosets[i][0] for i in present.tolist()}))
-    rank_of_key = {k: r for r, k in enumerate(keys)}
-    # a coset without rows has no key (-1 is never indexed)
-    key_index = np.array([rank_of_key.get(k, -1) for k, _c in cosets],
-                         dtype=np.int64)[index]
+    forms, index, w, value = _enumerate_cosets(lat, point, [c for _k, c in cosets], pair,
+                                               bound)
+    counts = np.bincount(index, minlength=len(cosets))
+    keys = tuple(cosets[i][0] for i in np.flatnonzero(counts).tolist())
+    # a coset without rows has no key
+    key_index = (np.cumsum(counts > 0) - 1)[index]
     # w and lam hold one vector per column until the table is made
     beta_f = np.array([float(x) for x in pair.beta])
     alpha_f = np.array([float(x) for x in pair.alpha])
     lam = w - (beta_f if forms is None else forms.d_beta)[:, None]
-    order = np.lexsort(tuple(lam[::-1]) + (key_index,))
-    key_index, w, lam = key_index[order], w.take(order, axis=1), lam.take(order, axis=1)
     a_num = b_num = phase_num = ab_den = phase_den = vector_den = None
     if forms is None:
         q_plus, q_minus = (np.array([[float(x) for x in row] for row in q]).reshape(n, n)
@@ -437,7 +475,8 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
         vector_den = forms.denominator
         ab_den = 2 * forms.d * vector_den ** 2
         a_num = _quad(w, forms.n_plus)
-        b_num = _quad(w, forms.n_minus)
+        # the walk's value is W^T (N+ - N-) W, exactly
+        b_num = (a_num - value).astype(np.int64, copy=False)
         a = a_num / float(ab_den)
         b = b_num / float(ab_den)
         w_float = w / float(vector_den)

@@ -396,7 +396,14 @@ def pair(u: RepVector, v: RepVector, groups=None):
         v_idx.append(iv[0])
     out_axes = tuple(ax for i, ax in enumerate(u.axes) if i not in u_idx) \
         + tuple(ax for i, ax in enumerate(v.axes) if i not in v_idx)
-    out = np.tensordot(u.array, v.array, axes=(u_idx, v_idx))
+    # what np.tensordot does, without its argument checks: the contracted
+    # axes to the end of u and the front of v, then one np.dot
+    u_rest = [i for i in range(u.array.ndim) if i not in u_idx]
+    v_rest = [i for i in range(v.array.ndim) if i not in v_idx]
+    size = math.prod(u.array.shape[i] for i in u_idx)
+    out_shape = [u.array.shape[i] for i in u_rest] + [v.array.shape[i] for i in v_rest]
+    out = np.dot(u.array.transpose(u_rest + u_idx).reshape(-1, size),
+                 v.array.transpose(v_idx + v_rest).reshape(size, -1)).reshape(out_shape)
     if not out_axes:
         return complex(out)
     return RepVector.from_array(out_axes, out)

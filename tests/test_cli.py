@@ -258,10 +258,14 @@ def glued_terms() -> list:
 CLI_INPUTS = {
     "a2ii11": {"gram": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
     "a2ii11_split": {"span_plus": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]},
+    "a2ii11_float_split": {"span_plus": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0.3]]},
     "a2ii11_x1sq": {"degrees": [2, 0], "monomials": {"2,0,0,0": [1.0, 0.0]}},
     "a2_in_a2ii11": {"ambient": "L", "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
     "ii11": {"gram": [[0, 1], [1, 0]]},
     "ii11_skew": {"span_plus": [[1, "3/10"]]},
+    "ii11_diagonal": {"span_plus": [["1", "1"]]},
+    "ii11_constant_form": {"type": "qexpansion", "gram": [[0, 1], [1, 0]], "weight": "0",
+                           "terms": [{"coset": [], "exp": "0", "coef": [1.0, 0.0]}]},
     "ii11_x1sq": {"degrees": [2, 0], "monomials": {"2,0": [1.0, 0.0]}},
     "ii11_m": II11["sublattice"],
     "ii11_form": form_json(II11, II11["form"]["terms"]),
@@ -282,6 +286,11 @@ CLI_CASES = {
     "theta_a2ii11": "theta --lattice {a2ii11} --grassmann {a2ii11_split} "
                     "--poly {a2ii11_x1sq} --tau 0.13,0.87 --bound 8 "
                     "--alpha 1/3,1/5,1/2,1/7 --beta 1/2,1/3,1/5,1/4",
+    "theta_a2ii11_float": "theta --lattice {a2ii11} --grassmann {a2ii11_float_split} "
+                          "--poly {a2ii11_x1sq} --tau 0.13,0.87 --bound 8 "
+                          "--alpha 1/3,1/5,1/2,1/7 --beta 1/2,1/3,1/5,1/4",
+    "naive_lift_ii11": "naive-lift --lattice {ii11} --grassmann {ii11_diagonal} "
+                       "--form {ii11_constant_form} --ymax 3 --grid 6 --bound 6",
     "theta_ii11_skew": "theta --lattice {ii11} --grassmann {ii11_skew} --tau=-0.21,0.94 "
                        "--bound 7 --alpha 1/4,0 --beta 1/3,-1/5",
     "theta_lm_a2ii11": "theta-lm --lattice {a2ii11} --sublattice {a2_in_a2ii11} "

@@ -296,3 +296,41 @@ def test_point_construction_makes_four_products(monkeypatch, a2, ii11):
     again = GrassmannPoint(lat, point.span_plus, point.span_minus, point.adapted, True)
     assert len(calls) <= 4
     assert again.norm_forms == _reference_norm_forms(point)
+
+
+def test_complement_has_the_minus_signature():
+    # make_grassmann_point takes v- as the orthogonal complement of a positive
+    # definite span of sig+ vectors, without checking it: on a nondegenerate
+    # lattice it has dimension sig- and is negative definite (Sylvester's law
+    # of inertia); seeded lattices of rank 1-5, most of them indefinite
+    rng = random.Random(2027)
+    signatures = set()
+    for rank in [1, 2, 3, 4, 5] * 6:
+        lat = _random_lattice(rng, rank)
+        v = _random_point(rng, lat)
+        signatures.add(lat.signature)
+        assert len(v.span_minus) == v.dim_minus == lat.sig_minus
+        if v.span_minus:
+            gram_minus = exact.mat_mul(exact.mat_mul(v.span_minus, lat.gram_rows()),
+                                       exact.transpose(v.span_minus))
+            assert exact.is_definite(gram_minus, -1)
+    assert sum(p > 0 and m > 0 for p, m in signatures) >= 8
+    assert {p + m for p, m in signatures} == {1, 2, 3, 4, 5}
+
+
+def test_make_grassmann_point_makes_four_products(monkeypatch, a2, ii11):
+    # the span's Gram data B G and B G B^T serve the definiteness check, the
+    # complement and Q+, so a point costs 4 products in all
+    lat = direct_sum(a2, ii11)
+    calls = []
+    mat_mul = exact.mat_mul
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(exact, "mat_mul", counting)
+    point = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(1, 2)]])
+    assert len(calls) <= 4
+    monkeypatch.undo()
+    assert point.norm_forms == _reference_norm_forms(point)

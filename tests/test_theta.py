@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import pathlib
 import random
 from collections import namedtuple
 from fractions import Fraction as F
@@ -46,6 +47,7 @@ from vvtheta.grassmann import as_pair, coordinate_poly, laplacian_series
 from vvtheta.weil import MP_S, MP_T, MP_Z, Axis, RepVector
 
 TAU_SAMPLES = [0.2 + 1.1j, -0.37 + 0.9j]
+BUNDLED = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "ii11_seesaw.json"
 
 _Row = namedtuple("_Row", "key vector a b poly_coeffs phase")
 
@@ -157,7 +159,7 @@ def test_enumerate_random_forms_against_scan():
 
 def test_enumeration_cap(monkeypatch):
     # the cap holds on every level of the walk: on A1^3 at bound 8 (|x|^2 <= 8)
-    # the walk keeps 5 nodes for the last coordinate, 25 for the last two,
+    # the walk keeps 5 nodes for the first coordinate, 25 for the first two,
     # and tests 117 candidates for the 93 members, so a cap of 20 stops it
     # on its middle level
     a1_cubed = construct_lattice([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
@@ -240,6 +242,7 @@ def test_enumeration_complete_on_skewed_majorants():
     # exactly on maj = 2 bound, on the exact path and on the float path with
     # its margin; ranks 1-5, four cases each
     rng = random.Random(1985)
+    kinds = set()
     for rank in [1, 2, 3, 4, 5] * 4:
         lat, point, shear = _skewed_case(rng, rank)
         q_coset, q_beta = rng.randint(1, 12), rng.randint(1, 12)
@@ -266,18 +269,161 @@ def test_enumeration_complete_on_skewed_majorants():
         # could overflow, returns the same rows
         forms = theta_mod._IntegerForms(lat, point, [coset], as_pair(([0] * rank, beta), rank),
                                         bound)
+        kinds.update(a.dtype.kind for a, _c in forms.levels)
         walks = [theta_mod._fincke_pohst(levels, forms.bounds, forms.denominator, forms.shifts,
-                                         forms.box)[1]
+                                         forms.box)
                  for levels in (forms.levels, point.majorant_levels)]
-        # the walk returns one vector per column
-        assert all(w.shape == (rank, len(oracle)) for w in walks)
-        assert sorted(walks[0].T.tolist()) == sorted(walks[1].T.tolist())
+        _d, n_plus, n_minus = point.integer_forms
+        n_maj = np.array([[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)],
+                         dtype=object).reshape(rank, rank)
+        for _index, w, value in walks:
+            # one vector per column, in (W_0, ..., W_{n-1}) order, and each
+            # carries its exact majorant form value W^T N_maj W down the walk
+            assert w.shape == (rank, len(oracle))
+            assert w.T.tolist() == sorted(w.T.tolist())
+            assert value.tolist() == theta_mod._quad(w.astype(object), n_maj).tolist()
+        assert walks[0][1].tolist() == walks[1][1].tolist()
         # float shifts take the float path: its rows round back to the same m
         beta_f = [float(b) for b in beta]
         for b, want in ((bound, set(oracle)), (bound - 1e-9, inner)):
             got = enumerate_vectors(lat, coset, point, beta_f, b)
             assert len(got) == len(want)
             assert {tuple(round(x - float(c)) for x, c in zip(v, coset)) for v in got} == want
+    # the walks above ran on int64 levels as well as on Python-int ones
+    assert kinds == {"i", "O"}
+
+
+_COLUMNS = ("key_index", "vectors", "a_num", "b_num", "phase_num", "a", "b", "phase", "poly")
+
+
+def _assert_rows_in_lexsort_order(table, seed):
+    """Shuffle the table's rows, sort them with one np.lexsort on the key
+    index, then lambda_0, ..., lambda_{n-1}, and require every column to
+    come back byte for byte."""
+    shuffle = np.random.default_rng(seed).permutation(len(table))
+    lam = table.vectors[shuffle]
+    order = shuffle[np.lexsort(tuple(lam.T[::-1]) + (table.key_index[shuffle],))]
+    for name in _COLUMNS:
+        column = getattr(table, name)
+        if column is not None:
+            want = column[order]
+            assert (column.dtype, column.shape) == (want.dtype, want.shape), name
+            assert column.tobytes() == want.tobytes(), name
+
+
+def _build_without_sorting(monkeypatch, *args):
+    def no_sort(*_args, **_kwargs):
+        raise AssertionError("a build sorted its rows")
+
+    with monkeypatch.context() as m:
+        for name in ("lexsort", "argsort", "sort"):
+            m.setattr(np, name, no_sort)
+        return theta_mod.build_term_table(*args)
+
+
+def _coset_minimum(point, shear, shift):
+    """The least majorant over shift + Z^n, from the unpruned ball scan."""
+    bound = F(1)
+    while True:
+        values = _ball_scan(point, shear, shift, bound).values()
+        if values:
+            return min(values)
+        bound *= 2
+
+
+def test_walk_emits_rows_in_table_order(monkeypatch):
+    # a build walks the cosets in key order and each coset's vectors in
+    # (lambda_0, ..., lambda_{n-1}) order, so its rows need no sort: every
+    # column equals a lexsort of the same rows.  Seeded skewed splittings
+    # of rank 1-5, four cosets under shuffled keys, at a bound that leaves one
+    # coset empty and at a larger one; exact and float shifts
+    rng = random.Random(1968)
+    empty_tables = 0
+    for rank in [1, 2, 3, 4, 5] * 2:
+        lat, point, shear = _skewed_case(rng, rank)
+        while True:
+            cosets = [[F(rng.randint(-11, 11), rng.randint(1, 6)) for _ in range(rank)]
+                      for _ in range(4)]
+            minima = sorted(_coset_minimum(point, shear, c) for c in cosets)
+            if minima[2] < minima[3]:
+                break
+        keys = rng.sample(range(100), 4)
+        coset_list = [((k,), c) for k, c in zip(keys, cosets)]
+        series = laplacian_series(coordinate_poly(lat.sig_plus, lat.sig_minus, 0).multiply(
+            coordinate_poly(lat.sig_plus, lat.sig_minus, 0)))
+        alpha = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
+        beta = [0] * rank
+        for bound in ((minima[2] + minima[3]) / 4, minima[3] / 2 + 2):
+            for pair in ((alpha, beta), ([float(x) for x in alpha], [0.0] * rank)):
+                table = _build_without_sorting(monkeypatch, lat, point, series, coset_list,
+                                               pair, bound)
+                assert table.keys == tuple(sorted(table.keys))
+                empty_tables += len(table.keys) == 3
+                _assert_rows_in_lexsort_order(table, rank)
+    assert empty_tables == 20
+
+
+def test_bundled_scenario_tables_in_table_order(monkeypatch):
+    # every table of both bundled seesaws, the mixed ones included
+    from vvtheta.cli import run_scenario
+
+    tables = []
+    build = theta_mod.build_term_table
+
+    def recording(*args, **kwargs):
+        tables.append(build(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(theta_mod, "build_term_table", recording)
+    for path in sorted(BUNDLED.parent.glob("*.json")):
+        run_scenario(str(path))
+    assert len(tables) == 24
+    assert sum(len(t.keys[0]) == 2 for t in tables) >= 4  # keys over D_L x D_M
+    for seed, table in enumerate(tables):
+        _assert_rows_in_lexsort_order(table, seed)
+
+
+def test_walk_numbers_past_int64_run_on_python_ints(a1, a2, ii11):
+    # with a shift denominator near 10^9 every table numerator fits int64,
+    # but the walk's u (p x + b)^2 + v Q on some level could pass 2^62: that
+    # level keeps Python ints, and the rows and their exact data match a
+    # Fraction reference, so nothing wraps
+    cases = [(a1, [[1]], 10 ** 9 + 1), (a2, [[1, 0], [0, 1]], 5 * 10 ** 8 + 1),
+             (ii11, [[1, F(1, 2)]], 4 * 10 ** 8 + 1)]
+    for lat, span, den in cases:
+        point = make_grassmann_point(lat, span)
+        n = lat.rank
+        beta = [F(1, den)] + [F(0)] * (n - 1)
+        alpha = [F(1, 3)] * n
+        pair = as_pair((alpha, beta), n)
+        forms = theta_mod._IntegerForms(lat, point, [[0] * n], pair, 1.0)
+        assert {a.dtype.kind for a, _c in forms.levels} == {"i", "O"}
+        table = theta_mod.build_term_table(lat, point, [], [((), [0] * n)], pair, 1.0)
+        assert table.a_num.dtype == table.b_num.dtype == np.int64
+        want = {}
+        for m in itertools.product(range(-3, 4), repeat=n):
+            w = [x + b for x, b in zip(m, beta)]
+            if _majorant_value(point, w) <= 2:
+                plus, minus = _project(point, w)
+                want[m] = (lat.norm(plus) / 2, lat.norm(minus) / 2)
+        got = {tuple(int(x) for x in v): (F(a, table.ab_den), F(b, table.ab_den))
+               for v, a, b in zip(table.vector_tuples(), table.a_num.tolist(),
+                                  table.b_num.tolist())}
+        assert got == want
+        assert len(want) > 1
+
+
+def test_build_takes_one_coset_per_key(a1):
+    # two cosets under one key would interleave their rows, so a build
+    # refuses them
+    from vvtheta import DuplicateCosetKey
+
+    point = make_grassmann_point(a1, [[1]])
+    with pytest.raises(DuplicateCosetKey):
+        theta_mod.build_term_table(a1, point, [], [((0,), [0]), ((1,), [F(1, 2)]),
+                                                   ((0,), [F(1, 2)])])
+    table = theta_mod.build_term_table(a1, point, [], [((1,), [F(1, 2)]), ((0,), [0])])
+    assert table.keys == ((0,), (1,))
 
 
 def _loop_lin(x, mat):
@@ -490,6 +636,63 @@ def test_table_rows_match_per_vector_reference():
         below = _rows(siegel_theta_evaluator(lat, point, poly, (alpha, beta),
                                              edge - F(1, 10 ** 9)).terms)
         assert (t.key, t.vector) not in {(r.key, r.vector) for r in below}
+
+
+def _evaluate_terms_major(table, taus):
+    """TermTable.evaluate with (terms x taus) work arrays, the reference
+    layout."""
+    taus = np.asarray(taus, dtype=complex).reshape(-1)
+    n_keys, n_terms = len(table.keys), len(table)
+    out = np.zeros((n_keys, len(taus)), dtype=complex)
+    freq = table.a + table.b
+    decay = table.a - table.b
+    step = max(1, theta_mod._EVAL_CHUNK // max(n_terms, 1))
+    for lo in range(0, len(taus), step):
+        x = taus.real[lo:lo + step]
+        y = taus.imag[lo:lo + step]
+        width = len(y)
+        y_powers = np.array([y ** (-j) for j in range(table.poly.shape[1])])
+        exponent = np.empty((n_terms, width), dtype=complex)
+        exponent.real = np.multiply.outer(decay, -theta_mod.TWO_PI * y)
+        exponent.imag = theta_mod.TWO_PI * (np.multiply.outer(freq, x) - table.phase[:, None])
+        values = (theta_mod._lin(y_powers, table.poly.T) * np.exp(exponent)).ravel()
+        bins = (table.key_index[:, None] * width + np.arange(width)).ravel()
+        block = np.empty(n_keys * width, dtype=complex)
+        block.real = np.bincount(bins, values.real, minlength=n_keys * width)
+        block.imag = np.bincount(bins, values.imag, minlength=n_keys * width)
+        out[:, lo:lo + width] = block.reshape(n_keys, width) \
+            * y ** float(table.prefactor_exponent)
+    return out
+
+
+def test_evaluate_bits_do_not_depend_on_the_layout(monkeypatch, a2, ii11):
+    # the (taus x terms) layout computes every element with the same floats
+    # and sums each key's terms in row order: bit for bit the (terms x taus)
+    # evaluation, at 1, 2 and 5 taus and with the taus split over chunks
+    lat = direct_sum(a2, ii11)
+    m_sub = sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    sd = split_data(lat, m_sub)
+    u_perp = make_grassmann_point(sd.mperp_sub.lattice, [[1, F(3, 10)]])
+    x1_sq = HomogeneousPolynomial((2, 0), 3, 1, {(2, 0, 0, 0): 1.0})
+    pair = ([F(1, 3), F(1, 5), F(1, 2), F(1, 7)], [F(1, 2), F(1, 3), F(1, 5), F(1, 4)])
+    split = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    float_split = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0.3]])
+    tables = [siegel_theta_evaluator(lat, split, x1_sq, pair, 8).terms,
+              siegel_theta_evaluator(lat, float_split, x1_sq, pair, 6).terms,
+              mixed_theta_family(lat, m_sub, u_perp, constant_poly(1, 1))
+              .evaluator(None, 6).terms,
+              siegel_theta_evaluator(lat, split, x1_sq, pair, 0).terms]
+    assert [len(t) > 100 for t in tables] == [True, True, True, False]
+    rng = np.random.default_rng(11)
+    taus = rng.uniform(-0.5, 0.5, 5) + 1j * rng.uniform(0.7, 1.4, 5)
+    for table in tables:
+        for chunk in (theta_mod._EVAL_CHUNK, 2 * max(len(table), 1)):
+            monkeypatch.setattr(theta_mod, "_EVAL_CHUNK", chunk)
+            for count in (1, 2, 5):
+                got = table.evaluate(taus[:count])
+                want = _evaluate_terms_major(table, taus[:count])
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

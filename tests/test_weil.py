@@ -378,6 +378,37 @@ def test_pair_arrows_commute_with_spectator(glue, a1):
     assert (lhs2 - rhs2).norm_inf() < 1e-12
 
 
+def test_pair_matches_tensordot_bit_for_bit(a1, a2, glue):
+    # pair does np.tensordot's transpose, reshape and np.dot itself: the same
+    # BLAS call, so the same bytes, for every number and order of contracted
+    # and leftover axes, a scalar result included
+    rng = np.random.default_rng(15)
+    d1, d2, big = discriminant_group(a1), discriminant_group(a2), glue.big_disc
+
+    def vector(axes):
+        shape = tuple(ax.group.order for ax in axes)
+        return RepVector.from_array(axes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    cases = [((Axis(d2),), (Axis(d2, dual=True),), [d2]),
+             ((Axis(d1), Axis(big)), (Axis(big, dual=True),), [big]),
+             ((Axis(d1), Axis(d2)), (Axis(d2, dual=True), Axis(big), Axis(d1, dual=True)),
+              [d1, d2]),
+             ((Axis(d2), Axis(d1)), (Axis(d1, dual=True), Axis(d2, dual=True)), [d1, d2]),
+             ((Axis(big), Axis(d2, dual=True), Axis(d1)), (Axis(d2), Axis(d1, dual=True)),
+              [d2])]
+    for u_axes, v_axes, groups in cases:
+        u, v = vector(u_axes), vector(v_axes)
+        u_idx = [[ax.group for ax in u_axes].index(g) for g in groups]
+        v_idx = [[ax.group for ax in v_axes].index(g) for g in groups]
+        want = np.tensordot(u.array, v.array, axes=(u_idx, v_idx))
+        got = pair(u, v, groups=groups)
+        if want.ndim == 0:
+            assert got == complex(want)
+        else:
+            assert got.array.shape == want.shape
+            assert got.array.tobytes() == want.tobytes()
+
+
 def test_pair_index_mismatch(a1, a2):
     d1 = discriminant_group(a1)
     d2 = discriminant_group(a2)
