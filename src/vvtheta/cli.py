@@ -33,7 +33,8 @@ from .discforms import (
     gauss_sum_check,
     gauss_sum_residual,
 )
-from .errors import OutputNotWritable, ParseError, UnknownCheck, VvthetaError
+from .errors import NotRational, OutputNotWritable, ParseError, UnknownCheck, VvthetaError
+from .exact import rational
 from .grassmann import (
     HomogeneousPolynomial,
     constant_poly,
@@ -72,9 +73,11 @@ def frac_str(x) -> str:
 
 
 def parse_frac(s) -> Fraction:
+    """A rational from a string such as "3/10" or "0.3", or from a JSON number
+    read by exact.rational, so a float is the decimal written: 0.3 is 3/10."""
     try:
-        return Fraction(s if isinstance(s, (int, float, Fraction)) else str(s))
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        return Fraction(s if isinstance(s, str) else rational(s))
+    except (NotRational, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}") from exc
 
 
@@ -221,11 +224,11 @@ def read_sublattice(spec, ambient):
 
 
 def read_splitting(spec, lat, key: str = "span_plus"):
-    """The splitting of ``lat`` whose v+ is spanned by the rows spec[key]; a
-    JSON float stays a float (the float path), the rest is exact.  With no
-    spec or no rows it is spanned by the first sig_plus unit vectors."""
+    """The splitting of ``lat`` whose v+ is spanned by the rows spec[key] of
+    rationals (parse_frac).  With no spec or no rows it is spanned by the
+    first sig_plus unit vectors."""
     rows = _rows(_field(spec, key, list, [])) if spec is not None else []
-    span = [[x if isinstance(x, float) else parse_frac(x) for x in row] for row in rows] \
+    span = [[parse_frac(x) for x in row] for row in rows] \
         or [[Fraction(int(i == j)) for j in range(lat.rank)] for i in range(lat.sig_plus)]
     return make_grassmann_point(lat, span)
 

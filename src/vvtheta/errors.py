@@ -35,6 +35,10 @@ class NotIntegral(VvthetaError):
     """A Gram or generator entry that is not an exact integer."""
 
 
+class NotRational(VvthetaError):
+    """A span or shift entry that is neither a rational nor a finite float."""
+
+
 # discriminant forms
 
 class NotIsotropic(VvthetaError):

@@ -5,7 +5,8 @@ routines are exact.  A rational matrix is written as int rows over one
 common denominator (``integer_rows``): products sum int rows and make one
 Fraction per entry, and inverse, determinant, kernel and definiteness read
 one fraction-free (Bareiss) elimination of those rows, with no Fraction in
-between.  The Smith normal form is an in-repo elimination over Python ints
+between.  ``rational`` is the one rule that reads an input entry as an exact
+rational.  The Smith normal form is an in-repo elimination over Python ints
 whose transforms are pinned to sympy's, so generator bases and element keys
 do not depend on which valid Smith form one happens to pick.
 """
@@ -13,13 +14,33 @@ do not depend on which valid Smith form one happens to pick.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from operator import mul
 
-from .errors import Degenerate
+from .errors import Degenerate, NotRational
 
 Row = list
 Matrix = list  # list of rows
+
+
+def rational(x):
+    """x as an int or a Fraction.
+
+    A rational (an int, a Fraction, a numpy integer) keeps its value.  A
+    finite float, numpy floats included, is read as its shortest round-trip
+    decimal, the decimal the user wrote, so 0.1 is 1/10.  Anything else
+    raises NotRational.
+    """
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    if isinstance(x, numbers.Rational):
+        return Fraction(x.numerator, x.denominator)
+    if isinstance(x, numbers.Real) and math.isfinite(x):
+        return Fraction(repr(float(x)))
+    raise NotRational(f"expected a rational or a finite float, got {x!r}")
 
 
 def identity(n: int) -> list[list[Fraction]]:

@@ -1,10 +1,10 @@
 """Orthogonal splittings of L_R and polynomials adapted to them.
 
 A Grassmannian point is a splitting L_R = v+ (+) v- into a positive and a
-negative definite subspace.  Its norm forms, derived from the Gram data of
-the span of v+, and the positive definite majorant are kept as exact
-rational matrices whenever the spanning data is rational;
-the orthonormalized adapted basis (used only to evaluate polynomials) is
+negative definite subspace.  Its spanning data is read as exact rationals
+(exact.rational), so its norm forms, derived from the Gram data of the span
+of v+, and the positive definite majorant are exact rational matrices; the
+orthonormalized adapted basis (used only to evaluate polynomials) is
 floating point.  Polynomials live in the adapted coordinates of a specific
 point: the first block of variables spans v+, the second v-.
 """
@@ -49,49 +49,24 @@ def as_pair(pair, rank: int) -> VectorPair:
         alpha, beta = pair
     if len(alpha) != rank or len(beta) != rank:
         raise WrongDimension("vector pair does not match the lattice rank")
-    return VectorPair(tuple(alpha), tuple(beta))
-
-
-def _is_rational_vec(v) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in v)
-
-
-def _bareiss_levels(mat: np.ndarray, divide) -> tuple:
-    """((A_0, c_0), ..., (A_n, c_n)): fraction-free Gaussian elimination of mat,
-    from its last coordinate.
-
-    c_i is the trailing principal minor of order i and A_i is c_i times the
-    Schur complement of the trailing i x i block, on coordinates 0..n-1-i;
-    so A_0 = mat, c_0 = 1 and the pivot A_i[-1, -1] is c_{i+1}.  ``divide``
-    is floor division for integer matrices, where every quotient is exact
-    (Bareiss, Math. Comp. 22, 1968), or true division for floats.
-    """
-    levels = [(mat, 1)]
-    for _ in range(mat.shape[0]):
-        a, c = levels[-1]
-        levels.append((divide(a[-1, -1] * a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1]), c),
-                       a[-1, -1]))
-    return tuple(levels)
+    return VectorPair(tuple(map(exact.rational, alpha)), tuple(map(exact.rational, beta)))
 
 
 class GrassmannPoint:
     """A splitting v = v+ (+) v- of L_R, with its norm forms and majorant.
 
-    The caller guarantees orthogonal spans with orthonormal ``adapted`` blocks;
-    ``span_gram`` is _span_gram of ``span_plus`` when the caller has it.
-    Floats are exact binary rationals, so the norm forms are exact either
-    way; ``rational_flag`` records whether the caller's data was exact, since
-    float data has denominators too large for the exact enumeration.
+    The caller guarantees rational orthogonal spans with orthonormal
+    ``adapted`` blocks; ``span_gram`` is _span_gram of ``span_plus`` when the
+    caller has it.
     """
 
     def __init__(self, lattice: Lattice, span_plus, span_minus,
-                 adapted: np.ndarray, rational_flag: bool, span_gram=None):
+                 adapted: np.ndarray, span_gram=None):
         n = lattice.rank
         self.lattice = lattice
         self.span_plus = [tuple(map(Fraction, v)) for v in span_plus]  # may be empty
         self.span_minus = [tuple(map(Fraction, v)) for v in span_minus]
         self.adapted = adapted          # n x n float, +block then -block columns
-        self.rational_flag = rational_flag
         g = lattice.gram_rows()
         if self.span_plus:
             # Q+ = C^T (C B)^{-1} C for the span B (as rows) and C = B G
@@ -133,23 +108,27 @@ class GrassmannPoint:
         """((A_0, c_0), ..., (A_n, c_n)): A_i / c_i is the Schur complement of the
         integer majorant N+ - N- on coordinates 0..n-1-i.
 
-        The Bareiss elimination (_bareiss_levels) with each level divided by
-        the gcd of c_i and the entries of A_i; object arrays of Python ints.
+        Fraction-free Gaussian elimination from the last coordinate: before
+        the gcd, c_i is the trailing principal minor of order i and A_i is c_i
+        times the Schur complement of the trailing i x i block, so A_0 = N+ - N-,
+        c_0 = 1 and the pivot A_i[-1, -1] is c_{i+1}; every quotient is exact
+        (Bareiss, Math. Comp. 22, 1968).  Each level is then divided by the
+        gcd of c_i and the entries of A_i; object arrays of Python ints.
         """
         _d, n_plus, n_minus = self.integer_forms
         n = self.lattice.rank
         n_maj = np.array([[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)],
                          dtype=object).reshape(n, n)
-        levels = []
-        for a, c in _bareiss_levels(n_maj, np.floor_divide):
+        levels = [(n_maj, 1)]
+        for _ in range(n):
+            a, c = levels[-1]
+            levels.append(((a[-1, -1] * a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1])) // c,
+                           a[-1, -1]))
+        reduced = []
+        for a, c in levels:
             g = math.gcd(c, *a.flat)
-            levels.append((a // g, c // g))
-        return tuple(levels)
-
-    @cached_property
-    def majorant_levels_float(self) -> tuple:
-        """Bareiss elimination of the float majorant ``majorant_np``."""
-        return _bareiss_levels(self.majorant_np, np.true_divide)
+            reduced.append((a // g, c // g))
+        return tuple(reduced)
 
     def adapted_coords(self, vec) -> np.ndarray:
         """Coordinates w.r.t. the orthonormalized adapted basis (floats)."""
@@ -160,8 +139,7 @@ class GrassmannPoint:
         return t
 
     def __repr__(self):
-        return (f"GrassmannPoint(dim+={self.dim_plus}, dim-={self.dim_minus},"
-                f" rational={self.rational_flag})")
+        return f"GrassmannPoint(dim+={self.dim_plus}, dim-={self.dim_minus})"
 
 
 def _span_gram(span, g) -> tuple:
@@ -191,8 +169,8 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     The vectors must span a positive definite subspace of dimension exactly
     sig_plus; v- is computed as the orthogonal complement, which on a
     nondegenerate lattice then has dimension sig_minus and is negative
-    definite (Sylvester's law of inertia).  Rational input keeps the norm
-    forms and the majorant exact.
+    definite (Sylvester's law of inertia).  Each entry is read by
+    exact.rational, so the norm forms and the majorant are exact.
     """
     n = lattice.rank
     span_plus = [list(v) for v in span_plus]
@@ -201,8 +179,7 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
             f"need {lattice.sig_plus} spanning vectors for v+, got {len(span_plus)}")
     if any(len(v) != n for v in span_plus):
         raise WrongDimension("spanning vector length does not match the rank")
-    rational = all(_is_rational_vec(v) for v in span_plus)
-    span_plus = [[Fraction(x) for x in v] for v in span_plus]
+    span_plus = [[Fraction(exact.rational(x)) for x in v] for v in span_plus]
     span_gram = None
     if span_plus:
         span_gram = _span_gram(span_plus, lattice.gram_rows())
@@ -220,7 +197,7 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     plus_cols = _gram_schmidt_block(lattice, span_plus, +1)
     minus_cols = _gram_schmidt_block(lattice, span_minus, -1)
     adapted = np.hstack([plus_cols, minus_cols]) if n else np.zeros((0, 0))
-    return GrassmannPoint(lattice, span_plus, span_minus, adapted, rational, span_gram)
+    return GrassmannPoint(lattice, span_plus, span_minus, adapted, span_gram)
 
 
 def swap_blocks_point(point: GrassmannPoint, neg_lattice: Lattice) -> GrassmannPoint:
@@ -232,8 +209,7 @@ def swap_blocks_point(point: GrassmannPoint, neg_lattice: Lattice) -> GrassmannP
     adapted = np.hstack([point.adapted[:, point.dim_plus:],
                          point.adapted[:, :point.dim_plus]]) \
         if point.lattice.rank else point.adapted
-    return GrassmannPoint(neg_lattice, point.span_minus, point.span_plus, adapted,
-                          point.rational_flag)
+    return GrassmannPoint(neg_lattice, point.span_minus, point.span_plus, adapted)
 
 
 def direct_sum_grassmann(m_sub: Sublattice, mperp_sub: Sublattice,
@@ -272,8 +248,7 @@ def direct_sum_grassmann(m_sub: Sublattice, mperp_sub: Sublattice,
     for j in range(u_perp.dim_minus):
         cols.append(bp_np @ u_perp.adapted[:, u_perp.dim_plus + j])
     adapted = np.array(cols).T if cols else np.zeros((amb.rank, 0))
-    return GrassmannPoint(amb, span_plus, span_minus, adapted,
-                          u.rational_flag and u_perp.rational_flag)
+    return GrassmannPoint(amb, span_plus, span_minus, adapted)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ q-exponents of an included term are at most the bound.  Enumeration is one
 level-synchronous Fincke-Pohst walk over all cosets of a sum: each level
 extends every surviving partial vector in one numpy batch and keeps a node
 iff an exact integer test on the Bareiss-eliminated majorant says some
-extension can meet the bound, so with rational data no vector is lost to
-rounding.  The omitted mass is bounded by a one-dimensional integral
-against shell volumes (the ``tail_estimate``).  Term data keeps exact
-exponents whenever the splitting and the shift vectors are rational, so
+extension can meet the bound, so no vector is lost to rounding.  The
+omitted mass is bounded by a one-dimensional integral against shell
+volumes (the ``tail_estimate``).  Splittings and shift vectors are exact
+rationals (exact.rational), so term data keeps exact exponents and
 identities between two constructions can be checked coefficientwise, not
 just numerically.  Every sum is one TermTable of numpy arrays (int64
 numerators for the exact data), built once and evaluated over many tau in
@@ -19,7 +19,6 @@ one batch.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from collections import OrderedDict
 from fractions import Fraction
@@ -48,7 +47,6 @@ from .grassmann import (
     GrassmannPoint,
     HomogeneousPolynomial,
     VectorPair,
-    _is_rational_vec,
     as_pair,
     block_swapped_poly,
     direct_sum_grassmann,
@@ -97,18 +95,16 @@ def _carry_weights(levels, i) -> tuple:
     p = A_i[-1, -1] and b = A_i[-1, :-1] . (W_0, ..., W_{n-2-i}).  The Schur
     identity p Q_i = (p x + b)^2 + (c_i p / c_{i+1}) Q_{i+1} holds whatever
     common factor GrassmannPoint.majorant_levels divided out of a level.
-    Integer levels take it times c_{i+1} / gcd(c_{i+1}, c_i p), so u and v
-    are coprime integers; float levels keep c_{i+1} = p, so u = 1, v = c_i.
+    Taking it times c_{i+1} / gcd(c_{i+1}, c_i p) makes u and v coprime
+    integers.
     """
     (form, c), c_up = levels[i], levels[i + 1][1]
-    if form.dtype.kind == "f":
-        return 1, c
     weight = c * int(form[-1, -1])
     h = math.gcd(c_up, weight)
     return c_up // h, weight // h
 
 
-def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
+def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box):
     """Every W = scale * m + offsets[k] (m integral) with W^T A_0 W <= bounds[0].
 
     Returns ``(coset, rows, value)``: the vectors W as the columns of the
@@ -118,14 +114,14 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
     A_0 / c_0 on the leading coordinates W_h = (W_0, ..., W_{n-1-i})
     (GrassmannPoint.majorant_levels), so the least value of W^T A_0 W / c_0
     over the trailing coordinates is W_h^T A_i W_h / c_i.  ``bounds[i]`` is
-    c_i T, except that bounds[0] may be lower.  A level's data is int64 or
-    Python ints (an object array), where its test is exact, or floats.
+    c_i T.  A level's data is int64 or Python ints (an object array), so its
+    test is exact.
 
     The walk is Fincke-Pohst, one level at a time: it starts at coordinate 0
     and extends every surviving partial vector at once, in order, keeping a
-    node of level i iff W_h^T A_i W_h <= bounds[i].  With integer data that
-    test is exact, so no extension of a dropped node is a member, and level
-    0 is the membership test itself.  A node's value is carried down from
+    node of level i iff W_h^T A_i W_h <= bounds[i].  That test is exact, so
+    no extension of a dropped node is a member, and level 0 is the
+    membership test itself.  A node's value is carried down from
     its parent's by the Schur identity (_carry_weights), so its children
     are the x with
     A_i[-1, -1] (x + b / A_i[-1, -1])^2 <= c_i (bounds[i+1] - Q) / c_{i+1},
@@ -157,9 +153,8 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
         off = offsets[coset, n - 1 - i]
         lo = np.ceil((center - half - off) / scale).astype(np.int64) - 1
         hi = np.floor((center + half - off) / scale).astype(np.int64) + 1
-        if box is not None:
-            lo = np.maximum(lo, box[0][coset, n - 1 - i])
-            hi = np.minimum(hi, box[1][coset, n - 1 - i])
+        lo = np.maximum(lo, box[0][coset, n - 1 - i])
+        hi = np.minimum(hi, box[1][coset, n - 1 - i])
         counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
         if total > cap:
@@ -170,8 +165,7 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box=None):
         m = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
         x = scale * m + off[parent]
         t = pivot * x.astype(form.dtype, copy=False) + lin[parent]
-        divide = np.true_divide if form.dtype.kind == "f" else np.floor_divide
-        value = divide(u * t * t + v * value[parent], u * pivot)
+        value = (u * t * t + v * value[parent]) // (u * pivot)
         keep = value <= bounds[i]
         parent, value = parent[keep], value[keep]
         coset = coset[parent]
@@ -208,13 +202,6 @@ def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of an int, a Fraction or a float, exactly."""
-    if isinstance(x, numbers.Rational):
-        return x.numerator, x.denominator
-    return float(x).as_integer_ratio()
-
-
 class _IntegerForms:
     """The int64 data that keeps one table build exact, set up in Python ints.
 
@@ -240,19 +227,16 @@ class _IntegerForms:
         levels = point.majorant_levels
         (d_beta, *d_cosets), big_d = exact.integer_rows([pair.beta, *coset_vecs])
         shifts = [[x + b for x, b in zip(coset, d_beta)] for coset in d_cosets]
-        num, den = _ratio(bound)
+        # the bound is the binary number it is: a float's ratio is exact
+        num, den = Fraction(bound).as_integer_ratio()
         threshold = 2 * num * d * big_d * big_d // den
         # (N_maj^-1)_ii = (M^-1)_ii / d for the majorant M
         m_inv = point.majorant_inverse
         w_max = [math.isqrt(max(threshold * m_inv[i][i].numerator
                                 // (m_inv[i][i].denominator * d), 0))
                  for i in range(n)]
-        self.exact_phase = _is_rational_vec(pair.alpha)
-        if self.exact_phase:
-            (int_alpha,), da = exact.integer_rows([pair.alpha])
-            g_alpha = exact.mat_vec(lat.gram_rows(), int_alpha)
-        else:
-            da, g_alpha = 1, [0] * n
+        (int_alpha,), da = exact.integer_rows([pair.alpha])
+        g_alpha = exact.mat_vec(lat.gram_rows(), int_alpha)
 
         def form_max(mat, w):
             return sum(w[i] * abs(x) * w[j]
@@ -299,39 +283,12 @@ class _IntegerForms:
         self.box = (-((w + self.shifts) // big_d), (w - self.shifts) // big_d)
 
 
-def _enumerate_cosets(lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bound):
-    """Every w = coset + m + beta with maj(w) <= 2 * bound, over all cosets.
-
-    Returns ``(forms, coset_index, rows, value)`` from one walk over all
-    cosets (_fincke_pohst), ordered by coset, then by vector.  With rational
-    cosets, beta and point, ``forms`` is the _IntegerForms of the build,
-    ``rows`` holds the integers W = D w and ``value`` the exact W^T N_maj W:
-    every node is kept or dropped by an exact integer test, and floats only
-    propose candidates.  Otherwise ``forms`` is None and ``rows`` holds
-    float w, walked in floats and tested with a 1e-9 margin.
-    """
-    n = lat.rank
-    exact_w = point.rational_flag and _is_rational_vec(pair.beta) \
-        and all(_is_rational_vec(c) for c in coset_vecs)
-    if exact_w:
-        forms = _IntegerForms(lat, point, coset_vecs, pair, bound)
-        return (forms,) + _fincke_pohst(forms.levels, forms.bounds, forms.denominator,
-                                        forms.shifts, forms.box)
-    levels = point.majorant_levels_float
-    walk = 2.0 * float(bound) * (1 + 1e-12) + 1e-9
-    bounds = [c * walk for _a, c in levels]
-    bounds[0] = 2.0 * float(bound) + 1e-9
-    center = np.array([[float(c) + float(b) for c, b in zip(coset, pair.beta)]
-                       for coset in coset_vecs]).reshape(len(coset_vecs), n)
-    return (None,) + _fincke_pohst(levels, bounds, 1, center)
-
-
 # ---------------------------------------------------------------------------
 # the term table and its evaluation
 
 def _fraction_map(num, den: int) -> dict:
     """Fraction(x, den) for each distinct integer x in ``num``."""
-    return {x: Fraction(x, den) for x in np.unique(num).tolist()}
+    return {x: Fraction(x, den) for x in set(np.ravel(num).tolist())}
 
 
 #: work arrays of one TermTable.evaluate chunk hold about this many entries
@@ -342,22 +299,19 @@ class TermTable:
     """Every summand of one truncated theta sum, as numpy arrays.
 
     Row r is the vector lambda_r of class ``keys[key_index[r]]``; rows are
-    sorted by key, then by vector.  With rational data the row's vector,
-    exponents and phase are exact: ``vectors`` / ``vector_den``,
-    ``a_num`` / ``ab_den``, ``b_num`` / ``ab_den`` and ``phase_num`` /
-    ``phase_den`` (int64 numerators, Python-int denominators).  A
-    denominator is None where the inputs were floats, and then the float
-    arrays are the only data.  ``a``, ``b`` and ``phase`` are the float
-    copies used for evaluation; ``poly[r, j]`` multiplies y^{-j} and already
+    sorted by key, then by vector.  The row's vector, exponents and phase
+    are exact: ``vectors`` / ``vector_den``, ``a_num`` / ``ab_den``,
+    ``b_num`` / ``ab_den`` and ``phase_num`` / ``phase_den`` (int64
+    numerators, Python-int denominators).  ``a``, ``b`` and ``phase`` are
+    the float copies used for evaluation; ``poly[r, j]`` multiplies y^{-j} and already
     contains the (-1/(8 pi))^j / j! factor of the Gaussian smoothing
     operator.  ``a - b`` is half the majorant (>= 0), ``a + b`` half the norm.
     """
 
     def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
-                 vector_den: int | None, a_num: np.ndarray | None, b_num: np.ndarray | None,
-                 ab_den: int | None, phase_num: np.ndarray | None, phase_den: int | None,
-                 a: np.ndarray, b: np.ndarray, phase: np.ndarray, poly: np.ndarray,
-                 prefactor_exponent: Fraction):
+                 vector_den: int, a_num: np.ndarray, b_num: np.ndarray, ab_den: int,
+                 phase_num: np.ndarray, phase_den: int, a: np.ndarray, b: np.ndarray,
+                 phase: np.ndarray, poly: np.ndarray, prefactor_exponent: Fraction):
         self.keys = keys
         self.key_index = key_index
         self.vectors = vectors
@@ -380,10 +334,8 @@ class TermTable:
         return self.key_index.shape[0]
 
     def vector_tuples(self) -> list[tuple]:
-        """Every row's vector lambda, as a tuple (Fractions when exact)."""
+        """Every row's vector lambda, as a tuple of Fractions."""
         rows = self.vectors.tolist()
-        if self.vector_den is None:
-            return [tuple(row) for row in rows]
         frac = _fraction_map(rows, self.vector_den)
         return [tuple(frac[x] for x in row) for row in rows]
 
@@ -453,46 +405,31 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     for (key, _c), (next_key, _d) in zip(cosets, cosets[1:]):
         if key == next_key:
             raise DuplicateCosetKey(f"two cosets of one theta sum under the key {key}")
-    pair = as_pair(pair_vectors, n)
-    forms, index, w, value = _enumerate_cosets(lat, point, [c for _k, c in cosets], pair,
-                                               bound)
+    # every w = coset + m + beta with maj(w) <= 2 * bound, as the integers
+    # W = D w, with value the exact W^T N_maj W
+    forms = _IntegerForms(lat, point, [c for _k, c in cosets], as_pair(pair_vectors, n), bound)
+    index, w, value = _fincke_pohst(forms.levels, forms.bounds, forms.denominator,
+                                    forms.shifts, forms.box)
     counts = np.bincount(index, minlength=len(cosets))
     keys = tuple(cosets[i][0] for i in np.flatnonzero(counts).tolist())
     # a coset without rows has no key
     key_index = (np.cumsum(counts > 0) - 1)[index]
     # w and lam hold one vector per column until the table is made
-    beta_f = np.array([float(x) for x in pair.beta])
-    alpha_f = np.array([float(x) for x in pair.alpha])
-    lam = w - (beta_f if forms is None else forms.d_beta)[:, None]
-    a_num = b_num = phase_num = ab_den = phase_den = vector_den = None
-    if forms is None:
-        q_plus, q_minus = (np.array([[float(x) for x in row] for row in q]).reshape(n, n)
-                           for q in point.norm_forms)
-        a = 0.5 * _quad(w, q_plus)
-        b = 0.5 * _quad(w, q_minus)
-        w_float, lam_float = w, lam
-    else:
-        vector_den = forms.denominator
-        ab_den = 2 * forms.d * vector_den ** 2
-        a_num = _quad(w, forms.n_plus)
-        # the walk's value is W^T (N+ - N-) W, exactly
-        b_num = (a_num - value).astype(np.int64, copy=False)
-        a = a_num / float(ab_den)
-        b = b_num / float(ab_den)
-        w_float = w / float(vector_den)
-        lam_float = lam / float(vector_den)
-    if forms is not None and forms.exact_phase:
-        phase_den = 2 * vector_den * forms.alpha_denominator
-        phase_num = _lin(2 * w - forms.d_beta[:, None], forms.g_alpha[:, None])[0]
-        phase = phase_num / float(phase_den)
-    else:
-        g_alpha = lat.gram_np() @ alpha_f
-        phase = _lin(lam_float + 0.5 * beta_f[:, None], g_alpha[:, None])[0]
+    lam = w - forms.d_beta[:, None]
+    vector_den = forms.denominator
+    ab_den = 2 * forms.d * vector_den ** 2
+    a_num = _quad(w, forms.n_plus)
+    # the walk's value is W^T (N+ - N-) W, exactly
+    b_num = (a_num - value).astype(np.int64, copy=False)
+    phase_den = 2 * vector_den * forms.alpha_denominator
+    phase_num = _lin(2 * w - forms.d_beta[:, None], forms.g_alpha[:, None])[0]
     return TermTable(keys=keys, key_index=key_index, vectors=np.ascontiguousarray(lam.T),
                      vector_den=vector_den,
                      a_num=a_num, b_num=b_num, ab_den=ab_den,
                      phase_num=phase_num, phase_den=phase_den,
-                     a=a, b=b, phase=phase, poly=_poly_matrix(series, point, w_float),
+                     a=a_num / float(ab_den), b=b_num / float(ab_den),
+                     phase=phase_num / float(phase_den),
+                     poly=_poly_matrix(series, point, w / float(vector_den)),
                      prefactor_exponent=Fraction(prefactor_exponent))
 
 
@@ -500,12 +437,13 @@ def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
                       bound) -> list[tuple]:
     """All lattice translates lambda in coset + Z^n with maj(lambda+beta) <= 2*bound.
 
-    With rational data every node of the walk is kept or dropped by an exact
-    integer test, and floats only propose candidates (_enumerate_cosets).
+    Every node of the walk is kept or dropped by an exact integer test, and
+    floats only propose candidates (_fincke_pohst).  The coset and beta are
+    read by exact.rational.
     """
     n = lat.rank
     beta = tuple(beta) if beta is not None else (Fraction(0),) * n
-    table = build_term_table(lat, point, [], [((), list(coset))],
+    table = build_term_table(lat, point, [], [((), [exact.rational(x) for x in coset])],
                              ((Fraction(0),) * n, beta), bound)
     return table.vector_tuples()
 
@@ -758,14 +696,9 @@ def _complement_coords(sd: SplitData, vec, label: str):
     vec = list(vec)
     if len(vec) != sd.ambient.rank:
         raise VectorNotInComplement(f"{label} has wrong dimension")
-    exact_input = _is_rational_vec(vec)
-    if exact_input and not any(vec):
+    if not any(vec):
         return [Fraction(0)] * sd.mperp_sub.rank
-    proj_m = sd.m_sub.coords_of(vec)
-    if exact_input:
-        if any(x != 0 for x in proj_m):
-            raise VectorNotInComplement(f"{label} has a component along the sublattice")
-    elif max(abs(float(x)) for x in proj_m) > 1e-9:
+    if any(sd.m_sub.coords_of(vec)):
         raise VectorNotInComplement(f"{label} has a component along the sublattice")
     return sd.mperp_sub.coords_of(vec)
 
@@ -958,10 +891,9 @@ class ThetaFamily:
     def evaluator(self, pair_vectors=None, bound: float = 10.0) -> ThetaEvaluator:
         """The evaluator of one shift pair (None: no shift) and bound."""
         vp = as_pair(pair_vectors, self.rank)
-        # a rational and a float entry of equal value take different build
-        # paths; a lowered cap must reach the walk, and raise, again
-        key = (self._key, tuple((type(x), x) for x in vp.alpha + vp.beta), bound,
-               _max_vectors())
+        # the pair is exact, so equal values share a build; a lowered cap
+        # must reach the walk, and raise, again
+        key = (self._key, vp.alpha + vp.beta, bound, _max_vectors())
         evaluator = _EVALUATORS.get(key)
         if evaluator is not None:
             _EVALUATORS.move_to_end(key)

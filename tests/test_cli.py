@@ -29,7 +29,6 @@ from vvtheta.cli import (
     main,
     qexpansion_to_json,
     read_form,
-    theta_to_json,
 )
 from vvtheta.exact import mod1
 from vvtheta.grassmann import constant_poly
@@ -235,6 +234,19 @@ def test_scenario_matches_golden(scenario):
     assert proc.stdout == golden.read_text()
 
 
+def test_run_scenario_does_not_import_numpy_ma():
+    # the first np.unique in a process imports numpy.ma, a module that no
+    # step of a scenario needs
+    code = ("import contextlib, io, sys\n"
+            "from vvtheta.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['run-scenario', {str(BUNDLED)!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout == "0 False\n"
+
+
 II11 = json.loads(BUNDLED.read_text())
 GLUED = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
 
@@ -324,19 +336,36 @@ def test_cli_matches_golden(tmp_path, case):
     assert proc.stdout == golden.read_text()
 
 
-def test_cli_theta_float_span(tmp_path):
-    # a JSON float in span_plus stays a float, so the splitting takes the float
-    # path; as the exact binary Fraction of 0.3 it would overflow the exact build
-    files = [write_json(tmp_path / "ii11.json", CLI_INPUTS["ii11"]),
-             write_json(tmp_path / "g.json", {"span_plus": [[1, 0.3]]})]
-    proc = subprocess.run([sys.executable, "-m", "vvtheta", "theta", "--lattice", files[0],
-                           "--grassmann", files[1], "--tau", "0.13,0.87", "--bound", "6"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    ii11 = construct_lattice([[0, 1], [1, 0]])
-    theta = siegel_theta(ii11, 0.13 + 0.87j, make_grassmann_point(ii11, [[1, 0.3]]),
-                         constant_poly(1, 1), None, 6)
-    assert json.loads(proc.stdout)["coefficients"] == theta_to_json(theta)["coefficients"]
+#: one reading rule for every JSON reader: id -> (command line, its {input}
+#: spelled with JSON floats, the same input spelled with rational strings,
+#: the exit code of both)
+FLOAT_SPELLINGS = {
+    "beta": ("run-scenario {input}", dict(II11, beta=[0.5, 0.1]),
+             dict(II11, beta=["1/2", "1/10"]), 0),
+    "alpha": ("run-scenario {input}", dict(II11, alpha=[0.3, 0.2]),
+              dict(II11, alpha=["3/10", "1/5"]), 0),
+    "span": (CLI_CASES["theta_ii11_skew"].replace("ii11_skew", "input"),
+             {"span_plus": [[1, 0.3]]}, CLI_INPUTS["ii11_skew"], 0),
+    # 16 digits are a denominator of 10^16, past the exact build's int64 terms
+    "alpha_16_digits": ("run-scenario {input}", dict(II11, alpha=[0.3333333333333333, 0.2]),
+                        dict(II11, alpha=["0.3333333333333333", "0.2"]), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_SPELLINGS))
+def test_json_float_reads_as_the_decimal_written(tmp_path, capsys, case):
+    # a JSON float is the decimal it spells, in shifts and spans alike, so
+    # both spellings print the same bytes and exit with the same code
+    command, floats, strings, code = FLOAT_SPELLINGS[case]
+    ii11 = write_json(tmp_path / "ii11.json", CLI_INPUTS["ii11"])
+    outputs = []
+    for payload in (floats, strings):
+        path = write_json(tmp_path / "input.json", payload)
+        assert main(command.format(ii11=ii11, input=path).split()) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    if code == 2:
+        assert outputs[0].err.startswith("error: BoundTooLarge: ")
 
 
 def test_theta_negative_bound_exits_with_error(tmp_path, capsys):

@@ -341,3 +341,25 @@ def test_integer_rows_over_the_least_common_denominator():
                                                         for row in m for x in row))
         assert all(type(x) is int for row in rows for x in row)
         assert [[Fraction(x, den) for x in row] for row in rows] == m
+
+
+def test_rational_reads_each_entry_by_one_rule():
+    import numpy as np
+
+    from vvtheta.errors import NotRational
+
+    # a rational keeps its value, as an int or a Fraction
+    for x, want in ((3, 3), (True, 1), (np.int64(-4), -4), (Fraction(1, 3), Fraction(1, 3))):
+        got = exact.rational(x)
+        assert got == want and type(got) is type(want), x
+    # a finite float is the decimal written, numpy floats included
+    for x, want in ((0.1, Fraction(1, 10)), (0.5, Fraction(1, 2)), (-2.0, Fraction(-2)),
+                    (1e-20, Fraction(1, 10 ** 20)), (np.float64(0.3), Fraction(3, 10)),
+                    (0.3333333333333333, Fraction(3333333333333333, 10 ** 16))):
+        got = exact.rational(x)
+        assert got == want and type(got) is Fraction, x
+    # anything else is a typed error
+    for x in (float("nan"), float("inf"), -float("inf"), np.float64("nan"), "1/2", None, 1j,
+              [1]):
+        with pytest.raises(NotRational):
+            exact.rational(x)

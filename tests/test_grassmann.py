@@ -191,13 +191,6 @@ def test_block_swap_consistency(ii11):
                    - ps.evaluate(vneg.adapted_coords(x))) < 1e-12
 
 
-def test_float_span_flag(ii11):
-    v = make_grassmann_point(ii11, [[1.0, 1.0]])
-    assert not v.rational_flag
-    x = np.array([1.0, 2.0])
-    assert abs(x @ v.majorant_np @ x - 5.0) < 1e-9
-
-
 def test_vector_pair_validation(ii11):
     from vvtheta import VectorPair
     from vvtheta.grassmann import as_pair
@@ -293,7 +286,7 @@ def test_point_construction_makes_four_products(monkeypatch, a2, ii11):
         return mat_mul(a, b)
 
     monkeypatch.setattr(exact, "mat_mul", counting)
-    again = GrassmannPoint(lat, point.span_plus, point.span_minus, point.adapted, True)
+    again = GrassmannPoint(lat, point.span_plus, point.span_minus, point.adapted)
     assert len(calls) <= 4
     assert again.norm_forms == _reference_norm_forms(point)
 

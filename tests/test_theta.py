@@ -16,6 +16,7 @@ from vvtheta import (
     NegativeBound,
     NonHomogeneousPolynomial,
     NotPositiveDefiniteSpan,
+    NotRational,
     Polynomial,
     TailTooLarge,
     TauNotInUpperHalfPlane,
@@ -53,13 +54,13 @@ _Row = namedtuple("_Row", "key vector a b poly_coeffs phase")
 
 
 def _rows(table) -> list:
-    """Every row of a TermTable, exact (Fractions) wherever the table is."""
-    def exact_or_float(num, den, floats):
-        return floats.tolist() if den is None else [F(x, den) for x in num.tolist()]
+    """Every row of a TermTable, with exact (Fraction) a, b and phase."""
+    def fractions(num, den):
+        return [F(x, den) for x in num.tolist()]
 
-    a = exact_or_float(table.a_num, table.ab_den, table.a)
-    b = exact_or_float(table.b_num, table.ab_den, table.b)
-    phase = exact_or_float(table.phase_num, table.phase_den, table.phase)
+    a = fractions(table.a_num, table.ab_den)
+    b = fractions(table.b_num, table.ab_den)
+    phase = fractions(table.phase_num, table.phase_den)
     return [_Row(table.keys[k], vector, a[r], b[r], tuple(table.poly[r].tolist()), phase[r])
             for r, (k, vector) in enumerate(zip(table.key_index.tolist(),
                                                 table.vector_tuples()))]
@@ -82,24 +83,16 @@ def _projections(point) -> tuple:
 
 
 def _project(point, vec) -> tuple:
-    """(vec_{v+}, vec_{v-}): exact for rational input on a rational point,
-    floats otherwise."""
+    """(vec_{v+}, vec_{v-}) of a rational vector, exactly."""
     p_plus, p_minus = _projections(point)
-    if point.rational_flag and all(isinstance(x, (int, F)) for x in vec):
-        v = [F(x) for x in vec]
-        return exact.mat_vec(p_plus, v), exact.mat_vec(p_minus, v)
-    v = np.array([float(x) for x in vec])
-    return np.array(p_plus, dtype=float) @ v, np.array(p_minus, dtype=float) @ v
+    v = [F(x) for x in vec]
+    return exact.mat_vec(p_plus, v), exact.mat_vec(p_minus, v)
 
 
 def _majorant_value(point, vec):
     """The majorant of vec: its plus norm minus its minus norm."""
     plus, minus = _project(point, vec)
-    lat = point.lattice
-    if isinstance(plus, list):
-        return lat.norm(plus) - lat.norm(minus)
-    g = lat.gram_np()
-    return float(plus @ g @ plus) - float(minus @ g @ minus)
+    return point.lattice.norm(plus) - point.lattice.norm(minus)
 
 
 def _term_multiset(table) -> dict:
@@ -239,8 +232,7 @@ def _ball_scan(point, shear, shift, bound):
 
 def test_enumeration_complete_on_skewed_majorants():
     # the walk against an unpruned exact scan of the ball, with a member
-    # exactly on maj = 2 bound, on the exact path and on the float path with
-    # its margin; ranks 1-5, four cases each
+    # exactly on maj = 2 bound; ranks 1-5, four cases each
     rng = random.Random(1985)
     kinds = set()
     for rank in [1, 2, 3, 4, 5] * 4:
@@ -283,12 +275,6 @@ def test_enumeration_complete_on_skewed_majorants():
             assert w.T.tolist() == sorted(w.T.tolist())
             assert value.tolist() == theta_mod._quad(w.astype(object), n_maj).tolist()
         assert walks[0][1].tolist() == walks[1][1].tolist()
-        # float shifts take the float path: its rows round back to the same m
-        beta_f = [float(b) for b in beta]
-        for b, want in ((bound, set(oracle)), (bound - 1e-9, inner)):
-            got = enumerate_vectors(lat, coset, point, beta_f, b)
-            assert len(got) == len(want)
-            assert {tuple(round(x - float(c)) for x, c in zip(v, coset)) for v in got} == want
     # the walks above ran on int64 levels as well as on Python-int ones
     assert kinds == {"i", "O"}
 
@@ -305,10 +291,9 @@ def _assert_rows_in_lexsort_order(table, seed):
     order = shuffle[np.lexsort(tuple(lam.T[::-1]) + (table.key_index[shuffle],))]
     for name in _COLUMNS:
         column = getattr(table, name)
-        if column is not None:
-            want = column[order]
-            assert (column.dtype, column.shape) == (want.dtype, want.shape), name
-            assert column.tobytes() == want.tobytes(), name
+        want = column[order]
+        assert (column.dtype, column.shape) == (want.dtype, want.shape), name
+        assert column.tobytes() == want.tobytes(), name
 
 
 def _build_without_sorting(monkeypatch, *args):
@@ -336,7 +321,7 @@ def test_walk_emits_rows_in_table_order(monkeypatch):
     # (lambda_0, ..., lambda_{n-1}) order, so its rows need no sort: every
     # column equals a lexsort of the same rows.  Seeded skewed splittings
     # of rank 1-5, four cosets under shuffled keys, at a bound that leaves one
-    # coset empty and at a larger one; exact and float shifts
+    # coset empty and at a larger one
     rng = random.Random(1968)
     empty_tables = 0
     for rank in [1, 2, 3, 4, 5] * 2:
@@ -354,13 +339,12 @@ def test_walk_emits_rows_in_table_order(monkeypatch):
         alpha = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
         beta = [0] * rank
         for bound in ((minima[2] + minima[3]) / 4, minima[3] / 2 + 2):
-            for pair in ((alpha, beta), ([float(x) for x in alpha], [0.0] * rank)):
-                table = _build_without_sorting(monkeypatch, lat, point, series, coset_list,
-                                               pair, bound)
-                assert table.keys == tuple(sorted(table.keys))
-                empty_tables += len(table.keys) == 3
-                _assert_rows_in_lexsort_order(table, rank)
-    assert empty_tables == 20
+            table = _build_without_sorting(monkeypatch, lat, point, series, coset_list,
+                                           (alpha, beta), bound)
+            assert table.keys == tuple(sorted(table.keys))
+            empty_tables += len(table.keys) == 3
+            _assert_rows_in_lexsort_order(table, rank)
+    assert empty_tables == 10
 
 
 def test_bundled_scenario_tables_in_table_order(monkeypatch):
@@ -547,7 +531,7 @@ def _random_splitting(rng, lat):
     while True:
         span = [[rng.randint(-3, 3) for _ in range(lat.rank)] for _ in range(lat.sig_plus)]
         try:
-            return span, make_grassmann_point(lat, span)
+            return make_grassmann_point(lat, span)
         except NotPositiveDefiniteSpan:
             continue
 
@@ -556,14 +540,8 @@ def _reference_row(lat, point, series, t, alpha, beta):
     """(a, b, phase, maj, poly coefficients) of one row, vector by vector."""
     w = [x + y for x, y in zip(t.vector, beta)]
     plus, minus = _project(point, w)
-    if point.rational_flag:
-        a, b = lat.norm(plus) / 2, lat.norm(minus) / 2
-        phase = lat.pairing([x + F(y) / 2 for x, y in zip(t.vector, beta)], alpha)
-    else:
-        g = lat.gram_np()
-        a, b = float(plus @ g @ plus) / 2, float(minus @ g @ minus) / 2
-        half = np.array([float(x) + float(y) / 2 for x, y in zip(t.vector, beta)])
-        phase = float(half @ g @ np.array([float(x) for x in alpha]))
+    a, b = lat.norm(plus) / 2, lat.norm(minus) / 2
+    phase = lat.pairing([x + F(y) / 2 for x, y in zip(t.vector, beta)], alpha)
     coords = point.adapted_coords(w)
     poly = [p.evaluate(coords) * (-1.0 / (8.0 * math.pi)) ** j
             for j, p in enumerate(series)]
@@ -574,9 +552,7 @@ def test_table_rows_match_per_vector_reference():
     rng = random.Random(2024)
     for rank, bound in ((2, 3), (2, 3), (3, 3), (3, 3), (4, 2), (5, 1)):
         lat = _random_even_lattice(rng, rank)
-        span, point = _random_splitting(rng, lat)
-        float_point = make_grassmann_point(lat, [[float(x) for x in v] for v in span])
-        assert not float_point.rational_flag
+        point = _random_splitting(rng, lat)
         # t_1^2 t_n: a two-term 1/y series, odd in the last adapted coordinate
         expo = [0] * rank
         expo[0] += 2
@@ -588,48 +564,41 @@ def test_table_rows_match_per_vector_reference():
         alpha = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
         beta = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
         group = discriminant_group(lat)
-        for pt in (point, float_point):
-            table = siegel_theta_evaluator(lat, pt, poly, (alpha, beta), bound).terms
-            assert len(table) > 0
-            rows = _rows(table)
-            assert len(rows) == len(table)
-            for t in rows:
-                coset = group.dual_vector(t.key[0])
-                offsets = [x - c for x, c in zip(t.vector, coset)]
-                assert all(abs(d - round(d)) < 1e-9 for d in offsets)
-                a, b, phase, maj, ref_poly = _reference_row(lat, pt, series, t, alpha, beta)
-                if pt.rational_flag:
-                    assert (t.a, t.b, t.phase) == (a, b, phase)
-                    assert maj <= 2 * bound
-                else:
-                    for got, want in ((t.a, a), (t.b, b), (t.phase, phase)):
-                        assert abs(got - want) <= 1e-9 * (1 + abs(want))
-                    assert maj <= 2 * bound + 1e-9
-                for got, want in zip(t.poly_coeffs, ref_poly, strict=True):
-                    assert abs(got - want) <= 1e-12 * (1 + abs(want))
-            # a row's data does not depend on the other rows of its table
-            larger = {(r.key, r.vector): r
-                      for r in _rows(siegel_theta_evaluator(lat, pt, poly, (alpha, beta),
-                                                            bound + 2).terms)}
-            assert all(larger[(t.key, t.vector)] == t for t in rows)
-            # batched evaluation against a term-by-term loop
-            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
-            x, y = tau.real, tau.imag
-            loop = {}
-            for t in rows:
-                term = sum(c * y ** (-j) for j, c in enumerate(t.poly_coeffs)) \
-                    * cmath.exp(2j * math.pi * (x * float(t.a + t.b) - float(t.phase))) \
-                    * math.exp(-2 * math.pi * y * float(t.a - t.b))
-                loop[t.key] = loop.get(t.key, 0j) + term
-            got = table.evaluate([tau])[:, 0]
-            pref = y ** float(table.prefactor_exponent)
-            scale = sum(abs(v) for v in loop.values())
-            for key, val in zip(table.keys, got):
-                assert abs(val - pref * loop[key]) <= 1e-12 * pref * (1 + scale)
+        table = siegel_theta_evaluator(lat, point, poly, (alpha, beta), bound).terms
+        assert len(table) > 0
+        rows = _rows(table)
+        assert len(rows) == len(table)
+        for t in rows:
+            coset = group.dual_vector(t.key[0])
+            offsets = [x - c for x, c in zip(t.vector, coset)]
+            assert all(abs(d - round(d)) < 1e-9 for d in offsets)
+            a, b, phase, maj, ref_poly = _reference_row(lat, point, series, t, alpha, beta)
+            assert (t.a, t.b, t.phase) == (a, b, phase)
+            assert maj <= 2 * bound
+            for got, want in zip(t.poly_coeffs, ref_poly, strict=True):
+                assert abs(got - want) <= 1e-12 * (1 + abs(want))
+        # a row's data does not depend on the other rows of its table
+        larger = {(r.key, r.vector): r
+                  for r in _rows(siegel_theta_evaluator(lat, point, poly, (alpha, beta),
+                                                        bound + 2).terms)}
+        assert all(larger[(t.key, t.vector)] == t for t in rows)
+        # batched evaluation against a term-by-term loop
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.3))
+        x, y = tau.real, tau.imag
+        loop = {}
+        for t in rows:
+            term = sum(c * y ** (-j) for j, c in enumerate(t.poly_coeffs)) \
+                * cmath.exp(2j * math.pi * (x * float(t.a + t.b) - float(t.phase))) \
+                * math.exp(-2 * math.pi * y * float(t.a - t.b))
+            loop[t.key] = loop.get(t.key, 0j) + term
+        got = table.evaluate([tau])[:, 0]
+        pref = y ** float(table.prefactor_exponent)
+        scale = sum(abs(v) for v in loop.values())
+        for key, val in zip(table.keys, got):
+            assert abs(val - pref * loop[key]) <= 1e-12 * pref * (1 + scale)
         # a vector exactly on the boundary maj = 2 * bound is included, and
         # excluded once the bound drops by 10^-9
-        exact_rows = _rows(siegel_theta_evaluator(lat, point, poly, (alpha, beta), bound).terms)
-        t = max(exact_rows, key=lambda r: r.a - r.b)
+        t = max(rows, key=lambda r: r.a - r.b)
         edge = t.a - t.b
         on = _rows(siegel_theta_evaluator(lat, point, poly, (alpha, beta), edge).terms)
         assert (t.key, t.vector) in {(r.key, r.vector) for r in on}
@@ -1026,20 +995,21 @@ def test_negation_residuals(a1, ii11):
     assert theta_negation_residuals(ii11, [0.2 + 1.1j], vii, p_cplx, pair_v, 12.0)[0] < 1e-10
 
 
-def test_float_spanned_splittings_take_the_float_path(ii11, a2):
-    # a float span has denominators near 2^108, far past the exact path's
-    # int64 terms; the block-swapped and direct-sum points built from it must
-    # stay on the float path instead of raising BoundTooLarge
-    v = make_grassmann_point(ii11, [[1, 0.3]])
-    assert theta_negation_residuals(ii11, [0.1 + 1j], v, constant_poly(1, 1),
-                                    None, 4.0)[0] < 1e-10
-    lat = direct_sum(a2, ii11)
-    m_sub = sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    u = make_grassmann_point(m_sub.lattice, [[1, 0], [0, 1]])
-    u_perp = make_grassmann_point(split_data(lat, m_sub).mperp_sub.lattice, [[1, 0.3]])
-    seesaw = Seesaw(lat, m_sub, u, u_perp, constant_poly(2, 0), constant_poly(1, 1))
-    assert not seesaw.v.rational_flag
-    assert max(seesaw.split_residuals([0.1 + 1j] + TAU_SAMPLES, None, 4.0)) < 1e-8
+@pytest.mark.parametrize("case", ["beta_nan", "alpha_inf", "span_nan", "span_inf"])
+def test_non_finite_entries_raise_not_rational(ii11, case):
+    # a non-finite entry has no rational value: a typed error, not a theta
+    # of no rows or of NaN values, nor a raw ValueError or OverflowError
+    nan, inf = float("nan"), float("inf")
+    v = make_grassmann_point(ii11, [[1, 1]])
+    p = constant_poly(1, 1)
+    calls = {
+        "beta_nan": lambda: siegel_theta(ii11, 0.1 + 1j, v, p, ([0, 0], [nan, 0]), 4.0),
+        "alpha_inf": lambda: siegel_theta(ii11, 0.1 + 1j, v, p, ([inf, 0], [0, 0]), 4.0),
+        "span_nan": lambda: make_grassmann_point(ii11, [[1, nan]]),
+        "span_inf": lambda: make_grassmann_point(ii11, [[1, inf]]),
+    }
+    with pytest.raises(NotRational):
+        calls[case]()
 
 
 # ---------------------------------------------------------------------------
@@ -1294,17 +1264,17 @@ def test_store_respects_a_lowered_cap(ii11, monkeypatch):
     assert not any(key[-1] == 10 for key in theta_mod._EVALUATORS)
 
 
-def test_store_keeps_rational_and_float_shifts_apart(a1, monkeypatch):
+def test_store_shares_one_build_for_float_and_rational_shifts(a1, monkeypatch):
+    # a shift entry is read as the decimal written, so the float 0.5 and 1/2
+    # are one key, and so are 0.1 and 1/10
     v = make_grassmann_point(a1, [[1]])
     p = constant_poly(1, 0)
     calls = _count_builds(monkeypatch)
     siegel_theta(a1, 1j, v, p, ([0], [F(1, 2)]), 4.0)
     siegel_theta(a1, 1j, v, p, ([0], [0.5]), 4.0)
-    assert len(calls) == 2
-    # the stored tables, read back without a further build
-    family = siegel_theta_family(a1, v, p)
-    assert family.evaluator(([0], [F(1, 2)]), 4.0).terms.ab_den is not None
-    assert family.evaluator(([0], [0.5]), 4.0).terms.ab_den is None
+    assert len(calls) == 1
+    siegel_theta(a1, 1j, v, p, ([0.1], [0]), 4.0)
+    siegel_theta(a1, 1j, v, p, ([F(1, 10)], [0]), 4.0)
     assert len(calls) == 2
 
 
