@@ -302,16 +302,18 @@ class TermTable:
     sorted by key, then by vector.  The row's vector, exponents and phase
     are exact: ``vectors`` / ``vector_den``, ``a_num`` / ``ab_den``,
     ``b_num`` / ``ab_den`` and ``phase_num`` / ``phase_den`` (int64
-    numerators, Python-int denominators).  ``a``, ``b`` and ``phase`` are
-    the float copies used for evaluation; ``poly[r, j]`` multiplies y^{-j} and already
-    contains the (-1/(8 pi))^j / j! factor of the Gaussian smoothing
-    operator.  ``a - b`` is half the majorant (>= 0), ``a + b`` half the norm.
+    numerators, Python-int denominators).  ``poly[r, j]`` multiplies y^{-j}
+    and already contains the (-1/(8 pi))^j / j! factor of the Gaussian
+    smoothing operator.  ``a - b`` is half the majorant (>= 0), ``a + b``
+    half the norm: the row's frequency in x.  The first ``evaluate`` groups
+    the rows by their exact frequency numerator and folds the phase into
+    the coefficients (_factors); the table keeps both for every later call.
     """
 
     def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
                  vector_den: int, a_num: np.ndarray, b_num: np.ndarray, ab_den: int,
-                 phase_num: np.ndarray, phase_den: int, a: np.ndarray, b: np.ndarray,
-                 phase: np.ndarray, poly: np.ndarray, prefactor_exponent: Fraction):
+                 phase_num: np.ndarray, phase_den: int, poly: np.ndarray,
+                 prefactor_exponent: Fraction):
         self.keys = keys
         self.key_index = key_index
         self.vectors = vectors
@@ -321,14 +323,8 @@ class TermTable:
         self.ab_den = ab_den
         self.phase_num = phase_num
         self.phase_den = phase_den
-        self.a = a
-        self.b = b
-        self.phase = phase
         self.poly = poly
         self.prefactor_exponent = prefactor_exponent
-        # the tau-independent factors of the exponent
-        self._freq = a + b
-        self._decay = a - b
 
     def __len__(self) -> int:
         return self.key_index.shape[0]
@@ -339,32 +335,67 @@ class TermTable:
         frac = _fraction_map(rows, self.vector_den)
         return [tuple(frac[x] for x in row) for row in rows]
 
+    @cached_property
+    def _factors(self) -> tuple:
+        """The tau-independent factors of evaluate, made on its first call.
+
+        Returns ``(coeff, rate, omega, group, slots)``.  ``coeff[j]`` is
+        ``poly[:, j] e(-phase)``, e(t) = exp(2 pi i t), with the phase
+        reduced mod 1 exactly, and ``rate`` is -2 pi (a - b).  The rows are
+        grouped by the exact numerator a_num + b_num of their frequency:
+        ``omega`` holds 2 pi i (a + b) once per distinct numerator,
+        ascending, and ``group[r]`` is row r's entry.  ``slots`` interleaves
+        2 k and 2 k + 1 for each row's key index k: the bins of its real and
+        imaginary parts.
+        """
+        # a >= 0 >= b, each at most INT64_SAFE in size, so a + b and b - a fit int64
+        freq_num = self.a_num + self.b_num
+        order = np.argsort(freq_num)
+        ranked = freq_num[order]
+        first = np.empty(len(ranked), dtype=bool)
+        first[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        group = np.empty(len(ranked), dtype=np.intp)
+        group[order] = np.cumsum(first) - 1
+        # every numerator is at most INT64_SAFE, so past it |phase| < 1 already
+        phase_num = (self.phase_num % self.phase_den if self.phase_den <= INT64_SAFE
+                     else self.phase_num)
+        wave = np.exp(phase_num * (-1j * TWO_PI / self.phase_den))
+        slots = np.repeat(2 * self.key_index, 2)
+        slots[1::2] += 1
+        scale = TWO_PI / self.ab_den
+        return (np.multiply(self.poly.T, wave, order="C"), (self.b_num - self.a_num) * scale,
+                ranked[first] * (1j * scale), group, slots)
+
     def evaluate(self, taus) -> np.ndarray:
         """Theta components at each tau, y^prefactor_exponent included.
 
-        Returns a (len(keys), len(taus)) complex array.  Each chunk of taus
-        takes one np.exp over the (taus x terms) exponents and one bincount
-        per real and imaginary part; a key's terms are summed in row order.
+        Returns a (len(keys), len(taus)) complex array.  Row r contributes
+        (sum_j e^(y rate[r]) y^-j coeff[j, r]) e^(x omega[group[r]]) from
+        the factors of _factors, each product taken left to right: a chunk
+        of taus takes one real np.exp per row, one complex np.exp per
+        distinct frequency and one bincount, and a key's terms are summed
+        in row order.
         """
+        coeff, rate, omega, group, slots = self._factors
         taus = np.asarray(taus, dtype=complex).reshape(-1)
-        n_keys, n_terms = len(self.keys), len(self)
-        out = np.zeros((n_keys, len(taus)), dtype=complex)
-        step = max(1, _EVAL_CHUNK // max(n_terms, 1))
+        n_keys = len(self.keys)
+        out = np.empty((n_keys, len(taus)), dtype=complex)
+        step = max(1, _EVAL_CHUNK // max(len(rate), 1))
+        power = float(self.prefactor_exponent)
         for lo in range(0, len(taus), step):
-            x = taus.real[lo:lo + step]
-            y = taus.imag[lo:lo + step]
+            x, y = taus.real[lo:lo + step, None], taus.imag[lo:lo + step, None]
             width = len(y)
-            y_powers = np.array([y ** (-j) for j in range(self.poly.shape[1])])
-            exponent = np.empty((width, n_terms), dtype=complex)
-            exponent.real = np.multiply.outer(-TWO_PI * y, self._decay)
-            exponent.imag = TWO_PI * (np.multiply.outer(x, self._freq) - self.phase)
-            values = (_lin(self.poly.T, y_powers) * np.exp(exponent)).ravel()
-            bins = (np.arange(width)[:, None] * n_keys + self.key_index).ravel()
-            block = np.empty(width * n_keys, dtype=complex)
-            block.real = np.bincount(bins, values.real, minlength=width * n_keys)
-            block.imag = np.bincount(bins, values.imag, minlength=width * n_keys)
-            out[:, lo:lo + width] = block.reshape(width, n_keys).T \
-                * y ** float(self.prefactor_exponent)
+            decay = np.exp(y * rate)
+            values = decay * coeff[0]
+            for j in range(1, len(coeff)):
+                values += decay * y ** -j * coeff[j]
+            values *= np.exp(x * omega).take(group, axis=1)
+            bins = np.add.outer(2 * n_keys * np.arange(width), slots)
+            block = np.bincount(bins.ravel(), values.view(float).ravel(),
+                                minlength=2 * n_keys * width)
+            out[:, lo:lo + width] = (block.view(complex).reshape(width, n_keys)
+                                     * y ** power).T
         return out
 
 
@@ -427,8 +458,6 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
                      vector_den=vector_den,
                      a_num=a_num, b_num=b_num, ab_den=ab_den,
                      phase_num=phase_num, phase_den=phase_den,
-                     a=a_num / float(ab_den), b=b_num / float(ab_den),
-                     phase=phase_num / float(phase_den),
                      poly=_poly_matrix(series, point, w / float(vector_den)),
                      prefactor_exponent=Fraction(prefactor_exponent))
 
@@ -568,8 +597,9 @@ class ThetaEvaluator:
         self.terms = table
         self.axes = axes
         self._shape = tuple(ax.group.order for ax in axes)
-        self._positions = [np.ravel_multi_index([a.group.index(x) for a, x in zip(axes, key)],
-                                                self._shape) for key in table.keys]
+        self._positions = np.array(
+            [np.ravel_multi_index([a.group.index(x) for a, x in zip(axes, key)], self._shape)
+             for key in table.keys], dtype=np.intp)
         self.prefactor_exponent = table.prefactor_exponent
         self.bound = float(bound)
         self._majorant = majorant_np
@@ -891,9 +921,11 @@ class ThetaFamily:
     def evaluator(self, pair_vectors=None, bound: float = 10.0) -> ThetaEvaluator:
         """The evaluator of one shift pair (None: no shift) and bound."""
         vp = as_pair(pair_vectors, self.rank)
-        # the pair is exact, so equal values share a build; a lowered cap
-        # must reach the walk, and raise, again
-        key = (self._key, vp.alpha + vp.beta, bound, _max_vectors())
+        # the pair is exact, so equal values share a build; it enters the key
+        # as (numerator, denominator) ints, which hash far faster than
+        # Fractions; a lowered cap must reach the walk, and raise, again
+        pair = tuple(x.as_integer_ratio() for x in vp.alpha + vp.beta)
+        key = (self._key, pair, bound, _max_vectors())
         evaluator = _EVALUATORS.get(key)
         if evaluator is not None:
             _EVALUATORS.move_to_end(key)

@@ -1,12 +1,14 @@
 import cmath
 import functools
 import itertools
+import json
 import math
 import pathlib
 import random
 from collections import namedtuple
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from vvtheta import (
     constant_poly,
     construct_lattice,
     direct_sum,
+    direct_sum_grassmann,
     disc_product_iso,
     discriminant_group,
     enumerate_vectors,
+    lift_product,
     make_grassmann_point,
     mixed_theta_composed,
     mixed_theta_direct,
@@ -279,7 +283,7 @@ def test_enumeration_complete_on_skewed_majorants():
     assert kinds == {"i", "O"}
 
 
-_COLUMNS = ("key_index", "vectors", "a_num", "b_num", "phase_num", "a", "b", "phase", "poly")
+_COLUMNS = ("key_index", "vectors", "a_num", "b_num", "phase_num", "poly")
 
 
 def _assert_rows_in_lexsort_order(table, seed):
@@ -466,7 +470,7 @@ def test_lin_quad_accumulation_contract():
                 got = theta_mod._quad(x, form)
                 assert got.shape == (count,)
                 assert got.tolist() == want, (name, k, count)
-    # the evaluation's mix: real powers of 1/y against complex coefficients
+    # real rows against complex ones
     y_powers, poly_t = floats((3, 4)), floats((3, 6)) + 1j * floats((3, 6))
     assert theta_mod._lin(y_powers, poly_t).tolist() == _loop_lin(y_powers, poly_t)
 
@@ -504,6 +508,18 @@ def test_int64_guard_large_denominator(a1, monkeypatch):
     got = enumerate_vectors(a1, [0], v, [F(1, 10 ** 6)], 1.0)
     assert got == [(-1,), (0,)]
 
+
+def test_phase_denominator_past_int64(a1):
+    # an alpha denominator of 10^20 puts the phase denominator past int64
+    # while its numerators stay small; the phase of size < 1e-19 is read as
+    # is, unreduced, and the theta is the unshifted one
+    v = make_grassmann_point(a1, [[1]])
+    p = constant_poly(1, 0)
+    table = siegel_theta_evaluator(a1, v, p, ([F(1, 10 ** 20)], [0]), 4.0).terms
+    assert table.phase_den > 2 ** 63
+    shifted = siegel_theta(a1, 0.1 + 1j, v, p, ([F(1, 10 ** 20)], [0]), 4.0).value.array
+    plain = siegel_theta(a1, 0.1 + 1j, v, p, None, 4.0).value.array
+    assert np.allclose(shifted, plain, rtol=1e-15, atol=0)
 
 def test_rank0_lattice_single_term():
     zero = construct_lattice([])
@@ -610,25 +626,24 @@ def test_table_rows_match_per_vector_reference():
 def _evaluate_terms_major(table, taus):
     """TermTable.evaluate with (terms x taus) work arrays, the reference
     layout."""
+    coeff, rate, omega, group, _slots = table._factors
     taus = np.asarray(taus, dtype=complex).reshape(-1)
     n_keys, n_terms = len(table.keys), len(table)
     out = np.zeros((n_keys, len(taus)), dtype=complex)
-    freq = table.a + table.b
-    decay = table.a - table.b
     step = max(1, theta_mod._EVAL_CHUNK // max(n_terms, 1))
     for lo in range(0, len(taus), step):
         x = taus.real[lo:lo + step]
         y = taus.imag[lo:lo + step]
         width = len(y)
-        y_powers = np.array([y ** (-j) for j in range(table.poly.shape[1])])
-        exponent = np.empty((n_terms, width), dtype=complex)
-        exponent.real = np.multiply.outer(decay, -theta_mod.TWO_PI * y)
-        exponent.imag = theta_mod.TWO_PI * (np.multiply.outer(freq, x) - table.phase[:, None])
-        values = (theta_mod._lin(y_powers, table.poly.T) * np.exp(exponent)).ravel()
+        decay = np.exp(rate[:, None] * y)
+        values = decay * coeff[0][:, None]
+        for j in range(1, len(coeff)):
+            values += decay * y ** -j * coeff[j][:, None]
+        values *= np.exp(omega[:, None] * x)[group]
         bins = (table.key_index[:, None] * width + np.arange(width)).ravel()
         block = np.empty(n_keys * width, dtype=complex)
-        block.real = np.bincount(bins, values.real, minlength=n_keys * width)
-        block.imag = np.bincount(bins, values.imag, minlength=n_keys * width)
+        block.real = np.bincount(bins, values.real.ravel(), minlength=n_keys * width)
+        block.imag = np.bincount(bins, values.imag.ravel(), minlength=n_keys * width)
         out[:, lo:lo + width] = block.reshape(n_keys, width) \
             * y ** float(table.prefactor_exponent)
     return out
@@ -662,6 +677,142 @@ def test_evaluate_bits_do_not_depend_on_the_layout(monkeypatch, a2, ii11):
                 want = _evaluate_terms_major(table, taus[:count])
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+def _rank4_table(a2, ii11):
+    """The 3420-row table of the theta-rank4 benchmark: A2 (+) II(1,1) at the
+    splitting A2 (+) (1, 1), x1^2 lifted, a shift pair, bound 10."""
+    lat = direct_sum(a2, ii11)
+    sd = split_data(lat, sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)]))
+    u = make_grassmann_point(sd.m_sub.lattice, [[1, 0], [0, 1]])
+    u_perp = make_grassmann_point(sd.mperp_sub.lattice, [[1, 1]])
+    p_v = lift_product(HomogeneousPolynomial((2, 0), 2, 0, {(2, 0): 1.0}),
+                       constant_poly(1, 1))
+    pair = ([F(1, 3), F(1, 5), F(1, 2), F(1, 7)], [F(1, 2), F(1, 3), F(1, 5), F(1, 4)])
+    return siegel_theta_evaluator(lat, direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp),
+                                  p_v, pair, 10).terms
+
+
+def _glued_seesaw():
+    """(L, M, u, u_perp) of the bundled glued scenario, at its default
+    splittings."""
+    data = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
+    lat = construct_lattice(data["lattices"]["L"]["gram"])
+    m_sub = sublattice(lat, data["sublattice"]["basis"])
+    sd = split_data(lat, m_sub)
+    return (lat, m_sub, make_grassmann_point(sd.m_sub.lattice, [[1, 0, 0], [0, 1, 0]]),
+            make_grassmann_point(sd.mperp_sub.lattice, [[1, 0], [0, 1]]))
+
+
+def _glued_mixed_table(bound):
+    """The mixed theta table of the bundled glued scenario, with its shift
+    pair projected to the complement."""
+    data = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
+    lat, m_sub, _u, u_perp = _glued_seesaw()
+    perp = split_data(lat, m_sub).mperp_sub
+    pair = [perp.project_ambient([F(x) for x in data[name]]) for name in ("alpha", "beta")]
+    return mixed_theta_family(lat, m_sub, u_perp, constant_poly(2, 0)).evaluator(
+        pair, bound).terms
+
+
+def _mp_sums(table, tau) -> tuple:
+    """Per key: the sum of the table's terms at tau to 30 digits, from the
+    exact a, b and phase and the float poly, and the sum of their absolute
+    values; both times y^prefactor_exponent."""
+    with mpmath.workdps(30):
+        x, y = mpmath.mpf(tau.real), mpmath.mpf(tau.imag)
+        pref = y ** (mpmath.mpf(table.prefactor_exponent.numerator)
+                     / table.prefactor_exponent.denominator)
+        sums = [mpmath.mpc(0)] * len(table.keys)
+        mags = [mpmath.mpf(0)] * len(table.keys)
+        for k, a, b, phase, coeffs in zip(table.key_index.tolist(), table.a_num.tolist(),
+                                          table.b_num.tolist(), table.phase_num.tolist(),
+                                          table.poly.tolist()):
+            a, b = mpmath.mpf(a) / table.ab_den, mpmath.mpf(b) / table.ab_den
+            phase = mpmath.mpf(phase) / table.phase_den
+            term = sum(mpmath.mpc(c) * y ** -j for j, c in enumerate(coeffs)) \
+                * mpmath.exp(-2 * mpmath.pi * y * (a - b)) \
+                * mpmath.expjpi(2 * (x * (a + b) - phase)) * pref
+            sums[k] += term
+            mags[k] += abs(term)
+    return [complex(v) for v in sums], [float(v) for v in mags]
+
+
+def test_evaluate_matches_a_30_digit_sum(a2, ii11):
+    # the three-factor kernel against mpmath on the same exact rows: within
+    # 1e-14 of the sum of the terms' absolute values, key by key
+    taus = [0.13 + 0.97j, -0.37 + 0.9j, 0.41 + 0.6j]
+    for table in (_rank4_table(a2, ii11), _glued_mixed_table(8)):
+        assert len(table) > 1000
+        got = table.evaluate(taus)
+        for i, tau in enumerate(taus):
+            sums, mags = _mp_sums(table, tau)
+            for k in range(len(table.keys)):
+                assert abs(got[k, i] - sums[k]) <= 1e-14 * mags[k], (k, tau)
+
+
+def _frequency_groups(table) -> list:
+    """The exact numerator a_num + b_num of each frequency group, after
+    checking that every row of a group has that one numerator."""
+    _coeff, _rate, omega, group, _slots = table._factors
+    numerators = {}
+    for g, f in zip(group.tolist(), (table.a_num + table.b_num).tolist()):
+        numerators.setdefault(g, set()).add(f)
+    assert sorted(numerators) == list(range(len(omega)))
+    assert all(len(rows) == 1 for rows in numerators.values())
+    return [numerators[g].pop() for g in range(len(omega))]
+
+
+def test_frequency_groups_are_exact(a2, ii11):
+    # every row of a group shares its exact numerator, and the groups are
+    # the distinct numerators, ascending, once each; the unshifted Theta_L of
+    # the glued scenario has 73 frequencies over 23 831 rows
+    lat, m_sub, u, u_perp = _glued_seesaw()
+    sd = split_data(lat, m_sub)
+    glued_l = siegel_theta_evaluator(
+        lat, direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp),
+        lift_product(constant_poly(2, 1), constant_poly(2, 0)), None, 8).terms
+    for table in (_rank4_table(a2, ii11), _glued_mixed_table(6), glued_l):
+        freq = (table.a_num + table.b_num).tolist()
+        numerators = _frequency_groups(table)
+        assert numerators == sorted(set(freq))
+        omega = table._factors[2]
+        want = 2j * math.pi * np.array(numerators) / table.ab_den
+        assert np.allclose(omega, want, rtol=1e-15, atol=0)
+    assert (len(glued_l), len(glued_l._factors[2])) == (23831, 73)
+    # two numerators one apart whose frequencies are one float: two groups
+    a_num = np.array([2 ** 60, 2 ** 60 + 1, 2 ** 60], dtype=np.int64)
+    zeros = np.zeros(3, dtype=np.int64)
+    table = theta_mod.TermTable(keys=((0,),), key_index=zeros, vectors=zeros[:, None],
+                                vector_den=1, a_num=a_num, b_num=zeros, ab_den=2 ** 61,
+                                phase_num=zeros, phase_den=1, poly=np.ones((3, 1), complex),
+                                prefactor_exponent=F(0))
+    assert float(a_num[0]) / 2 ** 61 == float(a_num[1]) / 2 ** 61
+    assert _frequency_groups(table) == [2 ** 60, 2 ** 60 + 1]
+    assert table._factors[3].tolist() == [0, 1, 0]
+
+
+def test_frequency_grouping_runs_once_per_table(a2, ii11, monkeypatch):
+    # the grouping is the evaluation's one sort: a build makes none, and
+    # four one-tau calls on one stored table group it once
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    lat = direct_sum(a2, ii11)
+    split = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    x1_sq = HomogeneousPolynomial((2, 0), 3, 1, {(2, 0, 0, 0): 1.0})
+    pair = ([F(1, 3), F(1, 5), F(1, 2), F(1, 7)], [F(1, 2), F(1, 3), F(1, 5), F(1, 4)])
+    table = siegel_theta_family(lat, split, x1_sq).evaluator(pair, 6).terms
+    assert calls == []
+    for tau in (0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 0.7j, 0.41 + 1.3j):
+        siegel_theta(lat, tau, split, x1_sq, pair, 6)
+    assert len(calls) == 1
+    assert siegel_theta_family(lat, split, x1_sq).evaluator(pair, 6).terms is table
 
 
 # ---------------------------------------------------------------------------
@@ -1277,6 +1428,14 @@ def test_store_shares_one_build_for_float_and_rational_shifts(a1, monkeypatch):
     siegel_theta(a1, 1j, v, p, ([F(1, 10)], [0]), 4.0)
     assert len(calls) == 2
 
+
+def test_store_keys_the_pair_by_integer_ratios(a1):
+    # a hit hashes the pair as (numerator, denominator) ints, not Fractions
+    v = make_grassmann_point(a1, [[1]])
+    siegel_theta(a1, 1j, v, constant_poly(1, 0), ([F(1, 3)], [0.5]), 4.0)
+    (key,) = theta_mod._EVALUATORS
+    assert key[1] == ((1, 3), (1, 2))
+    assert all(type(x) is int for ratio in key[1] for x in ratio)
 
 def test_store_is_bounded_and_evicts_least_recent(a1, monkeypatch):
     v = make_grassmann_point(a1, [[1]])
