@@ -58,7 +58,6 @@ from .grassmann import (  # noqa: F401
     direct_sum_grassmann,
     lift_product,
     make_grassmann_point,
-    split_product_check,
     swap_blocks_point,
 )
 from .theta import (  # noqa: F401

@@ -25,12 +25,10 @@ from .errors import (
     InconsistentDegrees,
     IndexMismatch,
     PolynomialNotHarmonic,
-    SplitCheckFailed,
 )
 from .grassmann import (
     HomogeneousPolynomial,
     make_grassmann_point,
-    split_product_check,
 )
 from .lattice import Lattice, Sublattice
 from .theta import (
@@ -169,7 +167,9 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
     complement's theta weight.
 
     Requires a positive definite complement (its Grassmannian is a point)
-    and a harmonic polynomial there.  Each key (gamma_L, delta_M) of the
+    and a harmonic polynomial there; a polynomial whose variables do not
+    match the complement raises NonHomogeneousPolynomial, as in
+    mixed_theta_evaluator.  Each key (gamma_L, delta_M) of the
     mixed theta table contributes the products of the form's component on
     gamma_L with that key's q-series to the output component on delta_M.
     """
@@ -184,7 +184,6 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
     if form.lattice != lat:
         raise IndexMismatch("form is indexed by a different lattice")
     u_perp = make_grassmann_point(perp_lat, exact.identity(perp_lat.rank))
-    p_uperp = _check_perp_poly(p_uperp, perp_lat)
     theta_bound = Fraction(bound) - min(Fraction(0), form.min_exponent())
     table = mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, None, theta_bound).terms
     out: dict = {}
@@ -200,25 +199,19 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
     return QExpansionForm(m_sub.lattice, weight, out)
 
 
-def _check_perp_poly(poly: HomogeneousPolynomial, perp_lat: Lattice):
-    if poly.nvars_plus != perp_lat.sig_plus or poly.nvars_minus != perp_lat.sig_minus:
-        raise PolynomialNotHarmonic(
-            "polynomial variables do not match the definite complement")
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # restriction identity, naive truncated lift
 
 def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
                                  bound: float = 10.0) -> list[float]:
     """Pointwise form of the lift restriction, at each tau: the ambient
-    integrand equals the sublattice integrand of the contraction."""
+    integrand equals the sublattice integrand of the contraction.
+
+    p_v(x) = p_u(x_M) p_uperp(x_Mperp) holds by the Seesaw's construction:
+    each adapted coordinate of v = u (+) u_perp is the matching one of u or
+    u_perp, in lift_product's variable order.
+    """
     sd = seesaw.sd
-    ok, dev = split_product_check(seesaw.p_v, seesaw.p_u, seesaw.p_uperp, seesaw.v,
-                                  seesaw.u, seesaw.u_perp, sd.m_sub, sd.mperp_sub)
-    if not ok:
-        raise SplitCheckFailed(f"product polynomial check failed (dev {dev})")
     theta_l = seesaw.theta_l.vectors(taus, None, bound)
     contracted = seesaw_contractions(seesaw, form, taus, bound)
     theta_m = seesaw.theta_m.vectors(taus, None, bound)

@@ -63,8 +63,8 @@ class DiscriminantGroup:
 
     def __init__(self, lattice: Lattice, elementary_divisors: tuple[int, ...],
                  generators: tuple[tuple[Fraction, ...], ...], order: int,
-                 _dual_map: tuple[tuple[int, ...], ...] = (),
-                 _full_divisors: tuple[int, ...] = ()):
+                 _dual_map: tuple[tuple[int, ...], ...],
+                 _full_divisors: tuple[int, ...]):
         self.lattice = lattice
         self.elementary_divisors = elementary_divisors
         self.generators = generators  # dual vectors in L-coords
@@ -349,12 +349,13 @@ class GlueMap:
         return _read_only(mat)
 
 
-def glue_map(emb: OverlatticeEmbedding, subgroup: IsotropicSubgroup | None = None) -> GlueMap:
+def glue_map(emb: OverlatticeEmbedding) -> GlueMap:
     """Build the coset maps H-perp -> D_big for an overlattice embedding: the
-    lift_map of g -> glue^-1 g on the generators of D_small, applied to H-perp."""
+    lift_map of g -> glue^-1 g on the generators of D_small, applied to H-perp.
+    H is ``emb.glue_group``, or the image of the big lattice if that is None."""
     small_disc = discriminant_group(emb.small)
     big_disc = discriminant_group(emb.big)
-    sub = subgroup if subgroup is not None else emb.glue_group
+    sub = emb.glue_group
     if sub is None:
         # glue group = image of the big lattice in D_small, generated by the
         # classes of the big basis vectors (the columns of glue)

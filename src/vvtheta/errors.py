@@ -121,10 +121,6 @@ class InconsistentDegrees(VvthetaError):
     pass
 
 
-class SplitCheckFailed(VvthetaError):
-    pass
-
-
 class EmptyGrid(VvthetaError):
     """A quadrature grid with no points: fewer than one cell per side, or a
     y_max that is not a finite number above the domain's lowest point."""

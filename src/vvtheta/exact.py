@@ -382,7 +382,7 @@ def column_module_basis(cols_frac) -> list[list[Fraction]]:
 def saturate_columns(gens) -> tuple[list[list[int]], bool]:
     """Saturation of the Z-span of integer generator vectors inside Z^n.
 
-    Returns (basis vectors of span_Q(gens) intersect Z^n, was_primitive).
+    Returns (basis vectors of span_Q(gens) intersect Z^n, whether gens span it).
     """
     a = transpose([list(map(int, g)) for g in gens])  # n x k
     d, s, t = snf(a)

@@ -425,32 +425,3 @@ def lift_product(p_u: Polynomial, p_uperp: Polynomial) -> Polynomial:
         return HomogeneousPolynomial(degrees, ap + bp, am + bm, out)
     return Polynomial(ap + bp, am + bm, out)
 
-
-def split_product_check(p_v: Polynomial, p_u: Polynomial, p_uperp: Polynomial,
-                        v: GrassmannPoint, u: GrassmannPoint, u_perp: GrassmannPoint,
-                        m_sub: Sublattice, mperp_sub: Sublattice):
-    """Check p_v(x) = p_u(x_M) p_uperp(x_Mperp) to 1e-9 on 20 seeded random
-    vectors.
-
-    Returns (ok, worst_deviation).  Also verifies the bidegree bookkeeping
-    when all three polynomials are homogeneous.
-    """
-    import random
-
-    if isinstance(p_v, HomogeneousPolynomial) and isinstance(p_u, HomogeneousPolynomial) \
-            and isinstance(p_uperp, HomogeneousPolynomial):
-        if (p_u.degrees[0] + p_uperp.degrees[0] != p_v.degrees[0]
-                or p_u.degrees[1] + p_uperp.degrees[1] != p_v.degrees[1]):
-            return False, float("inf")
-    rng = random.Random(7)
-    amb = m_sub.ambient
-    worst = 0.0
-    for _ in range(20):
-        x = [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(amb.rank)]
-        lhs = p_v.evaluate(v.adapted_coords(x))
-        # coords_of(project_ambient(x)) is coords_of(x): coords_of inverts embed
-        xm = m_sub.coords_of(x)
-        xp = mperp_sub.coords_of(x)
-        rhs = p_u.evaluate(u.adapted_coords(xm)) * p_uperp.evaluate(u_perp.adapted_coords(xp))
-        worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-9, worst

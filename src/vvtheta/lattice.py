@@ -135,22 +135,19 @@ def rescale(lat: Lattice, s: int, name: str | None = None) -> Lattice:
 class Sublattice:
     """A primitive non-degenerate sublattice of an ambient lattice.
 
-    ``basis`` lists generator vectors (ambient integer coordinates); the
-    induced Gram matrix makes the sublattice a Lattice in its own right.
-    Equality leaves out ``original_basis``, the generators before saturation.
+    ``basis`` lists the generator vectors as given (ambient integer
+    coordinates); the induced Gram matrix makes the sublattice a Lattice in
+    its own right.
     """
 
     def __init__(self, ambient: Lattice, basis: tuple[tuple[int, ...], ...],
-                 lattice: Lattice, was_primitive: bool = True,
-                 original_basis: tuple[tuple[int, ...], ...] | None = None):
+                 lattice: Lattice):
         self.ambient = ambient
         self.basis = basis
         self.lattice = lattice
-        self.was_primitive = was_primitive
-        self.original_basis = original_basis
 
     def _value(self) -> tuple:
-        return (self.ambient, self.basis, self.lattice, self.was_primitive)
+        return (self.ambient, self.basis, self.lattice)
 
     def __eq__(self, other):
         if other.__class__ is not Sublattice:
@@ -192,13 +189,12 @@ class Sublattice:
         return self.embed(self.coords_of(vec))
 
 
-def sublattice(ambient: Lattice, generators, *, saturate: bool = False) -> Sublattice:
-    """Build a sublattice from integer generator vectors.
+def sublattice(ambient: Lattice, generators) -> Sublattice:
+    """Build a primitive sublattice from integer generator vectors.
 
-    By default the generators must already span a primitive (saturated)
-    sublattice, otherwise NotPrimitive is raised.  With ``saturate=True`` the
-    stored basis is the saturation and the original generators are kept with
-    ``was_primitive=False``.  A non-integral entry raises NotIntegral.
+    The generators must be linearly independent (DegenerateSublattice
+    otherwise) and span a primitive (saturated) sublattice, otherwise
+    NotPrimitive is raised.  A non-integral entry raises NotIntegral.
     """
     gens = [tuple(map(_int_entry, g)) for g in generators]
     if not gens:
@@ -208,21 +204,16 @@ def sublattice(ambient: Lattice, generators, *, saturate: bool = False) -> Subla
     basis, primitive = exact.saturate_columns(gens)
     if len(basis) != len(gens):
         raise DegenerateSublattice("generators are linearly dependent")
-    if not primitive and not saturate:
+    if not primitive:
         raise NotPrimitive("generators span a non-saturated sublattice")
-    use_basis = basis if saturate else gens
-    b = exact.transpose([list(v) for v in use_basis])
+    b = exact.transpose([list(v) for v in gens])
     induced = exact.mat_mul(exact.mat_mul(exact.transpose(b), ambient.gram_rows()), b)
     induced_int = [[int(x) for x in row] for row in induced]
     try:
         sub_lat = construct_lattice(induced_int)
     except Degenerate as exc:
         raise DegenerateSublattice(str(exc)) from exc
-    return Sublattice(ambient=ambient,
-                      basis=tuple(tuple(int(x) for x in v) for v in use_basis),
-                      lattice=sub_lat,
-                      was_primitive=primitive,
-                      original_basis=None if primitive else tuple(gens))
+    return Sublattice(ambient=ambient, basis=tuple(gens), lattice=sub_lat)
 
 
 def orthogonal_complement(ambient: Lattice, sub: Sublattice) -> Sublattice:
@@ -231,8 +222,6 @@ def orthogonal_complement(ambient: Lattice, sub: Sublattice) -> Sublattice:
     Basis: saturated integer kernel of (G B)^T where B holds sub's
     generators as columns.
     """
-    if not sub.was_primitive:
-        raise NotPrimitive("complement requires a primitive sublattice")
     gb = exact.mat_mul(ambient.gram_rows(), sub.basis_matrix())
     kernel = exact.integer_kernel(exact.transpose(gb))
     if len(kernel) != ambient.rank - sub.rank:
@@ -246,8 +235,9 @@ class OverlatticeEmbedding:
     ``glue`` expresses a basis of the big lattice in small-lattice
     coordinates (one column per big basis vector), so glue^{-1} is integral.
     ``glue_group`` is the isotropic subgroup of the small discriminant group
-    corresponding to the overlattice; it is filled in by
-    overlattice_from_isotropic and by split embeddings.
+    corresponding to the overlattice.  overlattice_from_isotropic fills it
+    in; elsewhere it is None (split_data's embeddings among them), and
+    glue_map reads the subgroup off ``glue``.
     """
 
     def __init__(self, small: Lattice, big: Lattice, glue: tuple[tuple[Fraction, ...], ...],

@@ -364,24 +364,15 @@ def down_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVecto
     return _along(gm.down_matrix, vec, i, Axis(gm.big_disc, vec.axes[i].dual))
 
 
-def pair(u: RepVector, v: RepVector, groups=None):
-    """Bilinear pairing contracting matching axes of u against v.
+def pair(u: RepVector, v: RepVector, groups):
+    """Bilinear pairing contracting the axes of u and v over ``groups``.
 
     For each group to contract, u must carry exactly one axis over it and v
-    exactly one axis of the opposite duality; matching indices multiply and
-    sum.  Defaults to contracting every group that admits such a match.
-    Returns a scalar when no axes remain, otherwise a RepVector over the
-    leftover axes (u's first, then v's).
+    exactly one axis of the opposite duality (IndexMismatch otherwise);
+    matching indices multiply and sum.  Returns a scalar when no axes
+    remain, otherwise a RepVector over the leftover axes (u's first, then
+    v's).
     """
-    if groups is None:
-        groups = []
-        for ax in u.axes:
-            u_hits = [a for a in u.axes if a.group == ax.group]
-            v_hits = [a for a in v.axes if a.group == ax.group and a.dual != ax.dual]
-            if len(u_hits) == 1 and len(v_hits) == 1:
-                groups.append(ax.group)
-        if not groups:
-            raise IndexMismatch("no contractible axes between the two vectors")
     u_idx, v_idx = [], []
     for group in groups:
         iu = [i for i, ax in enumerate(u.axes) if ax.group == group]

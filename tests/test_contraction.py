@@ -11,6 +11,7 @@ from vvtheta import (
     ComplementNotDefinite,
     InconsistentDegrees,
     IndexMismatch,
+    NonHomogeneousPolynomial,
     PolynomialNotHarmonic,
     QExpansionForm,
     build_term_table,
@@ -241,6 +242,15 @@ def test_contract_rejects_nonharmonic(a1_plus_a1):
         contract_symbolic(form, a1_plus_a1, m_sub, x2, 8.0)
 
 
+def test_contract_rejects_polynomial_over_wrong_variables(a1_plus_a1):
+    # the complement A1 has one plus variable; a harmonic constant over two
+    # is rejected as by mixed_theta_evaluator (and theta-lm)
+    m_sub = sublattice(a1_plus_a1, [(1, 0)])
+    form = QExpansionForm(a1_plus_a1, F(0), {((0, 0), F(0)): 1.0})
+    with pytest.raises(NonHomogeneousPolynomial):
+        contract_symbolic(form, a1_plus_a1, m_sub, constant_poly(2, 0), 8.0)
+
+
 def test_contract_degenerate_glue_matches_composed():
     # D_M = Z/4 with glue projection {0, 2}: b(2,2) = 0, so the glue is
     # degenerate; the contraction is still the form paired with the mixed
@@ -394,6 +404,17 @@ def test_restriction_block_sum_exact(a1a1_split):
     assert max(seesaw_restriction_residuals(seesaw, form, taus, 12.0)) < 1e-10
 
 
+def test_restriction_with_large_polynomial_values(ii11_split):
+    # p_uperp = x^14 makes the polynomial values large; p_v = p_u p_uperp
+    # holds by construction, so the residuals stay at rounding size
+    ii11, m_sub, mperp, u, u_perp = ii11_split
+    x14 = HomogeneousPolynomial((14, 0), 1, 0, {(14,): 1.0})
+    seesaw = Seesaw(ii11, m_sub, u, u_perp, constant_poly(0, 1), x14)
+    form = QExpansionForm(ii11, F(-7), {((), F(0)): 1.0})
+    residuals = seesaw_restriction_residuals(seesaw, form, [0.2 + 1.1j, -0.37 + 0.9j], 10.0)
+    assert max(residuals) < 1e-12
+
+
 def test_naive_lift(ii11_split):
     ii11, m_sub, mperp, u, u_perp = ii11_split
     zero = QExpansionForm(ii11, F(0), {})
@@ -516,7 +537,7 @@ def test_pair_of_modular_forms_weight_zero(a1, a1_neg):
     def h(tau):
         ta = siegel_theta(a1, tau, va, pa, None, 24.0)
         tn = siegel_theta(a1_neg, tau, vn, pn, None, 24.0)
-        return pair(ta.value, _reindex_axis(tn.value, 0, da, True))
+        return pair(ta.value, _reindex_axis(tn.value, 0, da, True), groups=[da])
 
     tau = 0.2 + 1.1j
     for g in (MP_T, MP_S):

@@ -20,7 +20,6 @@ from vvtheta import (
     make_grassmann_point,
     orthogonal_complement,
     rescale,
-    split_product_check,
     sublattice,
     swap_blocks_point,
 )
@@ -156,24 +155,27 @@ def test_direct_sum_grassmann(ii11_split):
     assert v.dim_minus == u.dim_minus + u_perp.dim_minus
 
 
-def test_split_product_check(ii11_split):
+def test_split_product_identity(ii11_split):
+    # p_v(x) = p_u(x_M) p_uperp(x_Mperp) on v = u (+) u_perp with p_v from
+    # lift_product: each adapted coordinate of v is the matching one of u or
+    # u_perp, so the two sides agree to rounding at any size of the values
     ii11, m_sub, mperp, u, u_perp = ii11_split
     v = direct_sum_grassmann(m_sub, mperp, u, u_perp)
-    one_m = constant_poly(0, 1)
-    one_p = constant_poly(1, 0)
-    ok, dev = split_product_check(lift_product(one_m, one_p), one_m, one_p,
-                                  v, u, u_perp, m_sub, mperp)
-    assert ok, dev
-    # x from the u_perp block times y from the u block
-    px = coordinate_poly(1, 0, 0)
-    py = coordinate_poly(0, 1, 0)
-    pv = lift_product(py, px)
-    ok, dev = split_product_check(pv, py, px, v, u, u_perp, m_sub, mperp)
-    assert ok, dev
-    # degree bookkeeping failure is detected
-    ok, _ = split_product_check(lift_product(py, px), py, constant_poly(1, 0),
-                                v, u, u_perp, m_sub, mperp)
-    assert not ok
+    x14 = HomogeneousPolynomial((14, 0), 1, 0, {(14,): 1.0})
+    # (p_u on M, p_uperp on Mperp); the second is y from u times x from u_perp
+    cases = [(constant_poly(0, 1), constant_poly(1, 0)),
+             (coordinate_poly(0, 1, 0), coordinate_poly(1, 0, 0)),
+             (constant_poly(0, 1), x14)]
+    rng = random.Random(7)
+    xs = [[F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(ii11.rank)]
+          for _ in range(20)]
+    for p_u, p_uperp in cases:
+        p_v = lift_product(p_u, p_uperp)
+        for x in xs:
+            lhs = p_v.evaluate(v.adapted_coords(x))
+            rhs = (p_u.evaluate(u.adapted_coords(m_sub.coords_of(x)))
+                   * p_uperp.evaluate(u_perp.adapted_coords(mperp.coords_of(x))))
+            assert abs(lhs - rhs) <= 1e-12 * abs(rhs), (p_uperp.degrees, x)
 
 
 def test_block_swap_consistency(ii11):

@@ -93,15 +93,12 @@ def test_complement_rank_and_primitivity(ii11, a1_plus_a1neg, a2):
         assert m.rank + comp.rank == lat.rank
         # the complement is saturated: rebuilding it changes nothing
         again = sublattice(lat, comp.basis)
-        assert again.basis == comp.basis and again.was_primitive
+        assert again.basis == comp.basis
 
 
-def test_nonprimitive_rejected_and_saturation(ii11):
+def test_nonprimitive_and_degenerate_rejected(ii11):
     with pytest.raises(NotPrimitive):
         sublattice(ii11, [(2, 2)])
-    sat = sublattice(ii11, [(2, 2)], saturate=True)
-    assert not sat.was_primitive
-    assert sat.basis in (((1, 1),), ((-1, -1),))
     with pytest.raises(DegenerateSublattice):
         sublattice(ii11, [(1, 1), (2, 2)])
     # isotropic generator spans a degenerate sublattice
@@ -178,11 +175,10 @@ def test_lattice_equality_ignores_name():
     assert {x: 1}[y] == 1
 
 
-def test_sublattice_equality_ignores_original_basis(ii11):
-    # two generator lists with the same saturation give one sublattice
-    m2 = sublattice(ii11, [(2, 2)], saturate=True)
-    m3 = sublattice(ii11, [(3, 3)], saturate=True)
-    assert m2.original_basis != m3.original_basis
-    assert m2 == m3 and hash(m2) == hash(m3)
-    assert m2 != sublattice(ii11, [(1, 1)])  # was_primitive differs
-    assert m2 != sublattice(ii11, [(1, -1)], saturate=True)
+def test_sublattice_equality_is_by_value(ii11):
+    # the mixed theta store keys on the sublattice: two builds from the same
+    # generators are one key, other generators another
+    m1 = sublattice(ii11, [(1, 1)])
+    m2 = sublattice(ii11, [[1.0, F(1)]])
+    assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
+    assert m1 != sublattice(ii11, [(1, -1)]) and m1 != m1.lattice

@@ -296,7 +296,7 @@ def test_pair_dual_bases(a1):
         for delta in d.elements():
             u = RepVector.basis_vector((Axis(d),), (gamma,))
             v = RepVector.basis_vector((Axis(d, dual=True),), (delta,))
-            assert pair(u, v) == (1 if gamma == delta else 0)
+            assert pair(u, v, groups=[d]) == (1 if gamma == delta else 0)
 
 
 def test_pair_identity_vector(a1, a2):
@@ -305,7 +305,7 @@ def test_pair_identity_vector(a1, a2):
         d = discriminant_group(lat)
         v = RepVector((Axis(d),), {(x,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                                    for x in d.elements()})
-        assert (pair(v, identity_vector(d)) - v).norm_inf() < 1e-12
+        assert (pair(v, identity_vector(d), groups=[d]) - v).norm_inf() < 1e-12
 
 
 def test_identity_vector_invariant(a1, a2, a1_plus_a1neg):
@@ -325,8 +325,8 @@ def test_pair_with_arrows(glue):
     u = RepVector((Axis(big, dual=True),),
                   {(k,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                    for k in big.elements()})
-    lhs = pair(down_arrow(glue, x), u)
-    rhs = pair(x, up_arrow(glue, u))
+    lhs = pair(down_arrow(glue, x), u, groups=[big])
+    rhs = pair(x, up_arrow(glue, u), groups=[small])
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -349,7 +349,7 @@ def test_pair_nested_identities(glue, a1):
     w = rand_vec((Axis(dl), Axis(dm, dual=True)), [dl.elements(), dm.elements()])
     u = rand_vec((Axis(dl, dual=True),), [dl.elements()])
     first = pair(pair(v, w, groups=[dm]), u, groups=[dl])
-    second = pair(w, u.tensor(v))
+    second = pair(w, u.tensor(v), groups=[dl, dm])
     third = pair(v, pair(w, u, groups=[dl]), groups=[dm])
     assert abs(first - second) < 1e-12
     assert abs(second - third) < 1e-12
@@ -415,9 +415,11 @@ def test_pair_index_mismatch(a1, a2):
     u = RepVector.basis_vector((Axis(d1),), ((0,),))
     v = RepVector.basis_vector((Axis(d2, dual=True),), ((0,),))
     with pytest.raises(IndexMismatch):
-        pair(u, v)
+        pair(u, v, groups=[d1])  # no axis of v over d1
     with pytest.raises(IndexMismatch):
-        pair(u, u)  # same duality, no complementary axis
+        pair(u, v, groups=[d2])  # no axis of u over d2
+    with pytest.raises(IndexMismatch):
+        pair(u, u, groups=[d1])  # same duality, no complementary axis
 
 
 def test_axes_over_equal_lattices_compare_equal(monkeypatch):
@@ -432,7 +434,8 @@ def test_axes_over_equal_lattices_compare_equal(monkeypatch):
     u = RepVector.basis_vector((Axis(first),), ((1,),))
     v = RepVector.basis_vector((Axis(second),), ((1,),))
     assert (u + v).get(((1,),)) == 2
-    assert pair(u, RepVector.basis_vector((Axis(second, dual=True),), ((1,),))) == 1
+    assert pair(u, RepVector.basis_vector((Axis(second, dual=True),), ((1,),)),
+                groups=[first]) == 1
 
 
 def test_metaplectic_element_compares_entries_and_branch():
@@ -498,6 +501,6 @@ def test_multi_axis_routes_match_kronecker_forms(a1, a2, glue):
     # pairing contracts A2(2)* and the small group against a (small*, A2(2)) vector
     w_arr = random_array((shape[2], shape[1]))
     w = RepVector.from_array((Axis(groups[2], True), Axis(groups[1], False)), w_arr)
-    paired = pair(vec, w)
+    paired = pair(vec, w, groups=groups[1:])
     assert paired.axes == axes[:1]
     assert np.abs(paired.array - np.einsum("abc,cb->a", arr, w_arr)).max() < 1e-12
