@@ -299,15 +299,17 @@ class TermTable:
     """Every summand of one truncated theta sum, as numpy arrays.
 
     Row r is the vector lambda_r of class ``keys[key_index[r]]``; rows are
-    sorted by key, then by vector.  The row's vector, exponents and phase
-    are exact: ``vectors`` / ``vector_den``, ``a_num`` / ``ab_den``,
-    ``b_num`` / ``ab_den`` and ``phase_num`` / ``phase_den`` (int64
-    numerators, Python-int denominators).  ``poly[r, j]`` multiplies y^{-j}
-    and already contains the (-1/(8 pi))^j / j! factor of the Gaussian
-    smoothing operator.  ``a - b`` is half the majorant (>= 0), ``a + b``
-    half the norm: the row's frequency in x.  The first ``evaluate`` groups
-    the rows by their exact frequency numerator and folds the phase into
-    the coefficients (_factors); the table keeps both for every later call.
+    sorted by key, then by vector, and every key has at least one row, so
+    each key's rows are one contiguous segment.  The row's vector, exponents
+    and phase are exact: ``vectors`` / ``vector_den``, ``a_num`` /
+    ``ab_den``, ``b_num`` / ``ab_den`` and ``phase_num`` / ``phase_den``
+    (int64 numerators, Python-int denominators).  ``poly[r, j]``
+    multiplies y^{-j} and already contains the (-1/(8 pi))^j / j! factor of
+    the Gaussian smoothing operator.  ``a - b`` is half the majorant (>= 0),
+    ``a + b`` half the norm: the row's frequency in x.  The first
+    ``evaluate`` groups the rows by their exact frequency numerator, folds
+    the phase into the coefficients and finds the key segments (_factors);
+    the table keeps them for every later call.
     """
 
     def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
@@ -339,14 +341,15 @@ class TermTable:
     def _factors(self) -> tuple:
         """The tau-independent factors of evaluate, made on its first call.
 
-        Returns ``(coeff, rate, omega, group, slots)``.  ``coeff[j]`` is
-        ``poly[:, j] e(-phase)``, e(t) = exp(2 pi i t), with the phase
+        Returns ``(coeff, rate, omega, group, starts, power)``.  ``coeff[j]``
+        is ``poly[:, j] e(-phase)``, e(t) = exp(2 pi i t), with the phase
         reduced mod 1 exactly, and ``rate`` is -2 pi (a - b).  The rows are
         grouped by the exact numerator a_num + b_num of their frequency:
         ``omega`` holds 2 pi i (a + b) once per distinct numerator,
-        ascending, and ``group[r]`` is row r's entry.  ``slots`` interleaves
-        2 k and 2 k + 1 for each row's key index k: the bins of its real and
-        imaginary parts.
+        ascending, and ``group[r]`` is row r's entry.  The rows come in key
+        order and every key has one (build_term_table), so key k's rows are
+        ``starts[k]`` up to ``starts[k + 1]``.  ``power`` is the float
+        prefactor exponent.
         """
         # a >= 0 >= b, each at most INT64_SAFE in size, so a + b and b - a fit int64
         freq_num = self.a_num + self.b_num
@@ -361,11 +364,10 @@ class TermTable:
         phase_num = (self.phase_num % self.phase_den if self.phase_den <= INT64_SAFE
                      else self.phase_num)
         wave = np.exp(phase_num * (-1j * TWO_PI / self.phase_den))
-        slots = np.repeat(2 * self.key_index, 2)
-        slots[1::2] += 1
+        starts = np.searchsorted(self.key_index, np.arange(len(self.keys)))
         scale = TWO_PI / self.ab_den
         return (np.multiply(self.poly.T, wave, order="C"), (self.b_num - self.a_num) * scale,
-                ranked[first] * (1j * scale), group, slots)
+                ranked[first] * (1j * scale), group, starts, float(self.prefactor_exponent))
 
     def evaluate(self, taus) -> np.ndarray:
         """Theta components at each tau, y^prefactor_exponent included.
@@ -374,45 +376,52 @@ class TermTable:
         (sum_j e^(y rate[r]) y^-j coeff[j, r]) e^(x omega[group[r]]) from
         the factors of _factors, each product taken left to right: a chunk
         of taus takes one real np.exp per row, one complex np.exp per
-        distinct frequency and one bincount, and a key's terms are summed
-        in row order.
+        distinct frequency and one np.add.reduceat over the key segments,
+        which keeps a key's first row and adds numpy's pairwise sum of the
+        rest.
         """
-        coeff, rate, omega, group, slots = self._factors
+        coeff, rate, omega, group, starts, power = self._factors
         taus = np.asarray(taus, dtype=complex).reshape(-1)
-        n_keys = len(self.keys)
-        out = np.empty((n_keys, len(taus)), dtype=complex)
+        out = np.empty((len(self.keys), len(taus)), dtype=complex)
         step = max(1, _EVAL_CHUNK // max(len(rate), 1))
-        power = float(self.prefactor_exponent)
         for lo in range(0, len(taus), step):
             x, y = taus.real[lo:lo + step, None], taus.imag[lo:lo + step, None]
-            width = len(y)
             decay = np.exp(y * rate)
             values = decay * coeff[0]
             for j in range(1, len(coeff)):
                 values += decay * y ** -j * coeff[j]
             values *= np.exp(x * omega).take(group, axis=1)
-            bins = np.add.outer(2 * n_keys * np.arange(width), slots)
-            block = np.bincount(bins.ravel(), values.view(float).ravel(),
-                                minlength=2 * n_keys * width)
-            out[:, lo:lo + width] = (block.view(complex).reshape(width, n_keys)
-                                     * y ** power).T
+            sums = np.add.reduceat(values, starts, axis=1)
+            sums *= y ** power
+            out[:, lo:lo + len(y)] = sums.T
         return out
 
 
-def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray) -> np.ndarray:
+def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.ndarray:
     """(terms x len(series)) coefficients of y^{-j}, from the adapted
-    coordinates of the columns of w."""
-    h = point.lattice.gram_np() @ point.adapted
-    coords = _lin(w, h)
-    coords[point.dim_plus:] *= -1.0
+    coordinates of the columns of w / den that some monomial reads."""
+    read = sorted({i for poly in series for expo in poly.monomials
+                   for i, e in enumerate(expo) if e})
+    coords = {}
+    if read:
+        h = (point.lattice.gram_np() @ point.adapted)[:, read]
+        # _lin sums each output column on its own, from +0.0, so it never
+        # holds -0.0 and adding a zero leaves it unchanged: leaving out the
+        # unread columns and the coordinates of w that no read column uses
+        # changes no float
+        used = np.flatnonzero(h.any(axis=1))
+        coords = dict(zip(read, _lin(w[used] / float(den), h[used])))
+        for i in read:
+            if i >= point.dim_plus:
+                coords[i] *= -1.0
     out = np.zeros((w.shape[1], len(series)), dtype=complex)
     for j, poly in enumerate(series):
         col = np.zeros(w.shape[1], dtype=complex)
         for expo, coeff in poly.monomials.items():
             term = np.full(w.shape[1], coeff, dtype=complex)
-            for e, t in zip(expo, coords):
+            for i, e in enumerate(expo):
                 if e:
-                    term = term * t ** e
+                    term = term * coords[i] ** e
             col = col + term
         out[:, j] = col * (-1.0 / (8.0 * math.pi)) ** j
     return out
@@ -453,12 +462,13 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     # the walk's value is W^T (N+ - N-) W, exactly
     b_num = (a_num - value).astype(np.int64, copy=False)
     phase_den = 2 * vector_den * forms.alpha_denominator
-    phase_num = _lin(2 * w - forms.d_beta[:, None], forms.g_alpha[:, None])[0]
-    return TermTable(keys=keys, key_index=key_index, vectors=np.ascontiguousarray(lam.T),
+    # |g_alpha| . (2 |W| + |D beta|) <= INT64_SAFE (_IntegerForms), so no sum overflows
+    phase_num = forms.g_alpha @ (2 * w - forms.d_beta[:, None])
+    return TermTable(keys=keys, key_index=key_index, vectors=lam.T,
                      vector_den=vector_den,
                      a_num=a_num, b_num=b_num, ab_den=ab_den,
                      phase_num=phase_num, phase_den=phase_den,
-                     poly=_poly_matrix(series, point, w / float(vector_den)),
+                     poly=_poly_matrix(series, point, w, vector_den),
                      prefactor_exponent=Fraction(prefactor_exponent))
 
 
@@ -526,8 +536,7 @@ def _tail_shell(q: np.ndarray, series):
     return pieces, binomials, max(d for _j, _c, d in pieces) + n, vol_n * n / covol
 
 
-def _tail_bound(shell, translates: int, y: float, bound: float,
-                prefactor_exponent: Fraction) -> float:
+def _tail_bound(shell, translates: int, y: float, bound: float, power: float) -> float:
     """Upper bound on the omitted sum, by a shell-volume integral.
 
     Point counts in a majorant ball of radius s are bounded by
@@ -537,7 +546,8 @@ def _tail_bound(shell, translates: int, y: float, bound: float,
     integral over r > bound is evaluated in closed form: expanding
     (s + rho)^(n-1) binomially leaves pieces s^m e^{-lam r} (lam = 2 pi y),
     each integrating to 2^(m/2) lam^(-m/2-1) Gamma(m/2+1, lam bound).
-    ``shell`` is _tail_shell of the majorant and the series.
+    ``shell`` is _tail_shell of the majorant and the series, and ``power``
+    the prefactor exponent.
     """
     if shell is None:
         return 0.0
@@ -554,7 +564,7 @@ def _tail_bound(shell, translates: int, y: float, bound: float,
     total = sum(c * 2.0 ** (m / 2) * lam ** (-m / 2 - 1) * g
                 for m, (c, g) in enumerate(zip(coeffs, gammas), start=-1))
     total *= volume
-    return float(y ** float(prefactor_exponent) * translates * total)
+    return float(y ** power * translates * total)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +600,9 @@ class ThetaEvaluator:
     """The term table of a theta sum, reusable across many tau.
 
     Term data is tau-independent; one enumeration serves every evaluation
-    point (the quadrature loops rely on this).
+    point (the quadrature loops rely on this).  The evaluator keeps its last
+    batch of taus, exactly, with its vectors, so a check that asks again for
+    the same taus gets the same (immutable) vectors without an evaluation.
     """
 
     def __init__(self, table: TermTable, axes, bound, majorant_np, translates, series):
@@ -601,22 +613,39 @@ class ThetaEvaluator:
             [np.ravel_multi_index([a.group.index(x) for a, x in zip(axes, key)], self._shape)
              for key in table.keys], dtype=np.intp)
         self.prefactor_exponent = table.prefactor_exponent
+        self._power = float(table.prefactor_exponent)
         self.bound = float(bound)
         self._majorant = majorant_np
         self._translates = translates
         self._series = series
+        self._last = (None, [])
 
     def vectors(self, taus) -> list[RepVector]:
         """Theta vectors at many tau from one batched table evaluation
         (no tail bounds)."""
-        values = self.terms.evaluate([_check_tau(t) for t in taus])
-        dense = np.zeros((values.shape[1], math.prod(self._shape)), dtype=complex)
+        return self._vectors([_check_tau(t) for t in taus])
+
+    def _vectors(self, taus: list[complex]) -> list[RepVector]:
+        """vectors, for taus that _check_tau has read."""
+        taus = np.array(taus, dtype=complex)
+        batch = taus.tobytes()
+        if batch == self._last[0]:
+            return list(self._last[1])
+        values = self.terms.evaluate(taus)
+        dense = np.zeros((len(taus), math.prod(self._shape)), dtype=complex)
         dense[:, self._positions] = values.T
-        return [RepVector.from_array(self.axes, row.reshape(self._shape)) for row in dense]
+        dense.flags.writeable = False
+        out = [RepVector.from_array(self.axes, row.reshape(self._shape)) for row in dense]
+        self._last = (batch, out)
+        return list(out)
 
     def at(self, tau: complex) -> ThetaValue:
-        tau = _check_tau(tau)
-        return ThetaValue(value=self.vectors([tau])[0], tau=tau, bound=self.bound,
+        return self._at(_check_tau(tau))
+
+    def _at(self, tau: complex) -> ThetaValue:
+        """at, for a tau that _check_tau has read."""
+        (value,) = self._vectors([tau])
+        return ThetaValue(value=value, tau=tau, bound=self.bound,
                           tail_estimate=self.tail(tau.imag),
                           prefactor_exponent=self.prefactor_exponent)
 
@@ -625,8 +654,7 @@ class ThetaEvaluator:
         return _tail_shell(self._majorant, self._series)
 
     def tail(self, y: float) -> float:
-        return _tail_bound(self._shell, self._translates, y, self.bound,
-                           self.prefactor_exponent)
+        return _tail_bound(self._shell, self._translates, y, self.bound, self._power)
 
 
 def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
@@ -659,7 +687,7 @@ def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
     bound enumerates nothing.
     """
     tau = _check_tau(tau)
-    return siegel_theta_family(lat, point, poly).evaluator(pair_vectors, bound).at(tau)
+    return siegel_theta_family(lat, point, poly).evaluator(pair_vectors, bound)._at(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +801,7 @@ def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
     mixed_theta_family, as in siegel_theta."""
     tau = _check_tau(tau)
     family = mixed_theta_family(lat, m_sub, u_perp, p_uperp)
-    return family.evaluator(pair_vectors, bound).at(tau)
+    return family.evaluator(pair_vectors, bound)._at(tau)
 
 
 def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
@@ -783,10 +811,10 @@ def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
     The merged axis comes first; the remaining axes keep their order.  D_M x
     D_perp -> D_inner is a bijection, so the merge is one gather.
     """
-    arr = np.moveaxis(vec.array, (m_axis, perp_axis), (0, 1))
+    rest = [i for i in range(len(vec.axes)) if i not in (m_axis, perp_axis)]
+    arr = vec.array.transpose([m_axis, perp_axis] + rest)
     arr = arr.reshape((-1,) + arr.shape[2:])[sd.pair_of_inner]
-    axes = (Axis(sd.d_inner, dual=False),) + tuple(
-        ax for i, ax in enumerate(vec.axes) if i not in (m_axis, perp_axis))
+    axes = (Axis(sd.d_inner, dual=False),) + tuple(vec.axes[i] for i in rest)
     return RepVector.from_array(axes, arr)
 
 

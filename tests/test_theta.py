@@ -625,10 +625,12 @@ def test_table_rows_match_per_vector_reference():
 
 def _evaluate_terms_major(table, taus):
     """TermTable.evaluate with (terms x taus) work arrays, the reference
-    layout."""
-    coeff, rate, omega, group, _slots = table._factors
+    layout.  Each key's rows are one contiguous segment, summed at each tau
+    as the segment's first row plus numpy's pairwise sum of the rest."""
+    coeff, rate, omega, group, starts, power = table._factors
     taus = np.asarray(taus, dtype=complex).reshape(-1)
     n_keys, n_terms = len(table.keys), len(table)
+    segments = list(zip(starts.tolist(), starts[1:].tolist() + [n_terms]))
     out = np.zeros((n_keys, len(taus)), dtype=complex)
     step = max(1, theta_mod._EVAL_CHUNK // max(n_terms, 1))
     for lo in range(0, len(taus), step):
@@ -640,19 +642,19 @@ def _evaluate_terms_major(table, taus):
         for j in range(1, len(coeff)):
             values += decay * y ** -j * coeff[j][:, None]
         values *= np.exp(omega[:, None] * x)[group]
-        bins = (table.key_index[:, None] * width + np.arange(width)).ravel()
-        block = np.empty(n_keys * width, dtype=complex)
-        block.real = np.bincount(bins, values.real.ravel(), minlength=n_keys * width)
-        block.imag = np.bincount(bins, values.imag.ravel(), minlength=n_keys * width)
-        out[:, lo:lo + width] = block.reshape(n_keys, width) \
-            * y ** float(table.prefactor_exponent)
+        block = np.zeros((n_keys, width), dtype=complex)
+        for k, (first, end) in enumerate(segments):
+            for t in range(width):
+                column = values[first:end, t]
+                block[k, t] = column[0] + column[1:].sum() if end - first > 1 else column[0]
+        out[:, lo:lo + width] = block * y ** power
     return out
 
 
 def test_evaluate_bits_do_not_depend_on_the_layout(monkeypatch, a2, ii11):
     # the (taus x terms) layout computes every element with the same floats
-    # and sums each key's terms in row order: bit for bit the (terms x taus)
-    # evaluation, at 1, 2 and 5 taus and with the taus split over chunks
+    # and sums each key's segment the same way: bit for bit the (terms x
+    # taus) evaluation, at 1, 2 and 5 taus and with the taus split over chunks
     lat = direct_sum(a2, ii11)
     m_sub = sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)])
     sd = split_data(lat, m_sub)
@@ -754,7 +756,7 @@ def test_evaluate_matches_a_30_digit_sum(a2, ii11):
 def _frequency_groups(table) -> list:
     """The exact numerator a_num + b_num of each frequency group, after
     checking that every row of a group has that one numerator."""
-    _coeff, _rate, omega, group, _slots = table._factors
+    _coeff, _rate, omega, group, _starts, _power = table._factors
     numerators = {}
     for g, f in zip(group.tolist(), (table.a_num + table.b_num).tolist()):
         numerators.setdefault(g, set()).add(f)
@@ -813,6 +815,129 @@ def test_frequency_grouping_runs_once_per_table(a2, ii11, monkeypatch):
         siegel_theta(lat, tau, split, x1_sq, pair, 6)
     assert len(calls) == 1
     assert siegel_theta_family(lat, split, x1_sq).evaluator(pair, 6).terms is table
+
+
+def test_bundled_scenario_tables_have_one_segment_per_key(monkeypatch):
+    # the kernel sums each key over one contiguous run of rows: in every
+    # table of a run of each bundled scenario, key_index never decreases,
+    # every key has a row, and _factors' starts are each key's first row
+    from vvtheta.cli import run_scenario
+
+    tables = []
+    build = theta_mod.build_term_table
+
+    def recording(*args, **kwargs):
+        tables.append(build(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(theta_mod, "build_term_table", recording)
+    for path in sorted(BUNDLED.parent.glob("*.json")):
+        run_scenario(str(path))
+    assert len(tables) == 24
+    for table in tables:
+        index = table.key_index
+        assert (np.diff(index) >= 0).all()
+        assert np.array_equal(np.unique(index), np.arange(len(table.keys)))
+        starts = table._factors[4]
+        assert starts.tolist() == [index.tolist().index(k) for k in range(len(table.keys))]
+
+
+def test_table_without_rows_evaluates_to_no_keys(a2, ii11):
+    # no vector of any coset meets bound 0 once shifted by beta, so the
+    # table has no rows and no keys, and every evaluation is (0, taus)
+    lat = direct_sum(a2, ii11)
+    split = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    x1_sq = HomogeneousPolynomial((2, 0), 3, 1, {(2, 0, 0, 0): 1.0})
+    pair = ([F(1, 3), F(1, 5), F(1, 2), F(1, 7)], [F(1, 2), F(1, 3), F(1, 5), F(1, 4)])
+    ev = siegel_theta_evaluator(lat, split, x1_sq, pair, 0)
+    assert (len(ev.terms), ev.terms.keys) == (0, ())
+    for count in (1, 2, 5):
+        got = ev.terms.evaluate(TAU_SAMPLES[:1] * count)
+        assert got.shape == (0, count) and got.dtype == complex
+    assert all(not vec.array.any() for vec in ev.vectors(TAU_SAMPLES))
+
+
+def test_vectors_keep_the_last_batch(ii11, monkeypatch):
+    # an evaluator asked again for exactly its last taus returns the same
+    # read-only vectors without evaluating; one run of the bundled II(1,1)
+    # scenario makes 15 evaluations (26 without this)
+    from vvtheta.cli import run_scenario
+
+    calls = []
+    evaluate = theta_mod.TermTable.evaluate
+
+    def counting(self, taus):
+        calls.append(len(taus))
+        return evaluate(self, taus)
+
+    monkeypatch.setattr(theta_mod.TermTable, "evaluate", counting)
+    v = make_grassmann_point(ii11, [[1, 1]])
+    ev = siegel_theta_evaluator(ii11, v, constant_poly(1, 1), None, 8.0)
+    first = ev.vectors(TAU_SAMPLES)
+    again = ev.vectors([complex(t) for t in TAU_SAMPLES])
+    assert [a is b for a, b in zip(first, again)] == [True, True] and calls == [2]
+    assert not any(vec.array.flags.writeable for vec in first)
+    with pytest.raises(ValueError):
+        first[0].array[...] = 0
+    # one bit of one tau, or another batch, evaluates again
+    nudged = complex(TAU_SAMPLES[0].real, np.nextafter(TAU_SAMPLES[0].imag, 2.0))
+    ev.vectors([nudged, TAU_SAMPLES[1]])
+    ev.at(TAU_SAMPLES[0])
+    value = ev.at(TAU_SAMPLES[0]).value
+    assert calls == [2, 2, 1] and np.array_equal(value.array, first[0].array)
+    calls.clear()
+    report = run_scenario(str(BUNDLED))
+    assert all(result["pass"] for result in report["results"].values())
+    assert len(calls) == 15
+
+
+def _full_poly_matrix(series, point, w):
+    """The poly columns from every adapted coordinate of the columns of w."""
+    coords = theta_mod._lin(w, point.lattice.gram_np() @ point.adapted)
+    coords[point.dim_plus:] *= -1.0
+    out = np.zeros((w.shape[1], len(series)), dtype=complex)
+    for j, poly in enumerate(series):
+        col = np.zeros(w.shape[1], dtype=complex)
+        for expo, coeff in poly.monomials.items():
+            term = np.full(w.shape[1], coeff, dtype=complex)
+            for e, t in zip(expo, coords):
+                if e:
+                    term = term * t ** e
+            col = col + term
+        out[:, j] = col * (-1.0 / (8.0 * math.pi)) ** j
+    return out
+
+
+def test_poly_matrix_reads_only_the_used_coordinates(a2, ii11, monkeypatch):
+    # computing only the adapted coordinates that a monomial reads gives the
+    # poly columns of all of them bit for bit: lifted x1^2 reads one, a
+    # (1,1) polynomial three (one of them a minus coordinate), and a
+    # constant series none, so it calls no _lin
+    calls = []
+    poly_matrix = theta_mod._poly_matrix
+
+    def recording(*args):
+        calls.append((*args, poly_matrix(*args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(theta_mod, "_poly_matrix", recording)
+    _rank4_table(a2, ii11)
+    lat = direct_sum(a2, ii11)
+    split = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(3, 10)]])
+    mixed = HomogeneousPolynomial((1, 1), 3, 1, {(1, 0, 0, 1): 1.0, (0, 1, 0, 1): 0.5})
+    pair = ([F(1, 3), F(1, 5), F(1, 2), F(1, 7)], [F(1, 2), F(1, 3), F(1, 5), F(1, 4)])
+    siegel_theta_evaluator(lat, split, mixed, pair, 6)
+    assert [len(call[0]) for call in calls] == [2, 1]
+    for series, point, w, den, got in calls:
+        assert len(got) > 100
+        assert got.tobytes() == _full_poly_matrix(series, point, w / float(den)).tobytes()
+    lin_calls = []
+    lin = theta_mod._lin
+    monkeypatch.setattr(theta_mod, "_lin", lambda *args: lin_calls.append(args) or lin(*args))
+    series, point, w, den, _got = calls[1]
+    constant = theta_mod._poly_matrix(laplacian_series(constant_poly(3, 1)), point, w, den)
+    assert lin_calls == []
+    assert constant.shape == (w.shape[1], 1) and (constant == 1).all()
 
 
 # ---------------------------------------------------------------------------
