@@ -123,7 +123,7 @@ def _ints(entries) -> list[int]:
 
 def complex_pair(z: complex) -> list:
     z = complex(z)
-    return [z.real, z.imag]
+    return [z.real + 0.0, z.imag + 0.0]  # + 0.0 prints a signed zero as 0.0
 
 
 def canonical_dumps(obj) -> str:
@@ -385,8 +385,9 @@ def _check_arrows(sc: Scenario) -> float:
     """Glue intertwiners as matrix identities, with up = down^T:
     down up down = |H| down, and rho_L(g) down = down rho_small(g) per word."""
     gm = sc.seesaw.sd.gm
-    down = gm.down_matrix
-    worst = float(np.abs(down @ down.T @ down - gm.glue_order * down).max())
+    down = np.zeros((gm.big_disc.order, gm.small_disc.order))
+    down[np.arange(gm.big_disc.order)[:, None], gm.fibres] = 1.0
+    worst = float(np.abs(down @ down.T @ down - gm.fibres.shape[1] * down).max())
     rng = random.Random(5)
     words = [MP_T, MP_S]
     for _ in range(5):

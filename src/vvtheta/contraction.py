@@ -231,21 +231,21 @@ def naive_truncated_lift(form, lat: Lattice, point, poly: HomogeneousPolynomial,
     Returns (value, error_estimate) where the estimate is the difference
     against the half-resolution grid.  The theta terms are enumerated once
     and both grids are evaluated in one batched table evaluation.  Raises
-    EmptyGrid when grid_n < 1 or y_max is not a finite number above
-    FUNDAMENTAL_Y0, where there is nothing to integrate.
+    EmptyGrid when grid_n < 2 leaves no coarser grid, y_max is not a finite
+    number above FUNDAMENTAL_Y0, or no midpoint has |tau| >= 1.
     """
-    if grid_n < 1 or not (math.isfinite(y_max) and y_max > FUNDAMENTAL_Y0):
-        raise EmptyGrid(f"no quadrature grid for grid_n = {grid_n}, y_max = {y_max}")
-    evaluator = siegel_theta_evaluator(lat, point, poly, None, bound)
-    group = discriminant_group(lat)
-
     def grid(n: int):
         dx, dy = 1.0 / n, (y_max - FUNDAMENTAL_Y0) / n
         taus = [complex(-0.5 + (i + 0.5) * dx, FUNDAMENTAL_Y0 + (j + 0.5) * dy)
                 for i in range(n) for j in range(n)]
         return [t for t in taus if t.real * t.real + t.imag * t.imag >= 1.0], dx, dy
 
-    grids = [grid(grid_n), grid(max(grid_n // 2, 1))]
+    grids = ([grid(grid_n), grid(grid_n // 2)]
+             if grid_n > 1 and FUNDAMENTAL_Y0 < y_max < math.inf else [])
+    if not (grids and grids[0][0]):
+        raise EmptyGrid(f"no quadrature grid for grid_n = {grid_n}, y_max = {y_max}")
+    evaluator = siegel_theta_evaluator(lat, point, poly, None, bound)
+    group = discriminant_group(lat)
     all_taus = [tau for taus, _dx, _dy in grids for tau in taus]
     values = iter(_contract(evaluator.vectors(all_taus), form, all_taus, group))
     totals = []

@@ -180,12 +180,12 @@ class DiscriminantGroup:
         xs = self.element_array()
         return _read_only(((xs @ u.T) % n * xs).sum(axis=1) % n)
 
-    @cached_property
+    @property
     def b_table(self) -> np.ndarray:
-        """N b(x, y) mod N for every pair of elements (read-only)."""
+        """N b(x, y) mod N for every pair of elements, not kept (S is)."""
         n, _, b = self._form_arrays()
         xs = self.element_array()
-        return _read_only(((xs @ b) % n @ xs.T) % n)
+        return ((xs @ b) % n @ xs.T) % n
 
     @cached_property
     def neg_table(self) -> np.ndarray:
@@ -194,8 +194,13 @@ class DiscriminantGroup:
 
     @cached_property
     def weil_matrices(self) -> dict:
-        """The Weil generator matrices built so far, read-only, keyed by
-        (kind, reduced power, dual); filled by weil._generator_power."""
+        """The Weil matrix S (under False) and its conjugate (under True),
+        read-only, as weil._s_matrix builds them; T and Z are never kept."""
+        return {}
+
+    @cached_property
+    def t_phases(self) -> dict:
+        """T^n's phases e(n q(x)), read-only, keyed by (n mod N, dual); see weil."""
         return {}
 
     def element_order(self, x: DiscElement) -> int:
@@ -317,36 +322,21 @@ def overlattice_from_isotropic(small: Lattice, sub: IsotropicSubgroup) -> Overla
 class GlueMap:
     """Index maps between D_small and D_big for an overlattice embedding.
 
-    ``down`` sends each element of the orthogonal complement of the glue
-    group to its class in D_big (exact index bookkeeping); the fiber over an
-    element of D_big is a row of ``down_matrix``.
+    Read-only int64 arrays: ``domain`` is H-perp in element order, ``image``
+    the class in D_big of each row, and row j of ``fibres`` the D_small
+    indices, in element order, of the |H| elements over the j-th of D_big.
     """
 
     def __init__(self, embedding: OverlatticeEmbedding, small_disc: DiscriminantGroup,
                  big_disc: DiscriminantGroup, subgroup: IsotropicSubgroup,
-                 _domain: np.ndarray, _image: np.ndarray):
+                 domain: np.ndarray, image: np.ndarray, fibres: np.ndarray):
         self.embedding = embedding
         self.small_disc = small_disc
         self.big_disc = big_disc
         self.subgroup = subgroup
-        self._domain = _domain  # H-perp, in element order
-        self._image = _image    # its classes in D_big
-
-    @property
-    def glue_order(self) -> int:
-        return self.subgroup.order
-
-    @cached_property
-    def down(self) -> dict:
-        """Each element of H-perp -> its class in D_big."""
-        return dict(zip(map(tuple, self._domain.tolist()), map(tuple, self._image.tolist())))
-
-    @cached_property
-    def down_matrix(self) -> np.ndarray:
-        """The 0/1 matrix of ``down``: rows D_big, columns D_small (read-only)."""
-        mat = np.zeros((self.big_disc.order, self.small_disc.order))
-        mat[self.big_disc.index(self._image), self.small_disc.index(self._domain)] = 1.0
-        return _read_only(mat)
+        self.domain = domain  # H-perp, in element order
+        self.image = image    # its classes in D_big
+        self.fibres = fibres  # |D_big| x |H| indices into D_small
 
 
 def glue_map(emb: OverlatticeEmbedding) -> GlueMap:
@@ -362,13 +352,16 @@ def glue_map(emb: OverlatticeEmbedding) -> GlueMap:
         columns = lift_map(small_disc, exact.transpose(emb.glue_rows()))
         sub = check_isotropic(small_disc, columns.apply(np.eye(emb.small.rank, dtype=np.int64)))
     glue_inv = exact.mat_inv(emb.glue_rows())
-    domain = _object_rows(orthogonal_subgroup(sub), len(small_disc.elementary_divisors))
+    domain = np.array(orthogonal_subgroup(sub), dtype=np.int64)
     if len(domain) != big_disc.order * sub.order:
         raise NotIsotropic("orthogonal subgroup size does not match |D_big| * |H|")
     image = lift_map(big_disc, [exact.mat_vec(glue_inv, g)
                                 for g in small_disc.generators]).apply(domain)
-    return GlueMap(embedding=emb, small_disc=small_disc, big_disc=big_disc,
-                   subgroup=sub, _domain=domain.astype(np.int64), _image=image)
+    # H-perp / H = D_big: a stable sort by class puts each fibre on one row
+    fibres = small_disc.index(domain)[np.argsort(big_disc.index(image), kind="stable")]
+    return GlueMap(embedding=emb, small_disc=small_disc, big_disc=big_disc, subgroup=sub,
+                   domain=_read_only(domain), image=_read_only(image),
+                   fibres=_read_only(fibres.reshape(big_disc.order, sub.order)))
 
 
 def disc_product_iso(sum_disc: DiscriminantGroup,

@@ -47,8 +47,12 @@ class Lattice:
             return NotImplemented
         return self is other or self._value() == other._value()
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._value())
+
+    def __hash__(self):
+        return self._hash
 
     def gram_np(self) -> np.ndarray:
         return np.array(self.gram, dtype=float).reshape(self.rank, self.rank)
@@ -154,8 +158,12 @@ class Sublattice:
             return NotImplemented
         return self is other or self._value() == other._value()
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._value())
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:

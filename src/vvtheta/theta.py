@@ -784,13 +784,13 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     series = laplacian_series(poly)
     perp_lat = sd.mperp_sub.lattice
     c_rank = sd.m_sub.rank
-    hperp = list(sd.gm.down)  # in element order
-    keys = zip(sd.gm.down.values(), map(tuple, sd.split_m.apply(hperp).tolist()))
+    hperp = sd.gm.domain  # in element order
+    keys = zip(map(tuple, sd.gm.image.tolist()), map(tuple, sd.split_m.apply(hperp).tolist()))
     cosets = [(key, lift[c_rank:]) for key, lift in zip(keys, sd.d_inner.dual_vectors(hperp))]
     prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
     axes = (Axis(sd.d_l, dual=False), Axis(sd.d_m, dual=True))
-    return ThetaEvaluator(table, axes, bound, u_perp.majorant_np, len(sd.gm.down), series)
+    return ThetaEvaluator(table, axes, bound, u_perp.majorant_np, len(hperp), series)
 
 
 def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
@@ -846,7 +846,7 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
                               (xi, eta), bound)
     return ThetaValue(value=_composed_vector(sd, theta_perp.value), tau=tau,
                       bound=float(bound),
-                      tail_estimate=theta_perp.tail_estimate * len(sd.gm.down)
+                      tail_estimate=theta_perp.tail_estimate * len(sd.gm.domain)
                       / sd.d_perp.order,
                       prefactor_exponent=theta_perp.prefactor_exponent)
 

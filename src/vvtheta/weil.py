@@ -3,11 +3,11 @@
 The representation acts on C[D] for a discriminant group D; basis vectors are
 indexed by group elements.  General elements act through a generator word
 (Euclidean reduction on the bottom row), with the square-root branch of a
-product fixed exactly by a sign rule on the bottom rows.  Generator matrices
-are lookups of N-th roots of unity at the group's integer level-N forms
-(Scheithauer, IMRN 2009; Stromberg, Math. Z. 275, 2013).  Tensor factors carry
-a ``dual`` flag; a dual axis is acted on by the conjugate matrices, which is
-the same as using the rescaled lattice with inverted pairings.
+product fixed exactly by a sign rule on the bottom rows.  T^n and Z^n act
+through the group's integer tables, and S, the one matrix kept, is N-th roots
+of unity at N b (Scheithauer, IMRN 2009; Stromberg, Math. Z. 275, 2013).  A
+dual axis is acted on by the conjugate action, the same as using the
+rescaled lattice with inverted pairings.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .discforms import DiscriminantGroup, GlueMap, two_pi_e, unit_roots
+from .discforms import DiscriminantGroup, GlueMap, _read_only, two_pi_e, unit_roots
 from .errors import IndexMismatch, VvthetaError
 
 
@@ -164,45 +164,42 @@ def word_decompose(g: MetaplecticElement) -> tuple[tuple[str, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# generator matrices
+# the generator action
 
-def _generator_power(group: DiscriminantGroup, kind: str, n: int, dual: bool) -> np.ndarray:
-    """Matrix of T^n, S or Z^n on C[D], rows and columns in element order.
-
-    With zeta[k] = e(k/N) for the level N and the integer tables qN = N q and
-    bN = N b: T^n = diag(zeta[n qN]), S = e((b- - b+)/8)/sqrt|D| zeta[-bN]
-    and Z^n = e(n (b- - b+)/4) P^n, where P permutes x -> -x.  A dual axis
-    takes the complex conjugate.  Each matrix is built once per group and
-    reduced power (n mod N for T, mod 4 for Z) and kept read-only in
-    ``group.weil_matrices``.
-    """
-    level = group.level_forms[0]
-    if kind == "T":
-        n %= level
-    elif kind == "S":
-        n = 1
-    elif kind == "Z":
-        n %= 4
-    else:
-        raise VvthetaError(f"unknown generator {kind}")
-    key = (kind, n, dual)
-    if key in group.weil_matrices:
-        return group.weil_matrices[key]
-    zeta = unit_roots(level)
-    sig = group.lattice.sig_minus - group.lattice.sig_plus
-    if kind == "T":
-        mat = np.diag(zeta[n * group.q_table % level])
-    elif kind == "S":
+def _s_matrix(group: DiscriminantGroup, dual: bool) -> np.ndarray:
+    """S = e((b- - b+)/8)/sqrt|D| zeta[-bN], zeta[k] = e(k/N) at the level N,
+    conjugated on a dual axis: the one Weil matrix, built once per group and
+    duality and kept read-only in ``group.weil_matrices``."""
+    mats = group.weil_matrices
+    if dual not in mats:
+        level = group.level_forms[0]
+        sig = group.lattice.sig_minus - group.lattice.sig_plus
         mat = two_pi_e(Fraction(sig, 8)) / math.sqrt(group.order) \
-            * zeta[-group.b_table % level]
-    else:
-        mat = np.zeros((group.order, group.order), dtype=complex)
-        cols = np.arange(group.order)
-        mat[group.neg_table if n % 2 else cols, cols] = two_pi_e(Fraction(n * sig, 4))
-    mat = mat.conj() if dual else mat
-    mat.flags.writeable = False
-    group.weil_matrices[key] = mat
-    return mat
+            * unit_roots(level)[-group.b_table % level]
+        mats[dual] = _read_only(mat.conj() if dual else mat)
+    return mats[dual]
+
+
+def _token_action(group: DiscriminantGroup, dual: bool, kind: str, n: int,
+                  arr: np.ndarray, i: int) -> np.ndarray:
+    """arr with T^n, S or Z^n applied along its dimension i, indexed by D in
+    element order: T^n multiplies the entry at x by zeta[n qN(x)], Z^n takes
+    the entry at -x when n is odd and multiplies by e(n (b- - b+)/4), and S
+    is _s_matrix.  A dual axis takes the complex conjugate of each."""
+    if kind == "S":
+        return (arr.swapaxes(i, -1) @ _s_matrix(group, dual).T).swapaxes(i, -1)
+    if kind == "T":
+        level = group.level_forms[0]
+        key = (n % level, dual)
+        if key not in group.t_phases:
+            phase = unit_roots(level)[key[0] * group.q_table % level]
+            group.t_phases[key] = _read_only(phase.conj() if dual else phase)
+        return arr * group.t_phases[key].reshape((-1,) + (1,) * (arr.ndim - i - 1))
+    if kind == "Z":
+        phase = unit_roots(4)[n * (group.lattice.sig_minus - group.lattice.sig_plus) % 4]
+        arr = arr.take(group.neg_table, axis=i) if n % 2 else arr
+        return arr * (phase.conjugate() if dual else phase)
+    raise VvthetaError(f"unknown generator {kind}")
 
 
 def rho_generator(group: DiscriminantGroup, gen: str, dual: bool = False) -> np.ndarray:
@@ -211,14 +208,14 @@ def rho_generator(group: DiscriminantGroup, gen: str, dual: bool = False) -> np.
     With a ``dual`` axis the forms are negated and the signature swapped,
     which realizes the dual representation as conjugate matrices.
     """
-    return _generator_power(group, gen, 1, dual)
+    return _token_action(group, dual, gen, 1, np.eye(group.order, dtype=complex), 0)
 
 
 def rho_matrix(group: DiscriminantGroup, g: MetaplecticElement, dual: bool = False) -> np.ndarray:
-    """Full matrix of the representation at g, via its generator word."""
+    """Full matrix of the representation at g: its word acting on the identity."""
     out = np.eye(group.order, dtype=complex)
-    for kind, power in word_decompose(g):
-        out = out @ _generator_power(group, kind, power, dual)
+    for kind, power in reversed(word_decompose(g)):
+        out = _token_action(group, dual, kind, power, out, 0)
     return out
 
 
@@ -318,23 +315,18 @@ class RepVector:
         return f"RepVector(axes={list(self.axes)}, nnz={np.count_nonzero(self.array)})"
 
 
-def _along(mat: np.ndarray, vec: RepVector, i: int, axis: Axis) -> RepVector:
-    """mat applied to dimension i of vec, whose axis becomes ``axis``."""
-    return RepVector.from_array(vec.axes[:i] + (axis,) + vec.axes[i + 1:],
-                                (vec.array.swapaxes(i, -1) @ mat.T).swapaxes(i, -1))
-
-
 def rho_apply(g: MetaplecticElement, vec: RepVector) -> RepVector:
     """Apply the tensor-product representation at g to a vector.
 
     Each axis transforms under the Weil representation of its group (the
-    conjugate representation on dual axes): the generator matrices of g's
-    word, the same ones rho_matrix multiplies, act along every axis.
+    conjugate representation on dual axes): each token of g's word, last
+    first, acts along every axis, as in rho_matrix.
     """
+    arr = vec.array
     for kind, power in reversed(word_decompose(g)):
         for i, ax in enumerate(vec.axes):
-            vec = _along(_generator_power(ax.group, kind, power, ax.dual), vec, i, ax)
-    return vec
+            arr = _token_action(ax.group, ax.dual, kind, power, arr, i)
+    return RepVector.from_array(vec.axes, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +343,22 @@ def _locate_axis(vec: RepVector, group: DiscriminantGroup, axis: int | None) -> 
 
 
 def up_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
-    """C[D_big] -> C[D_small]: spread each basis vector over its glue fiber
-    (the transpose of gm.down_matrix along the axis)."""
+    """C[D_big] -> C[D_small]: spread each basis vector over its glue fibre,
+    one scatter through ``gm.fibres``; indices off H-perp stay zero."""
     i = _locate_axis(vec, gm.big_disc, axis)
-    return _along(gm.down_matrix.T, vec, i, Axis(gm.small_disc, vec.axes[i].dual))
+    head, shape = (slice(None),) * i, vec.array.shape
+    out = np.zeros(shape[:i] + (gm.small_disc.order,) + shape[i + 1:], dtype=complex)
+    out[head + (gm.fibres,)] = vec.array[head + (slice(None), None)]
+    axes = vec.axes[:i] + (Axis(gm.small_disc, vec.axes[i].dual),) + vec.axes[i + 1:]
+    return RepVector.from_array(axes, out)
 
 
 def down_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
-    """C[D_small] -> C[D_big]: collapse glue cosets, kill non-orthogonal indices
-    (gm.down_matrix along the axis)."""
+    """C[D_small] -> C[D_big]: sum each glue fibre, one ``take`` of
+    ``gm.fibres``; indices off H-perp are dropped."""
     i = _locate_axis(vec, gm.small_disc, axis)
-    return _along(gm.down_matrix, vec, i, Axis(gm.big_disc, vec.axes[i].dual))
+    axes = vec.axes[:i] + (Axis(gm.big_disc, vec.axes[i].dual),) + vec.axes[i + 1:]
+    return RepVector.from_array(axes, vec.array.take(gm.fibres, axis=i).sum(axis=i + 1))
 
 
 def pair(u: RepVector, v: RepVector, groups):

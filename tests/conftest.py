@@ -5,6 +5,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from vvtheta import (  # noqa: E402
@@ -15,7 +16,8 @@ from vvtheta import (  # noqa: E402
     rescale,
     sublattice,
 )
-from vvtheta import theta  # noqa: E402
+from vvtheta import exact, theta  # noqa: E402
+from vvtheta.discforms import orthogonal_subgroup  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -23,6 +25,32 @@ def empty_evaluator_store():
     """Each test starts with an empty ThetaFamily store, so no test depends on
     which ran before it, and a monkeypatched walk or cap is always reached."""
     theta._EVALUATORS.clear()
+
+
+def _glue_class(gm, x):
+    """The class in D_big of an element x of H-perp, read off its own dual
+    vector: glue^-1 times that lift is a big dual vector, classified by
+    from_dual.  A reference that shares no array with the glue map."""
+    glue_inv = exact.mat_inv(gm.embedding.glue_rows())
+    return gm.big_disc.from_dual(exact.mat_vec(glue_inv, gm.small_disc.dual_vector(x)))
+
+
+@pytest.fixture(scope="session")
+def glue_class():
+    """_glue_class, for tests that check the glue map's arrays against it."""
+    return _glue_class
+
+
+@pytest.fixture(scope="session")
+def glue_matrix():
+    """gm -> the 0/1 matrix of the down arrow (rows D_big, columns D_small),
+    one entry per element of H-perp, placed by _glue_class."""
+    def matrix(gm):
+        mat = np.zeros((gm.big_disc.order, gm.small_disc.order))
+        for x in orthogonal_subgroup(gm.subgroup):
+            mat[gm.big_disc.index(_glue_class(gm, x)), gm.small_disc.index(x)] = 1.0
+        return mat
+    return matrix
 
 
 @pytest.fixture(scope="session")

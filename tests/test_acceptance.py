@@ -123,7 +123,7 @@ def test_criterion_03_arrow_suite():
         v = RepVector.basis_vector((Axis(gm.big_disc),), (gamma,))
         round_trip = down_arrow(gm, up_arrow(gm, v))
         exact_ok = exact_ok and \
-            round_trip.coeffs == {(gamma,): complex(gm.glue_order)}
+            round_trip.coeffs == {(gamma,): complex(gm.subgroup.order)}
     for g in words:
         for key in gm.small_disc.elements():
             v = RepVector.basis_vector((Axis(gm.small_disc),), (key,))
@@ -235,7 +235,7 @@ def test_criterion_06_mixed_theta():
             30.0, time.monotonic() - start)
 
 
-def test_criterion_07_contraction():
+def test_criterion_07_contraction(glue_class):
     start = time.monotonic()
     taus = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 1.3j, 0.41 + 0.85j, -0.11 + 1.02j]
     worst = 0.0
@@ -300,7 +300,7 @@ def test_criterion_07_contraction():
                if all(sd3.d_m.b(x, hm) == 0 for hm in hm_list)]
     expected3 = {}
     for alpha in hm_perp:
-        gamma_l = sd3.gm.down[combine3(alpha + sd3.d_perp.zero())]
+        gamma_l = glue_class(sd3.gm, combine3(alpha + sd3.d_perp.zero()))
         comp = form3.component(gamma_l)
         for h_el in h_elems:
             hm, hp = split_m3(h_el), split_perp3(h_el)

@@ -222,6 +222,55 @@ def test_modularity_verdict_needs_certified_tails(tmp_path, check):
     assert main(["run-scenario", path]) == 2
 
 
+def _json_leaves(obj, path=""):
+    """(path, canonical text) of every leaf of a JSON value; a list, or an
+    object, is a leaf only when it is empty."""
+    if isinstance(obj, dict) and obj:
+        for key, val in obj.items():
+            yield from _json_leaves(val, f"{path}.{key}")
+    elif isinstance(obj, list) and obj:
+        for i, val in enumerate(obj):
+            yield from _json_leaves(val, f"{path}[{i}]")
+    else:
+        yield path or "$", json.dumps(obj)
+
+
+def golden_diff(got: str, want: str) -> str:
+    """Why an output differs from its golden: each JSON path whose value
+    differs, with both values and, for two numbers, the absolute change."""
+    try:
+        got_leaves, want_leaves = (dict(_json_leaves(json.loads(t))) for t in (got, want))
+    except ValueError:
+        return f"output is not JSON: {got[:200]!r}"
+    lines = []
+    for path in [*want_leaves, *(p for p in got_leaves if p not in want_leaves)]:
+        new, old = got_leaves.get(path, "missing"), want_leaves.get(path, "missing")
+        if new != old:
+            line = f"{path}: golden {old}, got {new}"
+            values = [json.loads(t) if t != "missing" else None for t in (new, old)]
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+                line += f", |change| {abs(values[0] - values[1]):.3g}"
+            lines.append(line)
+    if not lines:
+        return "every JSON value agrees; the bytes differ in layout"
+    return f"{len(lines)} JSON value(s) differ from the golden:\n" + "\n".join(lines)
+
+
+def test_golden_diff_lists_each_changed_path():
+    # a failed golden comparison names each changed value, its path, both
+    # values and the absolute change, a signed zero and a dropped key included
+    want = '{"a":{"r":4.2e-16,"pass":true},"m":[[1.0,0.0],[-0.5,2]],"k":"x"}\n'
+    got = '{"a":{"r":4.3e-16,"pass":false},"m":[[1.0,-0.0],[-0.5,2]]}\n'
+    assert golden_diff(got, want).splitlines() == [
+        "4 JSON value(s) differ from the golden:",
+        ".a.r: golden 4.2e-16, got 4.3e-16, |change| 1e-17",
+        ".a.pass: golden true, got false",
+        ".m[0][1]: golden 0.0, got -0.0, |change| 0",
+        ".k: golden \"x\", got missing"]
+    assert golden_diff(want.replace(",", ", "), want).endswith("differ in layout")
+    assert golden_diff(want, want) == "every JSON value agrees; the bytes differ in layout"
+
+
 @pytest.mark.parametrize("scenario", sorted(BUNDLED.parent.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_scenario_matches_golden(scenario):
@@ -230,8 +279,8 @@ def test_scenario_matches_golden(scenario):
     proc = subprocess.run([sys.executable, "-m", "vvtheta", "run-scenario", str(scenario)],
                           capture_output=True, text=True)
     assert proc.stderr == ""
-    golden = pathlib.Path(__file__).parent / "golden" / scenario.name
-    assert proc.stdout == golden.read_text()
+    golden = (pathlib.Path(__file__).parent / "golden" / scenario.name).read_text()
+    assert proc.stdout == golden, golden_diff(proc.stdout, golden)
 
 
 def test_run_scenario_does_not_import_numpy_ma():
@@ -268,6 +317,8 @@ def glued_terms() -> list:
 
 #: input files of the golden CLI runs: name -> JSON payload
 CLI_INPUTS = {
+    "a2": {"gram": [[2, 1], [1, 2]]},
+    "a2x2": {"gram": [[4, 2], [2, 4]]},
     "a2ii11": {"gram": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
     "a2ii11_split": {"span_plus": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]},
     "a2ii11_float_split": {"span_plus": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0.3]]},
@@ -318,13 +369,16 @@ CLI_CASES = {
     "theta_lm_glued_composed": "theta-lm --lattice {glued} --sublattice {glued_m} "
                                "--tau=-0.37,0.9 --bound 6 --xi 1/3,0,1/3,0,0 "
                                "--eta 0,1/5,0,1/5,0 --composed",
+    "weil_matrix_a2": "weil-matrix --lattice {a2} --element 1,1,0,1",
+    "weil_matrix_a2x2_dual": "weil-matrix --lattice {a2x2} --element 2,1,1,1 --dual",
 }
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_matches_golden(tmp_path, case):
-    # theta, theta-lm (direct and composed) and contract through the command
-    # line, byte for byte against tests/golden/cli_<case>.json
+    # theta, theta-lm (direct and composed), contract, naive-lift and
+    # weil-matrix through the command line, byte for byte against
+    # tests/golden/cli_<case>.json
     files = {name: write_json(tmp_path / f"{name}.json", payload)
              for name, payload in CLI_INPUTS.items()}
     argv = [token.format(**files) for token in CLI_CASES[case].split()]
@@ -332,8 +386,8 @@ def test_cli_matches_golden(tmp_path, case):
                           capture_output=True, text=True)
     assert proc.stderr == ""
     assert proc.returncode == 0
-    golden = pathlib.Path(__file__).parent / "golden" / f"cli_{case}.json"
-    assert proc.stdout == golden.read_text()
+    golden = (pathlib.Path(__file__).parent / "golden" / f"cli_{case}.json").read_text()
+    assert proc.stdout == golden, golden_diff(proc.stdout, golden)
 
 
 #: one reading rule for every JSON reader: id -> (command line, its {input}
@@ -697,13 +751,15 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("option", ["--grid=0", "--grid=-3", "--ymax=0.5", "--ymax=nan"])
-def test_naive_lift_rejects_empty_grid(tmp_path, capsys, option):
-    # no cell per side, or nothing above y = sqrt(3)/2: there is no quadrature
-    # to report, so the command exits 2 and prints no value
+@pytest.mark.parametrize("options", ["--grid=0", "--grid=-3", "--grid=1", "--ymax=0.5",
+                                     "--ymax=nan", "--ymax=0.9 --grid=2"])
+def test_naive_lift_rejects_empty_grid(tmp_path, capsys, options):
+    # no cell per side, a single cell (no coarser grid for the error estimate),
+    # nothing above y = sqrt(3)/2, or no midpoint with |tau| >= 1: there is no
+    # quadrature to report, so the command exits 2 and prints no value
     lat = write_json(tmp_path / "a1.json", BAD_INPUTS["a1"])
     form = write_json(tmp_path / "form.json", dict(BAD_INPUTS["form_bad_coset"], terms=[]))
-    assert main(["naive-lift", "--lattice", lat, "--form", form, option]) == 2
+    assert main(["naive-lift", "--lattice", lat, "--form", form, *options.split()]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: EmptyGrid: ")
 

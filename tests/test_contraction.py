@@ -9,6 +9,7 @@ import pytest
 
 from vvtheta import (
     ComplementNotDefinite,
+    EmptyGrid,
     InconsistentDegrees,
     IndexMismatch,
     NonHomogeneousPolynomial,
@@ -153,7 +154,7 @@ def test_contract_scalar_unimodular(ii11_split):
             assert abs(sym.get((dm,)) - f_val * theta.value.get((dm,))) < 1e-9
 
 
-def test_contract_form_tensor_theta(a1, a1_neg):
+def test_contract_form_tensor_theta(a1, a1_neg, glue_class):
     # glue with H_Mperp = D_Mperp: output is exactly F (x) theta data
     lam = direct_sum(direct_sum(a1_neg, a1_neg), a1)
     d = discriminant_group(lam)
@@ -184,7 +185,7 @@ def test_contract_form_tensor_theta(a1, a1_neg):
                if all(sd.d_m.b(x, hm) == 0 for hm in hm_list)]
     expected = {}
     for alpha in hm_perp:
-        gamma_l = sd.gm.down[combine(alpha + sd.d_perp.zero())]
+        gamma_l = glue_class(sd.gm, combine(alpha + sd.d_perp.zero()))
         comp = form.component(gamma_l)
         for h_el in h_elems:
             hm, hp = split_m(h_el), split_perp(h_el)
@@ -276,11 +277,12 @@ def test_contract_degenerate_glue_matches_composed():
         assert (result.evaluate(tau) - paired).norm_inf() < 1e-9
 
 
-def _glue_sum_reference(form, lat, m_sub, poly, bound) -> dict:
+def _glue_sum_reference(form, lat, m_sub, poly, bound, glue_class) -> dict:
     """The contraction as a sum over glue cosets, for non-degenerate glue:
     component alpha + h_M collects the form on the class of (alpha, beta)
     times the complement series on beta + h_perp, over alpha in H_M perp,
-    beta in H_perp perp and h in H, one term table per complement coset."""
+    beta in H_perp perp and h in H, one term table per complement coset;
+    glue_class places (alpha, beta) in D_L."""
     sd = split_data(lat, m_sub)
     perp_lat = sd.mperp_sub.lattice
     u_perp = make_grassmann_point(perp_lat, [[int(i == j) for j in range(perp_lat.rank)]
@@ -309,7 +311,7 @@ def _glue_sum_reference(form, lat, m_sub, poly, bound) -> dict:
     out = {}
     for alpha in complement(sd.d_m, [hm for hm, _hp in h_split]):
         for beta in complement(sd.d_perp, [hp for _hm, hp in h_split]):
-            f_component = form.component(sd.gm.down[combine(alpha + beta)])
+            f_component = form.component(glue_class(sd.gm, combine(alpha + beta)))
             for hm, hp in h_split:
                 theta_part = series(sd.d_perp.add(beta, hp))
                 for e_f, c_f in f_component.items():
@@ -337,7 +339,7 @@ def _glue_cases(a1, a1_neg, a2):
     yield "a2a2_diagonal", a2a2, sublattice(a2a2, [[1, 0, 1, 0], [0, 1, 0, 1]])
 
 
-def test_contract_symbolic_matches_glue_sum(a1, a1_neg, a2):
+def test_contract_symbolic_matches_glue_sum(a1, a1_neg, a2, glue_class):
     # the symbolic contraction against the glue-coset sum on four splittings,
     # with a constant, a linear and (rank >= 2) a harmonic degree-2 polynomial
     from vvtheta.exact import mod1
@@ -356,7 +358,7 @@ def test_contract_symbolic_matches_glue_sum(a1, a1_neg, a2):
                 (2, 0) + (0,) * (rank - 2): 0.5, (0, 2) + (0,) * (rank - 2): -0.5}))
         for poly in polys:
             got = contract_symbolic(form, lat, m_sub, poly, 3.0).terms
-            expected = _glue_sum_reference(form, lat, m_sub, poly, 3.0)
+            expected = _glue_sum_reference(form, lat, m_sub, poly, 3.0, glue_class)
             assert set(got) == set(expected), (name, poly)
             for key, c in expected.items():
                 assert abs(got[key] - c) <= 1e-12 * (1 + abs(c)), (name, poly, key)
@@ -433,6 +435,18 @@ def test_naive_lift(ii11_split):
     lift_m, _ = naive_truncated_lift(contracted, m_sub.lattice, u,
                                      constant_poly(0, 1), 3.0, 32, 10.0)
     assert abs(fine - lift_m) < 1e-9 + err_f
+
+
+@pytest.mark.parametrize("y_max, grid_n", [(3.0, 0), (3.0, -3), (4.0, 1), (0.5, 8),
+                                           (math.nan, 8), (0.9, 2)])
+def test_naive_lift_rejects_empty_grid(ii11, y_max, grid_n):
+    # the library twin of the naive-lift command's test: no cell, a single
+    # cell with no coarser grid to compare, nothing above y = sqrt(3)/2, or
+    # no midpoint with |tau| >= 1 is EmptyGrid, not a quadrature of nothing
+    one = QExpansionForm(ii11, F(0), {((), F(0)): 1.0})
+    v = make_grassmann_point(ii11, [[1, 1]])
+    with pytest.raises(EmptyGrid):
+        naive_truncated_lift(one, ii11, v, constant_poly(1, 1), y_max, grid_n)
 
 
 def test_contract_pointwise_builds_once_across_taus(a1a1_split, monkeypatch):

@@ -147,7 +147,7 @@ def test_glue_group_matches_direct_computation(a1, a1_neg):
     emb = overlattice_from_isotropic(lam, h)
     gm = glue_map(emb)
     cosets = {}
-    for delta, gamma in gm.down.items():
+    for delta, gamma in _fraction_down(gm).items():
         cosets.setdefault(gamma, []).append(delta)
     direct = sorted((gm.big_disc.element_order(x), gm.big_disc.q(x))
                     for x in gm.big_disc.elements())
@@ -286,11 +286,14 @@ def test_glue_map_matches_fraction_lift():
     for gm, size in _glue_cases():
         ref = _fraction_down(gm)
         assert len(ref) == size
-        assert list(gm.down.items()) == list(ref.items())
-        mat = np.zeros((gm.big_disc.order, gm.small_disc.order))
-        for delta, gamma in ref.items():
-            mat[gm.big_disc.index(gamma), gm.small_disc.index(delta)] = 1.0
-        assert np.array_equal(gm.down_matrix, mat)
+        assert [tuple(x) for x in gm.domain.tolist()] == list(ref)
+        assert [tuple(y) for y in gm.image.tolist()] == list(ref.values())
+        # row j of the fibres: the D_small indices over the j-th element of
+        # D_big, in element order
+        fibres = [[gm.small_disc.index(delta) for delta, gamma in ref.items() if gamma == big]
+                  for big in gm.big_disc.elements()]
+        assert gm.fibres.dtype == np.int64 and gm.fibres.tolist() == fibres
+        assert not any(a.flags.writeable for a in (gm.domain, gm.image, gm.fibres))
         # the glue lift map is defined on H-perp only
         glue_inv = exact.mat_inv(gm.embedding.glue_rows())
         lift = lift_map(gm.big_disc, [exact.mat_vec(glue_inv, g)

@@ -182,3 +182,23 @@ def test_sublattice_equality_is_by_value(ii11):
     m2 = sublattice(ii11, [[1.0, F(1)]])
     assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
     assert m1 != sublattice(ii11, [(1, -1)]) and m1 != m1.lattice
+
+
+def test_hash_reads_the_value_once(monkeypatch, ii11):
+    # lattices and sublattices are immutable, so each computes its hash once:
+    # a store hit hashes the same lattice for the family key and the store key
+    from vvtheta.lattice import Lattice, Sublattice
+
+    lat = construct_lattice([[2, 1, 0], [1, 2, 1], [0, 1, 4]])
+    sub = sublattice(ii11, [(1, 2)])
+    for cls, obj in ((Lattice, lat), (Sublattice, sub)):
+        calls = []
+        value = cls._value
+
+        def counting(self, value=value, calls=calls):
+            calls.append(self)
+            return value(self)
+
+        monkeypatch.setattr(cls, "_value", counting)
+        assert hash(obj) == hash(obj) == hash(value(obj))
+        assert calls == [obj]

@@ -37,6 +37,7 @@ from vvtheta import (
     mixed_theta_family,
     modularity_defects,
     orthogonal_complement,
+    orthogonal_subgroup,
     Seesaw,
     siegel_theta,
     siegel_theta_evaluator,
@@ -1148,7 +1149,7 @@ def test_mixed_coset_series(ii11_split):
     assert abs(theta.value.get(((), (1,))) - oracle1) < 1e-12
 
 
-def test_mixed_trivial_glue_structure(a1a1_split):
+def test_mixed_trivial_glue_structure(a1a1_split, glue_class):
     lat, m_sub, mperp, u, u_perp = a1a1_split
     p = constant_poly(1, 0)
     theta = mixed_theta_direct(lat, m_sub, 0.4 + 0.9j, u_perp, p, None, 10.0)
@@ -1158,7 +1159,8 @@ def test_mixed_trivial_glue_structure(a1a1_split):
     # tensor-with-identity structure: component ((dm, dp), dm) = theta_perp[dp]
     for key, val in theta.value.coeffs.items():
         gamma_l, delta_m = key
-        inner = next(d for d, g in sd.gm.down.items() if g == gamma_l)
+        inner = next(d for d in orthogonal_subgroup(sd.gm.subgroup)
+                     if glue_class(sd.gm, d) == gamma_l)
         dm, dp = split_m(inner), split_perp(inner)
         assert dm == delta_m
         assert abs(val - scalar.value.get((dp,))) < 1e-12

@@ -38,7 +38,7 @@ from vvtheta import (
 )
 from vvtheta import discforms
 from vvtheta.discforms import overlattice_from_isotropic
-from vvtheta.weil import _generator_power, _word_product
+from vvtheta.weil import _token_action, _word_product
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -163,27 +163,31 @@ def test_representation_property(a2):
 
 
 def test_token_matrices_match_entry_formula(test_lattices, a2):
-    # T^n = diag e(n q), S = e((b- - b+)/8)/sqrt|D| [e(-b(x, y))] and
-    # Z^k = e(k (b- - b+)/4) on e_x -> e_{(-1)^k x}; a dual axis negates the
-    # forms and swaps the signature
+    # the token action on the identity, column by column: T^n = diag e(n q),
+    # S = e((b- - b+)/8)/sqrt|D| [e(-b(x, y))] and Z^k = e(k (b- - b+)/4) on
+    # e_x -> e_{(-1)^k x}; a dual axis negates the forms and swaps the
+    # signature
     for lat in test_lattices + [rescale(a2, 2), rescale(a2, 4)]:
         d = discriminant_group(lat)
         elements = d.elements()
         for dual in (False, True):
+            def action(kind, n):
+                return _token_action(d, dual, kind, n, np.eye(d.order, dtype=complex), 0)
+
             sgn = -1 if dual else 1
             sig = sgn * (lat.sig_minus - lat.sig_plus)
             for n in range(-3, 4):
                 ref = np.diag([two_pi_e(sgn * n * d.q(x)) for x in elements])
-                assert np.abs(_generator_power(d, "T", n, dual) - ref).max() <= 1e-15
+                assert np.abs(action("T", n) - ref).max() <= 1e-15
             ref = two_pi_e(Fraction(sig, 8)) / math.sqrt(d.order) * np.array(
                 [[two_pi_e(-sgn * d.b(x, y)) for y in elements] for x in elements])
-            assert np.abs(_generator_power(d, "S", 1, dual) - ref).max() <= 1e-15
+            assert np.abs(action("S", 1) - ref).max() <= 1e-15
             for k in range(4):
                 ref = np.zeros((d.order, d.order), dtype=complex)
                 phase = two_pi_e(Fraction(k * sig, 4))
                 for j, x in enumerate(elements):
                     ref[elements.index(d.scale((-1) ** k, x)), j] = phase
-                assert np.abs(_generator_power(d, "Z", k, dual) - ref).max() <= 1e-15
+                assert np.abs(action("Z", k) - ref).max() <= 1e-15
 
 
 def _float_branch(g, h, tau):
@@ -245,7 +249,7 @@ def test_down_up_is_glue_order(glue):
     for gamma in glue.big_disc.elements():
         v = RepVector.basis_vector((Axis(glue.big_disc),), (gamma,))
         got = down_arrow(glue, up_arrow(glue, v))
-        assert got.coeffs == {(gamma,): complex(glue.glue_order)}
+        assert got.coeffs == {(gamma,): complex(glue.subgroup.order)}
 
 
 def test_arrow_intertwining(glue):
@@ -271,11 +275,12 @@ def scenario_glue(request):
     return split_data(lat, sublattice(lat, data["sublattice"]["basis"])).gm
 
 
-def test_arrows_and_rho_apply_match_matrix_forms(scenario_glue):
-    # the RepVector routes on every basis vector against down_matrix (up is
-    # its transpose) and the generator matrices that arrow_suite uses
+def test_arrows_and_rho_apply_match_matrix_forms(scenario_glue, glue_matrix):
+    # the RepVector routes on every basis vector against the 0/1 glue matrix
+    # of an independent reference (up is its transpose) and the matrices
+    # that arrow_suite uses
     gm = scenario_glue
-    down = gm.down_matrix
+    down = glue_matrix(gm)
 
     def dense(vec):
         return np.array([vec.get((x,)) for x in vec.axes[0].group.elements()])
@@ -288,6 +293,27 @@ def test_arrows_and_rho_apply_match_matrix_forms(scenario_glue):
             assert np.array_equal(dense(arrow(gm, v)), arrow_mat[:, j])
             for g, mat in rho.items():
                 assert np.abs(dense(rho_apply(g, v)) - mat[:, j]).max() < 1e-15
+
+
+def test_glued_run_keeps_no_square_array_but_s():
+    # T^n and Z^n act through q_table and neg_table and the glue arrows
+    # through one fibre array, so after a glued run the only |D| x |D| array
+    # a discriminant group keeps is S, once per duality; T^n keeps |D| phases
+    from vvtheta import run_scenario
+
+    assert run_scenario(SCENARIOS / "a2a2a1_glued.json")["pass"]
+    orders_with_s = set()
+    for group in discforms._DISC_CACHE.values():
+        mats = vars(group).get("weil_matrices", {})
+        assert set(mats) <= {False, True}
+        for dual, mat in mats.items():
+            assert np.array_equal(mat, rho_generator(group, "S", dual))
+            orders_with_s.add(group.order)
+        kept = [v for v in vars(group).values() if isinstance(v, np.ndarray)]
+        assert all(v.shape != (group.order, group.order) for v in kept)
+        phases = vars(group).get("t_phases", {}).values()
+        assert all(v.shape == (group.order,) and not v.flags.writeable for v in phases)
+    assert 288 in orders_with_s
 
 
 def test_pair_dual_bases(a1):
@@ -469,7 +495,7 @@ def test_rep_vector_keys_are_strict(a1):
     assert np.array_equal(RepVector(axes, v.coeffs).array, v.array)
 
 
-def test_multi_axis_routes_match_kronecker_forms(a1, a2, glue):
+def test_multi_axis_routes_match_kronecker_forms(a1, a2, glue, glue_matrix):
     # a 3-axis vector over A1, A2(2)* and A1 (+) A1(-1), the last the small
     # group of the glue map, against Kronecker products of the matrix forms
     rng = np.random.default_rng(31)
@@ -489,8 +515,9 @@ def test_multi_axis_routes_match_kronecker_forms(a1, a2, glue):
             kron = np.kron(kron, rho_matrix(ax.group, g, ax.dual))
         got = rho_apply(g, vec).array
         assert np.abs(got.ravel() - kron @ arr.ravel()).max() < 1e-12
-    # the arrows along the last axis contract it with down_matrix (up: transpose)
-    down = glue.down_matrix
+    # the arrows along the last axis contract it with the 0/1 glue matrix
+    # (up: its transpose)
+    down = glue_matrix(glue)
     lowered = down_arrow(glue, vec, axis=2)
     assert lowered.axes == axes[:2] + (Axis(glue.big_disc),)
     assert np.abs(lowered.array - np.einsum("ij,abj->abi", down, arr)).max() < 1e-14
