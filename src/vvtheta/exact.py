@@ -136,21 +136,36 @@ def _eliminate(a, width: int) -> tuple[list[int], list[int], int]:
     return pivot_cols, pivots, swaps
 
 
+def _inverse_rows(rows) -> tuple[list[list[int]], int, int]:
+    """(a, p, swaps) from one elimination of the int rows [m | I]: the right
+    block of a is p m^{-1}; raises Degenerate on singular input."""
+    n = len(rows)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _cols, pivots, swaps = _eliminate(a, n)
+    if len(pivots) < n:
+        raise Degenerate("matrix is singular")
+    # the left block is now p I and the right one p m^{-1}
+    return a, pivots[-1] if n else 1, swaps
+
+
 def mat_inv_det(m) -> tuple[list[list[Fraction]], Fraction]:
     """(m^{-1}, det m) from one elimination of [den m | I]; raises Degenerate
     on singular input."""
     n = len(m)
     rows, den = integer_rows(m)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    _cols, pivots, swaps = _eliminate(a, n)
-    if len(pivots) < n:
-        raise Degenerate("matrix is singular")
+    a, p, swaps = _inverse_rows(rows)
     if not n:
         return [], Fraction(1)
-    # the left block is now p I and the right one p (den m)^{-1}
-    p = pivots[-1]
     return ([[Fraction(den * x, p) for x in row[n:]] for row in a],
             Fraction(-p if swaps % 2 else p, den ** n))
+
+
+def inverse_diagonal(rows) -> list[tuple[int, int]]:
+    """[(p_0, q), (p_1, q), ...] with (m^{-1})_ii = p_i / q and q > 0, for
+    the int rows m: the same elimination as mat_inv_det, with no Fraction."""
+    a, p, _swaps = _inverse_rows(rows)
+    sign = 1 if p > 0 else -1
+    return [(sign * row[len(rows) + i], sign * p) for i, row in enumerate(a)]
 
 
 def mat_inv(m) -> list[list[Fraction]]:

@@ -116,19 +116,28 @@ class GrassmannPoint:
         gcd of c_i and the entries of A_i; object arrays of Python ints.
         """
         _d, n_plus, n_minus = self.integer_forms
-        n = self.lattice.rank
-        n_maj = np.array([[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)],
-                         dtype=object).reshape(n, n)
-        levels = [(n_maj, 1)]
-        for _ in range(n):
+        levels = [([[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)], 1)]
+        for _ in range(self.lattice.rank):
             a, c = levels[-1]
-            levels.append(((a[-1, -1] * a[:-1, :-1] - np.outer(a[:-1, -1], a[-1, :-1])) // c,
-                           a[-1, -1]))
+            last = a[-1]
+            levels.append(([[(last[-1] * x - row[-1] * y) // c for x, y in zip(row, last[:-1])]
+                            for row in a[:-1]], last[-1]))
         reduced = []
         for a, c in levels:
-            g = math.gcd(c, *a.flat)
-            reduced.append((a // g, c // g))
+            g = math.gcd(c, *(x for row in a for x in row))
+            reduced.append((np.array([[x // g for x in row] for row in a],
+                                     dtype=object).reshape(len(a), len(a)), c // g))
         return tuple(reduced)
+
+    @cached_property
+    def build_data(self) -> "PointBuildData":
+        """The point-only integer data of a term-table build, made once."""
+        return PointBuildData(self)
+
+    @cached_property
+    def count_shell(self) -> tuple | None:
+        """shell_count_weights of the float majorant, made once."""
+        return shell_count_weights(self.majorant_np)
 
     def adapted_coords(self, vec) -> np.ndarray:
         """Coordinates w.r.t. the orthonormalized adapted basis (floats)."""
@@ -140,6 +149,103 @@ class GrassmannPoint:
 
     def __repr__(self):
         return f"GrassmannPoint(dim+={self.dim_plus}, dim-={self.dim_minus})"
+
+
+#: the largest int64
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _carry_weights(levels, i) -> tuple:
+    """(u, v) with u p Q_i = u (p x + b)^2 + v Q_{i+1} for a node of level i.
+
+    x is the node's last coordinate W_{n-1-i}, Q_i = W_h^T A_i W_h its form
+    value on the head W_h = (W_0, ..., W_{n-1-i}), Q_{i+1} its parent's,
+    p = A_i[-1, -1] and b = A_i[-1, :-1] . (W_0, ..., W_{n-2-i}).  The Schur
+    identity p Q_i = (p x + b)^2 + (c_i p / c_{i+1}) Q_{i+1} holds whatever
+    common factor GrassmannPoint.majorant_levels divided out of a level.
+    Taking it times c_{i+1} / gcd(c_{i+1}, c_i p) makes u and v coprime
+    integers.
+    """
+    (form, c), c_up = levels[i], levels[i + 1][1]
+    weight = c * int(form[-1, -1])
+    h = math.gcd(c_up, weight)
+    return c_up // h, weight // h
+
+
+class PointBuildData:
+    """What an exact term-table build reads of its point alone.
+
+    Every field depends on the splitting only, not on a shift pair or a
+    bound, so GrassmannPoint.build_data makes it once and every table on the
+    point reuses it (theta._IntegerForms does the pair and bound work).
+
+    - ``d``, ``abs_forms``: the d of integer_forms and the entrywise
+      absolute values |N+|, |N-| as int rows.
+    - ``inverse_diagonal``: (p_i, q) with (N_maj^-1)_ii = p_i / q, from one
+      integer elimination of N_maj = N+ - N- (exact.inverse_diagonal).
+    - ``exact_form``: (sign, support, form) for the one of N+ (sign +1) and
+      N- (sign -1) with fewer nonzero entries: the coordinates its nonzero
+      entries read, and its block on them, int64 where every entry fits.
+    - ``levels64``: the int64 copy of each level of majorant_levels (None
+      where an entry does not fit), and ``largest`` each level's greatest
+      |entry|.
+    - ``steps``: per level i < n, (u, v, |A_i[-1]|, r) with (u, v) the carry
+      weights (_carry_weights), the last row's absolute values as ints and
+      r = c_i / (c_{i+1} p) as a float, the walk's interval factor.
+    """
+
+    def __init__(self, point: GrassmannPoint):
+        n = point.lattice.rank
+        d, n_plus, n_minus = point.integer_forms
+        self.d = d
+        self.abs_forms = tuple([[abs(x) for x in row] for row in form]
+                               for form in (n_plus, n_minus))
+        self.inverse_diagonal = exact.inverse_diagonal(
+            [[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)])
+        nonzero = [sum(map(bool, (x for row in form for x in row)))
+                   for form in (n_plus, n_minus)]
+        sign, form = (1, n_plus) if nonzero[0] <= nonzero[1] else (-1, n_minus)
+        support = [i for i in range(n) if any(form[i])]
+        block = [[form[i][j] for j in support] for i in support]
+        first = support[0] if support else 0
+        # a run of coordinates is read as a slice, a view of the rows
+        index = (slice(first, first + len(support))
+                 if support == list(range(first, first + len(support)))
+                 else np.array(support, dtype=np.intp))
+        self.exact_form = (sign, index, np.array(block, dtype=_int_dtype(block)).reshape(
+            len(support), len(support)))
+        levels = point.majorant_levels
+        self.largest = tuple(max(map(abs, a.flat), default=0) for a, _c in levels)
+        self.levels64 = tuple(a.astype(np.int64) if top <= _INT64_MAX else None
+                              for (a, _c), top in zip(levels, self.largest))
+        self.steps = tuple((*_carry_weights(levels, i), [abs(x) for x in a[-1].tolist()],
+                            float(c) / (float(levels[i + 1][1]) * float(a[-1, -1])))
+                           for i, (a, c) in enumerate(levels[:n]))
+
+
+def _int_dtype(rows):
+    """int64 when every entry of the int rows fits, else object (Python ints)."""
+    return np.int64 if all(abs(x) <= _INT64_MAX for row in rows for x in row) else object
+
+
+def shell_count_weights(q: np.ndarray) -> tuple | None:
+    """(binomials, volume) for counting lattice points by majorant shells,
+    None at rank 0.
+
+    A ball q(x) <= s^2 holds at most V_n (s + rho)^n / covol points, with
+    rho half the sum of the cell edge lengths sqrt(q_ii) and covol =
+    sqrt(det q), so the shell density is volume (s + rho)^(n-1) with
+    ``volume`` = V_n n / covol; ``binomials`` lists the (binomial, rho
+    power) pairs of (s + rho)^(n-1).
+    """
+    n = q.shape[0]
+    if n == 0:
+        return None
+    det = float(np.linalg.det(q))
+    covol = math.sqrt(max(det, 1e-300))
+    rho = 0.5 * sum(math.sqrt(q[i, i]) for i in range(n))
+    vol_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    return [(math.comb(n - 1, k), rho ** (n - 1 - k)) for k in range(n)], vol_n * n / covol
 
 
 def _span_gram(span, g) -> tuple:
@@ -331,6 +437,11 @@ class Polynomial:
     @cached_property
     def _hash(self) -> int:
         return hash(self._value)
+
+    @cached_property
+    def series(self) -> tuple:
+        """laplacian_series of the polynomial, made once."""
+        return tuple(laplacian_series(self))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

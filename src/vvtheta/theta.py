@@ -39,6 +39,7 @@ from .errors import (
     DuplicateCosetKey,
     NegativeBound,
     NonHomogeneousPolynomial,
+    ParseError,
     TailTooLarge,
     TauNotInUpperHalfPlane,
     VectorNotInComplement,
@@ -50,7 +51,6 @@ from .grassmann import (
     as_pair,
     block_swapped_poly,
     direct_sum_grassmann,
-    laplacian_series,
     lift_product,
     swap_blocks_point,
 )
@@ -81,31 +81,26 @@ DEFAULT_MAX_VECTORS = 200_000
 
 
 def _max_vectors() -> int:
-    return int(os.environ.get("THETA_MAX_VECTORS", DEFAULT_MAX_VECTORS))
+    """$THETA_MAX_VECTORS as a count; ParseError unless it is a non-negative
+    decimal integer."""
+    raw = os.environ.get("THETA_MAX_VECTORS")
+    if raw is None:
+        return DEFAULT_MAX_VECTORS
+    if not (raw.isascii() and raw.isdigit()):
+        raise ParseError("THETA_MAX_VECTORS must be a non-negative decimal integer, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 
-def _carry_weights(levels, i) -> tuple:
-    """(u, v) with u p Q_i = u (p x + b)^2 + v Q_{i+1} for a node of level i.
-
-    x is the node's last coordinate W_{n-1-i}, Q_i = W_h^T A_i W_h its form
-    value on the head W_h = (W_0, ..., W_{n-1-i}), Q_{i+1} its parent's,
-    p = A_i[-1, -1] and b = A_i[-1, :-1] . (W_0, ..., W_{n-2-i}).  The Schur
-    identity p Q_i = (p x + b)^2 + (c_i p / c_{i+1}) Q_{i+1} holds whatever
-    common factor GrassmannPoint.majorant_levels divided out of a level.
-    Taking it times c_{i+1} / gcd(c_{i+1}, c_i p) makes u and v coprime
-    integers.
-    """
-    (form, c), c_up = levels[i], levels[i + 1][1]
-    weight = c * int(form[-1, -1])
-    h = math.gcd(c_up, weight)
-    return c_up // h, weight // h
+#: the signs of the two ends of a walk interval (_fincke_pohst)
+_SIGNS = np.array([[-1.0], [1.0]])
 
 
-def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box):
-    """Every W = scale * m + offsets[k] (m integral) with W^T A_0 W <= bounds[0].
+def _fincke_pohst(levels, steps, bounds, scale, offsets: np.ndarray, box):
+    """Every W = scale * m + offsets[:, k] (m integral) with W^T A_0 W <= bounds[0].
 
     Returns ``(coset, rows, value)``: the vectors W as the columns of the
     (n x N) array ``rows``, the index k of each one's offset and its value
@@ -115,61 +110,69 @@ def _fincke_pohst(levels, bounds, scale, offsets: np.ndarray, box):
     (GrassmannPoint.majorant_levels), so the least value of W^T A_0 W / c_0
     over the trailing coordinates is W_h^T A_i W_h / c_i.  ``bounds[i]`` is
     c_i T.  A level's data is int64 or Python ints (an object array), so its
-    test is exact.
+    test is exact.  ``steps`` is the point's PointBuildData.steps, and
+    ``offsets`` (n x k) and ``box`` (2 x n x k) hold one row per coordinate,
+    so a level reads its coordinate's rows, not a 2-D gather.
 
     The walk is Fincke-Pohst, one level at a time: it starts at coordinate 0
     and extends every surviving partial vector at once, in order, keeping a
     node of level i iff W_h^T A_i W_h <= bounds[i].  That test is exact, so
     no extension of a dropped node is a member, and level 0 is the
-    membership test itself.  A node's value is carried down from
-    its parent's by the Schur identity (_carry_weights), so its children
-    are the x with
+    membership test itself.  A node's value is carried down from its
+    parent's by the Schur identity (grassmann._carry_weights), so its
+    children are the x with
     A_i[-1, -1] (x + b / A_i[-1, -1])^2 <= c_i (bounds[i+1] - Q) / c_{i+1},
     b = A_i[-1, :-1] . W_h and Q the parent's form value.  Floats compute
     that interval from those exact integers, and it is widened by one
-    integer on each side and clipped to ``box`` (per-offset least and
-    greatest m), so floats only propose children: the interval is nonempty
-    over the reals and inside the box's reach, so its ends are off by a few
-    ulps of numbers below 2^33, far less than the widening.  Raises
+    integer on each side and clipped to ``box`` (per coordinate, minus the
+    least and the greatest m of each offset), so floats only propose
+    children: the interval is nonempty over the reals and inside the box's
+    reach, so its ends are off by a few ulps of numbers below 2^33, far less
+    than the widening.  Raises
     BoundTooLarge before a level would hold more than $THETA_MAX_VECTORS
     nodes.  Partial vectors are (k x nodes) arrays, so every numpy loop runs
-    over the nodes.
+    over the nodes, and a level makes a fixed number of numpy calls: one
+    cumsum gives the number of candidates and each parent's first slot, and
+    a candidate's W is its parent's base plus scale times its slot.
     """
-    n = offsets.shape[1]
+    n = offsets.shape[0]
     cap = _max_vectors()
-    coset = np.arange(offsets.shape[0]) if bounds[n] >= 0 else np.zeros(0, dtype=np.int64)
+    coset = np.arange(offsets.shape[1]) if bounds[n] >= 0 else np.zeros(0, dtype=np.int64)
     rows = np.zeros((0, len(coset)), dtype=offsets.dtype)
     value = np.zeros(len(coset), dtype=levels[n][0].dtype)
     for i in range(n - 1, -1, -1):
-        form, c = levels[i]
+        form = levels[i][0]
         pivot = form[-1, -1]
-        u, v = _carry_weights(levels, i)
+        u, v, _row, ratio = steps[i]
+        col = n - 1 - i
         # the parent level may hold the other integer type (_IntegerForms)
         value = value.astype(form.dtype, copy=False)
         lin = form[-1, :-1] @ rows
-        center = -lin.astype(float) / float(pivot)
-        half = np.sqrt(float(c) / (float(levels[i + 1][1]) * float(pivot))
-                       * (bounds[i + 1] - value).astype(float))
-        off = offsets[coset, n - 1 - i]
-        lo = np.ceil((center - half - off) / scale).astype(np.int64) - 1
-        hi = np.floor((center + half - off) / scale).astype(np.int64) + 1
-        lo = np.maximum(lo, box[0][coset, n - 1 - i])
-        hi = np.minimum(hi, box[1][coset, n - 1 - i])
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
+        off = offsets[col].take(coset)
+        mid = lin.astype(float) / -float(pivot) - off
+        half = np.sqrt(ratio * (bounds[i + 1] - value).astype(float))
+        # both ends at once, the lower one negated, so one floor gives
+        # -(least m) + 1 and (greatest m) + 1, each widened, then clipped
+        reach = np.minimum(np.floor(_SIGNS * ((mid + _SIGNS * half) / scale)).astype(np.int64)
+                           + 1, box[:, col].take(coset, axis=1))
+        counts = np.maximum(reach[1] + reach[0] + 1, 0)
+        ends = counts.cumsum()
+        total = int(ends[-1]) if len(ends) else 0
         if total > cap:
             raise BoundTooLarge(
                 f"enumeration level {i} would hold {total} > {cap} nodes; "
                 "raise THETA_MAX_VECTORS or lower the bound")
-        parent = np.repeat(np.arange(len(coset)), counts)
-        m = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
-        x = scale * m + off[parent]
-        t = pivot * x.astype(form.dtype, copy=False) + lin[parent]
-        value = (u * t * t + v * value[parent]) // (u * pivot)
-        keep = value <= bounds[i]
-        parent, value = parent[keep], value[keep]
-        coset = coset[parent]
-        rows = np.concatenate([rows.take(parent, axis=1), x[keep][None, :]])
+        parent = np.arange(len(coset)).repeat(counts)
+        # the candidate in slot s has m = s - (ends - counts) - reach[0]: its
+        # parent's least m, plus its place among the parent's candidates
+        x = ((scale * (counts - ends - reach[0]) + off).repeat(counts)
+             + np.arange(0, scale * total, scale))
+        t = pivot * x.astype(form.dtype, copy=False) + lin.take(parent)
+        value = (u * t * t + (v * value).take(parent)) // (u * pivot)
+        keep = (value <= bounds[i]).nonzero()[0]
+        parent, value = parent.take(keep), value.take(keep)
+        coset = coset.take(parent)
+        rows = np.concatenate([rows.take(parent, axis=1), x.take(keep)[None, :]])
     return coset, rows, value
 
 
@@ -219,31 +222,31 @@ class _IntegerForms:
     INT64_SAFE, before any vector is enumerated.  A level of the walk whose
     numbers could pass it (large projection denominators make c_i T grow
     with the level) runs on Python ints instead, so its test stays exact.
+
+    Whatever depends on the point alone (|N+-|, the diagonal of N_maj^-1,
+    the levels with their int64 copies, largest entries and carry weights,
+    and the sparser exact form) is the point's PointBuildData, made once per
+    point; a build does only the work of its shift pair and bound.
     """
 
     def __init__(self, lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bound):
         n = lat.rank
-        d, n_plus, n_minus = point.integer_forms
-        levels = point.majorant_levels
+        data = point.build_data
+        d = data.d
         (d_beta, *d_cosets), big_d = exact.integer_rows([pair.beta, *coset_vecs])
         shifts = [[x + b for x, b in zip(coset, d_beta)] for coset in d_cosets]
         # the bound is the binary number it is: a float's ratio is exact
         num, den = Fraction(bound).as_integer_ratio()
         threshold = 2 * num * d * big_d * big_d // den
-        # (N_maj^-1)_ii = (M^-1)_ii / d for the majorant M
-        m_inv = point.majorant_inverse
-        w_max = [math.isqrt(max(threshold * m_inv[i][i].numerator
-                                // (m_inv[i][i].denominator * d), 0))
-                 for i in range(n)]
+        w_max = [math.isqrt(max(threshold * p // q, 0)) for p, q in data.inverse_diagonal]
         (int_alpha,), da = exact.integer_rows([pair.alpha])
         g_alpha = exact.mat_vec(lat.gram_rows(), int_alpha)
 
         def form_max(mat, w):
-            return sum(w[i] * abs(x) * w[j]
-                       for i, row in enumerate(mat) for j, x in enumerate(row))
+            return sum(w[i] * x * w[j] for i, row in enumerate(mat) for j, x in enumerate(row))
 
         # the quadratic forms, the phase, 2W - D beta, and the offsets D (coset + beta)
-        largest = max([form_max(q, w_max) for q in (n_plus, n_minus)]
+        largest = max([form_max(q, w_max) for q in data.abs_forms]
                       + [sum((2 * w + abs(b)) * abs(g)
                              for w, b, g in zip(w_max, d_beta, g_alpha))]
                       + [2 * w + abs(b) for w, b in zip(w_max, d_beta)]
@@ -254,33 +257,34 @@ class _IntegerForms:
                 f"(shift denominator {big_d}, projection denominator {d}); "
                 "lower the bound or simplify the shift vectors")
 
-        def arr(rows):
-            return np.array(rows, dtype=np.int64).reshape(len(rows), n)
-
         self.d = d
         self.denominator = big_d
         self.alpha_denominator = da
-        self.n_plus = arr(n_plus)
+        self.exact_form = data.exact_form
+        self.steps = data.steps
         self.g_alpha = np.array(g_alpha, dtype=np.int64)
         self.d_beta = np.array(d_beta, dtype=np.int64)
-        self.shifts = arr(shifts)
+        # D beta . (G A), the phase numerators' constant term
+        self.beta_phase = sum(b * g for b, g in zip(d_beta, g_alpha))
+        # coordinate-major, one row per coordinate, as the walk reads them
+        self.shifts = np.array(shifts, dtype=np.int64).reshape(len(shifts), n).T.copy()
+        levels = point.majorant_levels
         self.bounds = [c * threshold for _a, c in levels]
         # a level runs in int64 when its entries, its bound and the walk's
         # numbers fit: b and t = p x + b are at most e, then u t^2 + v Q with
-        # the parent's Q <= bounds[i+1] (_carry_weights), and u p; otherwise
-        # it keeps Python ints, so every test of the walk stays exact
+        # the parent's Q <= bounds[i+1] (grassmann._carry_weights), and u p;
+        # otherwise it keeps Python ints, so every test of the walk stays exact
         self.levels = []
         for i, (a, c) in enumerate(levels):
-            level_max = max([abs(self.bounds[i])] + [abs(x) for x in a.flat])
+            level_max = max(abs(self.bounds[i]), data.largest[i])
             if i < n:
-                u, v = _carry_weights(levels, i)
-                e = sum(abs(x) * w for x, w in zip(a[-1].tolist(), w_max))
-                level_max = max(level_max, u * e * e + v * self.bounds[i + 1],
-                                u * abs(a[-1, -1]))
-            self.levels.append((a.astype(np.int64) if level_max <= INT64_SAFE else a, c))
-        # least and greatest m_i with |D m_i + shift_i| <= w_max_i
-        w = np.array(w_max, dtype=np.int64)
-        self.box = (-((w + self.shifts) // big_d), (w - self.shifts) // big_d)
+                u, v, last, _ratio = data.steps[i]
+                e = sum(x * w for x, w in zip(last, w_max))
+                level_max = max(level_max, u * e * e + v * self.bounds[i + 1], u * last[-1])
+            self.levels.append((data.levels64[i] if level_max <= INT64_SAFE else a, c))
+        # minus the least and the greatest m_i with |D m_i + shift_i| <= w_max_i
+        w = np.array(w_max, dtype=np.int64)[:, None]
+        self.box = np.array([(w + self.shifts) // big_d, (w - self.shifts) // big_d])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +353,9 @@ class TermTable:
         ascending, and ``group[r]`` is row r's entry.  The rows come in key
         order and every key has one (build_term_table), so key k's rows are
         ``starts[k]`` up to ``starts[k + 1]``.  ``power`` is the float
-        prefactor exponent.
+        prefactor exponent.  e(-phase) takes one exp per row, or one per
+        residue when the reduced phase numerators take few enough values
+        (_phase_wave), with the same bits either way.
         """
         # a >= 0 >= b, each at most INT64_SAFE in size, so a + b and b - a fit int64
         freq_num = self.a_num + self.b_num
@@ -359,12 +365,12 @@ class TermTable:
         first[:1] = True
         np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
         group = np.empty(len(ranked), dtype=np.intp)
-        group[order] = np.cumsum(first) - 1
+        group[order] = first.cumsum() - 1
         # every numerator is at most INT64_SAFE, so past it |phase| < 1 already
         phase_num = (self.phase_num % self.phase_den if self.phase_den <= INT64_SAFE
                      else self.phase_num)
-        wave = np.exp(phase_num * (-1j * TWO_PI / self.phase_den))
-        starts = np.searchsorted(self.key_index, np.arange(len(self.keys)))
+        wave = _phase_wave(phase_num, self.phase_den)
+        starts = self.key_index.searchsorted(np.arange(len(self.keys)))
         scale = TWO_PI / self.ab_den
         return (np.multiply(self.poly.T, wave, order="C"), (self.b_num - self.a_num) * scale,
                 ranked[first] * (1j * scale), group, starts, float(self.prefactor_exponent))
@@ -397,6 +403,34 @@ class TermTable:
         return out
 
 
+#: a residue fold's fixed numpy calls cost about as much as this many
+#: complex exps, so a table folds its phases only when its residues and this
+#: many fall short of its rows (_phase_wave)
+_FOLD_ROWS = 256
+
+
+def _residue_wave(phase_num: np.ndarray, den: int, step: int) -> np.ndarray:
+    """e(-p / den) for each reduced numerator p, all in one class p0 mod
+    step (0 <= p0 < step), from one exp per residue p0 + k step and one take:
+    each row gets the float argument p (-2 pi i / den) it would get alone,
+    so the same bits."""
+    low = int(phase_num[0]) % step
+    return np.exp(np.arange(low, den, step) * (-1j * TWO_PI / den)).take(phase_num // step)
+
+
+def _phase_wave(phase_num: np.ndarray, den: int) -> np.ndarray:
+    """e(-p / den) for each p of ``phase_num``, reduced (0 <= p < den) when
+    den <= INT64_SAFE.  The numerators all lie in one class mod step, the
+    gcd of den and their differences, so they take at most m = den / step
+    values: folded over those residues (_residue_wave) when m + _FOLD_ROWS
+    is below the row count, else one exp per row."""
+    if len(phase_num) > _FOLD_ROWS and den <= INT64_SAFE:
+        step = math.gcd(den, int(np.gcd.reduce(phase_num - phase_num[0])))
+        if den // step + _FOLD_ROWS < len(phase_num):
+            return _residue_wave(phase_num, den, step)
+    return np.exp(phase_num * (-1j * TWO_PI / den))
+
+
 def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.ndarray:
     """(terms x len(series)) coefficients of y^{-j}, from the adapted
     coordinates of the columns of w / den that some monomial reads."""
@@ -414,17 +448,22 @@ def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.n
         for i in read:
             if i >= point.dim_plus:
                 coords[i] *= -1.0
-    out = np.zeros((w.shape[1], len(series)), dtype=complex)
+    # with real coefficients a column's sum is the real part of the complex
+    # one, bit for bit, so it is summed in floats and cast as it takes its
+    # factor, which then multiplies as the complex product did
+    real = all(c.imag == 0 for poly in series for c in poly.monomials.values())
+    dtype = float if real else complex
+    out = np.empty((len(series), w.shape[1]), dtype=complex)
     for j, poly in enumerate(series):
-        col = np.zeros(w.shape[1], dtype=complex)
+        col = np.zeros(w.shape[1], dtype=dtype)
         for expo, coeff in poly.monomials.items():
-            term = np.full(w.shape[1], coeff, dtype=complex)
+            term = np.full(w.shape[1], coeff.real if real else coeff, dtype=dtype)
             for i, e in enumerate(expo):
                 if e:
                     term = term * coords[i] ** e
             col = col + term
-        out[:, j] = col * (-1.0 / (8.0 * math.pi)) ** j
-    return out
+        np.multiply(col, (-1.0 / (8.0 * math.pi)) ** j, out=out[j], dtype=complex)
+    return out.T
 
 
 def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
@@ -448,22 +487,25 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     # every w = coset + m + beta with maj(w) <= 2 * bound, as the integers
     # W = D w, with value the exact W^T N_maj W
     forms = _IntegerForms(lat, point, [c for _k, c in cosets], as_pair(pair_vectors, n), bound)
-    index, w, value = _fincke_pohst(forms.levels, forms.bounds, forms.denominator,
+    index, w, value = _fincke_pohst(forms.levels, forms.steps, forms.bounds, forms.denominator,
                                     forms.shifts, forms.box)
     counts = np.bincount(index, minlength=len(cosets))
-    keys = tuple(cosets[i][0] for i in np.flatnonzero(counts).tolist())
+    keys = tuple(cosets[i][0] for i in counts.nonzero()[0].tolist())
     # a coset without rows has no key
-    key_index = (np.cumsum(counts > 0) - 1)[index]
+    key_index = ((counts > 0).cumsum() - 1)[index]
     # w and lam hold one vector per column until the table is made
     lam = w - forms.d_beta[:, None]
     vector_den = forms.denominator
     ab_den = 2 * forms.d * vector_den ** 2
-    a_num = _quad(w, forms.n_plus)
-    # the walk's value is W^T (N+ - N-) W, exactly
-    b_num = (a_num - value).astype(np.int64, copy=False)
+    # the walk's value is W^T (N+ - N-) W, exactly, so the sparser of N+ and
+    # N-, read on the coordinates its entries use, gives both columns
+    sign, support, form = forms.exact_form
+    part = _quad(w[support], form)
+    a_num, b_num = (part, part - value) if sign > 0 else (value + part, part)
+    a_num, b_num = a_num.astype(np.int64, copy=False), b_num.astype(np.int64, copy=False)
     phase_den = 2 * vector_den * forms.alpha_denominator
     # |g_alpha| . (2 |W| + |D beta|) <= INT64_SAFE (_IntegerForms), so no sum overflows
-    phase_num = forms.g_alpha @ (2 * w - forms.d_beta[:, None])
+    phase_num = 2 * (forms.g_alpha @ w) - forms.beta_phase
     return TermTable(keys=keys, key_index=key_index, vectors=lam.T,
                      vector_den=vector_den,
                      a_num=a_num, b_num=b_num, ab_den=ab_den,
@@ -514,26 +556,27 @@ def _upper_gamma_half_orders(x: float, count: int) -> list[float]:
     return out[:count]
 
 
-def _tail_shell(q: np.ndarray, series):
+def _tail_shell(count_shell, series):
     """The tau-independent part of _tail_bound, or None when nothing is omitted.
 
-    Returns (pieces, binomials, size, volume): a (j, |c|, degree) piece per
-    monomial c s^degree of the j-th series term, the (binomial, rho power)
-    pairs of (s + rho)^(n-1), the number of s^m coefficients and V_n n / covol.
+    ``count_shell`` is the majorant's shell_count_weights
+    (GrassmannPoint.count_shell, made once per point).  Returns
+    (pieces, binomials, powers, volume): per series term j with a monomial,
+    (j, [(|c|, degree), ...]) over its monomials c s^degree; the (binomial,
+    rho power) pairs of (s + rho)^(n-1); per s^m coefficient of the
+    integrand, m = -1, 0, 1, ..., the factor 2^(m/2) and the exponent
+    -m/2 - 1 of lam; and V_n n / covol.
     """
-    n = q.shape[0]
-    if n == 0:
+    if count_shell is None:
         return None
-    det = float(np.linalg.det(q))
-    covol = math.sqrt(max(det, 1e-300))
-    rho = 0.5 * sum(math.sqrt(q[i, i]) for i in range(n))
-    vol_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    pieces = [(j, abs(coeff), sum(expo))
-              for j, poly in enumerate(series) for expo, coeff in poly.monomials.items()]
+    binomials, volume = count_shell
+    pieces = [(j, [(abs(coeff), sum(expo)) for expo, coeff in poly.monomials.items()])
+              for j, poly in enumerate(series) if poly.monomials]
     if not pieces:
         return None
-    binomials = [(math.comb(n - 1, k), rho ** (n - 1 - k)) for k in range(n)]
-    return pieces, binomials, max(d for _j, _c, d in pieces) + n, vol_n * n / covol
+    size = max(d for _j, terms in pieces for _c, d in terms) + len(binomials)
+    return (pieces, binomials, [(2.0 ** (m / 2), -m / 2 - 1) for m in range(-1, size - 1)],
+            volume)
 
 
 def _tail_bound(shell, translates: int, y: float, bound: float, power: float) -> float:
@@ -546,23 +589,26 @@ def _tail_bound(shell, translates: int, y: float, bound: float, power: float) ->
     integral over r > bound is evaluated in closed form: expanding
     (s + rho)^(n-1) binomially leaves pieces s^m e^{-lam r} (lam = 2 pi y),
     each integrating to 2^(m/2) lam^(-m/2-1) Gamma(m/2+1, lam bound).
-    ``shell`` is _tail_shell of the majorant and the series, and ``power``
-    the prefactor exponent.
+    ``shell`` is _tail_shell of the point and the series, and ``power``
+    the prefactor exponent.  Only the factors that depend on y are made
+    per call: (8 pi y)^-j once per series term, the powers of lam and the
+    incomplete Gammas.
     """
     if shell is None:
         return 0.0
-    pieces, binomials, size, volume = shell
+    pieces, binomials, powers, volume = shell
     # monomial-wise polynomial bound: sum of |c| / (8 pi y)^j * s^deg
     # shell density vol_n n (s + rho)^(n-1) / (s covol): collect s^m, m = deg + k - 1
-    coeffs = [0.0] * size
-    for j, c, d in pieces:
-        c *= (1.0 / (8.0 * math.pi * y)) ** j
-        for k, (binomial, rho_power) in enumerate(binomials):
-            coeffs[d + k] += c * binomial * rho_power
+    coeffs = [0.0] * len(powers)
+    for j, terms in pieces:
+        factor = (1.0 / (8.0 * math.pi * y)) ** j
+        for c, d in terms:
+            c *= factor
+            for slot, (binomial, rho_power) in enumerate(binomials, d):
+                coeffs[slot] += c * binomial * rho_power
     lam = TWO_PI * y
     gammas = _upper_gamma_half_orders(lam * float(bound), len(coeffs))
-    total = sum(c * 2.0 ** (m / 2) * lam ** (-m / 2 - 1) * g
-                for m, (c, g) in enumerate(zip(coeffs, gammas), start=-1))
+    total = sum(c * h * lam ** e * g for c, (h, e), g in zip(coeffs, powers, gammas))
     total *= volume
     return float(y ** power * translates * total)
 
@@ -605,7 +651,7 @@ class ThetaEvaluator:
     the same taus gets the same (immutable) vectors without an evaluation.
     """
 
-    def __init__(self, table: TermTable, axes, bound, majorant_np, translates, series):
+    def __init__(self, table: TermTable, axes, bound, count_shell, translates, series):
         self.terms = table
         self.axes = axes
         self._shape = tuple(ax.group.order for ax in axes)
@@ -615,7 +661,7 @@ class ThetaEvaluator:
         self.prefactor_exponent = table.prefactor_exponent
         self._power = float(table.prefactor_exponent)
         self.bound = float(bound)
-        self._majorant = majorant_np
+        self._count_shell = count_shell
         self._translates = translates
         self._series = series
         self._last = (None, [])
@@ -651,7 +697,7 @@ class ThetaEvaluator:
 
     @cached_property
     def _shell(self):
-        return _tail_shell(self._majorant, self._series)
+        return _tail_shell(self._count_shell, self._series)
 
     def tail(self, y: float) -> float:
         return _tail_bound(self._shell, self._translates, y, self.bound, self._power)
@@ -664,12 +710,12 @@ def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
     poly = _check_poly(poly, point)
     _check_bound(bound)
     group = discriminant_group(lat)
-    series = laplacian_series(poly)
+    series = poly.series
     elements = group.elements()
     cosets = [((gamma,), vec) for gamma, vec in zip(elements, group.dual_vectors(elements))]
     prefactor = Fraction(lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(lat, point, series, cosets, pair_vectors, bound, prefactor)
-    return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.majorant_np,
+    return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.count_shell,
                           group.order, series)
 
 
@@ -781,7 +827,7 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     vp = as_pair(pair_vectors, lat.rank)
     xi = _complement_coords(sd, vp.alpha, "xi")
     eta = _complement_coords(sd, vp.beta, "eta")
-    series = laplacian_series(poly)
+    series = poly.series
     perp_lat = sd.mperp_sub.lattice
     c_rank = sd.m_sub.rank
     hperp = sd.gm.domain  # in element order
@@ -790,7 +836,7 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
     axes = (Axis(sd.d_l, dual=False), Axis(sd.d_m, dual=True))
-    return ThetaEvaluator(table, axes, bound, u_perp.majorant_np, len(hperp), series)
+    return ThetaEvaluator(table, axes, bound, u_perp.count_shell, len(hperp), series)
 
 
 def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,

@@ -729,13 +729,24 @@ MALFORMED_INPUTS.update({
     for check in NEEDS_SUBLATTICE})
 
 
+#: malformed $THETA_MAX_VECTORS values: id -> value, each on a valid run
+MALFORMED_CAPS = {"theta_max_vectors_word": "abc", "theta_max_vectors_float": "1e5",
+                  "theta_max_vectors_negative": "-3"}
+MALFORMED_INPUTS.update({
+    case: ("run-scenario {sc_valid}", "ParseError: THETA_MAX_VECTORS")
+    for case in MALFORMED_CAPS})
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_exits_2(tmp_path, capsys, case):
-    # a missing or wrongly typed entry, a non-finite bound or coefficient, or
-    # a tolerance that is not a finite number >= 0, is a typed error with
-    # exit 2 (1 means a check failed), never a traceback or a verdict
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
+    # a missing or wrongly typed entry, a non-finite bound or coefficient, a
+    # tolerance that is not a finite number >= 0, or a node cap that is not a
+    # decimal count, is a typed error with exit 2 (1 means a check failed),
+    # never a traceback or a verdict
     files = {name: write_json(tmp_path / f"{name}.json", payload)
              for name, payload in BAD_INPUTS.items()}
+    if case in MALFORMED_CAPS:
+        monkeypatch.setenv("THETA_MAX_VECTORS", MALFORMED_CAPS[case])
     command, error = MALFORMED_INPUTS[case]
     assert main([token.format(**files) for token in command.split()]) == 2
     assert f"error: {error}" in capsys.readouterr().err

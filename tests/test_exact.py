@@ -240,12 +240,15 @@ def test_mat_mul_and_mat_vec_match_fraction_arithmetic():
 
 
 def test_inverse_determinant_and_kernel_match_fraction_elimination():
+    # inverse_diagonal reads the int rows den m: its entries are those of
+    # (den m)^-1 = m^-1 / den, over a positive denominator
     rng = random.Random(7)
     singular = 0
     for a, _b in _kernel_cases():
         assert _typed(exact.rational_kernel(a)) == _typed(_ref_rational_kernel(a)), a
         square = [row[:len(a)] for row in a] if len(a[0]) >= len(a) else \
             _matrix(rng, len(a[0]), len(a[0]), "mixed")
+        rows, den = exact.integer_rows(square)
         det = exact.mat_det(square)
         assert _typed(det) == _typed(_ref_mat_det(square)), square
         try:
@@ -256,12 +259,19 @@ def test_inverse_determinant_and_kernel_match_fraction_elimination():
                 exact.mat_inv(square)
             with pytest.raises(Degenerate):
                 exact.mat_inv_det(square)
+            with pytest.raises(Degenerate):
+                exact.inverse_diagonal(rows)
             continue
         assert _typed(exact.mat_inv(square)) == _typed(ref), square
         assert _typed(exact.mat_inv_det(square)) == _typed([ref, det]), square
+        diagonal = exact.inverse_diagonal(rows)
+        assert all(type(p) is int and type(q) is int and q > 0 for p, q in diagonal)
+        assert [Fraction(p, q) for p, q in diagonal] == [ref[i][i] / den
+                                                         for i in range(len(rows))], square
     assert singular >= 30
     assert _typed(exact.mat_det([])) == _typed(Fraction(1))
     assert exact.mat_inv([]) == [] and exact.mat_inv_det([]) == ([], Fraction(1))
+    assert exact.inverse_diagonal([]) == []
     assert exact.rational_kernel([]) == [] and exact.rational_kernel([[], []]) == []
     assert _typed(exact.rational_kernel([[0, 0]])) == _typed(_ref_rational_kernel([[0, 0]]))
 

@@ -1,5 +1,6 @@
 import cmath
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -170,6 +171,20 @@ def test_enumeration_cap(monkeypatch):
             enumerate_vectors(a1_cubed, [0, 0, 0], point, None, 8.0)
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e5", "-3", "", " 7", "+5", "7.0", "\u0663"])
+def test_enumeration_cap_must_be_a_decimal_count(ii11, monkeypatch, raw):
+    # a cap that is not a non-negative decimal integer is a ParseError naming
+    # the variable, from the walk and from the family store's key alike
+    from vvtheta import ParseError
+
+    v = make_grassmann_point(ii11, [[1, 1]])
+    monkeypatch.setenv("THETA_MAX_VECTORS", raw)
+    with pytest.raises(ParseError, match="THETA_MAX_VECTORS"):
+        enumerate_vectors(ii11, [0, 0], v, None, 2.0)
+    with pytest.raises(ParseError, match="THETA_MAX_VECTORS"):
+        siegel_theta(ii11, 1j, v, constant_poly(1, 1), None, 2.0)
+
+
 def test_enumeration_env_cap(ii11, monkeypatch):
     v = make_grassmann_point(ii11, [[1, 1]])
     monkeypatch.setenv("THETA_MAX_VECTORS", "10")
@@ -267,8 +282,8 @@ def test_enumeration_complete_on_skewed_majorants():
         forms = theta_mod._IntegerForms(lat, point, [coset], as_pair(([0] * rank, beta), rank),
                                         bound)
         kinds.update(a.dtype.kind for a, _c in forms.levels)
-        walks = [theta_mod._fincke_pohst(levels, forms.bounds, forms.denominator, forms.shifts,
-                                         forms.box)
+        walks = [theta_mod._fincke_pohst(levels, forms.steps, forms.bounds, forms.denominator,
+                                         forms.shifts, forms.box)
                  for levels in (forms.levels, point.majorant_levels)]
         _d, n_plus, n_minus = point.integer_forms
         n_maj = np.array([[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)],
@@ -372,6 +387,56 @@ def test_bundled_scenario_tables_in_table_order(monkeypatch):
         _assert_rows_in_lexsort_order(table, seed)
 
 
+GOLDEN_TABLES = pathlib.Path(__file__).resolve().parent / "golden" / "term_tables.json"
+
+
+def _table_digest(table) -> dict:
+    """A table's row count, denominators and one sha256 over its keys and
+    the bytes of every column."""
+    digest = hashlib.sha256(repr(table.keys).encode())
+    for name in _COLUMNS:
+        digest.update(getattr(table, name).tobytes())
+    return {"rows": len(table), "vector_den": table.vector_den, "ab_den": table.ab_den,
+            "phase_den": table.phase_den, "sha256": digest.hexdigest()}
+
+
+def _scenario_builds(monkeypatch, path) -> list:
+    """(args, table) of every build one run of a scenario makes, in order."""
+    from vvtheta.cli import run_scenario
+
+    builds = []
+    build = theta_mod.build_term_table
+
+    def recording(*args, **kwargs):
+        builds.append((args, build(*args, **kwargs)))
+        return builds[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(theta_mod, "build_term_table", recording)
+        run_scenario(str(path))
+    return builds
+
+
+def _term_table_digests(monkeypatch, a2, ii11) -> dict:
+    """The digest of every table one run of each bundled scenario builds, in
+    build order, and of the theta-rank4 benchmark table."""
+    digests = {path.stem: [_table_digest(table) for _args, table in
+                           _scenario_builds(monkeypatch, path)]
+               for path in sorted(BUNDLED.parent.glob("*.json"))}
+    digests["theta-rank4"] = [_table_digest(_rank4_table(a2, ii11))]
+    return digests
+
+
+def test_term_tables_match_golden(monkeypatch, a2, ii11):
+    # every exact column and every poly bit of every table the bundled runs
+    # and the theta-rank4 benchmark build, against digests of the same builds
+    # made before the build's point data was cached
+    want = json.loads(GOLDEN_TABLES.read_text())
+    got = _term_table_digests(monkeypatch, a2, ii11)
+    assert [len(got[k]) for k in sorted(got)] == [12, 12, 1]
+    assert got == want
+
+
 def test_walk_numbers_past_int64_run_on_python_ints(a1, a2, ii11):
     # with a shift denominator near 10^9 every table numerator fits int64,
     # but the walk's u (p x + b)^2 + v Q on some level could pass 2^62: that
@@ -400,6 +465,66 @@ def test_walk_numbers_past_int64_run_on_python_ints(a1, a2, ii11):
                                   table.b_num.tolist())}
         assert got == want
         assert len(want) > 1
+
+
+def test_exact_columns_from_the_sparser_form_match_quad(a1, a2, ii11):
+    # a_num and b_num from the walk's value and the sparser of N+ and N- on
+    # its support, against W^T N+- W over every coordinate in Python ints:
+    # signature (3, 1), II(1,1), a positive and a negative definite lattice
+    # (no form to read), a support that is not a run of coordinates, and the
+    # lattices whose walk runs on Python ints
+    from vvtheta.grassmann import GrassmannPoint
+
+    def case(lat, span, beta):
+        return lat, make_grassmann_point(lat, span), beta
+
+    split = construct_lattice([[0, 0, 1], [0, 2, 0], [1, 0, 0]])
+    a2_neg = construct_lattice([[-2, -1], [-1, -2]])
+    cases = [case(direct_sum(a2, ii11), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]],
+                  [F(1, 2), F(1, 3), F(1, 5), F(1, 4)]),
+             case(ii11, [[1, F(1, 3)]], [F(1, 3), F(1, 7)]),
+             case(a2, [[1, 0], [0, 1]], [F(1, 3), F(1, 4)]),
+             (a2_neg, GrassmannPoint(a2_neg, [], [(1, 0), (0, 1)], np.eye(2)),
+              [F(1, 3), F(1, 4)]),
+             case(split, [[0, 1, 0], [1, 0, 1]], [F(1, 2), F(1, 3), F(1, 5)]),
+             case(a1, [[1]], [F(1, 10 ** 9 + 1)]),
+             case(a2, [[1, 0], [0, 1]], [F(1, 5 * 10 ** 8 + 1), 0]),
+             case(ii11, [[1, F(1, 2)]], [F(1, 4 * 10 ** 8 + 1), 0])]
+    supports = []
+    for lat, point, beta in cases:
+        n = lat.rank
+        table = theta_mod.build_term_table(lat, point, [], [((), [0] * n)],
+                                           ([F(1, 3)] * n, beta), 1.0)
+        assert len(table) > 1
+        sign, support, _form = point.build_data.exact_form
+        supports.append((sign, np.arange(n)[support].tolist()))
+        w = table.vectors.T.astype(object) + np.array(
+            [int(b * table.vector_den) for b in beta], dtype=object)[:, None]
+        _d, n_plus, n_minus = point.integer_forms
+        for got, form in ((table.a_num, n_plus), (table.b_num, n_minus)):
+            want = theta_mod._quad(w, np.array(form, dtype=object).reshape(n, n))
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert supports == [(-1, [2, 3]), (1, [0, 1]), (-1, []), (1, []), (-1, [0, 2]),
+                        (-1, []), (-1, []), (1, [0, 1])]
+
+
+def test_point_data_made_once_per_point(monkeypatch):
+    # one run of the II(1,1) seesaw builds 12 tables on 5 points, and makes
+    # each point's build data once
+    from vvtheta.grassmann import PointBuildData
+
+    made = []
+    init = PointBuildData.__init__
+
+    def counting(self, point):
+        made.append(point)
+        init(self, point)
+
+    monkeypatch.setattr(PointBuildData, "__init__", counting)
+    builds = _scenario_builds(monkeypatch, BUNDLED)
+    points = {id(args[1]) for args, _table in builds}
+    assert (len(builds), len(points), len(made)) == (12, 5, 5)
+    assert {id(point) for point in made} == points
 
 
 def test_build_takes_one_coset_per_key(a1):
@@ -766,15 +891,21 @@ def _frequency_groups(table) -> list:
     return [numerators[g].pop() for g in range(len(omega))]
 
 
+def _glued_l_table(pair):
+    """Theta_L of the bundled glued scenario at its splitting, a constant
+    polynomial and bound 8."""
+    lat, m_sub, u, u_perp = _glued_seesaw()
+    sd = split_data(lat, m_sub)
+    return siegel_theta_evaluator(
+        lat, direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp),
+        lift_product(constant_poly(2, 1), constant_poly(2, 0)), pair, 8).terms
+
+
 def test_frequency_groups_are_exact(a2, ii11):
     # every row of a group shares its exact numerator, and the groups are
     # the distinct numerators, ascending, once each; the unshifted Theta_L of
     # the glued scenario has 73 frequencies over 23 831 rows
-    lat, m_sub, u, u_perp = _glued_seesaw()
-    sd = split_data(lat, m_sub)
-    glued_l = siegel_theta_evaluator(
-        lat, direct_sum_grassmann(sd.m_sub, sd.mperp_sub, u, u_perp),
-        lift_product(constant_poly(2, 1), constant_poly(2, 0)), None, 8).terms
+    glued_l = _glued_l_table(None)
     for table in (_rank4_table(a2, ii11), _glued_mixed_table(6), glued_l):
         freq = (table.a_num + table.b_num).tolist()
         numerators = _frequency_groups(table)
@@ -793,6 +924,34 @@ def test_frequency_groups_are_exact(a2, ii11):
     assert float(a_num[0]) / 2 ** 61 == float(a_num[1]) / 2 ** 61
     assert _frequency_groups(table) == [2 ** 60, 2 ** 60 + 1]
     assert table._factors[3].tolist() == [0, 1, 0]
+
+
+def test_residue_fold_matches_one_exp_per_row(a2, ii11, monkeypatch):
+    # e(-phase) folded over the m residues of the phase numerators against
+    # one complex exp per row, bit for bit: the theta-rank4 table (m = 210 of
+    # 3420 rows), a 15-row seesaw table with m = rows, the unshifted 15-row
+    # mixed table (m = 1) and the 22 827-row glued Theta_L with the
+    # scenario's shifts (m = 210); _phase_wave folds the two large ones
+    seesaw = [table for _args, table in _scenario_builds(monkeypatch, BUNDLED)]
+    data = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
+    glued_l = _glued_l_table([[F(x) for x in data[name]] for name in ("alpha", "beta")])
+    folds = []
+    fold = theta_mod._residue_wave
+    monkeypatch.setattr(theta_mod, "_residue_wave",
+                        lambda *args: folds.append(args) or fold(*args))
+    cases = [(_rank4_table(a2, ii11), 3420, 210, True), (seesaw[5], 15, 15, False),
+             (seesaw[0], 15, 1, False), (glued_l, 22827, 210, True)]
+    for table, rows, m, folded in cases:
+        reduced = table.phase_num % table.phase_den
+        step = math.gcd(table.phase_den, *(reduced - reduced[0]).tolist())
+        assert (len(table), table.phase_den // step) == (rows, m)
+        want = np.exp(reduced * (-1j * theta_mod.TWO_PI / table.phase_den))
+        assert fold(reduced, table.phase_den, step).tobytes() == want.tobytes()
+        folds.clear()
+        assert theta_mod._phase_wave(reduced, table.phase_den).tobytes() == want.tobytes()
+        assert len(folds) == folded
+        coeff = table._factors[0]
+        assert coeff.tobytes() == np.multiply(table.poly.T, want, order="C").tobytes()
 
 
 def test_frequency_grouping_runs_once_per_table(a2, ii11, monkeypatch):
@@ -939,6 +1098,30 @@ def test_poly_matrix_reads_only_the_used_coordinates(a2, ii11, monkeypatch):
     constant = theta_mod._poly_matrix(laplacian_series(constant_poly(3, 1)), point, w, den)
     assert lin_calls == []
     assert constant.shape == (w.shape[1], 1) and (constant == 1).all()
+
+
+def test_float_poly_columns_match_the_complex_ones(a2, ii11):
+    # real coefficients are summed in floats and cast once; each column is
+    # the complex product's, bit for bit: signed real coefficients over three
+    # series terms (odd terms take a negative factor), a coefficient with a
+    # signed-zero imaginary part, and a complex coefficient, which keeps the
+    # complex path
+    lat = direct_sum(a2, ii11)
+    point = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(3, 10)]])
+    w = _rank4_table(a2, ii11).vectors.T * 3 + 1
+    polys = [HomogeneousPolynomial((4, 0), 3, 1, {(4, 0, 0, 0): -1.5, (2, 2, 0, 0): 0.25,
+                                                   (1, 1, 2, 0): -2.0}),
+             HomogeneousPolynomial((2, 1), 3, 1, {(2, 0, 0, 1): -0.5, (0, 1, 1, 1): 3.0}),
+             HomogeneousPolynomial((2, 0), 3, 1, {(2, 0, 0, 0): complex(-1.0, -0.0)}),
+             HomogeneousPolynomial((2, 1), 3, 1, {(2, 0, 0, 1): 1.0, (1, 1, 0, 1): 0.5 - 2j})]
+    for poly in polys:
+        series = poly.series
+        got = theta_mod._poly_matrix(series, point, w, 7)
+        want = _full_poly_matrix(series, point, w / 7.0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [len(poly.series) for poly in polys] == [3, 2, 2, 2]
+    assert (np.signbit(_full_poly_matrix(polys[0].series, point, w / 7.0).imag)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -1104,6 +1287,7 @@ def _tail_reference(q, translates, series, y, bound, prefactor_exponent):
 
 def test_tail_bound_closed_form_against_quadrature():
     pytest.importorskip("mpmath")
+    from vvtheta.grassmann import shell_count_weights
     from vvtheta.theta import _tail_bound, _tail_shell
 
     rng = random.Random(41)
@@ -1126,14 +1310,16 @@ def test_tail_bound_closed_form_against_quadrature():
         y, bound = rng.uniform(0.3, 3.0), rng.uniform(0.5, 14.0)
         prefactor = F(rng.randint(0, 4), 2)
         translates = rng.randint(1, 12)
-        got = _tail_bound(_tail_shell(q, series), translates, y, bound, prefactor)
+        got = _tail_bound(_tail_shell(shell_count_weights(q), series), translates, y, bound,
+                          prefactor)
         ref = _tail_reference(q, translates, series, y, bound, prefactor)
         assert abs(got - ref) <= 1e-12 * ref, (n, deg, y, bound)
     # nothing to omit: a rank-0 lattice, an empty or a zero series
     zero = Polynomial(1, 0, {})
     for q, series in [(np.zeros((0, 0)), [constant_poly(0, 0)]), (np.eye(1), []),
                       (np.eye(1), [zero])]:
-        assert _tail_bound(_tail_shell(q, series), 1, 1.0, 2.0, F(0)) == 0.0
+        assert _tail_bound(_tail_shell(shell_count_weights(q), series), 1, 1.0, 2.0,
+                           F(0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
