@@ -33,7 +33,14 @@ from .discforms import (
     gauss_sum_check,
     gauss_sum_residual,
 )
-from .errors import NotRational, OutputNotWritable, ParseError, UnknownCheck, VvthetaError
+from .errors import (
+    ComplementNotDefinite,
+    NotRational,
+    OutputNotWritable,
+    ParseError,
+    UnknownCheck,
+    VvthetaError,
+)
 from .exact import rational
 from .grassmann import (
     HomogeneousPolynomial,
@@ -445,7 +452,8 @@ def _check_contraction(sc: Scenario) -> float:
     if sc.form is None:
         raise ParseError("contraction check needs a 'form' entry")
     sw = sc.seesaw
-    result = contract_symbolic(sc.form, sw.lattice, sw.sd.m_sub, sw.p_uperp, sc.bound)
+    result = contract_symbolic(sc.form, sw.lattice, sw.sd.m_sub, sw.u_perp, sw.p_uperp,
+                               sc.bound)
     pointwise = seesaw_contractions(sw, sc.form, sc.tau_samples, sc.bound)
     return max((result.evaluate(tau) - pw).norm_inf()
                for tau, pw in zip(sc.tau_samples, pointwise))
@@ -582,7 +590,12 @@ def _cmd_contract(args) -> int:
     perp = orthogonal_complement(lat, m_sub).lattice
     form = read_form(load_json(args.form))
     poly = read_poly(args.poly and load_json(args.poly), perp)
-    emit_expansion(contract_symbolic(form, lat, m_sub, poly, args.bound), args.out)
+    if perp.sig_minus:
+        raise ComplementNotDefinite(
+            f"complement has signature {perp.signature}; needs positive definite")
+    # a positive definite complement has one splitting, spanned by the unit vectors
+    point = read_splitting(None, perp)
+    emit_expansion(contract_symbolic(form, lat, m_sub, point, poly, args.bound), args.out)
     return 0
 
 

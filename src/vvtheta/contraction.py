@@ -26,17 +26,13 @@ from .errors import (
     IndexMismatch,
     PolynomialNotHarmonic,
 )
-from .grassmann import (
-    HomogeneousPolynomial,
-    make_grassmann_point,
-)
+from .grassmann import GrassmannPoint, HomogeneousPolynomial
 from .lattice import Lattice, Sublattice
 from .theta import (
     Seesaw,
     TermTable,
     _check_bound,
     _fraction_map,
-    mixed_theta_evaluator,
     mixed_theta_family,
     siegel_theta_evaluator,
     split_data,
@@ -160,18 +156,20 @@ def _q_series(table: TermTable) -> dict:
 
 
 def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
-                      p_uperp: HomogeneousPolynomial,
+                      u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
                       bound: float = 10.0) -> QExpansionForm:
     """Exact q-expansion of the contraction over D_M: the mixed theta's
     q-series paired with the form over D_L, at the form's weight plus the
     complement's theta weight.
 
-    Requires a positive definite complement (its Grassmannian is a point)
-    and a harmonic polynomial there; a polynomial whose variables do not
-    match the complement raises NonHomogeneousPolynomial, as in
-    mixed_theta_evaluator.  Each key (gamma_L, delta_M) of the
-    mixed theta table contributes the products of the form's component on
-    gamma_L with that key's q-series to the output component on delta_M.
+    Requires a positive definite complement, whose Grassmannian is the one
+    point ``u_perp``, and a harmonic polynomial there; a polynomial whose
+    variables do not match the complement raises NonHomogeneousPolynomial,
+    as in mixed_theta_evaluator.  The mixed theta's table is the stored one
+    of mixed_theta_family, as in contract_pointwise, so a seesaw on the same
+    objects shares it.  Each key (gamma_L, delta_M) of the table contributes
+    the products of the form's component on gamma_L with that key's
+    q-series to the output component on delta_M.
     """
     _check_bound(bound)
     sd = split_data(lat, m_sub)
@@ -183,9 +181,8 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
         raise PolynomialNotHarmonic("symbolic contraction needs a harmonic polynomial")
     if form.lattice != lat:
         raise IndexMismatch("form is indexed by a different lattice")
-    u_perp = make_grassmann_point(perp_lat, exact.identity(perp_lat.rank))
     theta_bound = Fraction(bound) - min(Fraction(0), form.min_exponent())
-    table = mixed_theta_evaluator(lat, m_sub, u_perp, p_uperp, None, theta_bound).terms
+    table = mixed_theta_family(lat, m_sub, u_perp, p_uperp).evaluator(None, theta_bound).terms
     out: dict = {}
     cap = Fraction(bound)
     for k, theta_part in _q_series(table).items():

@@ -168,6 +168,23 @@ def inverse_diagonal(rows) -> list[tuple[int, int]]:
     return [(sign * row[len(rows) + i], sign * p) for i, row in enumerate(a)]
 
 
+def definite_inverse(rows) -> tuple[int, list[list[int]]] | None:
+    """(p, p m^{-1}) with p = det m > 0 for the int rows m of a positive
+    definite matrix, from one elimination of [m | I]; None when m is not
+    positive definite.
+
+    Sylvester's criterion: every leading principal minor of m is positive.
+    Those are the pivots, as the elimination swaps or skips only after one
+    of them vanished.
+    """
+    n = len(rows)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _cols, pivots, swaps = _eliminate(a, n)
+    if swaps or len(pivots) < n or any(p <= 0 for p in pivots):
+        return None
+    return (pivots[-1] if n else 1), [row[n:] for row in a]
+
+
 def mat_inv(m) -> list[list[Fraction]]:
     """Exact inverse; raises Degenerate on singular input."""
     return mat_inv_det(m)[0]
@@ -186,17 +203,10 @@ def mat_det(m) -> Fraction:
 
 
 def is_definite(m, sign: int) -> bool:
-    """Whether sign * m (sign +1 or -1) is positive definite.
-
-    Sylvester's criterion: the leading principal minor of order k of sign * m
-    is positive for every k.  Those of den m are the pivots of one
-    elimination, which swaps or skips only after one of them vanished, and
-    den > 0 keeps their signs.
-    """
+    """Whether sign * m (sign +1 or -1) is positive definite: whether
+    definite_inverse takes the int rows sign * den m, as den > 0."""
     rows, _den = integer_rows(m)
-    _cols, pivots, swaps = _eliminate(rows, len(m))
-    return (not swaps and len(pivots) == len(m)
-            and all(p * sign ** k > 0 for k, p in enumerate(pivots, 1)))
+    return definite_inverse([[sign * x for x in row] for row in rows]) is not None
 
 
 def rational_kernel(m) -> list[list[Fraction]]:

@@ -2,11 +2,12 @@
 
 A Grassmannian point is a splitting L_R = v+ (+) v- into a positive and a
 negative definite subspace.  Its spanning data is read as exact rationals
-(exact.rational), so its norm forms, derived from the Gram data of the span
-of v+, and the positive definite majorant are exact rational matrices; the
-orthonormalized adapted basis (used only to evaluate polynomials) is
-floating point.  Polynomials live in the adapted coordinates of a specific
-point: the first block of variables spans v+, the second v-.
+(exact.rational), and its norm forms, derived from the Gram data of the span
+of v+, are exact: int rows d Q+- from one fraction-free elimination, with
+no Fraction matrix in between; the orthonormalized adapted basis (used only
+to evaluate polynomials) is floating point.  Polynomials live in the
+adapted coordinates of a specific point: the first block of variables spans
+v+, the second v-.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
 from . import exact
 from .errors import (
     IncompatibleSublattices,
+    MismatchedSignature,
     NonHomogeneousPolynomial,
     NotPositiveDefiniteSpan,
     WrongDimension,
@@ -28,60 +31,65 @@ from .lattice import Lattice, Sublattice
 
 
 class VectorPair:
-    """Two vectors of L_R organized as a column pair (alpha; beta)."""
+    """Two vectors of L_R organized as a column pair (alpha; beta).
 
-    def __init__(self, alpha: tuple, beta: tuple):
-        self.alpha = alpha
-        self.beta = beta
+    Each entry is read by exact.rational when the pair is made, so a
+    VectorPair is exact and as_pair hands it on as it is.
+    """
+
+    def __init__(self, alpha, beta):
+        self.alpha = tuple(map(exact.rational, alpha))
+        self.beta = tuple(map(exact.rational, beta))
 
     @classmethod
     def zero(cls, rank: int):
-        return cls(tuple(Fraction(0) for _ in range(rank)),
-                   tuple(Fraction(0) for _ in range(rank)))
+        return cls((Fraction(0),) * rank, (Fraction(0),) * rank)
 
 
 def as_pair(pair, rank: int) -> VectorPair:
+    """The shift pair as a VectorPair: None is zero, a VectorPair is itself,
+    and (alpha, beta) is read entry by entry."""
     if pair is None:
         return VectorPair.zero(rank)
-    if isinstance(pair, VectorPair):
-        alpha, beta = pair.alpha, pair.beta
-    else:
-        alpha, beta = pair
+    alpha, beta = (pair.alpha, pair.beta) if isinstance(pair, VectorPair) else pair
     if len(alpha) != rank or len(beta) != rank:
         raise WrongDimension("vector pair does not match the lattice rank")
-    return VectorPair(tuple(map(exact.rational, alpha)), tuple(map(exact.rational, beta)))
+    return pair if isinstance(pair, VectorPair) else VectorPair(alpha, beta)
 
 
 class GrassmannPoint:
-    """A splitting v = v+ (+) v- of L_R, with its norm forms and majorant.
+    """A splitting v = v+ (+) v- of L_R, with its norm forms as int rows.
+
+    ``integer_forms`` is (d, N+, N-): N+- / d are the Gram matrices
+    Q+- = P+-^T G P+- of the plus and minus norms, with d the least
+    denominator, so N+ + N- = d G and N+ - N- = d times the majorant.  They
+    come from the span of v+ in Python ints (_span_forms) unless the caller
+    passes them.  ``majorant_np`` is the majorant in floats, each entry the
+    correctly rounded (N+ - N-)_ij / d.
 
     The caller guarantees rational orthogonal spans with orthonormal
-    ``adapted`` blocks; ``span_gram`` is _span_gram of ``span_plus`` when the
-    caller has it.
+    ``adapted`` blocks.  ``same_majorant`` is a point with the same
+    majorant (swap_blocks_point): its float majorant, elimination levels,
+    count_shell and the majorant part of build_data are read, not remade.
     """
 
     def __init__(self, lattice: Lattice, span_plus, span_minus,
-                 adapted: np.ndarray, span_gram=None):
-        n = lattice.rank
+                 adapted: np.ndarray, integer_forms=None,
+                 same_majorant: "GrassmannPoint | None" = None):
         self.lattice = lattice
         self.span_plus = [tuple(map(Fraction, v)) for v in span_plus]  # may be empty
         self.span_minus = [tuple(map(Fraction, v)) for v in span_minus]
         self.adapted = adapted          # n x n float, +block then -block columns
-        g = lattice.gram_rows()
-        if self.span_plus:
-            # Q+ = C^T (C B)^{-1} C for the span B (as rows) and C = B G
-            c, gram_plus = span_gram or _span_gram(self.span_plus, g)
-            q_plus = exact.mat_mul(exact.mat_mul(exact.transpose(c), exact.mat_inv(gram_plus)), c)
+        self.integer_forms = integer_forms or _span_forms(self.span_plus, lattice.gram_rows())[1]
+        self.same_majorant = same_majorant
+        if same_majorant is not None:
+            self.majorant_np = same_majorant.majorant_np
         else:
-            q_plus = [[Fraction(0)] * n for _ in range(n)]
-        q_minus = [[x - y for x, y in zip(rg, rp)] for rg, rp in zip(g, q_plus)]
-        # (Q+, Q-): exact Gram matrices of the plus and minus norms, P±^T G P±
-        # for the projections P± onto v±; Q+ - Q- is the majorant, Q+ + Q- is G
-        self.norm_forms = (q_plus, q_minus)
-        maj = [[a - b for a, b in zip(rp, rm)] for rp, rm in zip(q_plus, q_minus)]
-        self.majorant = maj             # exact majorant Gram matrix
-        self.majorant_np = np.array([[float(x) for x in row] for row in maj]
-                                    ) if lattice.rank else np.zeros((0, 0))
+            d, n_plus, n_minus = self.integer_forms
+            # int true division rounds once, as float(Fraction) does
+            self.majorant_np = np.array(
+                [[(p - m) / d for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)]
+            ) if lattice.rank else np.zeros((0, 0))
 
     @property
     def dim_plus(self) -> int:
@@ -90,18 +98,6 @@ class GrassmannPoint:
     @property
     def dim_minus(self) -> int:
         return len(self.span_minus)
-
-    @cached_property
-    def majorant_inverse(self) -> list:
-        """Exact inverse of the majorant Gram matrix."""
-        return exact.mat_inv(self.majorant) if self.lattice.rank else []
-
-    @cached_property
-    def integer_forms(self) -> tuple:
-        """(d, N+, N-): the least d with N+- = d Q+- integral, as int rows."""
-        q_plus, q_minus = self.norm_forms
-        rows, d = exact.integer_rows(q_plus + q_minus)
-        return d, rows[:len(q_plus)], rows[len(q_plus):]
 
     @cached_property
     def majorant_levels(self) -> tuple:
@@ -115,6 +111,8 @@ class GrassmannPoint:
         (Bareiss, Math. Comp. 22, 1968).  Each level is then divided by the
         gcd of c_i and the entries of A_i; object arrays of Python ints.
         """
+        if self.same_majorant is not None:
+            return self.same_majorant.majorant_levels
         _d, n_plus, n_minus = self.integer_forms
         levels = [([[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)], 1)]
         for _ in range(self.lattice.rank):
@@ -137,6 +135,8 @@ class GrassmannPoint:
     @cached_property
     def count_shell(self) -> tuple | None:
         """shell_count_weights of the float majorant, made once."""
+        if self.same_majorant is not None:
+            return self.same_majorant.count_shell
         return shell_count_weights(self.majorant_np)
 
     def adapted_coords(self, vec) -> np.ndarray:
@@ -181,11 +181,16 @@ class PointBuildData:
 
     - ``d``, ``abs_forms``: the d of integer_forms and the entrywise
       absolute values |N+|, |N-| as int rows.
-    - ``inverse_diagonal``: (p_i, q) with (N_maj^-1)_ii = p_i / q, from one
-      integer elimination of N_maj = N+ - N- (exact.inverse_diagonal).
     - ``exact_form``: (sign, support, form) for the one of N+ (sign +1) and
       N- (sign -1) with fewer nonzero entries: the coordinates its nonzero
       entries read, and its block on them, int64 where every entry fits.
+
+    The rest reads the majorant N_maj = N+ - N- alone, so a point with a
+    ``same_majorant`` takes it from that point's build data, with no
+    elimination of its own:
+
+    - ``inverse_diagonal``: (p_i, q) with (N_maj^-1)_ii = p_i / q, from one
+      integer elimination of N_maj (exact.inverse_diagonal).
     - ``levels64``: the int64 copy of each level of majorant_levels (None
       where an entry does not fit), and ``largest`` each level's greatest
       |entry|.
@@ -200,8 +205,6 @@ class PointBuildData:
         self.d = d
         self.abs_forms = tuple([[abs(x) for x in row] for row in form]
                                for form in (n_plus, n_minus))
-        self.inverse_diagonal = exact.inverse_diagonal(
-            [[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)])
         nonzero = [sum(map(bool, (x for row in form for x in row)))
                    for form in (n_plus, n_minus)]
         sign, form = (1, n_plus) if nonzero[0] <= nonzero[1] else (-1, n_minus)
@@ -214,6 +217,13 @@ class PointBuildData:
                  else np.array(support, dtype=np.intp))
         self.exact_form = (sign, index, np.array(block, dtype=_int_dtype(block)).reshape(
             len(support), len(support)))
+        if point.same_majorant is not None:
+            same = point.same_majorant.build_data
+            self.inverse_diagonal, self.largest, self.levels64, self.steps = (
+                same.inverse_diagonal, same.largest, same.levels64, same.steps)
+            return
+        self.inverse_diagonal = exact.inverse_diagonal(
+            [[p - m for p, m in zip(rp, rm)] for rp, rm in zip(n_plus, n_minus)])
         levels = point.majorant_levels
         self.largest = tuple(max(map(abs, a.flat), default=0) for a, _c in levels)
         self.levels64 = tuple(a.astype(np.int64) if top <= _INT64_MAX else None
@@ -248,10 +258,40 @@ def shell_count_weights(q: np.ndarray) -> tuple | None:
     return [(math.comb(n - 1, k), rho ** (n - 1 - k)) for k in range(n)], vol_n * n / covol
 
 
-def _span_gram(span, g) -> tuple:
-    """(C, C B^T) for the span B (as rows) and C = B G."""
-    c = exact.mat_mul(span, g)
-    return c, exact.mat_mul(c, exact.transpose(span))
+def _span_forms(span, g) -> tuple:
+    """(C, (d, N+, N-)) for the splitting whose v+ is spanned by the rows B
+    of ``span``, over the Gram rows g; raises NotPositiveDefiniteSpan unless
+    B G B^T is positive definite.
+
+    Each row of B is scaled to integers: Q+ = C^T (C B^T)^-1 C with C = B G
+    does not change under a change of basis of the span.  C and P = C B^T
+    are int products, and one fraction-free elimination of P gives its
+    determinant p, the int rows p P^-1 and the definiteness test
+    (exact.definite_inverse).  Then N+ = C^T (p P^-1) C and N- = p G - N+
+    are p Q+-, and dividing p, N+ and N- by their gcd leaves the least d.
+    """
+    n = len(g)
+    if not span:
+        return [], (1, [[0] * n for _ in range(n)], [list(row) for row in g])
+    b = [exact.integer_rows([v])[0][0] for v in span]
+    c = [[sum(map(mul, row, col)) for col in g] for row in b]  # G is symmetric
+    p = [[sum(map(mul, row, v)) for v in b] for row in c]
+    inverse = exact.definite_inverse(p)
+    if inverse is None:
+        if exact.mat_det(p) == 0:
+            raise NotPositiveDefiniteSpan(
+                "the span has a singular Gram matrix: the vectors are dependent, "
+                "or they span an isotropic or degenerate subspace")
+        raise NotPositiveDefiniteSpan("span is not positive definite")
+    det, adj = inverse
+    c_cols = list(zip(*c))
+    adj_c_cols = list(zip(*[[sum(map(mul, row, col)) for col in c_cols] for row in adj]))
+    n_plus = [[sum(map(mul, ci, acj)) for acj in adj_c_cols] for ci in c_cols]
+    h = math.gcd(det, *(x for row in n_plus for x in row))
+    d = det // h
+    n_plus = [[x // h for x in row] for row in n_plus]
+    n_minus = [[d * x - y for x, y in zip(rg, rp)] for rg, rp in zip(g, n_plus)]
+    return c, (d, n_plus, n_minus)
 
 
 def _gram_schmidt_block(lattice: Lattice, vectors, sign: int) -> np.ndarray:
@@ -276,7 +316,8 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
     sig_plus; v- is computed as the orthogonal complement, which on a
     nondegenerate lattice then has dimension sig_minus and is negative
     definite (Sylvester's law of inertia).  Each entry is read by
-    exact.rational, so the norm forms and the majorant are exact.
+    exact.rational, so the integer norm forms are exact; the products of
+    _span_forms serve the definiteness check, the complement and the forms.
     """
     n = lattice.rank
     span_plus = [list(v) for v in span_plus]
@@ -285,37 +326,34 @@ def make_grassmann_point(lattice: Lattice, span_plus) -> GrassmannPoint:
             f"need {lattice.sig_plus} spanning vectors for v+, got {len(span_plus)}")
     if any(len(v) != n for v in span_plus):
         raise WrongDimension("spanning vector length does not match the rank")
-    span_plus = [[Fraction(exact.rational(x)) for x in v] for v in span_plus]
-    span_gram = None
-    if span_plus:
-        span_gram = _span_gram(span_plus, lattice.gram_rows())
-        c_plus, gram_plus = span_gram
-        if not exact.is_definite(gram_plus, +1):
-            if exact.mat_det(gram_plus) == 0:
-                raise NotPositiveDefiniteSpan(
-                    "the span has a singular Gram matrix: the vectors are dependent, "
-                    "or they span an isotropic or degenerate subspace")
-            raise NotPositiveDefiniteSpan("span is not positive definite")
-        # v- = kernel of B+^T G (all vectors orthogonal to v+)
-        span_minus = exact.rational_kernel(c_plus)
-    else:
-        span_minus = exact.identity(n)
+    span_plus = [[exact.rational(x) for x in v] for v in span_plus]
+    c_plus, forms = _span_forms(span_plus, lattice.gram_rows())
+    # v- = kernel of B+^T G (all vectors orthogonal to v+)
+    span_minus = exact.rational_kernel(c_plus) if span_plus else exact.identity(n)
     plus_cols = _gram_schmidt_block(lattice, span_plus, +1)
     minus_cols = _gram_schmidt_block(lattice, span_minus, -1)
     adapted = np.hstack([plus_cols, minus_cols]) if n else np.zeros((0, 0))
-    return GrassmannPoint(lattice, span_plus, span_minus, adapted, span_gram)
+    return GrassmannPoint(lattice, span_plus, span_minus, adapted, forms)
 
 
 def swap_blocks_point(point: GrassmannPoint, neg_lattice: Lattice) -> GrassmannPoint:
     """The same splitting viewed on the rescaled lattice with -G.
 
-    v- becomes the positive block; the adapted basis is reused with its
-    blocks reordered so polynomial coordinates stay literally comparable.
+    v- becomes the positive block, with forms (d, -N-, -N+), and the
+    majorant (N+ - N-) / d is the point's own, so its majorant data are
+    read from the point (GrassmannPoint's ``same_majorant``), with no
+    elimination.  The adapted basis is reused with its blocks reordered so
+    polynomial coordinates stay literally comparable.  Raises
+    MismatchedSignature unless ``neg_lattice`` has Gram matrix exactly -G.
     """
+    if neg_lattice.gram != tuple(tuple(-x for x in row) for row in point.lattice.gram):
+        raise MismatchedSignature("swap_blocks_point needs the lattice with Gram matrix -G")
+    d, n_plus, n_minus = point.integer_forms
+    forms = (d, [[-x for x in row] for row in n_minus], [[-x for x in row] for row in n_plus])
     adapted = np.hstack([point.adapted[:, point.dim_plus:],
                          point.adapted[:, :point.dim_plus]]) \
         if point.lattice.rank else point.adapted
-    return GrassmannPoint(neg_lattice, point.span_minus, point.span_plus, adapted)
+    return GrassmannPoint(neg_lattice, point.span_minus, point.span_plus, adapted, forms, point)
 
 
 def direct_sum_grassmann(m_sub: Sublattice, mperp_sub: Sublattice,
@@ -325,7 +363,8 @@ def direct_sum_grassmann(m_sub: Sublattice, mperp_sub: Sublattice,
     v+ = u+ (+) u_perp+ and v- = u- (+) u_perp-, in ambient coordinates.  The
     adapted basis concatenates the lifted adapted bases blockwise (u's plus
     variables first, then u_perp's, same for minus), which fixes the variable
-    order for product polynomials.
+    order for product polynomials.  The forms come from the lifted span of
+    v+, as for any span (_span_forms).
     """
     if m_sub.ambient != mperp_sub.ambient:
         raise IncompatibleSublattices("sublattices have different ambients")

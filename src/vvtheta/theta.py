@@ -961,7 +961,7 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
                                         factors)]
 
 
-#: evaluators the store keeps: above the 12 distinct term tables that one run
+#: evaluators the store keeps: above the 11 distinct term tables that one run
 #: of a bundled scenario builds (10 of them through the store), so no workload
 #: evicts a table it still uses, while a loop over fresh inputs keeps no more
 #: than this many tables alive

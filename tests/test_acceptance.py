@@ -247,7 +247,7 @@ def test_criterion_07_contraction(glue_class):
     form2 = QExpansionForm(aa, F(0), {
         ((0, 0), F(0)): 1.0, ((0, 0), F(1)): -3.0 + 2j,
         ((1, 0), F(3, 4)): 2.0, ((1, 1), F(1, 2)): 0.5j})
-    result2 = contract_symbolic(form2, aa, m2, constant_poly(1, 0), 8.0)
+    result2 = contract_symbolic(form2, aa, m2, u_perp2, constant_poly(1, 0), 8.0)
     for tau in taus:
         pw = contract_pointwise(form2, aa, m2, u_perp2, constant_poly(1, 0), tau, 8.0)
         worst = max(worst, (result2.evaluate(tau) - pw).norm_inf())
@@ -257,7 +257,7 @@ def test_criterion_07_contraction(glue_class):
     mperp1 = orthogonal_complement(ii, m1)
     u_perp1 = make_grassmann_point(mperp1.lattice, [[1]])
     form1 = QExpansionForm(ii, F(0), {((), F(0)): 2.0, ((), F(1)): -24.0})
-    result1 = contract_symbolic(form1, ii, m1, constant_poly(1, 0), 8.0)
+    result1 = contract_symbolic(form1, ii, m1, u_perp1, constant_poly(1, 0), 8.0)
     d_perp1 = discriminant_group(mperp1.lattice)
     structural_unimodular = True
     for delta in d_perp1.elements():
@@ -292,7 +292,7 @@ def test_criterion_07_contraction(glue_class):
     form3 = QExpansionForm(big3, F(0), {
         (dl3.zero(), F(0)): 1.0, (dl3.zero(), F(1)): 3.0,
         (nonzero, mod1(-dl3.q(nonzero))): -2.0})
-    result3 = contract_symbolic(form3, big3, m3, constant_poly(1, 0), 6.0)
+    result3 = contract_symbolic(form3, big3, m3, u_perp3, constant_poly(1, 0), 6.0)
     combine3, split_m3, split_perp3 = disc_product_iso(sd3.d_inner, sd3.d_m, sd3.d_perp)
     h_elems = sd3.gm.subgroup.elements
     hm_list = [split_m3(x) for x in h_elems]

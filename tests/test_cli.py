@@ -187,8 +187,9 @@ BUNDLED = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "ii11_sees
 
 
 def test_bundled_scenario_builds_each_table_once(monkeypatch):
-    # 12 distinct term tables, each built once (the negation check reads the
-    # stored theta of L); one ambient splitting shared by every check
+    # 11 distinct term tables, each built once (the negation check reads the
+    # stored theta of L, and the symbolic contraction the stored mixed
+    # theta); one ambient splitting shared by every check
     from vvtheta import cli, contraction, theta
 
     counts = {"build_term_table": 0, "direct_sum_grassmann": 0}
@@ -204,7 +205,7 @@ def test_bundled_scenario_builds_each_table_once(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert run_scenario(str(BUNDLED))["pass"]
-    assert counts["build_term_table"] == 12
+    assert counts["build_term_table"] == 11
     assert counts["direct_sum_grassmann"] == 1
 
 
@@ -466,13 +467,14 @@ def test_theta_emit_deterministic(tmp_path):
 
 
 def test_contract_matches_golden(tmp_path):
-    from vvtheta import contract_symbolic
+    from vvtheta import contract_symbolic, orthogonal_complement
     from vvtheta.grassmann import constant_poly
 
     ii = construct_lattice([[0, 1], [1, 0]])
     m_sub = sublattice(ii, [(1, -1)])
     form = QExpansionForm(ii, F(0), {((), F(0)): 2.0, ((), F(1)): -24.0})
-    result = contract_symbolic(form, ii, m_sub, constant_poly(1, 0), 5.0)
+    u_perp = make_grassmann_point(orthogonal_complement(ii, m_sub).lattice, [[1]])
+    result = contract_symbolic(form, ii, m_sub, u_perp, constant_poly(1, 0), 5.0)
     assert canonical_dumps(qexpansion_to_json(result)) == GOLDEN_CONTRACTION
     # and the same through the CLI
     lat_file = write_json(tmp_path / "lat.json", {"gram": [[0, 1], [1, 0]]})

@@ -93,6 +93,14 @@ def test_representation_numbers_oracle(a1_plus_a1):
     assert _theta_series_coset(mperp.lattice, u_float, p, [0], 9.0) == s0
 
 
+def _complement_point(lat, m_sub):
+    """The one splitting of the positive definite complement of m_sub,
+    spanned by the unit vectors."""
+    perp = orthogonal_complement(lat, m_sub).lattice
+    return make_grassmann_point(perp, [[int(i == j) for j in range(perp.rank)]
+                                       for i in range(perp.rank)])
+
+
 def test_contract_trivial_glue_convolution(a1_plus_a1):
     # coefficient of q^e in component alpha is a convolution against the
     # representation numbers of the complement
@@ -103,7 +111,8 @@ def test_contract_trivial_glue_convolution(a1_plus_a1):
         ((0, 1), F(3, 4)): -2.0,
         ((1, 1), F(1, 2)): 1.0j,
     })
-    result = contract_symbolic(form, a1_plus_a1, m_sub, constant_poly(1, 0), 6.0)
+    result = contract_symbolic(form, a1_plus_a1, m_sub, _complement_point(a1_plus_a1, m_sub),
+                               constant_poly(1, 0), 6.0)
     # by hand: component (0,) of the output collects beta in {0, 1} of D_perp
     r0 = {F(0): 1, F(1): 2, F(4): 2}
     r1 = {F(1, 4): 2, F(9, 4): 2}
@@ -132,7 +141,7 @@ def test_contract_symbolic_vs_pointwise(a1_plus_a1):
         ((1, 0), F(3, 4)): 2.0,
         ((1, 1), F(1, 2)): 0.5j,
     })
-    result = contract_symbolic(form, a1_plus_a1, m_sub, p, 8.0)
+    result = contract_symbolic(form, a1_plus_a1, m_sub, u_perp, p, 8.0)
     for tau in TAUS:
         pw = contract_pointwise(form, a1_plus_a1, m_sub, u_perp, p, tau, 8.0)
         assert (result.evaluate(tau) - pw).norm_inf() < 1e-9
@@ -144,7 +153,7 @@ def test_contract_scalar_unimodular(ii11_split):
     ii11, m_sub, mperp, u, u_perp = ii11_split
     form = QExpansionForm(ii11, F(0), {((), F(0)): 2.0, ((), F(1)): -24.0})
     p = constant_poly(1, 0)
-    result = contract_symbolic(form, ii11, m_sub, p, 8.0)
+    result = contract_symbolic(form, ii11, m_sub, u_perp, p, 8.0)
     assert result.weight == F(1, 2)
     for tau in TAUS[:3]:
         f_val = 2.0 - 24.0 * cmath.exp(2j * math.pi * tau)
@@ -176,7 +185,7 @@ def test_contract_form_tensor_theta(a1, a1_neg, glue_class):
         (dl.zero(), F(1)): 3.0,
         (nonzero, mod1(-dl.q(nonzero))): -2.0,
     })
-    result = contract_symbolic(form, big, m_sub, p, 6.0)
+    result = contract_symbolic(form, big, m_sub, u_perp, p, 6.0)
     # assemble the expected tensor product independently
     combine, split_m, split_perp = disc_product_iso(sd.d_inner, sd.d_m, sd.d_perp)
     h_elems = sd.gm.subgroup.elements
@@ -222,7 +231,7 @@ def test_contract_complement_unimodular(a1, ii11):
         assert abs(pw.get((dm,)) - scalar * f_vec.get((dm,))) < 1e-10
     # the symbolic route must refuse the indefinite complement
     with pytest.raises(ComplementNotDefinite):
-        contract_symbolic(form, big, m_sub, p, 8.0)
+        contract_symbolic(form, big, m_sub, u_perp, p, 8.0)
 
 
 def test_contract_zero_form(a1_plus_a1):
@@ -240,7 +249,8 @@ def test_contract_rejects_nonharmonic(a1_plus_a1):
     form = QExpansionForm(a1_plus_a1, F(0), {((0, 0), F(0)): 1.0})
     x2 = HomogeneousPolynomial((2, 0), 1, 0, {(2,): 1.0})
     with pytest.raises(PolynomialNotHarmonic):
-        contract_symbolic(form, a1_plus_a1, m_sub, x2, 8.0)
+        contract_symbolic(form, a1_plus_a1, m_sub, _complement_point(a1_plus_a1, m_sub),
+                          x2, 8.0)
 
 
 def test_contract_rejects_polynomial_over_wrong_variables(a1_plus_a1):
@@ -249,7 +259,8 @@ def test_contract_rejects_polynomial_over_wrong_variables(a1_plus_a1):
     m_sub = sublattice(a1_plus_a1, [(1, 0)])
     form = QExpansionForm(a1_plus_a1, F(0), {((0, 0), F(0)): 1.0})
     with pytest.raises(NonHomogeneousPolynomial):
-        contract_symbolic(form, a1_plus_a1, m_sub, constant_poly(2, 0), 8.0)
+        contract_symbolic(form, a1_plus_a1, m_sub, _complement_point(a1_plus_a1, m_sub),
+                          constant_poly(2, 0), 8.0)
 
 
 def test_contract_degenerate_glue_matches_composed():
@@ -269,8 +280,8 @@ def test_contract_degenerate_glue_matches_composed():
     form = QExpansionForm(big, F(0),
                           {(x, mod1(-dl.q(x))): 1.0 for x in dl.elements()})
     p = constant_poly(1, 0)
-    result = contract_symbolic(form, big, m_sub, p, 6.0)
     u_perp = make_grassmann_point(split_data(big, m_sub).mperp_sub.lattice, [[1]])
+    result = contract_symbolic(form, big, m_sub, u_perp, p, 6.0)
     for tau in TAUS[:2]:
         mixed = mixed_theta_composed(big, m_sub, tau, u_perp, p, None, 6.0)
         paired = pair(mixed.value, form.evaluate(tau), groups=[dl])
@@ -357,7 +368,8 @@ def test_contract_symbolic_matches_glue_sum(a1, a1_neg, a2, glue_class):
                 (1, 1) + (0,) * (rank - 2): 1.0,
                 (2, 0) + (0,) * (rank - 2): 0.5, (0, 2) + (0,) * (rank - 2): -0.5}))
         for poly in polys:
-            got = contract_symbolic(form, lat, m_sub, poly, 3.0).terms
+            got = contract_symbolic(form, lat, m_sub, _complement_point(lat, m_sub), poly,
+                                    3.0).terms
             expected = _glue_sum_reference(form, lat, m_sub, poly, 3.0, glue_class)
             assert set(got) == set(expected), (name, poly)
             for key, c in expected.items():

@@ -279,7 +279,7 @@ def test_inverse_determinant_and_kernel_match_fraction_elimination():
 def test_is_definite_matches_sylvester_minors():
     """The pivots of one elimination decide definiteness as the leading
     principal minors do, including matrices whose leading minor vanishes
-    while a later one does not."""
+    while a later one does not; definite_inverse reads the same pivots."""
     def sylvester(m, sign):
         return all(_ref_mat_det([[sign * x for x in row[:k]] for row in m[:k]]) > 0
                    for k in range(1, len(m) + 1))
@@ -305,6 +305,14 @@ def test_is_definite_matches_sylvester_minors():
             assert exact.is_definite(m, sign) == sylvester(m, sign), (m, sign)
             assert exact.is_definite(neg, -sign) == exact.is_definite(m, sign)
             verdicts.add(exact.is_definite(m, sign))
+            # on a definite matrix the same elimination gives p = det and p m^-1
+            rows, _den = exact.integer_rows([[sign * x for x in row] for row in m])
+            inverse = exact.definite_inverse(rows)
+            if inverse is not None:
+                p, adjugate = inverse
+                assert type(p) is int and p == _ref_mat_det(rows)
+                assert [[Fraction(x, p) for x in row] for row in adjugate] == \
+                    _ref_mat_inv(rows), (m, sign)
     assert verdicts == {True, False}
 
 

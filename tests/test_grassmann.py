@@ -41,9 +41,7 @@ def test_definite_lattice_single_point(a1_plus_a1):
     v = make_grassmann_point(a1_plus_a1, [[1, 0], [0, 1]])
     assert v.dim_plus == 2 and v.dim_minus == 0
     # v+ is all of L_R: the plus norm is the norm and the minus norm vanishes
-    q_plus, q_minus = v.norm_forms
-    assert q_plus == a1_plus_a1.gram_rows()
-    assert all(x == 0 for row in q_minus for x in row)
+    assert v.integer_forms == (1, a1_plus_a1.gram_rows(), [[0, 0], [0, 0]])
 
 
 def test_rejects_bad_spans(ii11):
@@ -62,16 +60,17 @@ def test_projection_values(ii11):
     # e1 = (1, 1)/2 + (1, -1)/2, with plus norm 1/2 and minus norm -1/2;
     # (1, 1) spans v+, so its minus norm vanishes
     v = make_grassmann_point(ii11, [[1, 1]])
-    q_plus, q_minus = v.norm_forms
-    assert q_plus == [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
-    assert q_minus == [[F(-1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]]
+    assert v.integer_forms == (2, [[1, 1], [1, 1]], [[-1, 1], [1, -1]])
+    assert _forms(v) == ([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]],
+                         [[F(-1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]])
 
 
 def test_majorant_values(ii11):
     # the majorant of (m, n) is m^2 + n^2, positive away from 0
     v = make_grassmann_point(ii11, [[1, 1]])
-    assert v.majorant == [[1, 0], [0, 1]]
-    assert exact.is_definite(v.majorant, +1)
+    assert _majorant(v) == [[1, 0], [0, 1]]
+    assert exact.is_definite(_majorant(v), +1)
+    assert v.majorant_np.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_projection_idempotent(ii11, a2):
@@ -81,7 +80,7 @@ def test_projection_idempotent(ii11, a2):
         v = make_grassmann_point(lat, span)
         g = lat.gram_rows()
         g_inv = exact.mat_inv(g)
-        q_plus, q_minus = v.norm_forms
+        q_plus, q_minus = _forms(v)
         for p, q, want in [(q_plus, q_plus, q_plus), (q_minus, q_minus, q_minus),
                            (q_plus, q_minus, [[0] * lat.rank] * lat.rank)]:
             assert exact.mat_mul(exact.mat_mul(p, g_inv), q) == want
@@ -124,7 +123,7 @@ def test_homogeneity_defining_property(ii11):
     q = coordinate_poly(1, 1, 1)  # degree (0, 1)
     pq = p.multiply(q)
     # the projection onto v+ is P+ = G^-1 Q+
-    p_plus = np.linalg.solve(ii11.gram_np(), np.array(v.norm_forms[0], dtype=float))
+    p_plus = np.linalg.solve(ii11.gram_np(), np.array(_forms(v)[0], dtype=float))
     rng = random.Random(8)
     for _ in range(10):
         lam = [rng.uniform(-3, 3), rng.uniform(-3, 3)]
@@ -150,7 +149,7 @@ def test_direct_sum_grassmann(ii11_split):
     v = direct_sum_grassmann(m_sub, mperp, u, u_perp)
     direct = make_grassmann_point(ii11, [[1, 1]])
     # same splitting: the norm forms, and so the projections G^-1 Q+-, agree
-    assert v.norm_forms == direct.norm_forms
+    assert v.integer_forms == direct.integer_forms
     assert v.dim_plus == u.dim_plus + u_perp.dim_plus
     assert v.dim_minus == u.dim_minus + u_perp.dim_minus
 
@@ -205,6 +204,12 @@ def test_vector_pair_validation(ii11):
         as_pair(([1], [2, 3]), 2)
 
 
+def _forms(point) -> tuple:
+    """(Q+, Q-) as Fraction rows from the point's integer forms (d, N+, N-)."""
+    d, n_plus, n_minus = point.integer_forms
+    return tuple([[F(x, d) for x in row] for row in form] for form in (n_plus, n_minus))
+
+
 def _reference_norm_forms(point) -> tuple:
     """(P+^T G P+, P-^T G P-) from the projections P+ = B (B^T G B)^-1 B^T G,
     for the span B of v+ as columns, and P- = 1 - P+."""
@@ -219,6 +224,27 @@ def _reference_norm_forms(point) -> tuple:
     p_minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(p_plus)]
     return tuple(exact.mat_mul(exact.mat_mul(exact.transpose(p), g), p)
                  for p in (p_plus, p_minus))
+
+
+def _norm_forms(point) -> tuple:
+    """(Q+, Q-) in Fractions from the span's Gram data: Q+ = C^T (C B^T)^-1 C
+    for C = B G and the span B as rows, and Q- = G - Q+; the Fraction route
+    that the integer forms are checked against."""
+    g = point.lattice.gram_rows()
+    n = point.lattice.rank
+    if point.span_plus:
+        c = exact.mat_mul(point.span_plus, g)
+        gram_plus = exact.mat_mul(c, exact.transpose(point.span_plus))
+        q_plus = exact.mat_mul(exact.mat_mul(exact.transpose(c), exact.mat_inv(gram_plus)), c)
+    else:
+        q_plus = [[F(0)] * n for _ in range(n)]
+    return q_plus, [[x - y for x, y in zip(rg, rp)] for rg, rp in zip(g, q_plus)]
+
+
+def _majorant(point) -> list:
+    """The majorant Q+ - Q- of _norm_forms, in Fractions."""
+    q_plus, q_minus = _norm_forms(point)
+    return [[a - b for a, b in zip(rp, rm)] for rp, rm in zip(q_plus, q_minus)]
 
 
 def _random_lattice(rng, rank):
@@ -245,39 +271,55 @@ def _random_point(rng, lat):
 
 
 def test_norm_forms_match_projection_reference(a2, ii11):
+    # a seeded family: random lattices of rank 1-5 with rational spans (some
+    # negative definite, so with an empty plus span), direct sums, among them
+    # one over the glued split of a2a2a1_glued, and the swap of each point
     rng = random.Random(2026)
-    points = [_random_point(rng, _random_lattice(rng, rank)) for rank in [1, 2, 3, 4] * 5]
+    points = [_random_point(rng, _random_lattice(rng, rank)) for rank in [1, 2, 3, 4, 5] * 5]
     points.append(_random_point(rng, direct_sum(a2, a2)))
-    # swapped blocks: the plus form on L(-1) is minus the minus form on L
-    for v in points[:8]:
-        swapped = swap_blocks_point(v, rescale(v.lattice, -1))
-        assert swapped.norm_forms == tuple([[-x for x in row] for row in q]
-                                           for q in reversed(v.norm_forms))
-        points.append(swapped)
     # direct sums on A2 + II(1,1) over the sublattices A2, <(0,0,1,1)> (a
-    # rank-3 indefinite complement) and <(1,0,1,0)>
+    # rank-3 indefinite complement) and <(1,0,1,0)>, and on the glued lattice
     big = direct_sum(a2, ii11)
-    for basis in ([(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 1)], [(1, 0, 1, 0)]):
-        m_sub = sublattice(big, basis)
-        mperp = orthogonal_complement(big, m_sub)
+    glued = construct_lattice([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0],
+                               [0, 0, 1, 2, 0], [0, 0, 0, 0, -2]])
+    splits = [(big, basis) for basis in ([(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 0, 1, 1)],
+                                         [(1, 0, 1, 0)])]
+    splits.append((glued, [(1, 0, -1, 0, 0), (0, 1, 0, -1, 0), (0, 0, 0, 0, 1)]))
+    for lat, basis in splits:
+        m_sub = sublattice(lat, basis)
+        mperp = orthogonal_complement(lat, m_sub)
         u, u_perp = _random_point(rng, m_sub.lattice), _random_point(rng, mperp.lattice)
         v = direct_sum_grassmann(m_sub, mperp, u, u_perp)
-        assert v.norm_forms == make_grassmann_point(big, v.span_plus).norm_forms
+        assert v.integer_forms == make_grassmann_point(lat, v.span_plus).integer_forms
         points.append(v)
-    assert {v.lattice.rank for v in points} == {1, 2, 3, 4}
-    assert {v.dim_plus for v in points} == {0, 1, 2, 3, 4}
-    for v in points:
-        q_plus, q_minus = v.norm_forms
-        assert (q_plus, q_minus) == _reference_norm_forms(v)
-        assert v.majorant == [[p - m for p, m in zip(rp, rm)]
-                              for rp, rm in zip(q_plus, q_minus)]
+    # swapped blocks: the plus form on L(-1) is minus the minus form on L
+    for v in list(points):
+        swapped = swap_blocks_point(v, rescale(v.lattice, -1))
         d, n_plus, n_minus = v.integer_forms
+        assert swapped.integer_forms == (d, [[-x for x in row] for row in n_minus],
+                                         [[-x for x in row] for row in n_plus])
+        points.append(swapped)
+    assert {v.lattice.rank for v in points} == {1, 2, 3, 4, 5}
+    assert {v.dim_plus for v in points} >= {0, 1, 2, 3, 4}
+    for v in points:
+        q_plus, q_minus = _norm_forms(v)
+        assert (q_plus, q_minus) == _reference_norm_forms(v)
+        # (d, N+, N-) is d times the Fraction forms in ints, with d the least
+        d, n_plus, n_minus = v.integer_forms
+        assert {type(x) for row in n_plus + n_minus for x in row} <= {int}
         assert [[F(x, d) for x in row] for row in n_plus + n_minus] == q_plus + q_minus
+        assert d == math.lcm(1, *(x.denominator for row in q_plus + q_minus for x in row))
+        # the float majorant is float(Fraction) of each entry, bit for bit
+        n = v.lattice.rank
+        want = np.array([[float(x) for x in row] for row in _majorant(v)]).reshape(n, n)
+        assert v.majorant_np.dtype == want.dtype and v.majorant_np.shape == (n, n)
+        assert v.majorant_np.tobytes() == want.tobytes()
 
 
 def test_point_construction_makes_four_products(monkeypatch, a2, ii11):
-    # Q+ from the span's Gram data: B G, its Gram matrix and two products
-    # around the k x k inverse, whatever the rank
+    # the forms from the span alone: at most the four products B G, B G B^T
+    # and the two around the k x k inverse, all int sums, so no Fraction
+    # product at all
     lat = direct_sum(a2, ii11)
     point = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(1, 2)]])
     calls = []
@@ -289,8 +331,61 @@ def test_point_construction_makes_four_products(monkeypatch, a2, ii11):
 
     monkeypatch.setattr(exact, "mat_mul", counting)
     again = GrassmannPoint(lat, point.span_plus, point.span_minus, point.adapted)
-    assert len(calls) <= 4
-    assert again.norm_forms == _reference_norm_forms(point)
+    assert calls == []
+    monkeypatch.undo()
+    assert again.integer_forms == point.integer_forms
+    assert _forms(again) == _reference_norm_forms(point)
+
+
+def test_swap_blocks_point_needs_the_negated_lattice(ii11, a2):
+    # a lattice other than L(-1) would give a point whose forms are not its
+    # norms: on II(1,1) itself the "majorant" would be -I
+    from vvtheta import MismatchedSignature
+
+    v = make_grassmann_point(ii11, [[1, 1]])
+    with pytest.raises(MismatchedSignature):
+        swap_blocks_point(v, ii11)
+    point = make_grassmann_point(a2, [[1, 0], [0, 1]])
+    with pytest.raises(MismatchedSignature):
+        swap_blocks_point(point, construct_lattice([[4, 1], [1, 4]]))
+    with pytest.raises(MismatchedSignature):
+        swap_blocks_point(point, rescale(a2, -2))
+    assert swap_blocks_point(point, rescale(a2, -1)).dim_minus == 2
+
+
+def test_swapped_point_runs_no_elimination(monkeypatch, a2, ii11):
+    # the swapped point's majorant is its source's, so its levels, inverse
+    # diagonal, carry weights and count_shell are read from the source
+    lat = direct_sum(a2, ii11)
+    v = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(1, 3)]])
+    data = v.build_data
+    neg = rescale(lat, -1)
+    calls = []
+    eliminate = exact._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(exact, "_eliminate", counting)
+    swapped = swap_blocks_point(v, neg)
+    swapped_data = swapped.build_data
+    assert swapped.majorant_levels is v.majorant_levels
+    assert swapped.count_shell is v.count_shell
+    assert calls == []
+    for name in ("inverse_diagonal", "largest", "levels64", "steps"):
+        assert getattr(swapped_data, name) is getattr(data, name)
+    monkeypatch.undo()
+    # a point made afresh with the swapped forms gives the same build data
+    fresh = GrassmannPoint(swapped.lattice, swapped.span_plus, swapped.span_minus,
+                           swapped.adapted, swapped.integer_forms)
+    assert fresh.majorant_np.tobytes() == swapped.majorant_np.tobytes()
+    assert fresh.build_data.inverse_diagonal == swapped_data.inverse_diagonal
+    assert fresh.build_data.steps == swapped_data.steps
+    assert fresh.count_shell == swapped.count_shell
+    sign, support, form = fresh.build_data.exact_form
+    want_sign, want_support, want_form = swapped_data.exact_form
+    assert (sign, support, form.tolist()) == (want_sign, want_support, want_form.tolist())
 
 
 def test_complement_has_the_minus_signature():
@@ -315,7 +410,8 @@ def test_complement_has_the_minus_signature():
 
 def test_make_grassmann_point_makes_four_products(monkeypatch, a2, ii11):
     # the span's Gram data B G and B G B^T serve the definiteness check, the
-    # complement and Q+, so a point costs 4 products in all
+    # complement and the forms, so a point costs 4 products in all, each an
+    # int sum rather than an exact.mat_mul
     lat = direct_sum(a2, ii11)
     calls = []
     mat_mul = exact.mat_mul
@@ -328,4 +424,4 @@ def test_make_grassmann_point_makes_four_products(monkeypatch, a2, ii11):
     point = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, F(1, 2)]])
     assert len(calls) <= 4
     monkeypatch.undo()
-    assert point.norm_forms == _reference_norm_forms(point)
+    assert _forms(point) == _reference_norm_forms(point)
