@@ -29,11 +29,13 @@ def rational(x):
 
     A rational (an int, a Fraction, a numpy integer) keeps its value.  A
     finite float, numpy floats included, is read as its shortest round-trip
-    decimal, the decimal the user wrote, so 0.1 is 1/10.  Anything else
-    raises NotRational.
+    decimal, the decimal the user wrote, so 0.1 is 1/10.  Anything else,
+    a bool included, raises NotRational.
     """
     if type(x) is int or type(x) is Fraction:
         return x
+    if isinstance(x, bool):
+        raise NotRational(f"expected a rational or a finite float, got {x!r}")
     if isinstance(x, numbers.Integral):
         return int(x)
     if isinstance(x, numbers.Rational):

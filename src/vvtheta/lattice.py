@@ -8,6 +8,7 @@ in ambient coordinates.  All integer arithmetic is arbitrary precision.
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 from functools import cached_property
@@ -79,19 +80,61 @@ class Lattice:
 
 def _int_entry(x) -> int:
     """x as an int if it is an exact integer: an int, or an integral
-    Fraction or float; anything else raises NotIntegral."""
-    if (isinstance(x, numbers.Integral) or (isinstance(x, Fraction) and x.denominator == 1)
+    Fraction or float; anything else, a bool included, raises NotIntegral."""
+    if not isinstance(x, bool) and (
+            isinstance(x, numbers.Integral) or (isinstance(x, Fraction) and x.denominator == 1)
             or (isinstance(x, float) and x.is_integer())):
         return int(x)
     raise NotIntegral(f"expected an integer entry, got {x!r}")
 
 
+def _inertia(rows: list[list[int]]) -> tuple[int, int] | None:
+    """(positive, negative) eigenvalue counts of a symmetric integer matrix,
+    exactly, or None when it is singular.
+
+    Sylvester's law of inertia, on a fraction-free symmetric elimination in
+    Python ints.  A nonzero diagonal entry p is a 1x1 pivot: it counts by
+    its sign, and the rest becomes |p| times its Schur complement,
+    |p| A_ij - sign(p) A_ip A_jp.  Where the whole remaining diagonal is zero
+    and some A_kl = b is not, the 2x2 pivot [[0, b], [b, 0]] counts once
+    each way, and the rest becomes |b| A_ij - sign(b) (A_ik A_jl + A_il A_jk).
+    A positive multiple keeps the inertia, and dividing out the entries' gcd
+    keeps them small.
+    """
+    plus = minus = 0
+    a = [list(row) for row in rows]
+    while a:
+        n = len(a)
+        k = next((i for i in range(n) if a[i][i]), None)
+        if k is not None:
+            p = a[k][k]
+            plus, minus = (plus + 1, minus) if p > 0 else (plus, minus + 1)
+            sign, col = (1 if p > 0 else -1), a[k]
+            rest = [i for i in range(n) if i != k]
+            a = [[abs(p) * a[i][j] - sign * col[i] * col[j] for j in rest] for i in rest]
+        else:
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if a[i][j]), None)
+            if pair is None:
+                return None
+            k, m = pair
+            b = a[k][m]
+            plus, minus = plus + 1, minus + 1
+            sign, ck, cm = (1 if b > 0 else -1), a[k], a[m]
+            rest = [i for i in range(n) if i not in pair]
+            a = [[abs(b) * a[i][j] - sign * (ck[i] * cm[j] + cm[i] * ck[j]) for j in rest]
+                 for i in rest]
+        g = math.gcd(*(x for row in a for x in row))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
+    return plus, minus
+
+
 def construct_lattice(gram, name: str | None = None) -> Lattice:
     """Validate a square integer Gram matrix and build a Lattice.
 
-    Raises NotIntegral / NotSymmetric / NotEven / Degenerate.  Signature is
-    read off the eigenvalues of the real symmetric matrix; non-degeneracy is
-    checked exactly via the integer determinant.
+    Raises NotIntegral / NotSymmetric / NotEven / Degenerate.  The signature
+    and non-degeneracy are exact: the inertia of one fraction-free symmetric
+    elimination in Python ints (_inertia), with no floats.
     """
     rows = [list(map(_int_entry, row)) for row in gram]
     n = len(rows)
@@ -106,13 +149,10 @@ def construct_lattice(gram, name: str | None = None) -> Lattice:
             raise NotEven(f"diagonal entry gram[{i}][{i}] = {rows[i][i]} is odd")
     if n == 0:
         return Lattice(gram=(), rank=0, sig_plus=0, sig_minus=0, name=name)
-    if exact.mat_det(rows) == 0:
+    inertia = _inertia(rows)
+    if inertia is None:
         raise Degenerate("gram matrix is singular")
-    eigs = np.linalg.eigvalsh(np.array(rows, dtype=float))
-    plus = int(np.sum(eigs > 0))
-    minus = int(np.sum(eigs < 0))
-    if plus + minus != n:
-        raise Degenerate("numerically zero eigenvalue on a non-singular matrix")
+    plus, minus = inertia
     return Lattice(gram=tuple(tuple(row) for row in rows), rank=n,
                    sig_plus=plus, sig_minus=minus, name=name)
 

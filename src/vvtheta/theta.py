@@ -74,6 +74,8 @@ from .weil import (
 )
 
 TWO_PI = 2.0 * math.pi
+_EIGHT_PI = 8.0 * math.pi
+_SQRT_PI = math.sqrt(math.pi)
 
 #: default cap on the nodes of one level of the enumeration walk
 #: (overridden by $THETA_MAX_VECTORS)
@@ -137,20 +139,24 @@ def _fincke_pohst(levels, steps, bounds, scale, offsets: np.ndarray, box):
     """
     n = offsets.shape[0]
     cap = _max_vectors()
-    coset = np.arange(offsets.shape[1]) if bounds[n] >= 0 else np.zeros(0, dtype=np.int64)
-    rows = np.zeros((0, len(coset)), dtype=offsets.dtype)
-    value = np.zeros(len(coset), dtype=levels[n][0].dtype)
+    # row 0 holds each node's coset, the rows after it its coordinates so far
+    nodes = np.arange(offsets.shape[1] if bounds[n] >= 0 else 0)[None, :]
+    value = np.zeros(nodes.shape[1], dtype=levels[n][0].dtype)
     for i in range(n - 1, -1, -1):
         form = levels[i][0]
         pivot = form[-1, -1]
         u, v, _row, ratio = steps[i]
         col = n - 1 - i
+        coset = nodes[0]
         # the parent level may hold the other integer type (_IntegerForms)
-        value = value.astype(form.dtype, copy=False)
-        lin = form[-1, :-1] @ rows
+        if value.dtype != form.dtype:
+            value = value.astype(form.dtype)
+        lin = form[-1, :-1] @ nodes[1:]
         off = offsets[col].take(coset)
-        mid = lin.astype(float) / -float(pivot) - off
-        half = np.sqrt(ratio * (bounds[i + 1] - value).astype(float))
+        # each int, int64 or Python, is cast to float inside the ufunc, as
+        # astype(float) would cast it
+        mid = np.divide(lin, -float(pivot), dtype=float, casting="unsafe") - off
+        half = np.sqrt(np.multiply(bounds[i + 1] - value, ratio, dtype=float, casting="unsafe"))
         # both ends at once, the lower one negated, so one floor gives
         # -(least m) + 1 and (greatest m) + 1, each widened, then clipped
         reach = np.minimum(np.floor(_SIGNS * ((mid + _SIGNS * half) / scale)).astype(np.int64)
@@ -167,13 +173,16 @@ def _fincke_pohst(levels, steps, bounds, scale, offsets: np.ndarray, box):
         # parent's least m, plus its place among the parent's candidates
         x = ((scale * (counts - ends - reach[0]) + off).repeat(counts)
              + np.arange(0, scale * total, scale))
-        t = pivot * x.astype(form.dtype, copy=False) + lin.take(parent)
-        value = (u * t * t + (v * value).take(parent)) // (u * pivot)
+        t = pivot * (x if x.dtype == form.dtype else x.astype(form.dtype)) + lin.take(parent)
+        # u = 1 on most levels (grassmann._carry_weights)
+        value = ((t * t if u == 1 else u * t * t) + (v * value).take(parent)) // (u * pivot)
         keep = (value <= bounds[i]).nonzero()[0]
         parent, value = parent.take(keep), value.take(keep)
-        coset = coset.take(parent)
-        rows = np.concatenate([rows.take(parent, axis=1), x.take(keep)[None, :]])
-    return coset, rows, value
+        grown = np.empty((col + 2, len(keep)), dtype=nodes.dtype)
+        nodes.take(parent, axis=1, out=grown[:-1])
+        x.take(keep, out=grown[-1])
+        nodes = grown
+    return nodes[0].copy(), nodes[1:], value
 
 
 #: exact term arithmetic runs in int64 only when every numerator it can form
@@ -266,6 +275,11 @@ class _IntegerForms:
         self.d_beta = np.array(d_beta, dtype=np.int64)
         # D beta . (G A), the phase numerators' constant term
         self.beta_phase = sum(b * g for b, g in zip(d_beta, g_alpha))
+        # a phase numerator is 2 W . (G A) - D beta . (G A) with W = shift_k +
+        # D m, so any two differ by a multiple of this
+        base = [sum(s * g for s, g in zip(shift, g_alpha)) for shift in shifts]
+        self.phase_step = math.gcd(2 * big_d * math.gcd(*g_alpha),
+                                   *[2 * (c - base[0]) for c in base])
         # coordinate-major, one row per coordinate, as the walk reads them
         self.shifts = np.array(shifts, dtype=np.int64).reshape(len(shifts), n).T.copy()
         levels = point.majorant_levels
@@ -295,8 +309,9 @@ def _fraction_map(num, den: int) -> dict:
     return {x: Fraction(x, den) for x in set(np.ravel(num).tolist())}
 
 
-#: work arrays of one TermTable.evaluate chunk hold about this many entries
-_EVAL_CHUNK = 2 ** 16
+#: work arrays of one TermTable.evaluate chunk hold about this many complex
+#: entries (128 KiB), so a chunk's arrays stay in cache
+_EVAL_CHUNK = 2 ** 13
 
 
 class TermTable:
@@ -307,7 +322,9 @@ class TermTable:
     each key's rows are one contiguous segment.  The row's vector, exponents
     and phase are exact: ``vectors`` / ``vector_den``, ``a_num`` /
     ``ab_den``, ``b_num`` / ``ab_den`` and ``phase_num`` / ``phase_den``
-    (int64 numerators, Python-int denominators).  ``poly[r, j]``
+    (int64 numerators, Python-int denominators); ``phase_step`` divides
+    ``phase_den`` and the difference of any two phase numerators (1 says
+    nothing more).  ``poly[r, j]``
     multiplies y^{-j} and already contains the (-1/(8 pi))^j / j! factor of
     the Gaussian smoothing operator.  ``a - b`` is half the majorant (>= 0),
     ``a + b`` half the norm: the row's frequency in x.  The first
@@ -319,7 +336,7 @@ class TermTable:
     def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
                  vector_den: int, a_num: np.ndarray, b_num: np.ndarray, ab_den: int,
                  phase_num: np.ndarray, phase_den: int, poly: np.ndarray,
-                 prefactor_exponent: Fraction):
+                 prefactor_exponent: Fraction, phase_step: int = 1):
         self.keys = keys
         self.key_index = key_index
         self.vectors = vectors
@@ -329,6 +346,7 @@ class TermTable:
         self.ab_den = ab_den
         self.phase_num = phase_num
         self.phase_den = phase_den
+        self.phase_step = phase_step
         self.poly = poly
         self.prefactor_exponent = prefactor_exponent
 
@@ -348,32 +366,26 @@ class TermTable:
         Returns ``(coeff, rate, omega, group, starts, power)``.  ``coeff[j]``
         is ``poly[:, j] e(-phase)``, e(t) = exp(2 pi i t), with the phase
         reduced mod 1 exactly, and ``rate`` is -2 pi (a - b).  The rows are
-        grouped by the exact numerator a_num + b_num of their frequency:
-        ``omega`` holds 2 pi i (a + b) once per distinct numerator,
-        ascending, and ``group[r]`` is row r's entry.  The rows come in key
-        order and every key has one (build_term_table), so key k's rows are
-        ``starts[k]`` up to ``starts[k + 1]``.  ``power`` is the float
-        prefactor exponent.  e(-phase) takes one exp per row, or one per
-        residue when the reduced phase numerators take few enough values
-        (_phase_wave), with the same bits either way.
+        grouped by the exact numerator a_num + b_num of their frequency
+        (_distinct, by counting): ``omega`` holds 2 pi i (a + b) once per
+        distinct numerator, ascending, and ``group[r]`` is row r's entry.
+        The rows come in key order and every key has one (build_term_table),
+        so key k's rows are ``starts[k]`` up to ``starts[k + 1]``.  ``power``
+        is the float prefactor exponent.  e(-phase) takes one exp per row,
+        or one per residue mod ``phase_step`` when the reduced phase
+        numerators take few enough values (_phase_wave), with the same bits
+        either way.
         """
         # a >= 0 >= b, each at most INT64_SAFE in size, so a + b and b - a fit int64
-        freq_num = self.a_num + self.b_num
-        order = np.argsort(freq_num)
-        ranked = freq_num[order]
-        first = np.empty(len(ranked), dtype=bool)
-        first[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        group = np.empty(len(ranked), dtype=np.intp)
-        group[order] = first.cumsum() - 1
+        distinct, group = _distinct(self.a_num + self.b_num)
         # every numerator is at most INT64_SAFE, so past it |phase| < 1 already
         phase_num = (self.phase_num % self.phase_den if self.phase_den <= INT64_SAFE
                      else self.phase_num)
-        wave = _phase_wave(phase_num, self.phase_den)
+        wave = _phase_wave(phase_num, self.phase_den, self.phase_step)
         starts = self.key_index.searchsorted(np.arange(len(self.keys)))
         scale = TWO_PI / self.ab_den
         return (np.multiply(self.poly.T, wave, order="C"), (self.b_num - self.a_num) * scale,
-                ranked[first] * (1j * scale), group, starts, float(self.prefactor_exponent))
+                distinct * (1j * scale), group, starts, float(self.prefactor_exponent))
 
     def evaluate(self, taus) -> np.ndarray:
         """Theta components at each tau, y^prefactor_exponent included.
@@ -384,23 +396,72 @@ class TermTable:
         of taus takes one real np.exp per row, one complex np.exp per
         distinct frequency and one np.add.reduceat over the key segments,
         which keeps a key's first row and adds numpy's pairwise sum of the
-        rest.
+        rest.  A chunk's work arrays hold about _EVAL_CHUNK entries; taus
+        that fit one chunk come back as its sums, transposed, with no
+        output array or loop.
         """
-        coeff, rate, omega, group, starts, power = self._factors
         taus = np.asarray(taus, dtype=complex).reshape(-1)
+        step = max(1, _EVAL_CHUNK // max(len(self), 1))
+        if len(taus) <= step:
+            return self._chunk(taus).T
         out = np.empty((len(self.keys), len(taus)), dtype=complex)
-        step = max(1, _EVAL_CHUNK // max(len(rate), 1))
         for lo in range(0, len(taus), step):
-            x, y = taus.real[lo:lo + step, None], taus.imag[lo:lo + step, None]
-            decay = np.exp(y * rate)
-            values = decay * coeff[0]
-            for j in range(1, len(coeff)):
-                values += decay * y ** -j * coeff[j]
-            values *= np.exp(x * omega).take(group, axis=1)
-            sums = np.add.reduceat(values, starts, axis=1)
-            sums *= y ** power
-            out[:, lo:lo + len(y)] = sums.T
+            out[:, lo:lo + step] = self._chunk(taus[lo:lo + step]).T
         return out
+
+    def _chunk(self, taus: np.ndarray) -> np.ndarray:
+        """The (len(taus), len(keys)) sums of evaluate for one chunk."""
+        coeff, rate, omega, group, starts, power = self._factors
+        x, y = taus.real[:, None], taus.imag[:, None]
+        decay = np.exp(y * rate)
+        values = decay * coeff[0]
+        for j in range(1, len(coeff)):
+            values += decay * y ** -j * coeff[j]
+        values *= np.exp(x * omega).take(group, axis=1)
+        sums = np.add.reduceat(values, starts, axis=1)
+        sums *= y ** power
+        return sums
+
+
+#: _distinct counts into slots while they number at most this many per row,
+#: or at most _SLOTS_FREE in all, and sorts past that
+_SLOTS_PER_ROW = 4
+_SLOTS_FREE = 2 ** 13
+
+
+def _distinct(num: np.ndarray) -> tuple:
+    """``(values, index)``: the distinct integers of the int64 array ``num``,
+    ascending, and each entry's place among them, as np.unique(num,
+    return_inverse=True) gives them.
+
+    Every entry is low + g s, with low the least entry, g the gcd of the
+    differences and s its slot, so one np.bincount over the slots finds the
+    values in order and a scatter ranks them: O(rows + slots), no sort.  An
+    argsort stays where the slots are sparse (more than _SLOTS_PER_ROW per
+    row and more than _SLOTS_FREE) or their range passes int64.
+    """
+    if not len(num):
+        return num, np.zeros(0, dtype=np.intp)
+    low = num.min()
+    span = int(num.max()) - int(low)
+    if span < 2 ** 63:
+        shifted = num - low
+        g = int(np.gcd.reduce(shifted)) or 1
+        slots = span // g + 1
+        if slots <= max(_SLOTS_PER_ROW * len(num), _SLOTS_FREE):
+            slot = shifted // g
+            present = np.bincount(slot).nonzero()[0]
+            rank = np.empty(slots, dtype=np.intp)
+            rank[present] = np.arange(len(present))
+            return present * g + low, rank.take(slot)
+    order = np.argsort(num)
+    ranked = num[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    index = np.empty(len(ranked), dtype=np.intp)
+    index[order] = first.cumsum() - 1
+    return ranked[first], index
 
 
 #: a residue fold's fixed numpy calls cost about as much as this many
@@ -418,16 +479,15 @@ def _residue_wave(phase_num: np.ndarray, den: int, step: int) -> np.ndarray:
     return np.exp(np.arange(low, den, step) * (-1j * TWO_PI / den)).take(phase_num // step)
 
 
-def _phase_wave(phase_num: np.ndarray, den: int) -> np.ndarray:
+def _phase_wave(phase_num: np.ndarray, den: int, step: int) -> np.ndarray:
     """e(-p / den) for each p of ``phase_num``, reduced (0 <= p < den) when
-    den <= INT64_SAFE.  The numerators all lie in one class mod step, the
-    gcd of den and their differences, so they take at most m = den / step
-    values: folded over those residues (_residue_wave) when m + _FOLD_ROWS
-    is below the row count, else one exp per row."""
-    if len(phase_num) > _FOLD_ROWS and den <= INT64_SAFE:
-        step = math.gcd(den, int(np.gcd.reduce(phase_num - phase_num[0])))
-        if den // step + _FOLD_ROWS < len(phase_num):
-            return _residue_wave(phase_num, den, step)
+    den <= INT64_SAFE.  ``step`` divides den and every difference of the
+    numerators (TermTable.phase_step, known from the build), so they lie in
+    one class mod step and take at most m = den / step values: folded over
+    those residues (_residue_wave) when m + _FOLD_ROWS is below the row
+    count, else one exp per row."""
+    if den // step + _FOLD_ROWS < len(phase_num) and den <= INT64_SAFE:
+        return _residue_wave(phase_num, den, step)
     return np.exp(phase_num * (-1j * TWO_PI / den))
 
 
@@ -455,13 +515,24 @@ def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.n
     dtype = float if real else complex
     out = np.empty((len(series), w.shape[1]), dtype=complex)
     for j, poly in enumerate(series):
-        col = np.zeros(w.shape[1], dtype=dtype)
+        # a column whose monomials read no coordinate is one number, made
+        # once with the same operations and spread as it takes its factor
+        size = w.shape[1] if any(map(any, poly.monomials)) else 1
+        col = None
         for expo, coeff in poly.monomials.items():
-            term = np.full(w.shape[1], coeff.real if real else coeff, dtype=dtype)
+            coeff = coeff.real if real else coeff
+            # c f1 f2 ..., taken left to right; products and sums commute
+            # bit for bit, so c f1 is f1 c and 0 + t is t + 0
+            term = None
             for i, e in enumerate(expo):
                 if e:
-                    term = term * coords[i] ** e
-            col = col + term
+                    factor = coords[i] ** e
+                    term = factor * coeff if term is None else term * factor
+            if term is None:
+                term = np.full(size, coeff, dtype=dtype)
+            col = term + 0.0 if col is None else col + term
+        if col is None:
+            col = np.zeros(size, dtype=dtype)
         np.multiply(col, (-1.0 / (8.0 * math.pi)) ** j, out=out[j], dtype=complex)
     return out.T
 
@@ -492,7 +563,7 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     counts = np.bincount(index, minlength=len(cosets))
     keys = tuple(cosets[i][0] for i in counts.nonzero()[0].tolist())
     # a coset without rows has no key
-    key_index = ((counts > 0).cumsum() - 1)[index]
+    key_index = index if counts.all() else ((counts > 0).cumsum() - 1)[index]
     # w and lam hold one vector per column until the table is made
     lam = w - forms.d_beta[:, None]
     vector_den = forms.denominator
@@ -511,7 +582,8 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
                      a_num=a_num, b_num=b_num, ab_den=ab_den,
                      phase_num=phase_num, phase_den=phase_den,
                      poly=_poly_matrix(series, point, w, vector_den),
-                     prefactor_exponent=Fraction(prefactor_exponent))
+                     prefactor_exponent=Fraction(prefactor_exponent),
+                     phase_step=math.gcd(phase_den, forms.phase_step))
 
 
 def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
@@ -549,10 +621,11 @@ def _upper_gamma_half_orders(x: float, count: int) -> list[float]:
     8.8).  Every term is positive, so the upward recurrence is stable;
     x^a e^-x is one exp, so no intermediate overflows.
     """
-    out = [math.sqrt(math.pi) * math.erfc(math.sqrt(x)), math.exp(-x)]
+    out = [_SQRT_PI * math.erfc(math.sqrt(x)), math.exp(-x)]
+    log_x = math.log(x) if x > 0 else None
     for k in range(2, count):
         a = (k - 1) / 2
-        out.append(a * out[k - 2] + (math.exp(a * math.log(x) - x) if x > 0 else 0.0))
+        out.append(a * out[k - 2] + (math.exp(a * log_x - x) if log_x is not None else 0.0))
     return out[:count]
 
 
@@ -601,7 +674,7 @@ def _tail_bound(shell, translates: int, y: float, bound: float, power: float) ->
     # shell density vol_n n (s + rho)^(n-1) / (s covol): collect s^m, m = deg + k - 1
     coeffs = [0.0] * len(powers)
     for j, terms in pieces:
-        factor = (1.0 / (8.0 * math.pi * y)) ** j
+        factor = (1.0 / (_EIGHT_PI * y)) ** j
         for c, d in terms:
             c *= factor
             for slot, (binomial, rho_power) in enumerate(binomials, d):
@@ -655,9 +728,16 @@ class ThetaEvaluator:
         self.terms = table
         self.axes = axes
         self._shape = tuple(ax.group.order for ax in axes)
-        self._positions = np.array(
-            [np.ravel_multi_index([a.group.index(x) for a, x in zip(axes, key)], self._shape)
-             for key in table.keys], dtype=np.intp)
+        positions = []
+        for key in table.keys:
+            pos = 0
+            for ax, x in zip(axes, key):
+                pos = pos * ax.group.order + ax.group.index(x)
+            positions.append(pos)
+        self._size = math.prod(self._shape)
+        # None when the keys are every index, in order: values need no scatter
+        self._positions = (None if positions == list(range(self._size))
+                           else np.array(positions, dtype=np.intp))
         self.prefactor_exponent = table.prefactor_exponent
         self._power = float(table.prefactor_exponent)
         self.bound = float(bound)
@@ -677,9 +757,12 @@ class ThetaEvaluator:
         batch = taus.tobytes()
         if batch == self._last[0]:
             return list(self._last[1])
-        values = self.terms.evaluate(taus)
-        dense = np.zeros((len(taus), math.prod(self._shape)), dtype=complex)
-        dense[:, self._positions] = values.T
+        values = self.terms.evaluate(taus).T
+        if self._positions is None:
+            dense = np.ascontiguousarray(values)
+        else:
+            dense = np.zeros((len(taus), self._size), dtype=complex)
+            dense[:, self._positions] = values
         dense.flags.writeable = False
         out = [RepVector.from_array(self.axes, row.reshape(self._shape)) for row in dense]
         self._last = (batch, out)
@@ -711,8 +794,7 @@ def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
     _check_bound(bound)
     group = discriminant_group(lat)
     series = poly.series
-    elements = group.elements()
-    cosets = [((gamma,), vec) for gamma, vec in zip(elements, group.dual_vectors(elements))]
+    cosets = [((gamma,), vec) for gamma, vec in group.dual_representatives]
     prefactor = Fraction(lat.sig_minus, 2) + poly.degrees[1]
     table = build_term_table(lat, point, series, cosets, pair_vectors, bound, prefactor)
     return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.count_shell,
@@ -746,7 +828,8 @@ class SplitData:
     M (+) Mperp (glue = C^{-1} for C = [basis_M | basis_Mperp]);
     ``split_m`` is the D_sum -> D_M map of disc_product_iso, and
     ``pair_of_inner`` sends each D_sum element to its flat (D_M, D_Mperp)
-    index.
+    index.  Row j of ``push_index`` holds the flat (D_M, D_Mperp) indices
+    of the glue fibre over the j-th element of D_L.
     """
 
     def __init__(self, ambient: Lattice, m_sub: Sublattice, mperp_sub: Sublattice, gm,
@@ -763,6 +846,7 @@ class SplitData:
         self.d_l = d_l
         self.split_m = split_m
         self.pair_of_inner = pair_of_inner
+        self.push_index = pair_of_inner.take(gm.fibres)
 
 
 _SPLIT_CACHE: dict = {}
@@ -1135,7 +1219,13 @@ def _coords_pair(sub: Sublattice, vp: VectorPair):
 
 
 def _inner_push_down(sd: SplitData, m_vec: RepVector, perp_vec: RepVector) -> RepVector:
-    return down_arrow(sd.gm, _merge_to_inner(sd, m_vec.tensor(perp_vec), 0, 1))
+    """The one-axis vectors m_vec over D_M and perp_vec over D_Mperp,
+    tensored, merged into D_inner and pushed down the glue: what
+    _merge_to_inner and down_arrow make, as one gather of the flat tensor
+    and one sum over each fibre."""
+    flat = np.multiply.outer(m_vec.array, perp_vec.array).reshape(-1)
+    return RepVector.from_array((Axis(sd.d_l, dual=False),),
+                                flat.take(sd.push_index).sum(axis=1))
 
 
 def inner_tensor_to_big(sd: SplitData, theta_m: ThetaValue, theta_p: ThetaValue) -> RepVector:

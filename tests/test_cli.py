@@ -636,6 +636,8 @@ BAD_INPUTS = {
     "ii11_form": CLI_INPUTS["ii11_form"],
     "no_gram": {"name": "L"},
     "no_basis": {"ambient": "L"},
+    "gram_bool": {"gram": [[2, True], [True, 2]]},
+    "basis_bool": {"ambient": "L", "basis": [[True, -1]]},
     "form_no_gram": {"type": "qexpansion", "weight": "0", "terms": []},
     "form_bad_coset": {"type": "qexpansion", "gram": [[2]], "weight": "0",
                        "terms": [{"coset": ["a"], "exp": "0", "coef": [1.0, 0.0]}]},
@@ -650,6 +652,7 @@ BAD_INPUTS = {
     "sc_checks_string": dict(SCENARIO, checks="weil_relations"),
     "sc_bound_inf": dict(SCENARIO, bound=float("inf")),
     "sc_valid": SCENARIO,
+    "sc_alpha_bool": dict(SCENARIO, alpha=[True, 0]),
     "sc_tolerance_inf": dict(SCENARIO, tolerance=float("inf")),
     "sc_tolerance_nan": dict(SCENARIO, tolerance=float("nan")),
     "sc_tolerance_negative": dict(SCENARIO, tolerance=-1),
@@ -678,6 +681,10 @@ CONTRACT = "contract --lattice {ii11} --sublattice {ii11_m} --form {ii11_form}"
 #: 1 with a traceback, or printed a number, before the JSON readers
 MALFORMED_INPUTS = {
     "disc_info_no_gram": ("disc-info --lattice {no_gram}", "ParseError"),
+    # a JSON true is no integer and no rational, though Python reads it as 1
+    "gram_bool": ("disc-info --lattice {gram_bool}", "NotIntegral"),
+    "alpha_bool": ("run-scenario {sc_alpha_bool}", "ParseError: bad rational True"),
+    "basis_bool": (THETA_LM.replace("ii11_m", "basis_bool"), "ParseError: bad rational True"),
     "weil_matrix_no_gram": ("weil-matrix --lattice {no_gram} --element 0,-1,1,0",
                             "ParseError"),
     "theta_no_gram": ("theta --lattice {no_gram} --tau 0.2,1.1", "ParseError"),

@@ -1,3 +1,6 @@
+import json
+import pathlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +29,64 @@ def test_construct_signatures():
     assert construct_lattice([[0, 1], [1, 0]]).signature == (1, 1)
     assert construct_lattice([[2, 1], [1, 2]]).signature == (2, 0)
     assert construct_lattice([[-2]]).signature == (0, 1)
+
+
+def _skew_ii11(k: int) -> list:
+    """[[2k, 2k+1], [2k+1, 2k+2]]: determinant -1, so isometric to II(1,1)."""
+    return [[2 * k, 2 * k + 1], [2 * k + 1, 2 * k + 2]]
+
+
+E8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0], [0, -1, 2, -1, 0, 0, 0, -1],
+      [0, 0, -1, 2, -1, 0, 0, 0], [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
+GLUED_L = json.loads((pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+                      / "a2a2a1_glued.json").read_text())["lattices"]["L"]["gram"]
+
+#: Gram matrices and their signatures: id -> (gram, (b+, b-))
+SIGNATURE_CASES = {
+    "ii11_k581786674": (_skew_ii11(581_786_674), (1, 1)),
+    "ii11_k1e8": (_skew_ii11(10 ** 8), (1, 1)),
+    "a2": ([[2, 1], [1, 2]], (2, 0)),
+    "ii11": ([[0, 1], [1, 0]], (1, 1)),
+    "a2_neg": ([[-2, -1], [-1, -2]], (0, 2)),
+    "e8": (E8, (8, 0)),
+    "glued_l": (GLUED_L, (4, 1)),
+}
+
+
+def _unimodular(rng: random.Random, n: int) -> list:
+    """A seeded integer matrix of determinant +-1: elementary row operations
+    (add a multiple of one row to another, swap two rows, negate a row) on
+    the identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        move = rng.randrange(3)
+        if move == 0:
+            c = rng.randint(-3, 3)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        elif move == 1:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+@pytest.mark.parametrize("case", sorted(SIGNATURE_CASES))
+def test_signature_is_exact(case):
+    # the signature is the inertia of an exact elimination: a float
+    # eigensolver read (2, 0) off ii11_k581786674 and called ii11_k1e8
+    # degenerate; five seeded unimodular changes of basis U^T G U of each
+    # case keep the signature of the unchanged lattice
+    gram, signature = SIGNATURE_CASES[case]
+    assert construct_lattice(gram).signature == signature
+    rng = random.Random(case)
+    n = len(gram)
+    for _ in range(5):
+        u = _unimodular(rng, n)
+        changed = [[sum(u[a][i] * gram[a][b] * u[b][j] for a in range(n) for b in range(n))
+                    for j in range(n)] for i in range(n)]
+        assert construct_lattice(changed).signature == signature
 
 
 def test_construct_rejects():

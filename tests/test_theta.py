@@ -791,7 +791,8 @@ def _evaluate_terms_major(table, taus):
 def test_evaluate_bits_do_not_depend_on_the_layout(monkeypatch, a2, ii11):
     # the (taus x terms) layout computes every element with the same floats
     # and sums each key's segment the same way: bit for bit the (terms x
-    # taus) evaluation, at 1, 2 and 5 taus and with the taus split over chunks
+    # taus) evaluation, at 1, 2, 5 and 7 taus, with the taus split over
+    # chunks of 2^13 or 2^16 entries or all in one, and on a table without rows
     lat = direct_sum(a2, ii11)
     m_sub = sublattice(lat, [(1, 0, 0, 0), (0, 1, 0, 0)])
     sd = split_data(lat, m_sub)
@@ -806,12 +807,13 @@ def test_evaluate_bits_do_not_depend_on_the_layout(monkeypatch, a2, ii11):
               .evaluator(None, 6).terms,
               siegel_theta_evaluator(lat, split, x1_sq, pair, 0).terms]
     assert [len(t) > 100 for t in tables] == [True, True, True, False]
+    assert len(tables[-1]) == 0 and theta_mod._EVAL_CHUNK == 2 ** 13
     rng = np.random.default_rng(11)
-    taus = rng.uniform(-0.5, 0.5, 5) + 1j * rng.uniform(0.7, 1.4, 5)
+    taus = rng.uniform(-0.5, 0.5, 7) + 1j * rng.uniform(0.7, 1.4, 7)
     for table in tables:
-        for chunk in (theta_mod._EVAL_CHUNK, 2 * max(len(table), 1)):
+        for chunk in (2 ** 13, 2 ** 16, 7 * max(len(table), 1)):
             monkeypatch.setattr(theta_mod, "_EVAL_CHUNK", chunk)
-            for count in (1, 2, 5):
+            for count in (1, 2, 5, 7):
                 got = table.evaluate(taus[:count])
                 want = _evaluate_terms_major(table, taus[:count])
                 assert got.shape == want.shape
@@ -942,7 +944,9 @@ def test_residue_fold_matches_one_exp_per_row(a2, ii11, monkeypatch):
     # one complex exp per row, bit for bit: the theta-rank4 table (m = 210 of
     # 3420 rows), a 15-row seesaw table with m = rows, the unshifted 15-row
     # mixed table (m = 1) and the 22 827-row glued Theta_L with the
-    # scenario's shifts (m = 210); _phase_wave folds the two large ones
+    # scenario's shifts (m = 210); _phase_wave folds the two large ones.
+    # The build's phase_step, made from the shifts alone, divides every
+    # row's difference, and on all four it is the rows' own step
     seesaw = [table for _args, table in _scenario_builds(monkeypatch, BUNDLED)]
     data = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
     glued_l = _glued_l_table([[F(x) for x in data[name]] for name in ("alpha", "beta")])
@@ -956,26 +960,29 @@ def test_residue_fold_matches_one_exp_per_row(a2, ii11, monkeypatch):
         reduced = table.phase_num % table.phase_den
         step = math.gcd(table.phase_den, *(reduced - reduced[0]).tolist())
         assert (len(table), table.phase_den // step) == (rows, m)
+        assert table.phase_den % table.phase_step == 0
+        assert not ((table.phase_num - table.phase_num[0]) % table.phase_step).any()
+        assert table.phase_step == step
         want = np.exp(reduced * (-1j * theta_mod.TWO_PI / table.phase_den))
         assert fold(reduced, table.phase_den, step).tobytes() == want.tobytes()
         folds.clear()
-        assert theta_mod._phase_wave(reduced, table.phase_den).tobytes() == want.tobytes()
+        got = theta_mod._phase_wave(reduced, table.phase_den, table.phase_step)
+        assert got.tobytes() == want.tobytes()
         assert len(folds) == folded
         coeff = table._factors[0]
         assert coeff.tobytes() == np.multiply(table.poly.T, want, order="C").tobytes()
 
 
 def test_frequency_grouping_runs_once_per_table(a2, ii11, monkeypatch):
-    # the grouping is the evaluation's one sort: a build makes none, and
-    # four one-tau calls on one stored table group it once
+    # a build groups nothing, and four one-tau calls on one stored table
+    # group it once, by counting: no argsort
     calls = []
+    distinct = theta_mod._distinct
     argsort = np.argsort
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return argsort(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counting)
+    monkeypatch.setattr(theta_mod, "_distinct",
+                        lambda num: calls.append(num) or distinct(num))
+    monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: calls.append(args)
+                        or argsort(*args, **kwargs))
     lat = direct_sum(a2, ii11)
     split = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
     x1_sq = HomogeneousPolynomial((2, 0), 3, 1, {(2, 0, 0, 0): 1.0})
@@ -984,8 +991,62 @@ def test_frequency_grouping_runs_once_per_table(a2, ii11, monkeypatch):
     assert calls == []
     for tau in (0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 0.7j, 0.41 + 1.3j):
         siegel_theta(lat, tau, split, x1_sq, pair, 6)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0].shape == (len(table),)
     assert siegel_theta_family(lat, split, x1_sq).evaluator(pair, 6).terms is table
+
+
+def _argsort_groups(table) -> tuple:
+    """(omega, group) of _factors by one argsort of the frequency numerators,
+    the reference for the grouping by counting."""
+    freq_num = table.a_num + table.b_num
+    order = np.argsort(freq_num)
+    ranked = freq_num[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    group = np.empty(len(ranked), dtype=np.intp)
+    group[order] = first.cumsum() - 1
+    return ranked[first] * (1j * (theta_mod.TWO_PI / table.ab_den)), group
+
+
+def _numerator_table(a_num) -> "theta_mod.TermTable":
+    """A one-key table whose frequency numerators are ``a_num``."""
+    a_num = np.array(a_num, dtype=np.int64)
+    zeros = np.zeros(len(a_num), dtype=np.int64)
+    return theta_mod.TermTable(keys=((0,),) if len(a_num) else (), key_index=zeros,
+                               vectors=zeros[:, None], vector_den=1, a_num=a_num,
+                               b_num=zeros, ab_den=2 ** 61, phase_num=zeros, phase_den=1,
+                               poly=np.ones((len(a_num), 1), complex),
+                               prefactor_exponent=F(0))
+
+
+def test_grouping_by_counting_matches_the_argsort(monkeypatch, a2, ii11):
+    # a fresh table's omega and group are the argsort reference's, bit for
+    # bit: the theta-rank4 table and all 22 tables of the two bundled runs
+    # count with no argsort; numerators {0, 1, 2^60} span too many slots and
+    # sort; two numerators near 2^60 and a table without rows count
+    tables = [_rank4_table(a2, ii11)]
+    for path in sorted(BUNDLED.parent.glob("*.json")):
+        tables += [table for _args, table in _scenario_builds(monkeypatch, path)]
+    assert len(tables) == 23
+    sparse = _numerator_table([0, 2 ** 60, 1, 0])
+    cases = [(table, 0) for table in tables] + [
+        (sparse, 1), (_numerator_table([2 ** 60, 2 ** 60 + 1, 2 ** 60]), 0),
+        (_numerator_table([]), 0)]
+    argsort = np.argsort
+    for table, sorts in cases:
+        want = _argsort_groups(table)
+        calls = []
+        table.__dict__.pop("_factors", None)
+        with monkeypatch.context() as m:
+            m.setattr(np, "argsort", lambda *args, **kwargs: calls.append(args)
+                      or argsort(*args, **kwargs))
+            _coeff, _rate, omega, group, _starts, _power = table._factors
+        assert len(calls) == sorts
+        assert omega.dtype == want[0].dtype and group.dtype == want[1].dtype
+        assert omega.tobytes() == want[0].tobytes()
+        assert group.tobytes() == want[1].tobytes()
+    assert sparse._factors[3].tolist() == [0, 2, 1, 0]
 
 
 def test_bundled_scenario_tables_have_one_segment_per_key(monkeypatch):
