@@ -44,6 +44,7 @@ from .errors import (
 from .exact import rational
 from .grassmann import (
     HomogeneousPolynomial,
+    VectorPair,
     constant_poly,
     make_grassmann_point,
 )
@@ -89,6 +90,10 @@ def parse_frac(s) -> Fraction:
 
 
 def parse_float(x) -> float:
+    """A float from a JSON number (or a string float() reads); a JSON true or
+    false is no number, though Python reads it as 1 or 0."""
+    if isinstance(x, bool):
+        raise ParseError(f"bad number {x!r}")
     try:
         return float(x)
     except (TypeError, ValueError) as exc:
@@ -197,7 +202,7 @@ def load_json(path):
 # subcommand; only they index an input object, so a missing or wrongly typed
 # entry is a ParseError (exit 2) wherever the object comes from
 
-_KINDS = {dict: "an object", list: "a list"}
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _object(spec) -> dict:
@@ -256,14 +261,15 @@ def read_poly(spec, lat) -> HomogeneousPolynomial:
 
 def read_pair(alpha, beta, rank):
     """The shift pair (alpha, beta) from two lists of rationals with one entry
-    per basis vector: a missing side is zero, and both missing is None."""
+    per basis vector, as a VectorPair, read once: a missing side is zero, and
+    both missing is None."""
     if not (alpha or beta):
         return None
     if any(v and (not isinstance(v, list) or len(v) != rank) for v in (alpha, beta)):
         raise ParseError(f"alpha and beta need one entry per ambient basis vector, "
                          f"got {alpha!r} and {beta!r}")
-    return tuple([parse_frac(x) for x in v] if v else [Fraction(0)] * rank
-                 for v in (alpha, beta))
+    return VectorPair(*([parse_frac(x) for x in v] if v else [Fraction(0)] * rank
+                        for v in (alpha, beta)))
 
 
 def read_form(spec, lat=None) -> QExpansionForm:
@@ -274,6 +280,10 @@ def read_form(spec, lat=None) -> QExpansionForm:
     terms = {}
     for t in _field(spec, "terms", list):
         key = (tuple(_ints(_field(t, "coset", list))), parse_frac(_field(t, "exp")))
+        if key in terms:
+            # a second coefficient would replace the first; "0" and "0/5" are one exponent
+            raise ParseError(f"duplicate form term at coset {list(key[0])}, "
+                             f"exponent {frac_str(key[1])}")
         terms[key] = parse_coefficient(_field(t, "coef"))
     return QExpansionForm(lat, parse_frac(_field(spec, "weight")), terms)
 
@@ -303,7 +313,7 @@ class Scenario:
 
     def __init__(self, data: dict):
         self.data = data
-        self.name = _field(data, "name", default="scenario")
+        self.name = _field(data, "name", str, default="scenario")
         self.lattices = {lname: read_lattice(spec, lname)
                          for lname, spec in _field(data, "lattices", dict, {}).items()}
         self.bound = parse_float(data.get("bound", 10.0))

@@ -124,13 +124,6 @@ class DiscriminantGroup:
         return [[Fraction(v, den) for v in row]
                 for row in (_object_rows(xs, len(num)) @ num).tolist()]
 
-    @cached_property
-    def dual_representatives(self) -> tuple:
-        """(x, dual vector of x) for every element x, in element order, the
-        vector as a tuple of Fractions; made once (elements() caps |D|)."""
-        elements = self.elements()
-        return tuple(zip(elements, map(tuple, self.dual_vectors(elements))))
-
     def dual_vector(self, x: DiscElement) -> list[Fraction]:
         """A dual-lattice representative of x, in lattice coordinates."""
         return self.dual_vectors([x])[0]

@@ -34,16 +34,41 @@ class VectorPair:
     """Two vectors of L_R organized as a column pair (alpha; beta).
 
     Each entry is read by exact.rational when the pair is made, so a
-    VectorPair is exact and as_pair hands it on as it is.
+    VectorPair is exact and as_pair hands it on as it is.  ``key`` is every
+    entry's (numerator, denominator), alpha first, made with the pair: the
+    pair's part of a term-table store key (theta.ThetaFamily).
     """
 
     def __init__(self, alpha, beta):
         self.alpha = tuple(map(exact.rational, alpha))
         self.beta = tuple(map(exact.rational, beta))
+        self.key = tuple(x.as_integer_ratio() for x in self.alpha + self.beta)
 
     @classmethod
     def zero(cls, rank: int):
-        return cls((Fraction(0),) * rank, (Fraction(0),) * rank)
+        """The zero pair of a rank, made once per rank."""
+        pair = _ZERO_PAIRS.get(rank)
+        if pair is None:
+            pair = _ZERO_PAIRS[rank] = cls((Fraction(0),) * rank, (Fraction(0),) * rank)
+        return pair
+
+    @cached_property
+    def integer_rows(self) -> tuple:
+        """((A, a), (B, b)): alpha = A / a and beta = B / b, int rows over
+        their least common denominators, read off ``key``."""
+        n = len(self.alpha)
+        return tuple(_ratio_row(self.key[i:i + n]) for i in (0, n))
+
+
+def _ratio_row(ratios) -> tuple:
+    """(row, den): the int row over the least common denominator of the
+    (numerator, denominator) ratios."""
+    den = math.lcm(1, *[q for _p, q in ratios])
+    return [p * (den // q) for p, q in ratios], den
+
+
+#: VectorPair.zero's pairs, by rank
+_ZERO_PAIRS: dict = {}
 
 
 def as_pair(pair, rank: int) -> VectorPair:
@@ -180,7 +205,7 @@ class PointBuildData:
     point reuses it (theta._IntegerForms does the pair and bound work).
 
     - ``d``, ``abs_forms``: the d of integer_forms and the entrywise
-      absolute values |N+|, |N-| as int rows.
+      absolute values |N+|, |N-|, each as one row-major list of ints.
     - ``exact_form``: (sign, support, form) for the one of N+ (sign +1) and
       N- (sign -1) with fewer nonzero entries: the coordinates its nonzero
       entries read, and its block on them, int64 where every entry fits.
@@ -203,8 +228,7 @@ class PointBuildData:
         n = point.lattice.rank
         d, n_plus, n_minus = point.integer_forms
         self.d = d
-        self.abs_forms = tuple([[abs(x) for x in row] for row in form]
-                               for form in (n_plus, n_minus))
+        self.abs_forms = tuple([abs(x) for row in form for x in row] for form in (n_plus, n_minus))
         nonzero = [sum(map(bool, (x for row in form for x in row)))
                    for form in (n_plus, n_minus)]
         sign, form = (1, n_plus) if nonzero[0] <= nonzero[1] else (-1, n_minus)

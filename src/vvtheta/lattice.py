@@ -12,6 +12,7 @@ import math
 import numbers
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -214,18 +215,26 @@ class Sublattice:
         return exact.transpose([list(v) for v in self.basis])
 
     @cached_property
-    def coords_projection(self) -> list[list[Fraction]]:
-        """The exact matrix (B^T G B)^{-1} B^T G of ``coords_of``."""
+    def coords_projection(self) -> tuple[list[list[int]], int]:
+        """(rows, den): the exact matrix (B^T G B)^{-1} B^T G of ``coords_of``
+        as int rows over their least common denominator, made once."""
         btg = exact.mat_mul(exact.transpose(self.basis_matrix()), self.ambient.gram_rows())
-        return exact.mat_mul(exact.mat_inv(self.lattice.gram_rows()), btg)
+        return exact.integer_rows(exact.mat_mul(exact.mat_inv(self.lattice.gram_rows()), btg))
 
     def coords_of(self, vec):
-        """Sublattice coordinates of an ambient vector lying in the span.
+        """Sublattice coordinates of an ambient vector lying in the span, as
+        Fractions.
 
         Solves B x = vec in the least-squares-free exact sense using the
-        induced Gram matrix: x = (B^T G B)^{-1} B^T G vec.
+        induced Gram matrix: x = (B^T G B)^{-1} B^T G vec, one int product
+        over the denominators of the projection and of vec (each entry read
+        by Fraction).
         """
-        return exact.mat_vec(self.coords_projection, [Fraction(v) for v in vec])
+        rows, den = self.coords_projection
+        (v,), v_den = exact.integer_rows(
+            [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in vec]])
+        den *= v_den
+        return [Fraction(sum(map(mul, row, v)), den) for row in rows]
 
     def embed(self, coords):
         """Ambient coordinates of a vector given in sublattice coordinates."""

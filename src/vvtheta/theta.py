@@ -22,7 +22,8 @@ import math
 import os
 from collections import OrderedDict
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -134,33 +135,48 @@ def _fincke_pohst(levels, steps, bounds, scale, offsets: np.ndarray, box):
     BoundTooLarge before a level would hold more than $THETA_MAX_VECTORS
     nodes.  Partial vectors are (k x nodes) arrays, so every numpy loop runs
     over the nodes, and a level makes a fixed number of numpy calls: one
-    cumsum gives the number of candidates and each parent's first slot, and
-    a candidate's W is its parent's base plus scale times its slot.
+    cumsum gives the number of candidates and each parent's first slot, a
+    candidate's W is its parent's base plus scale times its slot, and the
+    parents' data reach their candidates by one repeat each.  The first
+    level's parents are the k cosets with no coordinates yet, so b and Q are
+    0 there: its interval is -offset +- one float, with no product, gather
+    or carried value, and the same bits.
     """
-    n = offsets.shape[0]
+    n, k = offsets.shape
     cap = _max_vectors()
+    if bounds[n] < 0:
+        k = 0
     # row 0 holds each node's coset, the rows after it its coordinates so far
-    nodes = np.arange(offsets.shape[1] if bounds[n] >= 0 else 0)[None, :]
-    value = np.zeros(nodes.shape[1], dtype=levels[n][0].dtype)
+    nodes = np.arange(k)[None, :]
+    value = np.zeros(k, dtype=levels[n][0].dtype)
     for i in range(n - 1, -1, -1):
         form = levels[i][0]
         pivot = form[-1, -1]
         u, v, _row, ratio = steps[i]
         col = n - 1 - i
-        coset = nodes[0]
-        # the parent level may hold the other integer type (_IntegerForms)
-        if value.dtype != form.dtype:
-            value = value.astype(form.dtype)
-        lin = form[-1, :-1] @ nodes[1:]
-        off = offsets[col].take(coset)
-        # each int, int64 or Python, is cast to float inside the ufunc, as
-        # astype(float) would cast it
-        mid = np.divide(lin, -float(pivot), dtype=float, casting="unsafe") - off
-        half = np.sqrt(np.multiply(bounds[i + 1] - value, ratio, dtype=float, casting="unsafe"))
-        # both ends at once, the lower one negated, so one floor gives
-        # -(least m) + 1 and (greatest m) + 1, each widened, then clipped
-        reach = np.minimum(np.floor(_SIGNS * ((mid + _SIGNS * half) / scale)).astype(np.int64)
-                           + 1, box[:, col].take(coset, axis=1))
+        if col:
+            coset = nodes[0]
+            # the parent level may hold the other integer type (_IntegerForms)
+            if value.dtype != form.dtype:
+                value = value.astype(form.dtype)
+            lin = form[-1, :-1] @ nodes[1:]
+            off = offsets[col].take(coset)
+            clip = box[:, col].take(coset, axis=1)
+            # each int, int64 or Python, is cast to float inside the ufunc, as
+            # astype(float) would cast it
+            mid = np.divide(lin, -float(pivot), dtype=float, casting="unsafe") - off
+            half = np.sqrt(np.multiply(bounds[i + 1] - value, ratio, dtype=float,
+                                       casting="unsafe"))
+            # both ends at once, the lower one negated: -(mid - half) is
+            # half - mid, bit for bit
+            ends = _SIGNS * mid + half
+        else:
+            off, clip = offsets[0, :k], box[:, 0, :k]
+            # -0.0 - off is -off and float(Q) = 0.0, so the same floats
+            ends = math.sqrt(float(max(bounds[n], 0)) * ratio) - _SIGNS * off
+        # one floor gives -(least m) + 1 and (greatest m) + 1, each widened,
+        # then clipped
+        reach = np.minimum(np.floor(ends / scale).astype(np.int64) + 1, clip)
         counts = np.maximum(reach[1] + reach[0] + 1, 0)
         ends = counts.cumsum()
         total = int(ends[-1]) if len(ends) else 0
@@ -168,20 +184,21 @@ def _fincke_pohst(levels, steps, bounds, scale, offsets: np.ndarray, box):
             raise BoundTooLarge(
                 f"enumeration level {i} would hold {total} > {cap} nodes; "
                 "raise THETA_MAX_VECTORS or lower the bound")
-        parent = np.arange(len(coset)).repeat(counts)
         # the candidate in slot s has m = s - (ends - counts) - reach[0]: its
         # parent's least m, plus its place among the parent's candidates
         x = ((scale * (counts - ends - reach[0]) + off).repeat(counts)
              + np.arange(0, scale * total, scale))
-        t = pivot * (x if x.dtype == form.dtype else x.astype(form.dtype)) + lin.take(parent)
+        t = pivot * (x if x.dtype == form.dtype else x.astype(form.dtype))
+        if col:
+            t += lin.repeat(counts)
         # u = 1 on most levels (grassmann._carry_weights)
-        value = ((t * t if u == 1 else u * t * t) + (v * value).take(parent)) // (u * pivot)
-        keep = (value <= bounds[i]).nonzero()[0]
-        parent, value = parent.take(keep), value.take(keep)
-        grown = np.empty((col + 2, len(keep)), dtype=nodes.dtype)
-        nodes.take(parent, axis=1, out=grown[:-1])
-        x.take(keep, out=grown[-1])
-        nodes = grown
+        square = t * t if u == 1 else u * t * t
+        if col:
+            square += (v * value).repeat(counts)
+        square //= u * pivot
+        keep = (square <= bounds[i]).nonzero()[0]
+        value = square.take(keep)
+        nodes = np.concatenate((nodes.repeat(counts, axis=1), x[None])).take(keep, axis=1)
     return nodes[0].copy(), nodes[1:], value
 
 
@@ -206,12 +223,57 @@ def _lin(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x_r^T mat x_r for every column x_r of x, summed like _lin."""
-    lin = _lin(x, mat)
-    out = np.zeros(x.shape[1], dtype=lin.dtype)
-    for i in range(x.shape[0]):
-        out += x[i] * lin[i]
-    return out
+    """x_r^T mat x_r for every column x_r of the integer (int64 or Python-int)
+    array x, in three numpy calls at any rank.  Integer sums are exact, so
+    their order moves nothing; the caller keeps every partial sum inside
+    int64 (_IntegerForms bounds x^T |mat| x)."""
+    return (mat @ x * x).sum(axis=0)
+
+
+class _Cosets:
+    """The cosets of one theta sum and what a term-table build reads of them
+    alone, made once per discriminant group (_siegel_cosets) or splitting
+    (SplitData.mixed_cosets), as GrassmannPoint.build_data is per point.
+
+    ``keys`` are the cosets' keys, sorted (DuplicateCosetKey if two are
+    equal), and coset k is C_k / ``denominator``, the int rows C_k over the
+    coset vectors' least common denominator.  ``array`` holds the C_k
+    coordinate-major in int64 (None past INT64_SAFE, where every build
+    raises), ``largest`` is their greatest |entry| and ``ranges`` each
+    coordinate's least and greatest entry.  The steps of a build
+    (_IntegerForms) read, with X_k = G C_k and q_k = C_k . X_k: ``deltas``
+    and ``x_deltas``, the C_k - C_0 and X_k - X_0 for k >= 1, ``x0`` = X_0,
+    ``norm_deltas`` the q_k - q_0, ``x_step`` the gcd of the X_k - X_0
+    entries and ``form_step`` = gcd(G_ii, 2 G_ij).  A theta builder also
+    gives the evaluator's ``axes`` and the tail's ``translates``, the number
+    of classes a coset's certificate counts for.
+    """
+
+    def __init__(self, lat: Lattice, cosets, axes=None, translates=None):
+        cosets = sorted(cosets, key=lambda coset: coset[0])
+        for (key, _c), (next_key, _d) in zip(cosets, cosets[1:]):
+            if key == next_key:
+                raise DuplicateCosetKey(f"two cosets of one theta sum under the key {key}")
+        n = lat.rank
+        self.rank = n
+        self.gram = lat.gram
+        self.axes, self.translates = axes, translates
+        self.keys = tuple(key for key, _c in cosets)
+        rows, self.denominator = exact.integer_rows([vec for _k, vec in cosets])
+        self.largest = max((abs(x) for row in rows for x in row), default=0)
+        self.ranges = [(min(col), max(col)) for col in zip(*rows)] if rows else [(0, 0)] * n
+        self.array = (np.array(rows, dtype=np.int64).reshape(len(rows), n).T.copy()
+                      if self.largest <= INT64_SAFE else None)
+        xs = [[sum(map(mul, g, c)) for g in self.gram] for c in rows]
+        norms = [sum(map(mul, c, x)) for c, x in zip(rows, xs)]
+        c0, self.x0, q0 = (rows[0], xs[0], norms[0]) if rows else ([0] * n, [0] * n, 0)
+        self.deltas = [[a - b for a, b in zip(c, c0)] for c in rows[1:]]
+        self.x_deltas = [[a - b for a, b in zip(x, self.x0)] for x in xs[1:]]
+        self.norm_deltas = [q - q0 for q in norms[1:]]
+        self.x_step = math.gcd(*(x for row in self.x_deltas for x in row))
+        g = self.gram
+        self.form_step = math.gcd(*(g[i][i] for i in range(n)),
+                                  *(2 * g[i][j] for i in range(n) for j in range(i)))
 
 
 class _IntegerForms:
@@ -234,32 +296,40 @@ class _IntegerForms:
 
     Whatever depends on the point alone (|N+-|, the diagonal of N_maj^-1,
     the levels with their int64 copies, largest entries and carry weights,
-    and the sparser exact form) is the point's PointBuildData, made once per
-    point; a build does only the work of its shift pair and bound.
+    and the sparser exact form) is the point's PointBuildData, and whatever
+    depends on the cosets alone is their _Cosets, each made once; the pair's
+    int rows come with the VectorPair.  A build does only the work of its
+    shift pair and bound: with W = s_k + D m, s_k = t C_k + D beta and
+    t = D / denominator, it also finds the steps of the phase and the
+    frequency numerators from the s_k alone.
     """
 
-    def __init__(self, lat: Lattice, point: GrassmannPoint, coset_vecs, pair, bound):
-        n = lat.rank
+    def __init__(self, cosets: _Cosets, point: GrassmannPoint, pair: VectorPair, bound):
+        n = cosets.rank
         data = point.build_data
         d = data.d
-        (d_beta, *d_cosets), big_d = exact.integer_rows([pair.beta, *coset_vecs])
-        shifts = [[x + b for x, b in zip(coset, d_beta)] for coset in d_cosets]
+        (int_alpha, da), (int_beta, db) = pair.integer_rows
+        # D = lcm(denominator, db); with beta = 0, D is the cosets' and t = 1
+        big_d = math.lcm(cosets.denominator, db)
+        t = big_d // cosets.denominator
+        shifted = any(int_beta)
+        d_beta = [b * (big_d // db) for b in int_beta] if shifted else [0] * n
         # the bound is the binary number it is: a float's ratio is exact
-        num, den = Fraction(bound).as_integer_ratio()
+        num, den = (bound if type(bound) in (float, int) else Fraction(bound)).as_integer_ratio()
         threshold = 2 * num * d * big_d * big_d // den
         w_max = [math.isqrt(max(threshold * p // q, 0)) for p, q in data.inverse_diagonal]
-        (int_alpha,), da = exact.integer_rows([pair.alpha])
-        g_alpha = exact.mat_vec(lat.gram_rows(), int_alpha)
+        gram = cosets.gram
+        g_alpha = [sum(map(mul, row, int_alpha)) for row in gram] if any(int_alpha) else None
 
-        def form_max(mat, w):
-            return sum(w[i] * x * w[j] for i, row in enumerate(mat) for j, x in enumerate(row))
-
-        # the quadratic forms, the phase, 2W - D beta, and the offsets D (coset + beta)
-        largest = max([form_max(q, w_max) for q in data.abs_forms]
-                      + [sum((2 * w + abs(b)) * abs(g)
-                             for w, b, g in zip(w_max, d_beta, g_alpha))]
-                      + [2 * w + abs(b) for w, b in zip(w_max, d_beta)]
-                      + [abs(s) for shift in shifts for s in shift] + [0])
+        # the quadratic forms, the phase, 2W - D beta, t C and the offsets s_k,
+        # whose largest |entry| is at a coordinate's least or greatest C_k
+        twice = [2 * w + abs(b) for w, b in zip(w_max, d_beta)]
+        squares = [x * y for x in w_max for y in w_max]
+        largest = max([sum(map(mul, squares, form)) for form in data.abs_forms] + twice
+                      + [t * cosets.largest, 0,
+                         sum(map(mul, twice, map(abs, g_alpha))) if g_alpha else 0]
+                      + ([abs(t * c + b) for (low, high), b in zip(cosets.ranges, d_beta)
+                          for c in (low, high)] if shifted else []))
         if largest > INT64_SAFE:
             raise BoundTooLarge(
                 f"exact theta terms could need integers up to {largest} > 2^62 "
@@ -271,17 +341,36 @@ class _IntegerForms:
         self.alpha_denominator = da
         self.exact_form = data.exact_form
         self.steps = data.steps
-        self.g_alpha = np.array(g_alpha, dtype=np.int64)
-        self.d_beta = np.array(d_beta, dtype=np.int64)
-        # D beta . (G A), the phase numerators' constant term
-        self.beta_phase = sum(b * g for b, g in zip(d_beta, g_alpha))
-        # a phase numerator is 2 W . (G A) - D beta . (G A) with W = shift_k +
-        # D m, so any two differ by a multiple of this
-        base = [sum(s * g for s, g in zip(shift, g_alpha)) for shift in shifts]
-        self.phase_step = math.gcd(2 * big_d * math.gcd(*g_alpha),
-                                   *[2 * (c - base[0]) for c in base])
-        # coordinate-major, one row per coordinate, as the walk reads them
-        self.shifts = np.array(shifts, dtype=np.int64).reshape(len(shifts), n).T.copy()
+        # None when beta = 0: the offsets are the cosets' own rows
+        self.d_beta = np.array(d_beta, dtype=np.int64) if shifted else None
+        # a phase numerator is 2 W . (G A) - D beta . (G A), so any two differ
+        # by a multiple of 2 D gcd(G A) or of 2 (s_k - s_0) . (G A) =
+        # 2 t (C_k - C_0) . (G A); with alpha = 0 (g_alpha None) every one is 0
+        self.g_alpha = self.beta_phase = None
+        self.phase_step = 0
+        if g_alpha:
+            self.g_alpha = np.array(g_alpha, dtype=np.int64)
+            self.beta_phase = sum(map(mul, d_beta, g_alpha))
+            self.phase_step = math.gcd(
+                2 * big_d * math.gcd(*g_alpha),
+                *[2 * t * sum(map(mul, c, g_alpha)) for c in cosets.deltas])
+        # a + b numerators are d W^T G W with W^T G W = Q(s_k) + 2 D m . (G s_k)
+        # + D^2 Q(m), Q(m) a multiple of gcd(G_ii, 2 G_ij), G s_k = t X_k + G D beta
+        # and Q(s_k) - Q(s_0) = t^2 (q_k - q_0) + 2 t (X_k - X_0) . D beta: so any
+        # two differ by a multiple of d times the gcd of those terms
+        steps = [big_d * big_d * cosets.form_step, 2 * big_d * t * cosets.x_step]
+        if shifted:
+            steps += [2 * big_d * (t * x + sum(map(mul, row, d_beta)))
+                      for x, row in zip(cosets.x0, gram)]
+            steps += [t * t * q + 2 * t * sum(map(mul, x, d_beta))
+                      for q, x in zip(cosets.norm_deltas, cosets.x_deltas)]
+        else:
+            steps += [2 * big_d * x for x in cosets.x0] + cosets.norm_deltas
+        self.freq_step = d * math.gcd(*steps)
+        # coordinate-major, one row per coordinate, as the walk reads them;
+        # |t C| <= largest, so no product overflows
+        self.shifts = (cosets.array * t + self.d_beta[:, None] if shifted
+                       else cosets.array)
         levels = point.majorant_levels
         self.bounds = [c * threshold for _a, c in levels]
         # a level runs in int64 when its entries, its bound and the walk's
@@ -293,12 +382,16 @@ class _IntegerForms:
             level_max = max(abs(self.bounds[i]), data.largest[i])
             if i < n:
                 u, v, last, _ratio = data.steps[i]
-                e = sum(x * w for x, w in zip(last, w_max))
+                e = sum(map(mul, last, w_max))
                 level_max = max(level_max, u * e * e + v * self.bounds[i + 1], u * last[-1])
             self.levels.append((data.levels64[i] if level_max <= INT64_SAFE else a, c))
         # minus the least and the greatest m_i with |D m_i + shift_i| <= w_max_i
         w = np.array(w_max, dtype=np.int64)[:, None]
-        self.box = np.array([(w + self.shifts) // big_d, (w - self.shifts) // big_d])
+        self.box = (w + _PLUS_MINUS * self.shifts) // big_d
+
+
+#: the box's two sides, (w + s) // D and (w - s) // D (_IntegerForms)
+_PLUS_MINUS = np.array([1, -1]).reshape(2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +416,25 @@ class TermTable:
     and phase are exact: ``vectors`` / ``vector_den``, ``a_num`` /
     ``ab_den``, ``b_num`` / ``ab_den`` and ``phase_num`` / ``phase_den``
     (int64 numerators, Python-int denominators); ``phase_step`` divides
-    ``phase_den`` and the difference of any two phase numerators (1 says
-    nothing more).  ``poly[r, j]``
-    multiplies y^{-j} and already contains the (-1/(8 pi))^j / j! factor of
-    the Gaussian smoothing operator.  ``a - b`` is half the majorant (>= 0),
-    ``a + b`` half the norm: the row's frequency in x.  The first
-    ``evaluate`` groups the rows by their exact frequency numerator, folds
-    the phase into the coefficients and finds the key segments (_factors);
-    the table keeps them for every later call.
+    ``phase_den`` and the difference of any two phase numerators, and
+    ``freq_step`` the difference of any two frequency numerators
+    a_num + b_num (1 says nothing more).  Key k's rows are ``starts[k]`` up
+    to ``starts[k + 1]`` (found from key_index when not given).
+    ``poly[r, j]`` multiplies y^{-j} and already contains the
+    (-1/(8 pi))^j / j! factor of the Gaussian smoothing operator.  ``a - b``
+    is half the majorant (>= 0), ``a + b`` half the norm: the row's
+    frequency in x.  The first ``evaluate`` groups the rows by their exact
+    frequency numerator and folds the phase into the coefficients
+    (_factors); the table keeps them for every later call.  A build knows
+    both steps from its shifts and the starts from its coset counts
+    (build_term_table), so a fresh table reads none of them off its rows.
     """
 
     def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
                  vector_den: int, a_num: np.ndarray, b_num: np.ndarray, ab_den: int,
                  phase_num: np.ndarray, phase_den: int, poly: np.ndarray,
-                 prefactor_exponent: Fraction, phase_step: int = 1):
+                 prefactor_exponent: Fraction, phase_step: int = 1, freq_step: int = 1,
+                 starts: np.ndarray | None = None):
         self.keys = keys
         self.key_index = key_index
         self.vectors = vectors
@@ -347,8 +445,12 @@ class TermTable:
         self.phase_num = phase_num
         self.phase_den = phase_den
         self.phase_step = phase_step
+        self.freq_step = freq_step
+        self.starts = (key_index.searchsorted(np.arange(len(keys))) if starts is None
+                       else starts)
         self.poly = poly
         self.prefactor_exponent = prefactor_exponent
+        self._power = float(prefactor_exponent)
 
     def __len__(self) -> int:
         return self.key_index.shape[0]
@@ -367,25 +469,23 @@ class TermTable:
         is ``poly[:, j] e(-phase)``, e(t) = exp(2 pi i t), with the phase
         reduced mod 1 exactly, and ``rate`` is -2 pi (a - b).  The rows are
         grouped by the exact numerator a_num + b_num of their frequency
-        (_distinct, by counting): ``omega`` holds 2 pi i (a + b) once per
-        distinct numerator, ascending, and ``group[r]`` is row r's entry.
-        The rows come in key order and every key has one (build_term_table),
-        so key k's rows are ``starts[k]`` up to ``starts[k + 1]``.  ``power``
-        is the float prefactor exponent.  e(-phase) takes one exp per row,
-        or one per residue mod ``phase_step`` when the reduced phase
-        numerators take few enough values (_phase_wave), with the same bits
-        either way.
+        (_distinct, by counting in steps of ``freq_step``): ``omega`` holds
+        2 pi i (a + b) once per distinct numerator, ascending, and
+        ``group[r]`` is row r's entry.  ``starts`` are the key segments'
+        first rows and ``power`` is the float prefactor exponent.  e(-phase)
+        takes one exp per row, or one per residue mod ``phase_step`` when
+        the reduced phase numerators take few enough values (_phase_wave),
+        with the same bits either way.
         """
         # a >= 0 >= b, each at most INT64_SAFE in size, so a + b and b - a fit int64
-        distinct, group = _distinct(self.a_num + self.b_num)
+        distinct, group = _distinct(self.a_num + self.b_num, self.freq_step)
         # every numerator is at most INT64_SAFE, so past it |phase| < 1 already
         phase_num = (self.phase_num % self.phase_den if self.phase_den <= INT64_SAFE
                      else self.phase_num)
         wave = _phase_wave(phase_num, self.phase_den, self.phase_step)
-        starts = self.key_index.searchsorted(np.arange(len(self.keys)))
         scale = TWO_PI / self.ab_den
         return (np.multiply(self.poly.T, wave, order="C"), (self.b_num - self.a_num) * scale,
-                distinct * (1j * scale), group, starts, float(self.prefactor_exponent))
+                distinct * (1j * scale), group, self.starts, self._power)
 
     def evaluate(self, taus) -> np.ndarray:
         """Theta components at each tau, y^prefactor_exponent included.
@@ -400,17 +500,22 @@ class TermTable:
         that fit one chunk come back as its sums, transposed, with no
         output array or loop.
         """
-        taus = np.asarray(taus, dtype=complex).reshape(-1)
+        return self._sums(np.asarray(taus, dtype=complex).reshape(-1)).T
+
+    def _sums(self, taus: np.ndarray) -> np.ndarray:
+        """evaluate's values, transposed: the (len(taus), len(keys)) sums
+        at a 1-D complex array of taus, one _chunk at a time."""
         step = max(1, _EVAL_CHUNK // max(len(self), 1))
         if len(taus) <= step:
-            return self._chunk(taus).T
-        out = np.empty((len(self.keys), len(taus)), dtype=complex)
+            return self._chunk(taus)
+        out = np.empty((len(taus), len(self.keys)), dtype=complex)
         for lo in range(0, len(taus), step):
-            out[:, lo:lo + step] = self._chunk(taus[lo:lo + step]).T
+            out[lo:lo + step] = self._chunk(taus[lo:lo + step])
         return out
 
     def _chunk(self, taus: np.ndarray) -> np.ndarray:
-        """The (len(taus), len(keys)) sums of evaluate for one chunk."""
+        """The (len(taus), len(keys)) sums of evaluate for one chunk; y^0
+        is 1, so a prefactor exponent of 0 multiplies by nothing."""
         coeff, rate, omega, group, starts, power = self._factors
         x, y = taus.real[:, None], taus.imag[:, None]
         decay = np.exp(y * rate)
@@ -419,7 +524,8 @@ class TermTable:
             values += decay * y ** -j * coeff[j]
         values *= np.exp(x * omega).take(group, axis=1)
         sums = np.add.reduceat(values, starts, axis=1)
-        sums *= y ** power
+        if power:
+            sums *= y ** power
         return sums
 
 
@@ -429,16 +535,18 @@ _SLOTS_PER_ROW = 4
 _SLOTS_FREE = 2 ** 13
 
 
-def _distinct(num: np.ndarray) -> tuple:
+def _distinct(num: np.ndarray, step: int = 1) -> tuple:
     """``(values, index)``: the distinct integers of the int64 array ``num``,
     ascending, and each entry's place among them, as np.unique(num,
     return_inverse=True) gives them.
 
-    Every entry is low + g s, with low the least entry, g the gcd of the
-    differences and s its slot, so one np.bincount over the slots finds the
-    values in order and a scatter ranks them: O(rows + slots), no sort.  An
-    argsort stays where the slots are sparse (more than _SLOTS_PER_ROW per
-    row and more than _SLOTS_FREE) or their range passes int64.
+    ``step`` divides every difference of the entries (TermTable.freq_step,
+    known from the build; 0 or 1 says nothing more), so every entry is
+    low + g s, with low the least entry, g = step and s its slot: one
+    np.bincount over the slots finds the values in order and a scatter
+    ranks them, O(rows + slots), no sort.  Any such g gives the same result.
+    An argsort stays where the slots are sparse (more than _SLOTS_PER_ROW
+    per row and more than _SLOTS_FREE) or their range passes int64.
     """
     if not len(num):
         return num, np.zeros(0, dtype=np.intp)
@@ -446,14 +554,14 @@ def _distinct(num: np.ndarray) -> tuple:
     span = int(num.max()) - int(low)
     if span < 2 ** 63:
         shifted = num - low
-        g = int(np.gcd.reduce(shifted)) or 1
+        g = step or 1
         slots = span // g + 1
         if slots <= max(_SLOTS_PER_ROW * len(num), _SLOTS_FREE):
-            slot = shifted // g
+            slot = shifted // g if g > 1 else shifted
             present = np.bincount(slot).nonzero()[0]
             rank = np.empty(slots, dtype=np.intp)
             rank[present] = np.arange(len(present))
-            return present * g + low, rank.take(slot)
+            return (present * g if g > 1 else present) + low, rank.take(slot)
     order = np.argsort(num)
     ranked = num[order]
     first = np.empty(len(ranked), dtype=bool)
@@ -494,8 +602,7 @@ def _phase_wave(phase_num: np.ndarray, den: int, step: int) -> np.ndarray:
 def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.ndarray:
     """(terms x len(series)) coefficients of y^{-j}, from the adapted
     coordinates of the columns of w / den that some monomial reads."""
-    read = sorted({i for poly in series for expo in poly.monomials
-                   for i, e in enumerate(expo) if e})
+    read, real = _series_reads(tuple(series))
     coords = {}
     if read:
         h = (point.lattice.gram_np() @ point.adapted)[:, read]
@@ -511,30 +618,34 @@ def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.n
     # with real coefficients a column's sum is the real part of the complex
     # one, bit for bit, so it is summed in floats and cast as it takes its
     # factor, which then multiplies as the complex product did
-    real = all(c.imag == 0 for poly in series for c in poly.monomials.values())
-    dtype = float if real else complex
     out = np.empty((len(series), w.shape[1]), dtype=complex)
     for j, poly in enumerate(series):
-        # a column whose monomials read no coordinate is one number, made
-        # once with the same operations and spread as it takes its factor
-        size = w.shape[1] if any(map(any, poly.monomials)) else 1
         col = None
         for expo, coeff in poly.monomials.items():
             coeff = coeff.real if real else coeff
             # c f1 f2 ..., taken left to right; products and sums commute
-            # bit for bit, so c f1 is f1 c and 0 + t is t + 0
-            term = None
+            # bit for bit, so c f1 is f1 c and 0 + t is t + 0; a monomial that
+            # reads no coordinate is the number c, which numpy adds and
+            # multiplies as it would a column of c
+            term = coeff
             for i, e in enumerate(expo):
                 if e:
                     factor = coords[i] ** e
-                    term = factor * coeff if term is None else term * factor
-            if term is None:
-                term = np.full(size, coeff, dtype=dtype)
+                    term = factor * coeff if term is coeff else term * factor
             col = term + 0.0 if col is None else col + term
-        if col is None:
-            col = np.zeros(size, dtype=dtype)
-        np.multiply(col, (-1.0 / (8.0 * math.pi)) ** j, out=out[j], dtype=complex)
+        np.multiply(0.0 if col is None else col, (-1.0 / (8.0 * math.pi)) ** j, out=out[j],
+                    dtype=complex)
     return out.T
+
+
+@lru_cache(maxsize=32)
+def _series_reads(series: tuple) -> tuple:
+    """(read, real) of a Laplacian series: the adapted coordinates some
+    monomial reads, ascending, and whether every coefficient is real; made
+    once per series, as _series_pieces."""
+    return (sorted({i for poly in series for expo in poly.monomials
+                    for i, e in enumerate(expo) if e}),
+            all(c.imag == 0 for poly in series for c in poly.monomials.values()))
 
 
 def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
@@ -542,30 +653,34 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
                      prefactor_exponent=Fraction(0)) -> TermTable:
     """Enumerate the truncated sum over every coset into one TermTable.
 
-    ``cosets`` lists (axis key, coset vector) pairs, one coset per key
-    (DuplicateCosetKey otherwise); row data follows the shift pair
-    (alpha, beta): a, b are half the plus and minus norms of
+    ``cosets`` is a _Cosets or a list of (axis key, coset vector) pairs, one
+    coset per key (DuplicateCosetKey otherwise); row data follows the shift
+    pair (alpha, beta): a, b are half the plus and minus norms of
     w = lambda + beta and the phase is (lambda + beta/2, alpha).  ``series``
     is the polynomial's Laplacian series (laplacian_series).  The walk takes
     the cosets in key order and emits each one's vectors in order, so the
-    rows come out in the table's order, with no sort.
+    rows come out in the table's order, with no sort, and each coset's row
+    count gives its key's segment.
     """
-    n = lat.rank
-    cosets = sorted(cosets, key=lambda coset: coset[0])
-    for (key, _c), (next_key, _d) in zip(cosets, cosets[1:]):
-        if key == next_key:
-            raise DuplicateCosetKey(f"two cosets of one theta sum under the key {key}")
+    if not isinstance(cosets, _Cosets):
+        cosets = _Cosets(lat, cosets)
     # every w = coset + m + beta with maj(w) <= 2 * bound, as the integers
     # W = D w, with value the exact W^T N_maj W
-    forms = _IntegerForms(lat, point, [c for _k, c in cosets], as_pair(pair_vectors, n), bound)
+    forms = _IntegerForms(cosets, point, as_pair(pair_vectors, lat.rank), bound)
     index, w, value = _fincke_pohst(forms.levels, forms.steps, forms.bounds, forms.denominator,
                                     forms.shifts, forms.box)
-    counts = np.bincount(index, minlength=len(cosets))
-    keys = tuple(cosets[i][0] for i in counts.nonzero()[0].tolist())
-    # a coset without rows has no key
-    key_index = index if counts.all() else ((counts > 0).cumsum() - 1)[index]
+    counts = np.bincount(index, minlength=len(cosets.keys))
+    starts = counts.cumsum() - counts
+    if np.count_nonzero(counts) == len(counts):
+        keys, key_index = cosets.keys, index
+    else:
+        # a coset without rows has no key
+        present = counts.nonzero()[0]
+        keys = tuple(cosets.keys[i] for i in present.tolist())
+        key_index = ((counts > 0).cumsum() - 1)[index]
+        starts = starts[present]
     # w and lam hold one vector per column until the table is made
-    lam = w - forms.d_beta[:, None]
+    lam = w if forms.d_beta is None else w - forms.d_beta[:, None]
     vector_den = forms.denominator
     ab_den = 2 * forms.d * vector_den ** 2
     # the walk's value is W^T (N+ - N-) W, exactly, so the sparser of N+ and
@@ -575,15 +690,20 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     a_num, b_num = (part, part - value) if sign > 0 else (value + part, part)
     a_num, b_num = a_num.astype(np.int64, copy=False), b_num.astype(np.int64, copy=False)
     phase_den = 2 * vector_den * forms.alpha_denominator
-    # |g_alpha| . (2 |W| + |D beta|) <= INT64_SAFE (_IntegerForms), so no sum overflows
-    phase_num = 2 * (forms.g_alpha @ w) - forms.beta_phase
+    # |g_alpha| . (2 |W| + |D beta|) <= INT64_SAFE (_IntegerForms), so no sum
+    # overflows; with alpha = 0 every numerator is 0
+    phase_num = (np.zeros(len(index), dtype=np.int64) if forms.g_alpha is None
+                 else 2 * (forms.g_alpha @ w) - forms.beta_phase)
     return TermTable(keys=keys, key_index=key_index, vectors=lam.T,
                      vector_den=vector_den,
                      a_num=a_num, b_num=b_num, ab_den=ab_den,
                      phase_num=phase_num, phase_den=phase_den,
                      poly=_poly_matrix(series, point, w, vector_den),
-                     prefactor_exponent=Fraction(prefactor_exponent),
-                     phase_step=math.gcd(phase_den, forms.phase_step))
+                     prefactor_exponent=(prefactor_exponent
+                                         if type(prefactor_exponent) is Fraction
+                                         else Fraction(prefactor_exponent)),
+                     phase_step=math.gcd(phase_den, forms.phase_step),
+                     freq_step=forms.freq_step, starts=starts)
 
 
 def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
@@ -634,22 +754,37 @@ def _tail_shell(count_shell, series):
 
     ``count_shell`` is the majorant's shell_count_weights
     (GrassmannPoint.count_shell, made once per point).  Returns
-    (pieces, binomials, powers, volume): per series term j with a monomial,
-    (j, [(|c|, degree), ...]) over its monomials c s^degree; the (binomial,
-    rho power) pairs of (s + rho)^(n-1); per s^m coefficient of the
-    integrand, m = -1, 0, 1, ..., the factor 2^(m/2) and the exponent
-    -m/2 - 1 of lam; and V_n n / covol.
+    (pieces, binomials, powers, volume): the series' _series_pieces; the
+    (binomial, rho power) pairs of (s + rho)^(n-1); per s^m coefficient of
+    the integrand, m = -1, 0, 1, ..., the factor 2^(m/2) and the exponent
+    -m/2 - 1 of lam (_shell_powers); and V_n n / covol.  What reads the
+    series or the size alone is made once, so a new evaluator's first tail
+    only assembles them.
     """
     if count_shell is None:
         return None
     binomials, volume = count_shell
-    pieces = [(j, [(abs(coeff), sum(expo)) for expo, coeff in poly.monomials.items()])
-              for j, poly in enumerate(series) if poly.monomials]
+    pieces, degree = _series_pieces(tuple(series))
     if not pieces:
         return None
-    size = max(d for _j, terms in pieces for _c, d in terms) + len(binomials)
-    return (pieces, binomials, [(2.0 ** (m / 2), -m / 2 - 1) for m in range(-1, size - 1)],
-            volume)
+    return pieces, binomials, _shell_powers(degree + len(binomials)), volume
+
+
+@lru_cache(maxsize=32)
+def _series_pieces(series: tuple) -> tuple:
+    """(pieces, degree) of a Laplacian series: per term j with a monomial,
+    (j, [(|c|, degree), ...]) over its monomials c s^degree, and the largest
+    degree; made once per series (polynomials compare by value), for as
+    many series as the evaluator store keeps tables (_STORE_SIZE)."""
+    pieces = tuple((j, [(abs(coeff), sum(expo)) for expo, coeff in poly.monomials.items()])
+                   for j, poly in enumerate(series) if poly.monomials)
+    return pieces, max((d for _j, terms in pieces for _c, d in terms), default=0)
+
+
+@cache
+def _shell_powers(size: int) -> tuple:
+    """(2^(m/2), -m/2 - 1) for m = -1, 0, ..., size - 2 (_tail_shell)."""
+    return tuple((2.0 ** (m / 2), -m / 2 - 1) for m in range(-1, size - 1))
 
 
 def _tail_bound(shell, translates: int, y: float, bound: float, power: float) -> float:
@@ -728,18 +863,22 @@ class ThetaEvaluator:
         self.terms = table
         self.axes = axes
         self._shape = tuple(ax.group.order for ax in axes)
-        positions = []
-        for key in table.keys:
-            pos = 0
-            for ax, x in zip(axes, key):
-                pos = pos * ax.group.order + ax.group.index(x)
-            positions.append(pos)
         self._size = math.prod(self._shape)
-        # None when the keys are every index, in order: values need no scatter
-        self._positions = (None if positions == list(range(self._size))
-                           else np.array(positions, dtype=np.intp))
+        # None when the keys are every index, in order: values need no
+        # scatter.  The keys are sorted, distinct elements of the axes
+        # (build_term_table), and index order is their order, so that is
+        # when every index has a key
+        self._positions = None
+        if len(table.keys) != self._size:
+            positions = []
+            for key in table.keys:
+                pos = 0
+                for ax, x in zip(axes, key):
+                    pos = pos * ax.group.order + ax.group.index(x)
+                positions.append(pos)
+            self._positions = np.array(positions, dtype=np.intp)
         self.prefactor_exponent = table.prefactor_exponent
-        self._power = float(table.prefactor_exponent)
+        self._power = table._power
         self.bound = float(bound)
         self._count_shell = count_shell
         self._translates = translates
@@ -757,11 +896,10 @@ class ThetaEvaluator:
         batch = taus.tobytes()
         if batch == self._last[0]:
             return list(self._last[1])
-        values = self.terms.evaluate(taus).T
-        if self._positions is None:
-            dense = np.ascontiguousarray(values)
-        else:
-            dense = np.zeros((len(taus), self._size), dtype=complex)
+        # a fresh array, one row per tau
+        dense = self.terms._sums(taus)
+        if self._positions is not None:
+            values, dense = dense, np.zeros((len(taus), self._size), dtype=complex)
             dense[:, self._positions] = values
         dense.flags.writeable = False
         out = [RepVector.from_array(self.axes, row.reshape(self._shape)) for row in dense]
@@ -792,13 +930,30 @@ def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
     """Enumerate the truncated theta sum once; evaluate at any tau later."""
     poly = _check_poly(poly, point)
     _check_bound(bound)
-    group = discriminant_group(lat)
+    cosets = _siegel_cosets(lat)
     series = poly.series
-    cosets = [((gamma,), vec) for gamma, vec in group.dual_representatives]
-    prefactor = Fraction(lat.sig_minus, 2) + poly.degrees[1]
+    prefactor = Fraction(lat.sig_minus + 2 * poly.degrees[1], 2)
     table = build_term_table(lat, point, series, cosets, pair_vectors, bound, prefactor)
-    return ThetaEvaluator(table, (Axis(group, dual=False),), bound, point.count_shell,
-                          group.order, series)
+    return ThetaEvaluator(table, cosets.axes, bound, point.count_shell, cosets.translates,
+                          series)
+
+
+#: _siegel_cosets' cosets, by lattice
+_SIEGEL_COSETS: dict = {}
+
+
+def _siegel_cosets(lat: Lattice) -> _Cosets:
+    """The cosets of the Siegel theta of lat, one per element of D_L, each
+    keyed by the element and placed at the dual vector of its class; made
+    once per lattice, with the evaluator's axis."""
+    cosets = _SIEGEL_COSETS.get(lat)
+    if cosets is None:
+        group = discriminant_group(lat)
+        elements = group.elements()
+        cosets = _Cosets(lat, zip([(x,) for x in elements], group.dual_vectors(elements)),
+                         (Axis(group, dual=False),), group.order)
+        _SIEGEL_COSETS[lat] = cosets
+    return cosets
 
 
 def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
@@ -847,6 +1002,21 @@ class SplitData:
         self.split_m = split_m
         self.pair_of_inner = pair_of_inner
         self.push_index = pair_of_inner.take(gm.fibres)
+
+    @cached_property
+    def mixed_cosets(self) -> _Cosets:
+        """The cosets of the mixed theta on the complement, made on its first
+        build: one per element of the glue-orthogonal subgroup H-perp, keyed
+        by its (D_L, D_M) indices and placed at the complement part of its
+        dual vector, with the evaluator's axes."""
+        hperp = self.gm.domain  # in element order
+        keys = zip(map(tuple, self.gm.image.tolist()),
+                   map(tuple, self.split_m.apply(hperp).tolist()))
+        c_rank = self.m_sub.rank
+        return _Cosets(self.mperp_sub.lattice,
+                       [(key, lift[c_rank:])
+                        for key, lift in zip(keys, self.d_inner.dual_vectors(hperp))],
+                       (Axis(self.d_l, dual=False), Axis(self.d_m, dual=True)), len(hperp))
 
 
 _SPLIT_CACHE: dict = {}
@@ -913,14 +1083,11 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
     eta = _complement_coords(sd, vp.beta, "eta")
     series = poly.series
     perp_lat = sd.mperp_sub.lattice
-    c_rank = sd.m_sub.rank
-    hperp = sd.gm.domain  # in element order
-    keys = zip(map(tuple, sd.gm.image.tolist()), map(tuple, sd.split_m.apply(hperp).tolist()))
-    cosets = [(key, lift[c_rank:]) for key, lift in zip(keys, sd.d_inner.dual_vectors(hperp))]
-    prefactor = Fraction(perp_lat.sig_minus, 2) + poly.degrees[1]
+    cosets = sd.mixed_cosets
+    prefactor = Fraction(perp_lat.sig_minus + 2 * poly.degrees[1], 2)
     table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
-    axes = (Axis(sd.d_l, dual=False), Axis(sd.d_m, dual=True))
-    return ThetaEvaluator(table, axes, bound, u_perp.count_shell, len(hperp), series)
+    return ThetaEvaluator(table, cosets.axes, bound, u_perp.count_shell, cosets.translates,
+                          series)
 
 
 def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
@@ -1080,10 +1247,10 @@ class ThetaFamily:
         """The evaluator of one shift pair (None: no shift) and bound."""
         vp = as_pair(pair_vectors, self.rank)
         # the pair is exact, so equal values share a build; it enters the key
-        # as (numerator, denominator) ints, which hash far faster than
-        # Fractions; a lowered cap must reach the walk, and raise, again
-        pair = tuple(x.as_integer_ratio() for x in vp.alpha + vp.beta)
-        key = (self._key, pair, bound, _max_vectors())
+        # as the (numerator, denominator) ints of VectorPair.key, made with
+        # the pair, which hash far faster than Fractions; a lowered cap must
+        # reach the walk, and raise, again
+        key = (self._key, vp.key, bound, _max_vectors())
         evaluator = _EVALUATORS.get(key)
         if evaluator is not None:
             _EVALUATORS.move_to_end(key)
@@ -1131,7 +1298,8 @@ class Seesaw:
     the same objects builds nothing.  ``theta_m`` and ``theta_perp`` take
     their shift pair in sublattice coordinates; the residual methods take
     ambient shift pairs and evaluate each table over all their taus in one
-    batch.
+    batch; the projections of the last one they read are kept as
+    VectorPairs, so a second method on the same pair reads no entry again.
     """
 
     def __init__(self, lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
@@ -1146,21 +1314,31 @@ class Seesaw:
         self.theta_m = siegel_theta_family(sd.m_sub.lattice, u, p_u)
         self.theta_perp = siegel_theta_family(sd.mperp_sub.lattice, u_perp, p_uperp)
         self.mixed = mixed_theta_family(lat, m_sub, u_perp, p_uperp)
+        self._projected = (None, None)
 
-    def _mixed_pair(self, vp: VectorPair):
-        perp = self.sd.mperp_sub
-        return perp.project_ambient(vp.alpha), perp.project_ambient(vp.beta)
+    def _pairs(self, pair_vectors) -> tuple:
+        """(vp, on M, on Mperp, on Mperp in ambient coordinates): the ambient
+        shift pair as a VectorPair and its projections, the first two in
+        sublattice coordinates, made once for the last pair read."""
+        vp = as_pair(pair_vectors, self.lattice.rank)
+        key, pairs = self._projected
+        if key != vp.key:
+            sd = self.sd
+            perp = _coords_pair(sd.mperp_sub, vp)
+            pairs = (VectorPair(*_coords_pair(sd.m_sub, vp)), VectorPair(*perp),
+                     VectorPair(*(sd.mperp_sub.embed(x) for x in perp)))
+            self._projected = (vp.key, pairs)
+        return (vp, *pairs)
 
     def split_residuals(self, taus, pair_vectors=None, bound: float = 10.0) -> list[float]:
         """Per tau: Theta_L at the combined splitting against the glue
         push-down of Theta_M tensor Theta_Mperp (projected shift vectors)."""
         taus = [_check_tau(t) for t in taus]
-        sd = self.sd
-        vp = as_pair(pair_vectors, self.lattice.rank)
+        vp, on_m, on_perp, _mixed = self._pairs(pair_vectors)
         lhs = self.theta_l.vectors(taus, vp, bound)
-        theta_m = self.theta_m.vectors(taus, _coords_pair(sd.m_sub, vp), bound)
-        theta_p = self.theta_perp.vectors(taus, _coords_pair(sd.mperp_sub, vp), bound)
-        return [(big - _inner_push_down(sd, m, p)).norm_inf()
+        theta_m = self.theta_m.vectors(taus, on_m, bound)
+        theta_p = self.theta_perp.vectors(taus, on_perp, bound)
+        return [(big - _inner_push_down(self.sd, m, p)).norm_inf()
                 for big, m, p in zip(lhs, theta_m, theta_p)]
 
     def pairing_residuals(self, taus, pair_vectors=None, bound: float = 10.0) -> list[float]:
@@ -1168,10 +1346,10 @@ class Seesaw:
         mixed theta (with the complement projections of the shift vectors)."""
         taus = [_check_tau(t) for t in taus]
         sd = self.sd
-        vp = as_pair(pair_vectors, self.lattice.rank)
+        vp, on_m, _on_perp, on_mixed = self._pairs(pair_vectors)
         lhs = self.theta_l.vectors(taus, vp, bound)
-        theta_m = self.theta_m.vectors(taus, _coords_pair(sd.m_sub, vp), bound)
-        mixed = self.mixed.vectors(taus, self._mixed_pair(vp), bound)
+        theta_m = self.theta_m.vectors(taus, on_m, bound)
+        mixed = self.mixed.vectors(taus, on_mixed, bound)
         return [(big - rep_pair(m, mx, groups=[sd.d_m])).norm_inf()
                 for big, m, mx in zip(lhs, theta_m, mixed)]
 
@@ -1186,11 +1364,11 @@ class Seesaw:
         """
         taus = [_check_tau(t) for t in taus]
         sd = self.sd
-        vp = as_pair(pair_vectors, self.lattice.rank)
+        vp, on_m, on_perp, on_mixed = self._pairs(pair_vectors)
         lhs = self.theta_l.vectors(taus, vp, bound)
-        theta_m = self.theta_m.vectors(taus, _coords_pair(sd.m_sub, vp), bound)
-        theta_p = self.theta_perp.vectors(taus, _coords_pair(sd.mperp_sub, vp), bound)
-        mixed = self.mixed.vectors(taus, self._mixed_pair(vp), bound)
+        theta_m = self.theta_m.vectors(taus, on_m, bound)
+        theta_p = self.theta_perp.vectors(taus, on_perp, bound)
+        mixed = self.mixed.vectors(taus, on_mixed, bound)
         raised = up_arrow(sd.gm, test_vector)
         out = []
         for big, m, p, mx in zip(lhs, theta_m, theta_p, mixed):

@@ -666,6 +666,15 @@ BAD_INPUTS = {
     "sc_gauss_sum_no_lattices": {"lattices": {}, "checks": ["gauss_sum"]},
     "sc_weights_no_form": dict({k: v for k, v in SCENARIO.items() if k != "form"},
                                checks=["weight_bookkeeping"]),
+    "sc_tolerance_bool": dict(SCENARIO, tolerance=True),
+    "sc_bound_bool": dict(SCENARIO, bound=True),
+    "sc_tau_bool": dict(SCENARIO, tau_samples=[[True, 1.0]]),
+    "sc_coef_bool": dict(SCENARIO, form=dict(SCENARIO["form"], terms=[
+        {"coset": [], "exp": "0", "coef": [True, 0]}])),
+    "sc_name_int": dict(SCENARIO, name=5),
+    "sc_form_duplicate_term": dict(SCENARIO, form=dict(SCENARIO["form"], terms=[
+        {"coset": [], "exp": "0", "coef": [1.0, 0.0]},
+        {"coset": [], "exp": "0/5", "coef": [2.0, 0.0]}])),
 }
 
 #: the checks that need the sublattice M, each run on a scenario without one
@@ -684,6 +693,14 @@ MALFORMED_INPUTS = {
     # a JSON true is no integer and no rational, though Python reads it as 1
     "gram_bool": ("disc-info --lattice {gram_bool}", "NotIntegral"),
     "alpha_bool": ("run-scenario {sc_alpha_bool}", "ParseError: bad rational True"),
+    "scenario_tolerance_bool": ("run-scenario {sc_tolerance_bool}", "ParseError: bad number True"),
+    "scenario_bound_bool": ("run-scenario {sc_bound_bool}", "ParseError: bad number True"),
+    "scenario_tau_bool": ("run-scenario {sc_tau_bool}", "ParseError: bad number True"),
+    "scenario_coef_bool": ("run-scenario {sc_coef_bool}", "ParseError: bad number True"),
+    "scenario_name_int": ("run-scenario {sc_name_int}", "ParseError: 'name' must be a string"),
+    # a second term under one coset and exponent replaced the first
+    "scenario_form_duplicate_term": ("run-scenario {sc_form_duplicate_term}",
+                                     "ParseError: duplicate form term at coset [], exponent 0"),
     "basis_bool": (THETA_LM.replace("ii11_m", "basis_bool"), "ParseError: bad rational True"),
     "weil_matrix_no_gram": ("weil-matrix --lattice {no_gram} --element 0,-1,1,0",
                             "ParseError"),

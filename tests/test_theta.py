@@ -288,8 +288,8 @@ def test_enumeration_complete_on_skewed_majorants():
             {lam(m) for m in inner}
         # the walk on the Python-int levels, which it runs on where int64
         # could overflow, returns the same rows
-        forms = theta_mod._IntegerForms(lat, point, [coset], as_pair(([0] * rank, beta), rank),
-                                        bound)
+        forms = theta_mod._IntegerForms(theta_mod._Cosets(lat, [((), coset)]), point,
+                                        as_pair(([0] * rank, beta), rank), bound)
         kinds.update(a.dtype.kind for a, _c in forms.levels)
         walks = [theta_mod._fincke_pohst(levels, forms.steps, forms.bounds, forms.denominator,
                                          forms.shifts, forms.box)
@@ -461,7 +461,7 @@ def test_walk_numbers_past_int64_run_on_python_ints(a1, a2, ii11):
         beta = [F(1, den)] + [F(0)] * (n - 1)
         alpha = [F(1, 3)] * n
         pair = as_pair((alpha, beta), n)
-        forms = theta_mod._IntegerForms(lat, point, [[0] * n], pair, 1.0)
+        forms = theta_mod._IntegerForms(theta_mod._Cosets(lat, [((), [0] * n)]), point, pair, 1.0)
         assert {a.dtype.kind for a, _c in forms.levels} == {"i", "O"}
         table = theta_mod.build_term_table(lat, point, [], [((), [0] * n)], pair, 1.0)
         assert table.a_num.dtype == table.b_num.dtype == np.int64
@@ -566,9 +566,9 @@ def _loop_lin(x, mat):
 
 
 def test_lin_quad_accumulation_contract():
-    # _lin and _quad equal a coordinate-by-coordinate loop bit for bit on the
-    # dtypes the build and the evaluation use; the float path and the exact
-    # bytes of a table rely on this order
+    # _lin equals a coordinate-by-coordinate loop bit for bit on the dtypes
+    # the build and the evaluation use, and _quad on the exact ones it reads;
+    # the float path and the exact bytes of a table rely on this
     rng = np.random.default_rng(8)
 
     def floats(shape):
@@ -597,8 +597,8 @@ def test_lin_quad_accumulation_contract():
                     assert got.shape == (width, count)
                     assert got.dtype == np.result_type(x, mat)
                     assert got.tolist() == _loop_lin(x, mat), (name, k, count, width)
-                if name == "complex":
-                    continue  # no sum of the code takes x_r^T mat x_r of complex data
+                if name in ("float64", "complex"):
+                    continue  # the code takes x_r^T mat x_r of integer data only
                 form = make((k, k))
                 lin = _loop_lin(x, form)
                 want = [0] * count
@@ -980,7 +980,7 @@ def test_frequency_grouping_runs_once_per_table(a2, ii11, monkeypatch):
     distinct = theta_mod._distinct
     argsort = np.argsort
     monkeypatch.setattr(theta_mod, "_distinct",
-                        lambda num: calls.append(num) or distinct(num))
+                        lambda num, step: calls.append(num) or distinct(num, step))
     monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: calls.append(args)
                         or argsort(*args, **kwargs))
     lat = direct_sum(a2, ii11)
@@ -1049,6 +1049,59 @@ def test_grouping_by_counting_matches_the_argsort(monkeypatch, a2, ii11):
     assert sparse._factors[3].tolist() == [0, 2, 1, 0]
 
 
+def test_frequency_step_comes_from_the_shifts(monkeypatch, a2, ii11):
+    # the build's freq_step, made from its shifts and cosets alone, divides
+    # every difference of the frequency numerators a_num + b_num and is their
+    # gcd on the theta-rank4 table and all 22 tables of the two bundled runs;
+    # a table without rows and a one-row table carry a step too, and no
+    # table's _factors calls np.gcd
+    tables = [_rank4_table(a2, ii11)]
+    for path in sorted(BUNDLED.parent.glob("*.json")):
+        tables += [table for _args, table in _scenario_builds(monkeypatch, path)]
+    assert len(tables) == 23
+    for table in tables:
+        freq = (table.a_num + table.b_num).tolist()
+        assert table.freq_step == math.gcd(*(f - freq[0] for f in freq)) > 0
+    lat = direct_sum(a2, ii11)
+    split = make_grassmann_point(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    pair = ([F(1, 3), F(1, 5), F(1, 2), F(1, 7)], [F(1, 2), F(1, 3), F(1, 5), F(1, 4)])
+    empty = siegel_theta_evaluator(lat, split, constant_poly(3, 1), pair, 0).terms
+    single = siegel_theta_evaluator(lat, split, constant_poly(3, 1), None, 0).terms
+    assert (len(empty), len(single)) == (0, 1) and empty.freq_step > 0 < single.freq_step
+    for table in tables + [empty, single]:
+        want = _argsort_groups(table)
+        table.__dict__.pop("_factors", None)
+        with monkeypatch.context() as m:
+            m.setattr(np, "gcd", None)
+            _coeff, _rate, omega, group, _starts, _power = table._factors
+        assert omega.tobytes() == want[0].tobytes() and group.tobytes() == want[1].tobytes()
+
+
+def test_bundled_run_counts(monkeypatch):
+    # one run of the bundled II(1,1) scenario walks 16 levels over its 11
+    # tables, looks a table up 26 times, evaluates 15 batches and takes 16
+    # tail certificates
+    from vvtheta.cli import run_scenario
+
+    counts = {"levels": 0, "evaluator": 0, "_sums": 0, "tail": 0}
+    walk = theta_mod._fincke_pohst
+
+    def counted_walk(levels, steps, bounds, scale, offsets, box):
+        counts["levels"] += offsets.shape[0]
+        return walk(levels, steps, bounds, scale, offsets, box)
+
+    monkeypatch.setattr(theta_mod, "_fincke_pohst", counted_walk)
+    for cls, name in ((theta_mod.ThetaFamily, "evaluator"), (theta_mod.TermTable, "_sums"),
+                      (theta_mod.ThetaEvaluator, "tail")):
+        def counted(*args, _method=getattr(cls, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    assert run_scenario(str(BUNDLED))["pass"]
+    assert counts == {"levels": 16, "evaluator": 26, "_sums": 15, "tail": 16}
+
+
 def test_bundled_scenario_tables_have_one_segment_per_key(monkeypatch):
     # the kernel sums each key over one contiguous run of rows: in every
     # table of a run of each bundled scenario, key_index never decreases,
@@ -1096,13 +1149,14 @@ def test_vectors_keep_the_last_batch(ii11, monkeypatch):
     from vvtheta.cli import run_scenario
 
     calls = []
-    evaluate = theta_mod.TermTable.evaluate
+    sums = theta_mod.TermTable._sums
 
     def counting(self, taus):
         calls.append(len(taus))
-        return evaluate(self, taus)
+        return sums(self, taus)
 
-    monkeypatch.setattr(theta_mod.TermTable, "evaluate", counting)
+    # every evaluation, TermTable.evaluate's included, goes through _sums
+    monkeypatch.setattr(theta_mod.TermTable, "_sums", counting)
     v = make_grassmann_point(ii11, [[1, 1]])
     ev = siegel_theta_evaluator(ii11, v, constant_poly(1, 1), None, 8.0)
     first = ev.vectors(TAU_SAMPLES)
@@ -1845,6 +1899,45 @@ def test_shift_pair_is_read_once(ii11, monkeypatch):
     read.clear()
     evaluator = family.evaluator(pair, 4.0)
     assert read == [] and len(evaluator.terms) > 0
+
+def test_vector_pair_carries_its_store_key(ii11):
+    # a VectorPair holds its entries' (numerator, denominator) ints, alpha
+    # first, made with the pair, and its int rows over each side's least
+    # common denominator; the zero pair of a rank is made once
+    from vvtheta import VectorPair
+
+    pair = VectorPair([F(1, 3), 0.5], [2, F(-3, 4)])
+    assert pair.key == ((1, 3), (1, 2), (2, 1), (-3, 4))
+    assert all(type(x) is int for ratio in pair.key for x in ratio)
+    assert pair.integer_rows == (([2, 3], 6), ([8, -3], 4))
+    assert as_pair(None, 2) is as_pair(None, 2)
+    assert as_pair(None, 2).key == ((0, 1),) * 4
+
+
+def test_seesaw_reads_each_pair_once(ii11_split, monkeypatch):
+    # the seesaw projects an ambient pair once, into VectorPairs it hands its
+    # families, so once its tables are stored every residual method on the
+    # pair reads no entry, builds nothing and gives the same values
+    from vvtheta import VectorPair
+
+    lat, m_sub, _mperp, u, u_perp = ii11_split
+    sw = Seesaw(lat, m_sub, u, u_perp, constant_poly(0, 1), constant_poly(1, 0))
+    pair = VectorPair([F(1, 3), F(1, 5)], [F(1, 2), F(1, 7)])
+    test = RepVector.basis_vector((Axis(sw.sd.d_l, dual=True),), ((),))
+
+    def residuals():
+        return (sw.split_residuals(TAU_SAMPLES, pair, 8.0),
+                sw.pairing_residuals(TAU_SAMPLES, pair, 8.0),
+                sw.pairing_expression_residuals(TAU_SAMPLES, test, pair, 8.0))
+
+    first = residuals()
+    read = []
+    rational = exact.rational
+    monkeypatch.setattr(exact, "rational", lambda x: read.append(x) or rational(x))
+    calls = _count_builds(monkeypatch)
+    assert residuals() == first
+    assert (read, calls) == ([], [])
+
 
 def test_store_is_bounded_and_evicts_least_recent(a1, monkeypatch):
     v = make_grassmann_point(a1, [[1]])
