@@ -506,6 +506,21 @@ class Polynomial:
         """laplacian_series of the polynomial, made once."""
         return tuple(laplacian_series(self))
 
+    @cached_property
+    def read_coordinates(self) -> frozenset:
+        """The coordinates some monomial reads (a nonzero exponent), made once."""
+        return frozenset(i for expo in self.monomials for i, e in enumerate(expo) if e)
+
+    @cached_property
+    def is_real(self) -> bool:
+        """Whether every coefficient is real, made once."""
+        return all(c.imag == 0 for c in self.monomials.values())
+
+    @cached_property
+    def abs_terms(self) -> list:
+        """(|c|, degree) of every monomial c t^expo, made once."""
+        return [(abs(coeff), sum(expo)) for expo, coeff in self.monomials.items()]
+
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

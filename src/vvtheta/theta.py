@@ -22,7 +22,7 @@ import math
 import os
 from collections import OrderedDict
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from operator import mul
 
 import numpy as np
@@ -226,7 +226,10 @@ def _quad(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """x_r^T mat x_r for every column x_r of the integer (int64 or Python-int)
     array x, in three numpy calls at any rank.  Integer sums are exact, so
     their order moves nothing; the caller keeps every partial sum inside
-    int64 (_IntegerForms bounds x^T |mat| x)."""
+    int64 (_IntegerForms bounds x^T |mat| x).  A float or complex x or mat
+    raises TypeError: their sums would depend on numpy's order."""
+    if x.dtype.kind not in "iO" or mat.dtype.kind not in "iO":
+        raise TypeError(f"_quad sums integers only, not {x.dtype} and {mat.dtype}")
     return (mat @ x * x).sum(axis=0)
 
 
@@ -358,15 +361,12 @@ class _IntegerForms:
         # + D^2 Q(m), Q(m) a multiple of gcd(G_ii, 2 G_ij), G s_k = t X_k + G D beta
         # and Q(s_k) - Q(s_0) = t^2 (q_k - q_0) + 2 t (X_k - X_0) . D beta: so any
         # two differ by a multiple of d times the gcd of those terms
-        steps = [big_d * big_d * cosets.form_step, 2 * big_d * t * cosets.x_step]
-        if shifted:
-            steps += [2 * big_d * (t * x + sum(map(mul, row, d_beta)))
-                      for x, row in zip(cosets.x0, gram)]
-            steps += [t * t * q + 2 * t * sum(map(mul, x, d_beta))
-                      for q, x in zip(cosets.norm_deltas, cosets.x_deltas)]
-        else:
-            steps += [2 * big_d * x for x in cosets.x0] + cosets.norm_deltas
-        self.freq_step = d * math.gcd(*steps)
+        beta_dot = (lambda v: sum(map(mul, v, d_beta))) if shifted else (lambda v: 0)
+        self.freq_step = d * math.gcd(
+            big_d * big_d * cosets.form_step, 2 * big_d * t * cosets.x_step,
+            *[2 * big_d * (t * x + beta_dot(row)) for x, row in zip(cosets.x0, gram)],
+            *[t * t * q + 2 * t * beta_dot(x)
+              for q, x in zip(cosets.norm_deltas, cosets.x_deltas)])
         # coordinate-major, one row per coordinate, as the walk reads them;
         # |t C| <= largest, so no product overflows
         self.shifts = (cosets.array * t + self.d_beta[:, None] if shifted
@@ -419,7 +419,7 @@ class TermTable:
     ``phase_den`` and the difference of any two phase numerators, and
     ``freq_step`` the difference of any two frequency numerators
     a_num + b_num (1 says nothing more).  Key k's rows are ``starts[k]`` up
-    to ``starts[k + 1]`` (found from key_index when not given).
+    to ``starts[k + 1]``.
     ``poly[r, j]`` multiplies y^{-j} and already contains the
     (-1/(8 pi))^j / j! factor of the Gaussian smoothing operator.  ``a - b``
     is half the majorant (>= 0), ``a + b`` half the norm: the row's
@@ -433,8 +433,8 @@ class TermTable:
     def __init__(self, keys: tuple, key_index: np.ndarray, vectors: np.ndarray,
                  vector_den: int, a_num: np.ndarray, b_num: np.ndarray, ab_den: int,
                  phase_num: np.ndarray, phase_den: int, poly: np.ndarray,
-                 prefactor_exponent: Fraction, phase_step: int = 1, freq_step: int = 1,
-                 starts: np.ndarray | None = None):
+                 prefactor_exponent: Fraction, phase_step: int, freq_step: int,
+                 starts: np.ndarray):
         self.keys = keys
         self.key_index = key_index
         self.vectors = vectors
@@ -446,8 +446,7 @@ class TermTable:
         self.phase_den = phase_den
         self.phase_step = phase_step
         self.freq_step = freq_step
-        self.starts = (key_index.searchsorted(np.arange(len(keys))) if starts is None
-                       else starts)
+        self.starts = starts
         self.poly = poly
         self.prefactor_exponent = prefactor_exponent
         self._power = float(prefactor_exponent)
@@ -602,7 +601,8 @@ def _phase_wave(phase_num: np.ndarray, den: int, step: int) -> np.ndarray:
 def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.ndarray:
     """(terms x len(series)) coefficients of y^{-j}, from the adapted
     coordinates of the columns of w / den that some monomial reads."""
-    read, real = _series_reads(tuple(series))
+    read = sorted(frozenset().union(*[poly.read_coordinates for poly in series]))
+    real = all([poly.is_real for poly in series])
     coords = {}
     if read:
         h = (point.lattice.gram_np() @ point.adapted)[:, read]
@@ -638,23 +638,13 @@ def _poly_matrix(series, point: GrassmannPoint, w: np.ndarray, den: int) -> np.n
     return out.T
 
 
-@lru_cache(maxsize=32)
-def _series_reads(series: tuple) -> tuple:
-    """(read, real) of a Laplacian series: the adapted coordinates some
-    monomial reads, ascending, and whether every coefficient is real; made
-    once per series, as _series_pieces."""
-    return (sorted({i for poly in series for expo in poly.monomials
-                    for i, e in enumerate(expo) if e}),
-            all(c.imag == 0 for poly in series for c in poly.monomials.values()))
-
-
 def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
                      pair_vectors=None, bound=10.0,
                      prefactor_exponent=Fraction(0)) -> TermTable:
     """Enumerate the truncated sum over every coset into one TermTable.
 
-    ``cosets`` is a _Cosets or a list of (axis key, coset vector) pairs, one
-    coset per key (DuplicateCosetKey otherwise); row data follows the shift
+    ``cosets`` is the sum's _Cosets, one coset per key, made from its
+    (axis key, coset vector) pairs; row data follows the shift
     pair (alpha, beta): a, b are half the plus and minus norms of
     w = lambda + beta and the phase is (lambda + beta/2, alpha).  ``series``
     is the polynomial's Laplacian series (laplacian_series).  The walk takes
@@ -662,8 +652,6 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     rows come out in the table's order, with no sort, and each coset's row
     count gives its key's segment.
     """
-    if not isinstance(cosets, _Cosets):
-        cosets = _Cosets(lat, cosets)
     # every w = coset + m + beta with maj(w) <= 2 * bound, as the integers
     # W = D w, with value the exact W^T N_maj W
     forms = _IntegerForms(cosets, point, as_pair(pair_vectors, lat.rank), bound)
@@ -716,8 +704,8 @@ def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
     """
     n = lat.rank
     beta = tuple(beta) if beta is not None else (Fraction(0),) * n
-    table = build_term_table(lat, point, [], [((), [exact.rational(x) for x in coset])],
-                             ((Fraction(0),) * n, beta), bound)
+    cosets = _Cosets(lat, [((), [exact.rational(x) for x in coset])])
+    table = build_term_table(lat, point, [], cosets, ((Fraction(0),) * n, beta), bound)
     return table.vector_tuples()
 
 
@@ -754,31 +742,22 @@ def _tail_shell(count_shell, series):
 
     ``count_shell`` is the majorant's shell_count_weights
     (GrassmannPoint.count_shell, made once per point).  Returns
-    (pieces, binomials, powers, volume): the series' _series_pieces; the
+    (pieces, binomials, powers, volume): per series term j with a monomial,
+    (j, [(|c|, degree), ...]) over its monomials (Polynomial.abs_terms); the
     (binomial, rho power) pairs of (s + rho)^(n-1); per s^m coefficient of
     the integrand, m = -1, 0, 1, ..., the factor 2^(m/2) and the exponent
-    -m/2 - 1 of lam (_shell_powers); and V_n n / covol.  What reads the
-    series or the size alone is made once, so a new evaluator's first tail
-    only assembles them.
+    -m/2 - 1 of lam (_shell_powers); and V_n n / covol.  What reads one
+    polynomial or the size alone is made once, so a new evaluator's first
+    tail only assembles them.
     """
     if count_shell is None:
         return None
     binomials, volume = count_shell
-    pieces, degree = _series_pieces(tuple(series))
+    pieces = [(j, poly.abs_terms) for j, poly in enumerate(series) if poly.monomials]
     if not pieces:
         return None
+    degree = max(d for _j, terms in pieces for _c, d in terms)
     return pieces, binomials, _shell_powers(degree + len(binomials)), volume
-
-
-@lru_cache(maxsize=32)
-def _series_pieces(series: tuple) -> tuple:
-    """(pieces, degree) of a Laplacian series: per term j with a monomial,
-    (j, [(|c|, degree), ...]) over its monomials c s^degree, and the largest
-    degree; made once per series (polynomials compare by value), for as
-    many series as the evaluator store keeps tables (_STORE_SIZE)."""
-    pieces = tuple((j, [(abs(coeff), sum(expo)) for expo, coeff in poly.monomials.items()])
-                   for j, poly in enumerate(series) if poly.monomials)
-    return pieces, max((d for _j, terms in pieces for _c, d in terms), default=0)
 
 
 @cache

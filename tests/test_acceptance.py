@@ -50,6 +50,7 @@ from vvtheta import (
 from vvtheta.contraction import _q_series
 from vvtheta.discforms import overlattice_from_isotropic
 from vvtheta.grassmann import coordinate_poly
+from vvtheta.theta import _Cosets
 from vvtheta.weil import MP_IDENTITY, MP_S, MP_T, mp_power
 
 TAUS = [0.2 + 1.1j, -0.37 + 0.9j]
@@ -57,7 +58,8 @@ TAUS = [0.2 + 1.1j, -0.37 + 0.9j]
 
 def _theta_series_coset(perp_lat, u_perp, poly, coset_vec, bound) -> dict:
     """Exact-exponent q-series of one coset of a positive definite lattice."""
-    table = build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound)
+    table = build_term_table(perp_lat, u_perp, [poly], _Cosets(perp_lat, [((), coset_vec)]),
+                             None, bound)
     return _q_series(table).get(0, {})
 
 

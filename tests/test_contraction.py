@@ -43,6 +43,7 @@ from vvtheta import (
 from vvtheta.contraction import _q_series
 from vvtheta.discforms import overlattice_from_isotropic
 from vvtheta.grassmann import HomogeneousPolynomial, coordinate_poly
+from vvtheta.theta import _Cosets
 from vvtheta.weil import MP_S, MP_T, Axis, RepVector, pair
 
 TAUS = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 1.3j, 0.41 + 0.85j, -0.11 + 1.02j]
@@ -50,7 +51,8 @@ TAUS = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 1.3j, 0.41 + 0.85j, -0.11 + 1.02j]
 
 def _theta_series_coset(perp_lat, u_perp, poly, coset_vec, bound) -> dict:
     """Exact-exponent q-series of one coset of a positive definite lattice."""
-    table = build_term_table(perp_lat, u_perp, [poly], [((), coset_vec)], None, bound)
+    table = build_term_table(perp_lat, u_perp, [poly], _Cosets(perp_lat, [((), coset_vec)]),
+                             None, bound)
     return _q_series(table).get(0, {})
 
 
@@ -308,8 +310,8 @@ def _glue_sum_reference(form, lat, m_sub, poly, bound, glue_class) -> dict:
 
     def series(coset):
         # the identity splitting is rational, so every row's a + b is exact
-        table = build_term_table(perp_lat, u_perp, [poly],
-                                 [((), sd.d_perp.dual_vector(coset))], None, theta_bound)
+        cosets = _Cosets(perp_lat, [((), sd.d_perp.dual_vector(coset))])
+        table = build_term_table(perp_lat, u_perp, [poly], cosets, None, theta_bound)
         out = {}
         for a, b, c in zip(table.a_num.tolist(), table.b_num.tolist(),
                            table.poly[:, 0].tolist()):

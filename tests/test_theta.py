@@ -362,7 +362,7 @@ def test_walk_emits_rows_in_table_order(monkeypatch):
             if minima[2] < minima[3]:
                 break
         keys = rng.sample(range(100), 4)
-        coset_list = [((k,), c) for k, c in zip(keys, cosets)]
+        coset_list = theta_mod._Cosets(lat, [((k,), c) for k, c in zip(keys, cosets)])
         series = laplacian_series(coordinate_poly(lat.sig_plus, lat.sig_minus, 0).multiply(
             coordinate_poly(lat.sig_plus, lat.sig_minus, 0)))
         alpha = [F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
@@ -461,9 +461,10 @@ def test_walk_numbers_past_int64_run_on_python_ints(a1, a2, ii11):
         beta = [F(1, den)] + [F(0)] * (n - 1)
         alpha = [F(1, 3)] * n
         pair = as_pair((alpha, beta), n)
-        forms = theta_mod._IntegerForms(theta_mod._Cosets(lat, [((), [0] * n)]), point, pair, 1.0)
+        cosets = theta_mod._Cosets(lat, [((), [0] * n)])
+        forms = theta_mod._IntegerForms(cosets, point, pair, 1.0)
         assert {a.dtype.kind for a, _c in forms.levels} == {"i", "O"}
-        table = theta_mod.build_term_table(lat, point, [], [((), [0] * n)], pair, 1.0)
+        table = theta_mod.build_term_table(lat, point, [], cosets, pair, 1.0)
         assert table.a_num.dtype == table.b_num.dtype == np.int64
         want = {}
         for m in itertools.product(range(-3, 4), repeat=n):
@@ -504,8 +505,8 @@ def test_exact_columns_from_the_sparser_form_match_quad(a1, a2, ii11):
     supports = []
     for lat, point, beta in cases:
         n = lat.rank
-        table = theta_mod.build_term_table(lat, point, [], [((), [0] * n)],
-                                           ([F(1, 3)] * n, beta), 1.0)
+        cosets = theta_mod._Cosets(lat, [((), [0] * n)])
+        table = theta_mod.build_term_table(lat, point, [], cosets, ([F(1, 3)] * n, beta), 1.0)
         assert len(table) > 1
         sign, support, _form = point.build_data.exact_form
         supports.append((sign, np.arange(n)[support].tolist()))
@@ -539,15 +540,15 @@ def test_point_data_made_once_per_point(monkeypatch):
 
 
 def test_build_takes_one_coset_per_key(a1):
-    # two cosets under one key would interleave their rows, so a build
-    # refuses them
+    # two cosets under one key would interleave their rows, so a build's
+    # cosets refuse them
     from vvtheta import DuplicateCosetKey
 
     point = make_grassmann_point(a1, [[1]])
     with pytest.raises(DuplicateCosetKey):
-        theta_mod.build_term_table(a1, point, [], [((0,), [0]), ((1,), [F(1, 2)]),
-                                                   ((0,), [F(1, 2)])])
-    table = theta_mod.build_term_table(a1, point, [], [((1,), [F(1, 2)]), ((0,), [0])])
+        theta_mod._Cosets(a1, [((0,), [0]), ((1,), [F(1, 2)]), ((0,), [F(1, 2)])])
+    cosets = theta_mod._Cosets(a1, [((1,), [F(1, 2)]), ((0,), [0])])
+    table = theta_mod.build_term_table(a1, point, [], cosets)
     assert table.keys == ((0,), (1,))
 
 
@@ -567,8 +568,9 @@ def _loop_lin(x, mat):
 
 def test_lin_quad_accumulation_contract():
     # _lin equals a coordinate-by-coordinate loop bit for bit on the dtypes
-    # the build and the evaluation use, and _quad on the exact ones it reads;
-    # the float path and the exact bytes of a table rely on this
+    # the build and the evaluation use, and _quad on the integer ones it
+    # reads, refusing float and complex data; the float path and the exact
+    # bytes of a table rely on this
     rng = np.random.default_rng(8)
 
     def floats(shape):
@@ -597,9 +599,13 @@ def test_lin_quad_accumulation_contract():
                     assert got.shape == (width, count)
                     assert got.dtype == np.result_type(x, mat)
                     assert got.tolist() == _loop_lin(x, mat), (name, k, count, width)
-                if name in ("float64", "complex"):
-                    continue  # the code takes x_r^T mat x_r of integer data only
                 form = make((k, k))
+                if name in ("float64", "complex"):
+                    with pytest.raises(TypeError):
+                        theta_mod._quad(x, form)
+                    with pytest.raises(TypeError):
+                        theta_mod._quad(x.real.astype(np.int64), form)
+                    continue
                 lin = _loop_lin(x, form)
                 want = [0] * count
                 for i in range(k):
@@ -933,7 +939,8 @@ def test_frequency_groups_are_exact(a2, ii11):
     table = theta_mod.TermTable(keys=((0,),), key_index=zeros, vectors=zeros[:, None],
                                 vector_den=1, a_num=a_num, b_num=zeros, ab_den=2 ** 61,
                                 phase_num=zeros, phase_den=1, poly=np.ones((3, 1), complex),
-                                prefactor_exponent=F(0))
+                                prefactor_exponent=F(0), phase_step=1, freq_step=1,
+                                starts=np.zeros(1, dtype=np.intp))
     assert float(a_num[0]) / 2 ** 61 == float(a_num[1]) / 2 ** 61
     assert _frequency_groups(table) == [2 ** 60, 2 ** 60 + 1]
     assert table._factors[3].tolist() == [0, 1, 0]
@@ -1017,7 +1024,8 @@ def _numerator_table(a_num) -> "theta_mod.TermTable":
                                vectors=zeros[:, None], vector_den=1, a_num=a_num,
                                b_num=zeros, ab_den=2 ** 61, phase_num=zeros, phase_den=1,
                                poly=np.ones((len(a_num), 1), complex),
-                               prefactor_exponent=F(0))
+                               prefactor_exponent=F(0), phase_step=1, freq_step=1,
+                               starts=np.zeros(1 if len(a_num) else 0, dtype=np.intp))
 
 
 def test_grouping_by_counting_matches_the_argsort(monkeypatch, a2, ii11):
