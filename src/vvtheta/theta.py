@@ -534,7 +534,7 @@ _SLOTS_PER_ROW = 4
 _SLOTS_FREE = 2 ** 13
 
 
-def _distinct(num: np.ndarray, step: int = 1) -> tuple:
+def _distinct(num: np.ndarray, step: int) -> tuple:
     """``(values, index)``: the distinct integers of the int64 array ``num``,
     ascending, and each entry's place among them, as np.unique(num,
     return_inverse=True) gives them.
