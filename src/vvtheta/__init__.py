@@ -71,6 +71,7 @@ from .theta import (  # noqa: F401
     mixed_theta_evaluator,
     mixed_theta_family,
     modularity_defects,
+    Residual,
     Seesaw,
     siegel_theta,
     siegel_theta_evaluator,
@@ -86,6 +87,7 @@ from .contraction import (  # noqa: F401
     contract_symbolic,
     expected_weights,
     naive_truncated_lift,
+    seesaw_contraction_residuals,
     seesaw_contractions,
     seesaw_restriction_residuals,
 )

@@ -24,7 +24,7 @@ from .contraction import (
     contract_symbolic,
     expected_weights,
     naive_truncated_lift,
-    seesaw_contractions,
+    seesaw_contraction_residuals,
     seesaw_restriction_residuals,
 )
 from .discforms import (
@@ -50,6 +50,8 @@ from .grassmann import (
 )
 from .lattice import construct_lattice, orthogonal_complement, sublattice
 from .theta import (
+    TAIL_DIVISOR,
+    Residual,
     Seesaw,
     ThetaValue,
     mixed_theta_composed,
@@ -377,7 +379,7 @@ def _lattices(sc: Scenario):
     return sc.lattices.values()
 
 
-def _check_weil_relations(sc: Scenario) -> float:
+def _check_weil_relations(sc: Scenario) -> Residual:
     worst = 0.0
     for lat in _lattices(sc):
         group = discriminant_group(lat)
@@ -390,15 +392,16 @@ def _check_weil_relations(sc: Scenario) -> float:
         worst = max(worst, float(np.abs(np.linalg.matrix_power(s @ t, 3) - z).max()))
         worst = max(worst, float(np.abs(np.linalg.matrix_power(z, 4) - eye).max()))
         worst = max(worst, float(np.abs(s.conj().T @ s - eye).max()))
-    return worst
+    return Residual(worst, 0.0)
 
 
-def _check_gauss_sum(sc: Scenario) -> float:
-    return max(gauss_sum_residual(discriminant_group(lat), lat.sig_plus, lat.sig_minus)
-               for lat in _lattices(sc))
+def _check_gauss_sum(sc: Scenario) -> Residual:
+    return Residual(max(gauss_sum_residual(discriminant_group(lat), lat.sig_plus,
+                                           lat.sig_minus)
+                        for lat in _lattices(sc)), 0.0)
 
 
-def _check_arrows(sc: Scenario) -> float:
+def _check_arrows(sc: Scenario) -> Residual:
     """Glue intertwiners as matrix identities, with up = down^T:
     down up down = |H| down, and rho_L(g) down = down rho_small(g) per word."""
     gm = sc.seesaw.sd.gm
@@ -416,10 +419,10 @@ def _check_arrows(sc: Scenario) -> float:
         lhs = rho_matrix(gm.big_disc, g) @ down
         rhs = down @ rho_matrix(gm.small_disc, g)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    return Residual(worst, 0.0)
 
 
-def _check_modularity(sc: Scenario, g, mixed: bool) -> float:
+def _check_modularity(sc: Scenario, g, mixed: bool) -> Residual:
     """Worst transformation defect at g over the tau samples, of Theta_L with
     the scenario's shift pair or of the unshifted mixed theta, at weight
     exponent k = 2 theta_weight of its lattice and polynomial."""
@@ -427,55 +430,51 @@ def _check_modularity(sc: Scenario, g, mixed: bool) -> float:
     family, lat, poly, pair = ((sw.mixed, sw.sd.mperp_sub.lattice, sw.p_uperp, None)
                                if mixed else (sw.theta_l, sw.lattice, sw.p_v, sc.pair))
     k = int(2 * theta_weight(lat.signature, poly.degrees))
-    return max(modularity_defects(family, g, sc.tau_samples, k, pair, sc.bound,
-                                  sc.tolerance))
+    return Residual.worst(modularity_defects(family, g, sc.tau_samples, k, pair, sc.bound))
 
 
-def _check_mixed_cross(sc: Scenario) -> float:
-    return max(sc.seesaw.mixed_cross_residuals(sc.tau_samples, sc.bound))
+def _check_mixed_cross(sc: Scenario) -> Residual:
+    return Residual.worst(sc.seesaw.mixed_cross_residuals(sc.tau_samples, sc.bound))
 
 
-def _check_seesaw_split(sc: Scenario) -> float:
-    return max(sc.seesaw.split_residuals(sc.tau_samples, sc.pair, sc.bound))
+def _check_seesaw_split(sc: Scenario) -> Residual:
+    return Residual.worst(sc.seesaw.split_residuals(sc.tau_samples, sc.pair, sc.bound))
 
 
-def _check_seesaw_pairing(sc: Scenario) -> float:
-    return max(sc.seesaw.pairing_residuals(sc.tau_samples, sc.pair, sc.bound))
+def _check_seesaw_pairing(sc: Scenario) -> Residual:
+    return Residual.worst(sc.seesaw.pairing_residuals(sc.tau_samples, sc.pair, sc.bound))
 
 
-def _check_pairing_expressions(sc: Scenario) -> float:
+def _check_pairing_expressions(sc: Scenario) -> Residual:
     rng = random.Random(23)
     dl = sc.seesaw.sd.d_l
     test = RepVector((Axis(dl, dual=True),),
                      {(e,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                       for e in dl.elements()})
-    return max(max(both) for both in sc.seesaw.pairing_expression_residuals(
-        sc.tau_samples, test, sc.pair, sc.bound))
+    return Residual.worst(r for both in sc.seesaw.pairing_expression_residuals(
+        sc.tau_samples, test, sc.pair, sc.bound) for r in both)
 
 
-def _check_negation(sc: Scenario) -> float:
-    return max(theta_negation_residuals(sc.seesaw.lattice, sc.tau_samples, sc.seesaw.v,
-                                        sc.seesaw.p_v, sc.pair, sc.bound))
+def _check_negation(sc: Scenario) -> Residual:
+    return Residual.worst(theta_negation_residuals(
+        sc.seesaw.lattice, sc.tau_samples, sc.seesaw.v, sc.seesaw.p_v, sc.pair, sc.bound))
 
 
-def _check_contraction(sc: Scenario) -> float:
+def _check_contraction(sc: Scenario) -> Residual:
     if sc.form is None:
         raise ParseError("contraction check needs a 'form' entry")
-    sw = sc.seesaw
-    result = contract_symbolic(sc.form, sw.lattice, sw.sd.m_sub, sw.u_perp, sw.p_uperp,
-                               sc.bound)
-    pointwise = seesaw_contractions(sw, sc.form, sc.tau_samples, sc.bound)
-    return max((result.evaluate(tau) - pw).norm_inf()
-               for tau, pw in zip(sc.tau_samples, pointwise))
+    return Residual.worst(seesaw_contraction_residuals(sc.seesaw, sc.form, sc.tau_samples,
+                                                       sc.bound))
 
 
-def _check_restriction(sc: Scenario) -> float:
+def _check_restriction(sc: Scenario) -> Residual:
     if sc.form is None:
         raise ParseError("restriction check needs a 'form' entry")
-    return max(seesaw_restriction_residuals(sc.seesaw, sc.form, sc.tau_samples, sc.bound))
+    return Residual.worst(seesaw_restriction_residuals(sc.seesaw, sc.form, sc.tau_samples,
+                                                       sc.bound))
 
 
-def _check_weights(sc: Scenario) -> float:
+def _check_weights(sc: Scenario) -> Residual:
     """The declared form weight against the ambient theta's, and the weight
     additivity of the contraction."""
     if sc.form is None:
@@ -483,7 +482,8 @@ def _check_weights(sc: Scenario) -> float:
     sw = sc.seesaw
     info = expected_weights(sc.form.weight, sw.lattice.signature,
                             sw.sd.m_sub.lattice.signature, sw.p_v.degrees, sw.p_u.degrees)
-    return 0.0 if info["consistent"] and info["paired"] == info["contraction"] else 1.0
+    return Residual(0.0 if info["consistent"] and info["paired"] == info["contraction"]
+                    else 1.0, 0.0)
 
 
 CHECKS = {
@@ -511,17 +511,28 @@ def run_scenario(path) -> dict:
 
 
 def _run_checks(sc: Scenario) -> dict:
+    """Run the scenario's checks; the one place a verdict is given.
+
+    A check is "uncertified" when its certificate exceeds tolerance /
+    TAIL_DIVISOR, whatever its residual, else "fail" when its residual
+    exceeds the tolerance, else "pass"; a NaN in either is not a pass.
+    """
     results = {}
     for check in sorted(set(sc.checks)):
         fn = CHECKS.get(check)
         if fn is None:
             raise UnknownCheck(f"unknown check {check!r} (choose from "
                                f"{sorted(CHECKS)})")
-        residual = float(fn(sc))
+        result = fn(sc)
+        residual, certificate = float(result), result.certificate
+        verdict = ("uncertified" if not certificate <= sc.tolerance / TAIL_DIVISOR
+                   else "pass" if residual <= sc.tolerance else "fail")
         results[check] = {
             "residual": residual,
+            "certificate": certificate,
             "tolerance": sc.tolerance,
-            "pass": residual <= sc.tolerance,
+            "verdict": verdict,
+            "pass": verdict == "pass",
         }
     return {
         "scenario": sc.name,

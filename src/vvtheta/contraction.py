@@ -29,8 +29,10 @@ from .errors import (
 from .grassmann import GrassmannPoint, HomogeneousPolynomial
 from .lattice import Lattice, Sublattice
 from .theta import (
+    Residual,
     Seesaw,
     TermTable,
+    _certified,
     _check_bound,
     _fraction_map,
     mixed_theta_family,
@@ -181,8 +183,8 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
         raise PolynomialNotHarmonic("symbolic contraction needs a harmonic polynomial")
     if form.lattice != lat:
         raise IndexMismatch("form is indexed by a different lattice")
-    theta_bound = Fraction(bound) - min(Fraction(0), form.min_exponent())
-    table = mixed_theta_family(lat, m_sub, u_perp, p_uperp).evaluator(None, theta_bound).terms
+    table = mixed_theta_family(lat, m_sub, u_perp, p_uperp).evaluator(
+        None, _symbolic_bound(form, bound)).terms
     out: dict = {}
     cap = Fraction(bound)
     for k, theta_part in _q_series(table).items():
@@ -196,25 +198,49 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
     return QExpansionForm(m_sub.lattice, weight, out)
 
 
+def _symbolic_bound(form: QExpansionForm, bound) -> Fraction:
+    """The bound of the mixed table that contract_symbolic reads: a form
+    term of negative exponent pairs with theta terms that much higher."""
+    return Fraction(bound) - min(Fraction(0), form.min_exponent())
+
+
+def seesaw_contraction_residuals(seesaw: Seesaw, form: QExpansionForm, taus,
+                                 bound: float = 10.0) -> list[Residual]:
+    """Per tau: the symbolic contraction (contract_symbolic), evaluated at
+    tau, against the pointwise one (seesaw_contractions).  The certificate
+    is the tails of the two mixed tables read: the pointwise one at
+    ``bound`` and the symbolic one at its own bound."""
+    sd = seesaw.sd
+    symbolic = contract_symbolic(form, seesaw.lattice, sd.m_sub, seesaw.u_perp,
+                                 seesaw.p_uperp, bound)
+    pointwise = seesaw_contractions(seesaw, form, taus, bound)
+    tables = (seesaw.mixed.evaluator(None, bound),
+              seesaw.mixed.evaluator(None, _symbolic_bound(form, bound)))
+    return _certified([(symbolic.evaluate(tau) - pw).norm_inf()
+                       for tau, pw in zip(taus, pointwise)], taus, tables)
+
+
 # ---------------------------------------------------------------------------
 # restriction identity, naive truncated lift
 
 def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
-                                 bound: float = 10.0) -> list[float]:
+                                 bound: float = 10.0) -> list[Residual]:
     """Pointwise form of the lift restriction, at each tau: the ambient
-    integrand equals the sublattice integrand of the contraction.
+    integrand equals the sublattice integrand of the contraction.  The
+    certificate is the tails of Theta_L, the mixed theta and Theta_M.
 
     p_v(x) = p_u(x_M) p_uperp(x_Mperp) holds by the Seesaw's construction:
     each adapted coordinate of v = u (+) u_perp is the matching one of u or
     u_perp, in lift_product's variable order.
     """
     sd = seesaw.sd
-    theta_l = seesaw.theta_l.vectors(taus, None, bound)
-    contracted = seesaw_contractions(seesaw, form, taus, bound)
-    theta_m = seesaw.theta_m.vectors(taus, None, bound)
+    tables = (seesaw.theta_l.evaluator(None, bound), seesaw.mixed.evaluator(None, bound),
+              seesaw.theta_m.evaluator(None, bound))
+    theta_l, mixed, theta_m = (ev.vectors(taus) for ev in tables)
+    contracted = _contract(mixed, form, taus, sd.d_l)
     ambient = _contract(theta_l, form, taus, discriminant_group(seesaw.lattice))
-    return [abs(big - rep_pair(m, c, groups=[sd.d_m]))
-            for big, c, m in zip(ambient, contracted, theta_m)]
+    return _certified([abs(big - rep_pair(m, c, groups=[sd.d_m]))
+                       for big, c, m in zip(ambient, contracted, theta_m)], taus, tables)
 
 
 FUNDAMENTAL_Y0 = math.sqrt(3.0) / 2.0

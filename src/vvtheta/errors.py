@@ -100,7 +100,10 @@ class NegativeBound(VvthetaError):
 
 
 class TailTooLarge(VvthetaError):
-    pass
+    """A transformation-defect certificate above a tenth of the tolerance
+    asked for.  Raised only by modularity_defects called with an explicit
+    tolerance; the scenario runner passes none, and reports such a check as
+    "uncertified" instead."""
 
 
 class VectorNotInComplement(VvthetaError):

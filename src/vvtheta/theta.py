@@ -835,7 +835,8 @@ class ThetaEvaluator:
     Term data is tau-independent; one enumeration serves every evaluation
     point (the quadrature loops rely on this).  The evaluator keeps its last
     batch of taus, exactly, with its vectors, so a check that asks again for
-    the same taus gets the same (immutable) vectors without an evaluation.
+    the same taus gets the same (immutable) vectors without an evaluation;
+    it keeps the tail bounds of its last batch the same way (tails).
     """
 
     def __init__(self, table: TermTable, axes, bound, count_shell, translates, series):
@@ -863,6 +864,7 @@ class ThetaEvaluator:
         self._translates = translates
         self._series = series
         self._last = (None, [])
+        self._last_tails = (None, [])
 
     def vectors(self, taus) -> list[RepVector]:
         """Theta vectors at many tau from one batched table evaluation
@@ -901,6 +903,14 @@ class ThetaEvaluator:
 
     def tail(self, y: float) -> float:
         return _tail_bound(self._shell, self._translates, y, self.bound, self._power)
+
+    def tails(self, taus) -> list[float]:
+        """tail at each tau of a batch; a batch of the same imaginary parts
+        as the last one gets its values back without a tail call."""
+        ys = tuple(tau.imag for tau in taus)
+        if ys != self._last_tails[0]:
+            self._last_tails = (ys, [self.tail(y) for y in ys])
+        return self._last_tails[1]
 
 
 def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
@@ -996,6 +1006,13 @@ class SplitData:
                        [(key, lift[c_rank:])
                         for key, lift in zip(keys, self.d_inner.dual_vectors(hperp))],
                        (Axis(self.d_l, dual=False), Axis(self.d_m, dual=True)), len(hperp))
+
+    def composed_tail(self, perp_tail: float) -> float:
+        """The composed mixed theta's certificate from Theta_Mperp's: the
+        push-down copies each complement coset into several entries, so it is
+        the per-coset certificate times the number of classes, as in the
+        direct construction."""
+        return perp_tail * len(self.gm.domain) / self.d_perp.order
 
 
 _SPLIT_CACHE: dict = {}
@@ -1109,9 +1126,7 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     merge the two non-dual axes into the sum group, then push down the glue.
 
     Independent of mixed_theta_direct term for term; the two must agree.
-    The push-down copies each complement coset into several entries, so the
-    tail is Theta_Mperp's per-coset certificate times the number of classes,
-    the certificate of the direct construction.
+    The tail is SplitData.composed_tail of Theta_Mperp's.
     """
     tau = _check_tau(tau)
     sd = split_data(lat, m_sub)
@@ -1122,9 +1137,44 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
                               (xi, eta), bound)
     return ThetaValue(value=_composed_vector(sd, theta_perp.value), tau=tau,
                       bound=float(bound),
-                      tail_estimate=theta_perp.tail_estimate * len(sd.gm.domain)
-                      / sd.d_perp.order,
+                      tail_estimate=sd.composed_tail(theta_perp.tail_estimate),
                       prefactor_exponent=theta_perp.prefactor_exponent)
+
+
+# ---------------------------------------------------------------------------
+# residuals and their certificates
+
+#: a check at tolerance tol is certified when its certificate is at most
+#: tol / TAIL_DIVISOR, so the truncation takes at most a tenth of the tolerance
+TAIL_DIVISOR = 10.0
+
+
+class Residual(float):
+    """A residual between two truncated sums, as a float, with its
+    ``certificate``: the summed tail bounds of the term tables read for it.
+
+    Arithmetic, comparison and float() read the residual alone.
+    """
+
+    __slots__ = ("certificate",)
+
+    def __new__(cls, residual, certificate: float):
+        self = super().__new__(cls, residual)
+        self.certificate = float(certificate)
+        return self
+
+    @classmethod
+    def worst(cls, residuals) -> "Residual":
+        """The largest residual with the largest certificate, each taken
+        separately: a max() would keep the worst residual's certificate."""
+        residuals = list(residuals)
+        return cls(max(residuals), max(r.certificate for r in residuals))
+
+
+def _certified(residuals, taus, evaluators) -> list[Residual]:
+    """Each residual with the summed tail bounds of the evaluators at its tau."""
+    return [Residual(r, sum(tails))
+            for r, *tails in zip(residuals, *(ev.tails(taus) for ev in evaluators))]
 
 
 # ---------------------------------------------------------------------------
@@ -1139,7 +1189,7 @@ def theta_weight(signature, degrees) -> Fraction:
 
 def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
                              poly: HomogeneousPolynomial, pair_vectors=None,
-                             bound: float = 10.0) -> list[float]:
+                             bound: float = 10.0) -> list[Residual]:
     """Residual of the rescaling symmetry between L and L(-1), at each tau.
 
     The theta vector of the inverted lattice at the block-swapped splitting
@@ -1148,6 +1198,7 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     under the canonical index identification.  Each side is built once for
     all taus; the right side is read from the store of siegel_theta_family,
     which already holds it when a seesaw on (lat, point) has evaluated it.
+    The certificate is the two sides' tails.
     """
     taus = [_check_tau(t) for t in taus]
     neg = rescale(lat, -1)
@@ -1158,22 +1209,24 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     d_neg, d_pos = discriminant_group(neg), discriminant_group(lat)
     to_pos = element_identification(d_neg, d_pos)
     matching = d_pos.index(to_pos.apply(d_neg.element_array()))
-    return [float(np.abs(left.array - tau.imag ** float(power)
-                         * right.array[matching].conj()).max())
-            for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus))]
+    residuals = [float(np.abs(left.array - tau.imag ** float(power)
+                              * right.array[matching].conj()).max())
+                 for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus))]
+    return _certified(residuals, taus, (lhs, rhs))
 
 
 def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
                        weight_exponent: int, pair=None, bound: float = 10.0,
-                       tolerance: float | None = None) -> list[float]:
+                       tolerance: float | None = None) -> list[Residual]:
     """Sup-norm defect of the transformation law at a metaplectic element,
     at each tau.
 
     Theta(g tau) with the shift pair moved column-wise by the matrix is
     compared with phi_g(tau)^k rho(g) Theta(tau); each side is one stored
-    evaluator of ``family``, evaluated over all taus in one batch.  Raises
-    TailTooLarge when, at any tau, the truncation certificates exceed a
-    tenth of the requested tolerance.
+    evaluator of ``family``, evaluated over all taus in one batch.  The
+    certificate at tau is the tail at g tau plus |phi_g(tau)|^k times the
+    tail at tau.  With a ``tolerance``, raises TailTooLarge when, at any
+    tau, the certificate exceeds tolerance / TAIL_DIVISOR.
     """
     taus = [_check_tau(t) for t in taus]
     moved_taus = [g.act(t) for t in taus]
@@ -1181,14 +1234,16 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
     base = family.evaluator(vp, bound)
     moved = family.evaluator(g.act_pair(vp.alpha, vp.beta), bound)
     factors = [g.phi(t) ** weight_exponent for t in taus]
+    certificates = [moved_tail + abs(factor) * tail for moved_tail, factor, tail
+                    in zip(moved.tails(moved_taus), factors, base.tails(taus))]
     if tolerance is not None:
-        for tau, moved_tau, factor in zip(taus, moved_taus, factors):
-            tails = moved.tail(moved_tau.imag) + abs(factor) * base.tail(tau.imag)
-            if tails > tolerance / 10.0:
-                raise TailTooLarge(f"tail certificates {tails} exceed {tolerance}/10")
-    return [(lhs - rho_apply(g, rhs).scale(factor)).norm_inf()
-            for lhs, rhs, factor in zip(moved.vectors(moved_taus), base.vectors(taus),
-                                        factors)]
+        for tails in certificates:
+            if tails > tolerance / TAIL_DIVISOR:
+                raise TailTooLarge(f"tail certificates {tails} exceed "
+                                   f"{tolerance}/{TAIL_DIVISOR:g}")
+    return [Residual((lhs - rho_apply(g, rhs).scale(factor)).norm_inf(), tails)
+            for lhs, rhs, factor, tails in zip(moved.vectors(moved_taus),
+                                               base.vectors(taus), factors, certificates)]
 
 
 #: evaluators the store keeps: above the 11 distinct term tables that one run
@@ -1309,48 +1364,53 @@ class Seesaw:
             self._projected = (vp.key, pairs)
         return (vp, *pairs)
 
-    def split_residuals(self, taus, pair_vectors=None, bound: float = 10.0) -> list[float]:
+    def split_residuals(self, taus, pair_vectors=None,
+                        bound: float = 10.0) -> list[Residual]:
         """Per tau: Theta_L at the combined splitting against the glue
-        push-down of Theta_M tensor Theta_Mperp (projected shift vectors)."""
+        push-down of Theta_M tensor Theta_Mperp (projected shift vectors).
+        The certificate is the three tables' tails."""
         taus = [_check_tau(t) for t in taus]
         vp, on_m, on_perp, _mixed = self._pairs(pair_vectors)
-        lhs = self.theta_l.vectors(taus, vp, bound)
-        theta_m = self.theta_m.vectors(taus, on_m, bound)
-        theta_p = self.theta_perp.vectors(taus, on_perp, bound)
-        return [(big - _inner_push_down(self.sd, m, p)).norm_inf()
-                for big, m, p in zip(lhs, theta_m, theta_p)]
+        tables = (self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound),
+                  self.theta_perp.evaluator(on_perp, bound))
+        lhs, theta_m, theta_p = (ev.vectors(taus) for ev in tables)
+        return _certified([(big - _inner_push_down(self.sd, m, p)).norm_inf()
+                           for big, m, p in zip(lhs, theta_m, theta_p)], taus, tables)
 
-    def pairing_residuals(self, taus, pair_vectors=None, bound: float = 10.0) -> list[float]:
+    def pairing_residuals(self, taus, pair_vectors=None,
+                          bound: float = 10.0) -> list[Residual]:
         """Per tau: Theta_L against the D_M-contraction of Theta_M with the
-        mixed theta (with the complement projections of the shift vectors)."""
+        mixed theta (with the complement projections of the shift vectors).
+        The certificate is the three tables' tails."""
         taus = [_check_tau(t) for t in taus]
         sd = self.sd
         vp, on_m, _on_perp, on_mixed = self._pairs(pair_vectors)
-        lhs = self.theta_l.vectors(taus, vp, bound)
-        theta_m = self.theta_m.vectors(taus, on_m, bound)
-        mixed = self.mixed.vectors(taus, on_mixed, bound)
-        return [(big - rep_pair(m, mx, groups=[sd.d_m])).norm_inf()
-                for big, m, mx in zip(lhs, theta_m, mixed)]
+        tables = (self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound),
+                  self.mixed.evaluator(on_mixed, bound))
+        lhs, theta_m, mixed = (ev.vectors(taus) for ev in tables)
+        return _certified([(big - rep_pair(m, mx, groups=[sd.d_m])).norm_inf()
+                           for big, m, mx in zip(lhs, theta_m, mixed)], taus, tables)
 
     def pairing_expression_residuals(self, taus, test_vector: RepVector,
                                      pair_vectors=None,
-                                     bound: float = 10.0) -> list[tuple[float, float]]:
+                                     bound: float = 10.0) -> list[tuple[Residual, Residual]]:
         """Per tau: both re-expressions of the scalar <Theta_L, U> against
         direct evaluation.
 
         The first goes through the inner-sum tensor and the raised test
-        vector; the second through the mixed theta.
+        vector; the second through the mixed theta.  The certificate of each
+        is the tails of Theta_L, Theta_M and the table it reads besides.
         """
         taus = [_check_tau(t) for t in taus]
         sd = self.sd
         vp, on_m, on_perp, on_mixed = self._pairs(pair_vectors)
-        lhs = self.theta_l.vectors(taus, vp, bound)
-        theta_m = self.theta_m.vectors(taus, on_m, bound)
-        theta_p = self.theta_perp.vectors(taus, on_perp, bound)
-        mixed = self.mixed.vectors(taus, on_mixed, bound)
+        big_ev, m_ev = self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound)
+        perp_ev = self.theta_perp.evaluator(on_perp, bound)
+        mixed_ev = self.mixed.evaluator(on_mixed, bound)
         raised = up_arrow(sd.gm, test_vector)
-        out = []
-        for big, m, p, mx in zip(lhs, theta_m, theta_p, mixed):
+        firsts, seconds = [], []
+        for big, m, p, mx in zip(big_ev.vectors(taus), m_ev.vectors(taus),
+                                 perp_ev.vectors(taus), mixed_ev.vectors(taus)):
             direct = rep_pair(big, test_vector, groups=[sd.d_l])
             # first form: tensor over the inner sum against the raised vector
             first = rep_pair(_merge_to_inner(sd, m.tensor(p), 0, 1), raised,
@@ -1359,16 +1419,22 @@ class Seesaw:
             # pair with Theta_M
             second = rep_pair(m, rep_pair(mx, test_vector, groups=[sd.d_l]),
                               groups=[sd.d_m])
-            out.append((abs(first - direct), abs(second - direct)))
-        return out
+            firsts.append(abs(first - direct))
+            seconds.append(abs(second - direct))
+        return list(zip(_certified(firsts, taus, (big_ev, m_ev, perp_ev)),
+                        _certified(seconds, taus, (big_ev, m_ev, mixed_ev))))
 
-    def mixed_cross_residuals(self, taus, bound: float = 10.0) -> list[float]:
-        """Per tau: the direct mixed theta against the composed one."""
+    def mixed_cross_residuals(self, taus, bound: float = 10.0) -> list[Residual]:
+        """Per tau: the direct mixed theta against the composed one.  The
+        certificate is the direct table's tail plus the composed one's
+        (SplitData.composed_tail of Theta_Mperp's)."""
         taus = [_check_tau(t) for t in taus]
-        direct = self.mixed.vectors(taus, None, bound)
-        perp = self.theta_perp.vectors(taus, None, bound)
-        return [(d - _composed_vector(self.sd, p)).norm_inf()
-                for d, p in zip(direct, perp)]
+        direct = self.mixed.evaluator(None, bound)
+        perp = self.theta_perp.evaluator(None, bound)
+        return [Residual((d - _composed_vector(self.sd, p)).norm_inf(),
+                         direct_tail + self.sd.composed_tail(perp_tail))
+                for d, p, direct_tail, perp_tail in zip(direct.vectors(taus), perp.vectors(taus),
+                                                        direct.tails(taus), perp.tails(taus))]
 
 
 def _coords_pair(sub: Sublattice, vp: VectorPair):

@@ -210,17 +210,118 @@ def test_bundled_scenario_builds_each_table_once(monkeypatch):
 
 
 @pytest.mark.parametrize("check", ["theta_modularity_T", "mixed_modularity_S"])
-def test_modularity_verdict_needs_certified_tails(tmp_path, check):
-    # at bound 0.5 both sides agree to rounding, but the tails are far above
-    # the tolerance, so the check must not pass
-    from vvtheta import TailTooLarge
+def test_modularity_verdict_needs_certified_tails(tmp_path, capsys, check):
+    # at bound 0.5 the tails are far above the tolerance, so the check must
+    # not pass, even where both sides agree to rounding (T moves no y): it is
+    # reported uncertified, with the certificate that makes
+    # modularity_defects raise TailTooLarge at the scenario's tolerance, and
+    # the other checks still report
+    from vvtheta import TailTooLarge, modularity_defects, theta_weight
+    from vvtheta.cli import Scenario
+    from vvtheta.theta import TAIL_DIVISOR
+    from vvtheta.weil import MP_S, MP_T
 
     data = json.loads(BUNDLED.read_text())
-    data.update(bound=0.5, checks=[check])
+    others = ["gauss_sum", "seesaw_split", "weil_relations"]
+    data.update(bound=0.5, checks=[check] + others)
     path = write_json(tmp_path / "loose.json", data)
+    report = run_scenario(path)
+    assert sorted(report["results"]) == sorted([check] + others)
+    result = report["results"][check]
+    assert result["verdict"] == "uncertified" and result["pass"] is False
+    if check.endswith("T"):
+        assert result["residual"] <= data["tolerance"]
+    assert result["certificate"] > data["tolerance"] / TAIL_DIVISOR
+    assert not report["pass"]
+    for other in ("gauss_sum", "weil_relations"):
+        assert report["results"][other]["verdict"] == "pass"
+    assert report["results"]["seesaw_split"]["verdict"] == "uncertified"
+    # the certificate is the worst over the taus of the per-tau ones that
+    # modularity_defects reads, and its own guard raises at this tolerance
+    sc = Scenario(data)
+    sw = sc.seesaw
+    family, lat, poly, pair = ((sw.mixed, sw.sd.mperp_sub.lattice, sw.p_uperp, None)
+                               if check.startswith("mixed")
+                               else (sw.theta_l, sw.lattice, sw.p_v, sc.pair))
+    g = MP_T if check.endswith("T") else MP_S
+    k = int(2 * theta_weight(lat.signature, poly.degrees))
+    defects = modularity_defects(family, g, sc.tau_samples, k, pair, sc.bound)
+    assert result["certificate"] == max(d.certificate for d in defects)
     with pytest.raises(TailTooLarge):
-        run_scenario(path)
-    assert main(["run-scenario", path]) == 2
+        modularity_defects(family, g, sc.tau_samples, k, pair, sc.bound, sc.tolerance)
+    assert main(["run-scenario", path]) == 1
+    assert json.loads(capsys.readouterr().out) == report
+
+
+#: the checks that read no term table, and so carry no certificate
+TABLE_FREE = {"weil_relations", "gauss_sum", "arrow_suite", "weight_bookkeeping"}
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED.parent.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_theta_checks_uncertified_at_low_bound(tmp_path, capsys, scenario):
+    # at bound 0.5 every table's tail is above 0.01, so no theta check may
+    # pass, whatever its residual, and no check aborts the run; the checks
+    # without tables still pass, with certificate 0
+    from vvtheta.theta import TAIL_DIVISOR
+
+    data = json.loads(scenario.read_text())
+    data.update(bound=0.5, checks=sorted(CHECKS))
+    path = write_json(tmp_path / "loose.json", data)
+    report = run_scenario(path)
+    assert sorted(report["results"]) == sorted(CHECKS) and not report["pass"]
+    for check, result in report["results"].items():
+        if check in TABLE_FREE:
+            assert (result["verdict"], result["pass"], result["certificate"]) == \
+                ("pass", True, 0.0), check
+        else:
+            assert result["verdict"] == "uncertified" and result["pass"] is False, check
+            assert result["certificate"] > data["tolerance"] / TAIL_DIVISOR, check
+    assert main(["run-scenario", path]) == 1
+    assert json.loads(capsys.readouterr().out) == report
+    assert main(["verify-seesaw", "--scenario", str(scenario), "--bound", "0.5"]) == 1
+    verify = json.loads(capsys.readouterr().out)
+    assert {r["verdict"] for r in verify["results"].values()} == {"uncertified"}
+
+
+def test_verdict_rule(tmp_path, monkeypatch):
+    # the one rule: uncertified when the certificate passes tolerance / 10,
+    # whatever the residual; else fail when the residual passes the
+    # tolerance; a NaN in either is no pass
+    from vvtheta import cli
+    from vvtheta.theta import Residual
+
+    tol = SCENARIO["tolerance"]
+    cases = {"a": (0.0, tol / 10), "b": (tol, 0.0), "c": (2 * tol, 0.0),
+             "d": (0.0, 1.01 * tol / 10), "e": (2 * tol, 1.0), "f": (float("nan"), 0.0),
+             "g": (0.0, float("nan")), "h": (0.0, float("inf"))}
+    for name, (residual, certificate) in cases.items():
+        monkeypatch.setitem(cli.CHECKS, name,
+                            lambda sc, r=residual, c=certificate: Residual(r, c))
+    report = run_scenario(write_json(tmp_path / "sc.json", dict(SCENARIO, checks=sorted(cases))))
+    verdicts = {name: r["verdict"] for name, r in report["results"].items()}
+    assert verdicts == {"a": "pass", "b": "pass", "c": "fail", "d": "uncertified",
+                        "e": "uncertified", "f": "fail", "g": "uncertified",
+                        "h": "uncertified"}
+    assert all(r["pass"] is (r["verdict"] == "pass") for r in report["results"].values())
+
+
+@pytest.mark.parametrize("scenario", sorted(BUNDLED.parent.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_mixed_cross_certificate_is_both_constructions_tails(scenario):
+    # one rule scales the composed mixed theta's tail: the check's
+    # certificate at one tau is the sum of the two constructions' own
+    from vvtheta import mixed_theta_composed, mixed_theta_direct
+    from vvtheta.cli import Scenario
+
+    data = json.loads(scenario.read_text())
+    for tau in data["tau_samples"]:
+        sc = Scenario(dict(data, tau_samples=[tau]))
+        sw = sc.seesaw
+        args = (sw.lattice, sw.sd.m_sub, complex(*tau), sw.u_perp, sw.p_uperp, None, sc.bound)
+        want = mixed_theta_direct(*args).tail_estimate + mixed_theta_composed(*args).tail_estimate
+        assert want > 0
+        assert CHECKS["mixed_cross"](sc).certificate == want
 
 
 def _json_leaves(obj, path=""):

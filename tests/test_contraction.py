@@ -34,6 +34,7 @@ from vvtheta import (
     orthogonal_complement,
     orthogonal_elements,
     Seesaw,
+    seesaw_contraction_residuals,
     seesaw_contractions,
     seesaw_restriction_residuals,
     siegel_theta,
@@ -409,6 +410,32 @@ def test_restriction_identity(ii11_split):
     assert max(seesaw_restriction_residuals(seesaw, form, taus, 14.0)) < 1e-8
 
 
+def test_contraction_certificates_sum_the_tables_read(ii11_split):
+    # the restriction residual carries the tails of Theta_L, the mixed theta
+    # and Theta_M; the contraction residual those of the pointwise mixed
+    # table and of the symbolic one, which a principal part (q^-1 here)
+    # reads one unit further
+    ii11, m_sub, mperp, u, u_perp = ii11_split
+    form = QExpansionForm(ii11, F(0), {((), F(-1)): 1.0, ((), F(0)): 2.0})
+    taus, bound = [0.2 + 1.1j, -0.37 + 0.9j], 3.0
+    seesaw = Seesaw(ii11, m_sub, u, u_perp, constant_poly(0, 1), constant_poly(1, 0))
+    tables = {name: getattr(seesaw, name).evaluator(None, bound)
+              for name in ("theta_l", "mixed", "theta_m")}
+    restriction = seesaw_restriction_residuals(seesaw, form, taus, bound)
+    assert [r.certificate for r in restriction] == \
+        [sum(ev.tail(t.imag) for ev in tables.values()) for t in taus]
+    contraction = seesaw_contraction_residuals(seesaw, form, taus, bound)
+    symbolic = seesaw.mixed.evaluator(None, bound + 1)
+    assert [r.certificate for r in contraction] == \
+        [tables["mixed"].tail(t.imag) + symbolic.tail(t.imag) for t in taus]
+    assert all(symbolic.tail(t.imag) < tables["mixed"].tail(t.imag) for t in taus)
+    # the residual is the symbolic contraction against the pointwise one
+    want = contract_symbolic(form, ii11, m_sub, u_perp, constant_poly(1, 0), bound)
+    assert [float(r) for r in contraction] == \
+        [(want.evaluate(t) - pw).norm_inf()
+         for t, pw in zip(taus, seesaw_contractions(seesaw, form, taus, bound))]
+
+
 def test_restriction_block_sum_exact(a1a1_split):
     lat, m_sub, mperp, u, u_perp = a1a1_split
     form = QExpansionForm(lat, F(-1), {
@@ -534,7 +561,7 @@ def test_contraction_is_modular(ii11_split):
             return SimpleNamespace(
                 vectors=lambda taus: [contract_pointwise(form, ii11, m_sub, u_perp, p,
                                                          tau, bound) for tau in taus],
-                tail=mixed.evaluator(None, bound).tail)
+                tails=mixed.evaluator(None, bound).tails)
 
     for g, tol in [(MP_T, 1e-10), (MP_S, 1e-6)]:
         assert modularity_defects(Contraction(), g, [0.2 + 1.1j], 1, None, 20.0)[0] < tol

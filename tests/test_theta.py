@@ -1087,8 +1087,9 @@ def test_frequency_step_comes_from_the_shifts(monkeypatch, a2, ii11):
 
 def test_bundled_run_counts(monkeypatch):
     # one run of the bundled II(1,1) scenario walks 16 levels over its 11
-    # tables, looks a table up 26 times, evaluates 15 batches and takes 16
-    # tail certificates
+    # tables, looks a table up 28 times, evaluates 15 batches and takes 26
+    # tail certificates: one per table and tau batch, of every table a
+    # check reads
     from vvtheta.cli import run_scenario
 
     counts = {"levels": 0, "evaluator": 0, "_sums": 0, "tail": 0}
@@ -1107,7 +1108,7 @@ def test_bundled_run_counts(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     assert run_scenario(str(BUNDLED))["pass"]
-    assert counts == {"levels": 16, "evaluator": 26, "_sums": 15, "tail": 16}
+    assert counts == {"levels": 16, "evaluator": 28, "_sums": 15, "tail": 26}
 
 
 def test_bundled_scenario_tables_have_one_segment_per_key(monkeypatch):
@@ -1608,6 +1609,89 @@ def test_non_finite_entries_raise_not_rational(ii11, case):
     }
     with pytest.raises(NotRational):
         calls[case]()
+
+
+# ---------------------------------------------------------------------------
+# residuals and their certificates
+
+def test_residual_is_a_float_with_its_certificate():
+    a, b = theta_mod.Residual(1e-3, 1e-20), theta_mod.Residual(1e-5, 1e-2)
+    assert isinstance(a, float) and type(float(a)) is float and float(a) == 1e-3
+    assert max([a, b]) is a and a > b and a + b == 1e-3 + 1e-5
+    with pytest.raises(AttributeError):
+        a.stats = {}
+    # the worst residual and the worst certificate, each taken separately
+    worst = theta_mod.Residual.worst([a, b])
+    assert (float(worst), worst.certificate) == (1e-3, 1e-2)
+
+
+def test_tails_keep_the_last_batch(ii11, monkeypatch):
+    # tails reads tail once per tau of a batch, and a batch of the same
+    # imaginary parts gets the same values back without a tail call
+    calls = []
+    tail = theta_mod.ThetaEvaluator.tail
+
+    def counting(self, y):
+        calls.append(y)
+        return tail(self, y)
+
+    monkeypatch.setattr(theta_mod.ThetaEvaluator, "tail", counting)
+    v = make_grassmann_point(ii11, [[1, 1]])
+    ev = siegel_theta_evaluator(ii11, v, constant_poly(1, 1), None, 3.0)
+    first = ev.tails(TAU_SAMPLES)
+    assert calls == [t.imag for t in TAU_SAMPLES] and all(x > 0 for x in first)
+    assert first == [tail(ev, t.imag) for t in TAU_SAMPLES]
+    assert ev.tails([t + 1 for t in TAU_SAMPLES]) == first and len(calls) == 2
+    ev.tails(TAU_SAMPLES[:1])
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("split", ["ii11_split", "a1a1_split"])
+def test_residual_certificates_sum_the_tables_read(split, request):
+    # every residual carries the tails, at its tau, of the tables its two
+    # sides read, summed; the composed mixed theta's tail is scaled by
+    # SplitData.composed_tail, and a transformation law's by |phi_g|^k
+    from vvtheta import block_swapped_poly, rescale, swap_blocks_point
+
+    lat, m_sub, mperp, u, u_perp = request.getfixturevalue(split)
+    mlat, plat = m_sub.lattice, mperp.lattice
+    pu = coordinate_poly(mlat.sig_plus, mlat.sig_minus, 0)
+    pp = constant_poly(plat.sig_plus, plat.sig_minus)
+    ab = ([F(1, 3), F(2, 5)], [F(1, 2), F(-1, 7)])
+    taus, bound = [0.2 + 1.1j, -0.37 + 0.9j], 3.0
+    sw = Seesaw(lat, m_sub, u, u_perp, pu, pp)
+    vp, on_m, on_perp, on_mixed = sw._pairs(ab)
+    big, theta_m = sw.theta_l.evaluator(vp, bound), sw.theta_m.evaluator(on_m, bound)
+    perp, mixed = sw.theta_perp.evaluator(on_perp, bound), sw.mixed.evaluator(on_mixed, bound)
+
+    def tails(*evaluators):
+        return [sum(ev.tail(t.imag) for ev in evaluators) for t in taus]
+
+    def certificates(residuals):
+        return [r.certificate for r in residuals]
+
+    assert all(c > 0 for c in tails(big, theta_m, perp, mixed))
+    assert certificates(sw.split_residuals(taus, ab, bound)) == tails(big, theta_m, perp)
+    assert certificates(sw.pairing_residuals(taus, ab, bound)) == tails(big, theta_m, mixed)
+    dl = discriminant_group(lat)
+    test_vec = RepVector((Axis(dl, dual=True),), {(x,): 1.0 for x in dl.elements()})
+    both = sw.pairing_expression_residuals(taus, test_vec, ab, bound)
+    assert certificates(r for r, _ in both) == tails(big, theta_m, perp)
+    assert certificates(r for _, r in both) == tails(big, theta_m, mixed)
+    direct, perp0 = sw.mixed.evaluator(None, bound), sw.theta_perp.evaluator(None, bound)
+    assert certificates(sw.mixed_cross_residuals(taus, bound)) == \
+        [direct.tail(t.imag) + sw.sd.composed_tail(perp0.tail(t.imag)) for t in taus]
+    neg = rescale(lat, -1)
+    lhs = siegel_theta_evaluator(neg, swap_blocks_point(sw.v, neg), block_swapped_poly(sw.p_v),
+                                 ab, bound)
+    rhs = siegel_theta_family(lat, sw.v, sw.p_v.conjugate()).evaluator(ab, bound)
+    assert certificates(theta_negation_residuals(lat, taus, sw.v, sw.p_v, ab, bound)) == \
+        tails(lhs, rhs)
+    k = int(2 * theta_weight(lat.signature, sw.p_v.degrees))
+    for g in (MP_T, MP_S):
+        moved = sw.theta_l.evaluator(g.act_pair(vp.alpha, vp.beta), bound)
+        assert certificates(modularity_defects(sw.theta_l, g, taus, k, ab, bound)) == \
+            [moved.tail(g.act(t).imag) + abs(g.phi(t) ** k) * big.tail(t.imag) for t in taus]
 
 
 # ---------------------------------------------------------------------------
