@@ -120,8 +120,8 @@ def contract_pointwise(form, lat: Lattice, m_sub: Sublattice,
 
     ``form`` may be a QExpansionForm, a constant RepVector over the dual
     axis, or a callable tau -> RepVector.  The mixed theta's table is the
-    stored one of mixed_theta_family, so calls at many tau on the same
-    objects and bound build it once.
+    one mixed_theta_family keeps on u_perp, so calls at many tau on the same
+    point, inputs and bound build it once.
     """
     mixed = mixed_theta_family(lat, m_sub, u_perp, p_uperp).vectors([tau], None, bound)
     return _contract(mixed, form, [tau], split_data(lat, m_sub).d_l)[0]
@@ -167,11 +167,11 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
     Requires a positive definite complement, whose Grassmannian is the one
     point ``u_perp``, and a harmonic polynomial there; a polynomial whose
     variables do not match the complement raises NonHomogeneousPolynomial,
-    as in mixed_theta_evaluator.  The mixed theta's table is the stored one
-    of mixed_theta_family, as in contract_pointwise, so a seesaw on the same
-    objects shares it.  Each key (gamma_L, delta_M) of the table contributes
-    the products of the form's component on gamma_L with that key's
-    q-series to the output component on delta_M.
+    as in mixed_theta_evaluator.  The mixed theta's table is the one
+    mixed_theta_family keeps on u_perp, as in contract_pointwise, so a
+    seesaw on the same point shares it.  Each key (gamma_L, delta_M) of the
+    table contributes the products of the form's component on gamma_L with
+    that key's q-series to the output component on delta_M.
     """
     _check_bound(bound)
     sd = split_data(lat, m_sub)

@@ -36,7 +36,8 @@ class VectorPair:
     Each entry is read by exact.rational when the pair is made, so a
     VectorPair is exact and as_pair hands it on as it is.  ``key`` is every
     entry's (numerator, denominator), alpha first, made with the pair: the
-    pair's part of a term-table store key (theta.ThetaFamily).
+    pair's part of the key of a table in GrassmannPoint.tables
+    (theta.ThetaFamily).
     """
 
     def __init__(self, alpha, beta):
@@ -96,6 +97,9 @@ class GrassmannPoint:
     ``adapted`` blocks.  ``same_majorant`` is a point with the same
     majorant (swap_blocks_point): its float majorant, elimination levels,
     count_shell and the majorant part of build_data are read, not remade.
+
+    ``tables`` holds the term tables built on the point (theta.ThetaFamily),
+    so they live as long as the point does.
     """
 
     def __init__(self, lattice: Lattice, span_plus, span_minus,
@@ -107,6 +111,7 @@ class GrassmannPoint:
         self.adapted = adapted          # n x n float, +block then -block columns
         self.integer_forms = integer_forms or _span_forms(self.span_plus, lattice.gram_rows())[1]
         self.same_majorant = same_majorant
+        self.tables = {}
         if same_majorant is not None:
             self.majorant_np = same_majorant.majorant_np
         else:

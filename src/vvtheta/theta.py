@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
@@ -954,9 +953,9 @@ def siegel_theta(lat: Lattice, tau: complex, point: GrassmannPoint,
     dual vector lambda carries exponents a, b (half the plus/minus projected
     norms of lambda + beta), the smoothed polynomial value, and the phase
     -(lambda + beta/2, alpha); the whole sum is multiplied by
-    y^(sig_minus/2 + minus-degree).  The term table is the stored one of
-    siegel_theta_family, so a later call on the same objects, shift pair and
-    bound enumerates nothing.
+    y^(sig_minus/2 + minus-degree).  The term table is the one
+    siegel_theta_family keeps on ``point``, so a later call on the same
+    point, inputs, shift pair and bound enumerates nothing.
     """
     tau = _check_tau(tau)
     return siegel_theta_family(lat, point, poly).evaluator(pair_vectors, bound)._at(tau)
@@ -1047,14 +1046,19 @@ def split_data(lat: Lattice, m_sub: Sublattice) -> SplitData:
 
 def _complement_coords(sd: SplitData, vec, label: str):
     """Mperp coordinates of an ambient vector required to lie in Mperp_R."""
-    vec = list(vec)
-    if len(vec) != sd.ambient.rank:
-        raise VectorNotInComplement(f"{label} has wrong dimension")
     if not any(vec):
         return [Fraction(0)] * sd.mperp_sub.rank
     if any(sd.m_sub.coords_of(vec)):
         raise VectorNotInComplement(f"{label} has a component along the sublattice")
     return sd.mperp_sub.coords_of(vec)
+
+
+def _complement_pair(sd: SplitData, pair_vectors) -> VectorPair:
+    """An ambient shift pair (xi, eta), each required to lie in Mperp_R, in
+    Mperp coordinates: the shift pair of the mixed theta's build."""
+    vp = as_pair(pair_vectors, sd.ambient.rank)
+    return VectorPair(_complement_coords(sd, vp.alpha, "xi"),
+                      _complement_coords(sd, vp.beta, "eta"))
 
 
 # ---------------------------------------------------------------------------
@@ -1067,21 +1071,19 @@ def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoin
 
     Classes of L*/M are parametrized by an element of the glue-orthogonal
     subgroup (fixing both the D_L index and the D_M index) together with a
-    translate of the complement lattice, which is what gets enumerated.
+    translate of the complement lattice, which is what gets enumerated.  The
+    shift pair is in Mperp coordinates, as for the Siegel theta of Mperp.
     """
     sd = split_data(lat, m_sub)
     poly = _check_poly(p_uperp, u_perp)
     _check_bound(bound)
     if u_perp.lattice != sd.mperp_sub.lattice:
         raise VectorNotInComplement("u_perp is not a splitting of the complement")
-    vp = as_pair(pair_vectors, lat.rank)
-    xi = _complement_coords(sd, vp.alpha, "xi")
-    eta = _complement_coords(sd, vp.beta, "eta")
     series = poly.series
     perp_lat = sd.mperp_sub.lattice
     cosets = sd.mixed_cosets
     prefactor = Fraction(perp_lat.sig_minus + 2 * poly.degrees[1], 2)
-    table = build_term_table(perp_lat, u_perp, series, cosets, (xi, eta), bound, prefactor)
+    table = build_term_table(perp_lat, u_perp, series, cosets, pair_vectors, bound, prefactor)
     return ThetaEvaluator(table, cosets.axes, bound, u_perp.count_shell, cosets.translates,
                           series)
 
@@ -1090,11 +1092,13 @@ def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
                        u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
                        pair_vectors=None, bound: float = 10.0) -> ThetaValue:
     """Mixed theta vector over D_L x D_M(-1), summed class by class
-    (see mixed_theta_evaluator).  The term table is the stored one of
-    mixed_theta_family, as in siegel_theta."""
+    (see mixed_theta_evaluator).  The shift pair (xi, eta) is ambient, each
+    vector in Mperp_R.  The term table is the one mixed_theta_family keeps
+    on u_perp, as in siegel_theta."""
     tau = _check_tau(tau)
     family = mixed_theta_family(lat, m_sub, u_perp, p_uperp)
-    return family.evaluator(pair_vectors, bound)._at(tau)
+    return family.evaluator(_complement_pair(split_data(lat, m_sub), pair_vectors),
+                            bound)._at(tau)
 
 
 def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
@@ -1130,11 +1134,8 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     """
     tau = _check_tau(tau)
     sd = split_data(lat, m_sub)
-    vp = as_pair(pair_vectors, lat.rank)
-    xi = _complement_coords(sd, vp.alpha, "xi")
-    eta = _complement_coords(sd, vp.beta, "eta")
     theta_perp = siegel_theta(sd.mperp_sub.lattice, tau, u_perp, p_uperp,
-                              (xi, eta), bound)
+                              _complement_pair(sd, pair_vectors), bound)
     return ThetaValue(value=_composed_vector(sd, theta_perp.value), tau=tau,
                       bound=float(bound),
                       tail_estimate=sd.composed_tail(theta_perp.tail_estimate),
@@ -1196,9 +1197,10 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     must equal y to the power theta_weight(L, poly) times the conjugated
     theta vector of L with the conjugated polynomial, component by component
     under the canonical index identification.  Each side is built once for
-    all taus; the right side is read from the store of siegel_theta_family,
-    which already holds it when a seesaw on (lat, point) has evaluated it.
-    The certificate is the two sides' tails.
+    all taus; the right side is the table siegel_theta_family keeps on
+    ``point``, which already holds it when a seesaw on that point has
+    evaluated it.  The certificate is the left side's tail plus y^w times the
+    right side's, as the residual scales that side, w = theta_weight(L, poly).
     """
     taus = [_check_tau(t) for t in taus]
     neg = rescale(lat, -1)
@@ -1209,10 +1211,12 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     d_neg, d_pos = discriminant_group(neg), discriminant_group(lat)
     to_pos = element_identification(d_neg, d_pos)
     matching = d_pos.index(to_pos.apply(d_neg.element_array()))
-    residuals = [float(np.abs(left.array - tau.imag ** float(power)
-                              * right.array[matching].conj()).max())
-                 for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus))]
-    return _certified(residuals, taus, (lhs, rhs))
+    scales = [tau.imag ** float(power) for tau in taus]
+    return [Residual(np.abs(left.array - scale * right.array[matching].conj()).max(),
+                     left_tail + scale * right_tail)
+            for scale, left, right, left_tail, right_tail
+            in zip(scales, lhs.vectors(taus), rhs.vectors(taus), lhs.tails(taus),
+                   rhs.tails(taus))]
 
 
 def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
@@ -1222,7 +1226,7 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
     at each tau.
 
     Theta(g tau) with the shift pair moved column-wise by the matrix is
-    compared with phi_g(tau)^k rho(g) Theta(tau); each side is one stored
+    compared with phi_g(tau)^k rho(g) Theta(tau); each side is one kept
     evaluator of ``family``, evaluated over all taus in one batch.  The
     certificate at tau is the tail at g tau plus |phi_g(tau)|^k times the
     tail at tau.  With a ``tolerance``, raises TailTooLarge when, at any
@@ -1246,34 +1250,22 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
                                                base.vectors(taus), factors, certificates)]
 
 
-#: evaluators the store keeps: above the 11 distinct term tables that one run
-#: of a bundled scenario builds (10 of them through the store), so no workload
-#: evicts a table it still uses, while a loop over fresh inputs keeps no more
-#: than this many tables alive
-_STORE_SIZE = 32
-
-# ThetaFamily's evaluators, least recently used first.  A key holds the
-# family's input objects: lattices, sublattices and polynomials compare by
-# value, GrassmannPoint by identity.  A point is not mutated after
-# construction, and the key holds it, so its id is never reused.
-_EVALUATORS: OrderedDict = OrderedDict()
-
-
 class ThetaFamily:
-    """One theta function of a lattice of rank ``rank``, at any shift pair
-    and bound.
+    """One theta function on a GrassmannPoint, at any shift pair of rank
+    ``rank`` and any bound.
 
-    ``key`` names the builder and its input objects, and ``build(pair,
-    bound)`` makes the ThetaEvaluator of one shift pair and bound.  The
-    evaluator is kept in one bounded, process-wide LRU store under ``key``,
+    ``key`` names the builder and its input objects other than the point,
+    and ``build(pair, bound)`` makes the ThetaEvaluator of one shift pair and
+    bound.  The evaluator is kept in the point's ``tables`` under ``key``,
     the pair, the bound and $THETA_MAX_VECTORS, so every later tau, the g tau
     side of a transformation law that leaves the pair unchanged, and every
-    other family on the same inputs reuse its table.  A build that raises is
-    not stored.
+    other family on the same point and inputs reuse its table, which lives as
+    long as the point.  A build that raises is not kept.
     """
 
-    def __init__(self, rank: int, key: tuple, build):
+    def __init__(self, rank: int, point: GrassmannPoint, key: tuple, build):
         self.rank = rank
+        self._tables = point.tables
         self._key = key
         self._build = build
 
@@ -1285,14 +1277,9 @@ class ThetaFamily:
         # the pair, which hash far faster than Fractions; a lowered cap must
         # reach the walk, and raise, again
         key = (self._key, vp.key, bound, _max_vectors())
-        evaluator = _EVALUATORS.get(key)
-        if evaluator is not None:
-            _EVALUATORS.move_to_end(key)
-            return evaluator
-        evaluator = self._build(vp, bound)
-        _EVALUATORS[key] = evaluator
-        if len(_EVALUATORS) > _STORE_SIZE:
-            _EVALUATORS.popitem(last=False)
+        evaluator = self._tables.get(key)
+        if evaluator is None:
+            evaluator = self._tables[key] = self._build(vp, bound)
         return evaluator
 
     def vectors(self, taus, pair_vectors=None, bound: float = 10.0) -> list[RepVector]:
@@ -1304,14 +1291,15 @@ class ThetaFamily:
 def siegel_theta_family(lat: Lattice, point: GrassmannPoint,
                         poly: HomogeneousPolynomial) -> ThetaFamily:
     """The Siegel theta of (lat, point, poly) as a ThetaFamily."""
-    return ThetaFamily(lat.rank, ("siegel", lat, point, poly),
+    return ThetaFamily(lat.rank, point, ("siegel", lat, poly),
                        lambda vp, bound: siegel_theta_evaluator(lat, point, poly, vp, bound))
 
 
 def mixed_theta_family(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
                        poly: HomogeneousPolynomial) -> ThetaFamily:
-    """The mixed theta of (lat, m_sub) as a ThetaFamily (direct construction)."""
-    return ThetaFamily(lat.rank, ("mixed", lat, m_sub, u_perp, poly),
+    """The mixed theta of (lat, m_sub) as a ThetaFamily (direct
+    construction), of shift pairs in Mperp coordinates."""
+    return ThetaFamily(u_perp.lattice.rank, u_perp, ("mixed", lat, m_sub, poly),
                        lambda vp, bound: mixed_theta_evaluator(
                            lat, m_sub, u_perp, poly, vp, bound))
 
@@ -1328,12 +1316,14 @@ class Seesaw:
     p_u p_uperp, and four ThetaFamily: ``theta_l`` (L at v), ``theta_m``
     (M at u), ``theta_perp`` (Mperp at u_perp) and ``mixed`` (the mixed
     theta of (L, M) at u_perp).  Each table is built on first use of a shift
-    pair and bound and kept in the families' store, so a second Seesaw on
-    the same objects builds nothing.  ``theta_m`` and ``theta_perp`` take
-    their shift pair in sublattice coordinates; the residual methods take
-    ambient shift pairs and evaluate each table over all their taus in one
-    batch; the projections of the last one they read are kept as
-    VectorPairs, so a second method on the same pair reads no entry again.
+    pair and bound and kept on the point it is built on (v, u or u_perp), so
+    a second Seesaw on the same points builds nothing, and the tables go
+    when the points do.  ``theta_m``, ``theta_perp`` and ``mixed`` take
+    their shift pair in sublattice coordinates, the last two the same
+    Mperp pair; the residual methods take ambient shift pairs and evaluate
+    each table over all their taus in one batch; the projections of the last
+    one they read are kept as VectorPairs, so a second method on the same
+    pair reads no entry again.
     """
 
     def __init__(self, lat: Lattice, m_sub: Sublattice, u: GrassmannPoint,
@@ -1351,16 +1341,15 @@ class Seesaw:
         self._projected = (None, None)
 
     def _pairs(self, pair_vectors) -> tuple:
-        """(vp, on M, on Mperp, on Mperp in ambient coordinates): the ambient
-        shift pair as a VectorPair and its projections, the first two in
-        sublattice coordinates, made once for the last pair read."""
+        """(vp, on M, on Mperp): the ambient shift pair as a VectorPair and
+        its projections in sublattice coordinates, made once for the last
+        pair read."""
         vp = as_pair(pair_vectors, self.lattice.rank)
         key, pairs = self._projected
         if key != vp.key:
             sd = self.sd
-            perp = _coords_pair(sd.mperp_sub, vp)
-            pairs = (VectorPair(*_coords_pair(sd.m_sub, vp)), VectorPair(*perp),
-                     VectorPair(*(sd.mperp_sub.embed(x) for x in perp)))
+            pairs = (VectorPair(*_coords_pair(sd.m_sub, vp)),
+                     VectorPair(*_coords_pair(sd.mperp_sub, vp)))
             self._projected = (vp.key, pairs)
         return (vp, *pairs)
 
@@ -1370,7 +1359,7 @@ class Seesaw:
         push-down of Theta_M tensor Theta_Mperp (projected shift vectors).
         The certificate is the three tables' tails."""
         taus = [_check_tau(t) for t in taus]
-        vp, on_m, on_perp, _mixed = self._pairs(pair_vectors)
+        vp, on_m, on_perp = self._pairs(pair_vectors)
         tables = (self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound),
                   self.theta_perp.evaluator(on_perp, bound))
         lhs, theta_m, theta_p = (ev.vectors(taus) for ev in tables)
@@ -1384,9 +1373,9 @@ class Seesaw:
         The certificate is the three tables' tails."""
         taus = [_check_tau(t) for t in taus]
         sd = self.sd
-        vp, on_m, _on_perp, on_mixed = self._pairs(pair_vectors)
+        vp, on_m, on_perp = self._pairs(pair_vectors)
         tables = (self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound),
-                  self.mixed.evaluator(on_mixed, bound))
+                  self.mixed.evaluator(on_perp, bound))
         lhs, theta_m, mixed = (ev.vectors(taus) for ev in tables)
         return _certified([(big - rep_pair(m, mx, groups=[sd.d_m])).norm_inf()
                            for big, m, mx in zip(lhs, theta_m, mixed)], taus, tables)
@@ -1403,10 +1392,10 @@ class Seesaw:
         """
         taus = [_check_tau(t) for t in taus]
         sd = self.sd
-        vp, on_m, on_perp, on_mixed = self._pairs(pair_vectors)
+        vp, on_m, on_perp = self._pairs(pair_vectors)
         big_ev, m_ev = self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound)
         perp_ev = self.theta_perp.evaluator(on_perp, bound)
-        mixed_ev = self.mixed.evaluator(on_mixed, bound)
+        mixed_ev = self.mixed.evaluator(on_perp, bound)
         raised = up_arrow(sd.gm, test_vector)
         firsts, seconds = [], []
         for big, m, p, mx in zip(big_ev.vectors(taus), m_ev.vectors(taus),

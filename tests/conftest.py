@@ -16,15 +16,8 @@ from vvtheta import (  # noqa: E402
     rescale,
     sublattice,
 )
-from vvtheta import exact, theta  # noqa: E402
+from vvtheta import exact  # noqa: E402
 from vvtheta.discforms import orthogonal_subgroup  # noqa: E402
-
-
-@pytest.fixture(autouse=True)
-def empty_evaluator_store():
-    """Each test starts with an empty ThetaFamily store, so no test depends on
-    which ran before it, and a monkeypatched walk or cap is always reached."""
-    theta._EVALUATORS.clear()
 
 
 def _glue_class(gm, x):
@@ -88,9 +81,10 @@ def test_lattices(a1, a1_neg, ii11, a2, a1_plus_a1neg):
     return [a1, a1_neg, ii11, a2, a1_plus_a1neg]
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def ii11_split(ii11):
-    """L = II11 with M = span{(1,-1)} and its complement span{(1,1)}."""
+    """L = II11 with M = span{(1,-1)} and its complement span{(1,1)}; fresh
+    points per test, so no test reads the tables another built on them."""
     m_sub = sublattice(ii11, [(1, -1)])
     mperp = orthogonal_complement(ii11, m_sub)
     u = make_grassmann_point(m_sub.lattice, [])
@@ -98,8 +92,9 @@ def ii11_split(ii11):
     return ii11, m_sub, mperp, u, u_perp
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def a1a1_split(a1_plus_a1):
+    """L = A1+A1 with M = span{(1,0)}, on fresh points per test."""
     m_sub = sublattice(a1_plus_a1, [(1, 0)])
     mperp = orthogonal_complement(a1_plus_a1, m_sub)
     u = make_grassmann_point(m_sub.lattice, [[1]])

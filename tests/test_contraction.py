@@ -509,8 +509,8 @@ def test_contract_pointwise_builds_once_across_taus(a1a1_split, monkeypatch):
     monkeypatch.setattr(theta_mod, "build_term_table", counted)
     got = [contract_pointwise(form, lat, m_sub, u_perp, p_uperp, t, 8.0) for t in taus]
     assert len(calls) == 1
-    theta_mod._EVALUATORS.clear()
-    want = seesaw_contractions(Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp), form, taus, 8.0)
+    fresh = make_grassmann_point(mperp.lattice, [[1]])
+    want = seesaw_contractions(Seesaw(lat, m_sub, u, fresh, p_u, p_uperp), form, taus, 8.0)
     assert len(calls) == 2
     for g, w in zip(got, want):
         assert np.array_equal(g.array, w.array)

@@ -853,11 +853,11 @@ def _glued_seesaw():
 
 def _glued_mixed_table(bound):
     """The mixed theta table of the bundled glued scenario, with its shift
-    pair projected to the complement."""
+    pair projected to the complement, in complement coordinates."""
     data = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
     lat, m_sub, _u, u_perp = _glued_seesaw()
     perp = split_data(lat, m_sub).mperp_sub
-    pair = [perp.project_ambient([F(x) for x in data[name]]) for name in ("alpha", "beta")]
+    pair = [perp.coords_of([F(x) for x in data[name]]) for name in ("alpha", "beta")]
     return mixed_theta_family(lat, m_sub, u_perp, constant_poly(2, 0)).evaluator(
         pair, bound).terms
 
@@ -1109,6 +1109,33 @@ def test_bundled_run_counts(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     assert run_scenario(str(BUNDLED))["pass"]
     assert counts == {"levels": 16, "evaluator": 28, "_sums": 15, "tail": 26}
+
+
+def test_bundled_run_tables_die_with_the_run(monkeypatch):
+    # a run keeps its tables on the points its scenario parses, so they are
+    # freed by reference counting when the run returns, with the cycle
+    # collector off; a second run builds its own 11 again
+    import gc
+    import weakref
+
+    from vvtheta.cli import run_scenario
+
+    built = []
+    init = theta_mod.ThetaEvaluator.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(theta_mod.ThetaEvaluator, "__init__", recording)
+    gc.disable()
+    try:
+        for runs in (1, 2):
+            assert run_scenario(str(BUNDLED))["pass"]
+            assert len(built) == 11 * runs
+            assert [ref for ref in built if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_bundled_scenario_tables_have_one_segment_per_key(monkeypatch):
@@ -1572,8 +1599,10 @@ def test_mixed_modularity(ii11_split):
 def test_mixed_with_complement_shifts(ii11_split):
     ii11, m_sub, mperp, u, u_perp = ii11_split
     p = constant_poly(1, 0)
-    xi = [F(1, 3), F(1, 3)]   # multiples of (1,1) lie in the complement
-    eta = [F(-1, 2), F(-1, 2)]
+    # the family takes its pair in complement coordinates: (1/3, 1/3) and
+    # (-1/2, -1/2) are 1/3 and -1/2 times the complement's basis (1, 1)
+    xi, eta = [F(1, 3)], [F(-1, 2)]
+    assert [mperp.embed(x) for x in (xi, eta)] == [[F(1, 3)] * 2, [F(-1, 2)] * 2]
     fam = mixed_theta_family(ii11, m_sub, u_perp, p)
     for g in (MP_T, MP_S):
         assert modularity_defects(fam, g, [0.2 + 1.1j], 1, (xi, eta), 24.0)[0] < 1e-8
@@ -1650,7 +1679,8 @@ def test_tails_keep_the_last_batch(ii11, monkeypatch):
 def test_residual_certificates_sum_the_tables_read(split, request):
     # every residual carries the tails, at its tau, of the tables its two
     # sides read, summed; the composed mixed theta's tail is scaled by
-    # SplitData.composed_tail, and a transformation law's by |phi_g|^k
+    # SplitData.composed_tail, a transformation law's by |phi_g|^k, and the
+    # negation symmetry's right side by the y^w the residual scales it by
     from vvtheta import block_swapped_poly, rescale, swap_blocks_point
 
     lat, m_sub, mperp, u, u_perp = request.getfixturevalue(split)
@@ -1660,9 +1690,9 @@ def test_residual_certificates_sum_the_tables_read(split, request):
     ab = ([F(1, 3), F(2, 5)], [F(1, 2), F(-1, 7)])
     taus, bound = [0.2 + 1.1j, -0.37 + 0.9j], 3.0
     sw = Seesaw(lat, m_sub, u, u_perp, pu, pp)
-    vp, on_m, on_perp, on_mixed = sw._pairs(ab)
+    vp, on_m, on_perp = sw._pairs(ab)
     big, theta_m = sw.theta_l.evaluator(vp, bound), sw.theta_m.evaluator(on_m, bound)
-    perp, mixed = sw.theta_perp.evaluator(on_perp, bound), sw.mixed.evaluator(on_mixed, bound)
+    perp, mixed = sw.theta_perp.evaluator(on_perp, bound), sw.mixed.evaluator(on_perp, bound)
 
     def tails(*evaluators):
         return [sum(ev.tail(t.imag) for ev in evaluators) for t in taus]
@@ -1685,8 +1715,11 @@ def test_residual_certificates_sum_the_tables_read(split, request):
     lhs = siegel_theta_evaluator(neg, swap_blocks_point(sw.v, neg), block_swapped_poly(sw.p_v),
                                  ab, bound)
     rhs = siegel_theta_family(lat, sw.v, sw.p_v.conjugate()).evaluator(ab, bound)
-    assert certificates(theta_negation_residuals(lat, taus, sw.v, sw.p_v, ab, bound)) == \
-        tails(lhs, rhs)
+    w = theta_weight(lat.signature, sw.p_v.degrees)
+    negation = certificates(theta_negation_residuals(lat, taus, sw.v, sw.p_v, ab, bound))
+    assert negation == [lhs.tail(t.imag) + t.imag ** float(w) * rhs.tail(t.imag) for t in taus]
+    # w is -1 or 2 here and no y is 1, so the unscaled sum would differ
+    assert w != 0 and all(a != b for a, b in zip(negation, tails(lhs, rhs)))
     k = int(2 * theta_weight(lat.signature, sw.p_v.degrees))
     for g in (MP_T, MP_S):
         moved = sw.theta_l.evaluator(g.act_pair(vp.alpha, vp.beta), bound)
@@ -1942,8 +1975,8 @@ def test_store_respects_a_lowered_cap(ii11, monkeypatch):
     monkeypatch.setenv("THETA_MAX_VECTORS", "10")
     with pytest.raises(BoundTooLarge):
         siegel_theta(ii11, 1j, v, p, None, 10.0)
-    # the failed build was not stored
-    assert not any(key[-1] == 10 for key in theta_mod._EVALUATORS)
+    # the failed build was not kept on the point
+    assert not any(key[-1] == 10 for key in v.tables)
 
 
 def test_store_shares_one_build_for_float_and_rational_shifts(a1, monkeypatch):
@@ -1964,7 +1997,7 @@ def test_store_keys_the_pair_by_integer_ratios(a1):
     # a hit hashes the pair as (numerator, denominator) ints, not Fractions
     v = make_grassmann_point(a1, [[1]])
     siegel_theta(a1, 1j, v, constant_poly(1, 0), ([F(1, 3)], [0.5]), 4.0)
-    (key,) = theta_mod._EVALUATORS
+    (key,) = v.tables
     assert key[1] == ((1, 3), (1, 2))
     assert all(type(x) is int for ratio in key[1] for x in ratio)
 
@@ -2029,24 +2062,3 @@ def test_seesaw_reads_each_pair_once(ii11_split, monkeypatch):
     calls = _count_builds(monkeypatch)
     assert residuals() == first
     assert (read, calls) == ([], [])
-
-
-def test_store_is_bounded_and_evicts_least_recent(a1, monkeypatch):
-    v = make_grassmann_point(a1, [[1]])
-    p = constant_poly(1, 0)
-    calls = _count_builds(monkeypatch)
-    bounds = [1.0 + k for k in range(theta_mod._STORE_SIZE + 1)]
-    for bound in bounds[:-1]:
-        siegel_theta(a1, 1j, v, p, None, bound)
-    # a use makes the oldest table the most recent, so the next new table
-    # evicts the second oldest instead
-    siegel_theta(a1, 1j, v, p, None, bounds[0])
-    siegel_theta(a1, 1j, v, p, None, bounds[-1])
-    assert len(calls) == len(bounds)
-    assert len(theta_mod._EVALUATORS) <= theta_mod._STORE_SIZE
-    siegel_theta(a1, 1j, v, p, None, bounds[0])
-    siegel_theta(a1, 1j, v, p, None, bounds[-1])
-    assert len(calls) == len(bounds)
-    siegel_theta(a1, 1j, v, p, None, bounds[1])
-    assert len(calls) == len(bounds) + 1
-    assert len(theta_mod._EVALUATORS) <= theta_mod._STORE_SIZE
