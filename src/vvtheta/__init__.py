@@ -68,7 +68,6 @@ from .theta import (  # noqa: F401
     enumerate_vectors,
     mixed_theta_composed,
     mixed_theta_direct,
-    mixed_theta_evaluator,
     mixed_theta_family,
     modularity_defects,
     Residual,

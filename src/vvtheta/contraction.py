@@ -31,10 +31,8 @@ from .lattice import Lattice, Sublattice
 from .theta import (
     Residual,
     Seesaw,
-    TermTable,
     _certified,
     _check_bound,
-    _fraction_map,
     mixed_theta_family,
     siegel_theta_evaluator,
     split_data,
@@ -138,25 +136,6 @@ def seesaw_contractions(seesaw: Seesaw, form, taus,
 # ---------------------------------------------------------------------------
 # symbolic contraction (positive definite complement)
 
-def _q_series(table: TermTable) -> dict:
-    """Exact-exponent q-series of every key of a positive definite table, as
-    {key index: {exponent: coefficient}}.
-
-    The exponent of a row is half its norm, (a_num + b_num) / ab_den; a
-    coefficient sums the rows' poly[:, 0] in row order, and zero sums are
-    dropped.
-    """
-    num = table.a_num + table.b_num
-    frac = _fraction_map(num, table.ab_den)
-    expos = [frac[x] for x in num.tolist()]
-    out: dict = {}
-    for k, e, c in zip(table.key_index.tolist(), expos, table.poly[:, 0].tolist()):
-        if c != 0:
-            series = out.setdefault(k, {})
-            series[e] = series.get(e, 0j) + c
-    return {k: {e: c for e, c in series.items() if c != 0} for k, series in out.items()}
-
-
 def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
                       u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
                       bound: float = 10.0) -> QExpansionForm:
@@ -166,12 +145,13 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
 
     Requires a positive definite complement, whose Grassmannian is the one
     point ``u_perp``, and a harmonic polynomial there; a polynomial whose
-    variables do not match the complement raises NonHomogeneousPolynomial,
-    as in mixed_theta_evaluator.  The mixed theta's table is the one
+    variables do not match the complement raises NonHomogeneousPolynomial
+    from the mixed family's build.  The mixed theta's table is the one
     mixed_theta_family keeps on u_perp, as in contract_pointwise, so a
     seesaw on the same point shares it.  Each key (gamma_L, delta_M) of the
     table contributes the products of the form's component on gamma_L with
-    that key's q-series to the output component on delta_M.
+    that key's q-series (TermTable.q_series) to the output component on
+    delta_M.
     """
     _check_bound(bound)
     sd = split_data(lat, m_sub)
@@ -187,7 +167,7 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
         None, _symbolic_bound(form, bound)).terms
     out: dict = {}
     cap = Fraction(bound)
-    for k, theta_part in _q_series(table).items():
+    for k, theta_part in table.q_series().items():
         gamma_l, delta_m = table.keys[k]
         for e_f, c_f in form.component(gamma_l).items():
             for e_t, c_t in theta_part.items():

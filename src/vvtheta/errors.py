@@ -99,13 +99,6 @@ class NegativeBound(VvthetaError):
     """A theta sum was asked for with a truncation bound below 0 (or NaN)."""
 
 
-class TailTooLarge(VvthetaError):
-    """A transformation-defect certificate above a tenth of the tolerance
-    asked for.  Raised only by modularity_defects called with an explicit
-    tolerance; the scenario runner passes none, and reports such a check as
-    "uncertified" instead."""
-
-
 class VectorNotInComplement(VvthetaError):
     pass
 

@@ -40,7 +40,6 @@ from .errors import (
     NegativeBound,
     NonHomogeneousPolynomial,
     ParseError,
-    TailTooLarge,
     TauNotInUpperHalfPlane,
     VectorNotInComplement,
 )
@@ -459,6 +458,24 @@ class TermTable:
         frac = _fraction_map(rows, self.vector_den)
         return [tuple(frac[x] for x in row) for row in rows]
 
+    def q_series(self) -> dict:
+        """Exact-exponent q-series of every key of a positive definite table,
+        as {key index: {exponent: coefficient}}.
+
+        The exponent of a row is half its norm, (a_num + b_num) / ab_den; a
+        coefficient sums the rows' poly[:, 0] in row order, and zero sums are
+        dropped.
+        """
+        num = self.a_num + self.b_num
+        frac = _fraction_map(num, self.ab_den)
+        out: dict = {}
+        for k, x, c in zip(self.key_index.tolist(), num.tolist(), self.poly[:, 0].tolist()):
+            if c != 0:
+                series = out.setdefault(k, {})
+                e = frac[x]
+                series[e] = series.get(e, 0j) + c
+        return {k: {e: c for e, c in series.items() if c != 0} for k, series in out.items()}
+
     @cached_property
     def _factors(self) -> tuple:
         """The tau-independent factors of evaluate, made on its first call.
@@ -649,8 +666,12 @@ def build_term_table(lat: Lattice, point: GrassmannPoint, series, cosets,
     is the polynomial's Laplacian series (laplacian_series).  The walk takes
     the cosets in key order and emits each one's vectors in order, so the
     rows come out in the table's order, with no sort, and each coset's row
-    count gives its key's segment.
+    count gives its key's segment.  A finite negative bound gives no rows; a
+    NaN or infinite one is refused as by _check_bound.
     """
+    # a non-finite bound has no exact threshold
+    if not -math.inf < bound < math.inf:
+        _check_bound(bound)
     # every w = coset + m + beta with maj(w) <= 2 * bound, as the integers
     # W = D w, with value the exact W^T N_maj W
     forms = _IntegerForms(cosets, point, as_pair(pair_vectors, lat.rank), bound)
@@ -745,9 +766,8 @@ def _tail_shell(count_shell, series):
     (j, [(|c|, degree), ...]) over its monomials (Polynomial.abs_terms); the
     (binomial, rho power) pairs of (s + rho)^(n-1); per s^m coefficient of
     the integrand, m = -1, 0, 1, ..., the factor 2^(m/2) and the exponent
-    -m/2 - 1 of lam (_shell_powers); and V_n n / covol.  What reads one
-    polynomial or the size alone is made once, so a new evaluator's first
-    tail only assembles them.
+    -m/2 - 1 of lam (_shell_powers); and V_n n / covol.  A ThetaFamily makes
+    it once, on its first build, and hands it to every evaluator it builds.
     """
     if count_shell is None:
         return None
@@ -832,13 +852,16 @@ class ThetaEvaluator:
     """The term table of a theta sum, reusable across many tau.
 
     Term data is tau-independent; one enumeration serves every evaluation
-    point (the quadrature loops rely on this).  The evaluator keeps its last
+    point (the quadrature loops rely on this).  ``shell`` is the tail shell
+    of the family that built it (_tail_shell) and ``translates`` its cosets'
+    count, so a tail reads no point or polynomial, and the evaluator holds
+    no reference to its family or point.  The evaluator keeps its last
     batch of taus, exactly, with its vectors, so a check that asks again for
     the same taus gets the same (immutable) vectors without an evaluation;
     it keeps the tail bounds of its last batch the same way (tails).
     """
 
-    def __init__(self, table: TermTable, axes, bound, count_shell, translates, series):
+    def __init__(self, table: TermTable, axes, bound, shell, translates):
         self.terms = table
         self.axes = axes
         self._shape = tuple(ax.group.order for ax in axes)
@@ -859,9 +882,8 @@ class ThetaEvaluator:
         self.prefactor_exponent = table.prefactor_exponent
         self._power = table._power
         self.bound = float(bound)
-        self._count_shell = count_shell
+        self._shell = shell
         self._translates = translates
-        self._series = series
         self._last = (None, [])
         self._last_tails = (None, [])
 
@@ -896,10 +918,6 @@ class ThetaEvaluator:
                           tail_estimate=self.tail(tau.imag),
                           prefactor_exponent=self.prefactor_exponent)
 
-    @cached_property
-    def _shell(self):
-        return _tail_shell(self._count_shell, self._series)
-
     def tail(self, y: float) -> float:
         return _tail_bound(self._shell, self._translates, y, self.bound, self._power)
 
@@ -915,15 +933,9 @@ class ThetaEvaluator:
 def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
                            poly: HomogeneousPolynomial, pair_vectors=None,
                            bound: float = 10.0) -> ThetaEvaluator:
-    """Enumerate the truncated theta sum once; evaluate at any tau later."""
-    poly = _check_poly(poly, point)
-    _check_bound(bound)
-    cosets = _siegel_cosets(lat)
-    series = poly.series
-    prefactor = Fraction(lat.sig_minus + 2 * poly.degrees[1], 2)
-    table = build_term_table(lat, point, series, cosets, pair_vectors, bound, prefactor)
-    return ThetaEvaluator(table, cosets.axes, bound, point.count_shell, cosets.translates,
-                          series)
+    """Enumerate the truncated theta sum once; evaluate at any tau later.
+    A fresh build (ThetaFamily.build), not kept on the point."""
+    return siegel_theta_family(lat, point, poly).build(pair_vectors, bound)
 
 
 #: _siegel_cosets' cosets, by lattice
@@ -1064,37 +1076,18 @@ def _complement_pair(sd: SplitData, pair_vectors) -> VectorPair:
 # ---------------------------------------------------------------------------
 # the mixed theta function of a lattice and a primitive sublattice
 
-def mixed_theta_evaluator(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
-                          p_uperp: HomogeneousPolynomial, pair_vectors=None,
-                          bound: float = 10.0) -> ThetaEvaluator:
-    """Mixed theta term table over D_L x D_M(-1), built once for any tau.
-
-    Classes of L*/M are parametrized by an element of the glue-orthogonal
-    subgroup (fixing both the D_L index and the D_M index) together with a
-    translate of the complement lattice, which is what gets enumerated.  The
-    shift pair is in Mperp coordinates, as for the Siegel theta of Mperp.
-    """
-    sd = split_data(lat, m_sub)
-    poly = _check_poly(p_uperp, u_perp)
-    _check_bound(bound)
-    if u_perp.lattice != sd.mperp_sub.lattice:
-        raise VectorNotInComplement("u_perp is not a splitting of the complement")
-    series = poly.series
-    perp_lat = sd.mperp_sub.lattice
-    cosets = sd.mixed_cosets
-    prefactor = Fraction(perp_lat.sig_minus + 2 * poly.degrees[1], 2)
-    table = build_term_table(perp_lat, u_perp, series, cosets, pair_vectors, bound, prefactor)
-    return ThetaEvaluator(table, cosets.axes, bound, u_perp.count_shell, cosets.translates,
-                          series)
-
-
 def mixed_theta_direct(lat: Lattice, m_sub: Sublattice, tau: complex,
                        u_perp: GrassmannPoint, p_uperp: HomogeneousPolynomial,
                        pair_vectors=None, bound: float = 10.0) -> ThetaValue:
-    """Mixed theta vector over D_L x D_M(-1), summed class by class
-    (see mixed_theta_evaluator).  The shift pair (xi, eta) is ambient, each
-    vector in Mperp_R.  The term table is the one mixed_theta_family keeps
-    on u_perp, as in siegel_theta."""
+    """Mixed theta vector over D_L x D_M(-1), summed class by class.
+
+    Classes of L*/M are parametrized by an element of the glue-orthogonal
+    subgroup (fixing both the D_L index and the D_M index) together with a
+    translate of the complement lattice, which is what gets enumerated: a
+    Siegel-type sum over Mperp on the cosets SplitData.mixed_cosets
+    (mixed_theta_family).  The shift pair (xi, eta) is ambient, each vector
+    in Mperp_R.  The term table is the one mixed_theta_family keeps on
+    u_perp, as in siegel_theta."""
     tau = _check_tau(tau)
     family = mixed_theta_family(lat, m_sub, u_perp, p_uperp)
     return family.evaluator(_complement_pair(split_data(lat, m_sub), pair_vectors),
@@ -1220,8 +1213,8 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
 
 
 def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
-                       weight_exponent: int, pair=None, bound: float = 10.0,
-                       tolerance: float | None = None) -> list[Residual]:
+                       weight_exponent: int, pair=None,
+                       bound: float = 10.0) -> list[Residual]:
     """Sup-norm defect of the transformation law at a metaplectic element,
     at each tau.
 
@@ -1229,8 +1222,7 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
     compared with phi_g(tau)^k rho(g) Theta(tau); each side is one kept
     evaluator of ``family``, evaluated over all taus in one batch.  The
     certificate at tau is the tail at g tau plus |phi_g(tau)|^k times the
-    tail at tau.  With a ``tolerance``, raises TailTooLarge when, at any
-    tau, the certificate exceeds tolerance / TAIL_DIVISOR.
+    tail at tau; the scenario runner alone turns it into a verdict.
     """
     taus = [_check_tau(t) for t in taus]
     moved_taus = [g.act(t) for t in taus]
@@ -1240,46 +1232,64 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
     factors = [g.phi(t) ** weight_exponent for t in taus]
     certificates = [moved_tail + abs(factor) * tail for moved_tail, factor, tail
                     in zip(moved.tails(moved_taus), factors, base.tails(taus))]
-    if tolerance is not None:
-        for tails in certificates:
-            if tails > tolerance / TAIL_DIVISOR:
-                raise TailTooLarge(f"tail certificates {tails} exceed "
-                                   f"{tolerance}/{TAIL_DIVISOR:g}")
     return [Residual((lhs - rho_apply(g, rhs).scale(factor)).norm_inf(), tails)
             for lhs, rhs, factor, tails in zip(moved.vectors(moved_taus),
                                                base.vectors(taus), factors, certificates)]
 
 
 class ThetaFamily:
-    """One theta function on a GrassmannPoint, at any shift pair of rank
-    ``rank`` and any bound.
+    """One theta sum of ``lat`` on a GrassmannPoint with a bihomogeneous
+    polynomial, over the cosets ``cosets`` (_Cosets), at any shift pair of
+    rank ``rank`` and any bound.  The Siegel theta (siegel_theta_family) and
+    the mixed theta (mixed_theta_family, a Siegel-type sum over Mperp) differ
+    in their cosets alone.
 
-    ``key`` names the builder and its input objects other than the point,
-    and ``build(pair, bound)`` makes the ThetaEvaluator of one shift pair and
-    bound.  The evaluator is kept in the point's ``tables`` under ``key``,
-    the pair, the bound and $THETA_MAX_VECTORS, so every later tau, the g tau
-    side of a transformation law that leaves the pair unchanged, and every
-    other family on the same point and inputs reuse its table, which lives as
-    long as the point.  A build that raises is not kept.
+    ``build(pair, bound)`` makes a fresh ThetaEvaluator: it checks the
+    polynomial and the bound, enumerates the term table and wraps it with
+    the cosets' axes and translates and the family's tail shell, made on
+    its first build.  ``evaluator(pair, bound)`` keeps that build in the
+    point's ``tables`` under the cosets, the polynomial, the pair, the bound
+    and $THETA_MAX_VECTORS, so every later tau, the g tau side of a
+    transformation law that leaves the pair unchanged, and every other
+    family on the same point and inputs reuse its table, which lives as long
+    as the point.  A lookup runs no check; a build that raises is not kept.
     """
 
-    def __init__(self, rank: int, point: GrassmannPoint, key: tuple, build):
-        self.rank = rank
-        self._tables = point.tables
-        self._key = key
-        self._build = build
+    def __init__(self, lat: Lattice, point: GrassmannPoint,
+                 poly: HomogeneousPolynomial, cosets: _Cosets):
+        self.lattice = lat
+        self.rank = lat.rank
+        self.point = point
+        self.poly = poly
+        self.cosets = cosets
+
+    @cached_property
+    def _shell(self):
+        return _tail_shell(self.point.count_shell, self.poly.series)
+
+    def build(self, pair_vectors=None, bound: float = 10.0) -> ThetaEvaluator:
+        """A fresh evaluator of one shift pair (None: no shift) and bound,
+        not kept."""
+        poly = _check_poly(self.poly, self.point)
+        _check_bound(bound)
+        lat, cosets = self.lattice, self.cosets
+        prefactor = Fraction(lat.sig_minus + 2 * poly.degrees[1], 2)
+        table = build_term_table(lat, self.point, poly.series, cosets, pair_vectors, bound,
+                                 prefactor)
+        return ThetaEvaluator(table, cosets.axes, bound, self._shell, cosets.translates)
 
     def evaluator(self, pair_vectors=None, bound: float = 10.0) -> ThetaEvaluator:
-        """The evaluator of one shift pair (None: no shift) and bound."""
+        """The kept evaluator of one shift pair (None: no shift) and bound."""
         vp = as_pair(pair_vectors, self.rank)
         # the pair is exact, so equal values share a build; it enters the key
         # as the (numerator, denominator) ints of VectorPair.key, made with
         # the pair, which hash far faster than Fractions; a lowered cap must
         # reach the walk, and raise, again
-        key = (self._key, vp.key, bound, _max_vectors())
-        evaluator = self._tables.get(key)
+        key = (self.cosets, self.poly, vp.key, bound, _max_vectors())
+        tables = self.point.tables
+        evaluator = tables.get(key)
         if evaluator is None:
-            evaluator = self._tables[key] = self._build(vp, bound)
+            evaluator = tables[key] = self.build(vp, bound)
         return evaluator
 
     def vectors(self, taus, pair_vectors=None, bound: float = 10.0) -> list[RepVector]:
@@ -1290,18 +1300,19 @@ class ThetaFamily:
 
 def siegel_theta_family(lat: Lattice, point: GrassmannPoint,
                         poly: HomogeneousPolynomial) -> ThetaFamily:
-    """The Siegel theta of (lat, point, poly) as a ThetaFamily."""
-    return ThetaFamily(lat.rank, point, ("siegel", lat, poly),
-                       lambda vp, bound: siegel_theta_evaluator(lat, point, poly, vp, bound))
+    """The Siegel theta of (lat, point, poly): one coset per element of D_L."""
+    return ThetaFamily(lat, point, poly, _siegel_cosets(lat))
 
 
 def mixed_theta_family(lat: Lattice, m_sub: Sublattice, u_perp: GrassmannPoint,
                        poly: HomogeneousPolynomial) -> ThetaFamily:
-    """The mixed theta of (lat, m_sub) as a ThetaFamily (direct
-    construction), of shift pairs in Mperp coordinates."""
-    return ThetaFamily(u_perp.lattice.rank, u_perp, ("mixed", lat, m_sub, poly),
-                       lambda vp, bound: mixed_theta_evaluator(
-                           lat, m_sub, u_perp, poly, vp, bound))
+    """The mixed theta of (lat, m_sub) over D_L x D_M(-1) (direct
+    construction): the sum over Mperp at u_perp on SplitData.mixed_cosets,
+    of shift pairs in Mperp coordinates, as for the Siegel theta of Mperp."""
+    sd = split_data(lat, m_sub)
+    if u_perp.lattice != sd.mperp_sub.lattice:
+        raise VectorNotInComplement("u_perp is not a splitting of the complement")
+    return ThetaFamily(sd.mperp_sub.lattice, u_perp, poly, sd.mixed_cosets)
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,9 @@ from vvtheta import (
     sublattice,
     up_arrow,
 )
-from vvtheta.contraction import _q_series
 from vvtheta.discforms import overlattice_from_isotropic
 from vvtheta.grassmann import coordinate_poly
-from vvtheta.theta import _Cosets
+from vvtheta.theta import TAIL_DIVISOR, _Cosets
 from vvtheta.weil import MP_IDENTITY, MP_S, MP_T, mp_power
 
 TAUS = [0.2 + 1.1j, -0.37 + 0.9j]
@@ -60,7 +59,7 @@ def _theta_series_coset(perp_lat, u_perp, poly, coset_vec, bound) -> dict:
     """Exact-exponent q-series of one coset of a positive definite lattice."""
     table = build_term_table(perp_lat, u_perp, [poly], _Cosets(perp_lat, [((), coset_vec)]),
                              None, bound)
-    return _q_series(table).get(0, {})
+    return table.q_series().get(0, {})
 
 
 def _report(num, desc, ok, detail, budget, elapsed):
@@ -158,10 +157,12 @@ def test_criterion_04_theta_modularity():
     ]
     worst_t, worst_s = 0.0, 0.0
     for fam, k, pair in cases:
-        worst_t = max(worst_t, *modularity_defects(fam, MP_T, TAUS, k, pair, bound,
-                                                   tolerance=1e-7))
-        worst_s = max(worst_s, *modularity_defects(fam, MP_S, TAUS, k, pair, bound,
-                                                   tolerance=1e-7))
+        t_defects = modularity_defects(fam, MP_T, TAUS, k, pair, bound)
+        s_defects = modularity_defects(fam, MP_S, TAUS, k, pair, bound)
+        # certified at tolerance 1e-7: every tail is at most its tenth
+        assert all(d.certificate <= 1e-7 / TAIL_DIVISOR for d in t_defects + s_defects)
+        worst_t = max(worst_t, *t_defects)
+        worst_s = max(worst_s, *s_defects)
     ok = worst_t < 1e-10 and worst_s < 1e-6
     _report(4, "theta transformation law under T and S (certified tails < 1e-8)",
             ok, f"T defect {worst_t:.2e} < 1e-10, S defect {worst_s:.2e} < 1e-6",

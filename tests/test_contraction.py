@@ -41,7 +41,6 @@ from vvtheta import (
     split_data,
     sublattice,
 )
-from vvtheta.contraction import _q_series
 from vvtheta.discforms import overlattice_from_isotropic
 from vvtheta.grassmann import HomogeneousPolynomial, coordinate_poly
 from vvtheta.theta import _Cosets
@@ -54,7 +53,7 @@ def _theta_series_coset(perp_lat, u_perp, poly, coset_vec, bound) -> dict:
     """Exact-exponent q-series of one coset of a positive definite lattice."""
     table = build_term_table(perp_lat, u_perp, [poly], _Cosets(perp_lat, [((), coset_vec)]),
                              None, bound)
-    return _q_series(table).get(0, {})
+    return table.q_series().get(0, {})
 
 
 def test_qexpansion_validation(a1_plus_a1):
@@ -258,7 +257,7 @@ def test_contract_rejects_nonharmonic(a1_plus_a1):
 
 def test_contract_rejects_polynomial_over_wrong_variables(a1_plus_a1):
     # the complement A1 has one plus variable; a harmonic constant over two
-    # is rejected as by mixed_theta_evaluator (and theta-lm)
+    # is rejected by the mixed family's build (and theta-lm)
     m_sub = sublattice(a1_plus_a1, [(1, 0)])
     form = QExpansionForm(a1_plus_a1, F(0), {((0, 0), F(0)): 1.0})
     with pytest.raises(NonHomogeneousPolynomial):

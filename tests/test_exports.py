@@ -65,5 +65,5 @@ def test_every_error_class_is_raised():
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
                and any(isinstance(b, ast.Name) and b.id == "VvthetaError"
                        for b in node.bases)}
-    assert "ParseError" in classes and "TailTooLarge" in classes
+    assert "ParseError" in classes and "BoundTooLarge" in classes
     assert sorted(classes - _raised_names()) == []

@@ -1,5 +1,6 @@
 """No module of ``src/vvtheta`` keeps a process-wide store, apart from the
-memo caches of pure functions listed here.
+memo caches of pure functions listed here, and no object grows a store
+through a cached property, apart from the two listed here.
 
 A module-level binding to an empty ``{}`` or ``[]``, or to a call of a
 container type, is state that outlives every call: a term table kept there
@@ -7,6 +8,9 @@ would make a call's cost depend on what ran before it in the process, and
 would outlive its run.  Term tables are kept on the ``GrassmannPoint`` they
 are built on (``theta.ThetaFamily``).  The caches below are keyed by value,
 hold the results of pure functions of immutable inputs, and are small.
+
+A ``@cached_property`` that returns an empty ``{}`` or ``[]`` hangs a store
+off its object, which then lives as long as the object does.
 """
 
 import ast
@@ -20,6 +24,15 @@ ALLOWED = {
     "theta._SPLIT_CACHE": "split_data by (lattice, sublattice basis) value",
     "theta._SIEGEL_COSETS": "a Siegel theta's cosets by lattice value",
     "grassmann._ZERO_PAIRS": "the zero VectorPair of each rank",
+}
+
+#: the allowed cached properties that return an empty store, each with why
+#: it may stay
+_GROUP_STORE = ("groups live process-wide in discforms._DISC_CACHE; ROADMAP item 16 "
+                "removes these stores")
+ALLOWED_PROPERTIES = {
+    "discforms.DiscriminantGroup.weil_matrices": _GROUP_STORE,
+    "discforms.DiscriminantGroup.t_phases": _GROUP_STORE,
 }
 
 #: container calls other than those of a mapping type (any name with "dict")
@@ -52,6 +65,26 @@ def _module_containers():
     return found
 
 
+def _is_cached_property(node) -> bool:
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               == "cached_property" for d in node.decorator_list)
+
+
+def _property_stores(tree, stem: str):
+    """Every Class.method of ``tree`` decorated ``cached_property`` whose body
+    returns an empty container, as "module.Class.method"."""
+    found = set()
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (isinstance(node, ast.FunctionDef) and _is_cached_property(node)
+                    and any(isinstance(r, ast.Return) and r.value is not None
+                            and _is_container(r.value) for r in ast.walk(node))):
+                found.add(f"{stem}.{cls.name}.{node.name}")
+    return found
+
+
 def test_module_level_containers_are_the_allowed_caches():
     assert sorted(_module_containers()) == sorted(ALLOWED)
 
@@ -66,3 +99,31 @@ def test_the_scan_sees_every_kind_of_binding():
     for source in ["_A = {1: 2}", "_A = (1, 2)", "_A = 3", "_A = frozenset()"]:
         (node,) = ast.parse(source).body
         assert not _is_container(node.value), source
+
+
+def test_cached_property_stores_are_the_allowed_ones():
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= _property_stores(ast.parse(path.read_text()), path.stem)
+    assert sorted(found) == sorted(ALLOWED_PROPERTIES)
+
+
+def test_the_scan_sees_a_cached_property_store():
+    source = """
+class A:
+    @cached_property
+    def store(self):
+        return {}
+
+    @functools.cached_property
+    def rows(self):
+        return []
+
+    @cached_property
+    def table(self):
+        return {1: 2}
+
+    def plain(self):
+        return {}
+"""
+    assert _property_stores(ast.parse(source), "m") == {"m.A.store", "m.A.rows"}

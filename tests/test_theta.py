@@ -21,7 +21,6 @@ from vvtheta import (
     NotPositiveDefiniteSpan,
     NotRational,
     Polynomial,
-    TailTooLarge,
     TauNotInUpperHalfPlane,
     VectorNotInComplement,
     constant_poly,
@@ -1111,6 +1110,75 @@ def test_bundled_run_counts(monkeypatch):
     assert counts == {"levels": 16, "evaluator": 28, "_sums": 15, "tail": 26}
 
 
+def test_bundled_run_makes_one_tail_shell_per_family(monkeypatch):
+    # a family makes its tail shell on its first build and hands it to each
+    # evaluator it builds: one run of the bundled II(1,1) scenario builds its
+    # 11 tables from 7 families (the seesaw's 4, the negation check's 2 and
+    # contract_symbolic's mixed family), each of whose tables has a tail read,
+    # and makes 7 shells, where one per evaluator made 11
+    from vvtheta.cli import run_scenario
+
+    shells, family_of, readers = [], {}, set()
+    make_shell, build, tail = (theta_mod._tail_shell, theta_mod.ThetaFamily.build,
+                               theta_mod.ThetaEvaluator.tail)
+
+    def recording_shell(*args):
+        shells.append(make_shell(*args))
+        return shells[-1]
+
+    def recording_build(self, *args, **kwargs):
+        evaluator = build(self, *args, **kwargs)
+        family_of[evaluator] = self
+        return evaluator
+
+    def recording_tail(self, y):
+        readers.add(family_of[self])
+        return tail(self, y)
+
+    monkeypatch.setattr(theta_mod, "_tail_shell", recording_shell)
+    monkeypatch.setattr(theta_mod.ThetaFamily, "build", recording_build)
+    monkeypatch.setattr(theta_mod.ThetaEvaluator, "tail", recording_tail)
+    assert run_scenario(str(BUNDLED))["pass"]
+    assert (len(family_of), len(set(family_of.values())), len(readers), len(shells)) \
+        == (11, 7, 7, 7)
+    for family in readers:
+        assert all(ev._shell is family._shell for ev, f in family_of.items() if f is family)
+
+
+def test_complement_siegel_and_mixed_tables_stay_apart(ii11_split):
+    # on II(1,1) the mixed theta's cosets are the complement's own two, under
+    # (D_L, D_M) keys instead of D_Mperp ones, so both unshifted tables hold
+    # the same vectors; still each family builds and keeps its own table
+    # under its own key
+    ii11, m_sub, mperp, _u, u_perp = ii11_split
+    p = constant_poly(1, 0)
+    siegel = siegel_theta_family(mperp.lattice, u_perp, p)
+    mixed = mixed_theta_family(ii11, m_sub, u_perp, p)
+    assert siegel.cosets is not mixed.cosets
+    assert siegel.cosets.array.tolist() == mixed.cosets.array.tolist()
+    assert siegel.cosets.denominator == mixed.cosets.denominator
+    tables = (siegel.evaluator(None, 8.0), mixed.evaluator(None, 8.0))
+    assert tables[0] is not tables[1] and len(u_perp.tables) == 2
+    assert [key[0] for key in u_perp.tables] == [siegel.cosets, mixed.cosets]
+    assert [table.terms.vector_tuples() for table in tables] == \
+        [tables[0].terms.vector_tuples()] * 2
+    assert tables[0].terms.keys != tables[1].terms.keys
+    assert siegel.evaluator(None, 8.0) is tables[0] and mixed.evaluator(None, 8.0) is tables[1]
+
+
+def test_siegel_theta_evaluator_is_not_kept(ii11):
+    # siegel_theta_evaluator is a fresh build every call: it neither reads nor
+    # changes the tables kept on its point
+    v = make_grassmann_point(ii11, [[1, 1]])
+    p = constant_poly(1, 1)
+    kept = siegel_theta_family(ii11, v, p).evaluator(None, 4.0)
+    before = dict(v.tables)
+    fresh = siegel_theta_evaluator(ii11, v, p, None, 4.0)
+    assert fresh is not kept and fresh is not siegel_theta_evaluator(ii11, v, p, None, 4.0)
+    assert v.tables == before and list(v.tables.values()) == [kept]
+    assert fresh.vectors([1j])[0].array.tolist() == kept.vectors([1j])[0].array.tolist()
+
+
 def test_bundled_run_tables_die_with_the_run(monkeypatch):
     # a run keeps its tables on the points its scenario parses, so they are
     # freed by reference counting when the run returns, with the cycle
@@ -1354,7 +1422,9 @@ def test_modularity_a1(a1):
     v = make_grassmann_point(a1, [[1]])
     fam = siegel_theta_family(a1, v, constant_poly(1, 0))
     assert max(modularity_defects(fam, MP_T, TAU_SAMPLES, 1, None, 30.0)) < 1e-10
-    assert max(modularity_defects(fam, MP_S, TAU_SAMPLES, 1, None, 30.0, 1e-6)) < 1e-6
+    defects = modularity_defects(fam, MP_S, TAU_SAMPLES, 1, None, 30.0)
+    assert max(defects) < 1e-6
+    assert all(d.certificate <= 1e-6 / theta_mod.TAIL_DIVISOR for d in defects)
     assert max(modularity_defects(fam, MP_Z, TAU_SAMPLES, 1, None, 30.0)) < 1e-8
 
 
@@ -1377,7 +1447,8 @@ def test_modularity_composite_element_both_branches(a1):
     tau = -0.66 + 0.9j
     for branch in (1, -1):
         g = MetaplecticElement(2, 1, 3, 2, branch)
-        assert modularity_defects(fam, g, [tau], 1, None, 60.0, 1e-6)[0] < 1e-6
+        (defect,) = modularity_defects(fam, g, [tau], 1, None, 60.0)
+        assert defect < 1e-6 and defect.certificate <= 1e-6 / theta_mod.TAIL_DIVISOR
 
 
 def test_modularity_negative_weight(a1_neg):
@@ -1408,16 +1479,21 @@ def test_modularity_wrong_weight_fails(a1):
 
 
 def test_modularity_tail_guard(a1):
+    # each tau's certificate is the one the runner holds against
+    # tolerance / TAIL_DIVISOR: too large at a low bound and small y
     v = make_grassmann_point(a1, [[1]])
     fam = siegel_theta_family(a1, v, constant_poly(1, 0))
-    with pytest.raises(TailTooLarge):
-        modularity_defects(fam, MP_S, [0.05 + 0.4j], 1, None, 0.4, 1e-12)
-    # only the second tau's certificate is too large: the guard covers every
-    # tau of a batch
+    divisor = theta_mod.TAIL_DIVISOR
+    (low,) = modularity_defects(fam, MP_S, [0.05 + 0.4j], 1, None, 0.4)
+    assert low.certificate > 1e-12 / divisor
+    # only the second tau's certificate is too large, and the worst of the
+    # batch carries it
     taus = [0.2 + 1.1j, 0.05 + 0.05j]
-    assert modularity_defects(fam, MP_S, taus[:1], 1, None, 30.0, 1e-6)[0] < 1e-6
-    with pytest.raises(TailTooLarge):
-        modularity_defects(fam, MP_S, taus, 1, None, 30.0, 1e-6)
+    (first,) = modularity_defects(fam, MP_S, taus[:1], 1, None, 30.0)
+    assert first < 1e-6 and first.certificate <= 1e-6 / divisor
+    both = modularity_defects(fam, MP_S, taus, 1, None, 30.0)
+    assert both[0].certificate <= 1e-6 / divisor < both[1].certificate
+    assert theta_mod.Residual.worst(both).certificate > 1e-6 / divisor
 
 
 def _tail_reference(q, translates, series, y, bound, prefactor_exponent):
@@ -1572,6 +1648,18 @@ def test_negative_bound_is_a_typed_error(a2, ii11_split):
         with pytest.raises(NegativeBound):
             mixed_theta_composed(ii11, m_sub, 1j, u_perp, p_perp, None, bound)
     assert enumerate_vectors(a2, [0, 0], point, None, -1) == []
+    # the walk's own doors: a finite negative bound gives no rows, a NaN or
+    # infinite one has no exact threshold and is a typed error there too
+    cosets = theta_mod._Cosets(a2, [((), [0, 0])])
+    for bound in (-1e-9, F(-1, 3)):
+        assert enumerate_vectors(a2, [0, 0], point, None, bound) == []
+        assert len(theta_mod.build_term_table(a2, point, [], cosets, None, bound)) == 0
+    for bound, error in ((float("nan"), NegativeBound), (-math.inf, NegativeBound),
+                         (math.inf, BoundTooLarge)):
+        with pytest.raises(error):
+            enumerate_vectors(a2, [0, 0], point, None, bound)
+        with pytest.raises(error):
+            theta_mod.build_term_table(a2, point, [], cosets, None, bound)
     zero = siegel_theta(a2, 0.1 + 1j, point, p, None, 0)
     table = siegel_theta_evaluator(a2, point, p, None, 0).terms
     assert [t.vector for t in _rows(table)] == [(0, 0)]
@@ -1998,8 +2086,8 @@ def test_store_keys_the_pair_by_integer_ratios(a1):
     v = make_grassmann_point(a1, [[1]])
     siegel_theta(a1, 1j, v, constant_poly(1, 0), ([F(1, 3)], [0.5]), 4.0)
     (key,) = v.tables
-    assert key[1] == ((1, 3), (1, 2))
-    assert all(type(x) is int for ratio in key[1] for x in ratio)
+    assert key[2] == ((1, 3), (1, 2))
+    assert all(type(x) is int for ratio in key[2] for x in ratio)
 
 
 def test_shift_pair_is_read_once(ii11, monkeypatch):
