@@ -268,11 +268,11 @@ def _int_dtype(rows):
 
 
 def shell_count_weights(q: np.ndarray) -> tuple | None:
-    """(binomials, volume) for counting lattice points by majorant shells,
-    None at rank 0.
+    """(binomials, volume, rho) for counting lattice points by majorant
+    shells, None at rank 0.
 
     A ball q(x) <= s^2 holds at most V_n (s + rho)^n / covol points, with
-    rho half the sum of the cell edge lengths sqrt(q_ii) and covol =
+    ``rho`` half the sum of the cell edge lengths sqrt(q_ii) and covol =
     sqrt(det q), so the shell density is volume (s + rho)^(n-1) with
     ``volume`` = V_n n / covol; ``binomials`` lists the (binomial, rho
     power) pairs of (s + rho)^(n-1).
@@ -284,7 +284,8 @@ def shell_count_weights(q: np.ndarray) -> tuple | None:
     covol = math.sqrt(max(det, 1e-300))
     rho = 0.5 * sum(math.sqrt(q[i, i]) for i in range(n))
     vol_n = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    return [(math.comb(n - 1, k), rho ** (n - 1 - k)) for k in range(n)], vol_n * n / covol
+    return ([(math.comb(n - 1, k), rho ** (n - 1 - k)) for k in range(n)], vol_n * n / covol,
+            rho)
 
 
 def _span_forms(span, g) -> tuple:

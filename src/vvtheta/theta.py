@@ -762,21 +762,23 @@ def _tail_shell(count_shell, series):
 
     ``count_shell`` is the majorant's shell_count_weights
     (GrassmannPoint.count_shell, made once per point).  Returns
-    (pieces, binomials, powers, volume): per series term j with a monomial,
-    (j, [(|c|, degree), ...]) over its monomials (Polynomial.abs_terms); the
-    (binomial, rho power) pairs of (s + rho)^(n-1); per s^m coefficient of
-    the integrand, m = -1, 0, 1, ..., the factor 2^(m/2) and the exponent
-    -m/2 - 1 of lam (_shell_powers); and V_n n / covol.  A ThetaFamily makes
-    it once, on its first build, and hands it to every evaluator it builds.
+    (pieces, binomials, powers, volume, rho, degree): per series term j with
+    a monomial, (j, [(|c|, degree), ...]) over its monomials
+    (Polynomial.abs_terms); the (binomial, rho power) pairs of
+    (s + rho)^(n-1); per s^m coefficient of the integrand, m = -1, 0, 1, ...,
+    the factor 2^(m/2) and the exponent -m/2 - 1 of lam (_shell_powers);
+    V_n n / covol; rho; and the largest monomial degree.  A ThetaFamily
+    makes it once, on its first build, and hands it to every evaluator it
+    builds.
     """
     if count_shell is None:
         return None
-    binomials, volume = count_shell
+    binomials, volume, rho = count_shell
     pieces = [(j, poly.abs_terms) for j, poly in enumerate(series) if poly.monomials]
     if not pieces:
         return None
     degree = max(d for _j, terms in pieces for _c, d in terms)
-    return pieces, binomials, _shell_powers(degree + len(binomials)), volume
+    return pieces, binomials, _shell_powers(degree + len(binomials)), volume, rho, degree
 
 
 @cache
@@ -785,15 +787,24 @@ def _shell_powers(size: int) -> tuple:
     return tuple((2.0 ** (m / 2), -m / 2 - 1) for m in range(-1, size - 1))
 
 
-def _tail_bound(shell, translates: int, y: float, bound: float, power: float) -> float:
-    """Upper bound on the omitted sum, by a shell-volume integral.
+def _tail_bound(shell, translates: int, rows: int, y: float, bound: float,
+                power: float) -> float:
+    """Upper bound on the omitted sum, by Abel summation against shell volumes.
 
     Point counts in a majorant ball of radius s are bounded by
-    V_n (s + rho)^n / covol with rho half the sum of cell edge lengths; each
-    omitted term at r = maj/2 > bound is at most pb(sqrt(2r)) e^{-2 pi y r}
-    with pb bounding the smoothing-expanded polynomial monomial-wise.  The
-    integral over r > bound is evaluated in closed form: expanding
-    (s + rho)^(n-1) binomially leaves pieces s^m e^{-lam r} (lam = 2 pi y),
+    N_up(s) = V_n (s + rho)^n / covol per coset, with rho half the sum of
+    cell edge lengths; each omitted term at r = maj/2 > bound is at most
+    f(r) = pb(sqrt(2r)) e^{-2 pi y r} with pb bounding the smoothing-expanded
+    polynomial monomial-wise.  With N(r) the true count, the omitted sum is
+    the Stieltjes integral of f dN over r > bound, which Abel summation turns
+    into -f(bound) N(bound) + int N (-f'); while f decreases past the bound,
+    N <= N_up gives at most int f dN_up + f(bound) (N_up(bound) - N(bound)).
+    Summed over the ``translates`` cosets, N(bound) is the table's ``rows``:
+    the boundary term is f(bound) max(translates N_up(bound) - rows, 0).
+    Each monomial weight s^d e^{-lam r} (lam = 2 pi y) decreases for
+    r > d / lam / 2, so a bound below the largest degree over 4 pi y is
+    uncertified: inf.  The integral over r > bound is evaluated in closed
+    form: expanding (s + rho)^(n-1) binomially leaves pieces s^m e^{-lam r},
     each integrating to 2^(m/2) lam^(-m/2-1) Gamma(m/2+1, lam bound).
     ``shell`` is _tail_shell of the point and the series, and ``power``
     the prefactor exponent.  Only the factors that depend on y are made
@@ -802,21 +813,30 @@ def _tail_bound(shell, translates: int, y: float, bound: float, power: float) ->
     """
     if shell is None:
         return 0.0
-    pieces, binomials, powers, volume = shell
+    pieces, binomials, powers, volume, rho, degree = shell
+    lam = TWO_PI * y
+    bound = float(bound)
+    if degree > 2.0 * lam * bound:
+        return math.inf
     # monomial-wise polynomial bound: sum of |c| / (8 pi y)^j * s^deg
     # shell density vol_n n (s + rho)^(n-1) / (s covol): collect s^m, m = deg + k - 1
+    s = math.sqrt(2.0 * bound)
     coeffs = [0.0] * len(powers)
+    edge = 0.0  # pb(s) at the bound
     for j, terms in pieces:
         factor = (1.0 / (_EIGHT_PI * y)) ** j
         for c, d in terms:
             c *= factor
+            edge += c * s ** d
             for slot, (binomial, rho_power) in enumerate(binomials, d):
                 coeffs[slot] += c * binomial * rho_power
-    lam = TWO_PI * y
-    gammas = _upper_gamma_half_orders(lam * float(bound), len(coeffs))
+    gammas = _upper_gamma_half_orders(lam * bound, len(coeffs))
     total = sum(c * h * lam ** e * g for c, (h, e), g in zip(coeffs, powers, gammas))
     total *= volume
-    return float(y ** power * translates * total)
+    n = len(binomials)
+    excess = translates * volume / n * (s + rho) ** n - rows
+    boundary = edge * math.exp(-lam * bound) * excess if excess > 0 else 0.0
+    return float(y ** power * (translates * total + boundary))
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +939,8 @@ class ThetaEvaluator:
                           prefactor_exponent=self.prefactor_exponent)
 
     def tail(self, y: float) -> float:
-        return _tail_bound(self._shell, self._translates, y, self.bound, self._power)
+        return _tail_bound(self._shell, self._translates, len(self.terms), y, self.bound,
+                           self._power)
 
     def tails(self, taus) -> list[float]:
         """tail at each tau of a batch; a batch of the same imaginary parts

@@ -1496,8 +1496,11 @@ def test_modularity_tail_guard(a1):
     assert theta_mod.Residual.worst(both).certificate > 1e-6 / divisor
 
 
-def _tail_reference(q, translates, series, y, bound, prefactor_exponent):
-    """The shell-volume integral of _tail_bound by 30-digit quadrature.
+def _tail_reference(q, translates, rows, series, y, bound, prefactor_exponent):
+    """The shell-volume integral of _tail_bound by 30-digit quadrature, plus
+    Abel summation's boundary term f(bound) max(translates N_up(bound) - rows,
+    0), with f the integrand's weight pb(sqrt(2 r)) e^{-lam r} at the bound
+    and N_up(bound) = V_n (sqrt(2 bound) + rho)^n / covol.
 
     e^{-lam bound} is taken out of the integral, so the quadrature's absolute
     tolerance does not swamp values near 1e-60.
@@ -1520,7 +1523,10 @@ def _tail_reference(q, translates, series, y, bound, prefactor_exponent):
 
     points = [j / lam for j in (0, 1, 2, 4, 8, 16, 32, 64)] + [mp.inf]
     total = mp.exp(-lam * bound) * mp.quad(shifted, points)
-    return float(mp.mpf(y) ** float(prefactor_exponent) * translates * total)
+    s = mp.sqrt(2 * bound)
+    excess = translates * vol_n * (s + rho) ** n / covol - rows
+    edge = sum(c * s ** d for c, d in pieces) * mp.exp(-lam * bound) * max(excess, 0)
+    return float(mp.mpf(y) ** float(prefactor_exponent) * (translates * total + edge))
 
 
 def test_tail_bound_closed_form_against_quadrature():
@@ -1548,16 +1554,60 @@ def test_tail_bound_closed_form_against_quadrature():
         y, bound = rng.uniform(0.3, 3.0), rng.uniform(0.5, 14.0)
         prefactor = F(rng.randint(0, 4), 2)
         translates = rng.randint(1, 12)
-        got = _tail_bound(_tail_shell(shell_count_weights(q), series), translates, y, bound,
-                          prefactor)
-        ref = _tail_reference(q, translates, series, y, bound, prefactor)
+        # a table holds at most the points the count allows at the bound; a
+        # table of more rows leaves no boundary term
+        rows = rng.choice([0, rng.randint(0, 40), 10 ** 6])
+        got = _tail_bound(_tail_shell(shell_count_weights(q), series), translates, rows, y,
+                          bound, prefactor)
+        if deg > 4 * math.pi * y * bound:
+            # the weight still grows past the bound: no Abel step, no bound
+            assert got == math.inf, (n, deg, y, bound)
+            continue
+        ref = _tail_reference(q, translates, rows, series, y, bound, prefactor)
         assert abs(got - ref) <= 1e-12 * ref, (n, deg, y, bound)
     # nothing to omit: a rank-0 lattice, an empty or a zero series
     zero = Polynomial(1, 0, {})
     for q, series in [(np.zeros((0, 0)), [constant_poly(0, 0)]), (np.eye(1), []),
                       (np.eye(1), [zero])]:
-        assert _tail_bound(_tail_shell(shell_count_weights(q), series), 1, 1.0, 2.0,
+        assert _tail_bound(_tail_shell(shell_count_weights(q), series), 1, 0, 1.0, 2.0,
                            F(0)) == 0.0
+
+
+def _omitted_mass(full, bound, y) -> float:
+    """Sum of |term| over the rows of the table ``full`` with maj/2 > bound,
+    at y: what a truncation at ``bound`` leaves out of full's sum."""
+    t = full.terms
+    r = (t.a_num - t.b_num) / t.ab_den
+    poly = sum(t.poly[:, j] * y ** -j for j in range(t.poly.shape[1]))
+    weight = np.abs(poly) * np.exp(-2 * math.pi * y * r) * y ** float(t.prefactor_exponent)
+    return float(weight[r > bound].sum())
+
+
+def test_tail_bounds_the_omitted_mass():
+    # the tail against the exact omitted mass, read off a bound-30 table
+    # (whose own omission is below 1e-70 at these y): Abel summation's
+    # boundary term is what keeps A1 at bound 2 and y = 0.9 bounded
+    cases = {
+        "A1": ([[2]], [[1]], [constant_poly(1, 0),
+                              HomogeneousPolynomial((2, 0), 1, 0, {(2,): 1.0})]),
+        "A2": ([[2, 1], [1, 2]], [[1, 0], [0, 1]],
+               [constant_poly(2, 0),
+                HomogeneousPolynomial((2, 0), 2, 0, {(2, 0): 1.0, (1, 1): -0.5})]),
+        "II11[1,1]": ([[0, 1], [1, 0]], [[1, 1]],
+                      [constant_poly(1, 1), HomogeneousPolynomial((2, 0), 1, 1, {(2, 0): 1.0})]),
+        "II11[1,3]": ([[0, 1], [1, 0]], [[1, 3]],
+                      [constant_poly(1, 1), HomogeneousPolynomial((1, 1), 1, 1, {(1, 1): 1.0})]),
+    }
+    for case, (gram, span, polys) in cases.items():
+        lat = construct_lattice(gram)
+        point = make_grassmann_point(lat, span)
+        for poly in polys:
+            full = siegel_theta_evaluator(lat, point, poly, None, 30.0)
+            for bound in range(1, 6):
+                ev = siegel_theta_evaluator(lat, point, poly, None, float(bound))
+                for y in (0.9, 1.1, 2.0):
+                    mass = _omitted_mass(full, bound, y)
+                    assert 0 < mass <= ev.tail(y), (case, poly.degrees, bound, y)
 
 
 # ---------------------------------------------------------------------------
