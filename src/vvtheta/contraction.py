@@ -31,7 +31,6 @@ from .lattice import Lattice, Sublattice
 from .theta import (
     Residual,
     Seesaw,
-    _certified,
     _check_bound,
     mixed_theta_family,
     siegel_theta_evaluator,
@@ -187,17 +186,16 @@ def _symbolic_bound(form: QExpansionForm, bound) -> Fraction:
 def seesaw_contraction_residuals(seesaw: Seesaw, form: QExpansionForm, taus,
                                  bound: float = 10.0) -> list[Residual]:
     """Per tau: the symbolic contraction (contract_symbolic), evaluated at
-    tau, against the pointwise one (seesaw_contractions).  The certificate
-    is the tails of the two mixed tables read: the pointwise one at
-    ``bound`` and the symbolic one at its own bound."""
+    tau with the tail of the mixed table it reads, against the pointwise
+    one (seesaw_contractions)."""
     sd = seesaw.sd
     symbolic = contract_symbolic(form, seesaw.lattice, sd.m_sub, seesaw.u_perp,
                                  seesaw.p_uperp, bound)
     pointwise = seesaw_contractions(seesaw, form, taus, bound)
-    tables = (seesaw.mixed.evaluator(None, bound),
-              seesaw.mixed.evaluator(None, _symbolic_bound(form, bound)))
-    return _certified([(symbolic.evaluate(tau) - pw).norm_inf()
-                       for tau, pw in zip(taus, pointwise)], taus, tables)
+    table = seesaw.mixed.evaluator(None, _symbolic_bound(form, bound))
+    return [Residual.of(RepVector.from_array(pw.axes, symbolic.evaluate(tau).array,
+                                             table.tail(tau.imag)) - pw)
+            for tau, pw in zip(taus, pointwise)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +204,19 @@ def seesaw_contraction_residuals(seesaw: Seesaw, form: QExpansionForm, taus,
 def seesaw_restriction_residuals(seesaw: Seesaw, form, taus,
                                  bound: float = 10.0) -> list[Residual]:
     """Pointwise form of the lift restriction, at each tau: the ambient
-    integrand equals the sublattice integrand of the contraction.  The
-    certificate is the tails of Theta_L, the mixed theta and Theta_M.
+    integrand equals the sublattice integrand of the contraction.
 
     p_v(x) = p_u(x_M) p_uperp(x_Mperp) holds by the Seesaw's construction:
     each adapted coordinate of v = u (+) u_perp is the matching one of u or
     u_perp, in lift_product's variable order.
     """
     sd = seesaw.sd
-    tables = (seesaw.theta_l.evaluator(None, bound), seesaw.mixed.evaluator(None, bound),
-              seesaw.theta_m.evaluator(None, bound))
-    theta_l, mixed, theta_m = (ev.vectors(taus) for ev in tables)
-    contracted = _contract(mixed, form, taus, sd.d_l)
+    theta_l = seesaw.theta_l.vectors(taus, None, bound)
+    contracted = _contract(seesaw.mixed.vectors(taus, None, bound), form, taus, sd.d_l)
+    theta_m = seesaw.theta_m.vectors(taus, None, bound)
     ambient = _contract(theta_l, form, taus, discriminant_group(seesaw.lattice))
-    return _certified([abs(big - rep_pair(m, c, groups=[sd.d_m]))
-                       for big, c, m in zip(ambient, contracted, theta_m)], taus, tables)
+    return [Residual.of(big - rep_pair(m, c, groups=[sd.d_m]))
+            for big, c, m in zip(ambient, contracted, theta_m)]
 
 
 FUNDAMENTAL_Y0 = math.sqrt(3.0) / 2.0
@@ -255,7 +251,7 @@ def naive_truncated_lift(form, lat: Lattice, point, poly: HomogeneousPolynomial,
     for taus, dx, dy in grids:
         total = 0j
         for tau, val in zip(taus, values):
-            total += val * dx * dy / (tau.imag * tau.imag)
+            total += complex(val.array) * dx * dy / (tau.imag * tau.imag)
         totals.append(total)
     value, coarse = totals
     return value, abs(value - coarse)

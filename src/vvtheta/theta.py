@@ -65,6 +65,7 @@ from .weil import (
     Axis,
     MetaplecticElement,
     RepVector,
+    _product_tail,
     down_arrow,
     identity_vector,
     pair as rep_pair,
@@ -730,14 +731,14 @@ def enumerate_vectors(lat: Lattice, coset, point: GrassmannPoint, beta,
 
 
 class ThetaValue:
-    """Evaluated theta vector plus its truncation certificate."""
+    """Evaluated theta vector plus its truncation certificate, its tail."""
 
-    def __init__(self, value: RepVector, tau: complex, bound: float, tail_estimate: float,
+    def __init__(self, value: RepVector, tau: complex, bound: float,
                  prefactor_exponent: Fraction):
         self.value = value
         self.tau = tau
         self.bound = bound
-        self.tail_estimate = tail_estimate
+        self.tail_estimate = value.tail
         self.prefactor_exponent = prefactor_exponent
 
 
@@ -875,10 +876,10 @@ class ThetaEvaluator:
     point (the quadrature loops rely on this).  ``shell`` is the tail shell
     of the family that built it (_tail_shell) and ``translates`` its cosets'
     count, so a tail reads no point or polynomial, and the evaluator holds
-    no reference to its family or point.  The evaluator keeps its last
-    batch of taus, exactly, with its vectors, so a check that asks again for
-    the same taus gets the same (immutable) vectors without an evaluation;
-    it keeps the tail bounds of its last batch the same way (tails).
+    no reference to its family or point.  A vector's ``tail`` is the tail
+    at its y, taken once per distinct y of a batch.  The evaluator keeps its
+    last batch of taus, exactly, with its vectors, so a check that asks again
+    for the same taus gets the same (immutable) vectors without an evaluation.
     """
 
     def __init__(self, table: TermTable, axes, bound, shell, translates):
@@ -905,11 +906,10 @@ class ThetaEvaluator:
         self._shell = shell
         self._translates = translates
         self._last = (None, [])
-        self._last_tails = (None, [])
 
     def vectors(self, taus) -> list[RepVector]:
-        """Theta vectors at many tau from one batched table evaluation
-        (no tail bounds)."""
+        """Theta vectors at many tau from one batched table evaluation, each
+        with its tail."""
         return self._vectors([_check_tau(t) for t in taus])
 
     def _vectors(self, taus: list[complex]) -> list[RepVector]:
@@ -924,7 +924,10 @@ class ThetaEvaluator:
             values, dense = dense, np.zeros((len(taus), self._size), dtype=complex)
             dense[:, self._positions] = values
         dense.flags.writeable = False
-        out = [RepVector.from_array(self.axes, row.reshape(self._shape)) for row in dense]
+        ys = taus.imag.tolist()
+        tails = {y: self.tail(y) for y in dict.fromkeys(ys)}
+        out = [RepVector.from_array(self.axes, row.reshape(self._shape), tails[y])
+               for row, y in zip(dense, ys)]
         self._last = (batch, out)
         return list(out)
 
@@ -935,20 +938,11 @@ class ThetaEvaluator:
         """at, for a tau that _check_tau has read."""
         (value,) = self._vectors([tau])
         return ThetaValue(value=value, tau=tau, bound=self.bound,
-                          tail_estimate=self.tail(tau.imag),
                           prefactor_exponent=self.prefactor_exponent)
 
     def tail(self, y: float) -> float:
         return _tail_bound(self._shell, self._translates, len(self.terms), y, self.bound,
                            self._power)
-
-    def tails(self, taus) -> list[float]:
-        """tail at each tau of a batch; a batch of the same imaginary parts
-        as the last one gets its values back without a tail call."""
-        ys = tuple(tau.imag for tau in taus)
-        if ys != self._last_tails[0]:
-            self._last_tails = (ys, [self.tail(y) for y in ys])
-        return self._last_tails[1]
 
 
 def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,
@@ -1039,13 +1033,6 @@ class SplitData:
                         for key, lift in zip(keys, self.d_inner.dual_vectors(hperp))],
                        (Axis(self.d_l, dual=False), Axis(self.d_m, dual=True)), len(hperp))
 
-    def composed_tail(self, perp_tail: float) -> float:
-        """The composed mixed theta's certificate from Theta_Mperp's: the
-        push-down copies each complement coset into several entries, so it is
-        the per-coset certificate times the number of classes, as in the
-        direct construction."""
-        return perp_tail * len(self.gm.domain) / self.d_perp.order
-
 
 _SPLIT_CACHE: dict = {}
 
@@ -1120,13 +1107,14 @@ def _merge_to_inner(sd: SplitData, vec: RepVector, m_axis: int,
     """Merge the D_M and D_perp axes of ``vec`` into one D_inner axis.
 
     The merged axis comes first; the remaining axes keep their order.  D_M x
-    D_perp -> D_inner is a bijection, so the merge is one gather.
+    D_perp -> D_inner is a bijection, so the merge is one gather, which
+    keeps the tail.
     """
     rest = [i for i in range(len(vec.axes)) if i not in (m_axis, perp_axis)]
     arr = vec.array.transpose([m_axis, perp_axis] + rest)
     arr = arr.reshape((-1,) + arr.shape[2:])[sd.pair_of_inner]
     axes = (Axis(sd.d_inner, dual=False),) + tuple(vec.axes[i] for i in rest)
-    return RepVector.from_array(axes, arr)
+    return RepVector.from_array(axes, arr, vec.tail)
 
 
 def _composed_vector(sd: SplitData, perp_vec: RepVector) -> RepVector:
@@ -1144,16 +1132,14 @@ def mixed_theta_composed(lat: Lattice, m_sub: Sublattice, tau: complex,
     merge the two non-dual axes into the sum group, then push down the glue.
 
     Independent of mixed_theta_direct term for term; the two must agree.
-    The tail is SplitData.composed_tail of Theta_Mperp's.
+    The tail is |D_M| times Theta_Mperp's, by the tensor rule.
     """
     tau = _check_tau(tau)
     sd = split_data(lat, m_sub)
     theta_perp = siegel_theta(sd.mperp_sub.lattice, tau, u_perp, p_uperp,
                               _complement_pair(sd, pair_vectors), bound)
     return ThetaValue(value=_composed_vector(sd, theta_perp.value), tau=tau,
-                      bound=float(bound),
-                      tail_estimate=sd.composed_tail(theta_perp.tail_estimate),
-                      prefactor_exponent=theta_perp.prefactor_exponent)
+                      bound=float(bound), prefactor_exponent=theta_perp.prefactor_exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,7 +1152,8 @@ TAIL_DIVISOR = 10.0
 
 class Residual(float):
     """A residual between two truncated sums, as a float, with its
-    ``certificate``: the summed tail bounds of the term tables read for it.
+    ``certificate``: a bound on the part of it that truncation can make.
+    Every residual of two truncated sides is Residual.of their difference.
 
     Arithmetic, comparison and float() read the residual alone.
     """
@@ -1179,17 +1166,17 @@ class Residual(float):
         return self
 
     @classmethod
+    def of(cls, diff: RepVector) -> "Residual":
+        """The sup norm of a difference of two sides, certified by its
+        tail: the sup norm is at most the l1 norm the tail bounds."""
+        return cls(diff.norm_inf(), diff.tail)
+
+    @classmethod
     def worst(cls, residuals) -> "Residual":
         """The largest residual with the largest certificate, each taken
         separately: a max() would keep the worst residual's certificate."""
         residuals = list(residuals)
         return cls(max(residuals), max(r.certificate for r in residuals))
-
-
-def _certified(residuals, taus, evaluators) -> list[Residual]:
-    """Each residual with the summed tail bounds of the evaluators at its tau."""
-    return [Residual(r, sum(tails))
-            for r, *tails in zip(residuals, *(ev.tails(taus) for ev in evaluators))]
 
 
 # ---------------------------------------------------------------------------
@@ -1213,8 +1200,7 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     under the canonical index identification.  Each side is built once for
     all taus; the right side is the table siegel_theta_family keeps on
     ``point``, which already holds it when a seesaw on that point has
-    evaluated it.  The certificate is the left side's tail plus y^w times the
-    right side's, as the residual scales that side, w = theta_weight(L, poly).
+    evaluated it.  w = theta_weight(L, poly).
     """
     taus = [_check_tau(t) for t in taus]
     neg = rescale(lat, -1)
@@ -1225,12 +1211,12 @@ def theta_negation_residuals(lat: Lattice, taus, point: GrassmannPoint,
     d_neg, d_pos = discriminant_group(neg), discriminant_group(lat)
     to_pos = element_identification(d_neg, d_pos)
     matching = d_pos.index(to_pos.apply(d_neg.element_array()))
-    scales = [tau.imag ** float(power) for tau in taus]
-    return [Residual(np.abs(left.array - scale * right.array[matching].conj()).max(),
-                     left_tail + scale * right_tail)
-            for scale, left, right, left_tail, right_tail
-            in zip(scales, lhs.vectors(taus), rhs.vectors(taus), lhs.tails(taus),
-                   rhs.tails(taus))]
+    out = []
+    for tau, left, right in zip(taus, lhs.vectors(taus), rhs.vectors(taus)):
+        # the identification is a bijection, so its gather keeps the tail
+        right = RepVector.from_array(left.axes, right.array[matching], right.tail)
+        out.append(Residual.of(left - right.conj().scale(tau.imag ** float(power))))
+    return out
 
 
 def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
@@ -1242,20 +1228,14 @@ def modularity_defects(family: "ThetaFamily", g: MetaplecticElement, taus,
     Theta(g tau) with the shift pair moved column-wise by the matrix is
     compared with phi_g(tau)^k rho(g) Theta(tau); each side is one kept
     evaluator of ``family``, evaluated over all taus in one batch.  The
-    certificate at tau is the tail at g tau plus |phi_g(tau)|^k times the
-    tail at tau; the scenario runner alone turns it into a verdict.
+    scenario runner alone turns a certificate into a verdict.
     """
     taus = [_check_tau(t) for t in taus]
-    moved_taus = [g.act(t) for t in taus]
     vp = as_pair(pair, family.rank)
-    base = family.evaluator(vp, bound)
-    moved = family.evaluator(g.act_pair(vp.alpha, vp.beta), bound)
-    factors = [g.phi(t) ** weight_exponent for t in taus]
-    certificates = [moved_tail + abs(factor) * tail for moved_tail, factor, tail
-                    in zip(moved.tails(moved_taus), factors, base.tails(taus))]
-    return [Residual((lhs - rho_apply(g, rhs).scale(factor)).norm_inf(), tails)
-            for lhs, rhs, factor, tails in zip(moved.vectors(moved_taus),
-                                               base.vectors(taus), factors, certificates)]
+    base = family.vectors(taus, vp, bound)
+    moved = family.vectors([g.act(t) for t in taus], g.act_pair(vp.alpha, vp.beta), bound)
+    return [Residual.of(lhs - rho_apply(g, rhs).scale(g.phi(tau) ** weight_exponent))
+            for tau, lhs, rhs in zip(taus, moved, base)]
 
 
 class ThetaFamily:
@@ -1388,29 +1368,24 @@ class Seesaw:
     def split_residuals(self, taus, pair_vectors=None,
                         bound: float = 10.0) -> list[Residual]:
         """Per tau: Theta_L at the combined splitting against the glue
-        push-down of Theta_M tensor Theta_Mperp (projected shift vectors).
-        The certificate is the three tables' tails."""
+        push-down of Theta_M tensor Theta_Mperp (projected shift vectors)."""
         taus = [_check_tau(t) for t in taus]
         vp, on_m, on_perp = self._pairs(pair_vectors)
-        tables = (self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound),
-                  self.theta_perp.evaluator(on_perp, bound))
-        lhs, theta_m, theta_p = (ev.vectors(taus) for ev in tables)
-        return _certified([(big - _inner_push_down(self.sd, m, p)).norm_inf()
-                           for big, m, p in zip(lhs, theta_m, theta_p)], taus, tables)
+        return [Residual.of(big - _inner_push_down(self.sd, m, p))
+                for big, m, p in zip(self.theta_l.vectors(taus, vp, bound),
+                                     self.theta_m.vectors(taus, on_m, bound),
+                                     self.theta_perp.vectors(taus, on_perp, bound))]
 
     def pairing_residuals(self, taus, pair_vectors=None,
                           bound: float = 10.0) -> list[Residual]:
         """Per tau: Theta_L against the D_M-contraction of Theta_M with the
-        mixed theta (with the complement projections of the shift vectors).
-        The certificate is the three tables' tails."""
+        mixed theta (with the complement projections of the shift vectors)."""
         taus = [_check_tau(t) for t in taus]
-        sd = self.sd
         vp, on_m, on_perp = self._pairs(pair_vectors)
-        tables = (self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound),
-                  self.mixed.evaluator(on_perp, bound))
-        lhs, theta_m, mixed = (ev.vectors(taus) for ev in tables)
-        return _certified([(big - rep_pair(m, mx, groups=[sd.d_m])).norm_inf()
-                           for big, m, mx in zip(lhs, theta_m, mixed)], taus, tables)
+        return [Residual.of(big - rep_pair(m, mx, groups=[self.sd.d_m]))
+                for big, m, mx in zip(self.theta_l.vectors(taus, vp, bound),
+                                      self.theta_m.vectors(taus, on_m, bound),
+                                      self.mixed.vectors(taus, on_perp, bound))]
 
     def pairing_expression_residuals(self, taus, test_vector: RepVector,
                                      pair_vectors=None,
@@ -1419,19 +1394,17 @@ class Seesaw:
         direct evaluation.
 
         The first goes through the inner-sum tensor and the raised test
-        vector; the second through the mixed theta.  The certificate of each
-        is the tails of Theta_L, Theta_M and the table it reads besides.
+        vector; the second through the mixed theta.
         """
         taus = [_check_tau(t) for t in taus]
         sd = self.sd
         vp, on_m, on_perp = self._pairs(pair_vectors)
-        big_ev, m_ev = self.theta_l.evaluator(vp, bound), self.theta_m.evaluator(on_m, bound)
-        perp_ev = self.theta_perp.evaluator(on_perp, bound)
-        mixed_ev = self.mixed.evaluator(on_perp, bound)
         raised = up_arrow(sd.gm, test_vector)
-        firsts, seconds = [], []
-        for big, m, p, mx in zip(big_ev.vectors(taus), m_ev.vectors(taus),
-                                 perp_ev.vectors(taus), mixed_ev.vectors(taus)):
+        out = []
+        for big, m, p, mx in zip(self.theta_l.vectors(taus, vp, bound),
+                                 self.theta_m.vectors(taus, on_m, bound),
+                                 self.theta_perp.vectors(taus, on_perp, bound),
+                                 self.mixed.vectors(taus, on_perp, bound)):
             direct = rep_pair(big, test_vector, groups=[sd.d_l])
             # first form: tensor over the inner sum against the raised vector
             first = rep_pair(_merge_to_inner(sd, m.tensor(p), 0, 1), raised,
@@ -1440,22 +1413,15 @@ class Seesaw:
             # pair with Theta_M
             second = rep_pair(m, rep_pair(mx, test_vector, groups=[sd.d_l]),
                               groups=[sd.d_m])
-            firsts.append(abs(first - direct))
-            seconds.append(abs(second - direct))
-        return list(zip(_certified(firsts, taus, (big_ev, m_ev, perp_ev)),
-                        _certified(seconds, taus, (big_ev, m_ev, mixed_ev))))
+            out.append((Residual.of(first - direct), Residual.of(second - direct)))
+        return out
 
     def mixed_cross_residuals(self, taus, bound: float = 10.0) -> list[Residual]:
-        """Per tau: the direct mixed theta against the composed one.  The
-        certificate is the direct table's tail plus the composed one's
-        (SplitData.composed_tail of Theta_Mperp's)."""
+        """Per tau: the direct mixed theta against the composed one."""
         taus = [_check_tau(t) for t in taus]
-        direct = self.mixed.evaluator(None, bound)
-        perp = self.theta_perp.evaluator(None, bound)
-        return [Residual((d - _composed_vector(self.sd, p)).norm_inf(),
-                         direct_tail + self.sd.composed_tail(perp_tail))
-                for d, p, direct_tail, perp_tail in zip(direct.vectors(taus), perp.vectors(taus),
-                                                        direct.tails(taus), perp.tails(taus))]
+        return [Residual.of(d - _composed_vector(self.sd, p))
+                for d, p in zip(self.mixed.vectors(taus, None, bound),
+                                self.theta_perp.vectors(taus, None, bound))]
 
 
 def _coords_pair(sub: Sublattice, vp: VectorPair):
@@ -1466,10 +1432,12 @@ def _inner_push_down(sd: SplitData, m_vec: RepVector, perp_vec: RepVector) -> Re
     """The one-axis vectors m_vec over D_M and perp_vec over D_Mperp,
     tensored, merged into D_inner and pushed down the glue: what
     _merge_to_inner and down_arrow make, as one gather of the flat tensor
-    and one sum over each fibre."""
+    and one sum over each fibre; the merge and the push-down keep the
+    tensor's tail."""
     flat = np.multiply.outer(m_vec.array, perp_vec.array).reshape(-1)
     return RepVector.from_array((Axis(sd.d_l, dual=False),),
-                                flat.take(sd.push_index).sum(axis=1))
+                                flat.take(sd.push_index).sum(axis=1),
+                                _product_tail(m_vec, perp_vec))
 
 
 def inner_tensor_to_big(sd: SplitData, theta_m: ThetaValue, theta_p: ThetaValue) -> RepVector:

@@ -260,23 +260,30 @@ def _key_index(axes, key) -> tuple:
 
 class RepVector:
     """Vector in C[D_1] (x) ... (x) C[D_k]: a dense ``array`` of shape (|D_1|, ...,
-    |D_k|), each dimension in its group's element order.  The constructor
-    validates each key of ``coeffs`` (a reduced element tuple per axis); ``coeffs``
-    reads back the nonzero entries, computed once: treat the vector as immutable."""
+    |D_k|), each dimension in its group's element order (no axes: a number).
+    The constructor validates each key of ``coeffs`` (a reduced element tuple
+    per axis); ``coeffs`` reads back the nonzero entries, computed once: treat
+    the vector as immutable.  ``tail`` bounds the l1 norm of its difference
+    from the untruncated vector, 0 when exact; each operation below carries
+    it by one rule: + and - add, scale by |factor|, conj and gathers keep it,
+    and tensor and pair follow _product_tail (the arrows and rho_apply say
+    theirs)."""
 
     def __init__(self, axes, coeffs=None):
         self.axes = tuple(axes)
+        self.tail = 0.0
         self.array = np.zeros([ax.group.order for ax in self.axes], dtype=complex)
         for key, val in (coeffs or {}).items():
             self.array[_key_index(self.axes, tuple(key))] = val
 
     @classmethod
-    def from_array(cls, axes, array) -> "RepVector":
-        """The vector with this dense array (not copied)."""
+    def from_array(cls, axes, array, tail: float = 0.0) -> "RepVector":
+        """The vector with this dense array (not copied) and tail."""
         out = cls.__new__(cls)
         out.axes, out.array = tuple(axes), np.asarray(array, dtype=complex)
         if out.array.shape != tuple(ax.group.order for ax in out.axes):
             raise IndexMismatch(f"array shape {out.array.shape} does not match {out.axes}")
+        out.tail = tail
         return out
 
     @classmethod
@@ -288,7 +295,7 @@ class RepVector:
         elements = [ax.group.elements() for ax in self.axes]
         return MappingProxyType({tuple(e[i] for e, i in zip(elements, idx)):
                                  complex(self.array[idx])
-                                 for idx in zip(*np.nonzero(self.array))})
+                                 for idx in map(tuple, np.argwhere(self.array))})
 
     def get(self, key) -> complex:
         return complex(self.array[_key_index(self.axes, tuple(key))])
@@ -296,23 +303,38 @@ class RepVector:
     def __add__(self, other):
         if self.axes != other.axes:
             raise IndexMismatch("adding vectors over different index spaces")
-        return RepVector.from_array(self.axes, self.array + other.array)
+        return RepVector.from_array(self.axes, self.array + other.array, self.tail + other.tail)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, factor: complex):
-        return RepVector.from_array(self.axes, factor * self.array)
+        return RepVector.from_array(self.axes, factor * self.array, abs(factor) * self.tail)
+
+    def conj(self):
+        return RepVector.from_array(self.axes, self.array.conj(), self.tail)
 
     def tensor(self, other):
         return RepVector.from_array(self.axes + other.axes,
-                                    np.multiply.outer(self.array, other.array))
+                                    np.multiply.outer(self.array, other.array),
+                                    _product_tail(self, other))
 
     def norm_inf(self) -> float:
         return float(np.abs(self.array).max())
 
+    def norm1(self) -> float:
+        return float(np.abs(self.array).sum())
+
     def __repr__(self):
         return f"RepVector(axes={list(self.axes)}, nnz={np.count_nonzero(self.array)})"
+
+
+def _product_tail(a: RepVector, b: RepVector) -> float:
+    """The tail of a bilinear product of a and b (tensor, pair):
+    t_a |b|_1 + t_b (|a|_1 + t_a), each norm read only when the other
+    factor's tail is nonzero, so exact factors cost nothing."""
+    tail = a.tail * b.norm1() if a.tail else 0.0
+    return tail + b.tail * (a.norm1() + a.tail) if b.tail else tail
 
 
 def rho_apply(g: MetaplecticElement, vec: RepVector) -> RepVector:
@@ -320,13 +342,16 @@ def rho_apply(g: MetaplecticElement, vec: RepVector) -> RepVector:
 
     Each axis transforms under the Weil representation of its group (the
     conjugate representation on dual axes): each token of g's word, last
-    first, acts along every axis, as in rho_matrix.
+    first, acts along every axis, as in rho_matrix.  T and Z keep the tail;
+    every entry of S has modulus 1/sqrt|D|, so S multiplies it by sqrt|D|.
     """
-    arr = vec.array
+    arr, tail = vec.array, vec.tail
     for kind, power in reversed(word_decompose(g)):
         for i, ax in enumerate(vec.axes):
             arr = _token_action(ax.group, ax.dual, kind, power, arr, i)
-    return RepVector.from_array(vec.axes, arr)
+            if kind == "S" and tail:
+                tail *= math.sqrt(ax.group.order)
+    return RepVector.from_array(vec.axes, arr, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +369,24 @@ def _locate_axis(vec: RepVector, group: DiscriminantGroup, axis: int | None) -> 
 
 def up_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
     """C[D_big] -> C[D_small]: spread each basis vector over its glue fibre,
-    one scatter through ``gm.fibres``; indices off H-perp stay zero."""
+    one scatter through ``gm.fibres``; indices off H-perp stay zero.  The
+    tail grows by the fibre size."""
     i = _locate_axis(vec, gm.big_disc, axis)
     head, shape = (slice(None),) * i, vec.array.shape
     out = np.zeros(shape[:i] + (gm.small_disc.order,) + shape[i + 1:], dtype=complex)
     out[head + (gm.fibres,)] = vec.array[head + (slice(None), None)]
     axes = vec.axes[:i] + (Axis(gm.small_disc, vec.axes[i].dual),) + vec.axes[i + 1:]
-    return RepVector.from_array(axes, out)
+    return RepVector.from_array(axes, out, vec.tail * gm.fibres.shape[1])
 
 
 def down_arrow(gm: GlueMap, vec: RepVector, axis: int | None = None) -> RepVector:
     """C[D_small] -> C[D_big]: sum each glue fibre, one ``take`` of
-    ``gm.fibres``; indices off H-perp are dropped."""
+    ``gm.fibres``; indices off H-perp are dropped.  Summing disjoint fibres
+    cannot grow an l1 norm, so the tail stays."""
     i = _locate_axis(vec, gm.small_disc, axis)
     axes = vec.axes[:i] + (Axis(gm.big_disc, vec.axes[i].dual),) + vec.axes[i + 1:]
-    return RepVector.from_array(axes, vec.array.take(gm.fibres, axis=i).sum(axis=i + 1))
+    out = vec.array.take(gm.fibres, axis=i).sum(axis=i + 1)
+    return RepVector.from_array(axes, out, vec.tail)
 
 
 def pair(u: RepVector, v: RepVector, groups):
@@ -366,9 +394,9 @@ def pair(u: RepVector, v: RepVector, groups):
 
     For each group to contract, u must carry exactly one axis over it and v
     exactly one axis of the opposite duality (IndexMismatch otherwise);
-    matching indices multiply and sum.  Returns a scalar when no axes
-    remain, otherwise a RepVector over the leftover axes (u's first, then
-    v's).
+    matching indices multiply and sum.  Returns a RepVector over the
+    leftover axes (u's first, then v's), with no axes when every axis is
+    contracted: complex(out.array) is the number.
     """
     u_idx, v_idx = [], []
     for group in groups:
@@ -392,9 +420,7 @@ def pair(u: RepVector, v: RepVector, groups):
     out_shape = [u.array.shape[i] for i in u_rest] + [v.array.shape[i] for i in v_rest]
     out = np.dot(u.array.transpose(u_rest + u_idx).reshape(-1, size),
                  v.array.transpose(v_idx + v_rest).reshape(size, -1)).reshape(out_shape)
-    if not out_axes:
-        return complex(out)
-    return RepVector.from_array(out_axes, out)
+    return RepVector.from_array(out_axes, out, _product_tail(u, v))
 
 
 def identity_vector(group: DiscriminantGroup) -> RepVector:

@@ -624,7 +624,12 @@ def test_cli_theta_lm_cross(tmp_path, capsys):
     assert main(base) == 0
     direct = capsys.readouterr().out
     assert main(base + ["--composed"]) == 0
-    composed = capsys.readouterr().out
+    composed = json.loads(capsys.readouterr().out)
+    direct = json.loads(direct)
+    # the same values; the composed tail is Theta_Mperp's carried through
+    # the tensor with the identity of D_M (|D_M| = 2), where the direct one
+    # sums the two complement cosets' own
+    assert composed.pop("tail") == 2 * direct.pop("tail")
     assert direct == composed
 
 

@@ -1,8 +1,9 @@
 import cmath
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ from vvtheta.discforms import overlattice_from_isotropic
 from vvtheta.grassmann import HomogeneousPolynomial, coordinate_poly
 from vvtheta.theta import _Cosets
 from vvtheta.weil import MP_S, MP_T, Axis, RepVector, pair
+
+BUNDLED = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "ii11_seesaw.json"
 
 TAUS = [0.2 + 1.1j, -0.37 + 0.9j, 0.05 + 1.3j, 0.41 + 0.85j, -0.11 + 1.02j]
 
@@ -390,7 +393,8 @@ def test_lift_integrand_invariance(ii11):
 
     def integrand(t):
         # <Theta_L(t; v, p), F> at s = 0, for the constant form F = 1
-        return pair(siegel_theta(ii11, t, v, p, None, 30.0).value, one, groups=[d])
+        return complex(pair(siegel_theta(ii11, t, v, p, None, 30.0).value, one,
+                            groups=[d]).array)
 
     base = integrand(tau)
     shifted = integrand(tau + 1)
@@ -409,30 +413,38 @@ def test_restriction_identity(ii11_split):
     assert max(seesaw_restriction_residuals(seesaw, form, taus, 14.0)) < 1e-8
 
 
-def test_contraction_certificates_sum_the_tables_read(ii11_split):
-    # the restriction residual carries the tails of Theta_L, the mixed theta
-    # and Theta_M; the contraction residual those of the pointwise mixed
-    # table and of the symbolic one, which a principal part (q^-1 here)
-    # reads one unit further
+def test_contraction_certificates_bound_the_truncation(ii11_split):
+    # each side of the restriction and contraction residuals, truncated at a
+    # low bound, against the same side at bound 12: the certificate covers
+    # both sides' errors; a principal part (q^-1 here) makes the symbolic
+    # side read its mixed table one unit further
     ii11, m_sub, mperp, u, u_perp = ii11_split
     form = QExpansionForm(ii11, F(0), {((), F(-1)): 1.0, ((), F(0)): 2.0})
-    taus, bound = [0.2 + 1.1j, -0.37 + 0.9j], 3.0
-    seesaw = Seesaw(ii11, m_sub, u, u_perp, constant_poly(0, 1), constant_poly(1, 0))
-    tables = {name: getattr(seesaw, name).evaluator(None, bound)
-              for name in ("theta_l", "mixed", "theta_m")}
+    taus, bound = [0.2 + 1.1j, -0.37 + 0.9j], 2.0
+    p_uperp = constant_poly(1, 0)
+    seesaw = Seesaw(ii11, m_sub, u, u_perp, constant_poly(0, 1), p_uperp)
+
+    def restriction_sides(b):
+        theta_l = seesaw.theta_l.vectors(taus, None, b)
+        mixed = seesaw_contractions(seesaw, form, taus, b)
+        theta_m = seesaw.theta_m.vectors(taus, None, b)
+        dl, dm = discriminant_group(ii11), seesaw.sd.d_m
+        return [(complex(pair(big, form.evaluate(t), groups=[dl]).array),
+                 complex(pair(m, c, groups=[dm]).array))
+                for t, big, c, m in zip(taus, theta_l, mixed, theta_m)]
+
     restriction = seesaw_restriction_residuals(seesaw, form, taus, bound)
-    assert [r.certificate for r in restriction] == \
-        [sum(ev.tail(t.imag) for ev in tables.values()) for t in taus]
+    for r, low, full in zip(restriction, restriction_sides(bound), restriction_sides(12.0)):
+        assert 0 < abs(low[0] - full[0]) + abs(low[1] - full[1]) <= r.certificate
     contraction = seesaw_contraction_residuals(seesaw, form, taus, bound)
-    symbolic = seesaw.mixed.evaluator(None, bound + 1)
-    assert [r.certificate for r in contraction] == \
-        [tables["mixed"].tail(t.imag) + symbolic.tail(t.imag) for t in taus]
-    assert all(symbolic.tail(t.imag) < tables["mixed"].tail(t.imag) for t in taus)
-    # the residual is the symbolic contraction against the pointwise one
-    want = contract_symbolic(form, ii11, m_sub, u_perp, constant_poly(1, 0), bound)
-    assert [float(r) for r in contraction] == \
-        [(want.evaluate(t) - pw).norm_inf()
-         for t, pw in zip(taus, seesaw_contractions(seesaw, form, taus, bound))]
+    symbolic = contract_symbolic(form, ii11, m_sub, u_perp, p_uperp, bound)
+    pointwise = seesaw_contractions(seesaw, form, taus, bound)
+    truth = seesaw_contractions(seesaw, form, taus, 12.0)
+    for r, t, pw, want in zip(contraction, taus, pointwise, truth):
+        errors = [np.abs(side.array - want.array).sum() for side in (symbolic.evaluate(t), pw)]
+        assert 0 < sum(errors) <= r.certificate
+        # the residual is the symbolic contraction against the pointwise one
+        assert float(r) == (symbolic.evaluate(t) - pw).norm_inf()
 
 
 def test_restriction_block_sum_exact(a1a1_split):
@@ -548,7 +560,6 @@ def test_contraction_is_modular(ii11_split):
     ii11, m_sub, mperp, u, u_perp = ii11_split
     form = QExpansionForm(ii11, F(0), {((), F(0)): 1.0})
     p = constant_poly(1, 0)
-    mixed = mixed_theta_family(ii11, m_sub, u_perp, p)
 
     class Contraction:
         """The contraction as a function of tau, read by modularity_defects
@@ -556,11 +567,9 @@ def test_contraction_is_modular(ii11_split):
 
         rank = ii11.rank
 
-        def evaluator(self, pair, bound):
-            return SimpleNamespace(
-                vectors=lambda taus: [contract_pointwise(form, ii11, m_sub, u_perp, p,
-                                                         tau, bound) for tau in taus],
-                tails=mixed.evaluator(None, bound).tails)
+        def vectors(self, taus, pair, bound):
+            return [contract_pointwise(form, ii11, m_sub, u_perp, p, tau, bound)
+                    for tau in taus]
 
     for g, tol in [(MP_T, 1e-10), (MP_S, 1e-6)]:
         assert modularity_defects(Contraction(), g, [0.2 + 1.1j], 1, None, 20.0)[0] < tol
@@ -591,7 +600,7 @@ def test_pair_of_modular_forms_weight_zero(a1, a1_neg):
     def h(tau):
         ta = siegel_theta(a1, tau, va, pa, None, 24.0)
         tn = siegel_theta(a1_neg, tau, vn, pn, None, 24.0)
-        return pair(ta.value, _reindex_axis(tn.value, 0, da, True), groups=[da])
+        return complex(pair(ta.value, _reindex_axis(tn.value, 0, da, True), groups=[da]).array)
 
     tau = 0.2 + 1.1j
     for g in (MP_T, MP_S):

@@ -50,7 +50,17 @@ from vvtheta import (
 import vvtheta.theta as theta_mod
 from vvtheta import exact
 from vvtheta.grassmann import as_pair, coordinate_poly, laplacian_series
-from vvtheta.weil import MP_S, MP_T, MP_Z, Axis, RepVector
+from vvtheta.weil import (
+    MP_S,
+    MP_T,
+    MP_Z,
+    Axis,
+    RepVector,
+    down_arrow,
+    pair as rep_pair,
+    rho_apply,
+    up_arrow,
+)
 
 TAU_SAMPLES = [0.2 + 1.1j, -0.37 + 0.9j]
 BUNDLED = pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "ii11_seesaw.json"
@@ -1086,9 +1096,9 @@ def test_frequency_step_comes_from_the_shifts(monkeypatch, a2, ii11):
 
 def test_bundled_run_counts(monkeypatch):
     # one run of the bundled II(1,1) scenario walks 16 levels over its 11
-    # tables, looks a table up 28 times, evaluates 15 batches and takes 26
-    # tail certificates: one per table and tau batch, of every table a
-    # check reads
+    # tables, looks a table up 27 times, evaluates 15 batches and takes 32
+    # tail bounds: one per distinct y of each evaluated batch (30), and the
+    # symbolic contraction's table at each tau (2)
     from vvtheta.cli import run_scenario
 
     counts = {"levels": 0, "evaluator": 0, "_sums": 0, "tail": 0}
@@ -1107,7 +1117,7 @@ def test_bundled_run_counts(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     assert run_scenario(str(BUNDLED))["pass"]
-    assert counts == {"levels": 16, "evaluator": 28, "_sums": 15, "tail": 26}
+    assert counts == {"levels": 16, "evaluator": 27, "_sums": 15, "tail": 32}
 
 
 def test_bundled_run_makes_one_tail_shell_per_family(monkeypatch):
@@ -1131,9 +1141,9 @@ def test_bundled_run_makes_one_tail_shell_per_family(monkeypatch):
         family_of[evaluator] = self
         return evaluator
 
-    def recording_tail(self, y):
+    def recording_tail(self, *args):
         readers.add(family_of[self])
-        return tail(self, y)
+        return tail(self, *args)
 
     monkeypatch.setattr(theta_mod, "_tail_shell", recording_shell)
     monkeypatch.setattr(theta_mod.ThetaFamily, "build", recording_build)
@@ -1793,76 +1803,134 @@ def test_residual_is_a_float_with_its_certificate():
 
 
 def test_tails_keep_the_last_batch(ii11, monkeypatch):
-    # tails reads tail once per tau of a batch, and a batch of the same
-    # imaginary parts gets the same values back without a tail call
+    # a batch's vectors carry the tail at their y, read once per distinct y,
+    # and the same batch again gets the same vectors, tails included,
+    # without a tail call
     calls = []
     tail = theta_mod.ThetaEvaluator.tail
 
-    def counting(self, y):
+    def counting(self, y, *bound):
         calls.append(y)
-        return tail(self, y)
+        return tail(self, y, *bound)
 
     monkeypatch.setattr(theta_mod.ThetaEvaluator, "tail", counting)
     v = make_grassmann_point(ii11, [[1, 1]])
     ev = siegel_theta_evaluator(ii11, v, constant_poly(1, 1), None, 3.0)
-    first = ev.tails(TAU_SAMPLES)
-    assert calls == [t.imag for t in TAU_SAMPLES] and all(x > 0 for x in first)
-    assert first == [tail(ev, t.imag) for t in TAU_SAMPLES]
-    assert ev.tails([t + 1 for t in TAU_SAMPLES]) == first and len(calls) == 2
-    ev.tails(TAU_SAMPLES[:1])
+    taus = TAU_SAMPLES + [t + 1 for t in TAU_SAMPLES]
+    first = ev.vectors(taus)
+    assert calls == [t.imag for t in TAU_SAMPLES]
+    assert [vec.tail for vec in first] == [tail(ev, t.imag) for t in taus]
+    assert all(vec.tail > 0 for vec in first)
+    again = ev.vectors(taus)
+    assert all(a is b for a, b in zip(again, first)) and len(calls) == 2
+    ev.vectors(TAU_SAMPLES[:1])
     assert len(calls) == 3
+    # an exact vector has no tail
+    group = discriminant_group(ii11)
+    assert RepVector((Axis(group),), {((),): 1.0}).tail == 0.0
 
 
-@pytest.mark.parametrize("split", ["ii11_split", "a1a1_split"])
-def test_residual_certificates_sum_the_tables_read(split, request):
-    # every residual carries the tails, at its tau, of the tables its two
-    # sides read, summed; the composed mixed theta's tail is scaled by
-    # SplitData.composed_tail, a transformation law's by |phi_g|^k, and the
-    # negation symmetry's right side by the y^w the residual scales it by
-    from vvtheta import block_swapped_poly, rescale, swap_blocks_point
+# ---------------------------------------------------------------------------
+# the tail rules: each operation's output tail bounds its truncation error
 
-    lat, m_sub, mperp, u, u_perp = request.getfixturevalue(split)
-    mlat, plat = m_sub.lattice, mperp.lattice
-    pu = coordinate_poly(mlat.sig_plus, mlat.sig_minus, 0)
-    pp = constant_poly(plat.sig_plus, plat.sig_minus)
-    ab = ([F(1, 3), F(2, 5)], [F(1, 2), F(-1, 7)])
-    taus, bound = [0.2 + 1.1j, -0.37 + 0.9j], 3.0
-    sw = Seesaw(lat, m_sub, u, u_perp, pu, pp)
+#: the taus and the low bound of the rule tests; bound 12 stands for the
+#: untruncated sums (its omission is below 1e-28 at these y)
+_RULE_TAUS = [0.2 + 1.1j, -0.37 + 0.9j]
+_RULE_BOUND = 1.0
+
+
+def _rule_split(name):
+    """(L, M, u, u_perp, p_u, p_uperp, shift pair) of one rule-test split."""
+    if name == "glued":
+        data = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
+        lat, m_sub, u, u_perp = _glued_seesaw()
+        return (lat, m_sub, u, u_perp, constant_poly(2, 1), constant_poly(2, 0),
+                [[F(x) for x in data[key]] for key in ("alpha", "beta")])
+    gram, basis = {"ii11": ([[0, 1], [1, 0]], [(1, -1)]),
+                   "a1a1": ([[2, 0], [0, 2]], [(1, 0)])}[name]
+    lat = construct_lattice(gram)
+    m_sub = sublattice(lat, basis)
+    mperp = orthogonal_complement(lat, m_sub)
+    mlat = m_sub.lattice
+    u = make_grassmann_point(mlat, [[1]] if mlat.sig_plus else [])
+    u_perp = make_grassmann_point(mperp.lattice, [[1]])
+    return (lat, m_sub, u, u_perp, coordinate_poly(mlat.sig_plus, mlat.sig_minus, 0),
+            constant_poly(1, 0), ([F(1, 3), F(2, 5)], [F(1, 2), F(-1, 7)]))
+
+
+@functools.cache
+def _rule_inputs(name, bound):
+    """The seesaw's split data and its four theta vectors at _RULE_TAUS and
+    ``bound``, each with its tail, and an exact test vector U over the dual
+    of D_L."""
+    lat, m_sub, u, u_perp, p_u, p_uperp, ab = _rule_split(name)
+    sw = Seesaw(lat, m_sub, u, u_perp, p_u, p_uperp)
     vp, on_m, on_perp = sw._pairs(ab)
-    big, theta_m = sw.theta_l.evaluator(vp, bound), sw.theta_m.evaluator(on_m, bound)
-    perp, mixed = sw.theta_perp.evaluator(on_perp, bound), sw.mixed.evaluator(on_perp, bound)
+    dl = sw.sd.d_l
+    rng = random.Random(3)
+    test = RepVector((Axis(dl, dual=True),),
+                     {(x,): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for x in dl.elements()})
+    return {"sd": sw.sd, "U": test,
+            "L": sw.theta_l.vectors(_RULE_TAUS, vp, bound),
+            "M": sw.theta_m.vectors(_RULE_TAUS, on_m, bound),
+            "P": sw.theta_perp.vectors(_RULE_TAUS, on_perp, bound),
+            "X": sw.mixed.vectors(_RULE_TAUS, on_perp, bound)}
 
-    def tails(*evaluators):
-        return [sum(ev.tail(t.imag) for ev in evaluators) for t in taus]
 
-    def certificates(residuals):
-        return [r.certificate for r in residuals]
+#: one operation per rule of RepVector.tail, on the inputs of _rule_inputs
+_RULES = {
+    "add": lambda v: [v["L"][0] + v["L"][1]],
+    "sub": lambda v: [v["L"][0] - v["L"][1], v["X"][1] - v["X"][0]],
+    "scale": lambda v: [v["L"][0].scale(3 - 4j), v["X"][1].scale(-0.25)],
+    "conj": lambda v: [v["X"][0].conj()],
+    "gather": lambda v: [theta_mod._merge_to_inner(v["sd"], v["M"][0].tensor(v["P"][0]), 0, 1)],
+    "tensor": lambda v: [v["M"][0].tensor(v["P"][1]), v["X"][0].tensor(v["L"][1])],
+    "pair": lambda v: [rep_pair(v["M"][0], v["X"][0], groups=[v["sd"].d_m]),
+                       rep_pair(v["L"][1], v["U"], groups=[v["sd"].d_l]),
+                       rep_pair(v["X"][1], v["U"], groups=[v["sd"].d_l])],
+    "down_arrow": lambda v: [down_arrow(v["sd"].gm, theta_mod._merge_to_inner(
+        v["sd"], v["M"][1].tensor(v["P"][1]), 0, 1), axis=0)],
+    "up_arrow": lambda v: [up_arrow(v["sd"].gm, v["L"][0])],
+    "rho_apply": lambda v: [rho_apply(g, vec) for g in (MP_T, MP_S, MP_Z, MP_S * MP_T * MP_S)
+                            for vec in (v["L"][0], v["X"][1])],
+    "push_down": lambda v: [theta_mod._inner_push_down(v["sd"], v["M"][0], v["P"][0])],
+}
 
-    assert all(c > 0 for c in tails(big, theta_m, perp, mixed))
-    assert certificates(sw.split_residuals(taus, ab, bound)) == tails(big, theta_m, perp)
-    assert certificates(sw.pairing_residuals(taus, ab, bound)) == tails(big, theta_m, mixed)
-    dl = discriminant_group(lat)
-    test_vec = RepVector((Axis(dl, dual=True),), {(x,): 1.0 for x in dl.elements()})
-    both = sw.pairing_expression_residuals(taus, test_vec, ab, bound)
-    assert certificates(r for r, _ in both) == tails(big, theta_m, perp)
-    assert certificates(r for _, r in both) == tails(big, theta_m, mixed)
-    direct, perp0 = sw.mixed.evaluator(None, bound), sw.theta_perp.evaluator(None, bound)
-    assert certificates(sw.mixed_cross_residuals(taus, bound)) == \
-        [direct.tail(t.imag) + sw.sd.composed_tail(perp0.tail(t.imag)) for t in taus]
-    neg = rescale(lat, -1)
-    lhs = siegel_theta_evaluator(neg, swap_blocks_point(sw.v, neg), block_swapped_poly(sw.p_v),
-                                 ab, bound)
-    rhs = siegel_theta_family(lat, sw.v, sw.p_v.conjugate()).evaluator(ab, bound)
-    w = theta_weight(lat.signature, sw.p_v.degrees)
-    negation = certificates(theta_negation_residuals(lat, taus, sw.v, sw.p_v, ab, bound))
-    assert negation == [lhs.tail(t.imag) + t.imag ** float(w) * rhs.tail(t.imag) for t in taus]
-    # w is -1 or 2 here and no y is 1, so the unscaled sum would differ
-    assert w != 0 and all(a != b for a, b in zip(negation, tails(lhs, rhs)))
-    k = int(2 * theta_weight(lat.signature, sw.p_v.degrees))
-    for g in (MP_T, MP_S):
-        moved = sw.theta_l.evaluator(g.act_pair(vp.alpha, vp.beta), bound)
-        assert certificates(modularity_defects(sw.theta_l, g, taus, k, ab, bound)) == \
-            [moved.tail(g.act(t).imag) + abs(g.phi(t) ** k) * big.tail(t.imag) for t in taus]
+
+@pytest.mark.parametrize("rule", sorted(_RULES))
+def test_tail_rule_is_sound(rule):
+    # an operation on vectors truncated at a low bound, against the same
+    # operation on bound-12 vectors: its output tail bounds the l1 distance
+    # on each split, and the distance is not zero, so the bound says something
+    for name in ("ii11", "a1a1", "glued"):
+        low = _RULES[rule](_rule_inputs(name, _RULE_BOUND))
+        full = _RULES[rule](_rule_inputs(name, 12.0))
+        for got, want in zip(low, full):
+            error = float(np.abs(got.array - want.array).sum())
+            assert 0 < error <= got.tail < math.inf, (name, error, got.tail)
+
+
+def test_pairing_certificate_scales_with_the_test_vector():
+    # <Theta_L, U> of the glued scenario at bound 2 with U 1e4 times the
+    # check's own: the truncation error of the direct side alone is 7.3e-2
+    # at tau = 0.2 + 1.1i; both re-expressions' certificates must cover it
+    from vvtheta.cli import Scenario
+
+    data = json.loads((BUNDLED.parent / "a2a2a1_glued.json").read_text())
+    sc = Scenario(dict(data, bound=2))
+    sw, tau = sc.seesaw, 0.2 + 1.1j
+    dl = sw.sd.d_l
+    rng = random.Random(23)
+    test = RepVector((Axis(dl, dual=True),),
+                     {(e,): 1e4 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for e in dl.elements()})
+    low, full = (complex(rep_pair(sw.theta_l.vectors([tau], sc.pair, bound)[0], test,
+                                  groups=[dl]).array) for bound in (2, 12))
+    error = abs(low - full)
+    assert error > 7e-2
+    ((first, second),) = sw.pairing_expression_residuals([tau], test, sc.pair, 2)
+    assert error <= first.certificate and error <= second.certificate
 
 
 # ---------------------------------------------------------------------------
