@@ -29,8 +29,10 @@ from .errors import (
 from .grassmann import GrassmannPoint, HomogeneousPolynomial
 from .lattice import Lattice, Sublattice
 from .theta import (
+    TWO_PI,
     Residual,
     Seesaw,
+    ThetaEvaluator,
     _check_bound,
     mixed_theta_family,
     siegel_theta_evaluator,
@@ -150,7 +152,8 @@ def contract_symbolic(form: QExpansionForm, lat: Lattice, m_sub: Sublattice,
     seesaw on the same point shares it.  Each key (gamma_L, delta_M) of the
     table contributes the products of the form's component on gamma_L with
     that key's q-series (TermTable.q_series) to the output component on
-    delta_M.
+    delta_M, up to a total exponent of ``bound``; _symbolic_tail bounds what
+    that cap leaves out.
     """
     _check_bound(bound)
     sd = split_data(lat, m_sub)
@@ -183,19 +186,45 @@ def _symbolic_bound(form: QExpansionForm, bound) -> Fraction:
     return Fraction(bound) - min(Fraction(0), form.min_exponent())
 
 
+def _symbolic_tail(form: QExpansionForm, table: ThetaEvaluator, mixed: RepVector,
+                   bound, y: float) -> float:
+    """The l1 bound at y on what contract_symbolic(form, ..., bound) leaves
+    out of the contraction, from the mixed table it reads and a mixed theta
+    vector at y with its tail.
+
+    A form term c_f q^e_f meets the mixed q-series up to exponent
+    bound - e_f, so it leaves out |c_f| e^(-2 pi y e_f) times the mixed
+    family's tail at that bound; a term with e_f > bound meets none of it,
+    and leaves out at most |c_f| e^(-2 pi y e_f) times the untruncated
+    mixed vector's l1 norm, |mixed|_1 + its tail.
+    """
+    cap = Fraction(bound)
+    total = 0.0
+    for (_coset, e_f), c_f in form.terms.items():
+        weight = abs(c_f) * math.exp(-TWO_PI * y * float(e_f))
+        total += weight * (table.tail(y, cap - e_f) if e_f <= cap
+                           else mixed.norm1() + mixed.tail)
+    return total
+
+
 def seesaw_contraction_residuals(seesaw: Seesaw, form: QExpansionForm, taus,
                                  bound: float = 10.0) -> list[Residual]:
     """Per tau: the symbolic contraction (contract_symbolic), evaluated at
-    tau with the tail of the mixed table it reads, against the pointwise
-    one (seesaw_contractions)."""
+    tau with its tail (_symbolic_tail), against the pointwise one
+    (seesaw_contractions)."""
     sd = seesaw.sd
     symbolic = contract_symbolic(form, seesaw.lattice, sd.m_sub, seesaw.u_perp,
                                  seesaw.p_uperp, bound)
     pointwise = seesaw_contractions(seesaw, form, taus, bound)
     table = seesaw.mixed.evaluator(None, _symbolic_bound(form, bound))
-    return [Residual.of(RepVector.from_array(pw.axes, symbolic.evaluate(tau).array,
-                                             table.tail(tau.imag)) - pw)
-            for tau, pw in zip(taus, pointwise)]
+    out = []
+    # the mixed vectors of the batch seesaw_contractions has read
+    for tau, mx, pw in zip(taus, seesaw.mixed.vectors(taus, None, bound), pointwise):
+        value = symbolic.evaluate(tau)
+        value = RepVector.from_array(value.axes, value.array,
+                                     _symbolic_tail(form, table, mx, bound, tau.imag))
+        out.append(Residual.of(value - pw))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,13 @@ class TermTable:
     def __len__(self) -> int:
         return self.key_index.shape[0]
 
+    def rows_within(self, bound) -> int:
+        """The number of rows with a - b (half the majorant) at most
+        ``bound``, counted exactly."""
+        # b - a >= -floor(bound ab_den), in int64: a >= 0 >= b (_factors)
+        threshold = math.floor(Fraction(bound) * self.ab_den)
+        return int(np.count_nonzero(self.b_num - self.a_num >= -min(threshold, 2 ** 63 - 1)))
+
     def vector_tuples(self) -> list[tuple]:
         """Every row's vector lambda, as a tuple of Fractions."""
         rows = self.vectors.tolist()
@@ -940,9 +947,15 @@ class ThetaEvaluator:
         return ThetaValue(value=value, tau=tau, bound=self.bound,
                           prefactor_exponent=self.prefactor_exponent)
 
-    def tail(self, y: float) -> float:
-        return _tail_bound(self._shell, self._translates, len(self.terms), y, self.bound,
-                           self._power)
+    def tail(self, y: float, bound=None) -> float:
+        """The tail bound at y of the sum truncated at ``bound``, at most the
+        table's own (None: the table's own), from the table's rows within
+        it (_tail_bound)."""
+        if bound is None:
+            bound, rows = self.bound, len(self.terms)
+        else:
+            rows = self.terms.rows_within(bound)
+        return _tail_bound(self._shell, self._translates, rows, y, bound, self._power)
 
 
 def siegel_theta_evaluator(lat: Lattice, point: GrassmannPoint,

@@ -447,6 +447,34 @@ def test_contraction_certificates_bound_the_truncation(ii11_split):
         assert float(r) == (symbolic.evaluate(t) - pw).norm_inf()
 
 
+def test_contraction_certificate_covers_both_sides():
+    # F = q^-1 + 1 on the bundled II(1,1) scenario at tau = 0.2 + 1.1i.  At
+    # bound 1 the symbolic side is off by 3.5e-4: it keeps products up to the
+    # bound only, though its table holds their theta terms one unit further.
+    # At bound 2 the pointwise side is off by as much: its mixed theta's
+    # error is multiplied by |F(tau)|_1, about 10^3.  The certificate must
+    # cover both sides' errors, and so the residual
+    from vvtheta.cli import CHECKS, Scenario
+
+    data = json.loads(BUNDLED.read_text())
+    data.update(tau_samples=[[0.2, 1.1]], form={
+        "lattice": "L", "weight": "0",
+        "terms": [{"coset": [], "exp": "-1", "coef": [1.0, 0.0]},
+                  {"coset": [], "exp": "0", "coef": [1.0, 0.0]}]})
+    tau = 0.2 + 1.1j
+    for bound in (1, 2):
+        sc = Scenario(dict(data, bound=bound))
+        sw = sc.seesaw
+        symbolic = contract_symbolic(sc.form, sw.lattice, sw.sd.m_sub, sw.u_perp, sw.p_uperp,
+                                     bound).evaluate(tau)
+        (pointwise,) = seesaw_contractions(sw, sc.form, [tau], bound)
+        (truth,) = seesaw_contractions(sw, sc.form, [tau], 12.0)
+        errors = [np.abs(side.array - truth.array).sum() for side in (symbolic, pointwise)]
+        assert max(errors) > 3e-4
+        result = CHECKS["contraction_consistency"](sc)
+        assert float(result) <= sum(errors) <= result.certificate
+
+
 def test_restriction_block_sum_exact(a1a1_split):
     lat, m_sub, mperp, u, u_perp = a1a1_split
     form = QExpansionForm(lat, F(-1), {
@@ -605,3 +633,28 @@ def test_pair_of_modular_forms_weight_zero(a1, a1_neg):
     tau = 0.2 + 1.1j
     for g in (MP_T, MP_S):
         assert abs(h(g.act(tau)) - h(tau)) < 1e-6
+
+
+def test_symbolic_tail_bounds_the_cap(ii11_split):
+    # the symbolic contraction at a low bound against the pointwise one at
+    # bound 12: _symbolic_tail covers the l1 distance, for a principal part,
+    # for terms that meet the theta series below the bound and for a term
+    # (q^3) above it, which meets none of it
+    from vvtheta.contraction import _symbolic_bound, _symbolic_tail
+
+    ii11, m_sub, mperp, u, u_perp = ii11_split
+    p_uperp = constant_poly(1, 0)
+    seesaw = Seesaw(ii11, m_sub, u, u_perp, constant_poly(0, 1), p_uperp)
+    taus = [0.2 + 1.1j, -0.37 + 0.9j]
+    forms = [{F(-1): 1.0, F(0): 1.0}, {F(0): 2.0, F(1): -0.5j}, {F(1): 1.0, F(3): 4.0}]
+    for terms in forms:
+        form = QExpansionForm(ii11, F(0), {((), e): c for e, c in terms.items()})
+        truth = seesaw_contractions(seesaw, form, taus, 12.0)
+        for bound in (1.0, 2.0, 3.0):
+            symbolic = contract_symbolic(form, ii11, m_sub, u_perp, p_uperp, bound)
+            table = seesaw.mixed.evaluator(None, _symbolic_bound(form, bound))
+            mixed = seesaw.mixed.vectors(taus, None, bound)
+            for tau, want, mx in zip(taus, truth, mixed):
+                error = np.abs(symbolic.evaluate(tau).array - want.array).sum()
+                tail = _symbolic_tail(form, table, mx, bound, tau.imag)
+                assert 0 < error <= tail, (terms, bound, tau)
