@@ -127,3 +127,66 @@ class A:
         return {}
 """
     assert _property_stores(ast.parse(source), "m") == {"m.A.store", "m.A.rows"}
+
+
+#: the methods of theta.Residual that may construct one from a computed
+#: certificate: from a difference's tail (of), or from other residuals (worst)
+RESIDUAL_BUILDERS = {"of", "worst"}
+
+
+def _residual_constructions(tree):
+    """Every construction of a Residual in ``tree`` that neither sits in one
+    of RESIDUAL_BUILDERS nor passes the literal certificate 0.0 (a check
+    that reads no term table), as (line, enclosing function) pairs."""
+    found = []
+
+    def visit(node, function, in_residual):
+        if isinstance(node, ast.ClassDef):
+            in_residual = node.name == "Residual"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            builder = in_residual and function in RESIDUAL_BUILDERS
+            if name == "Residual" or (name == "cls" and in_residual):
+                certificate = ([k.value for k in node.keywords if k.arg == "certificate"]
+                               + node.args[1:2])
+                exact_zero = (len(certificate) == 1 and isinstance(certificate[0], ast.Constant)
+                              and certificate[0].value == 0.0)
+                if not (builder or exact_zero):
+                    found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, in_residual)
+
+    visit(tree, None, False)
+    return found
+
+
+def test_residuals_are_built_from_tails_only():
+    # no residual function sums a certificate by hand: a residual of two
+    # truncated sides is Residual.of their difference, whose tail the weil
+    # operations carried, and only the table-free checks pass 0.0
+    found = {path.stem: _residual_constructions(ast.parse(path.read_text()))
+             for path in PACKAGE.glob("*.py")}
+    assert {stem: hits for stem, hits in found.items() if hits} == {}
+
+
+def test_the_scan_sees_a_hand_summed_certificate():
+    source = """
+class Residual(float):
+    @classmethod
+    def of(cls, diff):
+        return cls(diff.norm_inf(), diff.tail)
+
+    @classmethod
+    def scaled(cls, r, k):
+        return cls(r, r.certificate * k)
+
+def check(a, b):
+    ok = Residual(0.5, 0.0)
+    also_ok = theta.Residual(0.5, certificate=0.0)
+    return Residual(abs(a - b), a.tail + b.tail), theta.Residual(1.0, certificate=1e-9)
+"""
+    assert _residual_constructions(ast.parse(source)) == [(9, "scaled"), (14, "check"),
+                                                          (14, "check")]
