@@ -884,7 +884,8 @@ class ThetaEvaluator:
     of the family that built it (_tail_shell) and ``translates`` its cosets'
     count, so a tail reads no point or polynomial, and the evaluator holds
     no reference to its family or point.  A vector's ``tail`` is the tail
-    at its y, taken once per distinct y of a batch.  The evaluator keeps its
+    at its y, taken once per distinct y over the evaluator's life and kept
+    (one float per y: the tail depends on y alone).  The evaluator keeps its
     last batch of taus, exactly, with its vectors, so a check that asks again
     for the same taus gets the same (immutable) vectors without an evaluation.
     """
@@ -913,6 +914,7 @@ class ThetaEvaluator:
         self._shell = shell
         self._translates = translates
         self._last = (None, [])
+        self._tails = {}
 
     def vectors(self, taus) -> list[RepVector]:
         """Theta vectors at many tau from one batched table evaluation, each
@@ -932,7 +934,10 @@ class ThetaEvaluator:
             dense[:, self._positions] = values
         dense.flags.writeable = False
         ys = taus.imag.tolist()
-        tails = {y: self.tail(y) for y in dict.fromkeys(ys)}
+        tails = self._tails
+        for y in ys:
+            if y not in tails:
+                tails[y] = self.tail(y)
         out = [RepVector.from_array(self.axes, row.reshape(self._shape), tails[y])
                for row, y in zip(dense, ys)]
         self._last = (batch, out)

@@ -1096,9 +1096,9 @@ def test_frequency_step_comes_from_the_shifts(monkeypatch, a2, ii11):
 
 def test_bundled_run_counts(monkeypatch):
     # one run of the bundled II(1,1) scenario walks 16 levels over its 11
-    # tables, looks a table up 28 times, evaluates 15 batches and takes 32
-    # tail bounds: one per distinct y of each evaluated batch (30), and one
-    # per form term and tau for the symbolic contraction's cap (2)
+    # tables, looks a table up 28 times, evaluates 15 batches and takes 26
+    # tail bounds: one per evaluator and distinct y it is evaluated at (24),
+    # and one per form term and tau for the symbolic contraction's cap (2)
     from vvtheta.cli import run_scenario
 
     counts = {"levels": 0, "evaluator": 0, "_sums": 0, "tail": 0}
@@ -1117,7 +1117,7 @@ def test_bundled_run_counts(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     assert run_scenario(str(BUNDLED))["pass"]
-    assert counts == {"levels": 16, "evaluator": 28, "_sums": 15, "tail": 32}
+    assert counts == {"levels": 16, "evaluator": 28, "_sums": 15, "tail": 26}
 
 
 def test_bundled_run_makes_one_tail_shell_per_family(monkeypatch):
@@ -1803,9 +1803,9 @@ def test_residual_is_a_float_with_its_certificate():
 
 
 def test_tails_keep_the_last_batch(ii11, monkeypatch):
-    # a batch's vectors carry the tail at their y, read once per distinct y,
-    # and the same batch again gets the same vectors, tails included,
-    # without a tail call
+    # a batch's vectors carry the tail at their y, which the evaluator takes
+    # once per distinct y and keeps; the same batch again gets the same
+    # vectors without an evaluation, and a new y takes one tail call
     calls = []
     tail = theta_mod.ThetaEvaluator.tail
 
@@ -1823,8 +1823,9 @@ def test_tails_keep_the_last_batch(ii11, monkeypatch):
     assert all(vec.tail > 0 for vec in first)
     again = ev.vectors(taus)
     assert all(a is b for a, b in zip(again, first)) and len(calls) == 2
-    ev.vectors(TAU_SAMPLES[:1])
-    assert len(calls) == 3
+    assert ev.vectors(TAU_SAMPLES[:1])[0].tail == first[0].tail and len(calls) == 2
+    ev.vectors([0.1 + 0.5j])
+    assert calls == [t.imag for t in TAU_SAMPLES] + [0.5]
     # an exact vector has no tail
     group = discriminant_group(ii11)
     assert RepVector((Axis(group),), {((),): 1.0}).tail == 0.0
