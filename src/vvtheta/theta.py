@@ -1313,7 +1313,7 @@ class ThetaFamily:
 
     def vectors(self, taus, pair_vectors=None, bound: float = 10.0) -> list[RepVector]:
         """The theta vector of one shift pair and bound at every tau, from
-        one batched evaluation (no tail bounds)."""
+        one batched evaluation, each with its tail."""
         return self.evaluator(pair_vectors, bound).vectors(taus)
 
 
